@@ -26,8 +26,8 @@ from repro.chaos.verify import (
 )
 from repro.chaos.campaign import (
     ChaosCampaignDriver,
+    VolumeDayFault,
     restore_drill,
-    run_volume_day_chaos,
 )
 
 __all__ = [
@@ -38,12 +38,12 @@ __all__ = [
     "FaultSpec",
     "RecoveryReport",
     "TAPE_FAULTS",
+    "VolumeDayFault",
     "campaign_state_digests",
     "compare_digests",
     "drive_engine_with_kill",
     "recover_crash",
     "replay_dump",
     "restore_drill",
-    "run_volume_day_chaos",
     "volume_digest",
 ]

@@ -1,29 +1,26 @@
-"""Chaos campaigns: the fault-injecting counterpart of the campaign driver.
+"""Chaos campaigns: the campaign driver with a fault plan attached.
 
-:func:`run_volume_day_chaos` is one volume's whole day with a fault
-woven in — aging, (maybe) a crash and NVRAM recovery, the dump, (maybe)
-a tape fault and its replay, RAID repair — returning the same payload
-shape as :func:`~repro.manager.campaign.run_volume_day` plus the fault
-events.  The **oracle** run uses the very same function with a plan that
-never fires, so both campaigns execute identical code and their
-persisted state can be compared byte for byte.
+A chaos campaign is a plain campaign whose volume-days carry a hook.
+:class:`VolumeDayFault` wraps one planned :class:`FaultSpec` as the two
+steps :func:`~repro.manager.campaign.run_volume_day` hands over on a
+faulted day — aging (maybe a crash and NVRAM recovery) and draining the
+dump (maybe a tape fault and its replay, or disk failures and RAID
+repair).  A day the plan leaves alone gets no hook and is exactly the
+plain day, so the fault-free **oracle** is simply the same campaign with
+the plan disabled, and the two campaigns' persisted state can be
+compared byte for byte.
 
-:class:`ChaosCampaignDriver` runs days of these.  Unlike the baseline
-driver it uses the independent-filers model (one ``TimedRun`` per
-volume, disjoint drive partitions) in *both* serial and ``--jobs N``
-mode — a day's volumes never contend, so a serial chaos campaign and a
-parallel one of the same seed are byte-identical, which is itself one of
-the determinism guarantees the chaos plane asserts.
+:class:`ChaosCampaignDriver` adds only "which fault for (day, volume)"
+before the day and "sequence, trace, meter, persist the events" after
+it.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from typing import Dict, List, Optional
 
 from repro.errors import PowerLossError
-from repro.backup.jobs import build_dump_engine
 from repro.catalog.records import STRATEGY_LOGICAL
 from repro.chaos.inject import (
     corrupt_written_cartridge,
@@ -46,87 +43,74 @@ from repro.chaos.recover import (
     recover_crash,
     replay_dump,
 )
-from repro.manager.campaign import DAILY_SNAPSHOT, CampaignDriver
+from repro.manager.campaign import CampaignDriver
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import get_tracer
-from repro.perf.executor import TimedRun
 from repro.workload.mutate import apply_mutations
 
 
-def _event(fault: FaultSpec, fsid: str, outcome: str,
-           recovery: Optional[RecoveryReport] = None,
-           extra: Optional[Dict] = None) -> Dict:
-    event = {
-        "day": fault.day,
-        "volume_index": fault.volume_index,
-        "fsid": fsid,
-        "fault_id": fault.fault_id,
-        "kind": fault.kind,
-        "params": dict(fault.params),
-        "outcome": outcome,
-    }
-    if recovery is not None:
-        event["recovery"] = recovery.to_dict()
-    if extra:
-        event.update(extra)
-    return event
+class VolumeDayFault:
+    """At most one fault injected into, and recovered within, a volume-day.
 
-
-def run_volume_day_chaos(
-    fs,
-    tree,
-    strategy: str,
-    subtree: str,
-    level: int,
-    drive,
-    job_name: str,
-    snapshot_name: Optional[str],
-    base_snapshot: Optional[str],
-    mutation,
-    daily_snapshot: Optional[str],
-    dumpdates,
-    costs,
-    profile,
-    fault: Optional[FaultSpec],
-):
-    """One volume's day with at most one fault injected and recovered.
-
-    The faultless call (``fault=None``) is the oracle path; a fault that
-    cannot strike (a kill threshold beyond the dump's tape-op count, a
-    torn-CP fuse the CP never burned down, a crash with no NVRAM) is
-    recorded as a **miss** and the day proceeds normally — misses are
-    part of the deterministic event stream, not errors.
+    A fault that cannot strike (a kill threshold beyond the dump's
+    tape-op count, a torn-CP fuse the CP never burned down, a crash with
+    no NVRAM or nothing logged in it) is recorded as a **miss** and the
+    day proceeds normally — misses are part of the deterministic event
+    stream, not errors.
 
     Recovery is time-neutral: a replayed dump's op stream stands in for
     the faulted attempt's in the day's ``TimedRun``, so payload timings
     match the oracle's and the cost of recovery shows up only in the
-    chaos events/metrics.  Returns ``(fs, tree, drive, payload, events)``.
+    chaos events/metrics.
     """
-    events: List[Dict] = []
-    volume = fs.volume
-    fsid = volume.name
 
-    tape_fault = (fault if fault is not None and fault.kind in TAPE_FAULTS
-                  else None)
-    disk_fault = (fault if fault is not None and fault.kind == KIND_DISK_FAIL
-                  else None)
-    crash_fault = (fault if fault is not None
-                   and fault.kind in (KIND_CRASH, KIND_TORN_CP) else None)
+    def __init__(self, spec: FaultSpec):
+        self.spec = spec
+        self.events: List[Dict] = []
 
-    if crash_fault is not None and fs.nvram is None:
-        events.append(_event(crash_fault, fsid, "miss",
-                             extra={"reason": "no_nvram"}))
-        crash_fault = None
+    def _record(self, fs, outcome: str,
+                recovery: Optional[RecoveryReport] = None, **extra) -> None:
+        spec = self.spec
+        event = {
+            "day": spec.day,
+            "volume_index": spec.volume_index,
+            "fsid": fs.volume.name,
+            "fault_id": spec.fault_id,
+            "kind": spec.kind,
+            "params": dict(spec.params),
+            "outcome": outcome,
+        }
+        if recovery is not None:
+            event["recovery"] = recovery.to_dict()
+        event.update(extra)
+        self.events.append(event)
 
-    # -- aging, possibly under power loss ---------------------------------
-    if crash_fault is not None:
-        nvram = fs.nvram
+    def age(self, fs, tree, mutation):
+        """The day's aging, under power loss for the crash kinds.
+
+        Returns the live file system — the recovered mount after a hit.
+        """
+        spec = self.spec
+        crash = spec.kind in (KIND_CRASH, KIND_TORN_CP)
+        if crash and fs.nvram is None:
+            self._record(fs, "miss", reason="no_nvram")
+            crash = False
         if mutation is not None:
             # The crash window: the day's ops reach NVRAM but no CP.
-            apply_mutations(fs, tree, mutation, checkpoint=False)
+            apply_mutations(fs, tree, mutation, checkpoint=not crash)
+        if not crash:
+            return fs
+        volume, nvram = fs.volume, fs.nvram
+        if len(nvram) == 0:
+            # An idle day logged nothing to replay; recovery would skip
+            # the consistency point the oracle's aging always takes.
+            self._record(fs, "miss", reason="empty_nvram_log")
+            if mutation is not None:
+                fs.consistency_point()
+            return fs
         torn = None
-        if crash_fault.kind == KIND_TORN_CP:
-            volume.arm_write_fuse(crash_fault.params["fuse_blocks"])
+        if spec.kind == KIND_TORN_CP:
+            volume.arm_write_fuse(spec.params["fuse_blocks"])
             try:
                 fs.consistency_point()
             except PowerLossError as exc:
@@ -135,98 +119,65 @@ def run_volume_day_chaos(
                 volume.disarm_write_fuse()
             if torn is None:
                 # The CP finished before the fuse burned down: missed.
-                events.append(_event(crash_fault, fsid, "miss",
-                                     extra={"reason": "cp_outlived_fuse"}))
-                crash_fault = None
-        if crash_fault is not None:
-            fs.crash()
-            fs, report = recover_crash(volume, nvram, kind=crash_fault.kind)
-            if torn is not None:
-                report.details["torn_write"] = torn
-            events.append(_event(crash_fault, fsid, "hit", recovery=report))
-    elif mutation is not None:
-        apply_mutations(fs, tree, mutation)
+                self._record(fs, "miss", reason="cp_outlived_fuse")
+                return fs
+        fs.crash()
+        fs, report = recover_crash(volume, nvram, kind=spec.kind)
+        if torn is not None:
+            report.details["torn_write"] = torn
+        self._record(fs, "hit", recovery=report)
+        return fs
 
-    if daily_snapshot is not None:
-        fs.snapshot_create(daily_snapshot)
+    def drain(self, engine, fs, drive, strategy: str, dump: Dict):
+        """Drain the day's dump ``engine``, possibly dying mid-stream.
 
-    # -- disk media errors, struck before the dump reads through them -----
-    injected = None
-    if disk_fault is not None:
-        injected = inject_disk_faults(volume, disk_fault.params["draws"])
-
-    # -- the dump, possibly dying mid-stream ------------------------------
-    snapshots_before = {record.name for record in fs.fsinfo.snapshots}
-    kill_after = (tape_fault.params["after_tape_ops"]
-                  if tape_fault is not None else None)
-    engine = build_dump_engine(
-        fs, drive, strategy, level=level, subtree=subtree,
-        dumpdates=dumpdates, snapshot_name=snapshot_name,
-        base_snapshot=base_snapshot, costs=costs,
-    )
-    attempt = drive_engine_with_kill(engine, kill_after,
-                                     checkpoint_volume=volume)
-    ops, data = attempt.ops, attempt.result
-
-    if tape_fault is not None:
-        if not attempt.killed:
-            events.append(_event(
-                tape_fault, fsid, "miss",
-                extra={"reason": "dump_only_has_%d_tape_ops"
-                       % attempt.tape_ops_seen}))
-        else:
+        Returns the ``(ops, result)`` the day is timed with: the
+        engine's own, or the replay's after a tape fault.
+        """
+        spec, volume = self.spec, fs.volume
+        tape = spec.kind in TAPE_FAULTS
+        injected = None
+        if spec.kind == KIND_DISK_FAIL:
+            # Media errors strike before the dump reads through them.
+            injected = inject_disk_faults(volume, spec.params["draws"])
+        snapshots_before = {record.name for record in fs.fsinfo.snapshots}
+        attempt = drive_engine_with_kill(
+            engine, spec.params["after_tape_ops"] if tape else None,
+            checkpoint_volume=volume)
+        ops, data = attempt.ops, attempt.result
+        if tape and not attempt.killed:
+            self._record(fs, "miss", reason="dump_only_has_%d_tape_ops"
+                         % attempt.tape_ops_seen)
+        elif tape:
             damage = None
-            if tape_fault.kind == KIND_CORRUPT:
+            if spec.kind == KIND_CORRUPT:
                 damage = corrupt_written_cartridge(
-                    drive, tape_fault.params["cartridge_back"],
-                    tape_fault.params["offset_frac"],
-                    tape_fault.params["xor"])
-            elif tape_fault.kind == KIND_EJECT:
+                    drive, spec.params["cartridge_back"],
+                    spec.params["offset_frac"], spec.params["xor"])
+            elif spec.kind == KIND_EJECT:
                 damage = eject_current_cartridge(drive)
             replayed, report = replay_dump(
-                fs, drive, tape_fault.kind, attempt.cache_checkpoint,
-                snapshots_before, strategy, level, subtree, dumpdates,
-                snapshot_name, base_snapshot, costs, damage=damage)
+                fs, drive, spec.kind, attempt.cache_checkpoint,
+                snapshots_before, strategy, damage=damage, **dump)
             ops, data = replayed.ops, replayed.result
-            events.append(_event(tape_fault, fsid, "hit", recovery=report))
-
-    # -- RAID repair after the dump streamed through the bad blocks -------
-    if disk_fault is not None:
-        repaired = volume.repair_bad_blocks()
-        report = RecoveryReport(KIND_DISK_FAIL, "raid_reconstruct", {
-            "injected": injected, "repaired": repaired})
-        events.append(_event(disk_fault, fsid, "hit", recovery=report))
-
-    # -- timing, payload ---------------------------------------------------
-    run = TimedRun(profile)
-    job = run.add_ops(job_name, ops, data=data)
-    run.run()
-    if strategy == STRATEGY_LOGICAL:
-        date = data.date
-    else:
-        record = fs.fsinfo.find_snapshot(snapshot_name)
-        date = record.created if record else 0
-    payload = {
-        "name": job_name,
-        "date": date,
-        "start": job.start,
-        "end": job.end,
-        "bytes_to_tape": data.bytes_to_tape,
-        "files": data.files,
-        "blocks": data.blocks,
-    }
-    return fs, tree, drive, payload, events
+            self._record(fs, "hit", recovery=report)
+        if spec.kind == KIND_DISK_FAIL:
+            # RAID repair after the dump streamed through the bad blocks.
+            repaired = volume.repair_bad_blocks()
+            self._record(fs, "hit", recovery=RecoveryReport(
+                KIND_DISK_FAIL, "raid_reconstruct",
+                {"injected": injected, "repaired": repaired}))
+        return ops, data
 
 
 class ChaosCampaignDriver(CampaignDriver):
     """A campaign driver that injects (and survives) planned faults.
 
-    Serial and parallel days both use per-volume ``TimedRun``\\ s over
-    disjoint drive partitions, and the parent merges results in
-    declaration order, so ``--jobs 1`` and ``--jobs N`` campaigns of the
-    same seed are byte-identical — including the fault event stream,
-    which the parent (single-threaded) assigns global sequence numbers
-    and appends to ``events_path`` as JSON lines.
+    The parent merges volume-days in declaration order wherever they
+    ran, so ``--jobs 1`` and ``--jobs N`` campaigns of the same seed are
+    byte-identical — including the fault event stream, which the parent
+    (single-threaded) assigns global sequence numbers and appends to
+    ``events_path`` as JSON lines.
     """
 
     def __init__(self, catalog, pool, plan: ChaosPlan,
@@ -238,69 +189,12 @@ class ChaosCampaignDriver(CampaignDriver):
         self._event_seq = 0
 
     def run_day(self) -> Dict[str, object]:
-        day = self.day
-        names = ["%s.d%02d" % (volume.fsid, day) for volume in self.volumes]
-        drives = self.pool.partitioned_drives(names)
-        staged = []
-        argslist = []
-        for index, (volume, drive) in enumerate(zip(self.volumes, drives)):
-            level = self._effective_level(
-                volume, volume.schedule.level_for(day))
-            snapshot_name = None
-            base_snapshot = None
-            if volume.strategy != STRATEGY_LOGICAL:
-                snapshot_name = "img.%s.d%d" % (volume.fsid, day)
-                if level > 0:
-                    base_snapshot = volume.base_snapshot_for(level)
-            argslist.append((
-                volume.fs, volume.tree, volume.strategy, volume.subtree,
-                level, drive, names[index], snapshot_name, base_snapshot,
-                self._mutation_config(day, index) if day > 0 else None,
-                DAILY_SNAPSHOT % day if self.keep_daily_snapshots else None,
-                (copy.deepcopy(self.catalog.dumpdates)
-                 if volume.strategy == STRATEGY_LOGICAL else None),
-                self.costs, self.profile,
-                self.plan.fault_for(day, index),
-            ))
-            staged.append((volume, level, snapshot_name, base_snapshot))
-
-        if self.jobs > 1 and len(self.volumes) > 1:
-            from repro.parallel import TaskPool, TaskSpec
-
-            specs = [TaskSpec(names[index], run_volume_day_chaos, args)
-                     for index, args in enumerate(argslist)]
-            values = TaskPool(self.jobs).map_values(specs)
-        else:
-            values = [run_volume_day_chaos(*args) for args in argslist]
-
-        results: Dict[str, object] = {}
-        for (volume, level, snapshot_name, base_snapshot), value in zip(
-                staged, values):
-            fs, tree, drive, payload, events = value
-            volume.fs = fs
-            volume.tree = tree
-            self.pool.adopt_cartridges(drive)
-            backup_set = self.catalog.record_set(
-                fsid=volume.fsid, subtree=volume.subtree,
-                strategy=volume.strategy, level=level, day=day,
-                date=payload["date"], snapshot=snapshot_name,
-                base_snapshot=base_snapshot,
-                start_time=payload["start"], end_time=payload["end"],
-                bytes_to_tape=payload["bytes_to_tape"],
-                files=payload["files"], blocks=payload["blocks"],
-                save=False,
-            )
-            self.pool.commit_job(drive, backup_set)
-            if volume.strategy != STRATEGY_LOGICAL:
-                volume.supersede_snapshots(level, snapshot_name,
-                                           payload["date"])
-            results[payload["name"]] = (backup_set, payload)
-            self._observe_day_job(volume, level, day, payload["name"],
-                                  payload["start"], payload["end"],
-                                  payload["bytes_to_tape"])
-            self._observe_chaos_events(events)
-        self.catalog.save()
-        self.day += 1
+        faults = []
+        for index in range(len(self.volumes)):
+            spec = self.plan.fault_for(self.day, index)
+            faults.append(None if spec is None else VolumeDayFault(spec))
+        results, events = self._run_day(faults)
+        self._observe_chaos_events(events)
         return results
 
     def _observe_chaos_events(self, events: List[Dict]) -> None:
@@ -398,6 +292,6 @@ def restore_drill(
 
 __all__ = [
     "ChaosCampaignDriver",
+    "VolumeDayFault",
     "restore_drill",
-    "run_volume_day_chaos",
 ]

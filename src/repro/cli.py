@@ -1228,8 +1228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--daily-snapshots", action="store_true",
                    help="snapshot each volume every simulated day")
     p.add_argument("--jobs", type=int, default=1,
-                   help="age/dump volumes in N worker processes (catalog"
-                        " commits stay ordered and single-writer)")
+                   help="age/dump volumes in N worker processes (catalog,"
+                        " media and volumes are byte-identical to a serial"
+                        " run)")
     p.add_argument("--chaos", action="store_true",
                    help="inject a deterministic fault campaign, recover"
                         " every fault, and verify the recovered state"

@@ -36,7 +36,6 @@ processes.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 from typing import Dict, List, Optional
@@ -50,6 +49,7 @@ from repro.fleet.tenant import (
     load_fleet_spec,
 )
 from repro.manager.campaign import (
+    day_mutation,
     restore_point_in_time,
     run_tenant_day_resident,
 )
@@ -58,7 +58,6 @@ from repro.obs.export import export_chrome_trace
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import get_tracer
 from repro.parallel.pool import TaskPool, TaskSpec
-from repro.workload.mutate import MutationConfig
 
 STATE_VERSION = 1
 
@@ -406,67 +405,42 @@ class FleetService:
         for job in jobs:
             tenant = self.tenants[job.tenant]
             volume = tenant.volume
-            level = volume.effective_level(
-                tenant.catalog, volume.schedule.level_for(day))
+            dump = volume.stage_dump(tenant.catalog, day, job.job_id)
             job_name = "%s.%s" % (job.tenant, job.job_id)
             drive = tenant.pool.drive_for_job(job_name, reserve=True)
-            snapshot_name = None
-            base_snapshot = None
-            if volume.strategy == "image":
-                snapshot_name = "img.%s.%s" % (job.tenant, job.job_id)
-                if level > 0:
-                    base_snapshot = volume.base_snapshot_for(level)
             mutation = None
             if job.payload.get("scheduled") and day > 0:
-                mutation = MutationConfig(
-                    seed=self.spec.seed + 1009 * day
-                    + 97 * job.payload["tenant_index"])
+                mutation = day_mutation(self.spec.seed, day,
+                                        job.payload["tenant_index"])
             shipped = self._ship_bundle(job.tenant, job.affinity)
             # retries=0: the job mutates the resident volume in place,
             # so a re-run against already-aged state is not idempotent.
             specs.append(TaskSpec(job_name, run_tenant_day_resident, (
                 self._resident_key(job.tenant), tenant.epoch, shipped,
-                volume.strategy, volume.subtree, level, drive, job_name,
-                snapshot_name, base_snapshot, mutation,
-                (copy.deepcopy(tenant.catalog.dumpdates)
-                 if volume.strategy == "logical" else None),
-                None, None,
+                drive, job_name, volume.strategy, dump, mutation,
             ), retries=0))
             lanes.append(job.affinity)
-            staged.append((job, tenant, level, snapshot_name, base_snapshot,
-                           drive))
+            staged.append((job, tenant, dump, drive))
         values = self.task_pool.map_values(specs, lanes=lanes)
         outcomes: Dict[str, Dict] = {}
-        for (job, tenant, level, snapshot_name, base_snapshot,
-             drive), delta in zip(staged, values):
+        for (job, tenant, dump, drive), delta in zip(staged, values):
             payload = delta["payload"]
-            volume = tenant.volume
             written = delta["written"]
             stacker = drive.stacker
             stacker.cartridges[:len(written)] = written
             stacker.next_slot = delta["next_slot"]
             drive.media_changes = delta["media_changes"]
-            tenant.pool.adopt_cartridges(drive)
-            backup_set = tenant.catalog.record_set(
-                fsid=volume.fsid, subtree=volume.subtree,
-                strategy=volume.strategy, level=level, day=day,
-                date=payload["date"], snapshot=snapshot_name,
-                base_snapshot=base_snapshot,
-                start_time=payload["start"], end_time=payload["end"],
-                bytes_to_tape=payload["bytes_to_tape"],
-                files=payload["files"], blocks=payload["blocks"],
-                save=False,
-            )
-            tenant.pool.commit_job(drive, backup_set)
-            # The worker's kept map is authoritative (it deleted the
-            # superseded snapshots in place); mirror it for level math.
-            volume.kept_snapshots = dict(delta["kept_snapshots"])
+            # The worker's kept-snapshot map rides in the payload (it
+            # deleted the superseded snapshots in place); the commit
+            # mirrors it for level math.
+            backup_set = tenant.volume.commit_dump(
+                tenant.catalog, tenant.pool, day, dump, drive, payload)
             tenant.volume_dirty = True
             tenant.media_dirty = True
             tenant.dumps += 1
             tenant.bytes_to_tape += payload["bytes_to_tape"]
             outcomes[job.job_id] = {
-                "status": "ok", "level": level,
+                "status": "ok", "level": dump["level"],
                 "set_id": backup_set.set_id,
                 "bytes_to_tape": payload["bytes_to_tape"],
                 "files": payload["files"], "blocks": payload["blocks"],

@@ -1,12 +1,22 @@
 """The campaign driver: fleets of dumps over simulated weeks.
 
-A campaign runs one or more volumes through N simulated days.  Each day
-the driver ages every volume with the workload mutator, asks each
-volume's schedule for the day's dump level, runs all the day's dumps
-concurrently in one :class:`~repro.perf.executor.TimedRun` (they share
-the CPU and disk channels exactly as the paper's Section 5 experiments
-do), and records the results — set, base link, cartridges — in the
-catalog.
+A campaign runs one or more volumes through N simulated days.  Every
+volume is an independent filer streaming to its own partition of the
+scratch media — the paper's Section 5.1 finding is that concurrent dumps
+of ``home`` and ``rlse`` to separate drives do not interfere — so the
+unit of work is one volume's whole day, :func:`run_volume_day`: age,
+snapshot, dump in its own :class:`~repro.perf.executor.TimedRun`, retire
+superseded image snapshots.  Plain campaigns, chaos campaigns (the same
+function with a fault hook) and fleet jobs (the same function behind
+:func:`run_tenant_day_resident`'s worker-resident cache) all run it, and
+all commit through :meth:`CampaignVolume.commit_dump`.
+
+:class:`CampaignDriver` stages each day's dumps, dispatches them through
+a :class:`~repro.parallel.pool.TaskPool` (``jobs`` chooses only *where*
+a volume-day executes — in-process or in a worker — never what it
+produces), and commits the results in declaration order.  Contention
+between dumps sharing a filer is a different experiment and lives in
+:mod:`repro.backup.jobs`.
 
 :func:`restore_point_in_time` closes the loop: it asks the catalog for
 the minimal chain covering a target day and replays it, logical chains
@@ -28,6 +38,12 @@ from repro.backup.logical.restore import LogicalRestore
 from repro.backup.physical.image import ImageHeader
 from repro.backup.physical.restore import ImageRestore
 from repro.catalog.records import STRATEGY_IMAGE, STRATEGY_LOGICAL
+from repro.parallel.pool import (
+    TaskPool,
+    TaskSpec,
+    resident_lookup,
+    resident_store,
+)
 from repro.perf.costs import CostModel, HardwareProfile
 from repro.perf.executor import TimedRun
 from repro.perf.ops import drain_engine
@@ -39,56 +55,75 @@ from repro.workload.mutate import MutationConfig, apply_mutations
 DAILY_SNAPSHOT = "day.%d"
 
 
+def day_mutation(seed: int, day: int, index: int,
+                 base: Optional[MutationConfig] = None) -> MutationConfig:
+    """Volume ``index``'s aging on ``day``: ``base``'s fractions under a
+    seed fixed per (day, volume), so a day ages identically wherever and
+    in whatever order its volumes run."""
+    config = copy.copy(base) if base is not None else MutationConfig()
+    config.seed = seed + 1009 * day + 97 * index
+    return config
+
+
 def run_volume_day(
     fs,
     tree,
-    strategy: str,
-    subtree: str,
-    level: int,
+    kept_snapshots: Dict[int, Tuple[str, int]],
     drive,
     job_name: str,
-    snapshot_name: Optional[str],
-    base_snapshot: Optional[str],
-    mutation: Optional[MutationConfig],
-    daily_snapshot: Optional[str],
-    dumpdates,
-    costs: Optional[CostModel],
-    profile: Optional[HardwareProfile],
+    strategy: str,
+    dump: Dict,
+    mutation: Optional[MutationConfig] = None,
+    daily_snapshot: Optional[str] = None,
+    profile: Optional[HardwareProfile] = None,
+    fault=None,
 ):
-    """One volume's whole day, runnable in a worker process.
+    """One volume's whole day, in place, runnable in a worker process.
 
-    Ages the (pickled copy of the) volume, dumps it in its own
-    :class:`TimedRun`, and ships the mutated file system, tree, and drive
-    back so the parent can rebind them and commit the catalog in
-    declaration order.  Mutation seeds are fixed per (day, volume index),
-    so the resulting bytes/files/blocks are identical to a serial day;
-    only the *timings* differ, because each volume gets its own CPU and
-    disk channels ("independent filers") instead of contending in one
-    shared run.
+    Ages the volume, takes the daily snapshot, dumps to ``drive`` in the
+    volume's own :class:`TimedRun`, and — image strategy — retires the
+    kept snapshots the fresh dump supersedes (the function owns the live
+    file system, so they are deleted here, not in the parent).  ``dump``
+    holds :func:`build_dump_engine`'s keywords as
+    :meth:`CampaignVolume.stage_dump` decided them.
 
-    This is the unit of work both the :class:`CampaignDriver` and the
-    fleet scheduler (:mod:`repro.fleet.scheduler`) pack onto drives — it
-    is a module-level function so :class:`~repro.parallel.pool.TaskSpec`
-    can pickle it.
+    ``fault`` is ``None`` on a plain day.  A chaos campaign passes a hook
+    (:class:`repro.chaos.campaign.VolumeDayFault`) whose ``age`` stands
+    in for the aging step and whose ``drain`` drains the engine, each
+    firing and recovering the planned fault if it belongs to that step;
+    recovery hands back the op stream an unfaulted dump emits, so the
+    payload is the oracle's.
+
+    Returns ``(fs, tree, drive, payload, events)`` — a module-level
+    function of picklable arguments so :class:`TaskSpec` can ship it.
     """
-    if mutation is not None:
+    if fault is not None:
+        fs = fault.age(fs, tree, mutation)
+    elif mutation is not None:
         apply_mutations(fs, tree, mutation)
     if daily_snapshot is not None:
         fs.snapshot_create(daily_snapshot)
+    engine = build_dump_engine(fs, drive, strategy, **dump)
     run = TimedRun(profile)
-    engine = build_dump_engine(
-        fs, drive, strategy, level=level, subtree=subtree,
-        dumpdates=dumpdates, snapshot_name=snapshot_name,
-        base_snapshot=base_snapshot, costs=costs,
-    )
-    job = run.add_job(job_name, engine)
+    if fault is not None:
+        ops, data = fault.drain(engine, fs, drive, strategy, dump)
+        job = run.add_ops(job_name, ops, data=data)
+    else:
+        job = run.add_job(job_name, engine)
     run.run()
     data = job.data
     if strategy == STRATEGY_LOGICAL:
         date = data.date
     else:
-        record = fs.fsinfo.find_snapshot(snapshot_name)
+        record = fs.fsinfo.find_snapshot(dump["snapshot_name"])
         date = record.created if record else 0
+        # A fresh level-L dump retires kept snapshots at levels >= L,
+        # the same way dumpdates supersedes deeper records.
+        for old_level in list(kept_snapshots):
+            if old_level >= dump["level"]:
+                old_name, _date = kept_snapshots.pop(old_level)
+                fs.snapshot_delete(old_name)
+        kept_snapshots[dump["level"]] = (dump["snapshot_name"], date)
     payload = {
         "name": job_name,
         "date": date,
@@ -97,46 +132,30 @@ def run_volume_day(
         "bytes_to_tape": data.bytes_to_tape,
         "files": data.files,
         "blocks": data.blocks,
+        "kept_snapshots": kept_snapshots,
     }
-    return fs, tree, drive, payload
+    return fs, tree, drive, payload, fault.events if fault is not None else []
 
 
-def run_tenant_day_resident(
-    tenant_name: str,
-    epoch: int,
-    shipped: Optional[Dict],
-    strategy: str,
-    subtree: str,
-    level: int,
-    drive,
-    job_name: str,
-    snapshot_name: Optional[str],
-    base_snapshot: Optional[str],
-    mutation: Optional[MutationConfig],
-    dumpdates,
-    costs: Optional[CostModel],
-    profile: Optional[HardwareProfile],
-):
+def run_tenant_day_resident(tenant_name: str, epoch: int,
+                            shipped: Optional[Dict], *day_args):
     """One tenant-day against **worker-resident** volume state.
 
-    The successor to :func:`run_volume_day` for the fleet hot path: the
-    volume (``fs``, ``tree``, kept snapshots) stays pinned in the worker
-    process between jobs under ``(tenant_name, epoch)``
+    The fleet hot path's adapter around :func:`run_volume_day`
+    (``day_args`` are its arguments from ``drive`` on): the volume
+    (``fs``, ``tree``, kept snapshots) stays pinned in the worker process
+    between jobs under ``(tenant_name, epoch)``
     (:mod:`repro.parallel.pool`'s resident cache), so a job normally
     ships only this descriptor — the full ``shipped`` bundle travels
     once, when the worker has no resident copy (first job, or the epoch
     was bumped).  The return value is a compact delta, not the state:
-    the dump payload, the written cartridge prefix, and the kept-snapshot
-    map.  Aging, dumping, and image-snapshot supersession all happen *in
-    place* in the worker.
+    the day's payload and the written cartridge prefix.
 
     On the serial path this runs in the parent against the parent's own
     objects, so every "ship" is a reference pass and every delta
     application a no-op rebind — which is what keeps ``--jobs 1`` and
     ``--jobs N`` byte-identical.
     """
-    from repro.parallel.pool import resident_lookup, resident_store
-
     if shipped is not None:
         # A shipped bundle always wins: the parent only ships when it
         # believes this worker's copy is absent or stale (epoch bump),
@@ -150,48 +169,15 @@ def run_tenant_day_resident(
             raise CatalogError(
                 "worker has no resident state for %r at epoch %d and the"
                 " parent shipped none" % (tenant_name, epoch))
-    fs = resident["fs"]
-    tree = resident["tree"]
-    kept = resident["kept_snapshots"]
-    if mutation is not None:
-        apply_mutations(fs, tree, mutation)
-    run = TimedRun(profile)
-    engine = build_dump_engine(
-        fs, drive, strategy, level=level, subtree=subtree,
-        dumpdates=dumpdates, snapshot_name=snapshot_name,
-        base_snapshot=base_snapshot, costs=costs,
-    )
-    job = run.add_job(job_name, engine)
-    run.run()
-    data = job.data
-    if strategy == STRATEGY_LOGICAL:
-        date = data.date
-    else:
-        record = fs.fsinfo.find_snapshot(snapshot_name)
-        date = record.created if record else 0
-        # Supersede in place: the worker owns the live filesystem, so
-        # retired dump snapshots are deleted here, not in the parent.
-        for old_level in list(kept):
-            if old_level >= level:
-                old_name, _date = kept.pop(old_level)
-                fs.snapshot_delete(old_name)
-        kept[level] = (snapshot_name, date)
-    payload = {
-        "name": job_name,
-        "date": date,
-        "start": job.start,
-        "end": job.end,
-        "bytes_to_tape": data.bytes_to_tape,
-        "files": data.files,
-        "blocks": data.blocks,
-    }
+    _fs, _tree, drive, payload, _events = run_volume_day(
+        resident["fs"], resident["tree"], resident["kept_snapshots"],
+        *day_args)
     stacker = drive.stacker
     return {
         "payload": payload,
         "next_slot": stacker.next_slot,
         "written": stacker.cartridges[:stacker.next_slot],
         "media_changes": drive.media_changes,
-        "kept_snapshots": dict(kept),
     }
 
 
@@ -207,8 +193,8 @@ class CampaignVolume:
         self.schedule = schedule
         self.subtree = subtree
         # Image strategy: the newest dump snapshot per level, kept alive
-        # as future incremental bases (superseded ones are deleted, the
-        # same way dumpdates supersedes deeper records).
+        # as future incremental bases.  :func:`run_volume_day` maintains
+        # it beside the file system; :meth:`commit_dump` mirrors it back.
         self.kept_snapshots: Dict[int, Tuple[str, int]] = {}
 
     @property
@@ -223,14 +209,6 @@ class CampaignVolume:
             return None
         return max(candidates)[1]
 
-    def supersede_snapshots(self, level: int, name: str, date: int) -> None:
-        """A fresh level-L dump retires kept snapshots at levels >= L."""
-        for old_level in list(self.kept_snapshots):
-            if old_level >= level:
-                old_name, _date = self.kept_snapshots.pop(old_level)
-                self.fs.snapshot_delete(old_name)
-        self.kept_snapshots[level] = (name, date)
-
     def effective_level(self, catalog, level: int) -> int:
         """Downgrade to a full when the scheduled level has no base yet."""
         if level == 0:
@@ -244,6 +222,63 @@ class CampaignVolume:
         if self.base_snapshot_for(level) is None:
             return 0
         return level
+
+    def stage_dump(self, catalog, day: int, tag: str,
+                   costs: Optional[CostModel] = None) -> Dict:
+        """Decide ``day``'s dump: :func:`build_dump_engine`'s keywords.
+
+        ``tag`` makes the image snapshot's name unique to the job.  The
+        dumpdates are a private copy — the dump records into it wherever
+        it runs, and :meth:`commit_dump` records into the catalog's.
+        """
+        level = self.effective_level(catalog, self.schedule.level_for(day))
+        image = self.strategy == STRATEGY_IMAGE
+        return {
+            "level": level,
+            "subtree": self.subtree,
+            "dumpdates": None if image else copy.deepcopy(catalog.dumpdates),
+            "snapshot_name": "img.%s.%s" % (self.fsid, tag) if image else None,
+            "base_snapshot": (self.base_snapshot_for(level)
+                              if image and level > 0 else None),
+            "costs": costs,
+        }
+
+    def commit_dump(self, catalog, pool, day: int, dump: Dict, drive,
+                    payload: Dict):
+        """Record one finished volume-day; returns its backup set.
+
+        Adopts the cartridges the day wrote, records the set and its
+        media, mirrors the kept-snapshot map the day maintained, and
+        emits one campaign-level span plus counters.  The catalog is not
+        saved — callers commit a whole day at once.
+        """
+        pool.adopt_cartridges(drive)
+        backup_set = catalog.record_set(
+            fsid=self.fsid, subtree=self.subtree, strategy=self.strategy,
+            level=dump["level"], day=day, date=payload["date"],
+            snapshot=dump["snapshot_name"],
+            base_snapshot=dump["base_snapshot"],
+            start_time=payload["start"], end_time=payload["end"],
+            bytes_to_tape=payload["bytes_to_tape"], files=payload["files"],
+            blocks=payload["blocks"], save=False,
+        )
+        pool.commit_job(drive, backup_set)
+        # A copy: an in-process day mutates the very map it was handed,
+        # and the payload must keep this day's value.
+        self.kept_snapshots = dict(payload["kept_snapshots"])
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.complete(
+                payload["name"], cat="campaign", ts=payload["start"],
+                dur=payload["end"] - payload["start"], tid=self.fsid,
+                args={"day": day, "strategy": self.strategy,
+                      "level": dump["level"],
+                      "bytes_to_tape": payload["bytes_to_tape"]})
+        if REGISTRY.enabled:
+            REGISTRY.counter("campaign.dumps").inc()
+            REGISTRY.counter("campaign.bytes_to_tape").inc(
+                payload["bytes_to_tape"])
+        return backup_set
 
 
 class CampaignDriver:
@@ -279,174 +314,58 @@ class CampaignDriver:
 
     # -- one day -----------------------------------------------------------
 
-    def _mutation_config(self, day: int, index: int) -> MutationConfig:
-        base = self.mutations
-        return MutationConfig(
-            modify_fraction=base.modify_fraction,
-            delete_fraction=base.delete_fraction,
-            create_fraction=base.create_fraction,
-            rename_fraction=base.rename_fraction,
-            seed=self.seed + 1009 * day + 97 * index,
-        )
-
-    def _effective_level(self, volume: CampaignVolume, level: int) -> int:
-        return volume.effective_level(self.catalog, level)
-
     def run_day(self) -> Dict[str, object]:
-        """Age every volume, dump them concurrently, record the sets.
+        """Age and dump every volume, record the sets.
 
-        With ``jobs > 1`` each volume's aging and dump runs in its own
-        worker process (its own ``TimedRun`` — the "independent filers"
-        model: bytes, files, and blocks match a serial day exactly, but
-        per-dump timings no longer reflect shared-CPU/disk contention).
-        The catalog commit stays ordered and single-writer in the parent.
+        Returns ``{job name: (backup set, payload)}``.
         """
-        if self.jobs > 1 and len(self.volumes) > 1:
-            return self._run_day_parallel()
-        day = self.day
-        if day > 0:
-            for index, volume in enumerate(self.volumes):
-                apply_mutations(volume.fs, volume.tree,
-                                self._mutation_config(day, index))
-        if self.keep_daily_snapshots:
-            for volume in self.volumes:
-                volume.fs.snapshot_create(DAILY_SNAPSHOT % day)
-
-        run = TimedRun(self.profile)
-        staged = []
-        for volume in self.volumes:
-            level = self._effective_level(
-                volume, volume.schedule.level_for(day))
-            job_name = "%s.d%02d" % (volume.fsid, day)
-            drive = self.pool.drive_for_job(job_name)
-            snapshot_name = None
-            base_snapshot = None
-            if volume.strategy == STRATEGY_IMAGE:
-                snapshot_name = "img.%s.d%d" % (volume.fsid, day)
-                if level > 0:
-                    base_snapshot = volume.base_snapshot_for(level)
-            engine = build_dump_engine(
-                volume.fs, drive, volume.strategy, level=level,
-                subtree=volume.subtree,
-                dumpdates=(self.catalog.dumpdates
-                           if volume.strategy == STRATEGY_LOGICAL else None),
-                snapshot_name=snapshot_name, base_snapshot=base_snapshot,
-                costs=self.costs,
-            )
-            job = run.add_job(job_name, engine)
-            staged.append((volume, level, drive, snapshot_name,
-                           base_snapshot, job))
-        run.run()
-
-        results = {}
-        for volume, level, drive, snapshot_name, base_snapshot, job in staged:
-            data = job.data
-            if volume.strategy == STRATEGY_LOGICAL:
-                date = data.date
-            else:
-                record = volume.fs.fsinfo.find_snapshot(snapshot_name)
-                date = record.created if record else 0
-            backup_set = self.catalog.record_set(
-                fsid=volume.fsid, subtree=volume.subtree,
-                strategy=volume.strategy, level=level, day=day, date=date,
-                snapshot=snapshot_name, base_snapshot=base_snapshot,
-                start_time=job.start, end_time=job.end,
-                bytes_to_tape=data.bytes_to_tape, files=data.files,
-                blocks=data.blocks, save=False,
-            )
-            self.pool.commit_job(drive, backup_set)
-            if volume.strategy == STRATEGY_IMAGE:
-                volume.supersede_snapshots(level, snapshot_name, date)
-            results[job.name] = (backup_set, job)
-            self._observe_day_job(volume, level, day, job.name, job.start,
-                                  job.end, data.bytes_to_tape)
-        self.catalog.save()
-        self.day += 1
+        results, _events = self._run_day([None] * len(self.volumes))
         return results
 
-    def _observe_day_job(self, volume, level: int, day: int, name: str,
-                         start: float, end: float,
-                         bytes_to_tape: int) -> None:
-        """One campaign-level span + counters per completed dump job."""
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.complete(
-                name, cat="campaign", ts=start, dur=end - start,
-                tid=volume.fsid,
-                args={"day": day, "strategy": volume.strategy,
-                      "level": level, "bytes_to_tape": bytes_to_tape})
-        if REGISTRY.enabled:
-            REGISTRY.counter("campaign.dumps").inc()
-            REGISTRY.counter("campaign.bytes_to_tape").inc(bytes_to_tape)
+    def _run_day(self, faults: List) -> Tuple[Dict[str, object], List[Dict]]:
+        """One day with ``faults[i]`` handed to volume ``i``'s day.
 
-    def _run_day_parallel(self) -> Dict[str, object]:
-        """Fan the day's volumes out over a :class:`TaskPool`.
-
-        Workers receive pickled copies of the volume state and disjoint
-        slices of the scratch media (:meth:`MediaPool.partitioned_drives`);
-        the parent merges in declaration order — rebinding each volume's
-        mutated file system and tree, adopting the written cartridges,
-        and committing catalog records one at a time — so set IDs,
-        dumpdates, and media allocation come out exactly as a serial day
-        would produce them.
+        Each volume-day gets a disjoint slice of the scratch media
+        (:meth:`MediaPool.partitioned_drives`) and runs through a
+        :class:`TaskPool` — in this process on the live objects when
+        ``jobs=1``, on pickled copies in workers otherwise.  The parent
+        merges in declaration order — rebinding each volume's file system
+        and tree, then committing its set — so set IDs, dumpdates, and
+        media allocation never depend on where or when a day ran.
         """
-        from repro.parallel import TaskPool, TaskSpec
-
         day = self.day
+        task_pool = TaskPool(self.jobs)
         names = ["%s.d%02d" % (volume.fsid, day) for volume in self.volumes]
         drives = self.pool.partitioned_drives(names)
-        specs = []
-        staged = []
-        for index, (volume, drive) in enumerate(zip(self.volumes, drives)):
-            level = self._effective_level(
-                volume, volume.schedule.level_for(day))
-            snapshot_name = None
-            base_snapshot = None
-            if volume.strategy == STRATEGY_IMAGE:
-                snapshot_name = "img.%s.d%d" % (volume.fsid, day)
-                if level > 0:
-                    base_snapshot = volume.base_snapshot_for(level)
-            specs.append(TaskSpec(names[index], run_volume_day, (
-                volume.fs, volume.tree, volume.strategy, volume.subtree,
-                level, drive, names[index], snapshot_name, base_snapshot,
-                self._mutation_config(day, index) if day > 0 else None,
+        dumps = [volume.stage_dump(self.catalog, day, "d%d" % day, self.costs)
+                 for volume in self.volumes]
+        # A forked day ran on a pickled copy, so a retry starts clean; an
+        # in-process day has already aged the live volume and must not
+        # run twice.
+        retries = 1 if task_pool.parallel else 0
+        specs = [
+            TaskSpec(names[index], run_volume_day, (
+                volume.fs, volume.tree, volume.kept_snapshots,
+                drives[index], names[index], volume.strategy, dumps[index],
+                (day_mutation(self.seed, day, index, self.mutations)
+                 if day > 0 else None),
                 DAILY_SNAPSHOT % day if self.keep_daily_snapshots else None,
-                (copy.deepcopy(self.catalog.dumpdates)
-                 if volume.strategy == STRATEGY_LOGICAL else None),
-                self.costs, self.profile,
-            )))
-            staged.append((volume, level, snapshot_name, base_snapshot))
-
-        values = TaskPool(self.jobs).map_values(specs)
-
+                self.profile, faults[index],
+            ), retries=retries)
+            for index, volume in enumerate(self.volumes)
+        ]
         results: Dict[str, object] = {}
-        for (volume, level, snapshot_name, base_snapshot), value in zip(
-                staged, values):
-            fs, tree, drive, payload = value
-            volume.fs = fs
-            volume.tree = tree
-            self.pool.adopt_cartridges(drive)
-            backup_set = self.catalog.record_set(
-                fsid=volume.fsid, subtree=volume.subtree,
-                strategy=volume.strategy, level=level, day=day,
-                date=payload["date"], snapshot=snapshot_name,
-                base_snapshot=base_snapshot,
-                start_time=payload["start"], end_time=payload["end"],
-                bytes_to_tape=payload["bytes_to_tape"],
-                files=payload["files"], blocks=payload["blocks"],
-                save=False,
-            )
-            self.pool.commit_job(drive, backup_set)
-            if volume.strategy == STRATEGY_IMAGE:
-                volume.supersede_snapshots(level, snapshot_name,
-                                           payload["date"])
+        events: List[Dict] = []
+        for volume, dump, value in zip(self.volumes, dumps,
+                                       task_pool.map_values(specs)):
+            volume.fs, volume.tree, drive, payload, day_events = value
+            backup_set = volume.commit_dump(self.catalog, self.pool, day,
+                                            dump, drive, payload)
             results[payload["name"]] = (backup_set, payload)
-            self._observe_day_job(volume, level, day, payload["name"],
-                                  payload["start"], payload["end"],
-                                  payload["bytes_to_tape"])
+            events.extend(day_events)
         self.catalog.save()
         self.day += 1
-        return results
+        return results, events
 
     def run(self, days: int) -> int:
         """Run ``days`` consecutive campaign days; returns the next day."""
@@ -509,6 +428,7 @@ __all__ = [
     "CampaignDriver",
     "CampaignVolume",
     "DAILY_SNAPSHOT",
+    "day_mutation",
     "restore_point_in_time",
     "run_tenant_day_resident",
     "run_volume_day",

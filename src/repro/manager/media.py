@@ -17,14 +17,14 @@ The catalog tracks every cartridge's label, capacity, and status
 One cartridge belongs to at most one backup set, which is what makes
 recycling a chain safe: no surviving set shares its media.
 
-Long-lived schedulers (the fleet service) additionally *reserve* the
-scratch cartridges they stack into an in-flight job's drive: a reserved
-cartridge is excluded from every later drive build and refuses to be
-recycled until the job commits or releases it.  A short-lived serial
-campaign never needs reservations — each job's bytes land before the
-next drive is built, so the ``used > 0`` exclusion suffices — but a
-daemon that stages jobs into worker processes holds unwritten scratch
-media across arbitrary interleavings with prune and ad-hoc submissions.
+Jobs that are staged together must never share media, so the scratch
+cartridges stacked into an in-flight job's drive are *reserved*: a
+reserved cartridge is excluded from every later drive build and refuses
+to be recycled until the job commits or releases it.  A campaign day
+splits the free scratch media between its volumes up front
+(:meth:`partitioned_drives`); the fleet service, which holds unwritten
+scratch media across arbitrary interleavings with prune and ad-hoc
+submissions, reserves per job (``drive_for_job(reserve=True)``).
 """
 
 from __future__ import annotations
@@ -97,11 +97,10 @@ class MediaPool:
         """One drive per name over a *disjoint* round-robin split of the
         free scratch media.
 
-        :meth:`drive_for_job` stacks every scratch cartridge into every
-        drive, which is safe serially only because each job writes before
-        the next drive is built.  Parallel jobs write to cartridge
-        *copies* in worker processes, so they must never share media:
-        each drive here owns its slice outright.
+        A campaign day's volumes are independent filers on separate
+        drives, and their jobs may write to cartridge *copies* in worker
+        processes, so they must never share media: each drive here owns
+        its slice outright, wherever its job runs.
         """
         free = [self._cartridges[label]
                 for label in self.scratch_labels()

@@ -12,7 +12,7 @@ import os
 
 from repro.catalog import BackupCatalog
 from repro.chaos import ChaosCampaignDriver, ChaosPlan, campaign_state_digests
-from repro.manager import MediaPool, parse_schedule
+from repro.manager import CampaignDriver, MediaPool, parse_schedule
 from repro.nvram.log import NvramLog
 from repro.raid.layout import make_geometry
 from repro.raid.volume import RaidVolume
@@ -50,7 +50,8 @@ def run_chaos_campaign(root, plan, days=6, seed=41, jobs=1,
     """Build, populate, and run one campaign under ``plan``.
 
     The oracle run is the same call with ``plan.enabled`` False — both
-    paths execute :func:`run_volume_day_chaos` for every volume-day.
+    paths execute :func:`run_volume_day` for every volume-day — and
+    ``plan=None`` runs the plain :class:`CampaignDriver` instead.
     """
     os.makedirs(root, exist_ok=True)
     catalog_path = os.path.join(root, "catalog.json")
@@ -58,9 +59,12 @@ def run_chaos_campaign(root, plan, days=6, seed=41, jobs=1,
     catalog = BackupCatalog(catalog_path)
     pool = MediaPool(catalog)
     pool.add_blank(tapes, capacity=tape_capacity)
-    driver = ChaosCampaignDriver(catalog, pool, plan,
-                                 events_path=events_path,
-                                 seed=seed, jobs=jobs)
+    if plan is None:
+        driver = CampaignDriver(catalog, pool, seed=seed, jobs=jobs)
+    else:
+        driver = ChaosCampaignDriver(catalog, pool, plan,
+                                     events_path=events_path,
+                                     seed=seed, jobs=jobs)
     for index, (name, strategy) in enumerate(CAMPAIGN_VOLUMES):
         volume = RaidVolume(make_geometry(2, 4, 2500), name=name)
         fs = WaflFilesystem.format(volume, nvram=NvramLog())

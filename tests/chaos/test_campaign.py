@@ -66,6 +66,15 @@ class TestOracleConvergence:
             assert left.read() == right.read()
 
 
+class TestOracleIsThePlainCampaign:
+    def test_disabled_plan_matches_plain_driver(self, oracle,
+                                                tmp_path_factory):
+        plain = run_chaos_campaign(
+            str(tmp_path_factory.mktemp("plain")), None, days=DAYS)
+        assert compare_digests(plain.digests(), oracle.digests()) == []
+        assert oracle.events == []
+
+
 class TestSerialParallelIdentity:
     def test_artifacts_identical(self, chaos, chaos_parallel):
         assert compare_digests(chaos.digests(),

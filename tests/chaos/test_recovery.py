@@ -3,7 +3,7 @@
 Each test runs the same volume-day twice on independently built but
 identical filesystems and tape drives — once fault-free (the oracle),
 once with a pinned :class:`FaultSpec` — via the very
-:func:`run_volume_day_chaos` path campaigns use, then asserts the
+:func:`run_volume_day` every campaign runs, then asserts the
 recovered side is byte-identical: every cartridge's bytes, the volume's
 on-disk blocks, the filesystem digest, and the timing payload.
 """
@@ -13,8 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backup import DumpDates
-from repro.chaos import FaultSpec
-from repro.chaos.campaign import run_volume_day_chaos
+from repro.chaos import FaultSpec, VolumeDayFault
 from repro.chaos.plan import (
     KIND_CORRUPT,
     KIND_CRASH,
@@ -24,6 +23,7 @@ from repro.chaos.plan import (
     KIND_TORN_CP,
 )
 from repro.chaos.verify import filesystem_digest, volume_digest
+from repro.manager import run_volume_day
 from repro.units import MB
 from repro.workload import WorkloadGenerator
 from repro.workload.mutate import MutationConfig
@@ -33,6 +33,15 @@ from tests.conftest import make_drive, make_fs
 TAPE_CAPACITY = 96 * 1024  # small cartridges: every dump spans several
 
 
+#: ``mutate`` choices: a normal day of churn, no aging at all, or an
+#: aging pass that touches nothing (it still takes the day's CP).
+MUTATIONS = {
+    True: MutationConfig(seed=99),
+    False: None,
+    "idle": MutationConfig(0.0, 0.0, 0.0, 0.0, seed=99),
+}
+
+
 def run_day(fault=None, nvram=True, mutate=True):
     """One volume's day-1 level-0 dump, optionally under ``fault``."""
     fs = make_fs(name="vol", nvram=nvram)
@@ -40,10 +49,12 @@ def run_day(fault=None, nvram=True, mutate=True):
     tree = generator.populate(fs, MB)
     fs.consistency_point()
     drive = make_drive(name="t", tapes=24, capacity=TAPE_CAPACITY)
-    mutation = MutationConfig(seed=99) if mutate else None
-    fs, tree, drive, payload, events = run_volume_day_chaos(
-        fs, tree, "logical", "/", 0, drive, "vol.d01", None, None,
-        mutation, None, DumpDates(), None, None, fault)
+    mutation = MUTATIONS[mutate]
+    dump = {"level": 0, "subtree": "/", "dumpdates": DumpDates(),
+            "snapshot_name": None, "base_snapshot": None, "costs": None}
+    fs, tree, drive, payload, events = run_volume_day(
+        fs, tree, {}, drive, "vol.d01", "logical", dump, mutation,
+        fault=None if fault is None else VolumeDayFault(fault))
     return fs, drive, payload, events
 
 
@@ -163,3 +174,16 @@ class TestCrashFaults:
         assert [e["outcome"] for e in events] == ["miss"]
         assert events[0]["reason"] == "no_nvram"
         assert_identical(oracle_off, chaos)
+
+    @pytest.mark.parametrize("mutate", [False, "idle"])
+    @pytest.mark.parametrize("kind,params", [
+        (KIND_CRASH, {}), (KIND_TORN_CP, {"fuse_blocks": 8})])
+    def test_crash_on_an_idle_day_is_a_miss(self, kind, params, mutate):
+        # Nothing reached NVRAM, so there is nothing to replay: recovery
+        # would skip the consistency point the oracle's aging takes.
+        oracle_idle = run_day(fault=None, mutate=mutate)
+        chaos = run_day(fault_of(kind, **params), mutate=mutate)
+        _, _, _, events = chaos
+        assert [e["outcome"] for e in events] == ["miss"]
+        assert events[0]["reason"] == "empty_nvram_log"
+        assert_identical(oracle_idle, chaos)

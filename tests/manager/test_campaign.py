@@ -14,7 +14,7 @@ import pytest
 
 from repro.backup.verify import verify_trees, verify_volumes
 from repro.catalog import BackupCatalog
-from repro.errors import CatalogError
+from repro.errors import CatalogError, TapeError
 from repro.manager import (
     GFS,
     CampaignDriver,
@@ -171,3 +171,29 @@ class TestPruneAndRestoreAgain:
                     == [s.set_id for s in catalog.chain_for(fsid).sets])
         assert loaded.dumpdates.base_for("home", "/", 2) \
             == catalog.dumpdates.base_for("home", "/", 2)
+
+
+def test_a_failed_in_process_day_is_not_retried(monkeypatch):
+    # An in-process volume-day ages the live volume, so a second attempt
+    # would age already-aged state: it must fail after one, as TaskError.
+    from repro.manager import campaign as campaign_module
+    from repro.parallel import TaskError
+
+    attempts = []
+
+    def out_of_tape(*args, **kwargs):
+        attempts.append(args[4])
+        raise TapeError("stacker magazine exhausted")
+
+    monkeypatch.setattr(campaign_module, "run_volume_day", out_of_tape)
+    catalog = BackupCatalog()
+    pool = MediaPool(catalog)
+    pool.add_blank(2, capacity=2 * MB)
+    driver = CampaignDriver(catalog, pool, jobs=1)
+    fs = make_fs(name="home")
+    tree = WorkloadGenerator(seed=20).populate(fs, MB // 4)
+    driver.add_volume(fs, tree, "logical", GFS(4, 2))
+    with pytest.raises(TaskError) as failure:
+        driver.run_day()
+    assert attempts == ["home.d00"]
+    assert "TapeError" in failure.value.worker_traceback
