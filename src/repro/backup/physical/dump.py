@@ -161,7 +161,7 @@ class ImageDump:
             mask = np.uint32(1 << ACTIVE_PLANE)
             for snap in fs.fsinfo.snapshots:
                 mask |= np.uint32(1 << snap.snap_id)
-            selected = blockmap._mask_runs((blockmap.words & mask) != 0)
+            selected = blockmap.mask_runs(mask)
         else:
             selected = blockmap.plane_runs(record.snap_id)
 

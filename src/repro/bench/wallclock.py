@@ -250,6 +250,38 @@ def bench_blockmap() -> Dict[str, float]:
     return {"seconds": seconds, "rate": ops / seconds, "unit": "block-ops/s"}
 
 
+def bench_blockmap_planes() -> Dict[str, float]:
+    """Whole-map operations on a 4 Mi-word sparse map: ``snapshot_create``,
+    serialize every fblock as one run, ``deserialize``, ``snapshot_delete``
+    (with its extent rebuild) — the address-space-proportional work of a
+    snapshot cycle and a mount, sized to >= 0.25 s like ``dump_stream``.
+    """
+    import numpy as np
+
+    from repro.wafl.blockmap import BlockMap
+
+    nblocks = 4 * 1024 * 1024
+    blockmap = BlockMap(nblocks, reserved=64)
+    rng = np.random.RandomState(1414)
+    for cursor in sorted(rng.randint(64, nblocks - 64, size=200)):
+        blockmap.allocate_run(int(rng.randint(1, 64)), int(cursor))
+    reps = 10
+
+    start = time.perf_counter()
+    for rep in range(reps):
+        plane = 1 + rep % 31
+        blockmap.snapshot_create(plane)
+        image = blockmap.serialize_fblock_run(0, blockmap.n_fblocks())
+        blockmap = BlockMap.deserialize(nblocks, 64, image)
+        # Blocks only the snapshot holds, so the delete rebuilds extents.
+        blockmap.free_active_many(blockmap.plane_blocks(0)[:8].tolist())
+        blockmap.snapshot_delete(plane)
+    seconds = time.perf_counter() - start
+    words = 4 * reps * nblocks  # one pass of the map per operation
+    return {"seconds": seconds, "rate": words / 1e6 / seconds,
+            "unit": "Mwords/s"}
+
+
 def bench_sim_kernel() -> Dict[str, float]:
     """Timeout / Resource / Store hot paths of the event kernel."""
     from repro.sim.core import Simulation
@@ -340,6 +372,7 @@ MICRO_BENCHMARKS: Dict[str, Callable[[], Dict[str, float]]] = {
     "micro.volume_io": bench_volume_io,
     "micro.block_cache": bench_block_cache,
     "micro.blockmap": bench_blockmap,
+    "micro.blockmap_planes": bench_blockmap_planes,
     "micro.dump_stream": bench_dump_stream,
     "micro.obs_null": bench_obs_null,
     "micro.sim_kernel": bench_sim_kernel,

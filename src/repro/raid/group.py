@@ -195,21 +195,18 @@ class RaidGroup:
                 gb += nd
         elif nfull:
             # Long run: parity for every stripe with one XOR-reduce, each
-            # member's column written with a single bulk write_run.
+            # member's column handed to its disk as a strided view of the
+            # caller's buffer — the chunk store is the only copy made.
             stripe0 = gb // nd
             pos = offset + (gb - group_block) * bs
             mid = np.frombuffer(
                 view, dtype=np.uint8, count=nfull * nd * bs, offset=pos
             ).reshape(nfull, nd, bs)
-            if nd == 1:
-                self.data_disks[0].write_run(stripe0, mid.reshape(-1))
-            else:
-                for disk_index in range(nd):
-                    self.data_disks[disk_index].write_run(
-                        stripe0, np.ascontiguousarray(mid[:, disk_index, :])
-                    )
-            parity = np.bitwise_xor.reduce(mid, axis=1)
-            self.parity_disk.write_run(stripe0, np.ascontiguousarray(parity))
+            for disk_index in range(nd):
+                self.data_disks[disk_index].write_run(
+                    stripe0, mid[:, disk_index, :])
+            self.parity_disk.write_run(
+                stripe0, np.bitwise_xor.reduce(mid, axis=1))
             gb += nfull * nd
         # Trailing partial stripe.
         if gb < end:
@@ -298,16 +295,22 @@ class RaidGroup:
 
         Stripes with an unreadable member are skipped: a degraded stripe is
         consistent by construction if reconstruction succeeds, and cannot
-        be independently cross-checked.
+        be independently cross-checked.  The members' chunk buffers are
+        XORed whole, one chunk index at a time; a chunk no member has
+        materialized is all zeros and so consistent.
         """
-        for stripe in range(self.geometry.blocks_per_disk):
-            acc = bytes(self.block_size)
-            try:
-                for disk in self.data_disks:
-                    acc = _xor2(acc, disk.read_block(stripe))
-            except StorageError:
-                continue
-            if acc != self.parity_disk.read_block(stripe):
+        members = self.data_disks + [self.parity_disk]
+        bs = self.block_size
+        chunk_blocks = self.parity_disk._chunk_blocks
+        bad = set().union(*(disk._bad for disk in members))
+        for ci in sorted(set().union(*(disk._chunks for disk in members))):
+            acc = np.zeros(chunk_blocks * bs, dtype=np.uint8)
+            for disk in members:
+                chunk = disk._chunks.get(ci)
+                if chunk is not None:
+                    acc ^= np.frombuffer(chunk, dtype=np.uint8)
+            wrong = np.flatnonzero(acc.reshape(-1, bs).any(axis=1))
+            if not bad.issuperset((wrong + ci * chunk_blocks).tolist()):
                 return False
         return True
 

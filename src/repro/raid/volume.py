@@ -191,18 +191,25 @@ class RaidVolume:
                                (1, 4, 16, 64, 256)).observe(nblocks)
         return result
 
-    def write_run(self, start_block: int, data: bytes) -> None:
-        if len(data) % self.block_size:
-            raise RaidError("run write is not block aligned")
-        nblocks = len(data) // self.block_size
+    def write_run(self, start_block: int, data, offset: int = 0,
+                  nblocks: Optional[int] = None) -> None:
+        """Write ``nblocks`` contiguous volume blocks from ``data[offset:]``
+        (by default, all of ``data``) as one access."""
+        bs = self.block_size
+        if nblocks is None:
+            if (len(data) - offset) % bs:
+                raise RaidError("run write is not block aligned")
+            nblocks = (len(data) - offset) // bs
         if self._write_fuse is not None:
-            self._fuse_spend(start_block, data, nblocks)
-        offset = 0
+            self._fuse_spend(
+                start_block, memoryview(data)[offset : offset + nblocks * bs],
+                nblocks)
+        done = 0
         for group, group_block, count in self._pieces(start_block, nblocks):
-            group.write_run(group_block, data, offset, count)
-            offset += count * self.block_size
+            group.write_run(group_block, data, offset + done * bs, count)
+            done += count
         if self.cache is not None:
-            self.cache.put_run(start_block, data, self.block_size)
+            self.cache.put_run(start_block, data, bs, offset, nblocks)
         if self.recorder is not None:
             self.recorder.on_write(start_block, nblocks)
         if REGISTRY.enabled:

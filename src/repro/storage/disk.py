@@ -256,15 +256,21 @@ class VirtualDisk:
         return out
 
     def write_run(self, start_block: int, data) -> None:
-        """Write contiguous blocks from one buffer (block-aligned)."""
-        if isinstance(data, np.ndarray):
-            view = memoryview(np.ascontiguousarray(data.reshape(-1)))
-        else:
-            view = memoryview(data)
+        """Write contiguous blocks from one buffer (block-aligned).
+
+        An ``ndarray`` — a RAID column, one ``block_size`` row per block,
+        strided through the writer's buffer — is copied row by row
+        straight into the chunk store; anything else is a bytes-like
+        buffer and goes in by plain slice assignment.
+        """
         bs = self.block_size
-        if view.nbytes % bs:
+        as_rows = isinstance(data, np.ndarray)
+        view = None if as_rows else memoryview(data)
+        nbytes = data.size if as_rows else view.nbytes
+        if nbytes % bs:
             raise StorageError("run write is not block aligned")
-        nblocks = view.nbytes // bs
+        nblocks = nbytes // bs
+        rows = data.reshape(nblocks, bs) if as_rows else None
         if nblocks == 0:
             return
         self._check(start_block)
@@ -277,24 +283,30 @@ class VirtualDisk:
         chunks = self._chunks
         cb = self._chunk_blocks
         block = start_block
-        off = 0
         while block < end:
             ci = block // cb
             cstart = ci * cb
             take = min(end, cstart + cb) - block
-            piece = view[off : off + take * bs]
+            done = block - start_block
+            if rows is None:
+                piece = view[done * bs : (done + take) * bs]
+            else:
+                piece = rows[done : done + take]
             chunk = chunks.get(ci)
             if chunk is None:
                 # All-zero writes to virgin ranges stay unmaterialized:
                 # a zero block is the default.
-                if np.frombuffer(piece, dtype=np.uint8).any():
+                if np.asarray(piece).any():
                     chunk = self._materialize(ci)
             elif self._shared and ci in self._shared:
                 chunk = self._private(ci, chunk)
             if chunk is not None:
                 dst = (block - cstart) * bs
-                chunk[dst : dst + take * bs] = piece
-            off += take * bs
+                if rows is None:
+                    chunk[dst : dst + take * bs] = piece
+                else:
+                    np.frombuffer(chunk, dtype=np.uint8, count=take * bs,
+                                  offset=dst).reshape(take, bs)[...] = piece
             block += take
 
     def is_allocated(self, block: int) -> bool:

@@ -28,6 +28,17 @@ from repro.wafl.consts import (
 )
 
 
+# Words per slab of the whole-map kernels: temporaries stay this size (a
+# quarter megabyte of uint32) however large the volume is.
+_SLAB_WORDS = 1 << 16
+
+_ACTIVE = np.uint32(1 << ACTIVE_PLANE)
+
+# One-element slab masks: no block of the slab selected / every block.
+_NOWHERE = np.zeros(1, dtype=bool)
+_EVERYWHERE = np.ones(1, dtype=bool)
+
+
 def runs_from_blocks(blocks: np.ndarray) -> List[Tuple[int, int]]:
     """Run-length encode a sorted block-number array into (start, count).
 
@@ -52,10 +63,12 @@ class BlockMap:
             raise FilesystemError("volume too small for its reserved area")
         self.nblocks = nblocks
         self.reserved = reserved
-        self.words = np.zeros(nblocks, dtype=np.uint32)
-        # Free extents: sorted starts plus start -> length.
-        self._starts: List[int] = []
-        self._lengths: Dict[int, int] = {}
+        # "<u4" is the on-disk word format, so a run serializes as it lies.
+        self.words = np.zeros(nblocks, dtype="<u4")
+        # Free extents: sorted starts plus start -> length.  A fresh map
+        # is one extent — written down, not scanned for.
+        self._starts: List[int] = [reserved]
+        self._lengths: Dict[int, int] = {reserved: nblocks - reserved}
         self.dirty_fblocks: Set[int] = set()
         # Min-heap mirror of dirty_fblocks (lazy deletion) so a
         # consistency point drains the set in ascending order without a
@@ -66,7 +79,7 @@ class BlockMap:
         # still references: unavailable until the next consistency point
         # commits (see free_active / commit_deferred_reuse).
         self.reuse_excluded: Set[int] = set()
-        self._free_count = 0
+        self._free_count = nblocks - reserved
         self._active_count = 0
         # A consistency point must always be able to rewrite the dirty
         # meta-data, so ordinary allocations stop short of this floor.
@@ -74,7 +87,6 @@ class BlockMap:
             max(64, 2 * self.n_fblocks() + 64),
             max(1, (nblocks - reserved) // 8),
         )
-        self._rebuild_extents()
 
     # -- dirty-fblock tracking ----------------------------------------------
 
@@ -88,6 +100,12 @@ class BlockMap:
             if fb not in dirty:
                 dirty.add(fb)
                 push(heap, fb)
+
+    def mark_all_dirty(self) -> None:
+        """Every fblock is dirty (a plane changed under the whole map)."""
+        n = self.n_fblocks()
+        self.dirty_fblocks = set(range(n))
+        self._dirty_heap = list(range(n))  # a sorted list is a heap
 
     def pop_min_dirty(self) -> Optional[int]:
         """Remove and return the smallest dirty fblock (None when clean).
@@ -130,24 +148,56 @@ class BlockMap:
 
     # -- extent index -------------------------------------------------------
 
+    def _slabs(self):
+        """``(first block, words view)`` per fixed-size slab of the map.
+        Whole-map kernels update the views in place, so their temporaries
+        are slab-sized whatever the volume size."""
+        for lo in range(0, self.nblocks, _SLAB_WORDS):
+            yield lo, self.words[lo : lo + _SLAB_WORDS]
+
+    def _runs_where(self, select) -> List[Tuple[int, int]]:
+        """The maximal ``(start, count)`` block runs on which
+        ``select(first block, words view)`` — a boolean mask per slab, or
+        one element standing for the whole slab — holds: an edge diff per
+        slab, the inside/outside state carried across each slab edge."""
+        edges = [np.empty(0, dtype=np.int64)]  # run starts and ends, ascending
+        inside = False
+        for lo, words in self._slabs():
+            mask = select(lo, words)
+            if mask[0] != inside:
+                edges.append([lo])
+            edges.append(np.flatnonzero(mask[1:] != mask[:-1]) + (lo + 1))
+            inside = mask[-1]
+        if inside:
+            edges.append([self.nblocks])
+        bounds = np.concatenate(edges)
+        return list(zip(bounds[0::2].tolist(),
+                        (bounds[1::2] - bounds[0::2]).tolist()))
+
     def _rebuild_extents(self) -> None:
-        """Recompute the free-extent index from the bit planes."""
-        free = self.words == 0
-        if self.reserved:
-            free[: self.reserved] = False
-        for excluded in self.reuse_excluded:
-            free[excluded] = False
-        self._starts = []
-        self._lengths = {}
-        self._free_count = int(free.sum())
-        if not free.any():
-            return
-        # Run-length encode the free mask.
-        padded = np.concatenate(([False], free, [False]))
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        for start, end in zip(edges[0::2], edges[1::2]):
-            self._starts.append(int(start))
-            self._lengths[int(start)] = int(end - start)
+        """Recompute the free-extent index from the bit planes (all-used
+        and all-free slabs cost one ``count_nonzero`` each)."""
+        excluded = np.fromiter(self.reuse_excluded, dtype=np.int64,
+                               count=len(self.reuse_excluded))
+        excluded.sort()
+        reserved = self.reserved
+
+        def free(lo, words):
+            hi = lo + words.size
+            used = np.count_nonzero(words)
+            first, last = np.searchsorted(excluded, (lo, hi))
+            if used == words.size or hi <= reserved:
+                return _NOWHERE
+            if not used and first == last and lo >= reserved:
+                return _EVERYWHERE
+            mask = words == 0
+            mask[: max(reserved - lo, 0)] = False
+            mask[excluded[first:last] - lo] = False
+            return mask
+
+        self._lengths = dict(self._runs_where(free))
+        self._starts = list(self._lengths)
+        self._free_count = sum(self._lengths.values())
 
     def _extent_remove_range(self, start: int, count: int) -> None:
         """Carve ``[start, start+count)`` out of the free extent containing it."""
@@ -241,7 +291,7 @@ class BlockMap:
             available = self._lengths[ext_start]
         count = min(want, available)
         self._extent_remove_range(start, count)
-        self.words[start : start + count] |= np.uint32(1 << ACTIVE_PLANE)
+        self.words[start : start + count] |= _ACTIVE
         self._active_count += count
         self._mark_dirty_range(start, count)
         return start, count
@@ -356,14 +406,16 @@ class BlockMap:
 
     def plane_in_use(self, plane: int) -> bool:
         self._check_plane(plane)
-        return bool((self.words & np.uint32(1 << plane)).any())
+        mask = np.uint32(1 << plane)
+        return any(bool((words & mask).any()) for _lo, words in self._slabs())
 
     def snapshot_create(self, plane: int) -> None:
         """Copy the active plane into ``plane`` (the snapshot's bit plane)."""
         self._check_plane(plane)
-        active = (self.words & np.uint32(1 << ACTIVE_PLANE)) != 0
-        self.words[active] |= np.uint32(1 << plane)
-        self._dirty_add_many(range(self.n_fblocks()))
+        shift = np.uint32(plane - ACTIVE_PLANE)
+        for _lo, words in self._slabs():
+            words |= (words & _ACTIVE) << shift
+        self.mark_all_dirty()
 
     def snapshot_delete(self, plane: int) -> int:
         """Clear ``plane``; newly free blocks return to the extent index.
@@ -372,13 +424,15 @@ class BlockMap:
         """
         self._check_plane(plane)
         mask = np.uint32(1 << plane)
-        held = (self.words & mask) != 0
-        self.words[held] &= np.uint32(~(1 << plane) & 0xFFFFFFFF)
-        freed = held & (self.words == 0)
-        freed_count = int(freed.sum())
+        keep = np.uint32(~(1 << plane) & 0xFFFFFFFF)
+        freed_count = 0
+        for _lo, words in self._slabs():
+            # A block this plane alone held is free once the bit clears.
+            freed_count += int(np.count_nonzero(words == mask))
+            words &= keep
         if freed_count:
             self._rebuild_extents()
-        self._dirty_add_many(range(self.n_fblocks()))
+        self.mark_all_dirty()
         return freed_count
 
     def plane_blocks(self, plane: int) -> np.ndarray:
@@ -396,36 +450,30 @@ class BlockMap:
         older = (self.words & np.uint32(1 << older_plane)) != 0
         return np.flatnonzero(newer & ~older)
 
-    @staticmethod
-    def _mask_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
-        """Run-length encode a boolean block mask into (start, count)."""
-        padded = np.concatenate(([False], mask, [False]))
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        return [
-            (int(start), int(end - start))
-            for start, end in zip(edges[0::2], edges[1::2])
-        ]
+    def mask_runs(self, mask) -> List[Tuple[int, int]]:
+        """Blocks held by any plane in the bit ``mask``, as ``(start,
+        count)`` runs — the run list physical dump selects from directly.
+
+        At paper scale a plane holds tens of millions of blocks but only
+        thousands of runs, so block selection never materializes a
+        per-block array.
+        """
+        mask = np.uint32(mask)
+        return self._runs_where(lambda _lo, words: (words & mask) != 0)
 
     def plane_runs(self, plane: int) -> List[Tuple[int, int]]:
-        """A plane's blocks as ``(start, count)`` runs (edge-diff RLE).
-
-        The run list physical dump selects from directly — at paper scale
-        a plane holds tens of millions of blocks but only thousands of
-        runs, so block selection never materializes a per-block array.
-        """
-        if plane == ACTIVE_PLANE:
-            mask = np.uint32(1 << ACTIVE_PLANE)
-        else:
+        """A plane's blocks (0 = active) as ``(start, count)`` runs."""
+        if plane != ACTIVE_PLANE:
             self._check_plane(plane)
-            mask = np.uint32(1 << plane)
-        return self._mask_runs((self.words & mask) != 0)
+        return self.mask_runs(1 << plane)
 
     def plane_difference_runs(self, newer_plane: int,
                               older_plane: int) -> List[Tuple[int, int]]:
         """``plane_difference`` as ``(start, count)`` runs."""
-        newer = (self.words & np.uint32(1 << newer_plane)) != 0
-        older = (self.words & np.uint32(1 << older_plane)) != 0
-        return self._mask_runs(newer & ~older)
+        newer = np.uint32(1 << newer_plane)
+        older = np.uint32(1 << older_plane)
+        return self._runs_where(
+            lambda _lo, words: ((words & newer) != 0) & ((words & older) == 0))
 
     # -- persistence ------------------------------------------------------------
 
@@ -439,44 +487,44 @@ class BlockMap:
         self._dirty_add_many(range(first, last + 1))
 
     def serialize_fblock(self, fblock: int) -> bytes:
-        start = fblock * BLOCKMAP_ENTRIES_PER_BLOCK
-        end = min(start + BLOCKMAP_ENTRIES_PER_BLOCK, self.nblocks)
-        chunk = self.words[start:end].astype("<u4").tobytes()
-        return chunk.ljust(BLOCKMAP_ENTRIES_PER_BLOCK * 4, b"\0")
+        return self.serialize_fblock_run(fblock, 1)
 
     def serialize_fblock_run(self, fblock: int, count: int) -> bytes:
-        """``count`` consecutive fblocks' bytes in one vectorized slice.
+        """``count`` consecutive fblocks' bytes: one copy of the run.
 
-        Identical to joining :meth:`serialize_fblock` over the range, but
-        with a single word-array copy — the consistency point serializes
-        whole dirty runs, and the per-fblock copies dominated it.
+        The result is an immutable snapshot that never aliases ``words``
+        — the buffer cache keeps lazy references into it.  Only the map's
+        final, partial fblock is zero padded.
         """
         start = fblock * BLOCKMAP_ENTRIES_PER_BLOCK
         end = min(start + count * BLOCKMAP_ENTRIES_PER_BLOCK, self.nblocks)
-        chunk = self.words[start:end].astype("<u4").tobytes()
-        return chunk.ljust(count * BLOCKMAP_ENTRIES_PER_BLOCK * 4, b"\0")
+        pad = (count * BLOCKMAP_ENTRIES_PER_BLOCK - (end - start)) * 4
+        return b"".join((self.words[start:end].data, bytes(pad)))
 
     @classmethod
-    def deserialize(cls, nblocks: int, reserved: int, raw: bytes) -> "BlockMap":
-        """Rebuild a map from the block-map file's contents."""
-        if len(raw) < nblocks * 4:
+    def deserialize(cls, nblocks: int, reserved: int, raw) -> "BlockMap":
+        """Rebuild a map from the block-map file's contents.
+
+        ``raw`` is any buffer of little-endian words; a writable one (the
+        array ``mount`` read the file into) is adopted, not copied.
+        """
+        if memoryview(raw).nbytes < nblocks * 4:
             raise FilesystemError("block-map file too short")
+        words = np.frombuffer(raw, dtype="<u4", count=nblocks)
         blockmap = cls.__new__(cls)
         blockmap.nblocks = nblocks
         blockmap.reserved = reserved
-        blockmap.words = np.frombuffer(raw[: nblocks * 4], dtype="<u4").astype(np.uint32)
+        blockmap.words = words if words.flags.writeable else words.copy()
         blockmap.dirty_fblocks = set()
         blockmap._dirty_heap = []
         blockmap.reuse_excluded = set()
-        blockmap._free_count = 0
-        blockmap._active_count = int(
-            ((blockmap.words & np.uint32(1 << ACTIVE_PLANE)) != 0).sum())
+        blockmap._active_count = sum(
+            int(np.count_nonzero(slab & _ACTIVE))
+            for _lo, slab in blockmap._slabs())
         blockmap.cp_reserve = min(
             max(64, 2 * blockmap.n_fblocks() + 64),
             max(1, (nblocks - reserved) // 8),
         )
-        blockmap._starts = []
-        blockmap._lengths = {}
         blockmap._rebuild_extents()
         return blockmap
 
@@ -488,7 +536,8 @@ class BlockMap:
         but without walking 73M elements object-by-object.  This is the
         only non-COW part of a volume clone (a dense uint32 plane has no
         chunk structure to share), so a clone costs ~4 bytes per volume
-        block up front.
+        block up front — with ``np.zeros`` in ``__init__``, one of the
+        two full-length allocations this class makes.
         """
         other = BlockMap.__new__(BlockMap)
         other.nblocks = self.nblocks

@@ -16,7 +16,7 @@ become scattered.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +80,10 @@ def _pack_ptrs(ptrs: List[int]) -> bytes:
     return _PTR_STRUCT.pack(*ptrs)
 
 
+# What an absent indirect block holds: holes.  Never written through.
+_NO_PTRS = (0,) * PTRS_PER_BLOCK
+
+
 class _IndirectBlock:
     """A loaded indirect block, tracked for copy-on-write flushing."""
 
@@ -139,6 +143,13 @@ class BlockTree:
     def _check_fbn(self, fbn: int) -> None:
         if fbn < 0 or fbn >= MAX_FILE_BLOCKS:
             raise FilesystemError("file block %d beyond maximum file size" % fbn)
+
+    def _peek(self, key: tuple, vbn: int) -> Optional[_IndirectBlock]:
+        """The indirect block at ``key``; None (nothing cached, nothing
+        read) when the tree has none there — all its pointers are holes."""
+        if not vbn and key not in self._cache:
+            return None
+        return self._load(key, vbn)
 
     def get_pointer(self, fbn: int) -> int:
         """Volume block holding file block ``fbn`` (0 for a hole)."""
@@ -207,30 +218,33 @@ class BlockTree:
         if old_vbn:
             self.ctx.free_block(old_vbn)
 
-    def write_run(self, fbn: int, data: bytes) -> None:
-        """Write consecutive file blocks, allocating contiguous runs.
+    def write_run(self, fbn: int, data, offset: int = 0,
+                  nblocks: Optional[int] = None) -> None:
+        """Write ``nblocks`` consecutive file blocks from ``data[offset:]``
+        (by default all of ``data``), allocating contiguous runs.
 
         The allocator hands back the longest contiguous run it can at the
         current cursor; on a young file system a whole file lands as one
         extent, on an aged one it shatters — the paper's "mature data set"
-        effect.
+        effect.  The buffer goes down whole, with an offset, never sliced.
         """
         if self.ctx.readonly:
             raise FilesystemError("write through a read-only tree")
-        if len(data) % BLOCK_SIZE:
-            raise FilesystemError("unaligned run write")
-        nblocks = len(data) // BLOCK_SIZE
-        offset = 0
-        while offset < nblocks:
-            start_vbn, count = self.ctx.alloc_run(nblocks - offset)
-            chunk = data[offset * BLOCK_SIZE : (offset + count) * BLOCK_SIZE]
-            self.ctx.volume.write_run(start_vbn, chunk)
-            old_vbns = self._replace_range(fbn + offset, start_vbn, count)
+        if nblocks is None:
+            if (len(data) - offset) % BLOCK_SIZE:
+                raise FilesystemError("unaligned run write")
+            nblocks = (len(data) - offset) // BLOCK_SIZE
+        done = 0
+        while done < nblocks:
+            start_vbn, count = self.ctx.alloc_run(nblocks - done)
+            self.ctx.volume.write_run(
+                start_vbn, data, offset + done * BLOCK_SIZE, count)
+            old_vbns = self._replace_range(fbn + done, start_vbn, count)
             if old_vbns:
                 self.ctx.free_blocks(old_vbns)
-            offset += count
+            done += count
 
-    def write_cow_run(self, fbn: int, data: bytes) -> None:
+    def write_cow_run(self, fbn: int, data) -> None:
         """Copy-on-write consecutive file blocks, batching volume writes.
 
         Block-for-block equivalent to calling :meth:`write_fblock` over
@@ -247,31 +261,65 @@ class BlockTree:
         if len(data) % BLOCK_SIZE:
             raise FilesystemError("unaligned run write")
         nblocks = len(data) // BLOCK_SIZE
+        inplace_ok = self.ctx.allows_inplace
+        # The walk is lazy — it reads an indirect block when it reaches
+        # it, one block ahead of the stretch being gathered, as per-block
+        # get_pointer calls would.
+        walk = self._pointers(fbn, nblocks)
+        ahead = next(walk, None)
         index = 0
         while index < nblocks:
-            vbn = self.get_pointer(fbn + index)
-            if vbn and self.ctx.allows_inplace(vbn):
-                count = 1
-                while index + count < nblocks:
-                    nxt = self.get_pointer(fbn + index + count)
-                    if nxt != vbn + count or not self.ctx.allows_inplace(nxt):
-                        break
-                    count += 1
-                self.ctx.volume.write_run(
-                    vbn, data[index * BLOCK_SIZE : (index + count) * BLOCK_SIZE]
-                )
-                index += count
-                continue
+            vbn = ahead
+            inplace = bool(vbn) and inplace_ok(vbn)
             count = 1
-            while index + count < nblocks:
-                nxt = self.get_pointer(fbn + index + count)
-                if nxt and self.ctx.allows_inplace(nxt):
+            for ahead in walk:
+                if inplace:
+                    if ahead != vbn + count or not inplace_ok(ahead):
+                        break
+                elif ahead and inplace_ok(ahead):
                     break
                 count += 1
-            self.write_run(
-                fbn + index, data[index * BLOCK_SIZE : (index + count) * BLOCK_SIZE]
-            )
+            if inplace:
+                self.ctx.volume.write_run(vbn, data, index * BLOCK_SIZE, count)
+            else:
+                self.write_run(fbn + index, data, index * BLOCK_SIZE, count)
             index += count
+
+    def _segments(self, fbn: int, count: int, write: bool = False):
+        """``(pointer list, first slot, slots)`` for each tree segment
+        (direct array, indirect block) under ``count`` consecutive file
+        blocks, resolved lazily in file order.  For ``write`` missing
+        indirect blocks are created and each segment is marked dirty;
+        otherwise a missing one reads as holes."""
+        self._check_fbn(fbn)
+        self._check_fbn(fbn + count - 1)
+        end = fbn + count
+        load = self._load if write else self._peek
+        while fbn < end:
+            if fbn < NDIRECT:
+                ptrs, base, room = self.inode.direct, fbn, NDIRECT - fbn
+                if write:
+                    self.ctx.inode_dirty(self.inode)
+            else:
+                child, base = divmod(fbn - NDIRECT, PTRS_PER_BLOCK)
+                room = PTRS_PER_BLOCK - base
+                if child == 0:
+                    block = load(("ind",), self.inode.indirect)
+                else:
+                    dptr = load(("dptr",), self.inode.dindirect)
+                    block = dptr and load(("dind", child - 1),
+                                          dptr.ptrs[child - 1])
+                if write:
+                    block.dirty = True
+                ptrs = block.ptrs if block else _NO_PTRS
+            take = min(end - fbn, room)
+            yield ptrs, base, take
+            fbn += take
+
+    def _pointers(self, fbn: int, count: int) -> Iterator[int]:
+        """The current pointers of ``count`` consecutive file blocks."""
+        for ptrs, base, take in self._segments(fbn, count):
+            yield from ptrs[base : base + take]
 
     def _replace_range(self, first_fbn: int, first_vbn: int,
                        count: int) -> List[int]:
@@ -282,41 +330,15 @@ class BlockTree:
         but resolves each tree segment once per overlapped range instead
         of re-walking the tree for every block.
         """
-        self._check_fbn(first_fbn)
-        self._check_fbn(first_fbn + count - 1)
         old: List[int] = []
-        fbn = first_fbn
         vbn = first_vbn
-        remaining = count
-        while remaining:
-            if fbn < NDIRECT:
-                take = min(remaining, NDIRECT - fbn)
-                ptrs = self.inode.direct
-                base = fbn
-                self.ctx.inode_dirty(self.inode)
-            elif fbn < NDIRECT + PTRS_PER_BLOCK:
-                base = fbn - NDIRECT
-                take = min(remaining, PTRS_PER_BLOCK - base)
-                block = self._load(("ind",), self.inode.indirect)
-                block.dirty = True
-                ptrs = block.ptrs
-            else:
-                rel = fbn - NDIRECT - PTRS_PER_BLOCK
-                child = rel // PTRS_PER_BLOCK
-                base = rel % PTRS_PER_BLOCK
-                take = min(remaining, PTRS_PER_BLOCK - base)
-                dptr = self._load(("dptr",), self.inode.dindirect)
-                block = self._load(("dind", child), dptr.ptrs[child])
-                block.dirty = True
-                ptrs = block.ptrs
+        for ptrs, base, take in self._segments(first_fbn, count, write=True):
             for i in range(base, base + take):
                 prev = ptrs[i]
                 if prev:
                     old.append(prev)
                 ptrs[i] = vbn
                 vbn += 1
-            fbn += take
-            remaining -= take
         return old
 
     def punch_hole(self, fbn: int) -> None:

@@ -162,20 +162,24 @@ class BlockCache:
             REGISTRY.counter("cache.hits").inc(nblocks)
         return out
 
-    def put_run(self, start_vbn: int, data, block_size: int) -> None:
-        """Insert a run of blocks from one contiguous buffer.
+    def put_run(self, start_vbn: int, data, block_size: int,
+                offset: int = 0, nblocks: Optional[int] = None) -> None:
+        """Insert a run of blocks from ``data[offset:]`` (``nblocks`` of
+        them; by default all the buffer holds).
 
         Equivalent to per-block :meth:`put` calls over slices of ``data``
         (same LRU order, same eviction accounting), without the caller
-        having to split the buffer itself.  The buffer is snapshotted to
-        immutable ``bytes`` once and each block stored as a lazy reference
-        into it — no per-block copies on insert.
+        having to split the buffer itself.  Each block is stored as a lazy
+        reference into the buffer: ``bytes`` is referenced where it lies
+        (pass a large buffer with an offset, never a slice of it), anything
+        else is snapshotted to immutable ``bytes`` once.
         """
         blocks = self._blocks
+        if nblocks is None:
+            nblocks = (len(data) - offset) // block_size
         if not isinstance(data, bytes):
-            data = bytes(data)
-        nblocks = len(data) // block_size
-        offset = 0
+            data = bytes(memoryview(data)[offset : offset + nblocks * block_size])
+            offset = 0
         for vbn in range(start_vbn, start_vbn + nblocks):
             if vbn in blocks:
                 blocks.move_to_end(vbn)

@@ -35,6 +35,8 @@ import copy
 import heapq
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import (
     ExistsError,
     FilesystemError,
@@ -193,7 +195,7 @@ class WaflFilesystem:
         self._install_inode(root)
         self._write_directory(root, Directory.new_empty(ROOT_INO, ROOT_INO))
         self._ino_watermark = FIRST_USER_INO
-        self.blockmap.dirty_fblocks.update(range(self.blockmap.n_fblocks()))
+        self.blockmap.mark_all_dirty()
         self.consistency_point()
 
     @classmethod
@@ -209,13 +211,20 @@ class WaflFilesystem:
         fsinfo, fsinfo_repairs = FsInfo.read_and_repair(volume)
         if fsinfo.block_size != volume.block_size or fsinfo.nblocks != volume.nblocks:
             raise FilesystemError("volume geometry does not match fsinfo")
-        # Bootstrap: read the block-map file through the inode file with a
-        # permissive empty map (reads never allocate).
-        boot_map = BlockMap(volume.nblocks, reserved=RESERVED_BLOCKS)
-        fs = cls(volume, fsinfo, boot_map, nvram=nvram, clock=clock)
+        # Bootstrap: the read path never consults the map, so the map
+        # file is read, extent by extent, into the very array the map
+        # adopts (holes stay zero).
+        fs = cls(volume, fsinfo, None, nvram=nvram, clock=clock)
         bm_inode = fs._load_inode(INO_BLOCKMAP)
-        raw = fs._read_tree_bytes(bm_inode)
-        fs.blockmap = BlockMap.deserialize(volume.nblocks, RESERVED_BLOCKS, raw)
+        image = np.zeros(-(-bm_inode.size // BLOCK_SIZE) * BLOCK_SIZE,
+                         dtype=np.uint8)
+        for fbn, vbn, count in BlockTree(fs._ctx, bm_inode).extents():
+            if (fbn + count) * BLOCK_SIZE > image.size:
+                raise FilesystemError("block-map file extends past its size")
+            image[fbn * BLOCK_SIZE : (fbn + count) * BLOCK_SIZE] = (
+                np.frombuffer(volume.read_run(vbn, count), dtype=np.uint8))
+        fs.blockmap = BlockMap.deserialize(volume.nblocks, RESERVED_BLOCKS,
+                                           image)
         fs.fsinfo_repairs = fsinfo_repairs
         fs._scan_inodes()
         if nvram is not None and len(nvram):

@@ -8,6 +8,7 @@ loop it replaced, across randomized geometries and failure injections.
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,133 @@ def test_failed_blocks_poison_runs_and_heal(bad, start, length):
         disk.read_run(start, length)
     disk.heal_block(bad)
     disk.read_run(start, length)
+
+
+# ---------------------------------------------------------------------------
+# A strided RAID column into the chunk store vs the same bytes contiguous
+# ---------------------------------------------------------------------------
+
+def _disk_state(disk):
+    return (bytes(disk.read_run(0, disk.nblocks)) if not disk._bad else None,
+            sorted(disk._chunks), sorted(disk._shared), sorted(disk._bad),
+            disk.writes)
+
+
+@_fast
+@given(st.integers(0, NBLOCKS - 1), st.integers(1, 1400), st.integers(1, 5),
+       st.integers(0, 4), st.integers(0, 255), st.booleans(),
+       st.lists(st.integers(0, NBLOCKS - 1), max_size=4))
+def test_strided_column_write_matches_contiguous_bytes(
+        start, nrows, ndisks, column, seed, share, bad):
+    """``mid[:, disk, :]`` of a striped buffer, handed over as a strided
+    ``(n, block_size)`` array, lands exactly as its gathered bytes do:
+    across chunk seams, onto clone-shared chunks (which go private; the
+    source keeps its bytes) and over failed blocks (cleared)."""
+    nrows = min(nrows, NBLOCKS - start)
+    column %= ndisks
+    striped = np.frombuffer(_payload(seed, nrows * ndisks * BS),
+                            dtype=np.uint8).reshape(nrows, ndisks, BS)
+    strided = striped[:, column, :]
+    gathered = strided.tobytes()
+    disks = []
+    for _ in range(2):
+        disk = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
+        disk.write_run(1000, _payload(9, 60 * BS))   # chunks 0 and 1 exist
+        source = disk.clone() if share else None
+        for block in bad:
+            disk.fail_block(block)
+        disks.append((disk, source))
+    (via_rows, rows_source), (via_bytes, bytes_source) = disks
+    via_rows.write_run(start, strided)
+    via_bytes.write_run(start, gathered)
+    assert _disk_state(via_rows) == _disk_state(via_bytes)
+    assert not any(start <= b < start + nrows for b in via_rows._bad)
+    if share:
+        expected = bytearray(NBLOCKS * BS)
+        expected[1000 * BS : 1060 * BS] = _payload(9, 60 * BS)
+        assert bytes(rows_source.read_run(0, NBLOCKS)) == bytes(expected)
+        assert bytes(bytes_source.read_run(0, NBLOCKS)) == bytes(expected)
+
+
+def test_all_zero_column_leaves_a_virgin_chunk_unmaterialized():
+    disk = VirtualDisk(3 * 1024, block_size=BS, name="prop")
+    striped = np.zeros((1500, 3, BS), dtype=np.uint8)
+    striped[:, 0, :] = 0x5A                       # only column 0 has data
+    striped[1100:, 2, 5] = 1                      # column 2: chunk 1 only
+    disk.write_run(0, striped[:, 1, :])
+    assert not disk._chunks and disk.writes == 1500
+    disk.write_run(0, striped[:, 2, :])
+    assert sorted(disk._chunks) == [1]
+    assert bytes(disk.read_run(0, 1500)) == striped[:, 2, :].tobytes()
+    with pytest.raises(StorageError):
+        disk.write_run(0, np.zeros(BS + 1, dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# verify_parity a chunk at a time vs one stripe at a time
+# ---------------------------------------------------------------------------
+
+def stripewise_verify_parity(group) -> bool:
+    """The per-stripe loop ``RaidGroup.verify_parity`` replaced: XOR the
+    members block by block; a stripe with an unreadable member (data or
+    parity) cannot be cross-checked and is skipped."""
+    for stripe in range(group.geometry.blocks_per_disk):
+        acc = bytes(group.block_size)
+        try:
+            for disk in group.data_disks:
+                acc = bytes(a ^ b for a, b in
+                            zip(acc, disk.read_block(stripe)))
+            parity = group.parity_disk.read_block(stripe)
+        except StorageError:
+            continue
+        if acc != parity:
+            return False
+    return True
+
+
+parity_faults = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(-1, 2), st.integers(0, 1299)),
+    max_size=4)
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.integers(0, 7799), st.integers(1, 400),
+                          st.integers(0, 255)), min_size=1, max_size=6),
+       parity_faults,
+       st.one_of(st.none(), st.tuples(st.integers(0, 1), st.integers(0, 1299),
+                                      st.integers(0, 7))),
+       st.booleans())
+def test_chunkwise_verify_parity_matches_stripewise_loop(
+        writes, faults, flip, cloned):
+    # 1300 stripes a disk: two chunks, the second one partial.
+    volume = RaidVolume(make_geometry(2, 3, 1300, block_size=8), name="p")
+    bs = volume.block_size
+    for start, length, seed in writes:
+        length = min(length, volume.nblocks - start)
+        volume.write_run(start, _payload(seed, length * bs))
+    if cloned:
+        parent, volume = volume, volume.clone()
+        volume.write_run(17, _payload(3, 40 * bs))
+    for gi, disk_index, stripe in faults:
+        group = volume.groups[gi]
+        disk = (group.parity_disk if disk_index < 0
+                else group.data_disks[disk_index])
+        disk.fail_block(stripe)
+    if flip is not None:
+        gi, stripe, byte = flip
+        parity = volume.groups[gi].parity_disk
+        bad = stripe in parity._bad
+        block = bytearray(parity.read_block(stripe)) if not bad else None
+        if block is not None:
+            block[byte] ^= 0x40
+            parity.write_block(stripe, bytes(block))
+    for group in volume.groups:
+        assert group.verify_parity() == stripewise_verify_parity(group)
+    assert volume.verify_parity() == all(
+        stripewise_verify_parity(group) for group in volume.groups)
+    if cloned:
+        assert parent.verify_parity()
 
 
 # ---------------------------------------------------------------------------

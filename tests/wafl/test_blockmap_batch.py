@@ -137,6 +137,39 @@ def test_pop_min_dirty_survives_direct_set_mutation():
     assert [blockmap.pop_min_dirty() for _ in range(4)] == [3, 5, 7, None]
 
 
+def test_nothing_outside_the_block_map_writes_its_dirty_set():
+    """The rebuild above is a safety net, not an interface: product code
+    dirties fblocks through the map's own methods (``mark_all_dirty``,
+    the allocator), which keep the heap mirror in step."""
+    import pathlib
+    import re
+
+    import repro
+
+    mutation = re.compile(
+        r"dirty_fblocks\s*(=[^=]|\.(add|update|discard|remove|clear|pop|"
+        r"difference_update|intersection_update|symmetric_difference_update)"
+        r"\b|[|&^-]=)")
+    root = pathlib.Path(repro.__file__).parent
+    offenders = [
+        "%s:%d" % (path.relative_to(root), number)
+        for path in sorted(root.rglob("*.py")) if path.name != "blockmap.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if mutation.search(line)]
+    assert offenders == []
+
+
+def test_mark_all_dirty_keeps_the_heap_mirror_whole():
+    blockmap = BlockMap(5 * 1024 + 3, reserved=16)
+    blockmap.allocate_run(10, 3000)         # fblock 2 dirty, heap = [2]
+    assert blockmap.pop_min_dirty() == 2
+    blockmap.mark_all_dirty()
+    assert blockmap.dirty_fblocks == set(range(6))
+    assert blockmap._dirty_heap == list(range(6))
+    assert blockmap.pop_dirty_run() == (0, 6)
+    assert blockmap.pop_dirty_run() is None
+
+
 def test_block_counts_match_full_scan():
     """Incremental active/used counters == the original word-array scans."""
     rng = np.random.RandomState(33)

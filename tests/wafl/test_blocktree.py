@@ -138,3 +138,65 @@ def test_truncate_blocks_drops_indirect_when_empty():
     fs.truncate("/a", 2 * BLOCK_SIZE)
     inode = fs.inode(fs.namei("/a"))
     assert inode.indirect == 0
+
+
+# -- write_cow_run against the per-block write_fblock loop it batches --------
+
+def _cow_twin(seed):
+    """A file whose blocks mix committed pointers, fresh (rewritable in
+    place) pointers — some consecutive on disk, some not — and holes,
+    across the direct, indirect and double-indirect levels."""
+    import random
+
+    from repro.storage.device import IoRecorder
+
+    rng = random.Random(seed)
+    fs = make_fs(ngroups=2, ndata=4, blocks_per_disk=2500)
+    nblocks = NDIRECT + PTRS_PER_BLOCK + 40
+    fs.create("/m")
+    tree = tree_for(fs, "/m")
+    committed = [fbn for fbn in range(nblocks) if rng.random() < 0.6]
+    for fbn in committed:
+        tree.write_fblock(fbn, bytes([fbn % 251]) * BLOCK_SIZE)
+    tree.flush()
+    fs.consistency_point()                  # nothing is fresh any more
+    tree = tree_for(fs, "/m")
+    start = 0
+    while start < nblocks:                  # fresh stretches, in file order
+        length = rng.randint(1, 30)
+        if rng.random() < 0.5:
+            tree.write_run(start, bytes([7]) * (min(length, nblocks - start)
+                                                * BLOCK_SIZE))
+        start += length + rng.randint(0, 20)
+    tree.flush()
+    fs.volume.recorder = IoRecorder()
+    return fs, nblocks
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("first", [0, NDIRECT - 3, NDIRECT + PTRS_PER_BLOCK - 5])
+def test_write_cow_run_matches_per_block_write_fblock(seed, first):
+    from repro.chaos.verify import volume_digest
+
+    (batched, nblocks), (reference, _) = _cow_twin(seed), _cow_twin(seed)
+    count = nblocks - first
+    data = b"".join(bytes([(first + i) % 256]) * BLOCK_SIZE
+                    for i in range(count))
+    tree = tree_for(batched, "/m")
+    tree.write_cow_run(first, data)
+    tree.flush()
+    ref_tree = tree_for(reference, "/m")
+    for i in range(count):
+        ref_tree.write_fblock(first + i,
+                              data[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE])
+    ref_tree.flush()
+    assert batched.volume.recorder.drain() == reference.volume.recorder.drain()
+    assert ([tree.get_pointer(f) for f in range(nblocks)]
+            == [ref_tree.get_pointer(f) for f in range(nblocks)])
+    assert batched.blockmap.words.tobytes() == reference.blockmap.words.tobytes()
+    assert batched.blockmap._starts == reference.blockmap._starts
+    assert batched._fresh_blocks == reference._fresh_blocks
+    assert volume_digest(batched.volume) == volume_digest(reference.volume)
+    assert (sorted(batched.volume.cache._blocks)
+            == sorted(reference.volume.cache._blocks))
+    assert tree_for(batched, "/m").read_fblock(nblocks - 1) == data[-BLOCK_SIZE:]
