@@ -32,7 +32,7 @@ from repro.backup.logical.dump import STAGE_FILES, LogicalDump
 from repro.backup.logical.dumpdates import DumpDates
 from repro.backup.logical.restore import STAGE_FILL, LogicalRestore
 from repro.backup.physical.dump import STAGE_BLOCKS, ImageDump
-from repro.bench.configs import EliotConfig, build_home_env
+from repro.bench.configs import EliotConfig, ExperimentEnv, build_home_env
 from repro.bench.report import Table
 from repro.nvram.log import NvramLog
 from repro.perf.costs import HardwareProfile
@@ -49,6 +49,17 @@ def _scale(scale: Optional[int]) -> int:
     """Resolve a point's scale, reading the module global at call time
     so tests that monkeypatch ``ABLATION_SCALE`` keep working."""
     return ABLATION_SCALE if scale is None else scale
+
+
+def _point_env(scale: Optional[int], **config) -> ExperimentEnv:
+    """One point's private clone of the (process-cached) environment.
+
+    A dump leaves snapshot churn behind; on the shared cached object a
+    point would see the leftovers of whichever point ran before it in
+    this process, and ``--jobs N`` would differ from the serial run.
+    """
+    return build_home_env(
+        EliotConfig(scale=_scale(scale), **config)).clone()
 
 
 def _dump_rate(env, engine, profile: Optional[HardwareProfile] = None) -> float:
@@ -74,10 +85,8 @@ def fragmentation_point(rounds: int, scale: Optional[int] = None) -> List[RowTup
     from repro.units import MB as _MB
 
     fast_tape = HardwareProfile(tape_rate=30.0 * _MB)
-    env = build_home_env(EliotConfig(scale=_scale(scale),
-                                     aging_rounds=rounds,
-                                     churn_fraction=0.28,
-                                     seed=2000))
+    env = _point_env(scale, aging_rounds=rounds, churn_fraction=0.28,
+                     seed=2000)
     costs = env.config.cost_model()
     logical = _dump_rate(env, LogicalDump(
         env.home_fs, env.new_drive(), dumpdates=DumpDates(), costs=costs
@@ -102,7 +111,7 @@ def nvram_point(bypass: bool, scale: Optional[int] = None) -> List[RowTuple]:
     ablation removes only the per-block log charge.  Each point redoes
     the (deterministic) dump so it is self-contained for a worker.
     """
-    env = build_home_env(EliotConfig(scale=_scale(scale), seed=2001))
+    env = _point_env(scale, seed=2001)
     drive = env.new_drive("nvram-ab")
     run = TimedRun()
     run.add_job("dump", LogicalDump(env.home_fs, drive,
@@ -130,7 +139,7 @@ def nvram_point(bypass: bool, scale: Optional[int] = None) -> List[RowTuple]:
 def readahead_point(window: Optional[int],
                     scale: Optional[int] = None) -> List[RowTuple]:
     """Dump with one read-ahead window (``None`` = the shipped default)."""
-    env = build_home_env(EliotConfig(scale=_scale(scale)))
+    env = _point_env(scale)
     costs = env.config.cost_model()
     original = logical_dump_module.READAHEAD_EXTENTS
     actual = original if window is None else window
@@ -152,7 +161,7 @@ def cache_point(cache_blocks: int, scale: Optional[int] = None) -> List[RowTuple
     """
     from repro.perf.ops import DiskReadOp
 
-    env = build_home_env(EliotConfig(scale=_scale(scale), seed=2002))
+    env = _point_env(scale, seed=2002)
     costs = env.config.cost_model()
     drive = env.new_drive("cache-ab")
     run = TimedRun()
@@ -184,7 +193,7 @@ def cpu_point(cpus: int, scale: Optional[int] = None) -> List[RowTuple]:
     """4-drive logical dump at one CPU count (Section 5.3)."""
     from repro.backup.jobs import parallel_logical_dump
 
-    env = build_home_env(EliotConfig(scale=_scale(scale), qtrees=4))
+    env = _point_env(scale, qtrees=4)
     costs = env.config.cost_model()
     profile = HardwareProfile(cpu_count=cpus)
     run = TimedRun(profile)

@@ -261,14 +261,6 @@ class ExperimentEnv:
         stats = fs.statfs()
         return stats["active_blocks"] * stats["block_size"]
 
-    def paper_scale_seconds(self, model_seconds: float,
-                            fixed_seconds: float = 0.0) -> float:
-        """Extrapolate a data-proportional duration to paper scale.
-
-        ``fixed_seconds`` (snapshot stages) do not scale with data.
-        """
-        return fixed_seconds + (model_seconds - fixed_seconds) * self.config.scale
-
 
 _ENV_CACHE: Dict[tuple, ExperimentEnv] = {}
 
@@ -306,10 +298,11 @@ _CONFIG_FIELDS = ("scale", "seed", "aging_rounds", "churn_fraction",
 def save_env(env: ExperimentEnv, path: str) -> int:
     """Persist a built environment to ``path``, pickle-free; returns bytes.
 
-    The container holds the builder's configuration plus the volumes'
-    on-disk state (see ``repro.storage.persist.save_env_container``), so
-    it must be written at a consistency point — which is how every build
-    ends.  :func:`load_env` remounts rather than replays, so repeated
+    The file is the one :mod:`repro.storage.persist` container, kind
+    ``env``: the builder's configuration plus the volumes' on-disk state,
+    so it must be written at a consistency point — which is how every
+    build ends.  A cache file of another container version is refused
+    with a :class:`~repro.errors.StorageError`; delete it and rebuild.  :func:`load_env` remounts rather than replays, so repeated
     bench runs and CI jobs skip the multi-second build entirely.
     """
     from repro.storage.persist import save_env_container

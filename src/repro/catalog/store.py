@@ -428,9 +428,6 @@ class BackupCatalog:
 
     # -- retention support -------------------------------------------------
 
-    def dependents_of(self, set_id: str) -> List[BackupSet]:
-        return [s for s in self.sets.values() if s.base_set_id == set_id]
-
     def mark_obsolete(self, set_ids: Iterable[str], save: bool = True) -> None:
         """Retire whole chains; refuses to orphan a surviving incremental.
 

@@ -1,7 +1,9 @@
 """``repro-backup`` — the command-line face of the library.
 
-Volumes and tapes live in container files on the host, so invocations
-compose the way a real backup workflow does::
+Volumes and tapes live in container files on the host (one versioned
+format, :mod:`repro.storage.persist`; a damaged, truncated or foreign
+file is a one-line ``StorageError`` message, not a traceback), so
+invocations compose the way a real backup workflow does::
 
     repro-backup mkfs home.vol --groups 3 --disks 10 --blocks 2500
     repro-backup populate home.vol --bytes 64MB --age 2

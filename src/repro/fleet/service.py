@@ -524,11 +524,6 @@ class FleetService:
                 handle.write("\n")
         self.scheduler.events = []
 
-    def export_trace(self, path: str) -> int:
-        """Chrome-export the parent tracer with per-tenant lanes."""
-        return export_fleet_trace(get_tracer().events(), path,
-                                  [s.name for s in self.spec.tenants])
-
 
 def export_fleet_trace(events: List[dict], path: str,
                        tenants: List[str]) -> int:

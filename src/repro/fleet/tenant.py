@@ -11,8 +11,9 @@ subdirectory per tenant holding everything that tenant owns:
       events.jsonl          # the scheduler's deterministic event log
       tenants/<name>/
         catalog.json        # the tenant's own BackupCatalog
-        media.bin           # its cartridges' bytes
-        volume.pkl          # pickled fs + tree + kept snapshots
+        media.bin           # its cartridges' bytes (a persist.py container)
+        volume.pkl          # pickled fs + tree + kept snapshots, warm
+                            # caches included (DESIGN.md says why)
 
 Tenants never share media or catalogs — the only shared resources are
 the drive *slots* and the worker pool, which is what makes the
@@ -275,16 +276,6 @@ class Tenant:
         """Invalidate every worker-resident copy of this volume."""
         self.epoch += 1
         return self.epoch
-
-    def drop_volume(self) -> None:
-        """Forget the in-parent volume object (reload lazily on demand).
-
-        Callers must bump the epoch first if worker-resident copies
-        exist; the dropped parent copy and the residents would otherwise
-        silently diverge from the reloaded one.
-        """
-        self._volume = None
-        self.volume_dirty = False
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -213,7 +213,11 @@ class MediaPool:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str) -> int:
-        """Write every cartridge's bytes; statuses live in the catalog."""
+        """Write every cartridge's bytes; statuses live in the catalog.
+
+        The file is replaced atomically: a worker killed mid-save leaves
+        the previous pool, not a torn one.
+        """
         ordered = [self._cartridges[label]
                    for label in sorted(self._cartridges)]
         return save_media(ordered, path)

@@ -70,10 +70,6 @@ class NvramLog:
 
     # -- logging -----------------------------------------------------------
 
-    @property
-    def active_half(self) -> int:
-        return self._active
-
     def try_append(self, op: LoggedOp) -> bool:
         """Log ``op`` into the active half; False means the half is full
         and the caller must take a consistency point first."""

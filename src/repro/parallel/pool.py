@@ -166,10 +166,6 @@ def resident_store(name: str, epoch: int, value: Any) -> None:
     _RESIDENT[name] = (epoch, value)
 
 
-def resident_discard(name: str) -> None:
-    _RESIDENT.pop(name, None)
-
-
 def resident_fetch(name: str, epoch: int) -> Any:
     """Task entry point: ship a resident object back to the parent.
 
@@ -639,7 +635,6 @@ __all__ = [
     "TaskSpec",
     "TaskTimeout",
     "fork_available",
-    "resident_discard",
     "resident_fetch",
     "resident_lookup",
     "resident_store",

@@ -49,108 +49,6 @@ _SENTINEL = object()
 drain = drain_engine
 
 
-def _op_is_wide(op: DiskReadOp) -> bool:
-    """True when every per-RAID-group piece of the read is stripe-wide.
-
-    The executor charges sub-stripe ("narrow") reads with a different
-    formula and a different resource amount, so only all-wide reads may be
-    coalesced without changing classification.
-    """
-    remaining = op.nblocks
-    block = op.start_block
-    while remaining > 0:
-        location = op.volume.locate(block)
-        group = op.volume.geometry.groups[location.group_index]
-        in_group = min(remaining, group.data_blocks - location.group_block)
-        if in_group < group.ndata_disks:
-            return False
-        block += in_group
-        remaining -= in_group
-    return True
-
-
-def _try_merge(a: PerfOp, b: PerfOp, is_restore: bool, no_inflight: bool,
-               tape_record_size: int) -> Optional[PerfOp]:
-    """The merged op if ``a`` followed by ``b`` is provably timing-equal
-    to the merge, else None.  Only producer-serial ops qualify: sink ops
-    flow through the bounded pipeline buffer, where merging would change
-    admission dynamics."""
-    if a.stage != b.stage:
-        return None
-    if type(a) is not type(b):
-        return None
-    if isinstance(a, CpuOp):
-        # In a dump, every CpuOp runs serially in the producer and nothing
-        # else touches the CPU resource, so holding it once for a+b equals
-        # holding it twice back to back.  In a restore, disk-side CPU work
-        # runs in the consumer and contends with the producer's — skip.
-        if is_restore or a.side != b.side:
-            return None
-        return CpuOp(a.seconds + b.seconds, stage=a.stage, side=a.side)
-    if isinstance(a, SleepOp):
-        # Sleeps hold no resource: 2 x t == t + t.
-        return SleepOp(a.seconds + b.seconds, stage=a.stage)
-    if isinstance(a, DiskReadOp):
-        # Serial (non-prefetch) reads in a dump run back to back in the
-        # producer.  Contiguous all-wide runs charge identical positioning
-        # and transfer whether executed as one request or two, and with no
-        # prefetch reads in flight nothing else can slip onto the group
-        # between them.  In a restore, disk reads are sink ops — skip.
-        if is_restore or a.prefetch or b.prefetch or not no_inflight:
-            return None
-        if a.volume is not b.volume:
-            return None
-        if a.start_block + a.nblocks != b.start_block:
-            return None
-        if not (_op_is_wide(a) and _op_is_wide(b)):
-            return None
-        return DiskReadOp(a.volume, a.start_block, a.nblocks + b.nblocks,
-                          stage=a.stage)
-    if isinstance(a, TapeReadOp):
-        # Tape reads (restore producer side) have no restart penalty and a
-        # purely additive time formula, provided the first op is a whole
-        # number of tape records so the per-record gap count is unchanged.
-        if not is_restore or a.drive is not b.drive:
-            return None
-        if tape_record_size <= 0 or a.nbytes % tape_record_size:
-            return None
-        return TapeReadOp(a.drive, a.nbytes + b.nbytes,
-                          a.media_changes + b.media_changes, stage=a.stage)
-    return None
-
-
-def coalesce_ops(ops: List[PerfOp], is_restore: bool = False,
-                 tape_record_size: int = 0) -> List[PerfOp]:
-    """Merge adjacent ops whose combined simulated timing is provably
-    identical to executing them separately.
-
-    Applied by :class:`TimedRun` to single-job runs only: with concurrent
-    jobs, another job could acquire a shared resource between two adjacent
-    ops, so back-to-back execution is no longer guaranteed.  Original op
-    objects are never mutated; merges build fresh ops.
-    """
-    out: List[PerfOp] = []
-    issued = 0   # prefetch reads seen so far
-    drained = 0  # prefetch reads provably completed (via ReadBarrier)
-    for op in ops:
-        if isinstance(op, DiskReadOp) and op.prefetch:
-            issued += 1
-            out.append(op)
-            continue
-        if isinstance(op, ReadBarrier):
-            drained = max(drained, min(op.count, issued))
-            out.append(op)
-            continue
-        if out:
-            merged = _try_merge(out[-1], op, is_restore,
-                                issued == drained, tape_record_size)
-            if merged is not None:
-                out[-1] = merged
-                continue
-        out.append(op)
-    return out
-
-
 class StageStats:
     """Per-stage measurements for one job."""
 
@@ -212,9 +110,6 @@ class JobResult:
             self.stage_order.append(name)
         return self.stages[name]
 
-    def throughput_mb_s(self) -> float:
-        return mb_per_s(max(self.tape_bytes, self.disk_bytes), self.elapsed)
-
 
 class _Job:
     def __init__(self, name: str, ops: List[PerfOp], data, start_at: float):
@@ -259,9 +154,6 @@ class TimedRun:
         self._tape_resources = {}
         self._jobs: List[_Job] = []
         self._buffer_bytes = self.profile.pipeline_buffer_blocks * 4096
-        # Merge adjacent timing-equivalent ops before replay (single-job
-        # runs only; see coalesce_ops).  Tests may disable it to compare.
-        self.coalesce = True
 
     # -- device registry -------------------------------------------------------
 
@@ -455,20 +347,6 @@ class TimedRun:
         """Execute every job; returns results keyed by job name."""
         sim = self.sim
         waiters = []
-        if self.coalesce and len(self._jobs) == 1:
-            # With one job there is no cross-job contention, so adjacent
-            # producer-serial ops provably execute back to back and may be
-            # merged.  Concurrent runs skip the pass: another job could
-            # claim a shared resource between two adjacent ops.
-            job = self._jobs[0]
-            before = len(job.ops)
-            job.ops = coalesce_ops(
-                job.ops, job.is_restore,
-                self.profile.tape_model().record_size,
-            )
-            if self.metrics.enabled:
-                self.metrics.counter("executor.ops_coalesced").inc(
-                    before - len(job.ops))
         if self.tracer.enabled or self.metrics.enabled:
             sim.observer = self._observe_sim
         for job in self._jobs:
@@ -539,4 +417,4 @@ class TimedRun:
             metrics.counter("executor.tape_bytes").inc(result.tape_bytes)
 
 
-__all__ = ["JobResult", "StageStats", "TimedRun", "coalesce_ops", "drain"]
+__all__ = ["JobResult", "StageStats", "TimedRun", "drain"]

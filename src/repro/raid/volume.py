@@ -13,7 +13,7 @@ addresses (and therefore the seek behaviour) of whatever ran.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import PowerLossError, RaidError
 from repro.obs.metrics import REGISTRY
@@ -67,11 +67,6 @@ class RaidVolume:
 
     def locate(self, volume_block: int) -> BlockLocation:
         return locate(self.geometry, volume_block)
-
-    def group_of(self, volume_block: int) -> Tuple[int, int]:
-        """(group index, block offset within the group) for an address."""
-        loc = self.locate(volume_block)
-        return loc.group_index, loc.group_block
 
     def compatible_with(self, other_geometry: VolumeGeometry) -> bool:
         """Whether a physical image of ``other_geometry`` can land here."""
@@ -315,10 +310,6 @@ class RaidVolume:
         other.uncached_reads = self.uncached_reads
         other._write_fuse = None
         return other
-
-    def snapshot_blocks(self, blocks: Iterable[int]) -> dict:
-        """Raw copies of the given blocks (verification helper)."""
-        return {block: self.read_block(block) for block in blocks}
 
 
 __all__ = ["RaidVolume"]

@@ -95,10 +95,6 @@ class Resource:
             self.utilization.record(self.sim.now, self.in_use)
             head.succeed(head)
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
 
 class Store:
     """A bounded FIFO buffer connecting producer and consumer processes.

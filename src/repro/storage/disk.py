@@ -31,6 +31,11 @@ DEFAULT_BLOCK_SIZE = 4 * KB
 # paper-scale (188 GB) disk costs memory only where data actually lands.
 CHUNK_BLOCKS = 1024
 
+# pack_chunks framing: (nblocks, chunk blocks, chunk count), then per
+# chunk (chunk index, row count, nonzero row count).
+_IMAGE_HEAD = struct.Struct("<QII")
+_IMAGE_CHUNK = struct.Struct("<III")
+
 
 class VirtualDisk:
     """A sparse in-memory block device.
@@ -79,54 +84,21 @@ class VirtualDisk:
         return self.nblocks * self.block_size
 
     def __getstate__(self):
-        # memoryview chunks do not pickle: ship each chunk's payload in a
-        # picklable form and rebuild writable views on the receiving side.
-        # This is what lets a whole simulated volume cross a process
-        # boundary (parallel campaign workers return their file systems).
-        #
-        # A materialized chunk is usually mostly zeros (a small volume gets
-        # one whole-disk chunk, so a single write materializes the entire
-        # address space).  Pack only the nonzero block rows — (row count,
-        # uint32 row indices, packed payload) — and fall back to the raw
-        # bytes when at least half the rows are nonzero, where the index
-        # overhead stops paying for itself.
+        # memoryview chunks do not pickle: ship the store as its
+        # pack_chunks image and rebuild writable views on the receiving
+        # side.  This is what lets a whole simulated volume cross a
+        # process boundary (parallel campaign workers return their file
+        # systems).
         state = self.__dict__.copy()
-        bs = self.block_size
-        packed = {}
-        for ci, view in self._chunks.items():
-            rows = np.frombuffer(view, dtype=np.uint8).reshape(-1, bs)
-            nz = np.flatnonzero(rows.any(axis=1))
-            if nz.size * 2 >= rows.shape[0]:
-                packed[ci] = bytes(view)
-            else:
-                packed[ci] = (rows.shape[0],
-                              nz.astype(np.uint32).tobytes(),
-                              rows[nz].tobytes())
-        state["_chunks"] = packed
+        state["_chunks"] = self.pack_chunks()
         return state
 
     def __setstate__(self, state):
-        chunks = state.pop("_chunks")
+        image = state.pop("_chunks")
         self.__dict__.update(state)
-        bs = self.block_size
-        rebuilt = {}
-        for ci, blob in chunks.items():
-            if isinstance(blob, (bytes, bytearray)):
-                # Dense form (and pickles from before sparse packing).
-                rebuilt[ci] = memoryview(
-                    np.frombuffer(bytearray(blob), dtype=np.uint8))
-                continue
-            nrows, index_blob, payload = blob
-            arr = np.zeros(nrows * bs, dtype=np.uint8)
-            indices = np.frombuffer(index_blob, dtype=np.uint32)
-            if indices.size:
-                arr.reshape(nrows, bs)[indices] = np.frombuffer(
-                    payload, dtype=np.uint8).reshape(indices.size, bs)
-            rebuilt[ci] = memoryview(arr)
-        self._chunks = rebuilt
         # Rebuilt chunks are private copies regardless of what the source
         # shared at pickling time; same for the fault set.
-        self._shared = set()
+        self.unpack_chunks(image)
         self._bad_shared = False
 
     def _check(self, block: int) -> None:
@@ -339,62 +311,86 @@ class VirtualDisk:
                     yield block, rows[row].tobytes()
 
     def pack_chunks(self) -> bytes:
-        """The whole store as one struct-framed sparse-row byte string.
+        """The disk image: the whole store as one sparse-row byte string.
 
-        The bulk (chunk-at-a-time, numpy-vectorized) persistence surface:
-        per materialized chunk, the nonzero block rows are packed as
-        ``(chunk index, row count, nonzero count, uint32 indices, rows)``
-        — the same sparse packing pickling uses, without pickle.  Orders
-        of magnitude faster than iterating :meth:`nonzero_blocks` on a
-        paper-scale disk.
+        ``(nblocks, chunk blocks, chunk count)``, then per chunk holding
+        any non-zero block ``(chunk index, row count, nonzero count,
+        uint32 row indices, rows)``, chunks and rows ascending.  It is
+        what container files and pickles both carry, and a function of
+        the disk's *contents* alone: a chunk that was written and zeroed
+        again packs like one never touched, so equal disks make equal
+        bytes whatever their write or clone history.  Chunk-at-a-time and
+        numpy-vectorized — orders of magnitude faster than iterating
+        :meth:`nonzero_blocks` on a paper-scale disk.
         """
         bs = self.block_size
-        parts = [struct.pack("<QII", self.nblocks, self._chunk_blocks,
-                             len(self._chunks))]
+        parts = []
         for ci in sorted(self._chunks):
             rows = np.frombuffer(self._chunks[ci],
                                  dtype=np.uint8).reshape(-1, bs)
-            nz = np.flatnonzero(rows.any(axis=1)).astype(np.uint32)
-            parts.append(struct.pack("<III", ci, rows.shape[0],
-                                     int(nz.size)))
-            parts.append(nz.tobytes())
-            parts.append(rows[nz].tobytes())
-        return b"".join(parts)
+            nz = np.flatnonzero(rows.any(axis=1)).astype("<u4")
+            if nz.size:
+                parts.append(_IMAGE_CHUNK.pack(ci, rows.shape[0], nz.size))
+                parts.append(nz)
+                parts.append(rows[nz])
+        head = _IMAGE_HEAD.pack(self.nblocks, self._chunk_blocks,
+                                len(parts) // 3)  # three parts a chunk
+        return b"".join([head] + parts)
 
     def unpack_chunks(self, payload: bytes) -> None:
-        """Replace this disk's contents with a :meth:`pack_chunks` image."""
+        """Replace this disk's contents with a :meth:`pack_chunks` image.
+
+        The image is checked, not trusted: anything but a well-formed
+        image of a disk this shape raises :class:`StorageError` and
+        leaves the disk as it was.
+        """
         bs = self.block_size
-        nblocks, chunk_blocks, nchunks = struct.unpack_from("<QII",
-                                                            payload, 0)
-        if nblocks != self.nblocks or chunk_blocks != self._chunk_blocks:
-            raise StorageError(
-                "chunk container geometry mismatch on %r" % self.name)
-        offset = 16
+        cb = self._chunk_blocks
+        size = len(payload)
+
+        def malformed(what: str) -> StorageError:
+            return StorageError("disk image for %r: %s" % (self.name, what))
+
+        if size < _IMAGE_HEAD.size:
+            raise malformed("shorter than its header")
+        nblocks, chunk_blocks, nchunks = _IMAGE_HEAD.unpack_from(payload, 0)
+        if nblocks != self.nblocks or chunk_blocks != cb:
+            raise malformed("is of a %d-block disk in %d-block chunks, "
+                            "not %d in %d"
+                            % (nblocks, chunk_blocks, self.nblocks, cb))
+        offset = _IMAGE_HEAD.size
         chunks: Dict[int, memoryview] = {}
+        previous = -1
         for _ in range(nchunks):
-            ci, nrows, nnz = struct.unpack_from("<III", payload, offset)
-            offset += 12
-            indices = np.frombuffer(payload, dtype=np.uint32, count=nnz,
+            if offset + _IMAGE_CHUNK.size > size:
+                raise malformed("ends inside a chunk header")
+            ci, nrows, nnz = _IMAGE_CHUNK.unpack_from(payload, offset)
+            offset += _IMAGE_CHUNK.size
+            if not previous < ci < -(-self.nblocks // cb):
+                raise malformed("chunk index %d out of order or range" % ci)
+            if nrows != cb:
+                raise malformed("chunk %d has %d rows, not %d"
+                                % (ci, nrows, cb))
+            if offset + nnz * (4 + bs) > size:
+                raise malformed("ends inside chunk %d" % ci)
+            indices = np.frombuffer(payload, dtype="<u4", count=nnz,
                                     offset=offset)
             offset += nnz * 4
+            if nnz and (indices[-1] >= min(cb, self.nblocks - ci * cb)
+                        or (indices[1:] <= indices[:-1]).any()):
+                raise malformed("chunk %d's row indices are out of order "
+                                "or range" % ci)
             arr = np.zeros(nrows * bs, dtype=np.uint8)
-            if nnz:
-                arr.reshape(nrows, bs)[indices] = np.frombuffer(
-                    payload, dtype=np.uint8, count=nnz * bs,
-                    offset=offset).reshape(nnz, bs)
+            arr.reshape(nrows, bs)[indices] = np.frombuffer(
+                payload, dtype=np.uint8, count=nnz * bs,
+                offset=offset).reshape(nnz, bs)
             offset += nnz * bs
             chunks[ci] = memoryview(arr)
+            previous = ci
+        if offset != size:
+            raise malformed("%d bytes after the last chunk" % (size - offset))
         self._chunks = chunks
         self._shared = set()
-
-    def allocated_count(self) -> int:
-        """Number of non-zero blocks (cheap, chunk-at-a-time)."""
-        count = 0
-        bs = self.block_size
-        for chunk in self._chunks.values():
-            arr = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, bs)
-            count += int(arr.any(axis=1).sum())
-        return count
 
     def fail_block(self, block: int) -> None:
         """Inject a media error: subsequent reads of ``block`` raise."""

@@ -1,239 +1,226 @@
-"""Persistence: save volumes and tapes to host files.
+"""Persistence: simulator state in host files, all in one container.
 
-The simulator's state is all in memory; these helpers serialize a
-:class:`~repro.raid.volume.RaidVolume` (every member disk, parity
+A :class:`~repro.raid.volume.RaidVolume` (every member disk, parity
 included, so a reloaded volume is bit-identical and still
-reconstruction-capable) and a :class:`~repro.storage.tape.TapeStacker`
-to compact zlib-compressed container files.  The CLI uses them so that
-``repro-backup`` invocations compose across processes.
+reconstruction-capable), a bench environment, a tape stacker and a media
+pool's cartridges are all written as::
+
+    magic | u32 version | header frame | payload frames | EOF
+
+Every frame is ``u64 length | zlib stream``.  The header is JSON: its
+``kind`` names what the file is, its ``volumes`` (name, geometry) and
+``cartridges`` (label, capacity) lists announce the payload frames — one
+:meth:`~repro.storage.disk.VirtualDisk.pack_chunks` image per member
+disk, then one byte stream per cartridge.  Equal state makes equal
+files, which the chaos and ``--jobs`` gates compare byte for byte.
+Writes replace the file atomically; every way a file can be wrong is a
+:class:`~repro.errors.StorageError`, which the CLI prints as one line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 import zlib
-from typing import BinaryIO, Dict, List, Tuple
+from typing import BinaryIO, Dict, List, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.backup.physical.image import pack_geometry, unpack_geometry
 from repro.raid.volume import RaidVolume
 from repro.storage.tape import TapeCartridge, TapeDrive, TapeStacker
 
-_VOLUME_MAGIC = b"RPROVOL1"
-_TAPE_MAGIC = b"RPROTAP1"
-_MEDIA_MAGIC = b"RPROMED1"
-_ENV_MAGIC = b"RPROENV1"
-_CHUNK = struct.Struct("<IQ")  # block number, payload length (compressed)
+_MAGIC = b"RPROCNTR"
+# The one format version.  Any change to the container layout, the
+# header schema or the disk image bumps it; the reader refuses all others.
+CONTAINER_VERSION = 1
+_PREAMBLE = struct.Struct("<8sI")
+_FRAME = struct.Struct("<Q")
 
 
-def _write_frame(handle: BinaryIO, payload: bytes) -> None:
+def _write_frame(handle: BinaryIO, payload) -> None:
     # Level 1: these containers are rewritten on every commit, so write
     # speed beats ratio; decompression accepts any level unchanged.
     compressed = zlib.compress(payload, level=1)
-    handle.write(struct.pack("<Q", len(compressed)))
+    handle.write(_FRAME.pack(len(compressed)))
     handle.write(compressed)
 
 
-def _read_frame(handle: BinaryIO) -> bytes:
-    header = handle.read(8)
-    if len(header) != 8:
-        raise StorageError("truncated container file")
-    (length,) = struct.unpack("<Q", header)
+def _read_frame(handle: BinaryIO, path: str) -> bytes:
+    prefix = handle.read(_FRAME.size)
+    if len(prefix) != _FRAME.size:
+        raise StorageError("%s: truncated where a frame should start" % path)
+    (length,) = _FRAME.unpack(prefix)
+    # Checked against the file, not by reading: a damaged length must
+    # not become a multi-exabyte allocation.
+    left = os.fstat(handle.fileno()).st_size - handle.tell()
+    if length > left:
+        raise StorageError("%s: frame announces %d bytes, file holds %d"
+                           % (path, length, left))
     compressed = handle.read(length)
-    if len(compressed) != length:
-        raise StorageError("truncated container frame")
-    return zlib.decompress(compressed)
+    inflater = zlib.decompressobj()
+    try:
+        payload = inflater.decompress(compressed)
+    except zlib.error as exc:
+        raise StorageError("%s: damaged frame (%s)" % (path, exc))
+    if not inflater.eof or inflater.unused_data:
+        raise StorageError("%s: frame is not one whole zlib stream" % path)
+    return payload
 
 
-def _serialize_disk(disk) -> bytes:
-    body = []
-    count = 0
-    for block, data in disk.nonzero_blocks():
-        body.append(struct.pack("<I", block))
-        body.append(data)
-        count += 1
-    parts = [struct.pack("<II", disk.nblocks, count)]
-    parts.extend(body)
-    return b"".join(parts)
+def _disks(volume: RaidVolume) -> List:
+    return [disk for group in volume.groups
+            for disk in group.data_disks + [group.parity_disk]]
 
 
-def _deserialize_disk(disk, payload: bytes) -> None:
-    nblocks, count = struct.unpack_from("<II", payload, 0)
-    if nblocks != disk.nblocks:
-        raise StorageError("disk geometry mismatch in container")
-    offset = 8
-    block_size = disk.block_size
-    for _ in range(count):
-        (block,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        disk.write_block(block, payload[offset : offset + block_size])
-        offset += block_size
+def _write_container(path: str, kind: str, extra: Dict,
+                     volumes: Sequence[RaidVolume] = (),
+                     cartridges: Sequence[TapeCartridge] = ()) -> int:
+    """Atomically (re)write ``path``; returns the bytes written."""
+    header = dict(
+        extra, kind=kind,
+        volumes=[{"name": volume.name,
+                  "geometry": pack_geometry(volume.geometry).hex()}
+                 for volume in volumes],
+        cartridges=[{"label": cartridge.label,
+                     "capacity": cartridge.capacity}
+                    for cartridge in cartridges])
+    temp = path + ".tmp"
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(_PREAMBLE.pack(_MAGIC, CONTAINER_VERSION))
+            _write_frame(handle,
+                         json.dumps(header, sort_keys=True).encode("utf-8"))
+            for volume in volumes:
+                for disk in _disks(volume):
+                    _write_frame(handle, disk.pack_chunks())
+            for cartridge in cartridges:
+                _write_frame(handle, cartridge.data)
+            size = handle.tell()
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
+    return size
+
+
+def _read_container(path: str, kind: str
+                    ) -> Tuple[Dict, List[RaidVolume], List[TapeCartridge]]:
+    """``(header, volumes, cartridges)`` of the ``kind`` container at ``path``."""
+    with open(path, "rb") as handle:
+        preamble = handle.read(_PREAMBLE.size)
+        if len(preamble) != _PREAMBLE.size \
+                or not preamble.startswith(_MAGIC):
+            raise StorageError("%s is not a repro container" % path)
+        version = _PREAMBLE.unpack(preamble)[1]
+        if version != CONTAINER_VERSION:
+            raise StorageError(
+                "%s is container version %d; this reader reads version %d"
+                % (path, version, CONTAINER_VERSION))
+        frame = _read_frame(handle, path)
+        try:
+            header = json.loads(frame.decode("utf-8"))
+            if header["kind"] != kind:
+                raise StorageError("%s is a %s container, not a %s container"
+                                   % (path, header["kind"], kind))
+            volumes = [
+                RaidVolume(unpack_geometry(bytes.fromhex(entry["geometry"]))[0],
+                           name=entry["name"])
+                for entry in header["volumes"]]
+            cartridges = [
+                TapeCartridge(capacity=entry["capacity"], label=entry["label"])
+                for entry in header["cartridges"]]
+        except (KeyError, TypeError, ValueError, struct.error) as exc:
+            raise StorageError("%s: header does not describe a %s container"
+                               " (%r)" % (path, kind, exc))
+        for volume in volumes:
+            for disk in _disks(volume):
+                disk.unpack_chunks(_read_frame(handle, path))
+        for cartridge in cartridges:
+            cartridge.append(_read_frame(handle, path))
+        if handle.read(1):
+            raise StorageError("%s: bytes after the last frame" % path)
+    return header, volumes, cartridges
 
 
 def save_volume(volume: RaidVolume, path: str) -> int:
     """Write the whole volume (data + parity) to ``path``; returns bytes."""
-    with open(path, "wb") as handle:
-        handle.write(_VOLUME_MAGIC)
-        name = volume.name.encode("utf-8")
-        handle.write(struct.pack("<H", len(name)))
-        handle.write(name)
-        geometry = pack_geometry(volume.geometry)
-        handle.write(struct.pack("<I", len(geometry)))
-        handle.write(geometry)
-        for group in volume.groups:
-            for disk in group.data_disks + [group.parity_disk]:
-                _write_frame(handle, _serialize_disk(disk))
-        return handle.tell()
+    return _write_container(path, "volume", {}, volumes=[volume])
 
 
 def load_volume(path: str) -> RaidVolume:
     """Rebuild a volume saved by :func:`save_volume`."""
-    with open(path, "rb") as handle:
-        if handle.read(8) != _VOLUME_MAGIC:
-            raise StorageError("%s is not a volume container" % path)
-        (name_length,) = struct.unpack("<H", handle.read(2))
-        name = handle.read(name_length).decode("utf-8")
-        (geo_length,) = struct.unpack("<I", handle.read(4))
-        geometry, _ = unpack_geometry(handle.read(geo_length))
-        volume = RaidVolume(geometry, name=name)
-        for group in volume.groups:
-            for disk in group.data_disks + [group.parity_disk]:
-                _deserialize_disk(disk, _read_frame(handle))
-        return volume
+    volumes = _read_container(path, "volume")[1]
+    if len(volumes) != 1:
+        raise StorageError("%s holds %d volumes, not one"
+                           % (path, len(volumes)))
+    return volumes[0]
 
 
 def save_env_container(path: str, header: Dict,
                        volumes: List[RaidVolume]) -> int:
-    """Write a JSON header plus whole volumes, chunk-packed; returns bytes.
+    """Write a JSON header plus whole volumes; returns bytes.
 
     The environment container behind the bench layer's pickle-free
     ``save_env``/``load_env``: an arbitrary JSON ``header`` (the builder's
     configuration, so a loader can verify it got the environment it
-    asked for) followed by each volume's geometry and every member
-    disk's :meth:`~repro.storage.disk.VirtualDisk.pack_chunks` image.
-    Unlike :func:`save_volume` the disks serialize a vectorized chunk at
-    a time, which is what makes saving a paper-scale volume practical.
+    asked for) and any number of volumes.
     """
-    with open(path, "wb") as handle:
-        handle.write(_ENV_MAGIC)
-        _write_frame(handle, json.dumps(header, sort_keys=True).encode("utf-8"))
-        handle.write(struct.pack("<I", len(volumes)))
-        for volume in volumes:
-            name = volume.name.encode("utf-8")
-            handle.write(struct.pack("<H", len(name)))
-            handle.write(name)
-            geometry = pack_geometry(volume.geometry)
-            handle.write(struct.pack("<I", len(geometry)))
-            handle.write(geometry)
-            for group in volume.groups:
-                for disk in group.data_disks + [group.parity_disk]:
-                    _write_frame(handle, disk.pack_chunks())
-        return handle.tell()
+    return _write_container(path, "env", {"env": header}, volumes=volumes)
 
 
 def load_env_container(path: str) -> Tuple[Dict, List[RaidVolume]]:
     """Rebuild ``(header, volumes)`` saved by :func:`save_env_container`."""
-    with open(path, "rb") as handle:
-        if handle.read(8) != _ENV_MAGIC:
-            raise StorageError("%s is not an environment container" % path)
-        header = json.loads(_read_frame(handle).decode("utf-8"))
-        (count,) = struct.unpack("<I", handle.read(4))
-        volumes = []
-        for _ in range(count):
-            (name_length,) = struct.unpack("<H", handle.read(2))
-            name = handle.read(name_length).decode("utf-8")
-            (geo_length,) = struct.unpack("<I", handle.read(4))
-            geometry, _ = unpack_geometry(handle.read(geo_length))
-            volume = RaidVolume(geometry, name=name)
-            for group in volume.groups:
-                for disk in group.data_disks + [group.parity_disk]:
-                    disk.unpack_chunks(_read_frame(handle))
-            volumes.append(volume)
-        return header, volumes
+    header, volumes, _ = _read_container(path, "env")
+    return header.get("env", {}), volumes
 
 
 def save_tape(drive: TapeDrive, path: str) -> int:
     """Write a drive's stacker (all cartridges) to ``path``."""
-    with open(path, "wb") as handle:
-        handle.write(_TAPE_MAGIC)
-        stacker = drive.stacker
-        name = stacker.name.encode("utf-8")
-        handle.write(struct.pack("<H", len(name)))
-        handle.write(name)
-        handle.write(struct.pack("<I", len(stacker.cartridges)))
-        for cartridge in stacker.cartridges:
-            handle.write(struct.pack("<Q", cartridge.capacity))
-            _write_frame(handle, bytes(cartridge.data))
-        return handle.tell()
+    stacker = drive.stacker
+    return _write_container(path, "tape", {"stacker": stacker.name},
+                            cartridges=stacker.cartridges)
 
 
 def load_tape(path: str) -> TapeDrive:
     """Rebuild a tape drive saved by :func:`save_tape` (rewound)."""
-    with open(path, "rb") as handle:
-        if handle.read(8) != _TAPE_MAGIC:
-            raise StorageError("%s is not a tape container" % path)
-        (name_length,) = struct.unpack("<H", handle.read(2))
-        name = handle.read(name_length).decode("utf-8")
-        (count,) = struct.unpack("<I", handle.read(4))
-        cartridges = []
-        for index in range(count):
-            (capacity,) = struct.unpack("<Q", handle.read(8))
-            cartridge = TapeCartridge(capacity=capacity,
-                                      label="%s/slot%d" % (name, index))
-            cartridge.data = bytearray(_read_frame(handle))
-            cartridges.append(cartridge)
-        stacker = TapeStacker(cartridges, name=name)
-        used_count = sum(1 for c in cartridges if c.used)
-        stacker.next_slot = used_count
-        drive = TapeDrive(stacker, name=name)
-        if used_count and cartridges[used_count - 1].remaining > 0:
-            # Resume appends on the partially written final cartridge,
-            # exactly as the unreloaded drive would — otherwise later
-            # writes skip its tail and the logical stream diverges.
-            stacker.next_slot = used_count - 1
-            drive.loaded = stacker.load_next()
-        return drive
+    header, _, cartridges = _read_container(path, "tape")
+    name = header.get("stacker", "")
+    for index, cartridge in enumerate(cartridges):
+        # A stacker is an anonymous magazine: tapes are known by slot.
+        cartridge.label = "%s/slot%d" % (name, index)
+    stacker = TapeStacker(cartridges, name=name)
+    used_count = sum(1 for c in cartridges if c.used)
+    stacker.next_slot = used_count
+    drive = TapeDrive(stacker, name=name)
+    if used_count and cartridges[used_count - 1].remaining > 0:
+        # Resume appends on the partially written final cartridge,
+        # exactly as the unreloaded drive would — otherwise later
+        # writes skip its tail and the logical stream diverges.
+        stacker.next_slot = used_count - 1
+        drive.loaded = stacker.load_next()
+    return drive
 
 
 def save_media(cartridges, path: str) -> int:
     """Write a media set (labelled cartridges) to ``path``; returns bytes.
 
-    Unlike :func:`save_tape` this keeps each cartridge's own label and
-    capacity — the backup manager's media pool is an inventory of
+    Unlike :func:`load_tape`, :func:`load_media` keeps each cartridge's
+    own label — the backup manager's media pool is an inventory of
     individually tracked tapes, not an anonymous magazine.
     """
-    with open(path, "wb") as handle:
-        handle.write(_MEDIA_MAGIC)
-        cartridges = list(cartridges)
-        handle.write(struct.pack("<I", len(cartridges)))
-        for cartridge in cartridges:
-            label = cartridge.label.encode("utf-8")
-            handle.write(struct.pack("<H", len(label)))
-            handle.write(label)
-            handle.write(struct.pack("<Q", cartridge.capacity))
-            _write_frame(handle, bytes(cartridge.data))
-        return handle.tell()
+    return _write_container(path, "media", {}, cartridges=list(cartridges))
 
 
 def load_media(path: str):
     """Rebuild the cartridge list saved by :func:`save_media`."""
-    with open(path, "rb") as handle:
-        if handle.read(8) != _MEDIA_MAGIC:
-            raise StorageError("%s is not a media container" % path)
-        (count,) = struct.unpack("<I", handle.read(4))
-        cartridges = []
-        for _ in range(count):
-            (label_length,) = struct.unpack("<H", handle.read(2))
-            label = handle.read(label_length).decode("utf-8")
-            (capacity,) = struct.unpack("<Q", handle.read(8))
-            cartridge = TapeCartridge(capacity=capacity, label=label)
-            cartridge.data = bytearray(_read_frame(handle))
-            cartridges.append(cartridge)
-        return cartridges
+    return _read_container(path, "media")[2]
 
 
 __all__ = [
+    "CONTAINER_VERSION",
     "load_env_container",
     "load_media",
     "load_tape",

@@ -126,18 +126,6 @@ class BlockTree:
         self._cache[key] = block
         return block
 
-    def _parent_vbn(self, key: tuple) -> int:
-        if key == ("ind",):
-            return self.inode.indirect
-        if key == ("dptr",):
-            return self.inode.dindirect
-        if key[0] == "dind":
-            dptr = self._cache.get(("dptr",))
-            if dptr is None:
-                dptr = self._load(("dptr",), self.inode.dindirect)
-            return dptr.ptrs[key[1]]
-        raise AssertionError(key)
-
     # -- pointer resolution -------------------------------------------------------
 
     def _check_fbn(self, fbn: int) -> None:

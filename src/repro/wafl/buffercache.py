@@ -97,14 +97,6 @@ class BlockCache:
 
     # -- bulk (run) operations -------------------------------------------
 
-    def peek_run(self, start_vbn: int, nblocks: int) -> bool:
-        """Presence check for a whole run, without LRU movement or stats."""
-        blocks = self._blocks
-        for vbn in range(start_vbn, start_vbn + nblocks):
-            if vbn not in blocks:
-                return False
-        return True
-
     def get_run(self, start_vbn: int, nblocks: int, block_size: int):
         """The whole run's contents (bytes-like), or ``None`` if any
         block is cold.

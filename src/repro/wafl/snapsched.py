@@ -103,13 +103,5 @@ class SnapshotSchedule:
             self.fs.consistency_point()
         return created
 
-    def coverage(self) -> List[str]:
-        """All schedule-managed snapshots, newest first per class."""
-        names = []
-        for rotation in self.classes:
-            existing = self._names(rotation)
-            names.extend(existing[i] for i in sorted(existing))
-        return names
-
 
 __all__ = ["RotationClass", "SnapshotSchedule"]

@@ -22,8 +22,9 @@ from repro.chaos.plan import (
     KIND_KILL,
     KIND_TORN_CP,
 )
-from repro.chaos.verify import filesystem_digest, volume_digest
+from repro.chaos.verify import file_digest, filesystem_digest, volume_digest
 from repro.manager import run_volume_day
+from repro.storage.persist import save_volume
 from repro.units import MB
 from repro.workload import WorkloadGenerator
 from repro.workload.mutate import MutationConfig
@@ -147,6 +148,37 @@ class TestDiskFaults:
         # read reconstructed data, and the repair rewrote the bad blocks
         # with exactly the reconstructed contents.
         assert_identical(oracle, chaos)
+
+
+class TestSavedVolumeFiles:
+    """Byte identity where it is consumed: campaigns compare the *files*
+    ``save_volume`` writes (``campaign_state_digests``), so a recovered
+    volume has to save to the oracle's bytes whatever its disks went
+    through on the way — and a real difference has to show."""
+
+    @pytest.mark.parametrize("kind,params", [
+        (KIND_DISK_FAIL, {"nblocks": 3, "draws": [
+            (0.1, 0.2, 0.3), (0.9, 0.5, 0.7), (0.4, 0.9, 0.05)]}),
+        (KIND_CORRUPT, {"after_tape_ops": 20, "cartridge_back": 1,
+                        "offset_frac": 0.5, "xor": 0x5A}),
+    ])
+    def test_recovered_volume_saves_to_the_oracles_file(
+            self, oracle, tmp_path, kind, params):
+        fs, _, _, events = run_day(fault_of(kind, **params))
+        assert [e["outcome"] for e in events] == ["hit"]
+        oracle_path = str(tmp_path / "oracle.vol")
+        chaos_path = str(tmp_path / "chaos.vol")
+        save_volume(oracle[0].volume, oracle_path)
+        save_volume(fs.volume, chaos_path)
+        assert file_digest(chaos_path) == file_digest(oracle_path)
+        # Not vacuous: one zeroed block is a different file.
+        volume = fs.volume
+        zeros = bytes(volume.block_size)
+        block = next(b for b in range(volume.nblocks)
+                     if volume.read_block(b) != zeros)
+        volume.write_block(block, zeros)
+        save_volume(volume, chaos_path)
+        assert file_digest(chaos_path) != file_digest(oracle_path)
 
 
 class TestCrashFaults:

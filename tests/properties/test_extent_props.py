@@ -7,6 +7,7 @@ loop it replaced, across randomized geometries and failure injections.
 """
 
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -62,18 +63,119 @@ def test_chunked_store_matches_per_block_dict(ops, read_start, read_len):
         assert disk.read_block(block) == reference.get(block, b"\0" * BS)
 
 
-@_fast
-@given(write_ops)
-def test_chunked_store_pickle_round_trip(ops):
+def _disk_of(ops):
     disk = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
     for start, length, seed in ops:
         length = min(length, NBLOCKS - start)
         disk.write_run(start, _payload(seed, length * BS))
+    return disk
+
+
+@_fast
+@given(write_ops, st.integers(0, NBLOCKS - 1))
+def test_chunked_store_pickle_round_trip(ops, detour):
+    disk = _disk_of(ops)
+    image = disk.pack_chunks()
     clone = pickle.loads(pickle.dumps(disk))
     assert bytes(clone.read_run(0, NBLOCKS)) == bytes(disk.read_run(0, NBLOCKS))
+    # One codec, three readers: the pickle, unpack_chunks, and a
+    # per-block replay of nonzero_blocks() rebuild the same disk, and
+    # every rebuild packs back to the same image.
+    unpacked = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
+    unpacked.unpack_chunks(image)
+    replayed = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
+    for block, data in disk.nonzero_blocks():
+        replayed.write_block(block, data)
+    for rebuilt in (clone, unpacked, replayed):
+        assert list(rebuilt.nonzero_blocks()) == list(disk.nonzero_blocks())
+        assert rebuilt.pack_chunks() == image
+    # The image is a function of contents, not of history: a clone that
+    # diverges (privatising — or, where ``detour`` lands in a virgin
+    # chunk, materialising — a chunk) and converges again packs like the
+    # disk that never took the detour.
+    original = disk.read_block(detour)
+    wanderer = disk.clone()
+    wanderer.write_block(detour, bytes(b ^ 0xFF for b in original))
+    assert wanderer.pack_chunks() != image
+    wanderer.write_block(detour, original)
+    assert wanderer.pack_chunks() == image
+    assert disk.pack_chunks() == image
     # The clone is writable (views must be rebuilt over mutable buffers).
     clone.write_block(0, b"\xa5" * BS)
     assert clone.read_block(0) == b"\xa5" * BS
+
+
+def test_written_then_zeroed_chunk_packs_like_a_virgin_one():
+    touched = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
+    touched.write_block(3, b"\x07" * BS)
+    touched.write_block(3, bytes(BS))
+    virgin = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
+    assert list(touched.nonzero_blocks()) == list(virgin.nonzero_blocks())
+    assert touched.pack_chunks() == virgin.pack_chunks()
+    # The pickle carries that image (beside the I/O counters, which
+    # do record history).
+    assert touched.__getstate__()["_chunks"] == virgin.pack_chunks()
+    # ... and the rebuilt disk has no backing store for the empty chunk.
+    assert pickle.loads(pickle.dumps(touched))._chunks == {}
+
+
+def _patched(image, offset, fmt, *values):
+    patched = bytearray(image)
+    struct.pack_into(fmt, patched, offset, *values)
+    return bytes(patched)
+
+
+@_fast
+@given(write_ops, st.integers(1, 2 ** 31), st.integers(0, 10 ** 6),
+       st.binary(min_size=1, max_size=9))
+def test_malformed_disk_images_are_rejected(ops, bump, cut, junk):
+    disk = _disk_of(ops)
+    disk.write_run(0, b"\x01" * (2 * BS))        # chunk 0 and chunk 2 both
+    disk.write_block(NBLOCKS - 1, b"\x02" * BS)  # hold data: >= 2 entries
+    image = disk.pack_chunks()
+    nchunks = struct.unpack_from("<I", image, 12)[0]
+    entries = []                     # (offset, nonzero rows) per chunk
+    offset = 16
+    for _ in range(nchunks):
+        index, rows, nnz = struct.unpack_from("<III", image, offset)
+        assert rows == 1024
+        entries.append((offset, nnz))
+        offset += 12 + nnz * (4 + BS)
+    assert offset == len(image) and nchunks >= 2
+    (first, nnz0), (second, _), (last, nnz_last) = (
+        entries[0], entries[1], entries[-1])
+    malformed = {
+        "nblocks": _patched(image, 0, "<Q", NBLOCKS + bump),
+        "chunk blocks": _patched(image, 8, "<I", 1024 + bump),
+        "chunk count high": _patched(image, 12, "<I", nchunks + bump),
+        "chunk count low": _patched(image, 12, "<I", nchunks - 1),
+        "chunk index past the disk": _patched(
+            image, first, "<I", 3 + bump % 1000),
+        "duplicate chunk index": _patched(image, second, "<I", 0),
+        "unsorted chunk indices": _patched(
+            _patched(image, first, "<I", 1), second, "<I", 0),
+        "row count": _patched(image, first + 4, "<I", 1025 + bump % 1000),
+        "nonzero count": _patched(image, first + 8, "<I", nnz0 + bump),
+        "row index past the chunk": _patched(
+            image, first + 12 + 4 * (nnz0 - 1), "<I", 1025 + bump % 1000),
+        "duplicate row index": _patched(image, first + 12, "<II", 0, 0),
+        "unsorted row indices": _patched(image, first + 12, "<II", 1, 0),
+        "row index past the disk": _patched(
+            image, last + 12 + 4 * (nnz_last - 1), "<I",
+            NBLOCKS - 2 * 1024),
+        "truncated": image[:cut % len(image)],
+        "trailing bytes": image + junk,
+    }
+    target = _disk_of(ops[:3])
+    before = target.pack_chunks()
+    for what, payload in malformed.items():
+        with pytest.raises(StorageError):
+            target.unpack_chunks(payload)
+            pytest.fail("accepted an image with a bad %s" % what)
+        # A refused image leaves the disk as it was.
+        assert target.pack_chunks() == before, what
+    target.unpack_chunks(image)
+    assert target.pack_chunks() == image
 
 
 @_fast

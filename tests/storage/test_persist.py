@@ -1,12 +1,20 @@
-"""Volume and tape container persistence."""
+"""Volume, environment, tape and media container persistence."""
+
+import json
+import os
+import struct
 
 import pytest
 
 from repro.errors import StorageError, TapeError
+from repro.storage import persist
 from repro.storage.persist import (
+    CONTAINER_VERSION,
+    load_env_container,
     load_media,
     load_tape,
     load_volume,
+    save_env_container,
     save_media,
     save_tape,
     save_volume,
@@ -16,7 +24,12 @@ from repro.units import KB, MB
 from repro.wafl.filesystem import WaflFilesystem
 from repro.wafl.fsck import fsck
 
-from tests.conftest import make_drive, make_fs, populate_small_tree
+from tests.conftest import (
+    make_drive,
+    make_fs,
+    make_volume,
+    populate_small_tree,
+)
 
 
 def test_volume_roundtrip_bit_identical(tmp_path):
@@ -182,3 +195,235 @@ def test_compression_keeps_containers_small(tmp_path):
     path = str(tmp_path / "vol.bin")
     size = save_volume(fs.volume, path)
     assert size < fs.volume.size_bytes / 10
+
+
+# ---------------------------------------------------------------------------
+# The one container, as each of its four kinds
+# ---------------------------------------------------------------------------
+
+def _tiny_volume(name, fill):
+    volume = make_volume(ngroups=1, ndata=2, blocks_per_disk=24, name=name)
+    volume.write_block(5, bytes([fill]) * volume.block_size)
+    volume.write_block(30, bytes([fill ^ 0xFF]) * volume.block_size)
+    return volume
+
+
+def _volume_state(volume):
+    return (volume.name, volume.geometry,
+            [bytes(volume.read_block(b)) for b in range(volume.nblocks)],
+            volume.verify_parity())
+
+
+def _cartridge_state(cartridges):
+    return [(c.label, c.capacity, bytes(c.data)) for c in cartridges]
+
+
+def _tiny_cartridges():
+    cartridges = [TapeCartridge(capacity=2 * KB, label="crt%d" % i)
+                  for i in range(3)]
+    cartridges[0].append(b"full" * 512)
+    cartridges[1].append(b"partial")
+    return cartridges
+
+
+def _tiny_drive():
+    drive = make_drive(name="mag", tapes=3, capacity=2 * KB)
+    drive.write(b"spans two cartridges " * 120)
+    return drive
+
+
+def _load_env_state(path):
+    header, volumes = load_env_container(path)
+    return header, [_volume_state(volume) for volume in volumes]
+
+
+def _load_tape_state(path):
+    stacker = load_tape(path).stacker
+    return (stacker.name, stacker.next_slot,
+            _cartridge_state(stacker.cartridges))
+
+
+#: kind -> (write(path) -> bytes written, read(path) -> comparable state).
+KINDS = {
+    "volume": (
+        lambda path: save_volume(_tiny_volume("solo", 0x11), path),
+        lambda path: _volume_state(load_volume(path))),
+    "env": (
+        lambda path: save_env_container(
+            path, {"config": {"seed": 7}, "with_rlse": True},
+            [_tiny_volume("home", 0x22), _tiny_volume("rlse", 0x33)]),
+        _load_env_state),
+    "tape": (lambda path: save_tape(_tiny_drive(), path), _load_tape_state),
+    "media": (
+        lambda path: save_media(_tiny_cartridges(), path),
+        lambda path: _cartridge_state(load_media(path))),
+}
+
+each_kind = pytest.mark.parametrize("kind", sorted(KINDS))
+
+
+def _written(tmp_path, kind):
+    path = str(tmp_path / ("%s.bin" % kind))
+    size = KINDS[kind][0](path)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    assert size == len(data)
+    return path, data
+
+
+def _rewrite(path, data):
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
+@each_kind
+def test_container_round_trip(tmp_path, kind):
+    path, data = _written(tmp_path, kind)
+    state = KINDS[kind][1](path)
+    # Equal state saved again is the same file: the bytes are a
+    # function of the state alone.
+    again = str(tmp_path / "again.bin")
+    KINDS[kind][0](again)
+    assert KINDS[kind][1](again) == state
+    with open(again, "rb") as handle:
+        assert handle.read() == data
+    assert sorted(os.listdir(str(tmp_path))) == sorted(
+        ["again.bin", "%s.bin" % kind])
+
+
+def test_loaded_state_is_what_was_saved(tmp_path):
+    path = str(tmp_path / "v.bin")
+    volume = _tiny_volume("solo", 0x11)
+    save_volume(volume, path)
+    assert _volume_state(load_volume(path)) == _volume_state(volume)
+    header = {"config": {"seed": 7}, "qtree_paths": ["/a", "/b"]}
+    save_env_container(path, header, [volume, _tiny_volume("rlse", 0x33)])
+    loaded_header, volumes = load_env_container(path)
+    assert loaded_header == header
+    assert [v.name for v in volumes] == ["solo", "rlse"]
+    assert _volume_state(volumes[0]) == _volume_state(volume)
+    cartridges = _tiny_cartridges()
+    save_media(cartridges, path)
+    assert _cartridge_state(load_media(path)) == _cartridge_state(cartridges)
+
+
+@each_kind
+def test_unknown_version_names_both_versions(tmp_path, kind):
+    path, data = _written(tmp_path, kind)
+    assert struct.unpack_from("<I", data, 8) == (CONTAINER_VERSION,)
+    _rewrite(path, data[:8] + struct.pack("<I", CONTAINER_VERSION + 41)
+             + data[12:])
+    with pytest.raises(StorageError) as failure:
+        KINDS[kind][1](path)
+    assert "version %d" % (CONTAINER_VERSION + 41) in str(failure.value)
+    assert "version %d" % CONTAINER_VERSION in str(failure.value)
+
+
+@each_kind
+def test_every_other_kinds_loader_refuses_the_file(tmp_path, kind):
+    path, _ = _written(tmp_path, kind)
+    for other in sorted(set(KINDS) - {kind}):
+        with pytest.raises(StorageError) as failure:
+            KINDS[other][1](path)
+        assert kind in str(failure.value) and other in str(failure.value)
+
+
+@each_kind
+def test_truncation_at_every_offset_is_a_storage_error(tmp_path, kind):
+    path, data = _written(tmp_path, kind)
+    for length in range(len(data)):
+        _rewrite(path, data[:length])
+        with pytest.raises(StorageError):
+            KINDS[kind][1](path)
+
+
+@each_kind
+def test_a_flipped_byte_anywhere_is_a_storage_error(tmp_path, kind):
+    # Every byte of every frame (and of the preamble): zlib's checksum
+    # makes any single damaged byte detectable, and the reader has to
+    # turn each detection into StorageError — never zlib.error,
+    # struct.error, MemoryError or a silent load.
+    path, data = _written(tmp_path, kind)
+    for offset in range(len(data)):
+        damaged = bytearray(data)
+        damaged[offset] ^= 0xFF
+        _rewrite(path, bytes(damaged))
+        with pytest.raises(StorageError):
+            KINDS[kind][1](path)
+
+
+@each_kind
+def test_trailing_bytes_rejected(tmp_path, kind):
+    path, data = _written(tmp_path, kind)
+    _rewrite(path, data + b"\0\0\0\0")
+    with pytest.raises(StorageError, match="after the last frame"):
+        KINDS[kind][1](path)
+
+
+@each_kind
+def test_interrupted_writer_keeps_the_previous_file(tmp_path, kind,
+                                                    monkeypatch):
+    path, data = _written(tmp_path, kind)
+    state = KINDS[kind][1](path)
+    write_frame = persist._write_frame
+    calls = []
+
+    def dies_on_first_payload(handle, payload):
+        calls.append(len(payload))
+        if len(calls) == 2:  # the header frame went out, then the crash
+            raise KeyboardInterrupt()
+        write_frame(handle, payload)
+
+    monkeypatch.setattr(persist, "_write_frame", dies_on_first_payload)
+    with pytest.raises(KeyboardInterrupt):
+        KINDS[kind][0](path)
+    monkeypatch.undo()
+    assert os.listdir(str(tmp_path)) == ["%s.bin" % kind]  # no .tmp
+    with open(path, "rb") as handle:
+        assert handle.read() == data
+    assert KINDS[kind][1](path) == state
+
+
+def test_interrupted_first_write_leaves_nothing(tmp_path):
+    cartridges = _tiny_cartridges()
+    cartridges[1].data = None  # the second payload frame cannot be written
+    with pytest.raises(TypeError):
+        save_media(cartridges, str(tmp_path / "new.bin"))
+    assert os.listdir(str(tmp_path)) == []
+
+
+def _crafted(path, header, payloads):
+    """A container with well-formed frames and an arbitrary header."""
+    with open(path, "wb") as handle:
+        handle.write(struct.pack("<8sI", b"RPROCNTR", CONTAINER_VERSION))
+        for payload in [json.dumps(header).encode("utf-8")] + payloads:
+            persist._write_frame(handle, payload)
+
+
+def test_header_that_lies_about_its_frames_is_rejected(tmp_path):
+    path = str(tmp_path / "lies.bin")
+    listed = [{"label": "a", "capacity": 64}, {"label": "b", "capacity": 64}]
+    honest = {"kind": "media", "volumes": [], "cartridges": listed}
+    _crafted(path, honest, [b"one", b"two"])
+    assert [bytes(c.data) for c in load_media(path)] == [b"one", b"two"]
+    # One cartridge too many (the file ends early), one too few (a
+    # frame is left over), more bytes than the announced capacity.
+    _crafted(path, honest, [b"only one"])
+    with pytest.raises(StorageError, match="truncated"):
+        load_media(path)
+    _crafted(path, dict(honest, cartridges=listed[:1]), [b"one", b"two"])
+    with pytest.raises(StorageError, match="after the last frame"):
+        load_media(path)
+    _crafted(path, honest, [b"one", b"x" * 65])
+    with pytest.raises(StorageError):
+        load_media(path)
+    # Well-formed JSON that is not a header.
+    for nonsense in ([], {"kind": "media"},
+                     dict(honest, cartridges="nonsense"),
+                     dict(honest, volumes=[{"name": "v", "geometry": "zz"}])):
+        _crafted(path, nonsense, [])
+        with pytest.raises(StorageError, match="header"):
+            load_media(path)
+    _crafted(path, dict(honest, kind="volume"), [b"one", b"two"])
+    with pytest.raises(StorageError, match="holds 0 volumes"):
+        load_volume(path)
