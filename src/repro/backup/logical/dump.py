@@ -419,7 +419,7 @@ class LogicalDump:
                 for op in self._tape_ops(writer, STAGE_FILES):
                     yield op
             if fed < total_segments:
-                writer.feed_segments([None] * (total_segments - fed))
+                writer.feed_holes(total_segments - fed)
             writer.end_inode()
             acl = source.get_acl_by_ino(ino)
             if acl:

@@ -32,10 +32,6 @@ class NoSpaceError(FilesystemError):
     """The volume has no free blocks (ENOSPC)."""
 
 
-class NoInodesError(FilesystemError):
-    """The inode file is full."""
-
-
 class NotFoundError(FilesystemError):
     """Path or inode lookup failed (ENOENT)."""
 
@@ -60,10 +56,6 @@ class SnapshotError(FilesystemError):
     """Snapshot creation/deletion/lookup failure."""
 
 
-class CrossLinkError(FilesystemError):
-    """fsck found a block claimed twice or a refcount mismatch."""
-
-
 class BackupError(ReproError):
     """Backup/restore engine failure."""
 
@@ -82,10 +74,6 @@ class IncrementalError(BackupError):
 
 class GeometryError(BackupError):
     """Physical restore onto an incompatible volume geometry."""
-
-
-class VerificationError(ReproError):
-    """Restored data does not match the source."""
 
 
 class WorkloadError(ReproError):
@@ -108,14 +96,12 @@ __all__ = [
     "BackupError",
     "CatalogError",
     "ChaosFault",
-    "CrossLinkError",
     "ExistsError",
     "FilesystemError",
     "FormatError",
     "GeometryError",
     "IncrementalError",
     "IsADirectoryError_",
-    "NoInodesError",
     "NoSpaceError",
     "NotADirectoryError_",
     "NotEmptyError",
@@ -126,6 +112,5 @@ __all__ = [
     "SnapshotError",
     "StorageError",
     "TapeError",
-    "VerificationError",
     "WorkloadError",
 ]

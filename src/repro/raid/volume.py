@@ -13,6 +13,7 @@ addresses (and therefore the seek behaviour) of whatever ran.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 from repro.errors import PowerLossError, RaidError
@@ -75,32 +76,21 @@ class RaidVolume:
     # -- data plane ---------------------------------------------------------
 
     def read_block(self, volume_block: int) -> bytes:
-        cache = None if self.uncached_reads else self.cache
-        if cache is not None:
-            cached = cache.get(volume_block)
-            if cached is not None:
-                return cached
-        loc = self.locate(volume_block)
-        data = self.groups[loc.group_index].read_block(loc.group_block)
-        if cache is not None:
-            cache.put(volume_block, data)
-        if self.recorder is not None:
-            self.recorder.on_read(volume_block, 1)
-        return data
+        return self.read_run(volume_block, 1)
 
     def write_block(self, volume_block: int, data: bytes) -> None:
         if len(data) != self.block_size:
             raise RaidError(
                 "write of %d bytes to %d-byte block" % (len(data), self.block_size)
             )
-        if self._write_fuse is not None:
-            self._fuse_spend(volume_block, data, 1)
-        loc = self.locate(volume_block)
-        self.groups[loc.group_index].write_block(loc.group_block, data)
-        if self.cache is not None:
-            self.cache.put(volume_block, bytes(data))
-        if self.recorder is not None:
-            self.recorder.on_write(volume_block, 1)
+        self.write_run(volume_block, data, 0, 1)
+
+    def _piece(self, block: int):
+        """The ``(group, group_block)`` of one volume block.  A block
+        outside the volume maps outside the group, whose range check
+        raises."""
+        index = bisect_right(self._group_base, block) - 1
+        return self.groups[index], block - self._group_base[index]
 
     def _pieces(self, start_block: int, nblocks: int):
         """Decompose a volume run into (group, group_block, count) pieces."""
@@ -109,20 +99,12 @@ class RaidVolume:
                 "run [%d, %d) out of range on %r"
                 % (start_block, start_block + nblocks, self.name)
             )
-        block = start_block
-        remaining = nblocks
-        if not remaining:
-            return
-        for index, group in enumerate(self.groups):
-            base = self._group_base[index]
-            if block >= base + group.data_blocks:
-                continue
-            count = min(remaining, base + group.data_blocks - block)
-            yield group, block - base, count
+        block, end = start_block, start_block + nblocks
+        while block < end:
+            group, group_block = self._piece(block)
+            count = min(end - block, group.data_blocks - group_block)
+            yield group, group_block, count
             block += count
-            remaining -= count
-            if not remaining:
-                return
 
     def read_run(self, start_block: int, nblocks: int) -> bytes:
         """Read ``nblocks`` contiguous volume blocks as one access.
@@ -130,43 +112,20 @@ class RaidVolume:
         With a cache attached, a fully resident run costs no I/O; a run
         with any cold block is read (and recorded) whole, which is how a
         real chained read behaves.  The transfer is bulk: one output
-        buffer, filled per RAID group by per-disk column reads.
+        buffer, filled per RAID group by per-disk column reads.  Nine
+        reads in ten are one block (DESIGN.md, "One block path"), so that
+        size goes to the group's block read with no intermediate buffer.
         """
         if nblocks <= 0:
             raise RaidError("zero-length run read")
         bs = self.block_size
         cache = None if self.uncached_reads else self.cache
         if cache is not None:
-            if nblocks == 1:
-                # Single-block fast path: a hit returns the cached bytes
-                # with no intermediate buffer.  This is BlockCache.hit
-                # inlined (same hit count, same LRU refresh, no miss
-                # accounting) — the call itself is measurable on the
-                # namei-heavy restore paths.
-                blocks = cache._blocks
-                data = blocks.get(start_block)
-                if data is not None:
-                    if type(data) is tuple:
-                        buf, off, size = data
-                        data = bytes(buf[off : off + size])
-                        blocks[start_block] = data
-                    blocks.move_to_end(start_block)
-                    cache.hits += 1
-                    if REGISTRY.enabled:
-                        REGISTRY.counter("cache.hits").inc()
-                    return data
-                if REGISTRY.enabled:
-                    REGISTRY.counter("cache.run_misses").inc()
-            else:
-                cached = cache.get_run(start_block, nblocks, bs)
-                if cached is not None:
-                    return bytes(cached)
+            cached = cache.get_run(start_block, nblocks, bs)
+            if cached is not None:
+                return bytes(cached)
         if nblocks == 1:
-            # One cold block: read it directly — no intermediate
-            # bytearray, no column scatter.  Accounting (disk read
-            # counts, reconstruction fallback) matches the run path's
-            # one-block decomposition exactly.
-            group, group_block, _count = next(self._pieces(start_block, 1))
+            group, group_block = self._piece(start_block)
             result = group.read_block(group_block)
         else:
             out = bytearray(nblocks * bs)
@@ -189,7 +148,8 @@ class RaidVolume:
     def write_run(self, start_block: int, data, offset: int = 0,
                   nblocks: Optional[int] = None) -> None:
         """Write ``nblocks`` contiguous volume blocks from ``data[offset:]``
-        (by default, all of ``data``) as one access."""
+        (by default, all of ``data``) as one access.  A single block — most
+        writes are — is the group's read-modify-write and nothing else."""
         bs = self.block_size
         if nblocks is None:
             if (len(data) - offset) % bs:
@@ -199,10 +159,16 @@ class RaidVolume:
             self._fuse_spend(
                 start_block, memoryview(data)[offset : offset + nblocks * bs],
                 nblocks)
-        done = 0
-        for group, group_block, count in self._pieces(start_block, nblocks):
-            group.write_run(group_block, data, offset + done * bs, count)
-            done += count
+        if nblocks == 1:
+            group, group_block = self._piece(start_block)
+            group.write_block(
+                group_block,
+                data if len(data) == bs else bytes(data[offset : offset + bs]))
+        else:
+            done = 0
+            for group, group_block, count in self._pieces(start_block, nblocks):
+                group.write_run(group_block, data, offset + done * bs, count)
+                done += count
         if self.cache is not None:
             self.cache.put_run(start_block, data, bs, offset, nblocks)
         if self.recorder is not None:

@@ -107,13 +107,16 @@ class BlockMap:
         self.dirty_fblocks = set(range(n))
         self._dirty_heap = list(range(n))  # a sorted list is a heap
 
-    def pop_min_dirty(self) -> Optional[int]:
-        """Remove and return the smallest dirty fblock (None when clean).
+    def pop_dirty_run(self) -> Optional[Tuple[int, int]]:
+        """Remove and return the lowest maximal run of consecutive dirty
+        fblocks as ``(start, count)`` — None when clean.
 
-        Equivalent to ``min(dirty_fblocks)`` + ``discard`` — including for
-        fblocks dirtied between calls — via the heap mirror.  If the set
+        The start is ``min(dirty_fblocks)`` — including for fblocks
+        dirtied between calls — via the heap mirror, whose stale entries
+        (the run's direct discards below) are skipped lazily.  If the set
         was mutated directly (bypassing :meth:`_dirty_add_many`) the heap
         is rebuilt, so the ascending drain order is preserved regardless.
+        The consistency point writes each run as extents.
         """
         dirty = self.dirty_fblocks
         heap = self._dirty_heap
@@ -123,23 +126,10 @@ class BlockMap:
                     return None
                 heap[:] = dirty
                 heapq.heapify(heap)
-            fb = heapq.heappop(heap)
-            if fb in dirty:
-                dirty.discard(fb)
-                return fb
-
-    def pop_dirty_run(self) -> Optional[Tuple[int, int]]:
-        """Remove and return the lowest maximal run of consecutive dirty
-        fblocks as ``(start, count)`` — None when clean.
-
-        Drains in the same ascending order as :meth:`pop_min_dirty`, one
-        run at a time; the consistency point writes each run as extents.
-        The heap mirror tolerates the direct discards (lazy deletion).
-        """
-        start = self.pop_min_dirty()
-        if start is None:
-            return None
-        dirty = self.dirty_fblocks
+            start = heapq.heappop(heap)
+            if start in dirty:
+                break
+        dirty.discard(start)
         stop = start + 1
         while stop in dirty:
             dirty.discard(stop)

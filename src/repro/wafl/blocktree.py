@@ -62,12 +62,6 @@ class TreeContext:
     def inode_dirty(self, inode: Inode) -> None:
         """The inode's pointers or size changed; persist it at the next CP."""
 
-    def read_block(self, vbn: int) -> bytes:
-        return self.volume.read_block(vbn)
-
-    def write_block(self, vbn: int, data: bytes) -> None:
-        self.volume.write_block(vbn, data)
-
 
 _PTR_STRUCT = struct.Struct("<%dI" % PTRS_PER_BLOCK)
 
@@ -119,7 +113,7 @@ class BlockTree:
         if cached is not None:
             return cached
         if vbn:
-            ptrs = _unpack_ptrs(self.ctx.read_block(vbn))
+            ptrs = _unpack_ptrs(self.ctx.volume.read_block(vbn))
         else:
             ptrs = [0] * PTRS_PER_BLOCK
         block = _IndirectBlock(vbn, ptrs)
@@ -187,24 +181,13 @@ class BlockTree:
         vbn = self.get_pointer(fbn)
         if not vbn:
             return bytes(BLOCK_SIZE)
-        return self.ctx.read_block(vbn)
+        return self.ctx.volume.read_block(vbn)
 
     def write_fblock(self, fbn: int, data: bytes) -> None:
-        """Copy-on-write one file block."""
-        if self.ctx.readonly:
-            raise FilesystemError("write through a read-only tree")
+        """Copy-on-write one file block: :meth:`write_cow_run` of one."""
         if len(data) != BLOCK_SIZE:
             raise FilesystemError("unaligned file block write")
-        old_vbn = self.get_pointer(fbn)
-        if old_vbn and self.ctx.allows_inplace(old_vbn):
-            self.ctx.write_block(old_vbn, data)
-            return
-        new_vbn, count = self.ctx.alloc_run(1)
-        assert count == 1
-        self.ctx.write_block(new_vbn, data)
-        self._set_pointer(fbn, new_vbn)
-        if old_vbn:
-            self.ctx.free_block(old_vbn)
+        self.write_cow_run(fbn, data)
 
     def write_run(self, fbn: int, data, offset: int = 0,
                   nblocks: Optional[int] = None) -> None:
@@ -235,14 +218,13 @@ class BlockTree:
     def write_cow_run(self, fbn: int, data) -> None:
         """Copy-on-write consecutive file blocks, batching volume writes.
 
-        Block-for-block equivalent to calling :meth:`write_fblock` over
-        the range — same allocations (``alloc_run(1)`` repeated and one
-        ``alloc_run(n)`` walk the same free blocks in cursor order), same
-        frees, and a coalesced-identical access stream — but in-place
-        stretches whose volume blocks are consecutive go down as one
-        extent write and copy-on-write stretches reallocate through
-        :meth:`write_run`.  This is the consistency point's fast path for
-        draining the dirty block map.
+        A block the tree may overwrite (allocated since the last
+        consistency point) is rewritten where it lies; any other gets a
+        fresh block through :meth:`write_run`.  In-place stretches whose
+        volume blocks are consecutive go down as one extent write, and a
+        copy-on-write stretch is one ``alloc_run(n)`` walking the free
+        blocks in cursor order.  This is how the consistency point drains
+        the dirty block map and inode file.
         """
         if self.ctx.readonly:
             raise FilesystemError("write through a read-only tree")
@@ -250,6 +232,14 @@ class BlockTree:
             raise FilesystemError("unaligned run write")
         nblocks = len(data) // BLOCK_SIZE
         inplace_ok = self.ctx.allows_inplace
+        if nblocks == 1:
+            # One block is one stretch: nothing to walk or gather.
+            vbn = self.get_pointer(fbn)
+            if vbn and inplace_ok(vbn):
+                self.ctx.volume.write_run(vbn, data, 0, 1)
+            else:
+                self.write_run(fbn, data, 0, 1)
+            return
         # The walk is lazy — it reads an indirect block when it reaches
         # it, one block ahead of the stretch being gathered, as per-block
         # get_pointer calls would.
@@ -494,13 +484,13 @@ class BlockTree:
         live_ptrs = any(block.ptrs)
         old_vbn = block.vbn
         if old_vbn and live_ptrs and self.ctx.allows_inplace(old_vbn):
-            self.ctx.write_block(old_vbn, _pack_ptrs(block.ptrs))
+            self.ctx.volume.write_block(old_vbn, _pack_ptrs(block.ptrs))
             block.dirty = False
             return
         if live_ptrs:
             new_vbn, count = self.ctx.alloc_run(1)
             assert count == 1
-            self.ctx.write_block(new_vbn, _pack_ptrs(block.ptrs))
+            self.ctx.volume.write_block(new_vbn, _pack_ptrs(block.ptrs))
         else:
             new_vbn = 0  # fully punched: drop the indirect block
         self._set_parent_pointer(key, new_vbn)

@@ -46,6 +46,12 @@ class BlockCache:
         self.evictions = 0
 
     def get(self, vbn: int) -> Optional[bytes]:
+        """The cached block, or ``None`` (one counted miss) when cold.
+
+        This is the one single-block lookup — :meth:`get_run` enters it
+        for a one-block run.  A lazy entry materializes here; a hit moves
+        the block to the fresh end of the LRU.
+        """
         data = self._blocks.get(vbn)
         if data is None:
             self.misses += 1
@@ -62,38 +68,8 @@ class BlockCache:
             REGISTRY.counter("cache.hits").inc()
         return data
 
-    def peek(self, vbn: int) -> bool:
-        """Presence check without LRU movement or stats."""
-        return vbn in self._blocks
-
-    def hit(self, vbn: int) -> Optional[bytes]:
-        """:meth:`get` that counts nothing on a miss.
-
-        Exactly ``peek(vbn) and get(vbn)`` — same hit count, same LRU
-        refresh, no miss accounting — in one dictionary probe.  Run-read
-        fast paths use this so a cold block counts only their own
-        ``run_misses`` gauge, never a per-block miss.
-        """
-        data = self._blocks.get(vbn)
-        if data is None:
-            return None
-        if type(data) is tuple:
-            buf, off, size = data
-            data = bytes(buf[off : off + size])
-            self._blocks[vbn] = data  # memoize; LRU position kept
-        self._blocks.move_to_end(vbn)
-        self.hits += 1
-        if REGISTRY.enabled:
-            REGISTRY.counter("cache.hits").inc()
-        return data
-
-    def put(self, vbn: int, data: bytes) -> None:
-        if vbn in self._blocks:
-            self._blocks.move_to_end(vbn)
-        self._blocks[vbn] = data
-        while len(self._blocks) > self.capacity:
-            self._blocks.popitem(last=False)
-            self.evictions += 1
+    def put(self, vbn: int, data) -> None:
+        self.put_run(vbn, data, len(data))
 
     # -- bulk (run) operations -------------------------------------------
 
@@ -101,13 +77,14 @@ class BlockCache:
         """The whole run's contents (bytes-like), or ``None`` if any
         block is cold.
 
-        A hit counts (and refreshes LRU position for) every block, exactly
-        as ``nblocks`` individual :meth:`get` calls would; a cold run
-        counts nothing — the caller falls back to the device path and
-        :meth:`put_run`\\ s what it read.  Runs whose blocks are still
-        lazy references into one contiguous buffer (the way
-        :meth:`put_run` left them) come back as a single slice of it.
+        A hit counts (and refreshes LRU position for) every block; a run
+        with any cold block is one miss — the caller falls back to the
+        device path and :meth:`put_run`\\ s what it read.  Runs whose
+        blocks are still lazy references into one contiguous buffer (the
+        way :meth:`put_run` left them) come back as a single slice of it.
         """
+        if nblocks == 1:
+            return self.get(start_vbn)
         blocks = self._blocks
         probe = blocks.get
         entries = []
@@ -115,6 +92,7 @@ class BlockCache:
         for vbn in range(start_vbn, start_vbn + nblocks):
             entry = probe(vbn)
             if entry is None:
+                self.misses += 1
                 if REGISTRY.enabled:
                     REGISTRY.counter("cache.run_misses").inc()
                 return None
@@ -159,9 +137,8 @@ class BlockCache:
         """Insert a run of blocks from ``data[offset:]`` (``nblocks`` of
         them; by default all the buffer holds).
 
-        Equivalent to per-block :meth:`put` calls over slices of ``data``
-        (same LRU order, same eviction accounting), without the caller
-        having to split the buffer itself.  Each block is stored as a lazy
+        Blocks enter the LRU in ascending order and the oldest entries
+        are evicted once the run is in.  Each block is stored as a lazy
         reference into the buffer: ``bytes`` is referenced where it lies
         (pass a large buffer with an offset, never a slice of it), anything
         else is snapshotted to immutable ``bytes`` once.

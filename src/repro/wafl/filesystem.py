@@ -94,6 +94,8 @@ class _ActiveContext(TreeContext):
 
     def free_blocks(self, vbns) -> None:
         """Batched free: one vectorized block-map pass per disposition."""
+        if len(vbns) == 1:
+            return self.free_block(vbns[0])
         fs = self.fs
         fresh = [vbn for vbn in vbns if vbn in fs._fresh_blocks]
         committed = [vbn for vbn in vbns if vbn not in fs._fresh_blocks]
@@ -107,11 +109,10 @@ class _ActiveContext(TreeContext):
         return vbn in self.fs._fresh_blocks
 
     def inode_dirty(self, inode: Inode) -> None:
-        fs = self.fs
-        if inode is fs.fsinfo.inofile_inode:
-            fs._root_dirty = True
-        else:
-            fs._dirty_inodes.add(inode.ino)
+        # The inode file's own inode lives in fsinfo, which every
+        # consistency point writes.
+        if inode is not self.fs.fsinfo.inofile_inode:
+            self.fs._dirty_inodes.add(inode.ino)
 
 
 class WaflFilesystem:
@@ -132,7 +133,6 @@ class WaflFilesystem:
         # changes semantics.
         self._dir_cache: Dict[int, Tuple[bytes, tuple, dict]] = {}
         self._dirty_inodes: Set[int] = set()
-        self._root_dirty = False
         self._fresh_blocks: Set[int] = set()
         self._in_cp = False
         self._free_ino_heap: List[int] = []
@@ -294,7 +294,6 @@ class WaflFilesystem:
         fs._inodes = {ino: inode.copy() for ino, inode in self._inodes.items()}
         fs._dir_cache = dict(self._dir_cache)
         fs._dirty_inodes = set(self._dirty_inodes)
-        fs._root_dirty = self._root_dirty
         fs._fresh_blocks = set(self._fresh_blocks)
         fs._in_cp = False
         fs._free_ino_heap = list(self._free_ino_heap)
@@ -398,26 +397,31 @@ class WaflFilesystem:
         finally:
             self._in_cp = False
 
+    def _write_dirty_inodes(self) -> None:
+        """Pack the dirty inodes into the inode file, one copy-on-write
+        per inode-file block, and clear the dirty set."""
+        if not self._dirty_inodes:
+            return
+        tree = self._inofile_tree()
+        by_fbn: Dict[int, List[int]] = {}
+        for ino in self._dirty_inodes:
+            by_fbn.setdefault(ino // INODES_PER_BLOCK, []).append(ino)
+        for fbn in sorted(by_fbn):
+            data = bytearray(tree.read_fblock(fbn))
+            for ino in by_fbn[fbn]:
+                slot = ino % INODES_PER_BLOCK
+                data[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = (
+                    self._inodes[ino].pack())
+            tree.write_fblock(fbn, bytes(data))
+            needed = (fbn + 1) * BLOCK_SIZE
+            if self.fsinfo.inofile_inode.size < needed:
+                self.fsinfo.inofile_inode.size = needed
+        tree.flush()
+        self._dirty_inodes.clear()
+
     def _consistency_point_locked(self) -> None:
-        # 1. Dirty inodes into the inode file (grouped per inode-file block).
-        if self._dirty_inodes:
-            tree = self._inofile_tree()
-            by_fbn: Dict[int, List[int]] = {}
-            for ino in self._dirty_inodes:
-                by_fbn.setdefault(ino // INODES_PER_BLOCK, []).append(ino)
-            for fbn in sorted(by_fbn):
-                data = bytearray(tree.read_fblock(fbn))
-                for ino in by_fbn[fbn]:
-                    inode = self._inodes[ino]
-                    slot = ino % INODES_PER_BLOCK
-                    data[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = inode.pack()
-                tree.write_fblock(fbn, bytes(data))
-                needed = (fbn + 1) * BLOCK_SIZE
-                if self.fsinfo.inofile_inode.size < needed:
-                    self.fsinfo.inofile_inode.size = needed
-                    self._root_dirty = True
-            tree.flush()
-            self._dirty_inodes.clear()
+        # 1. Dirty inodes into the inode file.
+        self._write_dirty_inodes()
 
         # 2. The block-map file, to fixpoint.  Writing map blocks allocates
         #    and frees blocks, which dirties more map blocks; blocks
@@ -447,27 +451,12 @@ class WaflFilesystem:
                 bm_inode.size = needed
                 self._dirty_inodes.add(INO_BLOCKMAP)
             # The block-map inode itself changed: write its slot.
-            if self._dirty_inodes:
-                tree = self._inofile_tree()
-                for ino in sorted(self._dirty_inodes):
-                    fbn = ino // INODES_PER_BLOCK
-                    data = bytearray(tree.read_fblock(fbn))
-                    slot = ino % INODES_PER_BLOCK
-                    data[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = (
-                        self._inodes[ino].pack()
-                    )
-                    tree.write_fblock(fbn, bytes(data))
-                    needed = (fbn + 1) * BLOCK_SIZE
-                    if self.fsinfo.inofile_inode.size < needed:
-                        self.fsinfo.inofile_inode.size = needed
-                tree.flush()
-                self._dirty_inodes.clear()
+            self._write_dirty_inodes()
 
         # 3. The root structure, written redundantly at its fixed location.
         self.fsinfo.cp_count += 1
         self.fsinfo.next_ino_hint = self._ino_watermark
         self.fsinfo.write_to(self.volume)
-        self._root_dirty = False
         self._fresh_blocks.clear()
         self.blockmap.commit_deferred_reuse()
         if self.nvram is not None:

@@ -214,3 +214,48 @@ def test_global_registry_toggle():
     finally:
         enable_metrics(False)
     assert REGISTRY.enabled is False
+
+
+def test_volume_counters_see_every_block_of_a_campaign_day(monkeypatch):
+    """``volume.read_blocks``/``volume.write_blocks`` count the traffic
+    the recorders see — single blocks included, whichever name issued
+    them — over a whole day: aging, snapshots, one logical and one image
+    incremental."""
+    from repro.catalog import BackupCatalog
+    from repro.manager import GFS, CampaignDriver, MediaPool
+    from repro.storage.device import IoRecorder
+    from repro.units import MB
+    from repro.workload import WorkloadGenerator
+    from tests.conftest import make_fs
+
+    recorders = []
+    plain_init = IoRecorder.__init__
+
+    def listed_init(self):
+        plain_init(self)
+        recorders.append(self)
+
+    # The engines swap private recorders in around their data phases.
+    monkeypatch.setattr(IoRecorder, "__init__", listed_init)
+    catalog = BackupCatalog()
+    pool = MediaPool(catalog)
+    pool.add_blank(20, capacity=2 * MB)
+    driver = CampaignDriver(catalog, pool, keep_daily_snapshots=True, seed=7)
+    for index, (name, strategy) in enumerate(
+            [("home", "logical"), ("rlse", "image")]):
+        fs = make_fs(name=name, blocks_per_disk=600)
+        tree = WorkloadGenerator(seed=20 + index).populate(fs, MB // 2)
+        fs.consistency_point()
+        fs.volume.recorder = IoRecorder()
+        driver.add_volume(fs, tree, strategy, GFS(4, 2))
+    driver.run_day()
+    before = (sum(r.total_read_blocks for r in recorders),
+              sum(r.total_written_blocks for r in recorders))
+    REGISTRY.enabled = True
+    driver.run_day()
+    counters = REGISTRY.snapshot()["counters"]
+    read = sum(r.total_read_blocks for r in recorders) - before[0]
+    written = sum(r.total_written_blocks for r in recorders) - before[1]
+    assert read and written
+    assert counters["volume.read_blocks"] == read
+    assert counters["volume.write_blocks"] == written

@@ -14,10 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StorageError
+from repro.chaos.verify import volume_digest
+from repro.errors import PowerLossError, StorageError
+from repro.obs.metrics import REGISTRY
 from repro.raid.layout import make_geometry
 from repro.raid.volume import RaidVolume
+from repro.storage.device import IoRecorder
 from repro.storage.disk import VirtualDisk
+from repro.wafl.buffercache import BlockCache
 
 _fast = settings(max_examples=25, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -390,6 +394,108 @@ def test_write_run_matches_scalar_under_media_failure(writes, bad_block):
         column = loc.group_block % len(group.data_disks)
         group.data_disks[column].heal_block(stripe)
     assert _volume_image(batched) == _volume_image(reference)
+
+
+# ---------------------------------------------------------------------------
+# One block path: the scalar names vs the run form at n = 1
+# ---------------------------------------------------------------------------
+
+def _scalar_route(volume, op, block, data):
+    if op == "read":
+        return volume.read_block(block)
+    volume.write_block(block, data)
+
+
+def _run_route(volume, op, block, data):
+    if op == "read":
+        return volume.read_run(block, 1)
+    volume.write_run(block, data)
+
+
+def _offset_route(volume, op, block, data):
+    """The block sits inside a larger buffer, as a file's tail block does."""
+    if op == "read":
+        return volume.read_run(block, 1)
+    pad = len(data) * (block % 3)
+    volume.write_run(block, bytearray(pad) + data + bytes(len(data)), pad, 1)
+
+
+def _single_block_trace(volume, route, ops, fuse):
+    """Everything observable after ``ops`` went down one route."""
+    volume.recorder = IoRecorder()
+    if fuse:
+        volume.arm_write_fuse(fuse)
+    REGISTRY.reset()
+    REGISTRY.enabled = True
+    results = []
+    try:
+        for op, block, seed in ops:
+            try:
+                results.append(route(
+                    volume, op, block, _payload(seed, volume.block_size)))
+            except PowerLossError as exc:
+                results.append(str(exc))
+        metrics = REGISTRY.snapshot()
+    finally:
+        REGISTRY.reset()
+        REGISTRY.enabled = False
+    cache = volume.cache
+    return (results, volume_digest(volume),
+            [(disk.reads, disk.writes) for group in volume.groups
+             for disk in group.data_disks + [group.parity_disk]],
+            volume.recorder._pending,
+            cache is not None and (cache.hits, cache.misses, cache.evictions,
+                                   list(cache._blocks)),
+            metrics)
+
+
+@_fast
+@given(st.lists(st.tuples(st.sampled_from(["read", "write"]),
+                          st.integers(0, 59), st.integers(0, 255)),
+                min_size=1, max_size=40),
+       st.sampled_from([(2, 3), (1, 1), (3, 2)]),
+       st.sampled_from([None, 4, 64]), st.booleans(),
+       st.one_of(st.none(), st.integers(0, 59)),
+       st.one_of(st.none(), st.integers(1, 12)))
+def test_scalar_names_are_the_run_form_at_one_block(
+        ops, shape, cache_blocks, uncached_reads, bad_block, fuse):
+    ngroups, ndata = shape
+    origin = RaidVolume(
+        make_geometry(ngroups, ndata, 60 // (ngroups * ndata), block_size=BS),
+        name="one")
+    origin.write_run(0, _payload(3, origin.nblocks * BS))
+    if cache_blocks:
+        origin.cache = BlockCache(cache_blocks)
+        origin.read_run(5, 8)  # lazy entries for the routes to materialize
+    origin.uncached_reads = uncached_reads
+    before = volume_digest(origin)
+    traces = []
+    for route in (_scalar_route, _run_route, _offset_route):
+        volume = origin.clone()  # chunk-sharing: nobody may write through
+        if bad_block is not None:
+            loc = volume.locate(bad_block)
+            volume.groups[loc.group_index].data_disks[loc.disk_index] \
+                .fail_block(loc.disk_block)
+        traces.append(_single_block_trace(volume, route, ops, fuse))
+    assert traces[0] == traces[1] == traces[2]
+    assert volume_digest(origin) == before
+
+
+def test_only_the_buffer_cache_reads_its_own_dict():
+    """``BlockCache._blocks`` is private to its module: the volume goes
+    through ``get``/``get_run``/``put_run`` like everyone else."""
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    offenders = [
+        "%s:%d" % (path.relative_to(root), number)
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).as_posix() != "wafl/buffercache.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "._blocks" in line]
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------

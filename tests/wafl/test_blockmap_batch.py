@@ -107,34 +107,39 @@ def test_free_active_many_duplicate_detection_single_diff(monkeypatch):
                  & np.uint32(1)).all())
 
 
-def test_pop_min_dirty_matches_repeated_min():
-    """Heap-backed drain == min()+discard, including mid-drain dirtying."""
-    blockmap = BlockMap(8 * 1024, reserved=16)
-    for fbn in (3, 5, 7):
+def test_pop_dirty_run_matches_repeated_min():
+    """Heap-backed drain == min()+discard extended over consecutive
+    members, including mid-drain dirtying."""
+    blockmap = BlockMap(10 * 1024, reserved=16)
+    for fbn in (3, 5, 6, 8):
         blockmap.set_active(fbn * 1024)
-    assert blockmap.pop_min_dirty() == 3
+    assert blockmap.pop_dirty_run() == (3, 1)
     # Dirty an fblock *below* the drain position mid-drain: the next pop
     # must return it, exactly as a fresh min() over the set would.
     blockmap.set_active(1 * 1024)
-    assert blockmap.pop_min_dirty() == 1
-    assert blockmap.pop_min_dirty() == 5
-    # Re-dirtying an fblock already drained surfaces it again.
+    assert blockmap.pop_dirty_run() == (1, 1)
+    assert blockmap.pop_dirty_run() == (5, 2)
+    # Re-dirtying an fblock already drained — as a run's start or as a
+    # member the run swallowed — surfaces it again.
     blockmap.set_active(3 * 1024 + 1)
-    assert blockmap.pop_min_dirty() == 3
-    assert blockmap.pop_min_dirty() == 7
-    assert blockmap.pop_min_dirty() is None
+    blockmap.set_active(6 * 1024 + 1)
+    assert blockmap.pop_dirty_run() == (3, 1)
+    assert blockmap.pop_dirty_run() == (6, 1)
+    assert blockmap.pop_dirty_run() == (8, 1)
+    assert blockmap.pop_dirty_run() is None
     assert not blockmap.dirty_fblocks
 
 
-def test_pop_min_dirty_survives_direct_set_mutation():
+def test_pop_dirty_run_survives_direct_set_mutation():
     """Code (and tests) that mutate ``dirty_fblocks`` directly must not
     desync the drain: the heap is rebuilt from the set when stale."""
     blockmap = BlockMap(4096, reserved=16)
     blockmap.allocate_run(10, 16)
     blockmap.dirty_fblocks.clear()          # bypass the heap
-    assert blockmap.pop_min_dirty() is None
-    blockmap.dirty_fblocks.update({7, 3, 5})  # bypass the heap again
-    assert [blockmap.pop_min_dirty() for _ in range(4)] == [3, 5, 7, None]
+    assert blockmap.pop_dirty_run() is None
+    blockmap.dirty_fblocks.update({7, 3, 4, 9})  # bypass the heap again
+    assert [blockmap.pop_dirty_run() for _ in range(4)] == [
+        (3, 2), (7, 1), (9, 1), None]
 
 
 def test_nothing_outside_the_block_map_writes_its_dirty_set():
@@ -162,7 +167,7 @@ def test_nothing_outside_the_block_map_writes_its_dirty_set():
 def test_mark_all_dirty_keeps_the_heap_mirror_whole():
     blockmap = BlockMap(5 * 1024 + 3, reserved=16)
     blockmap.allocate_run(10, 3000)         # fblock 2 dirty, heap = [2]
-    assert blockmap.pop_min_dirty() == 2
+    assert blockmap.pop_dirty_run() == (2, 1)
     blockmap.mark_all_dirty()
     assert blockmap.dirty_fblocks == set(range(6))
     assert blockmap._dirty_heap == list(range(6))

@@ -169,7 +169,8 @@ def test_snapshot_create_and_delete_match_whole_array_forms(
     assert not blockmap.plane_in_use(plane)
     drained = []
     while blockmap.dirty_fblocks:
-        drained.append(blockmap.pop_min_dirty())
+        start, count = blockmap.pop_dirty_run()
+        drained.extend(range(start, start + count))
     assert drained == expected_order == list(range(blockmap.n_fblocks()))
 
     before = index_of(blockmap)

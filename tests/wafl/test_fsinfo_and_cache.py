@@ -107,13 +107,25 @@ class TestBlockCache:
         assert cache.get(1) == b"a"
         assert cache.evictions == 1
 
-    def test_peek_does_not_touch(self):
+    def test_every_cold_lookup_is_one_miss(self):
+        cache = BlockCache(8)
+        cache.put_run(1, b"abcd", 1)
+        assert cache.get_run(1, 4, 1) == b"abcd"
+        assert cache.get_run(3, 4, 1) is None  # 5 and 6 are cold: one miss
+        assert cache.get_run(7, 1, 1) is None
+        assert cache.get(9) is None
+        assert (cache.hits, cache.misses) == (4, 3)
+        assert cache.hit_rate == pytest.approx(4 / 7)
+
+    def test_one_block_run_is_the_single_block_lookup(self):
         cache = BlockCache(2)
         cache.put(1, b"a")
-        cache.put(2, b"b")
-        assert cache.peek(1)
-        cache.put(3, b"c")  # 1 was NOT refreshed by peek: evicted
-        assert not cache.peek(1)
+        cache.put_run(2, b"b", 1)
+        assert cache.get_run(1, 1, 1) == b"a"  # 1 refreshed, like get
+        cache.put(3, b"c")  # evicts 2
+        assert cache.get(2) is None
+        assert cache.get(1) == b"a"
+        assert (cache.hits, cache.misses, cache.evictions) == (2, 1, 1)
 
     def test_invalidate_and_clear(self):
         cache = BlockCache(4)
