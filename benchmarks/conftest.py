@@ -32,6 +32,7 @@ def home_env():
 
 @pytest.fixture(scope="session")
 def basic_results(home_env):
+    """The one Tables 2/3 run of the session; both tables read from it."""
     from repro.bench.harness import run_basic
 
     return run_basic(home_env)

@@ -5,14 +5,15 @@ operations on the scaled, aged ``home`` volume, verifying every restore
 bit-for-bit along the way.
 """
 
-from repro.bench.harness import run_table2
+from repro.bench.harness import table2_from_basic
 
 from benchmarks.conftest import show
 
 
 def test_table2(benchmark, home_env, basic_results):
     table = benchmark.pedantic(
-        lambda: run_table2(home_env), rounds=1, iterations=1
+        lambda: table2_from_basic(basic_results, home_env.config.scale),
+        rounds=1, iterations=1,
     )
     show(table, "table2")
 

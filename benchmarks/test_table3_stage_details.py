@@ -6,14 +6,15 @@ the CPU of its physical counterpart; logical restore consumes more than 3
 times the CPU that physical restore does").
 """
 
-from repro.bench.harness import run_table3
+from repro.bench.harness import table3_from_basic
 
 from benchmarks.conftest import show
 
 
 def test_table3(benchmark, home_env, basic_results):
     table = benchmark.pedantic(
-        lambda: run_table3(home_env), rounds=1, iterations=1
+        lambda: table3_from_basic(basic_results, home_env.config.scale),
+        rounds=1, iterations=1,
     )
     show(table, "table3")
 

@@ -7,8 +7,11 @@ a configurable scale (default 1:1000 — 188 MB of real blocks), populates
 it with the synthetic workload, and ages it to maturity.
 
 Environments are cached per configuration because building an aged volume
-costs tens of seconds; benchmarks share them read-only (every dump runs
-from its own snapshot, so sharing is safe).
+costs tens of seconds.  A cached environment is shared, not read-only: a
+dump creates and deletes a snapshot and warms the buffer cache, so an
+experiment that shares its configuration with another — the two
+strategies of Tables 2/3, the points of an ablation sweep — runs on its
+own :meth:`ExperimentEnv.clone` and cannot see what ran before it.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ DEFAULT_SCALE = 1000
 FULLSCALE_DATA_CAP = 192 * MB
 
 # Count of expensive volume builds (build_home / build_rlse) in this
-# process.  The full-scale grid asserts the *workers* never build — they
-# must inherit the parent's cached environment through fork and clone it.
+# process.  ``run_all`` asserts its strategy tasks never build — they
+# must inherit the parent's prepared environment through fork and clone it.
 _BUILD_COUNT = 0
 
 
@@ -218,8 +221,7 @@ class ExperimentEnv:
         exactly — a cloned environment runs the tables byte-identically
         to a freshly built one, for the cost of the block-map memcpy.
         Trees, qtree paths, and the drive counter are shared/copied so
-        drive naming stays deterministic.  Any memoized ``run_basic``
-        results are deliberately *not* carried over.
+        drive naming stays deterministic.
         """
         other = ExperimentEnv(self.config)
         if self.home_fs is not None:
@@ -284,11 +286,11 @@ def clear_env_cache() -> None:
     _ENV_CACHE.clear()
 
 
-def register_env(env: ExperimentEnv, with_rlse: bool = False) -> None:
+def register_env(env: ExperimentEnv) -> None:
     """Install a built (or loaded) environment in the process cache, so
     subsequent :func:`build_home_env` calls — including those made by
     forked workers, which inherit the cache — find it without building."""
-    _ENV_CACHE[env.config.cache_key() + (with_rlse,)] = env
+    _ENV_CACHE[env.config.cache_key() + (env.rlse_fs is not None,)] = env
 
 
 _CONFIG_FIELDS = ("scale", "seed", "aging_rounds", "churn_fraction",
@@ -321,12 +323,11 @@ def save_env(env: ExperimentEnv, path: str) -> int:
     return save_env_container(path, header, volumes)
 
 
-def load_env(path: str, register: bool = True) -> ExperimentEnv:
+def load_env(path: str) -> ExperimentEnv:
     """Mount an environment saved by :func:`save_env`.
 
-    With ``register`` (the default) the environment lands in the process
-    env cache under its configuration key, exactly where
-    :func:`build_home_env` would have cached a fresh build.
+    The caller decides whether it is the one it wanted, and only then
+    hands it to :func:`register_env`.
     """
     from repro.storage.persist import load_env_container
 
@@ -340,8 +341,6 @@ def load_env(path: str, register: bool = True) -> ExperimentEnv:
         env.rlse_fs = WaflFilesystem.mount(env.rlse_volume)
     env.qtree_paths = list(header.get("qtree_paths") or [])
     env.fragmentation = dict(header.get("fragmentation") or {})
-    if register:
-        register_env(env, with_rlse=header["with_rlse"])
     return env
 
 

@@ -109,139 +109,78 @@ def run_table1(scale_bytes: int = 8 * MB, seed: int = 3) -> Tuple[Table, Dict]:
 # Tables 2 and 3 — basic single-drive backup and restore
 # ---------------------------------------------------------------------------
 
-def run_basic(env: Optional[ExperimentEnv] = None) -> Dict:
-    """The four single-drive operations; cached on the environment."""
-    env = env or build_home_env()
-    if getattr(env, "_basic_results", None) is not None:
-        return env._basic_results
-    fs = env.home_fs
-    data_bytes = env.data_bytes("home")
-    costs = env.config.cost_model()
-
-    # Logical dump.
-    logical_drive = env.new_drive("t2-logical")
-    run = TimedRun()
-    run.add_job("logical-dump",
-                LogicalDump(fs, logical_drive, level=0,
-                            dumpdates=DumpDates(), costs=costs).run())
-    logical_dump = run.run()["logical-dump"]
-
-    # Physical dump (snapshot kept for nothing; engine deletes it).
-    physical_drive = env.new_drive("t2-physical")
-    run = TimedRun()
-    run.add_job("physical-dump", ImageDump(fs, physical_drive,
-                                           costs=costs).run())
-    physical_dump = run.run()["physical-dump"]
-
-    # Logical restore onto a fresh file system (through NVRAM, as shipped).
-    restore_volume = env.fresh_home_volume()
-    restore_fs = WaflFilesystem.format(restore_volume, nvram=NvramLog())
-    run = TimedRun()
-    run.add_job("logical-restore",
-                LogicalRestore(restore_fs, logical_drive, costs=costs).run())
-    logical_restore = run.run()["logical-restore"]
-    logical_diffs = verify_trees(fs, restore_fs, check_mtime=True)
-
-    # Physical restore onto identical geometry.
-    image_volume = env.fresh_home_volume()
-    run = TimedRun()
-    run.add_job("physical-restore",
-                ImageRestore(image_volume, physical_drive,
-                             costs=costs).run())
-    physical_restore = run.run()["physical-restore"]
-    image_fs = WaflFilesystem.mount(image_volume)
-    physical_diffs = verify_trees(fs, image_fs, check_mtime=True)
-
-    env._basic_results = {
-        "logical-dump": logical_dump,
-        "logical-restore": logical_restore,
-        "physical-dump": physical_dump,
-        "physical-restore": physical_restore,
-        "data_bytes": data_bytes,
-        "logical_diffs": logical_diffs,
-        "physical_diffs": physical_diffs,
-        "env": env,
-    }
-    return env._basic_results
+#: The two backup strategies of Tables 2 and 3, as independent task names.
+BASIC_STRATEGIES = ("logical", "physical")
 
 
-#: The four single-drive operations of Tables 2 and 3, as independent
-#: task names.  Each runs against its own COW clone of the pristine
-#: environment, so any subset can run in any order — or in parallel
-#: workers — and produce the same numbers.
-BASIC_OPS = ("logical-dump", "physical-dump",
-             "logical-restore", "physical-restore")
+def run_strategy(env: ExperimentEnv, strategy: str) -> Dict:
+    """Dump, restore and verify one strategy on a private clone of ``env``.
 
-
-def run_basic_op(env: ExperimentEnv, op: str) -> Dict:
-    """One basic operation on a private copy-on-write clone of ``env``.
-
-    The clone means every op starts from the identical pristine aged
-    state regardless of what ran before it in this process; the restore
-    ops re-create their dump stream in-process first (byte-identical to
-    the dump op's stream, since both dumps start from the same state).
-    Returns a payload dict: ``op``, ``result`` (the op's
-    :class:`JobResult`), ``data_bytes``, and for restores ``diffs``
-    (the verify-trees difference count, 0 when bit-perfect).
+    The clone means a strategy's numbers are a function of (configuration,
+    strategy) alone — not of what ran before it in this process, nor of
+    which worker it landed in — and that ``env`` itself is never touched.
+    The restore reads the tape the dump just wrote, onto a fresh volume of
+    home's geometry.  Returns a payload dict: ``strategy``, ``dump`` and
+    ``restore`` (the two :class:`JobResult`), ``data_bytes`` and ``diffs``
+    (the verify-trees difference count, 0 when bit-perfect).  Nothing in
+    it refers to the clone, so the clone dies with this call.
     """
-    if op not in BASIC_OPS:
-        raise ReproError("unknown basic op %r" % (op,))
     work = env.clone()
     fs = work.home_fs
     data_bytes = work.data_bytes("home")
     costs = work.config.cost_model()
-    payload: Dict = {"op": op, "data_bytes": data_bytes}
-    if op.startswith("logical"):
-        drive = work.new_drive("t2-logical")
+    drive = work.new_drive("t2-%s" % strategy)
+
+    def timed(op: str, engine) -> JobResult:
+        name = "%s-%s" % (strategy, op)
         run = TimedRun()
-        run.add_job("logical-dump",
-                    LogicalDump(fs, drive, level=0, dumpdates=DumpDates(),
-                                costs=costs).run())
-        result = run.run()["logical-dump"]
-        if op == "logical-restore":
-            restore_volume = work.fresh_home_volume()
-            restore_fs = WaflFilesystem.format(restore_volume,
-                                               nvram=NvramLog())
-            run = TimedRun()
-            run.add_job(op, LogicalRestore(restore_fs, drive,
-                                           costs=costs).run())
-            result = run.run()[op]
-            payload["diffs"] = len(verify_trees(fs, restore_fs,
-                                                check_mtime=True))
+        run.add_job(name, engine.run())
+        return run.run()[name]
+
+    if strategy == "logical":
+        dump = timed("dump", LogicalDump(fs, drive, level=0,
+                                         dumpdates=DumpDates(), costs=costs))
+        # Onto a fresh file system, through NVRAM, as shipped.
+        restored = WaflFilesystem.format(work.fresh_home_volume(),
+                                         nvram=NvramLog())
+        restore = timed("restore",
+                        LogicalRestore(restored, drive, costs=costs))
+    elif strategy == "physical":
+        dump = timed("dump", ImageDump(fs, drive, costs=costs))
+        # Onto identical geometry.
+        image_volume = work.fresh_home_volume()
+        restore = timed("restore",
+                        ImageRestore(image_volume, drive, costs=costs))
+        restored = WaflFilesystem.mount(image_volume)
     else:
-        drive = work.new_drive("t2-physical")
-        run = TimedRun()
-        run.add_job("physical-dump", ImageDump(fs, drive, costs=costs).run())
-        result = run.run()["physical-dump"]
-        if op == "physical-restore":
-            image_volume = work.fresh_home_volume()
-            run = TimedRun()
-            run.add_job(op, ImageRestore(image_volume, drive,
-                                         costs=costs).run())
-            result = run.run()[op]
-            image_fs = WaflFilesystem.mount(image_volume)
-            payload["diffs"] = len(verify_trees(fs, image_fs,
-                                                check_mtime=True))
-    payload["result"] = result
-    return payload
-
-
-def basic_from_ops(payloads) -> Dict:
-    """Assemble a ``run_basic``-shaped dict from the four op payloads."""
-    by_op = {payload["op"]: payload for payload in payloads}
-    missing = [op for op in BASIC_OPS if op not in by_op]
-    if missing:
-        raise ReproError("missing basic op payload(s): %s"
-                         % ", ".join(missing))
+        raise ReproError("unknown backup strategy %r" % (strategy,))
     return {
-        "logical-dump": by_op["logical-dump"]["result"],
-        "logical-restore": by_op["logical-restore"]["result"],
-        "physical-dump": by_op["physical-dump"]["result"],
-        "physical-restore": by_op["physical-restore"]["result"],
-        "data_bytes": by_op["logical-dump"]["data_bytes"],
-        "logical_diffs": by_op["logical-restore"]["diffs"],
-        "physical_diffs": by_op["physical-restore"]["diffs"],
+        "strategy": strategy,
+        "dump": dump,
+        "restore": restore,
+        "data_bytes": data_bytes,
+        "diffs": len(verify_trees(fs, restored, check_mtime=True)),
     }
+
+
+def basic_from_strategies(payloads) -> Dict:
+    """The dict Tables 2 and 3 are read from, out of the two
+    :func:`run_strategy` payloads."""
+    basic: Dict = {}
+    for payload in payloads:
+        strategy = payload["strategy"]
+        basic["%s-dump" % strategy] = payload["dump"]
+        basic["%s-restore" % strategy] = payload["restore"]
+        basic["%s_diffs" % strategy] = payload["diffs"]
+        basic["data_bytes"] = payload["data_bytes"]
+    return basic
+
+
+def run_basic(env: Optional[ExperimentEnv] = None) -> Dict:
+    """Both strategies, one after the other; ``env`` is left untouched."""
+    env = env or build_home_env()
+    return basic_from_strategies(run_strategy(env, strategy)
+                                 for strategy in BASIC_STRATEGIES)
 
 
 def _diff_count(diffs) -> int:
@@ -262,13 +201,13 @@ def _op_rate(result: JobResult, data_bytes: int,
 
 def run_table2(env: Optional[ExperimentEnv] = None) -> Table:
     """Table 2: elapsed time, MB/s, GB/hour for the four operations."""
-    basic = run_basic(env)
-    return table2_from_basic(basic, basic["env"].config.scale)
+    env = env or build_home_env()
+    return table2_from_basic(run_basic(env), env.config.scale)
 
 
 def table2_from_basic(basic: Dict, scale: int) -> Table:
-    """Assemble Table 2 from a basic-results dict (see :func:`run_basic`
-    and :func:`basic_from_ops`)."""
+    """Assemble Table 2 from a basic-results dict (see
+    :func:`basic_from_strategies`)."""
     data_bytes = basic["data_bytes"]
     snapshot_stages = (STAGE_SNAP_CREATE, STAGE_SNAP_DELETE)
     table = Table(
@@ -306,8 +245,8 @@ def table2_from_basic(basic: Dict, scale: int) -> Table:
 
 def run_table3(env: Optional[ExperimentEnv] = None) -> Table:
     """Table 3: per-stage elapsed time and CPU utilization."""
-    basic = run_basic(env)
-    return table3_from_basic(basic, basic["env"].config.scale)
+    env = env or build_home_env()
+    return table3_from_basic(run_basic(env), env.config.scale)
 
 
 def table3_from_basic(basic: Dict, scale: int) -> Table:
@@ -559,11 +498,11 @@ def run_concurrent_volumes(config: Optional[EliotConfig] = None) -> Table:
 
 
 __all__ = [
-    "BASIC_OPS",
-    "basic_from_ops",
+    "BASIC_STRATEGIES",
+    "basic_from_strategies",
     "run_basic",
-    "run_basic_op",
     "run_concurrent_volumes",
+    "run_strategy",
     "run_table1",
     "run_table2",
     "run_table3",

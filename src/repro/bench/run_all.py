@@ -16,17 +16,20 @@ CI smoke configuration); ``--check-determinism`` generates the reduced
 grid both serially and with the requested ``--jobs`` and fails if the
 two bodies differ by a single byte.
 
-``--mode fullscale`` runs Tables 1-3 at the paper's 188 GB geometry:
-the aged environment is built (or loaded from ``--env-cache``) exactly
-once in the parent, and each of the four Table 2/3 operations runs as
-its own task against a copy-on-write clone of it — workers inherit the
-build through ``fork`` and never rebuild, which is what makes the
-full-scale grid a minutes-not-hours affair at any ``--jobs``.
+``--mode fullscale`` runs Tables 1-3 at the paper's 188 GB geometry.
+
+Whatever the grid, the Tables 2/3 environment is built (or loaded from
+``--env-cache``) exactly once in the parent and measured from a mount;
+each backup strategy then runs dump, restore and verify as one task on
+its own copy-on-write clone of it — workers inherit the environment
+through ``fork`` and never rebuild — and both tables are rendered from
+that one pair of results.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import tempfile
@@ -36,24 +39,21 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ReproError
 from repro.bench.ablations import SWEEPS
 from repro.bench.configs import (
-    DEFAULT_SCALE,
     EliotConfig,
     ExperimentEnv,
     build_home_env,
-    clear_env_cache,
     env_build_count,
     fullscale_config,
     load_env,
+    register_env,
     save_env,
 )
 from repro.bench.harness import (
-    BASIC_OPS,
-    basic_from_ops,
-    run_basic_op,
+    BASIC_STRATEGIES,
+    basic_from_strategies,
     run_concurrent_volumes,
+    run_strategy,
     run_table1,
-    run_table2,
-    run_table3,
     run_table45,
     table2_from_basic,
     table3_from_basic,
@@ -133,88 +133,69 @@ _FOOTER = ("\n---\nSimulated device time is independent of host speed;"
 
 
 # ---------------------------------------------------------------------------
+# Presets: which testbed Tables 2/3 run on and which other sections run
+# ---------------------------------------------------------------------------
+
+class Preset:
+    """One document: the Tables 2/3 configuration plus the sections
+    beside Tables 1-3 (none unless named)."""
+
+    __slots__ = ("config", "tables45", "sweeps", "ablation_scale")
+
+    def __init__(self, config: EliotConfig, tables45: bool = False,
+                 sweeps: Tuple[str, ...] = (),
+                 ablation_scale: Optional[int] = None):
+        self.config = config
+        self.tables45 = tables45  # Tables 4, 5 and Section 5.1
+        self.sweeps = sweeps
+        self.ablation_scale = ablation_scale
+
+    @classmethod
+    def named(cls, name: str) -> "Preset":
+        """``grid`` (everything at the default scale), ``reduced`` (the CI
+        smoke grid) or ``fullscale`` (Tables 1-3 at the paper's geometry)."""
+        if name == "grid":
+            return cls(EliotConfig(), tables45=True,
+                       sweeps=tuple(sweep.key for sweep in SWEEPS))
+        if name == "reduced":
+            return cls(EliotConfig(scale=REDUCED_SCALE,
+                                   aging_rounds=REDUCED_AGING_ROUNDS),
+                       sweeps=REDUCED_SWEEPS,
+                       ablation_scale=REDUCED_ABLATION_SCALE)
+        if name == "fullscale":
+            return cls(fullscale_config())
+        raise ReproError("unknown preset %r" % (name,))
+
+
+# ---------------------------------------------------------------------------
 # Section task functions — module-level so they pickle into workers
 # ---------------------------------------------------------------------------
 
-def _grid_config(reduced: bool, **overrides) -> Optional[EliotConfig]:
-    """The Tables 2/3 testbed config (None = the default full scale)."""
-    if not reduced and not overrides:
-        return None
-    if reduced:
-        overrides.setdefault("scale", REDUCED_SCALE)
-        overrides.setdefault("aging_rounds", REDUCED_AGING_ROUNDS)
-    return EliotConfig(**overrides)
-
-
-def _isolate_trace_caches() -> None:
-    """When tracing, start every section task with cold caches.
-
-    The harness caches environments (and ``run_basic`` results on them)
-    so untraced runs can share work; a traced run must not, or the event
-    stream would depend on cache warmth: a serial run's second table
-    would hit the cache and skip its replay (emitting nothing) while a
-    cold forked worker replays and emits.  Clearing per task makes the
-    merged stream a pure function of the plan — byte-identical at any
-    ``--jobs`` — at the price of rebuilding environments, which only
-    traced (diagnostic) runs pay.
-    """
-    from repro.obs.trace import get_tracer
-
-    if get_tracer().enabled:
-        from repro.bench.configs import clear_env_cache
-
-        clear_env_cache()
-
-
 def section_table1() -> Table:
-    _isolate_trace_caches()
     table, _checks = run_table1()
     return table
 
 
-def section_table2(reduced: bool = False) -> Table:
-    _isolate_trace_caches()
-    env = build_home_env(_grid_config(reduced))
-    return run_table2(env)
+def section_strategy(config: EliotConfig, strategy: str) -> Dict:
+    """One backup strategy against a clone of the prepared environment.
 
-
-def section_table3(reduced: bool = False) -> Table:
-    _isolate_trace_caches()
-    env = build_home_env(_grid_config(reduced))
-    return run_table3(env)
-
-
-def section_table45(ndrives: int) -> Table:
-    _isolate_trace_caches()
-    return run_table45(ndrives)
-
-
-def section_concurrent() -> Table:
-    _isolate_trace_caches()
-    return run_concurrent_volumes()
+    The parent prepares the environment into the process env cache
+    *before* the pool forks (:func:`prepare_env`), so ``build_home_env``
+    here is a cache hit in every worker — asserted by shipping the
+    worker's build-count delta back in the payload (the parent requires
+    it to be zero).
+    """
+    before = env_build_count()
+    payload = run_strategy(build_home_env(config), strategy)
+    payload["worker_builds"] = env_build_count() - before
+    return payload
 
 
 def section_ablation_point(key: str, args: Tuple,
                            scale: Optional[int] = None) -> List[Tuple]:
     from repro.bench.ablations import sweep
 
-    _isolate_trace_caches()
     return sweep(key).point_fn(*args, scale=scale)
-
-
-def section_fullscale_op(op: str) -> Dict:
-    """One basic operation against a clone of the prebuilt full-scale env.
-
-    The parent builds (or loads) the environment into the process env
-    cache *before* the pool forks, so ``build_home_env`` here is a cache
-    hit in every worker — asserted by shipping the worker's build-count
-    delta back in the payload (the parent requires it to be zero).
-    """
-    before = env_build_count()
-    env = build_home_env(fullscale_config())
-    payload = run_basic_op(env, op)
-    payload["worker_builds"] = env_build_count() - before
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -235,172 +216,135 @@ class _Item:
         self.sweep_title = sweep_title
 
 
-def build_plan(reduced: bool = False) -> List[_Item]:
+def build_plan(preset: Preset) -> List[_Item]:
     """Every experiment as an independent task, in document order."""
     items = [
         _Item(TaskSpec("table1", section_table1),
               note="Counts are model-scale blocks; the invariant (incremental"
                    " = 'newly written' set) is exact at any scale."),
-        _Item(TaskSpec("table2", section_table2, (reduced,))),
-        _Item(TaskSpec("table3", section_table3, (reduced,))),
     ]
-    if not reduced:
+    items.extend(
+        _Item(TaskSpec("basic.%s" % strategy, section_strategy,
+                       (preset.config, strategy)), kind="basic")
+        for strategy in BASIC_STRATEGIES)
+    if preset.tables45:
         items.extend([
-            _Item(TaskSpec("table4.2-drives", section_table45, (2,))),
-            _Item(TaskSpec("table5.4-drives", section_table45, (4,))),
-            _Item(TaskSpec("concurrent-volumes", section_concurrent)),
+            _Item(TaskSpec("table4.2-drives", run_table45, (2,))),
+            _Item(TaskSpec("table5.4-drives", run_table45, (4,))),
+            _Item(TaskSpec("concurrent-volumes", run_concurrent_volumes)),
         ])
-    ablation_scale = REDUCED_ABLATION_SCALE if reduced else None
     for sweep in SWEEPS:
-        if reduced and sweep.key not in REDUCED_SWEEPS:
+        if sweep.key not in preset.sweeps:
             continue
         for args in sweep.points:
             items.append(_Item(
                 TaskSpec(sweep.point_name(args), section_ablation_point,
-                         (sweep.key, args, ablation_scale)),
+                         (sweep.key, args, preset.ablation_scale)),
                 kind="ablation", sweep_key=sweep.key,
                 sweep_title=sweep.title,
             ))
     return items
 
 
-def merge_sections(items: List[_Item], values: List[object],
+def merge_sections(items: List[_Item], values: List[object], scale: int,
                    echo=print) -> str:
     """Reassemble task results — in declaration order — into the document
-    body.  Ablation points regroup into their sweep's table; every table
-    is also echoed to the console."""
+    body.  The two strategy payloads regroup into Tables 2 and 3 (at
+    ``scale``), ablation points into their sweep's table; every table is
+    also echoed to the console."""
     sections: List[str] = []
+
+    def emit(table: Table, note: str = "") -> None:
+        echo(format_table(table))
+        block = to_markdown(table)
+        if note:
+            block += "\n" + note + "\n"
+        sections.append(block)
+
+    groups = itertools.groupby(
+        zip(items, values),
+        key=lambda pair: (pair[0].kind, pair[0].sweep_key))
     ablations_started = False
-    open_table: Optional[Table] = None
-    open_key = ""
-
-    def flush_sweep():
-        nonlocal open_table
-        if open_table is not None:
-            echo(format_table(open_table))
-            sections.append(to_markdown(open_table))
-            open_table = None
-
-    for item, value in zip(items, values):
-        if item.kind == "ablation":
+    for (kind, _sweep_key), group in groups:
+        group = list(group)
+        if kind == "basic":
+            basic = basic_from_strategies(value for _item, value in group)
+            emit(table2_from_basic(basic, scale))
+            emit(table3_from_basic(basic, scale))
+        elif kind == "ablation":
             if not ablations_started:
                 sections.append("## Ablations\n")
                 ablations_started = True
-            if open_table is None or open_key != item.sweep_key:
-                flush_sweep()
-                open_table = Table(item.sweep_title)
-                open_key = item.sweep_key
-            for row in value:
-                open_table.add(*row)
-            continue
-        flush_sweep()
-        echo(format_table(value))
-        block = to_markdown(value)
-        if item.note:
-            block += "\n" + item.note + "\n"
-        sections.append(block)
-    flush_sweep()
+            table = Table(group[0][0].sweep_title)
+            for _item, rows in group:
+                for row in rows:
+                    table.add(*row)
+            emit(table)
+        else:
+            for item, table in group:
+                emit(table, item.note)
     return "\n".join(sections)
 
 
-def generate_body(jobs: int = 1, reduced: bool = False,
-                  echo=print) -> str:
-    """Run the plan and return the full EXPERIMENTS.md body."""
-    items = build_plan(reduced=reduced)
+def prepare_env(config: EliotConfig, env_cache: Optional[str] = None,
+                echo=print) -> None:
+    """Load from ``env_cache`` — or build — the Tables 2/3 environment.
+
+    Runs in the parent, before any pool forks, and leaves the environment
+    in the process env cache where forked workers inherit it
+    copy-on-write.  A missing cache file is built then saved, so the next
+    run (or the next CI job restoring the cache) skips the build.
+
+    A freshly *built* environment is always round-tripped through the
+    container and re-mounted before measuring: the builder leaves a warm
+    buffer cache whose eviction history perturbs the recorded I/O of the
+    first jobs, so measuring from a mount is what makes cached and
+    rebuilt runs byte-identical.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-env-") as scratch:
+        path = env_cache or os.path.join(scratch, "prepared.env")
+        started = time.time()
+        if not os.path.exists(path):
+            env = ExperimentEnv(config)
+            env.build_home()
+            echo("built environment in %.1f s" % (time.time() - started))
+            echo("saved environment to %s (%.1f MB)"
+                 % (path, save_env(env, path) / 1e6))
+            started = time.time()
+        env = load_env(path)
+        if env.config.cache_key() != config.cache_key():
+            raise ReproError(
+                "%s holds a different configuration; delete it to rebuild"
+                % path)
+        echo("loaded environment from %s in %.1f s"
+             % (path, time.time() - started))
+    register_env(env)
+
+
+def generate_body(preset: Preset, jobs: int = 1,
+                  env_cache: Optional[str] = None, echo=print) -> str:
+    """Run the preset's plan and return the full EXPERIMENTS.md body."""
+    prepare_env(preset.config, env_cache, echo=echo)
+    items = build_plan(preset)
     pool = TaskPool(jobs)
-    echo("running %d experiment task(s) with jobs=%d%s ..."
-         % (len(items), jobs, " (reduced grid)" if reduced else ""))
+    echo("running %d experiment task(s) at 1:%d with jobs=%d ..."
+         % (len(items), preset.config.scale, jobs))
 
     def progress(event):
         echo(event.describe())
 
     values = pool.map_values([item.spec for item in items], progress)
-    body = _HEADER % {"scale": REDUCED_SCALE if reduced else DEFAULT_SCALE}
-    body += merge_sections(items, values, echo=echo)
-    body += _FOOTER
-    return body
-
-
-# ---------------------------------------------------------------------------
-# Full-scale mode: the paper's geometry, one build, COW clones per task
-# ---------------------------------------------------------------------------
-
-def prepare_fullscale_env(env_cache: Optional[str] = None,
-                          echo=print) -> ExperimentEnv:
-    """Build — or load from ``env_cache`` — the full-scale environment.
-
-    Runs in the parent, before any pool forks, so the environment sits in
-    the process env cache where forked workers inherit it copy-on-write.
-    A missing cache file is built then saved, so the next run (or the
-    next CI job restoring the cache) skips the build.
-
-    A freshly *built* environment is always round-tripped through the
-    container and re-mounted before measuring: at full scale the builder
-    leaves a warm buffer cache whose eviction history perturbs the
-    recorded I/O of the first jobs, so measuring from a mount is what
-    makes cached and rebuilt runs byte-identical.
-    """
-    config = fullscale_config()
-    if env_cache and os.path.exists(env_cache):
-        started = time.time()
-        env = load_env(env_cache)
-        if env.config.cache_key() != config.cache_key():
-            raise ReproError(
-                "%s holds a different configuration; delete it to rebuild"
-                % env_cache)
-        echo("loaded full-scale environment from %s in %.1f s"
-             % (env_cache, time.time() - started))
-        return env
-    started = time.time()
-    env = build_home_env(config)
-    echo("built full-scale environment in %.1f s" % (time.time() - started))
-    path = env_cache or os.path.join(
-        tempfile.gettempdir(), "repro-fullscale-%d.env" % os.getpid())
-    nbytes = save_env(env, path)
-    echo("saved full-scale environment to %s (%.1f MB)"
-         % (path, nbytes / 1e6))
-    clear_env_cache()
-    env = load_env(path)  # re-registers the mounted env for the workers
-    if not env_cache:
-        os.unlink(path)
-    return env
-
-
-def generate_fullscale_body(jobs: int = 1, echo=print,
-                            env_cache: Optional[str] = None) -> str:
-    """Tables 1-3 at the paper's geometry, one op per task.
-
-    The four Table 2/3 operations run as independent tasks, each against
-    its own copy-on-write clone of the single prebuilt environment, so
-    the grid parallelizes without rebuilding — and produces the same
-    bytes at any ``--jobs``.
-    """
-    prepare_fullscale_env(env_cache, echo=echo)
-    pool = TaskPool(jobs)
-    specs = [TaskSpec("table1", section_table1)]
-    specs.extend(TaskSpec("fullscale.%s" % op, section_fullscale_op, (op,))
-                 for op in BASIC_OPS)
-    echo("running %d full-scale task(s) with jobs=%d ..."
-         % (len(specs), jobs))
-
-    def progress(event):
-        echo(event.describe())
-
-    values = pool.map_values(specs, progress)
-    table1 = values[0]
-    payloads = values[1:]
-    worker_builds = sum(payload["worker_builds"] for payload in payloads)
+    worker_builds = sum(value["worker_builds"]
+                        for item, value in zip(items, values)
+                        if item.kind == "basic")
     if worker_builds:
         raise ReproError(
-            "full-scale workers rebuilt the environment %d time(s);"
+            "strategy tasks rebuilt the environment %d time(s);"
             " expected 0 (clones of the parent's single build)"
             % worker_builds)
-    basic = basic_from_ops(payloads)
-    body = _HEADER % {"scale": 1}
-    for table in (table1, table2_from_basic(basic, scale=1),
-                  table3_from_basic(basic, scale=1)):
-        echo(format_table(table))
-        body += to_markdown(table) + "\n"
+    scale = preset.config.scale
+    body = _HEADER % {"scale": scale}
+    body += merge_sections(items, values, scale, echo=echo)
     body += _FOOTER
     return body
 
@@ -418,10 +362,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--mode", choices=("grid", "fullscale"),
                         default="grid",
                         help="grid: every experiment at the default scale;"
-                             " fullscale: Tables 1-3 at the paper's geometry"
-                             " from one environment build, cloned per task")
+                             " fullscale: Tables 1-3 at the paper's geometry")
     parser.add_argument("--env-cache", default=None, metavar="PATH",
-                        help="fullscale mode: load the prebuilt environment"
+                        help="load the prebuilt Tables 2/3 environment"
                              " from PATH, or build once and save it there")
     parser.add_argument("--reduced", action="store_true",
                         help="small Tables 1-3 grid only (CI smoke)")
@@ -442,11 +385,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs import Tracer, set_tracer
 
         set_tracer(Tracer())
-    if fullscale:
-        body = generate_fullscale_body(jobs=args.jobs,
-                                       env_cache=args.env_cache)
-    else:
-        body = generate_body(jobs=args.jobs, reduced=args.reduced)
+    preset = Preset.named("fullscale" if fullscale
+                          else "reduced" if args.reduced else "grid")
+    body = generate_body(preset, jobs=args.jobs, env_cache=args.env_cache)
     if args.trace:
         from repro.obs import get_tracer
 
@@ -456,13 +397,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.check_determinism:
         print("re-running serially for the determinism check ...")
-        silent = lambda *_a, **_k: None  # noqa: E731
-        if fullscale:
-            serial_body = generate_fullscale_body(jobs=1, echo=silent,
-                                                  env_cache=args.env_cache)
-        else:
-            serial_body = generate_body(jobs=1, reduced=args.reduced,
-                                        echo=silent)
+        serial_body = generate_body(preset, jobs=1,
+                                    env_cache=args.env_cache,
+                                    echo=lambda *_a, **_k: None)
         if serial_body != body:
             print("DETERMINISM FAILURE: --jobs %d body differs from serial"
                   % args.jobs)
@@ -484,11 +421,10 @@ if __name__ == "__main__":
 __all__ = [
     "REDUCED_AGING_ROUNDS",
     "REDUCED_SCALE",
+    "Preset",
     "build_plan",
     "generate_body",
-    "generate_fullscale_body",
     "main",
     "merge_sections",
-    "prepare_fullscale_env",
-    "section_fullscale_op",
+    "prepare_env",
 ]

@@ -396,11 +396,14 @@ def _macro_config(mode: str):
 def bench_macro(mode: str, repeats: Optional[int] = None) -> Dict[str, Dict[str, float]]:
     """Time testbed construction and ``run_basic`` on a fresh environment.
 
-    The environment is built directly (bypassing the module-level cache)
-    so repeated invocations — and the pytest gate running alongside other
-    bench tests — always measure a cold build.  Smoke mode is short enough
-    to be noisy, so it takes the best of two runs; garbage from whatever
-    ran before is collected outside the timed regions.
+    ``run_basic`` is the Tables 2/3 experiment every ``run_all`` grid runs
+    (dump, restore, verify per strategy, each on its own clone), so this
+    is the only Table 2/3 timing at any scale.  The environment is built
+    directly (bypassing the module-level cache) so repeated invocations —
+    and the pytest gate running alongside other bench tests — always
+    measure a cold build.  Smoke mode is short enough to be noisy, so it
+    takes the best of two runs; garbage from whatever ran before is
+    collected outside the timed regions.
     """
     import gc
 
@@ -436,39 +439,6 @@ def bench_macro(mode: str, repeats: Optional[int] = None) -> Dict[str, Dict[str,
     }
 
 
-def bench_fullscale_table2(jobs: int = 1) -> Dict[str, float]:
-    """The four-operation Table 2 grid at the paper's geometry.
-
-    Builds the full-scale environment once (cold, bypassing any prior
-    cache), then times the four op tasks — each running against its own
-    copy-on-write clone — exactly as ``run_all --mode fullscale`` does.
-    The build itself is excluded (``macro.fullscale.build_env`` tracks
-    it); the restore ops re-create their dump stream in-task, so the
-    grid moves the active data set six times over.
-    """
-    from repro.bench.configs import (build_home_env, clear_env_cache,
-                                     fullscale_config)
-    from repro.bench.harness import BASIC_OPS, basic_from_ops
-    from repro.bench.run_all import section_fullscale_op
-    from repro.parallel import TaskPool, TaskSpec
-
-    clear_env_cache()
-    build_home_env(fullscale_config())
-    pool = TaskPool(jobs)
-    specs = [TaskSpec("fullscale.%s" % op, section_fullscale_op, (op,))
-             for op in BASIC_OPS]
-    start = time.perf_counter()
-    payloads = pool.map_values(specs)
-    seconds = time.perf_counter() - start
-    if any(payload["worker_builds"] for payload in payloads):
-        raise RuntimeError("full-scale grid workers rebuilt the environment")
-    basic = basic_from_ops(payloads)
-    if basic["logical_diffs"] or basic["physical_diffs"]:
-        raise RuntimeError("full-scale grid restores were not bit-perfect")
-    moved = 6 * basic["data_bytes"]
-    return {"seconds": seconds, "rate": moved / MB / seconds, "unit": "MB/s"}
-
-
 # ---------------------------------------------------------------------------
 # Parallel evaluation plane: the reduced run_all grid end to end
 # ---------------------------------------------------------------------------
@@ -481,14 +451,15 @@ def bench_parallel_run_all(jobs: int = 1) -> Dict[str, float]:
     otherwise make the comparison meaningless).
     """
     from repro.bench.configs import clear_env_cache
-    from repro.bench.run_all import build_plan, generate_body
+    from repro.bench.run_all import Preset, build_plan, generate_body
 
     clear_env_cache()
+    reduced = Preset.named("reduced")
     silent = lambda *_args, **_kwargs: None  # noqa: E731
     start = time.perf_counter()
-    generate_body(jobs=jobs, reduced=True, echo=silent)
+    generate_body(reduced, jobs=jobs, echo=silent)
     seconds = time.perf_counter() - start
-    ntasks = len(build_plan(reduced=True))
+    ntasks = len(build_plan(reduced))
     return {"seconds": seconds, "rate": ntasks / seconds, "unit": "tasks/s"}
 
 
@@ -755,14 +726,6 @@ def run_harness(mode: str = "smoke", quiet: bool = True,
         for entry in entries.values():
             _stamp_rss(entry)
         report["benchmarks"].update(entries)
-    if mode == "fullscale":
-        note("running macro.fullscale.table2 ...")
-        if profile:
-            entry = _profiled("macro.fullscale.table2",
-                              bench_fullscale_table2, profile)
-        else:
-            entry = bench_fullscale_table2()
-        report["benchmarks"]["macro.fullscale.table2"] = _stamp_rss(entry)
     return report
 
 
@@ -846,16 +809,22 @@ def merge_baseline(existing: Dict, report: Dict) -> Dict:
     Committed baseline numbers are load-bearing — regression gates and
     speedup targets reference them — so an existing benchmark entry (and
     the calibration it was normalized against) is never overwritten.
-    Only benchmarks the baseline has never seen are added.
+    Only benchmarks the baseline has never seen are added, rescaled from
+    the report's calibration to the baseline's so that every entry in the
+    file is normalized by the one ``calibration_seconds`` it carries.
     """
     merged = dict(existing)
-    merged["benchmarks"] = dict(existing.get("benchmarks", {}))
-    for name, entry in report["benchmarks"].items():
-        if name not in merged["benchmarks"]:
-            merged["benchmarks"][name] = entry
     merged.setdefault("calibration_seconds", report["calibration_seconds"])
     merged.setdefault("schema", report["schema"])
     merged.setdefault("mode", report["mode"])
+    factor = merged["calibration_seconds"] / report["calibration_seconds"]
+    merged["benchmarks"] = dict(existing.get("benchmarks", {}))
+    for name, entry in report["benchmarks"].items():
+        if name not in merged["benchmarks"]:
+            entry = dict(entry, seconds=entry["seconds"] * factor)
+            if "rate" in entry:
+                entry["rate"] /= factor
+            merged["benchmarks"][name] = entry
     return merged
 
 
@@ -987,7 +956,6 @@ __all__ = [
     "bench_fleet_hotpath",
     "bench_fleet_scale",
     "bench_fleet_smoke",
-    "bench_fullscale_table2",
     "bench_obs_null",
     "bench_parallel_run_all",
     "calibrate",

@@ -339,16 +339,17 @@ class TaskPool:
     full-scale bench grid asserts this with a worker-side build counter.
 
     A long-lived scheduler (the fleet service) passes ``persistent=True``
-    to reuse one executor across many :meth:`run` calls instead of paying
+    to reuse its executors across many :meth:`run` calls instead of paying
     a fork-and-teardown per batch; call :meth:`close` (or use the pool as
-    a context manager) when done.  Because workers fork when the executor
+    a context manager) when done.  Because workers fork when an executor
     is first created, anything they must inherit from the parent — an
     enabled tracer, registry state — must be in place before the first
     persistent ``run``; per-batch state must travel in the spec arguments.
 
-    A persistent pool can additionally pin work to *lanes*: ``run(...,
-    lanes=[...])`` routes each spec to a dedicated single-worker executor
-    chosen by ``lane % jobs``.  The same lane always reaches the same
+    A persistent pool pins work to *lanes*: ``run(..., lanes=[...])``
+    (required once the pool is parallel) routes each spec to a dedicated
+    single-worker executor chosen by ``lane % jobs``.  The same lane
+    always reaches the same
     worker process, which is what lets workers keep tenant state resident
     (:func:`resident_store`) across batches — and because lane numbering
     is part of the scheduler's deterministic output, the routing is
@@ -361,7 +362,6 @@ class TaskPool:
         self.jobs = jobs
         self.parallel = jobs > 1 and fork_available()
         self.persistent = persistent
-        self._executor = None
         self._lane_executors: Dict[int, Any] = {}
 
     # -- serial path ------------------------------------------------------
@@ -434,14 +434,10 @@ class TaskPool:
     def _run_parallel(self, specs: List[TaskSpec],
                       progress: Optional[Callable[[TaskEvent], None]],
                       lanes: Optional[List[int]] = None) -> List[TaskResult]:
-        if self.persistent:
-            if lanes is not None:
-                routes = [self.executor_index(lane) for lane in lanes]
-                return self._drain(
-                    lambda i: self._lane_executor(routes[i]), specs, progress)
-            if self._executor is None:
-                self._executor = self._make_executor(self.jobs)
-            return self._drain(lambda i: self._executor, specs, progress)
+        if lanes is not None:
+            routes = [self.executor_index(lane) for lane in lanes]
+            return self._drain(
+                lambda i: self._lane_executor(routes[i]), specs, progress)
         executor = self._make_executor(min(self.jobs, len(specs)) or 1)
         try:
             return self._drain(lambda i: executor, specs, progress)
@@ -575,6 +571,8 @@ class TaskPool:
             return self._run_serial(specs, progress)
         if lanes is not None and not self.persistent:
             raise ReproError("lane routing requires a persistent pool")
+        if lanes is None and self.persistent:
+            raise ReproError("a persistent pool requires lane routing")
         return self._run_parallel(specs, progress, lanes)
 
     def map_values(self, specs: List[TaskSpec],
@@ -612,9 +610,6 @@ class TaskPool:
 
     def close(self) -> None:
         """Shut down persistent executors; idempotent, serial-safe."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
         lane_executors, self._lane_executors = self._lane_executors, {}
         for executor in lane_executors.values():
             executor.shutdown(wait=True)

@@ -1,12 +1,15 @@
-"""The full-scale evaluation plane, exercised at a reduced scale.
+"""The one Tables 2/3 experiment, exercised through the real driver at a
+reduced scale.
 
-Three guarantees ride on the COW-clone + fork-shared-environment work:
+Guarantees riding on the prepared-environment + COW-clone design:
 
-- the op-decomposed Table 2/3 grid (one clone per op) reproduces the
-  sequential ``run_basic`` tables, and is byte-identical serial vs
-  parallel and cloned vs rebuilt;
-- the environment is built exactly once per run — forked workers inherit
-  it and never rebuild (the build-count assertion);
+- ``generate_body`` is byte-identical cached vs rebuilt and serial vs
+  ``--jobs 2`` for the same preset;
+- the environment is built at most once per document, in the parent —
+  strategy tasks, forked or not, never rebuild (the build-count
+  assertion), and a run whose tasks do rebuild fails;
+- an ``--env-cache`` file holding another configuration is refused in
+  every preset;
 - the pickle-free environment container round-trips losslessly, and
   independently loaded environments produce byte-identical tables.
 """
@@ -17,24 +20,25 @@ import os
 
 import pytest
 
+from repro.bench import run_all
 from repro.bench.configs import (
     EliotConfig,
     build_home_env,
     clear_env_cache,
     env_build_count,
     load_env,
+    register_env,
     save_env,
 )
 from repro.bench.harness import (
-    BASIC_OPS,
-    basic_from_ops,
     run_basic,
-    run_basic_op,
     table2_from_basic,
     table3_from_basic,
 )
 from repro.bench.report import to_markdown
-from repro.parallel import TaskPool, TaskSpec, fork_available
+from repro.bench.run_all import Preset, build_plan, generate_body, prepare_env
+from repro.errors import ReproError
+from repro.parallel import TaskPool, fork_available
 
 TINY = 16000
 
@@ -43,89 +47,77 @@ def _config():
     return EliotConfig(scale=TINY, aging_rounds=1)
 
 
+def _preset():
+    """Tables 1-3 on the tiny testbed: the full-scale preset's shape."""
+    return Preset(_config())
+
+
+def _silent(*_args, **_kwargs):
+    pass
+
+
 def _tables_markdown(basic, scale):
     return (to_markdown(table2_from_basic(basic, scale)) + "\n"
             + to_markdown(table3_from_basic(basic, scale)))
 
 
-def _op_task(op):
-    env = build_home_env(_config())
-    return run_basic_op(env, op)
-
-
-def _op_task_counting(op):
+def test_cloned_env_tables_match_rebuilt_env(tmp_path):
+    """cold (build, save) == warm (load) == no cache file at all."""
+    path = os.fspath(tmp_path / "tiny.env")
+    cold = generate_body(_preset(), env_cache=path, echo=_silent)
+    assert os.path.exists(path)
     before = env_build_count()
-    env = build_home_env(_config())
-    payload = run_basic_op(env, op)
-    payload["worker_builds"] = env_build_count() - before
-    return payload
-
-
-def test_op_grid_matches_sequential_run_basic():
-    """The op-decomposed grid reproduces ``run_basic``'s tables.
-
-    Not byte-identical — sequential ops share one environment whose
-    buffer-cache history the per-op clones do not inherit mid-run — but
-    row for row within a fraction of a percent, with every verification
-    row exact.
-    """
-    env = build_home_env(_config())
-    sequential = run_basic(env.clone())
-    decomposed = basic_from_ops([run_basic_op(env, op) for op in BASIC_OPS])
-    for name in ("table2", "table3"):
-        if name == "table2":
-            s_table = table2_from_basic(sequential, TINY)
-            d_table = table2_from_basic(decomposed, TINY)
-        else:
-            s_table = table3_from_basic(sequential, TINY)
-            d_table = table3_from_basic(decomposed, TINY)
-        assert [r.label for r in d_table.rows] == [r.label for r in s_table.rows]
-        for s_row, d_row in zip(s_table.rows, d_table.rows):
-            assert d_row.unit == s_row.unit
-            assert d_row.paper == s_row.paper
-            if "verified" in s_row.label:
-                assert d_row.measured == s_row.measured == 0
-            elif isinstance(s_row.measured, (int, float)) and s_row.measured:
-                assert d_row.measured == pytest.approx(s_row.measured,
-                                                       rel=0.02)
-
-
-def test_cloned_env_tables_match_rebuilt_env():
-    env = build_home_env(_config())
-    from_clones = [run_basic_op(env, op) for op in BASIC_OPS]
-    clear_env_cache()
-    rebuilt = build_home_env(_config())
-    from_rebuild = [run_basic_op(rebuilt, op) for op in BASIC_OPS]
-    assert _tables_markdown(basic_from_ops(from_clones), TINY) \
-        == _tables_markdown(basic_from_ops(from_rebuild), TINY)
+    warm = generate_body(_preset(), env_cache=path, echo=_silent)
+    assert env_build_count() == before, "a cached run must not build"
+    assert warm == cold
+    assert generate_body(_preset(), echo=_silent) == cold
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 def test_op_grid_byte_identical_serial_vs_jobs2():
-    build_home_env(_config())  # built once in the parent, pre-fork
-    specs = [TaskSpec("op-%s" % op, _op_task, (op,)) for op in BASIC_OPS]
-    serial = TaskPool(1).map_values(specs)
-    parallel = TaskPool(2).map_values(specs)
-    assert _tables_markdown(basic_from_ops(parallel), TINY) \
-        == _tables_markdown(basic_from_ops(serial), TINY)
+    serial = generate_body(_preset(), jobs=1, echo=_silent)
+    parallel = generate_body(_preset(), jobs=2, echo=_silent)
+    assert parallel == serial
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 def test_forked_workers_never_rebuild_the_environment():
-    build_home_env(_config())
-    specs = [TaskSpec("op-%s" % op, _op_task_counting, (op,))
-             for op in BASIC_OPS]
+    prepare_env(_config(), echo=_silent)
+    specs = [item.spec for item in build_plan(_preset())
+             if item.kind == "basic"]
     payloads = TaskPool(2).map_values(specs)
-    assert sum(p["worker_builds"] for p in payloads) == 0
+    assert [p["worker_builds"] for p in payloads] == [0, 0]
 
 
 def test_parent_builds_exactly_once_across_ops():
     clear_env_cache()
     before = env_build_count()
-    for op in BASIC_OPS:
-        env = build_home_env(_config())
-        run_basic_op(env, op)
+    generate_body(_preset(), echo=_silent)
     assert env_build_count() - before == 1
+
+
+def test_a_task_that_rebuilds_fails_the_run(monkeypatch):
+    """Without the parent's prepared environment every strategy task
+    builds its own — which the driver must refuse, not average over."""
+    clear_env_cache()
+    monkeypatch.setattr(run_all, "prepare_env", _silent)
+    with pytest.raises(ReproError, match="rebuilt the environment"):
+        generate_body(_preset(), echo=_silent)
+
+
+@pytest.mark.parametrize("name", ["grid", "reduced", "fullscale"])
+def test_env_cache_of_another_configuration_is_refused(tmp_path, name):
+    path = os.fspath(tmp_path / "other.env")
+    other = EliotConfig(scale=TINY, aging_rounds=1, seed=7)
+    save_env(build_home_env(other), path)
+    clear_env_cache()
+    with pytest.raises(ReproError, match="holds a different configuration;"
+                                         " delete it to rebuild"):
+        generate_body(Preset.named(name), env_cache=path, echo=_silent)
+    # The refused environment was not left where builders would find it.
+    before = env_build_count()
+    build_home_env(other)
+    assert env_build_count() == before + 1
 
 
 def test_env_container_roundtrip_is_lossless(tmp_path):
@@ -134,7 +126,7 @@ def test_env_container_roundtrip_is_lossless(tmp_path):
 
     (A *built* environment's tables may differ in the last digit from a
     mounted one — the builder leaves a warm buffer cache — which is why
-    the full-scale runner always measures from a mount.)
+    ``prepare_env`` always measures from a mount.)
     """
     clear_env_cache()
     env = build_home_env(_config())
@@ -146,8 +138,9 @@ def test_env_container_roundtrip_is_lossless(tmp_path):
     loaded = load_env(path1)
     assert loaded.config.cache_key() == env.config.cache_key()
     assert loaded.qtree_paths == env.qtree_paths
-    # The loaded environment registers in the process cache: builders
-    # fetch it instead of rebuilding.
+    # Registered in the process cache, builders fetch the loaded
+    # environment instead of rebuilding.
+    register_env(loaded)
     before = env_build_count()
     assert build_home_env(_config()) is loaded
     assert env_build_count() == before
@@ -155,13 +148,10 @@ def test_env_container_roundtrip_is_lossless(tmp_path):
     with open(path1, "rb") as h1, open(path2, "rb") as h2:
         assert h1.read() == h2.read()
 
-    first = _tables_markdown(
-        basic_from_ops([run_basic_op(loaded, op) for op in BASIC_OPS]), TINY)
+    first = _tables_markdown(run_basic(loaded), TINY)
     clear_env_cache()
     again = load_env(path1)
-    second = _tables_markdown(
-        basic_from_ops([run_basic_op(again, op) for op in BASIC_OPS]), TINY)
-    assert second == first
+    assert _tables_markdown(run_basic(again), TINY) == first
 
 
 def test_env_clone_is_independent_of_the_source():

@@ -12,6 +12,7 @@ from repro.bench import (
     run_table45,
 )
 from repro.bench.configs import EliotConfig
+from repro.bench.harness import run_basic, run_strategy
 from repro.bench.report import Row, Table, to_markdown
 
 TINY = 16000  # 1:16000 scale: ~12 MB home volume, seconds per run
@@ -56,7 +57,35 @@ class TestTable1:
         assert table.row("incremental dump block count").ratio == 1.0
 
 
+def _observable_state(env):
+    """What a later experiment on ``env`` could see of an earlier one."""
+    from repro.chaos.verify import filesystem_digest
+
+    fs = env.home_fs
+    cache = fs.volume.cache
+    return (filesystem_digest(fs),
+            [(record.snap_id, record.name) for record in fs.snapshots()],
+            (cache.hits, cache.misses))
+
+
 class TestBasicTables:
+    @pytest.mark.parametrize("runner", [run_basic, run_table2, run_table3])
+    def test_environment_is_left_untouched(self, tiny_env, runner):
+        before = _observable_state(tiny_env)
+        runner(tiny_env)
+        assert _observable_state(tiny_env) == before
+
+    def test_rows_do_not_depend_on_what_ran_before(self, tiny_env):
+        first = to_markdown(run_table2(tiny_env))
+        run_table3(tiny_env)
+        assert to_markdown(run_table2(tiny_env)) == first
+
+    def test_unknown_strategy_is_refused(self, tiny_env):
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match="unknown backup strategy"):
+            run_strategy(tiny_env, "differential")
+
     def test_table2_rows_and_verification(self, tiny_env):
         table = run_table2(tiny_env)
         assert table.row("logical restore verified (diff count)").measured == 0

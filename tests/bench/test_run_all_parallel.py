@@ -12,8 +12,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.run_all import build_plan, generate_body, merge_sections
+from repro.bench.harness import (
+    basic_from_strategies,
+    table2_from_basic,
+    table3_from_basic,
+)
+from repro.bench.run_all import (
+    Preset,
+    build_plan,
+    generate_body,
+    prepare_env,
+)
 from repro.parallel import TaskPool, fork_available
+
+REDUCED = Preset.named("reduced")
 
 
 def _silent(*_args, **_kwargs):
@@ -22,35 +34,54 @@ def _silent(*_args, **_kwargs):
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 def test_reduced_grid_is_byte_identical_serial_vs_jobs2():
-    serial = generate_body(jobs=1, reduced=True, echo=_silent)
-    parallel = generate_body(jobs=2, reduced=True, echo=_silent)
+    serial = generate_body(REDUCED, jobs=1, echo=_silent)
+    parallel = generate_body(REDUCED, jobs=2, echo=_silent)
     assert parallel == serial
+
+
+def test_reduced_grid_is_unmoved_by_an_env_cache(tmp_path):
+    path = str(tmp_path / "reduced.env")
+    plain = generate_body(REDUCED, echo=_silent)
+    assert generate_body(REDUCED, env_cache=path, echo=_silent) == plain
+    assert generate_body(REDUCED, env_cache=path, echo=_silent) == plain
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 def test_reduced_grid_tables_match_row_for_row():
-    items = build_plan(reduced=True)
+    items = build_plan(REDUCED)
     specs = [item.spec for item in items]
+    prepare_env(REDUCED.config, echo=_silent)
     serial_values = TaskPool(1).map_values(specs)
     parallel_values = TaskPool(2).map_values(specs)
+
+    def rendered(values):
+        """Every non-ablation table of the document (the strategy pair as
+        Tables 2 and 3), as comparable row tuples."""
+        def of_kind(kind):
+            return [value for item, value in zip(items, values)
+                    if item.kind == kind]
+
+        basic = basic_from_strategies(of_kind("basic"))
+        scale = REDUCED.config.scale
+        tables = of_kind("table") + [table2_from_basic(basic, scale),
+                                     table3_from_basic(basic, scale)]
+        return [(table.title, [(row.label, row.measured, row.paper, row.unit)
+                               for row in table.rows]) for table in tables]
 
     for item, s_value, p_value in zip(items, serial_values, parallel_values):
         if item.kind == "ablation":
             assert p_value == s_value, item.spec.name
-            continue
-        assert p_value.title == s_value.title
-        assert len(p_value.rows) == len(s_value.rows), item.spec.name
-        for s_row, p_row in zip(s_value.rows, p_value.rows):
-            assert (p_row.label, p_row.measured, p_row.paper, p_row.unit) \
-                == (s_row.label, s_row.measured, s_row.paper, s_row.unit)
+    assert rendered(parallel_values) == rendered(serial_values)
 
 
 def test_merge_regroups_ablation_points_in_order():
-    items = build_plan(reduced=True)
+    items = build_plan(REDUCED)
     names = [item.spec.name for item in items]
-    # Declaration order: the three tables, then the ablation sweeps with
-    # their points contiguous (merge_sections relies on contiguity).
-    assert names[:3] == ["table1", "table2", "table3"]
+    # Declaration order: Table 1, the two strategies Tables 2 and 3 are
+    # read from, then the ablation sweeps with their points contiguous
+    # (merge_sections relies on contiguity).
+    assert names[:3] == ["table1", "basic.logical", "basic.physical"]
+    assert [item.kind for item in items[:3]] == ["table", "basic", "basic"]
     sweeps = [item.sweep_key for item in items if item.kind == "ablation"]
     seen = []
     for key in sweeps:

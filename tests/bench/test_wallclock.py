@@ -56,6 +56,43 @@ def test_fleet_speedup_is_calibration_normalized():
                                     "benchmarks": {}}) is None
 
 
+def test_merge_baseline_rescales_new_entries_to_the_baseline_calibration():
+    """A key merged in later was measured under another calibration; it
+    must land normalized by the one ``calibration_seconds`` the file
+    keeps, or every later check of it is off by the machines' ratio."""
+    existing = {
+        "schema": 1, "mode": "full", "calibration_seconds": 0.5,
+        "benchmarks": {"micro.x": {"seconds": 1.0, "rate": 10.0}},
+    }
+    report = {
+        "schema": 1, "mode": "fullscale",
+        "calibration_seconds": 1.0,  # a half-speed machine
+        "benchmarks": {
+            "micro.x": {"seconds": 9.0, "rate": 1.0},
+            "macro.y": {"seconds": 4.0, "rate": 25.0, "unit": "MB/s",
+                        "peak_rss_bytes": 123},
+            "macro.z": {"seconds": 2.0},
+        },
+    }
+    merged = wallclock.merge_baseline(existing, report)
+    assert merged["calibration_seconds"] == 0.5
+    assert merged["mode"] == "full"
+    assert merged["benchmarks"]["micro.x"] == {"seconds": 1.0, "rate": 10.0}
+    assert merged["benchmarks"]["macro.y"] == {
+        "seconds": 2.0, "rate": 50.0, "unit": "MB/s", "peak_rss_bytes": 123}
+    assert merged["benchmarks"]["macro.z"] == {"seconds": 1.0}
+    assert report["benchmarks"]["macro.y"]["seconds"] == 4.0  # not mutated
+    # The machine that produced the report checks clean on the keys it
+    # added; only the entry that really is slower is flagged.
+    assert wallclock.check_regression(report, merged, tolerance=0.0) \
+        == ["micro.x: 4.50x slower than baseline (9.000s vs 2.000s"
+            " calibration-normalized, tolerance 0%)"]
+    # With no baseline calibration the report's is adopted unscaled.
+    fresh = wallclock.merge_baseline({}, report)
+    assert fresh["calibration_seconds"] == 1.0
+    assert fresh["benchmarks"] == report["benchmarks"]
+
+
 def test_null_observability_overhead_gate():
     """A disabled gate check must cost <= 3% of the cheapest guarded op.
 

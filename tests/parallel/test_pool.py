@@ -176,3 +176,18 @@ def test_empty_spec_list():
 def test_bad_jobs_rejected():
     with pytest.raises(Exception):
         TaskPool(0)
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork")
+def test_lane_routing_and_persistence_require_each_other():
+    """A parallel pool is either one-shot (no lanes) or persistent and
+    lane-routed; there is no persistent shared executor to fall into."""
+    from repro.errors import ReproError
+
+    specs = [TaskSpec("sq-%d" % value, square, (value,)) for value in (2, 3)]
+    with TaskPool(2, persistent=True) as pool:
+        with pytest.raises(ReproError, match="requires lane routing"):
+            pool.run(specs)
+        assert pool.map_values(specs, lanes=[0, 1]) == [4, 9]
+    with pytest.raises(ReproError, match="requires a persistent pool"):
+        TaskPool(2).run(specs, lanes=[0, 1])
