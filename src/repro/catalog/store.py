@@ -179,9 +179,11 @@ class BackupCatalog:
         temp = self.path + ".tmp"
         with open(temp, "w") as handle:
             # Compact separators: the image sits on the commit path (and
-            # under the determinism byte-diff), so no pretty-printing.
-            json.dump(document, handle, sort_keys=True,
-                      separators=(",", ":"))
+            # under the determinism byte-diff), so no pretty-printing —
+            # and ``dumps``, the C one-shot encoder: ``dump`` streams the
+            # same bytes through the pure-Python one.
+            handle.write(json.dumps(document, sort_keys=True,
+                                    separators=(",", ":")))
         os.replace(temp, self.path)
 
     def _apply_journal(self, records: List[Dict]) -> None:

@@ -29,8 +29,9 @@ from repro.wafl.consts import (
 
 
 # Words per slab of the whole-map kernels: temporaries stay this size (a
-# quarter megabyte of uint32) however large the volume is.
-_SLAB_WORDS = 1 << 16
+# quarter megabyte of uint32) however large the volume is.  A slab is a
+# whole number of map fblocks, so no fblock straddles two slabs.
+_SLAB_WORDS = 64 * BLOCKMAP_ENTRIES_PER_BLOCK
 
 _ACTIVE = np.uint32(1 << ACTIVE_PLANE)
 
@@ -102,7 +103,10 @@ class BlockMap:
                 push(heap, fb)
 
     def mark_all_dirty(self) -> None:
-        """Every fblock is dirty (a plane changed under the whole map)."""
+        """Every fblock is dirty: ``format`` writes the whole map file out
+        once, so it is fully allocated from then on.  Nothing else calls
+        this — a snapshot operation dirties only the fblocks it changes
+        (:meth:`_dirty_where`)."""
         n = self.n_fblocks()
         self.dirty_fblocks = set(range(n))
         self._dirty_heap = list(range(n))  # a sorted list is a heap
@@ -399,13 +403,31 @@ class BlockMap:
         mask = np.uint32(1 << plane)
         return any(bool((words & mask).any()) for _lo, words in self._slabs())
 
+    def _dirty_where(self, lo: int, words: np.ndarray, mask) -> bool:
+        """Dirty exactly the fblocks of the slab at block ``lo`` in which
+        a word of ``words`` holds a bit of ``mask`` — the words a plane
+        operation changes.  False when it changes none there (one
+        reduction, no write)."""
+        per_fblock = np.bitwise_or.reduceat(
+            words, np.arange(0, words.size, BLOCKMAP_ENTRIES_PER_BLOCK))
+        held = np.flatnonzero(per_fblock & mask)
+        self._dirty_add_many(
+            (held + lo // BLOCKMAP_ENTRIES_PER_BLOCK).tolist())
+        return bool(held.size)
+
     def snapshot_create(self, plane: int) -> None:
         """Copy the active plane into ``plane`` (the snapshot's bit plane)."""
         self._check_plane(plane)
         shift = np.uint32(plane - ACTIVE_PLANE)
-        for _lo, words in self._slabs():
-            words |= (words & _ACTIVE) << shift
-        self.mark_all_dirty()
+        mask = np.uint32(1 << plane)
+        for lo, words in self._slabs():
+            if not np.bitwise_or.reduce(words) & _ACTIVE:
+                continue  # no active block here: one reduction, no temporary
+            # Active and not yet held by the plane: the bits that change.
+            fresh = (words & _ACTIVE) << shift
+            fresh &= ~words
+            if self._dirty_where(lo, fresh, mask):
+                words |= fresh
 
     def snapshot_delete(self, plane: int) -> int:
         """Clear ``plane``; newly free blocks return to the extent index.
@@ -416,13 +438,13 @@ class BlockMap:
         mask = np.uint32(1 << plane)
         keep = np.uint32(~(1 << plane) & 0xFFFFFFFF)
         freed_count = 0
-        for _lo, words in self._slabs():
-            # A block this plane alone held is free once the bit clears.
-            freed_count += int(np.count_nonzero(words == mask))
-            words &= keep
+        for lo, words in self._slabs():
+            if self._dirty_where(lo, words, mask):
+                # A block this plane alone held is free once the bit clears.
+                freed_count += int(np.count_nonzero(words == mask))
+                words &= keep
         if freed_count:
             self._rebuild_extents()
-        self.mark_all_dirty()
         return freed_count
 
     def plane_blocks(self, plane: int) -> np.ndarray:

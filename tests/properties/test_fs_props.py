@@ -1,8 +1,16 @@
 """Property-based tests over the whole file system and backup stack."""
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    consumes,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.backup import (
     DumpDates,
@@ -12,7 +20,8 @@ from repro.backup import (
     verify_trees,
 )
 from repro.wafl.consts import BLOCK_SIZE
-from repro.wafl.fsck import fsck
+from repro.wafl.filesystem import WaflFilesystem
+from repro.wafl.fsck import fsck, fsck_snapshot
 
 from tests.conftest import make_drive, make_fs
 
@@ -74,11 +83,13 @@ class FilesystemMachine(RuleBasedStateMachine):
     """Random op sequences keep fsck clean and match a dict model."""
 
     paths = Bundle("paths")
+    snapshots = Bundle("snapshots")
 
     def __init__(self):
         super().__init__()
         self.fs = make_fs(blocks_per_disk=3000)
         self.model = {}  # path -> bytes
+        self.snapshot_models = {}  # snapshot name -> the model it froze
         self.counter = 0
 
     @rule(target=paths, data=st.binary(max_size=9000))
@@ -120,10 +131,22 @@ class FilesystemMachine(RuleBasedStateMachine):
     def checkpoint(self):
         self.fs.consistency_point()
 
+    @rule(target=snapshots)
+    @precondition(lambda self: len(self.snapshot_models) < 4)
+    def snapshot_create(self):
+        self.counter += 1
+        name = "s%d" % self.counter
+        self.fs.snapshot_create(name)
+        self.snapshot_models[name] = dict(self.model)
+        return name
+
+    @rule(name=consumes(snapshots))
+    def snapshot_delete(self, name):
+        self.fs.snapshot_delete(name)
+        del self.snapshot_models[name]
+
     @rule()
     def crash_and_remount(self):
-        from repro.wafl.filesystem import WaflFilesystem
-
         self.fs.consistency_point()
         volume = self.fs.volume
         self.fs.crash()
@@ -133,6 +156,28 @@ class FilesystemMachine(RuleBasedStateMachine):
     def contents_match_model(self):
         for path, data in self.model.items():
             assert self.fs.read_file(path) == data
+
+    @invariant()
+    def consistency_point_persists_the_whole_block_map(self):
+        """Whatever ran last, a consistency point leaves no changed map
+        block behind: on a twin of the live system, crash -> mount reads
+        back the words the twin held, fsck is clean and every snapshot
+        still holds the tree it froze."""
+        twin = self.fs.clone_volume()
+        twin.consistency_point()
+        words = twin.blockmap.words.copy()
+        volume = twin.volume
+        twin.crash()
+        mounted = WaflFilesystem.mount(volume)
+        assert np.array_equal(mounted.blockmap.words, words)
+        report = fsck(mounted)
+        assert report.clean, report.errors
+        for name, frozen in self.snapshot_models.items():
+            report = fsck_snapshot(mounted, name)
+            assert report.clean, report.errors
+            view = mounted.snapshot_view(name)
+            for path, data in frozen.items():
+                assert view.read_file(path) == data
 
     def teardown(self):
         report = fsck(self.fs)

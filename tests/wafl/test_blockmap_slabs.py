@@ -5,12 +5,13 @@ extent rebuild, the active count) over fixed-size slabs of ``words``.
 The reference functions below are the previous whole-array bodies; the
 tests drive both over seeded random maps whose sizes, reserved areas,
 free runs and deferred-reuse entries straddle the slab edges, and
-require identical words, extent index, counters and dirty drain order.
+require identical words, extent index and counters.  A snapshot
+operation dirties exactly the fblocks that hold a word it changed: the
+oracle for that is the whole-array ``words_before != words_after``,
+on top of whatever was dirty already — no fblock more, none fewer.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 import pytest
@@ -63,20 +64,19 @@ def ref_plane_in_use(words, plane):
     return bool((words & np.uint32(1 << plane)).any())
 
 
-def ref_dirty_drain(dirty, heap, n_fblocks):
-    """``_dirty_add_many(range(n))`` one push at a time, then the drain."""
-    dirty, heap = set(dirty), list(heap)
-    for fb in range(n_fblocks):
-        if fb not in dirty:
-            dirty.add(fb)
-            heapq.heappush(heap, fb)
-    order = []
-    while dirty:
-        fb = heapq.heappop(heap)
-        if fb in dirty:
-            dirty.discard(fb)
-            order.append(fb)
-    return order
+def ref_changed_fblocks(before, after):
+    """The fblocks that hold a word an operation changed."""
+    changed = np.flatnonzero(before != after) // BLOCKMAP_ENTRIES_PER_BLOCK
+    return set(changed.tolist())
+
+
+def drain(blockmap):
+    """Every dirty fblock, in the order the consistency point pops them."""
+    drained = []
+    while blockmap.dirty_fblocks:
+        start, count = blockmap.pop_dirty_run()
+        drained.extend(range(start, start + count))
+    return drained
 
 
 # -- seeded maps that straddle the slab edges --------------------------------
@@ -158,30 +158,47 @@ def test_snapshot_create_and_delete_match_whole_array_forms(
 
     # Delete first: the random words hold the plane already.
     assert blockmap.plane_in_use(plane) == ref_plane_in_use(words, plane)
-    expected_order = ref_dirty_drain(blockmap.dirty_fblocks,
-                                     blockmap._dirty_heap,
-                                     blockmap.n_fblocks())
+    already_dirty = set(blockmap.dirty_fblocks)
+    before = words.copy()
     freed = blockmap.snapshot_delete(plane)
     assert freed == ref_snapshot_delete(words, plane)
     assert np.array_equal(blockmap.words, words)
     assert index_of(blockmap) == ref_rebuild_extents(
         words.copy(), reserved, blockmap.reuse_excluded)
     assert not blockmap.plane_in_use(plane)
-    drained = []
-    while blockmap.dirty_fblocks:
-        start, count = blockmap.pop_dirty_run()
-        drained.extend(range(start, start + count))
-    assert drained == expected_order == list(range(blockmap.n_fblocks()))
+    changed = ref_changed_fblocks(before, words)
+    assert drain(blockmap) == sorted(already_dirty | changed)
+    if nblocks > 3 * SLAB:
+        # The all-free slab held nothing to clear, the all-used one a
+        # plane bit in every word.
+        per_slab = SLAB // BLOCKMAP_ENTRIES_PER_BLOCK
+        assert changed.isdisjoint(range(per_slab, 2 * per_slab))
+        assert changed.issuperset(range(2 * per_slab, 3 * per_slab))
 
-    before = index_of(blockmap)
+    index_before = index_of(blockmap)
+    before = words.copy()
     blockmap.snapshot_create(plane)
     ref_snapshot_create(words, plane)
     assert np.array_equal(blockmap.words, words)
     assert blockmap.words.dtype == np.dtype("<u4")
-    assert index_of(blockmap) == before     # a snapshot frees nothing
-    assert blockmap.pop_dirty_run() == (0, blockmap.n_fblocks())
+    assert index_of(blockmap) == index_before   # a snapshot frees nothing
+    changed = ref_changed_fblocks(before, words)
+    assert 0 < len(changed) < blockmap.n_fblocks()
+    assert drain(blockmap) == sorted(changed)
     assert blockmap.pop_dirty_run() is None
     assert blockmap.active_block_count() == ref_active_count(words)
+
+    # Every active block holds the plane now: copying it again changes no
+    # word, so there is nothing to write — and where one block lacks the
+    # bit, that block's fblock alone.
+    blockmap.snapshot_create(plane)
+    assert np.array_equal(blockmap.words, words)
+    assert not blockmap.dirty_fblocks
+    block = int(np.flatnonzero(words & np.uint32(1 << plane))[-1])
+    blockmap.words[block] ^= np.uint32(1 << plane)
+    blockmap.snapshot_create(plane)
+    assert np.array_equal(blockmap.words, words)
+    assert drain(blockmap) == [block // BLOCKMAP_ENTRIES_PER_BLOCK]
 
 
 @pytest.mark.parametrize("seed,nblocks,reserved,plane", CASES[::3])

@@ -1,12 +1,15 @@
 """The block map's host-side rewrite moved no simulated I/O.
 
-Two checks on one fixed-seed volume whose map file reaches the double
+Three checks on one fixed-seed volume whose map file reaches the double
 indirect level: ``mount`` issues the accesses the byte-image route it
 replaced issued (same recorder events, same buffer-cache traffic, equal
-words), and a snapshot create/delete cycle — whole-map consistency
-points through ``write_cow_run`` and the strided RAID column writes —
-leaves the disks, their counters and the access stream at values pinned
-from the commit before the rewrite.
+words); a snapshot create/delete cycle — consistency points through
+``write_cow_run`` and the strided RAID column writes — leaves the disks,
+their counters and the access stream at pinned values; and that cycle
+writes in proportion to the map blocks that hold data, not to the map.
+The mount pin dates from the commit before the rewrite.  The cycle's
+was taken again when a snapshot operation stopped dirtying every map
+block: it now writes only the map blocks a word of which changed.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from repro.chaos.verify import volume_digest
 from repro.raid.layout import make_geometry
 from repro.raid.volume import RaidVolume
 from repro.storage.device import IoRecorder
-from repro.wafl.consts import INO_BLOCKMAP
+from repro.wafl.consts import BLOCKMAP_ENTRIES_PER_BLOCK, INO_BLOCKMAP
 from repro.wafl.filesystem import WaflFilesystem
+from repro.wafl.fsck import fsck, fsck_snapshot
 from repro.wafl.fsinfo import FsInfo
 
 
@@ -138,20 +142,46 @@ def snapshot_cycle():
             volume.recorder.total_written_blocks, freed, words)
 
 
-# Printed by ``python tests/wafl/test_io_stream_unmoved.py`` at the commit
-# before the block-map rewrite (PR 12).
+# Printed by ``python tests/wafl/test_io_stream_unmoved.py``: 102 blocks
+# written, where rewriting the whole map per snapshot operation wrote 4922.
 PINNED = (
-    "093093321a1edae8b0ffb861973b708b580452c359e6b2e3cff35d5f2edea6ab",
-    [(62, 814), (60, 812), (62, 814), (62, 814), (60, 812), (58, 810),
-     (60, 812), (59, 811), (271, 1023)] + [(0, 0)] * 9,
-    "18e99118915d418519c409695829bc4a7de8c12be90777edf2aa0a4667b9fb65",
-    0, 4922, [1230, 1204],
-    "0cac236833b5441193630dfffe0db70355aa837f554aebe622c0e5e3e99d9bf6",
+    "c832702bd0a41e6de3dd167d65347f8e1be15f65eafb7c3ffda623198d764203",
+    [(53, 208), (56, 211), (58, 213), (55, 210), (55, 210), (53, 208),
+     (53, 208), (56, 211), (257, 412)] + [(0, 0)] * 9,
+    "a9ebf06830eb32394d949b2bc43f121e6264df854c598ac625c6a45dd266e5ea",
+    0, 102, [29, 3],
+    "99d6d93916852181dd198d5f66a19f26abe52e3c160e22fb04bf204d30bd35f3",
 )
 
 
 def test_snapshot_cycle_leaves_the_pinned_disks_and_stream():
+    """The snapshot cycle writes only the map blocks that changed."""
     assert snapshot_cycle() == PINNED
+
+
+def test_snapshot_writes_follow_the_data_not_the_address_space():
+    """On a mostly empty volume two snapshot creates and a delete — five
+    consistency points — write a few blocks per map fblock that holds
+    data, and a crash afterwards mounts the map the live system had."""
+    fs = aged_fs()
+    volume, blockmap = fs.volume, fs.blockmap
+    assert blockmap.nblocks >= 1 << 20
+    holding = np.count_nonzero(np.bitwise_or.reduceat(
+        blockmap.words,
+        np.arange(0, blockmap.nblocks, BLOCKMAP_ENTRIES_PER_BLOCK)))
+    assert 0 < holding * 100 < blockmap.n_fblocks()
+    volume.recorder = IoRecorder()
+    fs.snapshot_create("kept")
+    fs.snapshot_create("dropped")
+    fs.snapshot_delete("dropped")
+    written = volume.recorder.total_written_blocks
+    assert 0 < written <= 32 * holding < blockmap.n_fblocks()
+    words = blockmap.words.copy()
+    fs.crash()
+    mounted = WaflFilesystem.mount(volume)
+    assert np.array_equal(mounted.blockmap.words, words)
+    assert fsck(mounted).clean
+    assert fsck_snapshot(mounted, "kept").clean
 
 
 if __name__ == "__main__":
