@@ -12,36 +12,11 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Set
 
-from repro.wafl.inode import FileType
 
-
-def _index_tree(fs, root: str, check_attrs: bool):
-    """Map path-relative-to-root -> comparable description."""
-    entries = {}
-    root_ino = fs.namei(root)
+def _index_tree(fs, root: str):
+    """Map path-relative-to-root -> inode: metadata only, no contents."""
     prefix = root.rstrip("/")
-    for path, inode in fs.walk(root):
-        rel = path[len(prefix):] or "/"
-        desc = {
-            "type": inode.type,
-            "ino": inode.ino,
-        }
-        if inode.is_regular:
-            desc["size"] = inode.size
-            desc["data"] = fs.read_by_ino(inode.ino)
-            desc["nlink"] = inode.nlink
-        elif inode.is_symlink:
-            desc["target"] = fs.read_by_ino(inode.ino).decode("utf-8")
-        if check_attrs:
-            desc["perms"] = inode.perms
-            desc["uid"] = inode.uid
-            desc["gid"] = inode.gid
-            desc["mtime"] = inode.mtime
-            desc["dos_name"] = inode.dos_name
-            desc["dos_bits"] = inode.dos_bits
-            desc["acl"] = fs.get_acl_by_ino(inode.ino)
-        entries[rel] = desc
-    return entries
+    return {path[len(prefix):] or "/": inode for path, inode in fs.walk(root)}
 
 
 def verify_trees(
@@ -53,19 +28,24 @@ def verify_trees(
     check_mtime: bool = True,
     ignore: Optional[Iterable[str]] = None,
 ) -> List[str]:
-    """Differences between two trees (empty list = identical)."""
+    """Differences between two trees (empty list = identical).
+
+    Both trees are indexed by metadata alone; file contents are read and
+    compared one path at a time, so the check holds one pair of files,
+    never a tree.
+    """
     problems: List[str] = []
     ignored: Set[str] = set(ignore or [])
-    source = _index_tree(source_fs, source_root, check_attrs)
-    target = _index_tree(target_fs, target_root, check_attrs)
+    source = _index_tree(source_fs, source_root)
+    target = _index_tree(target_fs, target_root)
 
     # Hard-link structure: group paths by source inode and compare the
     # grouping (target inode numbers will differ; the partition must not).
     def link_groups(index):
         groups = {}
-        for rel, desc in index.items():
-            if desc["type"] == FileType.REGULAR:
-                groups.setdefault(desc["ino"], set()).add(rel)
+        for rel, inode in index.items():
+            if inode.is_regular:
+                groups.setdefault(inode.ino, set()).add(rel)
         return {frozenset(paths) for paths in groups.values() if len(paths) > 1}
 
     for rel in sorted(set(source) - set(target) - ignored):
@@ -74,29 +54,34 @@ def verify_trees(
         problems.append("extra in target: %s" % rel)
     for rel in sorted(set(source) & set(target) - ignored):
         s, t = source[rel], target[rel]
-        if s["type"] != t["type"]:
-            problems.append("%s: type %d != %d" % (rel, s["type"], t["type"]))
+        if s.type != t.type:
+            problems.append("%s: type %d != %d" % (rel, s.type, t.type))
             continue
-        if s["type"] == FileType.REGULAR:
-            if s["size"] != t["size"]:
-                problems.append("%s: size %d != %d" % (rel, s["size"], t["size"]))
-            elif s["data"] != t["data"]:
+        if s.is_regular:
+            if s.size != t.size:
+                problems.append("%s: size %d != %d" % (rel, s.size, t.size))
+            elif (source_fs.read_by_ino(s.ino)
+                  != target_fs.read_by_ino(t.ino)):
                 problems.append("%s: data differs" % rel)
-            if s["nlink"] != t["nlink"]:
-                problems.append("%s: nlink %d != %d" % (rel, s["nlink"], t["nlink"]))
-        elif s["type"] == FileType.SYMLINK:
-            if s["target"] != t["target"]:
-                problems.append(
-                    "%s: symlink %r != %r" % (rel, s["target"], t["target"])
-                )
+            if s.nlink != t.nlink:
+                problems.append("%s: nlink %d != %d" % (rel, s.nlink, t.nlink))
+        elif s.is_symlink:
+            s_link = source_fs.read_by_ino(s.ino).decode("utf-8")
+            t_link = target_fs.read_by_ino(t.ino).decode("utf-8")
+            if s_link != t_link:
+                problems.append("%s: symlink %r != %r" % (rel, s_link, t_link))
         if check_attrs:
-            for field in ("perms", "uid", "gid", "dos_name", "dos_bits", "acl"):
-                if s[field] != t[field]:
+            pairs = [(field, getattr(s, field), getattr(t, field))
+                     for field in ("perms", "uid", "gid", "dos_name",
+                                   "dos_bits")]
+            pairs.append(("acl", source_fs.get_acl_by_ino(s.ino),
+                          target_fs.get_acl_by_ino(t.ino)))
+            for field, ours, theirs in pairs:
+                if ours != theirs:
                     problems.append(
-                        "%s: %s %r != %r" % (rel, field, s[field], t[field])
-                    )
-            if check_mtime and s["mtime"] != t["mtime"]:
-                problems.append("%s: mtime %d != %d" % (rel, s["mtime"], t["mtime"]))
+                        "%s: %s %r != %r" % (rel, field, ours, theirs))
+            if check_mtime and s.mtime != t.mtime:
+                problems.append("%s: mtime %d != %d" % (rel, s.mtime, t.mtime))
     if link_groups(source) != link_groups(target):
         problems.append("hard-link structure differs")
     return problems

@@ -36,7 +36,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ReproError, StorageError
 from repro.bench.ablations import SWEEPS
 from repro.bench.configs import (
     EliotConfig,
@@ -286,6 +286,10 @@ def merge_sections(items: List[_Item], values: List[object], scale: int,
     return "\n".join(sections)
 
 
+class EnvCacheError(ReproError):
+    """The ``--env-cache`` file cannot be used; the message says why."""
+
+
 def prepare_env(config: EliotConfig, env_cache: Optional[str] = None,
                 echo=print) -> None:
     """Load from ``env_cache`` — or build — the Tables 2/3 environment.
@@ -311,9 +315,16 @@ def prepare_env(config: EliotConfig, env_cache: Optional[str] = None,
             echo("saved environment to %s (%.1f MB)"
                  % (path, save_env(env, path) / 1e6))
             started = time.time()
-        env = load_env(path)
+        try:
+            env = load_env(path)
+        except StorageError as error:
+            if env_cache is None:
+                raise  # the file this call just wrote: a bug, not a stale cache
+            # A cache file this reader cannot use (another container
+            # version, damage): say what to do, the build is one run away.
+            raise EnvCacheError("%s; delete it to rebuild" % error)
         if env.config.cache_key() != config.cache_key():
-            raise ReproError(
+            raise EnvCacheError(
                 "%s holds a different configuration; delete it to rebuild"
                 % path)
         echo("loaded environment from %s in %.1f s"
@@ -387,7 +398,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         set_tracer(Tracer())
     preset = Preset.named("fullscale" if fullscale
                           else "reduced" if args.reduced else "grid")
-    body = generate_body(preset, jobs=args.jobs, env_cache=args.env_cache)
+    try:
+        body = generate_body(preset, jobs=args.jobs, env_cache=args.env_cache)
+    except EnvCacheError as error:
+        # The one failure the user fixes by deleting a file; anything an
+        # experiment raises keeps its traceback.
+        print("run_all: error: %s" % error, file=sys.stderr)
+        return 2
     if args.trace:
         from repro.obs import get_tracer
 

@@ -26,15 +26,19 @@ from repro.units import KB, MB
 
 DEFAULT_BLOCK_SIZE = 4 * KB
 
-# Blocks per backing chunk: 4 MB of contiguous store at the default block
-# size.  Chunks materialize on first non-zero write, so a mostly-empty
-# paper-scale (188 GB) disk costs memory only where data actually lands.
-CHUNK_BLOCKS = 1024
+# Blocks per backing chunk: 256 KB of contiguous store at the default
+# block size.  A chunk is what the store materializes (zero-filled) on a
+# first non-zero write and what a clone copies on its first write, so
+# resident memory follows the chunks touched, not the bytes written: the
+# chunk has to stay small against the data a workload scatters.  64 was
+# picked by a sweep (DESIGN.md decision 16) and is private to this
+# module; the disk image does not record it.
+CHUNK_BLOCKS = 64
 
-# pack_chunks framing: (nblocks, chunk blocks, chunk count), then per
-# chunk (chunk index, row count, nonzero row count).
-_IMAGE_HEAD = struct.Struct("<QII")
-_IMAGE_CHUNK = struct.Struct("<III")
+# pack_chunks framing: (nblocks, non-zero block count), then that many
+# uint64 block indices, then that many block_size rows.
+_IMAGE_HEAD = struct.Struct("<QQ")
+_IMAGE_INDEX = np.dtype("<u8")
 
 
 class VirtualDisk:
@@ -59,13 +63,12 @@ class VirtualDisk:
         self.nblocks = nblocks
         self.block_size = block_size
         self.name = name
-        # chunk index -> writable memoryview over a bytearray of
+        # chunk index -> writable memoryview over a numpy byte array of
         # chunk_blocks * block_size bytes.  Plain buffer slicing keeps the
         # per-call cost of scalar reads/writes at memcpy speed; numpy views
         # (np.frombuffer, zero-copy) serve the scans that need them.
         self._chunks: Dict[int, memoryview] = {}
-        # Small disks get one whole-disk chunk; paper-scale disks use
-        # fixed 4 MB chunks so sparse regions cost nothing.
+        # A disk smaller than a chunk is one whole-disk chunk.
         self._chunk_blocks = min(CHUNK_BLOCKS, nblocks)
         # Chunk indices whose backing buffer is shared with a clone();
         # a write to a shared chunk copies it private first.
@@ -88,14 +91,17 @@ class VirtualDisk:
         # pack_chunks image and rebuild writable views on the receiving
         # side.  This is what lets a whole simulated volume cross a
         # process boundary (parallel campaign workers return their file
-        # systems).
+        # systems).  Like the image, the pickle does not say how the
+        # writer was chunked: the reader cuts the store its own way.
         state = self.__dict__.copy()
         state["_chunks"] = self.pack_chunks()
+        del state["_chunk_blocks"]
         return state
 
     def __setstate__(self, state):
         image = state.pop("_chunks")
         self.__dict__.update(state)
+        self._chunk_blocks = min(CHUNK_BLOCKS, self.nblocks)
         # Rebuilt chunks are private copies regardless of what the source
         # shared at pickling time; same for the fault set.
         self.unpack_chunks(image)
@@ -109,10 +115,9 @@ class VirtualDisk:
             )
 
     def _materialize(self, chunk_index: int) -> memoryview:
-        # numpy backing, memoryview interface: np.zeros stays fast even on
-        # a large fragmented heap, where a 4 MB bytearray() falls into the
-        # glibc main arena and costs ~20x more; the memoryview gives the
-        # hot paths plain buffer-slicing semantics.
+        # numpy backing, memoryview interface: np.zeros is one calloc,
+        # and the memoryview gives the hot paths plain buffer-slicing
+        # semantics.
         chunk = memoryview(np.zeros(self._chunk_blocks * self.block_size,
                                     dtype=np.uint8))
         self._chunks[chunk_index] = chunk
@@ -202,29 +207,21 @@ class VirtualDisk:
         cb = self._chunk_blocks
         ci = start_block // cb
         if ci == (end - 1) // cb:
-            # Run within one chunk (every run on a small disk, and most
-            # on a chunked one): a single slice copy, no assembly loop.
+            # Run within one chunk: a single slice copy, no assembly.
             chunk = self._chunks.get(ci)
             if chunk is None:
                 return bytearray(nblocks * bs)
             src = (start_block - ci * cb) * bs
             return bytearray(chunk[src : src + nblocks * bs])
         out = bytearray(nblocks * bs)
-        if self._chunks:
-            chunks = self._chunks
-            cb = self._chunk_blocks
-            block = start_block
-            off = 0
-            while block < end:
-                ci = block // cb
-                cstart = ci * cb
-                take = min(end, cstart + cb) - block
-                chunk = chunks.get(ci)
-                if chunk is not None:
-                    src = (block - cstart) * bs
-                    out[off : off + take * bs] = chunk[src : src + take * bs]
-                off += take * bs
-                block += take
+        chunks = self._chunks
+        for i in range(ci, (end - 1) // cb + 1):
+            chunk = chunks.get(i)
+            if chunk is not None:
+                lo = max(start_block, i * cb)
+                hi = min(end, (i + 1) * cb)
+                out[(lo - start_block) * bs : (hi - start_block) * bs] = (
+                    chunk[(lo - i * cb) * bs : (hi - i * cb) * bs])
         return out
 
     def write_run(self, start_block: int, data) -> None:
@@ -313,35 +310,35 @@ class VirtualDisk:
     def pack_chunks(self) -> bytes:
         """The disk image: the whole store as one sparse-row byte string.
 
-        ``(nblocks, chunk blocks, chunk count)``, then per chunk holding
-        any non-zero block ``(chunk index, row count, nonzero count,
-        uint32 row indices, rows)``, chunks and rows ascending.  It is
-        what container files and pickles both carry, and a function of
-        the disk's *contents* alone: a chunk that was written and zeroed
-        again packs like one never touched, so equal disks make equal
-        bytes whatever their write or clone history.  Chunk-at-a-time and
-        numpy-vectorized — orders of magnitude faster than iterating
+        ``(nblocks, count)``, then the ``count`` non-zero blocks' indices
+        (uint64, ascending), then their ``count`` rows.  It is what
+        container files and pickles both carry, and a function of the
+        disk's *contents* alone: a block that was written and zeroed
+        again packs like one never touched, and nothing in the image
+        says how the store that wrote it was chunked, so equal disks
+        make equal bytes whatever their write or clone history and an
+        image outlives any change of ``CHUNK_BLOCKS``.  Chunk-at-a-time
+        and numpy-vectorized — orders of magnitude faster than iterating
         :meth:`nonzero_blocks` on a paper-scale disk.
         """
         bs = self.block_size
-        parts = []
+        cb = self._chunk_blocks
+        indices, rows = [], []
         for ci in sorted(self._chunks):
-            rows = np.frombuffer(self._chunks[ci],
-                                 dtype=np.uint8).reshape(-1, bs)
-            nz = np.flatnonzero(rows.any(axis=1)).astype("<u4")
+            chunk = np.frombuffer(self._chunks[ci],
+                                  dtype=np.uint8).reshape(-1, bs)
+            nz = np.flatnonzero(chunk.any(axis=1))
             if nz.size:
-                parts.append(_IMAGE_CHUNK.pack(ci, rows.shape[0], nz.size))
-                parts.append(nz)
-                parts.append(rows[nz])
-        head = _IMAGE_HEAD.pack(self.nblocks, self._chunk_blocks,
-                                len(parts) // 3)  # three parts a chunk
-        return b"".join([head] + parts)
+                indices.append((nz + ci * cb).astype(_IMAGE_INDEX))
+                rows.append(chunk[nz])
+        head = _IMAGE_HEAD.pack(self.nblocks, sum(map(len, indices)))
+        return b"".join([head] + indices + rows)
 
     def unpack_chunks(self, payload: bytes) -> None:
         """Replace this disk's contents with a :meth:`pack_chunks` image.
 
         The image is checked, not trusted: anything but a well-formed
-        image of a disk this shape raises :class:`StorageError` and
+        image of a disk this size raises :class:`StorageError` and
         leaves the disk as it was.
         """
         bs = self.block_size
@@ -353,42 +350,29 @@ class VirtualDisk:
 
         if size < _IMAGE_HEAD.size:
             raise malformed("shorter than its header")
-        nblocks, chunk_blocks, nchunks = _IMAGE_HEAD.unpack_from(payload, 0)
-        if nblocks != self.nblocks or chunk_blocks != cb:
-            raise malformed("is of a %d-block disk in %d-block chunks, "
-                            "not %d in %d"
-                            % (nblocks, chunk_blocks, self.nblocks, cb))
-        offset = _IMAGE_HEAD.size
+        nblocks, count = _IMAGE_HEAD.unpack_from(payload, 0)
+        if nblocks != self.nblocks:
+            raise malformed("is of a %d-block disk, not %d"
+                            % (nblocks, self.nblocks))
+        rows_at = _IMAGE_HEAD.size + count * _IMAGE_INDEX.itemsize
+        if size != rows_at + count * bs:
+            raise malformed("is %d bytes, not the %d its %d blocks take"
+                            % (size, rows_at + count * bs, count))
+        indices = np.frombuffer(payload, dtype=_IMAGE_INDEX, count=count,
+                                offset=_IMAGE_HEAD.size)
+        if count and (indices[-1] >= nblocks
+                      or (indices[1:] <= indices[:-1]).any()):
+            raise malformed("block indices are out of order or range")
+        rows = np.frombuffer(payload, dtype=np.uint8, count=count * bs,
+                             offset=rows_at).reshape(count, bs)
         chunks: Dict[int, memoryview] = {}
-        previous = -1
-        for _ in range(nchunks):
-            if offset + _IMAGE_CHUNK.size > size:
-                raise malformed("ends inside a chunk header")
-            ci, nrows, nnz = _IMAGE_CHUNK.unpack_from(payload, offset)
-            offset += _IMAGE_CHUNK.size
-            if not previous < ci < -(-self.nblocks // cb):
-                raise malformed("chunk index %d out of order or range" % ci)
-            if nrows != cb:
-                raise malformed("chunk %d has %d rows, not %d"
-                                % (ci, nrows, cb))
-            if offset + nnz * (4 + bs) > size:
-                raise malformed("ends inside chunk %d" % ci)
-            indices = np.frombuffer(payload, dtype="<u4", count=nnz,
-                                    offset=offset)
-            offset += nnz * 4
-            if nnz and (indices[-1] >= min(cb, self.nblocks - ci * cb)
-                        or (indices[1:] <= indices[:-1]).any()):
-                raise malformed("chunk %d's row indices are out of order "
-                                "or range" % ci)
-            arr = np.zeros(nrows * bs, dtype=np.uint8)
-            arr.reshape(nrows, bs)[indices] = np.frombuffer(
-                payload, dtype=np.uint8, count=nnz * bs,
-                offset=offset).reshape(nnz, bs)
-            offset += nnz * bs
+        # Ascending indices: each chunk's blocks are one slice of them.
+        owners, starts = np.unique(indices // cb, return_index=True)
+        for ci, lo, hi in zip(owners.tolist(), starts.tolist(),
+                              starts[1:].tolist() + [count]):
+            arr = np.zeros(cb * bs, dtype=np.uint8)
+            arr.reshape(cb, bs)[indices[lo:hi] - ci * cb] = rows[lo:hi]
             chunks[ci] = memoryview(arr)
-            previous = ci
-        if offset != size:
-            raise malformed("%d bytes after the last chunk" % (size - offset))
         self._chunks = chunks
         self._shared = set()
 

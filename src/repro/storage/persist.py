@@ -34,7 +34,9 @@ from repro.storage.tape import TapeCartridge, TapeDrive, TapeStacker
 _MAGIC = b"RPROCNTR"
 # The one format version.  Any change to the container layout, the
 # header schema or the disk image bumps it; the reader refuses all others.
-CONTAINER_VERSION = 1
+# 2: the disk image lists non-zero blocks by disk-wide index and no
+# longer records the store's chunk size.
+CONTAINER_VERSION = 2
 _PREAMBLE = struct.Struct("<8sI")
 _FRAME = struct.Struct("<Q")
 

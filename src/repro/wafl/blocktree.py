@@ -28,9 +28,9 @@ from repro.wafl.inode import Inode
 class TreeContext:
     """Services a :class:`BlockTree` needs from its file system.
 
-    Subclassed/instantiated by :class:`~repro.wafl.filesystem.WaflFilesystem`
-    (read-write, against the active plane) and by snapshot views
-    (read-only).
+    :class:`~repro.wafl.filesystem.WaflFilesystem` *is* one (read-write,
+    against the active plane); snapshot views instantiate this read-only
+    base.
     """
 
     def __init__(self, volume, readonly: bool = False):

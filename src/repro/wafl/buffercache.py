@@ -141,12 +141,27 @@ class BlockCache:
         are evicted once the run is in.  Each block is stored as a lazy
         reference into the buffer: ``bytes`` is referenced where it lies
         (pass a large buffer with an offset, never a slice of it), anything
-        else is snapshotted to immutable ``bytes`` once.
+        else is snapshotted to immutable ``bytes`` once.  Of a run longer
+        than the cache only the last ``capacity`` blocks can survive that
+        eviction, so only they go in, from a copy of just that tail — the
+        entries must not keep a buffer larger than the cache alive.
         """
         blocks = self._blocks
         if nblocks is None:
             nblocks = (len(data) - offset) // block_size
-        if not isinstance(data, bytes):
+        skip = nblocks - self.capacity
+        if skip > 0:
+            # What the plain loop would evict: every earlier entry outside
+            # the run (ones inside it are overwritten, not evicted) and
+            # the run's own head.
+            end_vbn = start_vbn + nblocks
+            inside = sum(1 for vbn in blocks if start_vbn <= vbn < end_vbn)
+            self.evictions += len(blocks) - inside + skip
+            blocks.clear()
+            start_vbn += skip
+            offset += skip * block_size
+            nblocks = self.capacity
+        if skip > 0 or not isinstance(data, bytes):
             data = bytes(memoryview(data)[offset : offset + nblocks * block_size])
             offset = 0
         for vbn in range(start_vbn, start_vbn + nblocks):

@@ -64,69 +64,25 @@ from repro.wafl.fsinfo import FsInfo, SnapshotRecord
 from repro.wafl.inode import FileType, Inode
 
 
-class _ActiveContext(TreeContext):
-    """Read-write tree context bound to the active file system."""
+class WaflFilesystem(TreeContext):
+    """A mounted write-anywhere file system on a :class:`RaidVolume`.
 
-    def __init__(self, fs: "WaflFilesystem"):
-        super().__init__(fs.volume, readonly=False)
-        self.fs = fs
-
-    def alloc_run(self, want: int) -> Tuple[int, int]:
-        fs = self.fs
-        start, count = fs.blockmap.allocate_run(
-            want, fs.fsinfo.alloc_cursor, allow_reserve=fs._in_cp
-        )
-        fs.fsinfo.alloc_cursor = (start + count) % fs.blockmap.nblocks
-        fs._fresh_blocks.update(range(start, start + count))
-        return start, count
-
-    def free_block(self, vbn: int) -> None:
-        fs = self.fs
-        if vbn in fs._fresh_blocks:
-            # Never part of a committed image: immediately reusable.
-            fs._fresh_blocks.discard(vbn)
-            fs.blockmap.free_active(vbn)
-        else:
-            # The bit clears now (this CP persists the free) but the block
-            # is not reusable until the CP commits, because the previous
-            # on-disk tree still references it.
-            fs.blockmap.free_active(vbn, defer_reuse=True)
-
-    def free_blocks(self, vbns) -> None:
-        """Batched free: one vectorized block-map pass per disposition."""
-        if len(vbns) == 1:
-            return self.free_block(vbns[0])
-        fs = self.fs
-        fresh = [vbn for vbn in vbns if vbn in fs._fresh_blocks]
-        committed = [vbn for vbn in vbns if vbn not in fs._fresh_blocks]
-        if fresh:
-            fs._fresh_blocks.difference_update(fresh)
-            fs.blockmap.free_active_many(fresh)
-        if committed:
-            fs.blockmap.free_active_many(committed, defer_reuse=True)
-
-    def allows_inplace(self, vbn: int) -> bool:
-        return vbn in self.fs._fresh_blocks
-
-    def inode_dirty(self, inode: Inode) -> None:
-        # The inode file's own inode lives in fsinfo, which every
-        # consistency point writes.
-        if inode is not self.fs.fsinfo.inofile_inode:
-            self.fs._dirty_inodes.add(inode.ino)
-
-
-class WaflFilesystem:
-    """A mounted write-anywhere file system on a :class:`RaidVolume`."""
+    It is its own read-write :class:`TreeContext`: the block trees of the
+    active plane allocate from, free into and dirty inodes of the file
+    system they were built over.  There is deliberately no separate
+    context object pointing back here — nothing a file system owns may
+    refer to it, so that dropping the last reference frees it, its block
+    map and its volume's private chunks at once, by reference count.
+    """
 
     def __init__(self, volume: RaidVolume, fsinfo: FsInfo, blockmap: BlockMap,
                  nvram: Optional[NvramLog] = None,
                  clock: Optional[Callable[[], float]] = None):
-        self.volume = volume
+        super().__init__(volume, readonly=False)
         self.fsinfo = fsinfo
         self.blockmap = blockmap
         self.nvram = nvram
         self._clock = clock
-        self._ctx = _ActiveContext(self)
         self._inodes: Dict[int, Inode] = {}
         # Directory parse cache: ino -> (raw bytes, parsed entries, name
         # index).  Keyed to the exact on-disk bytes, so a hit never
@@ -149,6 +105,50 @@ class WaflFilesystem:
             "namei_lookups": 0,
             "nvram_ops_skipped": 0,
         }
+
+    # ------------------------------------------------------------------
+    # Tree context of the active plane
+    # ------------------------------------------------------------------
+
+    def alloc_run(self, want: int) -> Tuple[int, int]:
+        start, count = self.blockmap.allocate_run(
+            want, self.fsinfo.alloc_cursor, allow_reserve=self._in_cp
+        )
+        self.fsinfo.alloc_cursor = (start + count) % self.blockmap.nblocks
+        self._fresh_blocks.update(range(start, start + count))
+        return start, count
+
+    def free_block(self, vbn: int) -> None:
+        if vbn in self._fresh_blocks:
+            # Never part of a committed image: immediately reusable.
+            self._fresh_blocks.discard(vbn)
+            self.blockmap.free_active(vbn)
+        else:
+            # The bit clears now (this CP persists the free) but the block
+            # is not reusable until the CP commits, because the previous
+            # on-disk tree still references it.
+            self.blockmap.free_active(vbn, defer_reuse=True)
+
+    def free_blocks(self, vbns) -> None:
+        """Batched free: one vectorized block-map pass per disposition."""
+        if len(vbns) == 1:
+            return self.free_block(vbns[0])
+        fresh = [vbn for vbn in vbns if vbn in self._fresh_blocks]
+        committed = [vbn for vbn in vbns if vbn not in self._fresh_blocks]
+        if fresh:
+            self._fresh_blocks.difference_update(fresh)
+            self.blockmap.free_active_many(fresh)
+        if committed:
+            self.blockmap.free_active_many(committed, defer_reuse=True)
+
+    def allows_inplace(self, vbn: int) -> bool:
+        return vbn in self._fresh_blocks
+
+    def inode_dirty(self, inode: Inode) -> None:
+        # The inode file's own inode lives in fsinfo, which every
+        # consistency point writes.
+        if inode is not self.fsinfo.inofile_inode:
+            self._dirty_inodes.add(inode.ino)
 
     # ------------------------------------------------------------------
     # Format and mount
@@ -218,7 +218,7 @@ class WaflFilesystem:
         bm_inode = fs._load_inode(INO_BLOCKMAP)
         image = np.zeros(-(-bm_inode.size // BLOCK_SIZE) * BLOCK_SIZE,
                          dtype=np.uint8)
-        for fbn, vbn, count in BlockTree(fs._ctx, bm_inode).extents():
+        for fbn, vbn, count in BlockTree(fs, bm_inode).extents():
             if (fbn + count) * BLOCK_SIZE > image.size:
                 raise FilesystemError("block-map file extends past its size")
             image[fbn * BLOCK_SIZE : (fbn + count) * BLOCK_SIZE] = (
@@ -234,7 +234,7 @@ class WaflFilesystem:
     def _scan_inodes(self) -> None:
         """Rebuild the inode allocation state from the inode file."""
         used: List[int] = []
-        inofile = BlockTree(self._ctx, self.fsinfo.inofile_inode)
+        inofile = BlockTree(self, self.fsinfo.inofile_inode)
         highest = 0
         for fbn, _vbn in inofile.allocated_fblocks():
             data = inofile.read_fblock(fbn)
@@ -285,12 +285,11 @@ class WaflFilesystem:
         if self.fsinfo is None or self.blockmap is None:
             raise FilesystemError("cannot clone a crashed file system")
         fs = WaflFilesystem.__new__(WaflFilesystem)
-        fs.volume = self.volume.clone()
+        TreeContext.__init__(fs, self.volume.clone(), readonly=False)
         fs.fsinfo = copy.deepcopy(self.fsinfo)
         fs.blockmap = self.blockmap.clone()
         fs.nvram = nvram
         fs._clock = self._clock
-        fs._ctx = _ActiveContext(fs)
         fs._inodes = {ino: inode.copy() for ino, inode in self._inodes.items()}
         fs._dir_cache = dict(self._dir_cache)
         fs._dirty_inodes = set(self._dirty_inodes)
@@ -336,7 +335,7 @@ class WaflFilesystem:
     # ------------------------------------------------------------------
 
     def _inofile_tree(self) -> BlockTree:
-        return BlockTree(self._ctx, self.fsinfo.inofile_inode)
+        return BlockTree(self, self.fsinfo.inofile_inode)
 
     def _load_inode(self, ino: int) -> Inode:
         if ino in self._inodes:
@@ -428,7 +427,7 @@ class WaflFilesystem:
         #    allocated during this CP are rewritten in place, so each map
         #    block is copied at most once and the loop terminates.
         bm_inode = self._load_inode(INO_BLOCKMAP)
-        bm_tree = BlockTree(self._ctx, bm_inode)
+        bm_tree = BlockTree(self, bm_inode)
         rounds = 0
         while self.blockmap.dirty_fblocks or self._dirty_inodes:
             rounds += 1
@@ -552,9 +551,9 @@ class WaflFilesystem:
             if memo is not None and memo[0] == inode.direct:
                 extents = memo[1]
             else:
-                extents = BlockTree(self._ctx, inode).extents()
+                extents = BlockTree(self, inode).extents()
         else:
-            extents = BlockTree(self._ctx, inode).extents()
+            extents = BlockTree(self, inode).extents()
         if (len(extents) == 1 and extents[0][0] == 0
                 and extents[0][2] * BLOCK_SIZE >= inode.size):
             # One contiguous extent covering the file from block zero — the
@@ -590,13 +589,13 @@ class WaflFilesystem:
         data = directory.pack()
         nblocks = max(1, (len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE)
         padded = data.ljust(nblocks * BLOCK_SIZE, b"\0")
-        tree = BlockTree(self._ctx, inode)
+        tree = BlockTree(self, inode)
         tree.truncate_blocks(nblocks)
         tree.write_run(0, padded)
         tree.flush()
         inode.size = len(data)
         inode.mtime = self._now()
-        self._ctx.inode_dirty(inode)
+        self.inode_dirty(inode)
         entries = tuple(directory.entries())
         self._dir_cache[inode.ino] = (padded, entries, dict(entries))
 
@@ -646,7 +645,7 @@ class WaflFilesystem:
         directory.add(name, inode.ino)
         self._write_directory(parent, directory)
         parent.nlink += 1
-        self._ctx.inode_dirty(parent)
+        self.inode_dirty(parent)
         return inode.ino
 
     def symlink(self, path: str, target: str) -> int:
@@ -682,7 +681,7 @@ class WaflFilesystem:
         self._write_directory(parent, directory)
         inode.nlink += 1
         inode.ctime = self._now()
-        self._ctx.inode_dirty(inode)
+        self.inode_dirty(inode)
 
     def unlink(self, path: str) -> None:
         self._log_op("unlink", path)
@@ -701,7 +700,7 @@ class WaflFilesystem:
         if inode.nlink <= 0:
             self._destroy_inode(inode)
         else:
-            self._ctx.inode_dirty(inode)
+            self.inode_dirty(inode)
 
     def rmdir(self, path: str) -> None:
         self._log_op("rmdir", path)
@@ -718,7 +717,7 @@ class WaflFilesystem:
         directory.remove(name)
         self._write_directory(parent, directory)
         parent.nlink -= 1
-        self._ctx.inode_dirty(parent)
+        self.inode_dirty(parent)
         inode.nlink = 0
         self._destroy_inode(inode)
 
@@ -764,7 +763,7 @@ class WaflFilesystem:
                 if target.nlink <= 0:
                     self._destroy_inode(target)
                 else:
-                    self._ctx.inode_dirty(target)
+                    self.inode_dirty(target)
         old_dir.remove(old_name)
         new_dir.add(new_name, ino)
         if same_dir:
@@ -779,20 +778,20 @@ class WaflFilesystem:
                 self._write_directory(moving, child_dir)
                 old_parent.nlink -= 1
                 new_parent.nlink += 1
-                self._ctx.inode_dirty(old_parent)
-                self._ctx.inode_dirty(new_parent)
+                self.inode_dirty(old_parent)
+                self.inode_dirty(new_parent)
         moving.ctime = self._now()
-        self._ctx.inode_dirty(moving)
+        self.inode_dirty(moving)
 
     def _destroy_inode(self, inode: Inode) -> None:
         self._dir_cache.pop(inode.ino, None)
-        tree = BlockTree(self._ctx, inode)
+        tree = BlockTree(self, inode)
         tree.free_all()
         if inode.acl_block:
-            self._ctx.free_block(inode.acl_block)
+            self.free_block(inode.acl_block)
             inode.acl_block = 0
         inode.clear()
-        self._ctx.inode_dirty(inode)
+        self.inode_dirty(inode)
         self._free_ino(inode.ino)
         self.counters["files_deleted"] += 1
 
@@ -804,7 +803,7 @@ class WaflFilesystem:
         if inode.is_dir:
             raise IsADirectoryError_("write to directory inode %d" % inode.ino)
         end = offset + len(data)
-        tree = BlockTree(self._ctx, inode)
+        tree = BlockTree(self, inode)
         first_fbn = offset // BLOCK_SIZE
         last_fbn = (end - 1) // BLOCK_SIZE if data else first_fbn
         # Assemble whole-block images, merging partial edges with existing
@@ -826,7 +825,7 @@ class WaflFilesystem:
         if end > inode.size:
             inode.size = end
         inode.mtime = self._now()
-        self._ctx.inode_dirty(inode)
+        self.inode_dirty(inode)
         self.counters["bytes_written"] += len(data)
 
     def write_file(self, path: str, data: bytes, offset: int = 0) -> None:
@@ -841,7 +840,7 @@ class WaflFilesystem:
         if inode.is_dir:
             raise IsADirectoryError_("truncate on a directory")
         keep_blocks = (size + BLOCK_SIZE - 1) // BLOCK_SIZE
-        tree = BlockTree(self._ctx, inode)
+        tree = BlockTree(self, inode)
         tree.truncate_blocks(keep_blocks)
         if size % BLOCK_SIZE and size < inode.size:
             # Zero the tail of the final kept block.
@@ -852,7 +851,7 @@ class WaflFilesystem:
         tree.flush()
         inode.size = size
         inode.mtime = self._now()
-        self._ctx.inode_dirty(inode)
+        self.inode_dirty(inode)
 
     def read_file(self, path: str) -> bytes:
         inode = self.inode(self.namei(path))
@@ -870,7 +869,7 @@ class WaflFilesystem:
 
     def file_extents(self, ino: int) -> List[Tuple[int, int, int]]:
         """Physical extents of a file: ``(fbn, vbn, nblocks)`` runs."""
-        return BlockTree(self._ctx, self.inode(ino)).extents()
+        return BlockTree(self, self.inode(ino)).extents()
 
     def read_extent(self, vbn: int, nblocks: int) -> bytes:
         """Raw extent read (dump's private read path, still via the FS)."""
@@ -912,7 +911,7 @@ class WaflFilesystem:
         if dos_time is not None:
             inode.dos_time = dos_time
         inode.ctime = self._now()
-        self._ctx.inode_dirty(inode)
+        self.inode_dirty(inode)
 
     def set_acl(self, path: str, acl: bytes) -> None:
         """Attach an NT ACL blob (stored in its own block)."""
@@ -921,16 +920,16 @@ class WaflFilesystem:
             raise FilesystemError("ACL larger than one block")
         inode = self.inode(self.namei(path))
         if inode.acl_block:
-            self._ctx.free_block(inode.acl_block)
+            self.free_block(inode.acl_block)
             inode.acl_block = 0
         if acl:
-            vbn, count = self._ctx.alloc_run(1)
+            vbn, count = self.alloc_run(1)
             assert count == 1
             framed = len(acl).to_bytes(2, "little") + acl
             self.volume.write_block(vbn, framed.ljust(BLOCK_SIZE, b"\0"))
             inode.acl_block = vbn
         inode.ctime = self._now()
-        self._ctx.inode_dirty(inode)
+        self.inode_dirty(inode)
 
     def get_acl(self, path: str) -> bytes:
         return self.get_acl_by_ino(self.namei(path))
@@ -956,7 +955,7 @@ class WaflFilesystem:
         ino = self.mkdir("/" + name)
         inode = self.inode(ino)
         inode.qtree = ino  # the qtree id is its root directory's inode
-        self._ctx.inode_dirty(inode)
+        self.inode_dirty(inode)
         return ino
 
     def qtree_of(self, path: str) -> int:

@@ -79,11 +79,10 @@ def fsck(fs, check_parity: bool = False) -> FsckReport:
     """
     report = FsckReport()
     fs.consistency_point()
-    ctx = fs._ctx
     claimed: Dict[int, str] = {}
 
     # 1. The inode file's own blocks.
-    _collect_tree(report, claimed, ctx, fs.fsinfo.inofile_inode, "inofile")
+    _collect_tree(report, claimed, fs, fs.fsinfo.inofile_inode, "inofile")
 
     # 2. Every used inode's blocks, plus link-count accounting.
     link_counts: Dict[int, int] = {}
@@ -94,11 +93,11 @@ def fsck(fs, check_parity: bool = False) -> FsckReport:
         used.add(inode.ino)
         report.inodes_checked += 1
         owner = "ino%d" % inode.ino
-        _collect_tree(report, claimed, ctx, inode, owner)
+        _collect_tree(report, claimed, fs, inode, owner)
         if inode.type not in (FileType.REGULAR, FileType.DIRECTORY, FileType.SYMLINK):
             report.error("%s: unknown type %d" % (owner, inode.type))
     bm_inode = fs._load_inode(INO_BLOCKMAP)
-    _collect_tree(report, claimed, ctx, bm_inode, "blockmap-file")
+    _collect_tree(report, claimed, fs, bm_inode, "blockmap-file")
 
     # 3. Directory structure: entries point at live inodes; '.' and '..'
     #    are sane; link counts add up; every inode is reachable.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.nvram.log import NvramLog
@@ -69,3 +71,20 @@ def populate_small_tree(fs, prefix=""):
     fs.write_file(prefix + "/sparse", b"head", 0)
     fs.write_file(prefix + "/sparse", b"tail", 12 * 4096)
     fs.consistency_point()
+
+
+def version_1_image(disk):
+    """The image container version 1 carried, written out by hand: it
+    recorded the writer's chunk size (1024 blocks, or the whole of a
+    smaller disk) and listed rows chunk by chunk."""
+    chunk_blocks = min(1024, disk.nblocks)
+    by_chunk = {}
+    for block, data in disk.nonzero_blocks():
+        by_chunk.setdefault(block // chunk_blocks, []).append((block, data))
+    parts = [struct.pack("<QII", disk.nblocks, chunk_blocks, len(by_chunk))]
+    for ci, members in sorted(by_chunk.items()):
+        parts.append(struct.pack("<III", ci, chunk_blocks, len(members)))
+        parts.extend(struct.pack("<I", block - ci * chunk_blocks)
+                     for block, _ in members)
+        parts.extend(data for _, data in members)
+    return b"".join(parts)

@@ -8,6 +8,7 @@ loop it replaced, across randomized geometries and failure injections.
 
 import pickle
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,14 +21,18 @@ from repro.obs.metrics import REGISTRY
 from repro.raid.layout import make_geometry
 from repro.raid.volume import RaidVolume
 from repro.storage.device import IoRecorder
-from repro.storage.disk import VirtualDisk
+from repro.storage import disk as disk_module
+from repro.storage.disk import CHUNK_BLOCKS, VirtualDisk
 from repro.wafl.buffercache import BlockCache
+
+from tests.conftest import version_1_image
 
 _fast = settings(max_examples=25, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 
 BS = 64          # small blocks keep randomized cases cheap
-NBLOCKS = 2500   # > one chunk (1024 blocks), so runs cross chunk seams
+NBLOCKS = 2500   # many chunks, the last one partial: runs cross seams
+assert NBLOCKS > 2 * CHUNK_BLOCKS and NBLOCKS % CHUNK_BLOCKS
 
 
 def _payload(seed: int, nbytes: int) -> bytes:
@@ -134,52 +139,92 @@ def _patched(image, offset, fmt, *values):
        st.binary(min_size=1, max_size=9))
 def test_malformed_disk_images_are_rejected(ops, bump, cut, junk):
     disk = _disk_of(ops)
-    disk.write_run(0, b"\x01" * (2 * BS))        # chunk 0 and chunk 2 both
-    disk.write_block(NBLOCKS - 1, b"\x02" * BS)  # hold data: >= 2 entries
+    disk.write_run(0, b"\x01" * (2 * BS))        # at least three non-zero
+    disk.write_block(NBLOCKS - 1, b"\x02" * BS)  # blocks, ends included
     image = disk.pack_chunks()
-    nchunks = struct.unpack_from("<I", image, 12)[0]
-    entries = []                     # (offset, nonzero rows) per chunk
-    offset = 16
-    for _ in range(nchunks):
-        index, rows, nnz = struct.unpack_from("<III", image, offset)
-        assert rows == 1024
-        entries.append((offset, nnz))
-        offset += 12 + nnz * (4 + BS)
-    assert offset == len(image) and nchunks >= 2
-    (first, nnz0), (second, _), (last, nnz_last) = (
-        entries[0], entries[1], entries[-1])
+    # (nblocks, count) | count ascending uint64 block indices | count rows
+    nblocks, count = struct.unpack_from("<QQ", image, 0)
+    indices = struct.unpack_from("<%dQ" % count, image, 16)
+    assert nblocks == NBLOCKS and count >= 3
+    assert len(image) == 16 + count * (8 + BS)
+    assert list(indices) == [block for block, _ in disk.nonzero_blocks()]
+    last = 16 + 8 * (count - 1)
     malformed = {
         "nblocks": _patched(image, 0, "<Q", NBLOCKS + bump),
-        "chunk blocks": _patched(image, 8, "<I", 1024 + bump),
-        "chunk count high": _patched(image, 12, "<I", nchunks + bump),
-        "chunk count low": _patched(image, 12, "<I", nchunks - 1),
-        "chunk index past the disk": _patched(
-            image, first, "<I", 3 + bump % 1000),
-        "duplicate chunk index": _patched(image, second, "<I", 0),
-        "unsorted chunk indices": _patched(
-            _patched(image, first, "<I", 1), second, "<I", 0),
-        "row count": _patched(image, first + 4, "<I", 1025 + bump % 1000),
-        "nonzero count": _patched(image, first + 8, "<I", nnz0 + bump),
-        "row index past the chunk": _patched(
-            image, first + 12 + 4 * (nnz0 - 1), "<I", 1025 + bump % 1000),
-        "duplicate row index": _patched(image, first + 12, "<II", 0, 0),
-        "unsorted row indices": _patched(image, first + 12, "<II", 1, 0),
-        "row index past the disk": _patched(
-            image, last + 12 + 4 * (nnz_last - 1), "<I",
-            NBLOCKS - 2 * 1024),
+        "block count high": _patched(image, 8, "<Q", count + bump),
+        "block count low": _patched(image, 8, "<Q", count - 1),
+        "block count absurd": _patched(image, 8, "<Q", 2 ** 64 - bump),
+        "index past the disk": _patched(image, last, "<Q", NBLOCKS - 1 + bump),
+        "duplicate index": _patched(image, 16, "<QQ", 0, 0),
+        "unsorted indices": _patched(image, 16, "<QQ", 1, 0),
+        "missing row": image[:-BS],
+        "missing index and row": image[:16 + 8 * (count - 1)]
+        + image[16 + 8 * count:-BS],
         "truncated": image[:cut % len(image)],
         "trailing bytes": image + junk,
+        "version-1 layout": version_1_image(disk),
+        "version-1 layout of an empty disk": version_1_image(
+            VirtualDisk(NBLOCKS, block_size=BS)),
     }
     target = _disk_of(ops[:3])
     before = target.pack_chunks()
     for what, payload in malformed.items():
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError) as refused:
             target.unpack_chunks(payload)
             pytest.fail("accepted an image with a bad %s" % what)
+        assert "\n" not in str(refused.value), what
         # A refused image leaves the disk as it was.
         assert target.pack_chunks() == before, what
     target.unpack_chunks(image)
     assert target.pack_chunks() == image
+
+
+def _chunked(chunk_blocks, nblocks=NBLOCKS):
+    """An empty disk whose store is cut into ``chunk_blocks``-block chunks."""
+    with mock.patch.object(disk_module, "CHUNK_BLOCKS", chunk_blocks):
+        disk = VirtualDisk(nblocks, block_size=BS, name="prop")
+    assert disk._chunk_blocks == chunk_blocks
+    return disk
+
+
+@_fast
+@given(write_ops, st.sampled_from([1, 7, 64, NBLOCKS]),
+       st.sampled_from([1, 7, 64, NBLOCKS]),
+       st.integers(0, NBLOCKS - 1), st.integers(1, 300))
+def test_an_image_does_not_know_how_its_writer_was_chunked(
+        ops, written_in, read_in, read_start, read_len):
+    """One image, whatever the chunk size on either side: a container, an
+    env cache or a pickle written today loads after the constant moves."""
+    reference = _disk_of(ops)
+    writer = _chunked(written_in)
+    for start, length, seed in ops:
+        length = min(length, NBLOCKS - start)
+        writer.write_run(start, _payload(seed, length * BS))
+    image = writer.pack_chunks()
+    assert image == reference.pack_chunks()
+    reader = _chunked(read_in)
+    reader.unpack_chunks(image)
+    assert reader.pack_chunks() == image
+    assert list(reader.nonzero_blocks()) == list(reference.nonzero_blocks())
+    read_len = min(read_len, NBLOCKS - read_start)
+    expected = reference.read_run(read_start, read_len)
+    assert writer.read_run(read_start, read_len) == expected
+    assert reader.read_run(read_start, read_len) == expected
+    # Only chunks holding a non-zero block got backing store.
+    assert sorted(reader._chunks) == sorted(
+        {block // read_in for block, _ in reference.nonzero_blocks()})
+    # A pickle is cut the reader's way too: a disk loaded from it chunks
+    # like the disks made beside it (a RAID group's members must agree).
+    writer.fail_block(read_start)
+    pickled = pickle.dumps(writer)
+    with mock.patch.object(disk_module, "CHUNK_BLOCKS", read_in):
+        loaded = pickle.loads(pickled)
+    assert loaded._chunk_blocks == read_in
+    assert sorted(loaded._chunks) == sorted(reader._chunks)
+    assert loaded.pack_chunks() == image
+    assert (loaded._bad, loaded.writes) == (writer._bad, writer.writes)
+    loaded.heal_block(read_start)
+    assert loaded.read_run(read_start, read_len) == expected
 
 
 @_fast
@@ -231,7 +276,7 @@ def test_strided_column_write_matches_contiguous_bytes(
     disks = []
     for _ in range(2):
         disk = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
-        disk.write_run(1000, _payload(9, 60 * BS))   # chunks 0 and 1 exist
+        disk.write_run(1000, _payload(9, 60 * BS))   # across a chunk seam
         source = disk.clone() if share else None
         for block in bad:
             disk.fail_block(block)
@@ -249,15 +294,16 @@ def test_strided_column_write_matches_contiguous_bytes(
 
 
 def test_all_zero_column_leaves_a_virgin_chunk_unmaterialized():
-    disk = VirtualDisk(3 * 1024, block_size=BS, name="prop")
-    striped = np.zeros((1500, 3, BS), dtype=np.uint8)
+    nrows = CHUNK_BLOCKS + CHUNK_BLOCKS // 2      # all of chunk 0, half of 1
+    disk = VirtualDisk(3 * CHUNK_BLOCKS, block_size=BS, name="prop")
+    striped = np.zeros((nrows, 3, BS), dtype=np.uint8)
     striped[:, 0, :] = 0x5A                       # only column 0 has data
-    striped[1100:, 2, 5] = 1                      # column 2: chunk 1 only
+    striped[CHUNK_BLOCKS + 5:, 2, 5] = 1          # column 2: chunk 1 only
     disk.write_run(0, striped[:, 1, :])
-    assert not disk._chunks and disk.writes == 1500
+    assert not disk._chunks and disk.writes == nrows
     disk.write_run(0, striped[:, 2, :])
     assert sorted(disk._chunks) == [1]
-    assert bytes(disk.read_run(0, 1500)) == striped[:, 2, :].tobytes()
+    assert bytes(disk.read_run(0, nrows)) == striped[:, 2, :].tobytes()
     with pytest.raises(StorageError):
         disk.write_run(0, np.zeros(BS + 1, dtype=np.uint8))
 
@@ -299,7 +345,7 @@ parity_faults = st.lists(
        st.booleans())
 def test_chunkwise_verify_parity_matches_stripewise_loop(
         writes, faults, flip, cloned):
-    # 1300 stripes a disk: two chunks, the second one partial.
+    # 1300 stripes a disk: many chunks, the last one partial.
     volume = RaidVolume(make_geometry(2, 3, 1300, block_size=8), name="p")
     bs = volume.block_size
     for start, length, seed in writes:
@@ -496,6 +542,62 @@ def test_only_the_buffer_cache_reads_its_own_dict():
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if "._blocks" in line]
     assert offenders == []
+
+
+def _plain_put_run(cache, start_vbn, data, offset, nblocks):
+    """``put_run`` as the plain loop: every block goes in, oldest first
+    out — whatever the run's length against the cache's."""
+    blocks = cache._blocks
+    for index in range(nblocks):
+        vbn = start_vbn + index
+        if vbn in blocks:
+            blocks.move_to_end(vbn)
+        at = offset + index * BS
+        blocks[vbn] = bytes(data[at : at + BS])
+    while len(blocks) > cache.capacity:
+        blocks.popitem(last=False)
+        cache.evictions += 1
+
+
+def _cache_state(cache):
+    contents = cache.clone()
+    return (cache.hits, cache.misses, cache.evictions, list(cache._blocks),
+            [contents.get(vbn) for vbn in list(cache._blocks)])
+
+
+@_fast
+@given(st.sampled_from([1, 3, 8, 32]),
+       st.lists(st.tuples(st.sampled_from(["put", "put", "get", "get_run"]),
+                          st.integers(0, 70), st.integers(1, 80),
+                          st.integers(0, 255), st.integers(0, 3),
+                          st.booleans()),
+                min_size=1, max_size=25))
+def test_a_run_longer_than_the_cache_goes_in_like_the_plain_loop(
+        capacity, ops):
+    """Only a long run's tail is inserted (and only the tail's bytes are
+    kept); counters, LRU order and contents cannot tell."""
+    cache, plain = BlockCache(capacity), BlockCache(capacity)
+    for op, start, nblocks, seed, lead, mutable in ops:
+        if op == "put":
+            data = _payload(seed, (lead + nblocks) * BS)
+            if mutable:
+                data = bytearray(data)
+            cache.put_run(start, data, BS, lead * BS, nblocks)
+            _plain_put_run(plain, start, data, lead * BS, nblocks)
+            if nblocks > capacity:
+                # What survives references a buffer of just the tail.
+                buffers = {id(entry[0]): entry[0]
+                           for entry in cache._blocks.values()}
+                assert [len(buf) for buf in buffers.values()] == [
+                    capacity * BS]
+        elif op == "get":
+            assert cache.get(start) == plain.get(start)
+        else:
+            got, expected = (c.get_run(start, nblocks, BS)
+                             for c in (cache, plain))
+            assert (got is None) == (expected is None)
+            assert got is None or bytes(got) == bytes(expected)
+        assert _cache_state(cache) == _cache_state(plain)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,19 @@
 
 import json
 import os
+import pickle
+import shutil
 import struct
+from unittest import mock
 
 import pytest
 
-from repro.errors import StorageError, TapeError
+from repro.bench import run_all
+from repro.bench.configs import EliotConfig
+from repro.cli import main
+from repro.errors import ReproError, StorageError, TapeError
 from repro.storage import persist
+from repro.storage.disk import VirtualDisk
 from repro.storage.persist import (
     CONTAINER_VERSION,
     load_env_container,
@@ -29,6 +36,7 @@ from tests.conftest import (
     make_fs,
     make_volume,
     populate_small_tree,
+    version_1_image,
 )
 
 
@@ -427,3 +435,79 @@ def test_header_that_lies_about_its_frames_is_rejected(tmp_path):
     _crafted(path, dict(honest, kind="volume"), [b"one", b"two"])
     with pytest.raises(StorageError, match="holds 0 volumes"):
         load_volume(path)
+
+
+# ---------------------------------------------------------------------------
+# Files of the previous format version
+# ---------------------------------------------------------------------------
+
+#: Containers written once by the version-1 writer (the disk image then
+#: recorded the store's chunk size) and committed as bytes: a tiny
+#: formatted volume, and an env container holding it.
+_V1 = os.path.join(os.path.dirname(__file__), "data")
+_V1_REFUSAL = "is container version 1; this reader reads version 2"
+
+
+def test_a_version_1_container_is_refused_in_one_line(tmp_path, capsys):
+    for name, load in (("v1.vol", load_volume), ("v1.env", load_env_container)):
+        with pytest.raises(StorageError) as failure:
+            load(os.path.join(_V1, name))
+        assert str(failure.value).endswith(_V1_REFUSAL)
+    assert main(["fsck", os.path.join(_V1, "v1.vol")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("repro-backup: error: %s %s\n"
+                            % (os.path.join(_V1, "v1.vol"), _V1_REFUSAL))
+
+
+def test_a_stale_env_cache_says_to_delete_it(tmp_path, capsys):
+    stale = str(tmp_path / "stale.env")
+    shutil.copy(os.path.join(_V1, "v1.env"), stale)
+    config = EliotConfig(scale=60000, aging_rounds=1, seed=7)
+    with pytest.raises(ReproError) as failure:
+        run_all.prepare_env(config, stale, echo=lambda *_: None)
+    assert str(failure.value) == ("%s %s; delete it to rebuild"
+                                  % (stale, _V1_REFUSAL))
+    # ... and the document driver prints that line, not a traceback.
+    assert run_all.main([str(tmp_path / "out.md"), "--reduced",
+                         "--env-cache", stale]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "run_all: error: %s\n" % failure.value
+    assert not os.path.exists(str(tmp_path / "out.md"))
+    with open(stale, "rb") as kept, \
+            open(os.path.join(_V1, "v1.env"), "rb") as original:
+        assert kept.read() == original.read()    # refused, not replaced
+
+
+def test_only_the_env_cache_refusal_loses_its_traceback(tmp_path, monkeypatch):
+    """A ``ReproError`` out of an experiment is a bug report: ``main``
+    lets it through whole.  So is a scratch file ``prepare_env`` wrote
+    itself and cannot read back — there is nothing for the user to delete."""
+    def broken(*_args, **_kwargs):
+        raise ReproError("verify found 3 differences")
+    monkeypatch.setattr(run_all, "generate_body", broken)
+    with pytest.raises(ReproError, match="verify found 3 differences"):
+        run_all.main([str(tmp_path / "out.md"), "--reduced"])
+    monkeypatch.undo()
+
+    def unreadable(path):
+        raise StorageError("%s is damaged" % path)
+    monkeypatch.setattr(run_all, "load_env", unreadable)
+    config = EliotConfig(scale=60000, aging_rounds=1, seed=7)
+    with pytest.raises(StorageError, match="is damaged$"):
+        run_all.prepare_env(config, None, echo=lambda *_: None)
+
+
+def test_a_pickle_carrying_a_version_1_image_is_a_storage_error():
+    """``volume.pkl`` bundles outlive the process too: one written when
+    the image recorded 1024-block chunks must fail like a container does,
+    not inside numpy."""
+    fs = make_fs(ngroups=1, ndata=2, blocks_per_disk=1100)
+    populate_small_tree(fs)
+    with mock.patch.object(VirtualDisk, "pack_chunks", version_1_image):
+        bundle = pickle.dumps({"fs": fs, "kept_snapshots": []})
+    with pytest.raises(StorageError, match="disk image for") as failure:
+        pickle.loads(bundle)
+    assert "\n" not in str(failure.value)
+    assert pickle.loads(pickle.dumps(fs)).read_file(
+        "/docs/readme.txt") == fs.read_file("/docs/readme.txt")

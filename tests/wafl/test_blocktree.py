@@ -10,7 +10,7 @@ from tests.conftest import make_fs
 
 
 def tree_for(fs, path):
-    return BlockTree(fs._ctx, fs.inode(fs.namei(path)))
+    return BlockTree(fs, fs.inode(fs.namei(path)))
 
 
 def test_cow_relocates_on_rewrite():

@@ -21,7 +21,7 @@ def test_detects_wrong_nlink():
     fs.create("/f", b"x")
     inode = fs.inode(fs.namei("/f"))
     inode.nlink = 5
-    fs._ctx.inode_dirty(inode)
+    fs.inode_dirty(inode)
     report = fsck(fs)
     assert not report.clean
     assert any("nlink" in error for error in report.errors)
@@ -35,7 +35,7 @@ def test_detects_cross_linked_blocks():
     inode_b = fs.inode(fs.namei("/b"))
     # Point b's first block at a's.
     inode_b.direct[0] = inode_a.direct[0]
-    fs._ctx.inode_dirty(inode_b)
+    fs.inode_dirty(inode_b)
     report = fsck(fs)
     assert any("cross-linked" in error for error in report.errors)
 
@@ -48,7 +48,7 @@ def test_detects_dangling_directory_entry():
     # Surgically clear the inode without fixing the directory.
     inode = fs.inode(victim)
     inode.clear()
-    fs._ctx.inode_dirty(inode)
+    fs.inode_dirty(inode)
     report = fsck(fs)
     assert any("free inode" in error for error in report.errors)
 
@@ -92,7 +92,7 @@ def test_detects_size_beyond_blocks():
     fs.create("/f", b"q" * (3 * BLOCK_SIZE))
     inode = fs.inode(fs.namei("/f"))
     inode.size = 2 * BLOCK_SIZE  # blocks allocated past the claimed size
-    fs._ctx.inode_dirty(inode)
+    fs.inode_dirty(inode)
     report = fsck(fs)
     assert any("size" in error for error in report.errors)
 

@@ -1,5 +1,7 @@
 """fsinfo serialization and the block buffer cache."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import FilesystemError, SnapshotError
@@ -106,6 +108,27 @@ class TestBlockCache:
         assert cache.get(2) is None
         assert cache.get(1) == b"a"
         assert cache.evictions == 1
+
+    def test_a_long_run_does_not_pin_its_whole_buffer(self):
+        bs = 4096
+        cache = BlockCache(8)
+        cache.put(5000, b"z" * bs)
+        tracemalloc.start()
+        try:
+            run = bytes(range(256)) * (16 * 1000)       # 1000 blocks, 4 MB
+            cache.put_run(40, run, bs)
+            expected = run[992 * bs:]
+            del run
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The eight blocks that fit are the run's last eight; they live
+        # in a copy of that tail (twice over here, with ``expected``),
+        # not in the 1000-block buffer.
+        assert held < 3 * 8 * bs
+        assert len(cache) == 8 and cache.evictions == 1 + 992
+        assert bytes(cache.get_run(1032, 8, bs)) == expected
+        assert cache.get(1031) is None and cache.get(5000) is None
 
     def test_every_cold_lookup_is_one_miss(self):
         cache = BlockCache(8)
