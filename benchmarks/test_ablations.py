@@ -4,19 +4,13 @@ Each one turns a design choice off (or sweeps it) and shows the effect
 the paper attributes to it.
 """
 
-from repro.bench.ablations import (
-    ablate_cache_size,
-    ablate_cpu_speed,
-    ablate_fragmentation,
-    ablate_nvram_bypass,
-    ablate_readahead,
-)
+from repro.bench.ablations import sweep
 
 from benchmarks.conftest import show
 
 
 def test_fragmentation_hurts_logical_not_physical(benchmark):
-    table = benchmark.pedantic(ablate_fragmentation, rounds=1, iterations=1)
+    table = benchmark.pedantic(sweep("fragmentation").table, rounds=1, iterations=1)
     show(table, "ablation-fragmentation")
     logical_young = table.row("rounds=0 logical dump MB/s").measured
     logical_aged = table.row("rounds=3 logical dump MB/s").measured
@@ -25,12 +19,22 @@ def test_fragmentation_hurts_logical_not_physical(benchmark):
     # "A mature data set is typically slower to backup than a newly
     # created one because of fragmentation" — for LOGICAL dump.
     assert logical_aged < logical_young
+    # And by how much is the extent length's doing: one aging round
+    # lengthens the mean extent, three shorten it, and logical dump rate
+    # is ordered the same way (both start from a cold mount, so neither
+    # rides the cache the populate pass left).
+    extent = [table.row("rounds=%d mean extent (blocks)" % rounds).measured
+              for rounds in (1, 0, 3)]
+    logical = [table.row("rounds=%d logical dump MB/s" % rounds).measured
+               for rounds in (1, 0, 3)]
+    assert extent[0] >= extent[1] > extent[2]
+    assert logical[0] >= logical[1] > logical[2]
     # Image dump reads in physical order: aging barely touches it.
     assert physical_aged > physical_young * 0.85
 
 
 def test_nvram_bypass_speeds_logical_restore(benchmark):
-    table = benchmark.pedantic(ablate_nvram_bypass, rounds=1, iterations=1)
+    table = benchmark.pedantic(sweep("nvram").table, rounds=1, iterations=1)
     show(table, "ablation-nvram")
     through = table.row("through NVRAM total elapsed").measured
     bypassed = table.row("bypassing NVRAM total elapsed").measured
@@ -39,7 +43,7 @@ def test_nvram_bypass_speeds_logical_restore(benchmark):
 
 
 def test_readahead_window(benchmark):
-    table = benchmark.pedantic(ablate_readahead, rounds=1, iterations=1)
+    table = benchmark.pedantic(sweep("readahead").table, rounds=1, iterations=1)
     show(table, "ablation-readahead")
     serialized = table.row("window=1 logical files MB/s").measured
     filerate = [row.measured for row in table.rows][-1]
@@ -47,7 +51,7 @@ def test_readahead_window(benchmark):
 
 
 def test_cache_size_matters_for_restore(benchmark):
-    table = benchmark.pedantic(ablate_cache_size, rounds=1, iterations=1)
+    table = benchmark.pedantic(sweep("cache").table, rounds=1, iterations=1)
     show(table, "ablation-cache")
     tiny = table.row("cache=64 blocks cold metadata reads").measured
     big = table.row("cache=16384 blocks cold metadata reads").measured
@@ -58,7 +62,7 @@ def test_cache_size_matters_for_restore(benchmark):
 
 
 def test_second_cpu_lifts_logical_parallel(benchmark):
-    table = benchmark.pedantic(ablate_cpu_speed, rounds=1, iterations=1)
+    table = benchmark.pedantic(sweep("cpu").table, rounds=1, iterations=1)
     show(table, "ablation-cpu")
     one = table.row("cpus=1 logical files MB/s (4 drives)").measured
     two = table.row("cpus=2 logical files MB/s (4 drives)").measured

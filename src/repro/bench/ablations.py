@@ -14,13 +14,13 @@ Each ablation isolates one mechanism behind the paper's results:
 Ablations run at a reduced scale (they sweep several configurations) and
 report the metric the mechanism moves.
 
-Every sweep is exposed two ways: as a *point function* — a module-level
-(picklable) function taking one sweep coordinate and returning its row
-tuples, which the parallel evaluation plane fans out as independent
-tasks — and as the classic ``ablate_*()`` serial wrapper that assembles
-the same points into a :class:`~repro.bench.report.Table`.  Environments
-are seeded and deterministic, so a point computed in a worker process
-produces exactly the rows the serial loop does.
+Every sweep is a *point function* — a module-level (picklable) function
+taking one sweep coordinate and returning its row tuples, which the
+parallel evaluation plane fans out as independent tasks — registered in
+:data:`SWEEPS`; ``sweep(key).table()`` runs the same points serially into
+a :class:`~repro.bench.report.Table`.  Environments are seeded,
+deterministic and mounted cold (``build_home_env``), so a point computed
+in a worker process produces exactly the rows the serial loop does.
 """
 
 from __future__ import annotations
@@ -274,44 +274,10 @@ def sweep(key: str) -> AblationSweep:
     return _SWEEPS_BY_KEY[key]
 
 
-# ---------------------------------------------------------------------------
-# Serial wrappers (the classic entry points)
-# ---------------------------------------------------------------------------
-
-def ablate_fragmentation() -> Table:
-    """Aging sweep: who pays for a mature file system?"""
-    return sweep("fragmentation").table()
-
-
-def ablate_nvram_bypass() -> Table:
-    """Footnote 2: logical restore with and without the NVRAM logging cost."""
-    return sweep("nvram").table()
-
-
-def ablate_readahead() -> Table:
-    """Dump's read-ahead window: 1 (serialized) vs. the default."""
-    return sweep("readahead").table()
-
-
-def ablate_cache_size() -> Table:
-    """Buffer cache: cold metadata reads during logical restore."""
-    return sweep("cache").table()
-
-
-def ablate_cpu_speed() -> Table:
-    """A faster CPU helps logical far more than physical (Section 5.3)."""
-    return sweep("cpu").table()
-
-
 __all__ = [
     "ABLATION_SCALE",
     "AblationSweep",
     "SWEEPS",
-    "ablate_cache_size",
-    "ablate_cpu_speed",
-    "ablate_fragmentation",
-    "ablate_nvram_bypass",
-    "ablate_readahead",
     "cache_point",
     "cpu_point",
     "fragmentation_point",

@@ -6,25 +6,30 @@ DLT-7000 drives with stackers.  ``EliotConfig`` reproduces that shape at
 a configurable scale (default 1:1000 — 188 MB of real blocks), populates
 it with the synthetic workload, and ages it to maturity.
 
-Environments are cached per configuration because building an aged volume
-costs tens of seconds.  A cached environment is shared, not read-only: a
-dump creates and deletes a snapshot and warms the buffer cache, so an
-experiment that shares its configuration with another — the two
-strategies of Tables 2/3, the points of an ablation sweep — runs on its
-own :meth:`ExperimentEnv.clone` and cannot see what ran before it.
+Every experiment starts from ``WaflFilesystem.mount`` of a saved
+container (DESIGN.md, "Start state"): :func:`build_home_env`, the one way
+in, returns what :func:`load_env` mounts from a build's file, never the
+builder's own warm file system.  Environments are cached per
+configuration because building an aged volume costs tens of seconds.  A
+cached environment is shared, not read-only: a dump creates and deletes a
+snapshot and warms the buffer cache, so every experiment runs on its own
+:meth:`ExperimentEnv.clone` and cannot see what ran before it.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from typing import Dict, List, Optional
 
+from repro.errors import StorageError
 from repro.raid.layout import geometry_for_capacity
 from repro.raid.volume import RaidVolume
 from repro.storage.tape import TapeDrive, TapeStacker
 from repro.units import GB, MB
 from repro.wafl.filesystem import WaflFilesystem
 from repro.workload.aging import AgingConfig, age_filesystem, fragmentation_report
-from repro.workload.generator import WorkloadGenerator
+from repro.workload.generator import GeneratedTree, WorkloadGenerator
 from repro.bench import paper
 
 DEFAULT_SCALE = 1000
@@ -34,7 +39,7 @@ FULLSCALE_DATA_CAP = 192 * MB
 
 # Count of expensive volume builds (build_home / build_rlse) in this
 # process.  ``run_all`` asserts its strategy tasks never build — they
-# must inherit the parent's prepared environment through fork and clone it.
+# must inherit the parent's mounted environment through fork and clone it.
 _BUILD_COUNT = 0
 
 
@@ -174,8 +179,6 @@ class ExperimentEnv:
             tree = self.home_tree
             if tree is None:
                 # Qtree mode: rebuild a file list for the aging pass.
-                from repro.workload.generator import GeneratedTree
-
                 tree = GeneratedTree()
                 for path, inode in self.home_fs.walk("/"):
                     if inode.is_regular:
@@ -268,29 +271,37 @@ _ENV_CACHE: Dict[tuple, ExperimentEnv] = {}
 
 
 def build_home_env(config: Optional[EliotConfig] = None,
-                   with_rlse: bool = False) -> ExperimentEnv:
-    """Build (or fetch the cached) experiment environment."""
+                   with_rlse: bool = False,
+                   cache_file: Optional[str] = None) -> ExperimentEnv:
+    """The mounted environment for ``config``, cached per process (forked
+    workers inherit the cache).
+
+    What is registered and returned is always :func:`load_env` of a
+    container: on a miss, of a scratch file holding a fresh build; of
+    ``cache_file`` whenever the caller names one — loaded if it exists,
+    else built and written there, and never shadowed by the process
+    cache, so a stale file is refused (:class:`StorageError`), not ignored.
+    """
     config = config or EliotConfig()
     key = config.cache_key() + (with_rlse,)
-    if key in _ENV_CACHE:
-        return _ENV_CACHE[key]
-    env = ExperimentEnv(config)
-    env.build_home()
-    if with_rlse:
-        env.build_rlse()
-    _ENV_CACHE[key] = env
-    return env
+    if cache_file is not None or key not in _ENV_CACHE:
+        with tempfile.TemporaryDirectory(prefix="repro-env-") as scratch:
+            path = cache_file or os.path.join(scratch, "built.env")
+            if not os.path.exists(path):
+                built = ExperimentEnv(config)
+                built.build_home()
+                if with_rlse:
+                    built.build_rlse()
+                save_env(built, path)
+            env = load_env(path)
+        if env.config.cache_key() + (env.rlse_fs is not None,) != key:
+            raise StorageError("%s holds a different configuration" % path)
+        _ENV_CACHE[key] = env
+    return _ENV_CACHE[key]
 
 
 def clear_env_cache() -> None:
     _ENV_CACHE.clear()
-
-
-def register_env(env: ExperimentEnv) -> None:
-    """Install a built (or loaded) environment in the process cache, so
-    subsequent :func:`build_home_env` calls — including those made by
-    forked workers, which inherit the cache — find it without building."""
-    _ENV_CACHE[env.config.cache_key() + (env.rlse_fs is not None,)] = env
 
 
 _CONFIG_FIELDS = ("scale", "seed", "aging_rounds", "churn_fraction",
@@ -298,14 +309,14 @@ _CONFIG_FIELDS = ("scale", "seed", "aging_rounds", "churn_fraction",
 
 
 def save_env(env: ExperimentEnv, path: str) -> int:
-    """Persist a built environment to ``path``, pickle-free; returns bytes.
+    """Persist a built environment to ``path``; returns bytes.
 
     The file is the one :mod:`repro.storage.persist` container, kind
-    ``env``: the builder's configuration plus the volumes' on-disk state,
-    so it must be written at a consistency point — which is how every
-    build ends.  A cache file of another container version is refused
-    with a :class:`~repro.errors.StorageError`; delete it and rebuild.  :func:`load_env` remounts rather than replays, so repeated
-    bench runs and CI jobs skip the multi-second build entirely.
+    ``env``: the builder's configuration and generated trees plus the
+    volumes' on-disk state, so it must be written at a consistency point
+    — which is how every build ends.  A cache file of another container
+    version is refused with a :class:`~repro.errors.StorageError`; delete
+    it and rebuild.
     """
     from repro.storage.persist import save_env_container
 
@@ -316,6 +327,8 @@ def save_env(env: ExperimentEnv, path: str) -> int:
         "with_rlse": env.rlse_fs is not None,
         "qtree_paths": env.qtree_paths,
         "fragmentation": env.fragmentation,
+        "trees": [tree and tree.to_json()
+                  for tree in (env.home_tree, env.rlse_tree)],
     }
     volumes = [env.home_volume]
     if env.rlse_fs is not None:
@@ -324,14 +337,13 @@ def save_env(env: ExperimentEnv, path: str) -> int:
 
 
 def load_env(path: str) -> ExperimentEnv:
-    """Mount an environment saved by :func:`save_env`.
-
-    The caller decides whether it is the one it wanted, and only then
-    hands it to :func:`register_env`.
-    """
+    """Mount an environment saved by :func:`save_env`."""
     from repro.storage.persist import load_env_container
 
     header, volumes = load_env_container(path)
+    if "trees" not in header:
+        raise StorageError("%s predates environments that carry their"
+                           " generated trees" % path)
     config = EliotConfig(**header["config"])
     env = ExperimentEnv(config)
     env.home_volume = volumes[0]
@@ -341,6 +353,8 @@ def load_env(path: str) -> ExperimentEnv:
         env.rlse_fs = WaflFilesystem.mount(env.rlse_volume)
     env.qtree_paths = list(header.get("qtree_paths") or [])
     env.fragmentation = dict(header.get("fragmentation") or {})
+    env.home_tree, env.rlse_tree = (
+        tree and GeneratedTree.from_json(tree) for tree in header["trees"])
     return env
 
 
@@ -354,6 +368,5 @@ __all__ = [
     "env_build_count",
     "fullscale_config",
     "load_env",
-    "register_env",
     "save_env",
 ]

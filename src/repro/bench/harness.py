@@ -1,9 +1,9 @@
 """Experiment runners: one function per paper table.
 
-Each runner builds (or reuses) the scaled testbed, executes the real
-engines under the timed executor, verifies the restored data
-bit-for-bit, and returns :class:`~repro.bench.report.Table` objects
-holding measured-vs-paper rows.
+Each runner clones the scaled testbed as ``build_home_env`` mounted it
+(cold, and unseen by the next), executes the real engines under the
+timed executor, verifies the restored data bit-for-bit, and returns
+:class:`~repro.bench.report.Table` objects holding measured-vs-paper rows.
 
 Scale handling: throughput (MB/s, GB/h) and utilization are
 scale-invariant and compared directly; *elapsed hours* are extrapolated
@@ -312,7 +312,7 @@ def run_table45(ndrives: int, config: Optional[EliotConfig] = None) -> Table:
     config = config or EliotConfig(qtrees=ndrives)
     if config.qtrees != ndrives:
         raise ReproError("config.qtrees must equal ndrives")
-    env = build_home_env(config)
+    env = build_home_env(config).clone()
     fs = env.home_fs
     data_bytes = env.data_bytes("home")
     costs = env.config.cost_model()
@@ -464,8 +464,7 @@ def run_concurrent_volumes(config: Optional[EliotConfig] = None) -> Table:
     """Dump home and rlse concurrently to separate drives; compare with
     each running alone ("each executed in exactly the same amount of
     time as they had when executing in isolation")."""
-    env = build_home_env(config, with_rlse=True)
-
+    env = build_home_env(config, with_rlse=True).clone()
     costs = env.config.cost_model()
 
     def dump_elapsed(fs, drive, concurrent_with=None) -> Dict[str, float]:

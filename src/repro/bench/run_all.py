@@ -18,21 +18,20 @@ two bodies differ by a single byte.
 
 ``--mode fullscale`` runs Tables 1-3 at the paper's 188 GB geometry.
 
-Whatever the grid, the Tables 2/3 environment is built (or loaded from
-``--env-cache``) exactly once in the parent and measured from a mount;
-each backup strategy then runs dump, restore and verify as one task on
-its own copy-on-write clone of it — workers inherit the environment
-through ``fork`` and never rebuild — and both tables are rendered from
-that one pair of results.
+Every experiment, in every grid, starts from a cold mount of a container
+file (``build_home_env``; DESIGN.md "Start state").  The Tables 2/3
+environment is built (or loaded from ``--env-cache``) exactly once, in
+the parent; each backup strategy then runs dump, restore and verify as
+one task on its own copy-on-write clone of it — workers inherit the
+environment through ``fork`` and never rebuild — and both tables are
+rendered from that one pair of results.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
-import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -40,13 +39,9 @@ from repro.errors import ReproError, StorageError
 from repro.bench.ablations import SWEEPS
 from repro.bench.configs import (
     EliotConfig,
-    ExperimentEnv,
     build_home_env,
     env_build_count,
     fullscale_config,
-    load_env,
-    register_env,
-    save_env,
 )
 from repro.bench.harness import (
     BASIC_STRATEGIES,
@@ -91,6 +86,9 @@ run) or run the same experiments as assertions with::
   188 GB `home` volume becomes ~188 MB of real 4 KB blocks on the same
   3-RAID-group/31-disk shape, populated with a log-normal+Pareto file mix
   and aged with churn until the free space scatters.
+* Every experiment starts from a cold mount of a saved container file,
+  the way a rebooted filer starts: what a dump finds in the buffer cache
+  is what that dump put there, never what building the testbed left.
 * Every dump and restore moves real bytes and every restore is verified
   bit-for-bit before its numbers are reported; timing comes from the
   discrete-event model calibrated in `repro/perf/costs.py`.
@@ -108,8 +106,8 @@ run) or run the same experiments as assertions with::
 | Physical restore much faster than logical restore (Table 2) | yes (~1.5x) |
 | Logical dump uses ~5x the CPU of physical (Table 3) | yes |
 | Logical restore uses >3x the CPU of physical (Table 3) | yes (~2.5-3x) |
-| Physical scales near-linearly to 4 drives: 110 GB/h (Table 5) | yes (~0.9x of paper) |
-| Logical saturates at 4 drives: 69.6 GB/h, 17.4/tape (Table 5) | yes (~0.9x of paper) |
+| Physical scales near-linearly to 4 drives: 110 GB/h (Table 5) | %(physical_4_drives)s |
+| Logical saturates at 4 drives: 69.6 GB/h, 17.4/tape (Table 5) | %(logical_4_drives)s |
 | Concurrent home+rlse dumps do not interfere (Section 5.1) | yes (<10%% slowdown) |
 | Incremental image dump = bit-plane difference B−A (Table 1) | exact |
 
@@ -179,8 +177,8 @@ def section_table1() -> Table:
 def section_strategy(config: EliotConfig, strategy: str) -> Dict:
     """One backup strategy against a clone of the prepared environment.
 
-    The parent prepares the environment into the process env cache
-    *before* the pool forks (:func:`prepare_env`), so ``build_home_env``
+    The parent mounts the environment into the process env cache
+    *before* the pool forks (:func:`generate_body`), so ``build_home_env``
     here is a cache hit in every worker — asserted by shipping the
     worker's build-count delta back in the payload (the parent requires
     it to be zero).
@@ -290,52 +288,26 @@ class EnvCacheError(ReproError):
     """The ``--env-cache`` file cannot be used; the message says why."""
 
 
-def prepare_env(config: EliotConfig, env_cache: Optional[str] = None,
-                echo=print) -> None:
-    """Load from ``env_cache`` — or build — the Tables 2/3 environment.
-
-    Runs in the parent, before any pool forks, and leaves the environment
-    in the process env cache where forked workers inherit it
-    copy-on-write.  A missing cache file is built then saved, so the next
-    run (or the next CI job restoring the cache) skips the build.
-
-    A freshly *built* environment is always round-tripped through the
-    container and re-mounted before measuring: the builder leaves a warm
-    buffer cache whose eviction history perturbs the recorded I/O of the
-    first jobs, so measuring from a mount is what makes cached and
-    rebuilt runs byte-identical.
-    """
-    with tempfile.TemporaryDirectory(prefix="repro-env-") as scratch:
-        path = env_cache or os.path.join(scratch, "prepared.env")
-        started = time.time()
-        if not os.path.exists(path):
-            env = ExperimentEnv(config)
-            env.build_home()
-            echo("built environment in %.1f s" % (time.time() - started))
-            echo("saved environment to %s (%.1f MB)"
-                 % (path, save_env(env, path) / 1e6))
-            started = time.time()
-        try:
-            env = load_env(path)
-        except StorageError as error:
-            if env_cache is None:
-                raise  # the file this call just wrote: a bug, not a stale cache
-            # A cache file this reader cannot use (another container
-            # version, damage): say what to do, the build is one run away.
-            raise EnvCacheError("%s; delete it to rebuild" % error)
-        if env.config.cache_key() != config.cache_key():
-            raise EnvCacheError(
-                "%s holds a different configuration; delete it to rebuild"
-                % path)
-        echo("loaded environment from %s in %.1f s"
-             % (path, time.time() - started))
-    register_env(env)
+def _table5_claim(table5: Optional[Table], label: str) -> str:
+    """A Table 5 headline cell, read off the rendered row that backs it."""
+    if table5 is None:
+        return "not run"
+    return "%.2fx of paper" % table5.row(label).ratio
 
 
 def generate_body(preset: Preset, jobs: int = 1,
                   env_cache: Optional[str] = None, echo=print) -> str:
     """Run the preset's plan and return the full EXPERIMENTS.md body."""
-    prepare_env(preset.config, env_cache, echo=echo)
+    started = time.time()
+    try:
+        # In the parent, before any pool forks: workers inherit the
+        # mounted Tables 2/3 environment copy-on-write.
+        build_home_env(preset.config, cache_file=env_cache)
+    except StorageError as error:
+        if env_cache is None:
+            raise  # a scratch file this call wrote: a bug, not a stale cache
+        raise EnvCacheError("%s; delete it to rebuild" % error)
+    echo("environment mounted in %.1f s" % (time.time() - started))
     items = build_plan(preset)
     pool = TaskPool(jobs)
     echo("running %d experiment task(s) at 1:%d with jobs=%d ..."
@@ -354,7 +326,14 @@ def generate_body(preset: Preset, jobs: int = 1,
             " expected 0 (clones of the parent's single build)"
             % worker_builds)
     scale = preset.config.scale
-    body = _HEADER % {"scale": scale}
+    table5 = dict(zip((item.spec.name for item in items), values)).get(
+        "table5.4-drives")
+    body = _HEADER % {
+        "scale": scale,
+        "physical_4_drives": _table5_claim(table5,
+                                           "Physical overall GB/hour"),
+        "logical_4_drives": _table5_claim(table5, "Logical overall GB/hour"),
+    }
     body += merge_sections(items, values, scale, echo=echo)
     body += _FOOTER
     return body
@@ -443,5 +422,4 @@ __all__ = [
     "generate_body",
     "main",
     "merge_sections",
-    "prepare_env",
 ]

@@ -16,15 +16,17 @@ layout) and advances it through simulated days.  Each day:
    to the owning tenant's catalog in admission order before the next
    tick;
 3. retention runs per tenant and the day's catalog mutations are
-   journaled (append + fsync); volumes pickle only when dirty and due.
+   journaled (append + fsync); volumes are saved only when dirty and due.
 
 Determinism contract: job payloads (bytes, files, blocks, simulated
 times) are pure functions of (spec, seed, day); admission order is a
 pure function of submission history; commits happen in admission order
 regardless of worker completion order; ticks — not wall clock — stamp
 the event log.  A fleet run is therefore byte-identical between
-``jobs=1`` and ``jobs=N``, event log and tenant catalogs included,
-which CI checks on every push.
+``jobs=1`` and ``jobs=N``, event log, tenant catalogs and tenant volumes
+included, which CI checks on every push.  A service start is a reboot:
+every volume is mounted cold from its ``volume.bin``, so a restart shows
+only in the elapsed time of each logical tenant's next dump.
 
 Observability: each job becomes a ``fleet``-category span on its
 tenant's lane (ts = start tick, dur = ticks held), and each tick
@@ -95,7 +97,7 @@ class FleetService:
     everything the parent decides with (admission, retention, restores,
     effective dump levels) reads the catalog and the kept-snapshot
     mirror, which the deltas keep current.  ``checkpoint_days > 0``
-    additionally syncs and pickles dirty volumes every N days inside
+    additionally syncs and saves dirty volumes every N days inside
     :meth:`run_days`; the catalog journal makes the per-day commits
     durable either way.
     """
@@ -377,7 +379,7 @@ class FleetService:
 
     def _checkpoint(self) -> None:
         """Periodic durability for volumes: sync dirty residents home
-        and pickle them, without invalidating worker copies."""
+        and save them, without invalidating worker copies."""
         for spec in self.spec.tenants:
             tenant = self.tenants[spec.name]
             if tenant.volume_dirty and tenant.volume_loaded():
@@ -454,7 +456,7 @@ class FleetService:
         tenant = self.tenants[job.tenant]
         target_day = job.payload.get("target_day")
         # fsid == tenant name by construction; going through the catalog
-        # keeps restores from pulling the volume pickle into memory.
+        # keeps restores from loading and mounting the volume.
         fs, plan = restore_point_in_time(
             tenant.catalog, tenant.pool, tenant.name,
             day=target_day, name="restore.%s" % job.job_id)

@@ -12,8 +12,9 @@ subdirectory per tenant holding everything that tenant owns:
       tenants/<name>/
         catalog.json        # the tenant's own BackupCatalog
         media.bin           # its cartridges' bytes (a persist.py container)
-        volume.pkl          # pickled fs + tree + kept snapshots, warm
-                            # caches included (DESIGN.md says why)
+        volume.bin          # its volume at a consistency point, with the
+                            # tree and kept snapshots in the header (a
+                            # persist.py container, mounted on load)
 
 Tenants never share media or catalogs — the only shared resources are
 the drive *slots* and the worker pool, which is what makes the
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 from typing import Dict, List, Optional
 
 from repro.errors import ReproError
@@ -40,9 +40,10 @@ from repro.manager.retention import parse_policy
 from repro.manager.schedule import parse_schedule
 from repro.raid.layout import make_geometry
 from repro.raid.volume import RaidVolume
+from repro.storage.persist import load_env_container, save_env_container
 from repro.units import MB
 from repro.wafl.filesystem import WaflFilesystem
-from repro.workload.generator import WorkloadGenerator
+from repro.workload.generator import GeneratedTree, WorkloadGenerator
 
 try:
     import tomllib  # Python 3.11+
@@ -191,9 +192,10 @@ class Tenant:
     """One tenant's live state: catalog, media pool, and volume.
 
     All three pieces load **lazily**: a fleet service holding hundreds of
-    tenants pays for a volume unpickle only when a job actually needs the
-    volume, and a status endpoint touching only catalogs never loads
-    media bytes at all.
+    tenants pays for a volume load and mount only when a job actually
+    needs the volume, and a status endpoint touching only catalogs never
+    loads media bytes at all.  A service start is a reboot: every volume
+    is mounted cold (DESIGN.md, "Start state").
 
     Dirty tracking mirrors that split.  ``volume_dirty`` / ``media_dirty``
     are set by whoever mutates the piece; the catalog tracks its own
@@ -239,7 +241,7 @@ class Tenant:
 
     @property
     def volume_path(self) -> str:
-        return os.path.join(self.root, "volume.pkl")
+        return os.path.join(self.root, "volume.bin")
 
     # -- lazy state --------------------------------------------------------
 
@@ -260,12 +262,21 @@ class Tenant:
     @property
     def volume(self) -> CampaignVolume:
         if self._volume is None:
-            with open(self.volume_path, "rb") as handle:
-                bundle = pickle.load(handle)
+            stale = os.path.join(self.root, "volume.pkl")
+            if (os.path.exists(stale)
+                    and not os.path.exists(self.volume_path)):
+                raise FleetError(
+                    "%s was written by an older version and is no longer"
+                    " read; create the fleet root again with `fleet init`"
+                    % stale)
+            header, volumes = load_env_container(self.volume_path, "tenant")
             volume = CampaignVolume(
-                bundle["fs"], bundle["tree"], self.spec.strategy,
+                WaflFilesystem.mount(volumes[0]),
+                GeneratedTree.from_json(header["tree"]), self.spec.strategy,
                 parse_schedule(self.spec.schedule))
-            volume.kept_snapshots = bundle["kept_snapshots"]
+            volume.kept_snapshots = {
+                level: (name, date)
+                for level, name, date in header["kept_snapshots"]}
             self._volume = volume
         return self._volume
 
@@ -307,12 +318,12 @@ class Tenant:
 
     def load_catalog(self) -> "Tenant":
         """Load just the catalog — enough for a status summary, without
-        paying to unpickle the tenant's whole volume."""
+        paying to load and mount the tenant's whole volume."""
         self.catalog
         return self
 
     def save_state(self, force: bool = True) -> None:
-        """Persist catalog, media bytes, and the pickled volume bundle.
+        """Persist catalog, media bytes, and the volume container.
 
         ``force=False`` is the hot-path form: each piece is written only
         if dirty — the catalog as a journal append (or a compaction when
@@ -332,16 +343,18 @@ class Tenant:
             self.save_volume()
 
     def save_volume(self) -> None:
-        """Checkpoint just the volume bundle (temp-then-rename)."""
-        bundle = {
-            "fs": self.volume.fs,
-            "tree": self.volume.tree,
-            "kept_snapshots": self.volume.kept_snapshots,
+        """Checkpoint just the volume (atomically replaced)."""
+        volume = self.volume
+        if not volume.fs.at_consistency_point():
+            volume.fs.consistency_point()
+        header = {
+            "tree": volume.tree.to_json(),
+            "kept_snapshots": sorted(
+                (level, name, date) for level, (name, date)
+                in volume.kept_snapshots.items()),
         }
-        temp = self.volume_path + ".tmp"
-        with open(temp, "wb") as handle:
-            pickle.dump(bundle, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(temp, self.volume_path)
+        save_env_container(self.volume_path, header, [volume.fs.volume],
+                           "tenant")
         self.volume_dirty = False
 
     # -- status ------------------------------------------------------------
@@ -350,7 +363,7 @@ class Tenant:
         """Catalog summary for the status document.
 
         Derived from the catalog alone (media statuses included), so the
-        API server can build it without unpickling the tenant's volume.
+        API server can build it without loading the tenant's volume.
         """
         sets = list(self.catalog.sets.values())
         live = [s for s in sets if s.status == STATUS_OK]

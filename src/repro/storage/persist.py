@@ -2,8 +2,8 @@
 
 A :class:`~repro.raid.volume.RaidVolume` (every member disk, parity
 included, so a reloaded volume is bit-identical and still
-reconstruction-capable), a bench environment, a tape stacker and a media
-pool's cartridges are all written as::
+reconstruction-capable), a bench environment, a fleet tenant, a tape
+stacker and a media pool's cartridges are all written as::
 
     magic | u32 version | header frame | payload frames | EOF
 
@@ -161,22 +161,24 @@ def load_volume(path: str) -> RaidVolume:
     return volumes[0]
 
 
-def save_env_container(path: str, header: Dict,
-                       volumes: List[RaidVolume]) -> int:
+def save_env_container(path: str, header: Dict, volumes: List[RaidVolume],
+                       kind: str = "env") -> int:
     """Write a JSON header plus whole volumes; returns bytes.
 
-    The environment container behind the bench layer's pickle-free
-    ``save_env``/``load_env``: an arbitrary JSON ``header`` (the builder's
-    configuration, so a loader can verify it got the environment it
-    asked for) and any number of volumes.
+    What a run starts from: any number of volumes at a consistency
+    point, to be mounted, and an arbitrary JSON ``header`` for what a
+    mount cannot recover — for kind ``env`` the bench builder's
+    configuration and trees (``save_env``/``load_env``), for kind
+    ``tenant`` a fleet tenant's tree and kept snapshots (``volume.bin``).
     """
-    return _write_container(path, "env", {"env": header}, volumes=volumes)
+    return _write_container(path, kind, {kind: header}, volumes=volumes)
 
 
-def load_env_container(path: str) -> Tuple[Dict, List[RaidVolume]]:
+def load_env_container(path: str, kind: str = "env"
+                       ) -> Tuple[Dict, List[RaidVolume]]:
     """Rebuild ``(header, volumes)`` saved by :func:`save_env_container`."""
-    header, volumes, _ = _read_container(path, "env")
-    return header.get("env", {}), volumes
+    header, volumes, _ = _read_container(path, kind)
+    return header.get(kind, {}), volumes
 
 
 def save_tape(drive: TapeDrive, path: str) -> int:

@@ -388,6 +388,12 @@ class WaflFilesystem(TreeContext):
     # Consistency points
     # ------------------------------------------------------------------
 
+    def at_consistency_point(self) -> bool:
+        """Whether the on-disk image is current: nothing a consistency
+        point would write is dirty.  Read-only — a consistency point is
+        not (it bumps ``cp_count`` and commits deferred reuse)."""
+        return not (self._dirty_inodes or self.blockmap.dirty_fblocks)
+
     def consistency_point(self) -> None:
         """Persist all dirty state; the on-disk image becomes current."""
         self._in_cp = True

@@ -10,7 +10,7 @@ given a seed.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NoSpaceError, WorkloadError
 from repro.workload.distributions import (
@@ -39,6 +39,18 @@ class GeneratedTree:
         self.symlinks: List[str] = []
         self.hardlinks: List[Tuple[str, str]] = []
         self.total_bytes = 0
+
+    def to_json(self) -> Dict:
+        """The JSON form container headers carry (bench env, fleet tenant)."""
+        return dict(vars(self))
+
+    @classmethod
+    def from_json(cls, data: Dict) -> "GeneratedTree":
+        tree = cls()
+        for name in vars(tree):
+            setattr(tree, name, data[name])
+        tree.hardlinks = [tuple(pair) for pair in tree.hardlinks]
+        return tree
 
     def __repr__(self) -> str:
         return "<GeneratedTree files=%d dirs=%d bytes=%d>" % (

@@ -17,7 +17,7 @@ def tiny_scale(monkeypatch):
 
 
 def test_nvram_ablation_shape():
-    table = ablations.ablate_nvram_bypass()
+    table = ablations.sweep("nvram").table()
     assert isinstance(table, Table)
     through = table.row("through NVRAM fill CPU").measured
     bypassed = table.row("bypassing NVRAM fill CPU").measured
@@ -25,13 +25,13 @@ def test_nvram_ablation_shape():
 
 
 def test_readahead_ablation_shape():
-    table = ablations.ablate_readahead()
+    table = ablations.sweep("readahead").table()
     labels = [row.label for row in table.rows]
     assert any("window=1" in label for label in labels)
 
 
 def test_cache_ablation_shape():
-    table = ablations.ablate_cache_size()
+    table = ablations.sweep("cache").table()
     tiny = table.row("cache=64 blocks cold metadata reads").measured
     big = table.row("cache=16384 blocks cold metadata reads").measured
     assert big <= tiny

@@ -1,8 +1,11 @@
 """The one Tables 2/3 experiment, exercised through the real driver at a
 reduced scale.
 
-Guarantees riding on the prepared-environment + COW-clone design:
+Guarantees riding on the one-start-state + COW-clone design:
 
+- ``build_home_env`` returns the mounted container, never the builder's
+  warm file system: built, loaded from a cache file and fetched from the
+  process cache are the same start state and produce the same tables;
 - ``generate_body`` is byte-identical cached vs rebuilt and serial vs
   ``--jobs 2`` for the same preset;
 - the environment is built at most once per document, in the parent —
@@ -10,8 +13,9 @@ Guarantees riding on the prepared-environment + COW-clone design:
   assertion), and a run whose tasks do rebuild fails;
 - an ``--env-cache`` file holding another configuration is refused in
   every preset;
-- the pickle-free environment container round-trips losslessly, and
-  independently loaded environments produce byte-identical tables.
+- the environment container round-trips losslessly, generated trees
+  included, and independently loaded environments produce
+  byte-identical tables.
 """
 
 from __future__ import annotations
@@ -23,20 +27,22 @@ import pytest
 from repro.bench import run_all
 from repro.bench.configs import (
     EliotConfig,
+    ExperimentEnv,
     build_home_env,
     clear_env_cache,
     env_build_count,
     load_env,
-    register_env,
     save_env,
 )
 from repro.bench.harness import (
     run_basic,
+    run_table45,
     table2_from_basic,
     table3_from_basic,
 )
 from repro.bench.report import to_markdown
-from repro.bench.run_all import Preset, build_plan, generate_body, prepare_env
+from repro.bench.run_all import Preset, build_plan, generate_body
+from repro.chaos.verify import filesystem_digest
 from repro.errors import ReproError
 from repro.parallel import TaskPool, fork_available
 
@@ -82,7 +88,7 @@ def test_op_grid_byte_identical_serial_vs_jobs2():
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 def test_forked_workers_never_rebuild_the_environment():
-    prepare_env(_config(), echo=_silent)
+    build_home_env(_config())
     specs = [item.spec for item in build_plan(_preset())
              if item.kind == "basic"]
     payloads = TaskPool(2).map_values(specs)
@@ -97,10 +103,12 @@ def test_parent_builds_exactly_once_across_ops():
 
 
 def test_a_task_that_rebuilds_fails_the_run(monkeypatch):
-    """Without the parent's prepared environment every strategy task
+    """Without the parent's mounted environment every strategy task
     builds its own — which the driver must refuse, not average over."""
-    clear_env_cache()
-    monkeypatch.setattr(run_all, "prepare_env", _silent)
+    def forgetful(*args, **kwargs):
+        clear_env_cache()
+        return build_home_env(*args, **kwargs)
+    monkeypatch.setattr(run_all, "build_home_env", forgetful)
     with pytest.raises(ReproError, match="rebuilt the environment"):
         generate_body(_preset(), echo=_silent)
 
@@ -122,36 +130,79 @@ def test_env_cache_of_another_configuration_is_refused(tmp_path, name):
 
 def test_env_container_roundtrip_is_lossless(tmp_path):
     """save -> load -> save reproduces the container byte for byte, and
-    independently loaded environments produce byte-identical tables.
-
-    (A *built* environment's tables may differ in the last digit from a
-    mounted one — the builder leaves a warm buffer cache — which is why
-    ``prepare_env`` always measures from a mount.)
-    """
+    independently loaded environments produce byte-identical tables."""
     clear_env_cache()
     env = build_home_env(_config())
     path1 = os.fspath(tmp_path / "tiny1.env")
     path2 = os.fspath(tmp_path / "tiny2.env")
     save_env(env, path1)
 
-    clear_env_cache()
     loaded = load_env(path1)
     assert loaded.config.cache_key() == env.config.cache_key()
     assert loaded.qtree_paths == env.qtree_paths
-    # Registered in the process cache, builders fetch the loaded
-    # environment instead of rebuilding.
-    register_env(loaded)
-    before = env_build_count()
-    assert build_home_env(_config()) is loaded
-    assert env_build_count() == before
+    assert loaded.home_tree.to_json() == env.home_tree.to_json()
     save_env(loaded, path2)
     with open(path1, "rb") as h1, open(path2, "rb") as h2:
         assert h1.read() == h2.read()
 
     first = _tables_markdown(run_basic(loaded), TINY)
+    assert _tables_markdown(run_basic(load_env(path1)), TINY) == first
+
+
+def _start_state(env):
+    """What the first experiment on ``env`` can tell about its past."""
+    fs = env.home_fs
+    cache = fs.volume.cache
+    return {"hits": cache.hits, "misses": cache.misses,
+            "inodes": len(fs._inodes), "tree": env.home_tree.to_json(),
+            "fragmentation": env.fragmentation,
+            "digest": filesystem_digest(fs)}
+
+
+def test_every_entrance_is_the_same_cold_mount(tmp_path):
+    """``build_home_env`` — building, loading a cache file, or hitting the
+    process cache — returns what ``load_env`` mounts from a ``save_env``
+    of the build: the builder's tree, and none of its warm caches."""
+    config = EliotConfig(scale=60000, aging_rounds=1)
+    built = ExperimentEnv(config)
+    built.build_home()
+    reference = os.fspath(tmp_path / "reference.env")
+    save_env(built, reference)
+    cold = _start_state(load_env(reference))
+    # The builder is what a run must not start from: populating and
+    # aging left it a hot buffer cache and every inode it touched
+    # (363 hits and 86 inodes here, against 1 and 1).
+    warm = _start_state(built)
+    assert (warm["digest"], warm["tree"]) == (cold["digest"], cold["tree"])
+    assert warm["hits"] > cold["hits"] and warm["inodes"] > cold["inodes"]
+
+    path = os.fspath(tmp_path / "cache.env")
     clear_env_cache()
-    again = load_env(path1)
-    assert _tables_markdown(run_basic(again), TINY) == first
+    before = env_build_count()
+    assert _start_state(build_home_env(config, cache_file=path)) == cold
+    assert env_build_count() == before + 1        # built, saved to path
+    assert build_home_env(config) is build_home_env(config)  # cache hit
+    assert _start_state(build_home_env(config)) == cold
+    assert _start_state(build_home_env(config, cache_file=path)) == cold
+    assert env_build_count() == before + 1        # loaded, not rebuilt
+    clear_env_cache()
+    assert _start_state(build_home_env(config)) == cold  # no file at all
+    assert env_build_count() == before + 2
+
+
+def test_table4_is_the_same_from_every_entrance(tmp_path):
+    """Tables 4/5 take their environment from ``build_home_env`` inside
+    the task: built, loaded from a cache file and found in the process
+    cache (where an earlier Table 4 left it) must be one table."""
+    config = EliotConfig(scale=TINY, aging_rounds=1, qtrees=2)
+    path = os.fspath(tmp_path / "qtrees.env")
+    clear_env_cache()
+    built = to_markdown(run_table45(2, config))
+    assert to_markdown(run_table45(2, config)) == built     # cache hit
+    build_home_env(config, cache_file=path)                 # built, saved
+    assert to_markdown(run_table45(2, config)) == built
+    build_home_env(config, cache_file=path)                 # loaded
+    assert to_markdown(run_table45(2, config)) == built
 
 
 def test_env_clone_is_independent_of_the_source():

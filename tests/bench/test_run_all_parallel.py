@@ -1,11 +1,9 @@
 """The parallel evaluation plane's core guarantee: ``--jobs N`` output is
 byte-identical to a serial run of the same grid.
 
-Runs the reduced Tables 1-3 + small-ablation grid once in-process and
-once across two worker processes, then compares the rendered markdown
-byte-for-byte and the per-table row values numerically.  The serial run
-warms the module-level environment caches, so the second (forked) run is
-cheap.
+Asserts on the session's one set of reduced-grid runs (Tables 1-3 + the
+small ablations; ``reduced_grid`` in ``tests/conftest.py``): rendered
+markdown byte for byte, and the task values behind it row for row.
 """
 
 from __future__ import annotations
@@ -17,42 +15,30 @@ from repro.bench.harness import (
     table2_from_basic,
     table3_from_basic,
 )
-from repro.bench.run_all import (
-    Preset,
-    build_plan,
-    generate_body,
-    prepare_env,
-)
-from repro.parallel import TaskPool, fork_available
+from repro.bench.run_all import Preset, build_plan
+from repro.parallel import fork_available
 
 REDUCED = Preset.named("reduced")
 
 
-def _silent(*_args, **_kwargs):
-    pass
+@pytest.mark.skipif(not fork_available(), reason="needs fork")
+def test_reduced_grid_is_byte_identical_serial_vs_jobs2(reduced_grid):
+    serial = reduced_grid[1, "none", False].body
+    assert reduced_grid[2, "none", True].body == serial
+    assert reduced_grid[2, "warm", True].body == serial
+
+
+def test_reduced_grid_is_unmoved_by_an_env_cache(reduced_grid):
+    plain = reduced_grid[1, "none", False].body
+    assert reduced_grid[1, "cold", True].body == plain
+    assert reduced_grid[1, "warm", True].body == plain
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
-def test_reduced_grid_is_byte_identical_serial_vs_jobs2():
-    serial = generate_body(REDUCED, jobs=1, echo=_silent)
-    parallel = generate_body(REDUCED, jobs=2, echo=_silent)
-    assert parallel == serial
-
-
-def test_reduced_grid_is_unmoved_by_an_env_cache(tmp_path):
-    path = str(tmp_path / "reduced.env")
-    plain = generate_body(REDUCED, echo=_silent)
-    assert generate_body(REDUCED, env_cache=path, echo=_silent) == plain
-    assert generate_body(REDUCED, env_cache=path, echo=_silent) == plain
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs fork")
-def test_reduced_grid_tables_match_row_for_row():
-    items = build_plan(REDUCED)
-    specs = [item.spec for item in items]
-    prepare_env(REDUCED.config, echo=_silent)
-    serial_values = TaskPool(1).map_values(specs)
-    parallel_values = TaskPool(2).map_values(specs)
+def test_reduced_grid_tables_match_row_for_row(reduced_grid):
+    items = reduced_grid[1, "none", False].items
+    serial_values = reduced_grid[1, "none", False].values
+    parallel_values = reduced_grid[2, "none", True].values
 
     def rendered(values):
         """Every non-ablation table of the document (the strategy pair as

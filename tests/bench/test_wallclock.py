@@ -1,14 +1,11 @@
-"""Wall-clock regression gate against the committed baseline.
+"""The wall-clock regression gate's arithmetic.
 
 ``BENCH_wallclock.json`` records calibration-normalized timings from the
-machine that produced it; the gate re-runs the smoke harness and fails if
-any shared benchmark got substantially slower.  The default tolerance is
-deliberately loose (interpreter and hardware noise dwarf small changes);
-CI tightens it via ``WALLCLOCK_TOLERANCE``.
+machine that produced it.  The gate itself — ``run_harness("smoke")``
+against that file at 20 % — is CI's "Smoke benchmarks with wall-clock
+regression gate" step, on a machine nothing else is loading; here only
+the comparison, the normalization and the baseline merge are tested.
 """
-
-import json
-import os
 
 import pytest
 
@@ -102,16 +99,3 @@ def test_null_observability_overhead_gate():
     best = min((wallclock.bench_obs_null() for _ in range(3)),
                key=lambda entry: entry["overhead_fraction"])
     assert best["overhead_fraction"] <= 0.03, best
-
-
-def test_smoke_harness_vs_committed_baseline():
-    baseline_path = wallclock.default_baseline_path()
-    if not os.path.exists(baseline_path):
-        pytest.skip("no committed %s baseline" % wallclock.BASELINE_NAME)
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    current = wallclock.run_harness(mode="smoke")
-    tolerance = float(os.environ.get("WALLCLOCK_TOLERANCE", "1.0"))
-    failures = wallclock.check_regression(current, baseline,
-                                          tolerance=tolerance)
-    assert not failures, "\n".join(failures)

@@ -88,3 +88,53 @@ def version_1_image(disk):
                      for block, _ in members)
         parts.extend(data for _, data in members)
     return b"".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# The reduced run_all grid, generated once per session
+# ---------------------------------------------------------------------------
+
+def _reduced_run(jobs, traced, env_cache=None):
+    """One ``generate_body`` of the reduced grid: its body, the plan and
+    task values it was rendered from, and its trace events."""
+    from types import SimpleNamespace
+    from unittest import mock
+
+    from repro.bench import run_all
+    from repro.obs.trace import Tracer, get_tracer, set_tracer
+
+    set_tracer(Tracer() if traced else None)
+    try:
+        with mock.patch.object(run_all, "merge_sections",
+                               wraps=run_all.merge_sections) as merge:
+            body = run_all.generate_body(
+                run_all.Preset.named("reduced"), jobs=jobs,
+                env_cache=env_cache, echo=lambda *_a, **_k: None)
+        events = get_tracer().take_events() if traced else []
+    finally:
+        set_tracer(None)
+    items, values, _scale = merge.call_args.args
+    return SimpleNamespace(body=body, items=items, values=values,
+                           events=events)
+
+
+@pytest.fixture(scope="session")
+def reduced_grid(tmp_path_factory):
+    """The reduced grid under every switch that must not show in it —
+    ``--jobs``, ``--env-cache`` (file just written, file loaded),
+    ``--trace`` — generated once; the run_all and trace tests assert on
+    these runs instead of each regenerating the grid.  Keys are
+    ``(jobs, cache, traced)``; the ``--jobs 2`` runs are missing where
+    the platform cannot fork."""
+    from repro.bench.configs import clear_env_cache
+    from repro.parallel import fork_available
+
+    clear_env_cache()   # a test may have read, and so warmed, a cached env
+    path = str(tmp_path_factory.mktemp("reduced") / "reduced.env")
+    runs = {(1, "none", False): _reduced_run(1, traced=False),
+            (1, "cold", True): _reduced_run(1, traced=True, env_cache=path),
+            (1, "warm", True): _reduced_run(1, traced=True, env_cache=path)}
+    if fork_available():
+        runs[2, "none", True] = _reduced_run(2, traced=True)
+        runs[2, "warm", True] = _reduced_run(2, traced=True, env_cache=path)
+    return runs

@@ -1,10 +1,14 @@
 """Sticky tenant affinity and the worker-resident cache: determinism.
 
-Three runs of the same 4-tenant, 2-drive fleet — parallel with a live
-mid-run cache invalidation, serial with the same invalidation, and a
-parallel run restarted cold halfway (fresh service, residents gone,
-epochs back to zero) — must leave byte-identical artifacts.  Affinity
-itself must be deterministic, persisted, and sticky across days.
+Four runs of the same 4-tenant, 2-drive fleet: parallel and serial with a
+live mid-run cache invalidation, and parallel and serial restarted
+halfway (fresh service, residents gone, epochs back to zero, every
+volume mounted cold from its ``volume.bin``).  ``--jobs`` never shows in
+any artifact, tenant volumes included; a restart shows in exactly one
+number per logical tenant — its first dump afterwards reads metadata the
+uninterrupted run still had cached — and in nothing an image tenant
+owns, because an image dump reads blocks by number, below the cache.
+Affinity itself must be deterministic, persisted, and sticky across days.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from repro.fleet import FleetService, FleetSpec, TenantSpec, load_state
 
 DAYS = 4
 INVALIDATED = "beta"
+LOGICAL = ("alfa", "gila")
+IMAGE = ("beta", "dune")
 
 COMPARED_FILES = [
     "events.jsonl",
@@ -35,7 +41,14 @@ COMPARED_FILES = [
     "tenants/beta/media.bin",
     "tenants/gila/media.bin",
     "tenants/dune/media.bin",
+    "tenants/alfa/volume.bin",
+    "tenants/beta/volume.bin",
+    "tenants/gila/volume.bin",
+    "tenants/dune/volume.bin",
 ]
+
+#: variant -> (the --jobs 2 root, the --jobs 1 root it must equal).
+PAIRS = {"serial": ("parallel", "serial"), "cold": ("cold", "cold_serial")}
 
 
 def make_spec():
@@ -73,7 +86,7 @@ def run_with_midrun_invalidation(root, jobs):
 
 
 def run_with_cold_restart(root, jobs):
-    """Same days, but a full service restart (cold caches) halfway."""
+    """Same days, but a full service restart (a cold mount) halfway."""
     FleetService.init_fleet(str(root), make_spec())
     FleetService(str(root), jobs=jobs).run_days(DAYS // 2)
     service = FleetService(str(root), jobs=jobs)
@@ -82,31 +95,86 @@ def run_with_cold_restart(root, jobs):
 
 
 @pytest.fixture(scope="module")
-def fleet_trio(tmp_path_factory):
-    roots = {
-        "parallel": tmp_path_factory.mktemp("aff_parallel"),
-        "serial": tmp_path_factory.mktemp("aff_serial"),
-        "cold": tmp_path_factory.mktemp("aff_cold"),
-    }
+def fleet_runs(tmp_path_factory):
+    roots = {name: tmp_path_factory.mktemp("aff_" + name)
+             for name in ("parallel", "serial", "cold", "cold_serial")}
     services = {
         "parallel": run_with_midrun_invalidation(roots["parallel"], jobs=2),
         "serial": run_with_midrun_invalidation(roots["serial"], jobs=1),
         "cold": run_with_cold_restart(roots["cold"], jobs=2),
+        "cold_serial": run_with_cold_restart(roots["cold_serial"], jobs=1),
     }
     return roots, services
 
 
-class TestDeterminism:
-    @pytest.mark.parametrize("variant", ["serial", "cold"])
-    @pytest.mark.parametrize("rel", COMPARED_FILES)
-    def test_byte_identical_to_parallel(self, fleet_trio, variant, rel):
-        roots, _ = fleet_trio
-        assert filecmp.cmp(os.path.join(str(roots["parallel"]), rel),
-                           os.path.join(str(roots[variant]), rel),
-                           shallow=False), "%s differs (%s)" % (rel, variant)
+def _same(roots, one, other, rel):
+    return filecmp.cmp(os.path.join(str(roots[one]), rel),
+                       os.path.join(str(roots[other]), rel), shallow=False)
 
-    def test_epoch_bumped_by_invalidation(self, fleet_trio):
-        _, services = fleet_trio
+
+def _json_lines(root, rel):
+    with open(os.path.join(str(root), rel)) as handle:
+        return [json.loads(line) for line in handle]
+
+
+def _leaf_diffs(one, other, path=()):
+    """``(path, one's leaf, other's leaf)`` wherever two JSON values differ."""
+    if isinstance(one, dict) and isinstance(other, dict) \
+            and one.keys() == other.keys():
+        return [diff for key in one
+                for diff in _leaf_diffs(one[key], other[key], path + (key,))]
+    if isinstance(one, list) and isinstance(other, list) \
+            and len(one) == len(other):
+        return [diff for index, pair in enumerate(zip(one, other))
+                for diff in _leaf_diffs(*pair, path + (index,))]
+    return [] if one == other else [(path, one, other)]
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("variant", sorted(PAIRS))
+    @pytest.mark.parametrize("rel", COMPARED_FILES)
+    def test_byte_identical_to_parallel(self, fleet_runs, variant, rel):
+        roots, _ = fleet_runs
+        assert _same(roots, *PAIRS[variant], rel), \
+            "%s differs (%s)" % (rel, variant)
+
+    def test_a_restart_costs_each_logical_tenant_one_cold_dump(self,
+                                                               fleet_runs):
+        roots, _ = fleet_runs
+        warm, cold = roots["parallel"], roots["cold"]
+        for rel in COMPARED_FILES:
+            if rel.startswith(tuple("tenants/%s/" % name for name in IMAGE)) \
+                    or rel.endswith(("media.bin", "catalog.json",
+                                     "volume.bin")):
+                assert _same(roots, "parallel", "cold", rel), rel
+        # The event log: one number per logical tenant, strictly larger.
+        events = _json_lines(cold, "events.jsonl")
+        moved = {}
+        for path, before, after in _leaf_diffs(
+                _json_lines(warm, "events.jsonl"), events):
+            event = events[path[0]]
+            assert path[1:] == ("sim_seconds",) and after > before
+            assert (event["event"], event["kind"], event["day"]) == (
+                "finish", "dump", DAYS // 2)  # the first day after it
+            moved[event["tenant"]] = (before, after)
+        assert sorted(moved) == sorted(LOGICAL)
+        # The same seconds, and nothing else, in the journal and the state.
+        for name in LOGICAL:
+            rel = "tenants/%s/catalog.json.journal" % name
+            (path, before, after), = _leaf_diffs(_json_lines(warm, rel),
+                                                 _json_lines(cold, rel))
+            assert path[-1] == "end_time"
+            assert after - before == pytest.approx(
+                moved[name][1] - moved[name][0], abs=1e-6)
+        recent = _leaf_diffs(load_state(str(warm)), load_state(str(cold)))
+        assert all(path[0] == "recent" and path[2:] == ("outcome",
+                                                        "sim_seconds")
+                   for path, _, _ in recent)
+        assert sorted((before, after) for _, before, after in recent) \
+            == sorted(moved.values())
+
+    def test_epoch_bumped_by_invalidation(self, fleet_runs):
+        _, services = fleet_runs
         for variant in ("parallel", "serial"):
             service = services[variant]
             assert service.tenants[INVALIDATED].epoch == 1
@@ -116,8 +184,8 @@ class TestDeterminism:
 
 
 class TestStickiness:
-    def test_affinity_covers_all_tenants_and_lanes(self, fleet_trio):
-        roots, services = fleet_trio
+    def test_affinity_covers_all_tenants_and_lanes(self, fleet_runs):
+        roots, services = fleet_runs
         affinity = services["parallel"].scheduler.affinity
         assert sorted(affinity) == ["alfa", "beta", "dune", "gila"]
         # Two drive lanes, four tenants: both lanes carry two tenants.
@@ -125,14 +193,15 @@ class TestStickiness:
         assert lanes == [0, 0, 1, 1]
         assert load_state(str(roots["parallel"]))["affinity"] == affinity
 
-    def test_affinity_identical_across_variants(self, fleet_trio):
-        _, services = fleet_trio
+    def test_affinity_identical_across_variants(self, fleet_runs):
+        _, services = fleet_runs
         reference = services["parallel"].scheduler.affinity
         assert services["serial"].scheduler.affinity == reference
         assert services["cold"].scheduler.affinity == reference
+        assert services["cold_serial"].scheduler.affinity == reference
 
-    def test_assignment_happens_once_then_sticks(self, fleet_trio):
-        roots, _ = fleet_trio
+    def test_assignment_happens_once_then_sticks(self, fleet_runs):
+        roots, _ = fleet_runs
         with open(os.path.join(str(roots["parallel"]),
                                "events.jsonl")) as handle:
             events = [json.loads(line) for line in handle]

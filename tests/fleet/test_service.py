@@ -37,6 +37,9 @@ COMPARED_FILES = [
     "tenants/acme/media.bin",
     "tenants/bolt/media.bin",
     "tenants/corp/media.bin",
+    "tenants/acme/volume.bin",
+    "tenants/bolt/volume.bin",
+    "tenants/corp/volume.bin",
 ]
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.configs import EliotConfig
-from repro.bench.run_all import Preset, generate_body
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer, get_tracer, set_tracer
 from repro.parallel import TaskPool, TaskSpec, fork_available
@@ -74,40 +72,24 @@ def test_streams_and_metrics_identical_serial_vs_jobs2():
     assert parallel == serial
 
 
-def _traced_body(preset, jobs, **kwargs):
-    set_tracer(Tracer())
-    try:
-        body = generate_body(preset, jobs=jobs,
-                             echo=lambda *_a, **_k: None, **kwargs)
-        events = get_tracer().take_events()
-    finally:
-        set_tracer(None)
-    return body, events
-
-
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
-def test_run_all_reduced_trace_is_jobs_invariant():
+def test_run_all_reduced_trace_is_jobs_invariant(reduced_grid):
     """The full reduced grid, traced, matches byte-for-byte across jobs."""
-    reduced = Preset.named("reduced")
-    serial_body, serial_events = _traced_body(reduced, 1)
-    parallel_body, parallel_events = _traced_body(reduced, 2)
-    assert parallel_body == serial_body
-    assert serial_events, "traced grid produced no events"
-    assert parallel_events == serial_events
+    serial = reduced_grid[1, "cold", True]
+    parallel = reduced_grid[2, "none", True]
+    assert parallel.body == serial.body
+    assert serial.events, "traced grid produced no events"
+    assert parallel.events == serial.events
 
 
 @pytest.mark.parametrize("jobs", JOBS)
-def test_run_all_trace_with_env_cache_is_output_neutral(tmp_path, jobs):
-    """``run_all --mode fullscale --env-cache F --trace T`` in miniature:
-    Tables 1-3 from a cached environment, traced — the run completes (it
-    used to die on the build-count assertion), the body equals the
-    untraced one, and the stream does not depend on ``--jobs`` or on
-    whether the cache file was just written or loaded."""
-    tiny = Preset(EliotConfig(scale=16000, aging_rounds=1))
-    path = str(tmp_path / "tiny.env")
-    cold_body, cold_events = _traced_body(tiny, 1, env_cache=path)
-    warm_body, warm_events = _traced_body(tiny, jobs, env_cache=path)
-    untraced = generate_body(tiny, jobs=jobs, env_cache=path,
-                             echo=lambda *_a, **_k: None)
-    assert warm_body == cold_body == untraced
-    assert cold_events and warm_events == cold_events
+def test_run_all_trace_with_env_cache_is_output_neutral(reduced_grid, jobs):
+    """``run_all --env-cache F --trace T``: the grid from a cached
+    environment, traced — the run completes (it used to die on the
+    build-count assertion), the body equals the untraced one, and the
+    stream does not depend on ``--jobs`` or on whether the cache file was
+    just written or loaded."""
+    cold = reduced_grid[1, "cold", True]
+    warm = reduced_grid[jobs, "warm", True]
+    assert warm.body == cold.body == reduced_grid[1, "none", False].body
+    assert cold.events and warm.events == cold.events

@@ -1,4 +1,4 @@
-"""Volume, environment, tape and media container persistence."""
+"""Volume, environment, tenant, tape and media container persistence."""
 
 import json
 import os
@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from repro.bench import run_all
+from repro.bench import configs, run_all
 from repro.bench.configs import EliotConfig
 from repro.cli import main
 from repro.errors import ReproError, StorageError, TapeError
@@ -30,6 +30,7 @@ from repro.storage.tape import TapeCartridge
 from repro.units import KB, MB
 from repro.wafl.filesystem import WaflFilesystem
 from repro.wafl.fsck import fsck
+from repro.workload.generator import GeneratedTree
 
 from tests.conftest import (
     make_drive,
@@ -206,7 +207,7 @@ def test_compression_keeps_containers_small(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The one container, as each of its four kinds
+# The one container, as each of its five kinds
 # ---------------------------------------------------------------------------
 
 def _tiny_volume(name, fill):
@@ -240,8 +241,8 @@ def _tiny_drive():
     return drive
 
 
-def _load_env_state(path):
-    header, volumes = load_env_container(path)
+def _load_env_state(path, kind="env"):
+    header, volumes = load_env_container(path, kind)
     return header, [_volume_state(volume) for volume in volumes]
 
 
@@ -261,6 +262,12 @@ KINDS = {
             path, {"config": {"seed": 7}, "with_rlse": True},
             [_tiny_volume("home", 0x22), _tiny_volume("rlse", 0x33)]),
         _load_env_state),
+    "tenant": (
+        lambda path: save_env_container(
+            path, {"tree": GeneratedTree().to_json(),
+                   "kept_snapshots": [[0, "img.t.J00001", 7]]},
+            [_tiny_volume("t", 0x44)], "tenant"),
+        lambda path: _load_env_state(path, "tenant")),
     "tape": (lambda path: save_tape(_tiny_drive(), path), _load_tape_state),
     "media": (
         lambda path: save_media(_tiny_cartridges(), path),
@@ -463,9 +470,9 @@ def test_a_version_1_container_is_refused_in_one_line(tmp_path, capsys):
 def test_a_stale_env_cache_says_to_delete_it(tmp_path, capsys):
     stale = str(tmp_path / "stale.env")
     shutil.copy(os.path.join(_V1, "v1.env"), stale)
-    config = EliotConfig(scale=60000, aging_rounds=1, seed=7)
+    preset = run_all.Preset(EliotConfig(scale=60000, aging_rounds=1, seed=7))
     with pytest.raises(ReproError) as failure:
-        run_all.prepare_env(config, stale, echo=lambda *_: None)
+        run_all.generate_body(preset, env_cache=stale, echo=lambda *_: None)
     assert str(failure.value) == ("%s %s; delete it to rebuild"
                                   % (stale, _V1_REFUSAL))
     # ... and the document driver prints that line, not a traceback.
@@ -481,7 +488,7 @@ def test_a_stale_env_cache_says_to_delete_it(tmp_path, capsys):
 
 def test_only_the_env_cache_refusal_loses_its_traceback(tmp_path, monkeypatch):
     """A ``ReproError`` out of an experiment is a bug report: ``main``
-    lets it through whole.  So is a scratch file ``prepare_env`` wrote
+    lets it through whole.  So is a scratch file ``build_home_env`` wrote
     itself and cannot read back — there is nothing for the user to delete."""
     def broken(*_args, **_kwargs):
         raise ReproError("verify found 3 differences")
@@ -492,16 +499,16 @@ def test_only_the_env_cache_refusal_loses_its_traceback(tmp_path, monkeypatch):
 
     def unreadable(path):
         raise StorageError("%s is damaged" % path)
-    monkeypatch.setattr(run_all, "load_env", unreadable)
-    config = EliotConfig(scale=60000, aging_rounds=1, seed=7)
+    monkeypatch.setattr(configs, "load_env", unreadable)
+    preset = run_all.Preset(EliotConfig(scale=60000, aging_rounds=1, seed=7))
     with pytest.raises(StorageError, match="is damaged$"):
-        run_all.prepare_env(config, None, echo=lambda *_: None)
+        run_all.generate_body(preset, echo=lambda *_: None)
 
 
 def test_a_pickle_carrying_a_version_1_image_is_a_storage_error():
-    """``volume.pkl`` bundles outlive the process too: one written when
-    the image recorded 1024-block chunks must fail like a container does,
-    not inside numpy."""
+    """File systems cross process boundaries pickled (pool IPC, worker
+    residents): a pickle whose image recorded 1024-block chunks must fail
+    like a container does, not inside numpy."""
     fs = make_fs(ngroups=1, ndata=2, blocks_per_disk=1100)
     populate_small_tree(fs)
     with mock.patch.object(VirtualDisk, "pack_chunks", version_1_image):
@@ -511,3 +518,36 @@ def test_a_pickle_carrying_a_version_1_image_is_a_storage_error():
     assert "\n" not in str(failure.value)
     assert pickle.loads(pickle.dumps(fs)).read_file(
         "/docs/readme.txt") == fs.read_file("/docs/readme.txt")
+
+
+def test_a_fleet_root_from_before_volume_bin_is_refused_in_one_line(
+        tmp_path, capsys):
+    """No reader for the old pickles: a tenant directory holding only
+    ``volume.pkl`` is one error line naming ``fleet init``, exit 2, and
+    nothing in it is touched."""
+    from repro.fleet import FleetService, FleetSpec, TenantSpec
+
+    root = str(tmp_path / "fleet")
+    FleetService.init_fleet(root, FleetSpec(tenants=[TenantSpec(
+        "solo", data_bytes=100_000, cartridges=4,
+        cartridge_capacity=1_000_000, blocks_per_disk=600)]))
+    tenant_dir = os.path.join(root, "tenants", "solo")
+    os.rename(os.path.join(tenant_dir, "volume.bin"),
+              os.path.join(tenant_dir, "volume.pkl"))
+
+    def snapshot():
+        listing = {}
+        for name in sorted(os.listdir(tenant_dir)):
+            with open(os.path.join(tenant_dir, name), "rb") as handle:
+                listing[name] = handle.read()
+        return listing
+
+    before = snapshot()
+    capsys.readouterr()
+    assert main(["fleet", "run", root, "--days", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro-backup: error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "volume.pkl" in captured.err and "`fleet init`" in captured.err
+    assert snapshot() == before
