@@ -136,19 +136,17 @@ def bench_block_cache() -> Dict[str, float]:
     """get_run/put_run hit paths of the LRU block cache."""
     from repro.wafl.buffercache import BlockCache
 
-    bs = 4096
     nblocks = 512
     cache = BlockCache(capacity_blocks=2 * nblocks)
-    data = bytes(nblocks * bs)
-    cache.put_run(0, data, bs)
+    cache.put_run(0, nblocks)
 
     ops = 0
     start = time.perf_counter()
     for rep in range(40):
         for base in range(0, nblocks - 8, 8):
-            cache.get_run(base, 8, bs)
+            cache.get_run(base, 8)
             ops += 8
-        cache.put_run(0, data, bs)
+        cache.put_run(0, nblocks)
         ops += nblocks
     seconds = time.perf_counter() - start
     return {"seconds": seconds, "rate": ops / seconds, "unit": "block-ops/s"}
@@ -344,14 +342,13 @@ def bench_obs_null() -> Dict[str, float]:
                 hits += 1
         gate_seconds = time.perf_counter() - start
 
-        bs = 4096
         nblocks = 512
         cache = BlockCache(capacity_blocks=2 * nblocks)
-        cache.put_run(0, bytes(nblocks * bs), bs)
+        cache.put_run(0, nblocks)
         ops = 20_000
         start = time.perf_counter()
         for i in range(ops):
-            cache.get_run((i * 8) % (nblocks - 8), 8, bs)
+            cache.get_run((i * 8) % (nblocks - 8), 8)
         op_seconds = time.perf_counter() - start
     finally:
         REGISTRY.enabled = was_enabled

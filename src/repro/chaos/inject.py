@@ -110,7 +110,8 @@ def corrupt_written_cartridge(drive, cartridge_back: int,
         raise ChaosFault("cartridge %r has no data to corrupt"
                          % (cartridge.label,))
     offset = min(cartridge.used - 1, int(offset_frac * cartridge.used))
-    cartridge.data[offset] ^= xor
+    cartridge.overwrite(
+        offset, bytes([cartridge.read_at(offset, 1)[0] ^ xor]))
     return {"cartridge": cartridge.label, "slot": slot,
             "offset": offset, "xor": xor}
 

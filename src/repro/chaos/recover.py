@@ -125,22 +125,18 @@ def _verify_prefix(drive, replica, fault_kind: str,
     verified = 0
     for slot in range(trusted_slots):
         real = drive.stacker.cartridges[slot]
-        want = replica.stacker.cartridges[slot].data
-        if partial_last and slot == trusted_slots - 1:
-            if bytes(real.data) != bytes(want[: real.used]):
-                raise ChaosFault(
-                    "surviving partial cartridge %r diverges from replay"
-                    % (real.label,))
-        elif bytes(real.data) != bytes(want):
+        want = replica.stacker.cartridges[slot]
+        whole = not (partial_last and slot == trusted_slots - 1)
+        if not want.starts_with(real) or (whole and real.used != want.used):
             raise ChaosFault(
-                "surviving cartridge %r diverges from replay" % (real.label,))
+                "surviving %scartridge %r diverges from replay"
+                % ("" if whole else "partial ", real.label))
         verified += real.used
     detected = None
     if fault_kind == KIND_CORRUPT:
         slot = damage["slot"]
         real = drive.stacker.cartridges[slot]
-        want = replica.stacker.cartridges[slot].data
-        if bytes(real.data) == bytes(want[: real.used]):
+        if replica.stacker.cartridges[slot].starts_with(real):
             raise ChaosFault(
                 "corrupted cartridge %r reads back clean" % (real.label,))
         detected = real.label
@@ -152,8 +148,7 @@ def _install_replica(drive, replica) -> None:
     """Adopt the verified replay onto the real cartridges and drive."""
     stacker = drive.stacker
     for slot in range(replica.stacker.next_slot):
-        stacker.cartridges[slot].data = bytearray(
-            replica.stacker.cartridges[slot].data)
+        stacker.cartridges[slot].adopt(replica.stacker.cartridges[slot])
     stacker.next_slot = replica.stacker.next_slot
     drive.bytes_written = replica.bytes_written
     drive.media_changes = replica.media_changes

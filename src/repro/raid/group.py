@@ -49,10 +49,7 @@ class RaidGroup:
             geometry.blocks_per_disk, block_size, name="%s.parity" % name
         )
         self.reconstructed_reads = 0
-
-    @property
-    def data_blocks(self) -> int:
-        return self.geometry.data_blocks
+        self.data_blocks = geometry.data_blocks
 
     def _locate(self, group_block: int):
         if not 0 <= group_block < self.data_blocks:
@@ -63,7 +60,13 @@ class RaidGroup:
         stripe = group_block // self.geometry.ndata_disks
         return disk_index, stripe
 
-    def read_block(self, group_block: int) -> bytes:
+    def read_block(self, group_block: int, device: bool = True) -> bytes:
+        """One group block: a ``device`` read (counted, fault-checked,
+        reconstructed from the stripe if unreadable), or — a buffer-cache
+        hit — the same bytes straight from the member's store."""
+        if not device:
+            nd = self.geometry.ndata_disks
+            return self.data_disks[group_block % nd].block(group_block // nd)
         disk_index, stripe = self._locate(group_block)
         try:
             return self.data_disks[disk_index].read_block(stripe)
@@ -84,16 +87,19 @@ class RaidGroup:
 
     # -- bulk (run) operations -------------------------------------------
 
-    def read_run(self, group_block: int, nblocks: int, out: bytearray,
-                 offset: int) -> None:
-        """Read a contiguous run of group blocks into ``out`` at ``offset``.
+    def read_run(self, group_block: int, nblocks: int, out: list, at: int,
+                 device: bool = True) -> None:
+        """Gather a contiguous run of group blocks into ``out[at:]``, one
+        buffer per block, for the caller to join.
 
         Consecutive group blocks stripe across the data disks, so the run
-        decomposes into one contiguous stripe range per member disk; each
-        column is read with one bulk :meth:`VirtualDisk.read_run` and
-        scattered into place.  A column containing a bad stripe falls back
-        to per-block reads with reconstruction, identical to the scalar
-        path.
+        decomposes into one contiguous stripe range per member disk, and
+        each member lands its column's buffers every ``ndata_disks``-th
+        slot: de-striping copies nothing.  A ``device`` read goes through
+        each member's :meth:`VirtualDisk.read_run` (counted and
+        fault-checked; a column containing a bad stripe falls back to
+        per-block reads with reconstruction, identical to the scalar
+        path); a buffer-cache hit is the same gather without the device.
         """
         if nblocks <= 0:
             raise RaidError("zero-length run read on %r" % self.name)
@@ -103,45 +109,20 @@ class RaidGroup:
                 % (group_block, group_block + nblocks, self.name)
             )
         nd = self.geometry.ndata_disks
-        bs = self.block_size
         end = group_block + nblocks
-        rows = None
-        for disk_index in range(nd):
-            first = group_block + ((disk_index - group_block) % nd)
-            if first >= end:
-                continue
+        # The run's first (up to) nd blocks each open one member's column.
+        for first in range(group_block, min(end, group_block + nd)):
             count = (end - 1 - first) // nd + 1
-            disk = self.data_disks[disk_index]
-            try:
-                column = disk.read_run(first // nd, count)
-            except StorageError:
-                for j in range(count):
-                    gb = first + j * nd
-                    pos = offset + (gb - group_block) * bs
-                    out[pos : pos + bs] = self.read_block(gb)
+            disk = self.data_disks[first % nd]
+            slot = at + first - group_block
+            if not device:
+                disk.gather(first // nd, count, out, slot, nd)
                 continue
-            if nd == 1:
-                out[offset : offset + count * bs] = column
-            elif count <= 8:
-                # Short column: plain byte slicing beats numpy call
-                # overhead.
-                pos = offset + (first - group_block) * bs
-                stride = nd * bs
-                cpos = 0
-                for _ in range(count):
-                    out[pos : pos + bs] = column[cpos : cpos + bs]
-                    pos += stride
-                    cpos += bs
-            else:
-                # De-stripe with one strided numpy scatter: the column's
-                # blocks land every nd-th row of the output region.
-                if rows is None:
-                    rows = np.frombuffer(out, dtype=np.uint8)[
-                        offset : offset + nblocks * bs
-                    ].reshape(nblocks, bs)
-                rows[first - group_block :: nd] = np.frombuffer(
-                    column, dtype=np.uint8
-                ).reshape(count, bs)
+            try:
+                disk.read_run(first // nd, count, out, slot, nd)
+            except StorageError:
+                out[slot : at + nblocks : nd] = [
+                    self.read_block(gb) for gb in range(first, end, nd)]
 
     def write_run(self, group_block: int, data, offset: int,
                   nblocks: int) -> None:
@@ -288,6 +269,7 @@ class RaidGroup:
         other.data_disks = [disk.clone() for disk in self.data_disks]
         other.parity_disk = self.parity_disk.clone()
         other.reconstructed_reads = self.reconstructed_reads
+        other.data_blocks = self.data_blocks
         return other
 
     def verify_parity(self) -> bool:

@@ -109,33 +109,35 @@ class RaidVolume:
     def read_run(self, start_block: int, nblocks: int) -> bytes:
         """Read ``nblocks`` contiguous volume blocks as one access.
 
-        With a cache attached, a fully resident run costs no I/O; a run
-        with any cold block is read (and recorded) whole, which is how a
-        real chained read behaves.  The transfer is bulk: one output
-        buffer, filled per RAID group by per-disk column reads.  Nine
-        reads in ten are one block (DESIGN.md, "One block path"), so that
-        size goes to the group's block read with no intermediate buffer.
+        The bytes come from the member disks' chunk stores in one copy:
+        each RAID group gathers one buffer per block and the run is their
+        join.  The cache only decides whether the *device* is involved.
+        A fully resident run is the bare gather — no disk ``reads``, no
+        fault lookup or reconstruction, no recorder event, so no I/O
+        time — which is exact because a media fault marks a block
+        unreadable and leaves its stored bytes alone.  A run with any
+        cold block is read (and recorded) whole, as a real chained read
+        is.  Nine reads in ten are one block (DESIGN.md, "One block
+        path"): that size skips the list.
         """
         if nblocks <= 0:
             raise RaidError("zero-length run read")
-        bs = self.block_size
         cache = None if self.uncached_reads else self.cache
-        if cache is not None:
-            cached = cache.get_run(start_block, nblocks, bs)
-            if cached is not None:
-                return bytes(cached)
+        device = cache is None or not cache.get_run(start_block, nblocks)
         if nblocks == 1:
             group, group_block = self._piece(start_block)
-            result = group.read_block(group_block)
+            result = group.read_block(group_block, device)
         else:
-            out = bytearray(nblocks * bs)
-            offset = 0
+            buffers: list = [None] * nblocks
+            at = 0
             for group, group_block, count in self._pieces(start_block, nblocks):
-                group.read_run(group_block, count, out, offset)
-                offset += count * bs
-            result = bytes(out)
+                group.read_run(group_block, count, buffers, at, device)
+                at += count
+            result = b"".join(buffers)
+        if not device:
+            return result
         if cache is not None:
-            cache.put_run(start_block, result, bs)
+            cache.put_run(start_block, nblocks)
         if self.recorder is not None:
             self.recorder.on_read(start_block, nblocks)
         if REGISTRY.enabled:
@@ -170,7 +172,7 @@ class RaidVolume:
                 group.write_run(group_block, data, offset + done * bs, count)
                 done += count
         if self.cache is not None:
-            self.cache.put_run(start_block, data, bs, offset, nblocks)
+            self.cache.put_run(start_block, nblocks)
         if self.recorder is not None:
             self.recorder.on_write(start_block, nblocks)
         if REGISTRY.enabled:
@@ -261,8 +263,8 @@ class RaidVolume:
         """A copy-on-write copy of this volume.
 
         Groups (and their disks) are cloned chunk-sharing; the buffer
-        cache is copied entry-sharing (entries are immutable bytes / lazy
-        references, so a shallow copy preserves hit/miss state exactly).
+        cache's residency set is copied, which preserves hit/miss state
+        exactly.
         No recorder is attached — the caller wires its own observation,
         exactly as after a fresh build.
         """

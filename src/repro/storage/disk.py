@@ -141,18 +141,23 @@ class VirtualDisk:
             self._bad_shared = False
         return self._bad
 
-    def read_block(self, block: int) -> bytes:
-        """Return the 4 KB contents of ``block`` (zeros if never written)."""
-        self._check(block)
-        if block in self._bad:
-            raise StorageError("media error reading block %d of %r" % (block, self.name))
-        self.reads += 1
+    def block(self, block: int) -> bytes:
+        """:meth:`gather` for one block, copied out: the store's bytes
+        (zeros if never written), with nothing of the device about it."""
         cb = self._chunk_blocks
         chunk = self._chunks.get(block // cb)
         if chunk is None:
             return self._zero
         off = (block % cb) * self.block_size
         return bytes(chunk[off : off + self.block_size])
+
+    def read_block(self, block: int) -> bytes:
+        """Return the 4 KB contents of ``block`` (zeros if never written)."""
+        self._check(block)
+        if block in self._bad:
+            raise StorageError("media error reading block %d of %r" % (block, self.name))
+        self.reads += 1
+        return self.block(block)
 
     def write_block(self, block: int, data: bytes) -> None:
         self._check(block)
@@ -181,14 +186,49 @@ class VirtualDisk:
         hits = [b for b in self._bad if start_block <= b < end_block]
         return min(hits) if hits else None
 
-    def read_run(self, start_block: int, nblocks: int) -> bytearray:
-        """Read ``nblocks`` contiguous blocks into one buffer.
+    def gather(self, start_block: int, nblocks: int, out: list,
+               at: int = 0, step: int = 1) -> None:
+        """Put one buffer per block of the run into ``out[at::step]``: a
+        view of the chunk that holds the block, or the shared zero block
+        where no chunk is materialized (``step`` is how a RAID group
+        de-stripes: each member's column lands every ``step``-th slot).
 
+        This is the part of a read that is not the device — no copy, no
+        range or fault check, no accounting — and so all a buffer-cache
+        hit does.  The views alias the live store: join them before
+        anything writes.
+        """
+        bs = self.block_size
+        cb = self._chunk_blocks
+        chunks = self._chunks
+        views: list = []
+        block = start_block
+        end = start_block + nblocks
+        while block < end:
+            ci = block // cb
+            take = min(end, (ci + 1) * cb) - block
+            chunk = chunks.get(ci)
+            if chunk is None:
+                views += [self._zero] * take
+            else:
+                src = (block - ci * cb) * bs
+                views += [chunk[off : off + bs]
+                          for off in range(src, src + take * bs, bs)]
+            block += take
+        out[at : at + (nblocks - 1) * step + 1 : step] = views
+
+    def read_run(self, start_block: int, nblocks: int,
+                 out: Optional[list] = None, at: int = 0,
+                 step: int = 1) -> Optional[bytes]:
+        """Read ``nblocks`` contiguous blocks: :meth:`gather` behind the
+        device's range check, fault check and ``reads`` accounting.
+
+        With ``out`` the blocks' buffers land in ``out[at::step]`` as
+        :meth:`gather` leaves them; without, the run is returned joined.
         Raises before counting anything if any block in the range is bad,
         so callers can fall back to per-block reads (with reconstruction)
         and still observe the same ``reads`` accounting as the scalar
-        path.  Ranges with no materialized chunk stay zero in the output
-        without allocating backing store.
+        path.
         """
         if nblocks <= 0:
             raise StorageError("zero-length run read on %r" % self.name)
@@ -203,26 +243,11 @@ class VirtualDisk:
                     "media error reading block %d of %r" % (bad, self.name)
                 )
         self.reads += nblocks
-        bs = self.block_size
-        cb = self._chunk_blocks
-        ci = start_block // cb
-        if ci == (end - 1) // cb:
-            # Run within one chunk: a single slice copy, no assembly.
-            chunk = self._chunks.get(ci)
-            if chunk is None:
-                return bytearray(nblocks * bs)
-            src = (start_block - ci * cb) * bs
-            return bytearray(chunk[src : src + nblocks * bs])
-        out = bytearray(nblocks * bs)
-        chunks = self._chunks
-        for i in range(ci, (end - 1) // cb + 1):
-            chunk = chunks.get(i)
-            if chunk is not None:
-                lo = max(start_block, i * cb)
-                hi = min(end, (i + 1) * cb)
-                out[(lo - start_block) * bs : (hi - start_block) * bs] = (
-                    chunk[(lo - i * cb) * bs : (hi - i * cb) * bs])
-        return out
+        if out is None:
+            out = []
+            self.gather(start_block, nblocks, out)
+            return b"".join(out)
+        self.gather(start_block, nblocks, out, at, step)
 
     def write_run(self, start_block: int, data) -> None:
         """Write contiguous blocks from one buffer (block-aligned).

@@ -11,8 +11,10 @@ Every frame is ``u64 length | zlib stream``.  The header is JSON: its
 ``kind`` names what the file is, its ``volumes`` (name, geometry) and
 ``cartridges`` (label, capacity) lists announce the payload frames — one
 :meth:`~repro.storage.disk.VirtualDisk.pack_chunks` image per member
-disk, then one byte stream per cartridge.  Equal state makes equal
-files, which the chaos and ``--jobs`` gates compare byte for byte.
+disk, then one byte stream per cartridge (its records end to end; the
+file does not say where one record stopped and the next began).  Equal
+state makes equal files, which the chaos and ``--jobs`` gates compare
+byte for byte.
 Writes replace the file atomically; every way a file can be wrong is a
 :class:`~repro.errors.StorageError`, which the CLI prints as one line.
 """
@@ -42,11 +44,17 @@ _FRAME = struct.Struct("<Q")
 
 
 def _write_frame(handle: BinaryIO, payload) -> None:
+    """One frame from ``payload``: a buffer, or a list of buffers (a
+    cartridge's records) deflated as the one stream their join would be —
+    the same bytes, without building the join."""
     # Level 1: these containers are rewritten on every commit, so write
     # speed beats ratio; decompression accepts any level unchanged.
-    compressed = zlib.compress(payload, level=1)
-    handle.write(_FRAME.pack(len(compressed)))
-    handle.write(compressed)
+    deflater = zlib.compressobj(level=1)
+    compressed = [deflater.compress(piece) for piece in
+                  (payload if isinstance(payload, list) else [payload])]
+    compressed.append(deflater.flush())
+    handle.write(_FRAME.pack(sum(map(len, compressed))))
+    handle.writelines(compressed)
 
 
 def _read_frame(handle: BinaryIO, path: str) -> bytes:
@@ -98,7 +106,7 @@ def _write_container(path: str, kind: str, extra: Dict,
                 for disk in _disks(volume):
                     _write_frame(handle, disk.pack_chunks())
             for cartridge in cartridges:
-                _write_frame(handle, cartridge.data)
+                _write_frame(handle, list(cartridge.records()))
             size = handle.tell()
         os.replace(temp, path)
     except BaseException:

@@ -3,14 +3,17 @@
 The data plane (:class:`TapeCartridge`, :class:`TapeDrive`) is byte
 faithful — the dump stream written during a backup is the exact stream a
 restore later reads, including spans across cartridge boundaries handled by
-a :class:`TapeStacker`.  The timing plane (:class:`TapeModel`) is a
-streaming-rate model with per-record overhead and load/rewind latencies,
-matching how a DLT-7000 behaves when it is kept streaming.
+a :class:`TapeStacker` — and holds each byte once: a cartridge keeps the
+immutable records it was handed, not a buffer they were copied into.  The
+timing plane (:class:`TapeModel`) is a streaming-rate model with per-record
+overhead and load/rewind latencies, matching how a DLT-7000 behaves when it
+is kept streaming.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from bisect import bisect_right
+from typing import Iterator, List, Optional
 
 from repro.errors import TapeError
 from repro.obs.metrics import REGISTRY
@@ -18,35 +21,101 @@ from repro.units import GB, KB, MB
 
 
 class TapeCartridge:
-    """A single removable tape: an append-only byte stream with capacity."""
+    """A single removable tape: an append-only byte stream with capacity.
+
+    The stream is kept as the records it was written in — immutable
+    ``bytes``, by reference — plus their start offsets: a write copies
+    nothing, a read at a record's own boundaries returns the object
+    written, and a verified replay shares its records with the media.
+    """
 
     def __init__(self, capacity: int = 35 * GB, label: str = ""):
         if capacity <= 0:
             raise TapeError("cartridge capacity must be positive")
         self.capacity = capacity
         self.label = label
-        self.data = bytearray()
+        self._records: List[bytes] = []
+        self._starts: List[int] = []
+        self.used = 0
         self.write_protected = False
 
     @property
-    def used(self) -> int:
-        return len(self.data)
-
-    @property
     def remaining(self) -> int:
-        return self.capacity - len(self.data)
+        return self.capacity - self.used
 
-    def append(self, chunk: bytes) -> None:
+    def append(self, chunk) -> None:
         if self.write_protected:
             raise TapeError("cartridge %r is write protected" % (self.label,))
-        if len(self.data) + len(chunk) > self.capacity:
+        if self.used + len(chunk) > self.capacity:
             raise TapeError("end of tape on cartridge %r" % (self.label,))
-        self.data.extend(chunk)
+        if chunk:
+            self._records.append(
+                chunk if isinstance(chunk, bytes) else bytes(chunk))
+            self._starts.append(self.used)
+            self.used += len(chunk)
 
     def erase(self) -> None:
         if self.write_protected:
             raise TapeError("cartridge %r is write protected" % (self.label,))
-        self.data = bytearray()
+        self._records = []
+        self._starts = []
+        self.used = 0
+
+    def records(self) -> Iterator[bytes]:
+        """The whole stream, in order, as the records that hold it."""
+        return iter(self._records)
+
+    def _span(self, offset: int, nbytes: int):
+        """``(index, record, lo, hi)`` for each record that holds part of
+        ``[offset, offset + nbytes)``: the part is ``record[lo:hi]``."""
+        end = offset + nbytes
+        if offset < 0 or nbytes < 0 or end > self.used:
+            raise TapeError("bytes [%d, %d) are not on cartridge %r (%d used)"
+                            % (offset, end, self.label, self.used))
+        index = bisect_right(self._starts, offset) - 1
+        while offset < end:
+            record = self._records[index]
+            lo = offset - self._starts[index]
+            hi = min(len(record), lo + end - offset)
+            yield index, record, lo, hi
+            offset += hi - lo
+            index += 1
+
+    def read_at(self, offset: int, nbytes: int) -> bytes:
+        """``nbytes`` of the stream from ``offset``.  A read that is
+        exactly one record is that record, not a copy; one inside a
+        record is a slice of it; only a read across records assembles."""
+        spans = list(self._span(offset, nbytes))
+        if len(spans) == 1:
+            _index, record, lo, hi = spans[0]
+            return record if hi - lo == len(record) else record[lo:hi]
+        return b"".join([memoryview(record)[lo:hi]
+                         for _index, record, lo, hi in spans])
+
+    def overwrite(self, offset: int, data) -> None:
+        """Replace ``len(data)`` recorded bytes from ``offset`` in place:
+        media damage (fault injection and tests), not a drive write — it
+        ignores write protection and cannot extend the stream.  Only the
+        records it touches are rebuilt; sharers keep the old ones."""
+        data = bytes(data)
+        done = 0
+        for index, record, lo, hi in self._span(offset, len(data)):
+            self._records[index] = b"".join(
+                (record[:lo], data[done : done + hi - lo], record[hi:]))
+            done += hi - lo
+
+    def adopt(self, other: "TapeCartridge") -> None:
+        """Become a copy of ``other``'s stream, sharing its records."""
+        self._records = list(other._records)
+        self._starts = list(other._starts)
+        self.used = other.used
+
+    def starts_with(self, other: "TapeCartridge") -> bool:
+        """Whether ``other``'s whole stream is a prefix of this one,
+        compared record by record with no whole-cartridge copy."""
+        return other.used <= self.used and all(
+            self.read_at(start, len(record)) == record
+            for start, record in zip(other._starts, other._records))
 
 
 class TapeStacker:
@@ -120,7 +189,6 @@ class TapeDrive:
         if len(chunk) <= cartridge.remaining:
             # Fast path: the whole chunk fits on the loaded cartridge.
             cartridge.append(chunk)
-            self.bytes_written += len(chunk)
         else:
             view = memoryview(chunk)
             while len(view):
@@ -132,7 +200,7 @@ class TapeDrive:
                 take = min(space, len(view))
                 cartridge.append(bytes(view[:take]))
                 view = view[take:]
-            self.bytes_written += len(chunk)
+        self.bytes_written += len(chunk)
         changes = self.media_changes - changes_before
         if REGISTRY.enabled:
             REGISTRY.counter("tape.write_bytes").inc(len(chunk))
@@ -158,20 +226,13 @@ class TapeDrive:
         if REGISTRY.enabled:
             REGISTRY.counter("tape.read_bytes").inc(nbytes)
             REGISTRY.counter("tape.reads").inc()
-        if self.read_cartridge_index < len(self.stacker.cartridges):
-            cartridge = self.stacker.cartridges[self.read_cartridge_index]
-            start = self.read_offset
-            if cartridge.used - start >= nbytes:
-                # Fast path: the whole read lands on one cartridge.
-                self.read_offset = start + nbytes
-                self.bytes_read += nbytes
-                return bytes(cartridge.data[start : start + nbytes])
-        out = bytearray()
-        while len(out) < nbytes:
+        parts = []
+        got = 0
+        while got < nbytes:
             if self.read_cartridge_index >= len(self.stacker.cartridges):
                 raise TapeError(
                     "read past end of data on drive %r (wanted %d, got %d)"
-                    % (self.name, nbytes, len(out))
+                    % (self.name, nbytes, got)
                 )
             cartridge = self.stacker.cartridges[self.read_cartridge_index]
             available = cartridge.used - self.read_offset
@@ -180,12 +241,13 @@ class TapeDrive:
                 self.read_offset = 0
                 self.media_changes += 1
                 continue
-            take = min(available, nbytes - len(out))
-            start = self.read_offset
-            out.extend(cartridge.data[start : start + take])
+            take = min(available, nbytes - got)
+            parts.append(cartridge.read_at(self.read_offset, take))
             self.read_offset += take
+            got += take
         self.bytes_read += nbytes
-        return bytes(out)
+        # One part (nearly every read) stays the object ``read_at`` gave.
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def stream_length(self) -> int:
         """Total bytes recorded across all cartridges."""
@@ -193,7 +255,8 @@ class TapeDrive:
 
     def stream_bytes(self) -> bytes:
         """The whole logical stream (used by verification helpers)."""
-        return b"".join(bytes(c.data) for c in self.stacker.cartridges)
+        return b"".join(record for cartridge in self.stacker.cartridges
+                        for record in cartridge.records())
 
 
 class TapeModel:

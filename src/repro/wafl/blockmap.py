@@ -504,9 +504,9 @@ class BlockMap:
     def serialize_fblock_run(self, fblock: int, count: int) -> bytes:
         """``count`` consecutive fblocks' bytes: one copy of the run.
 
-        The result is an immutable snapshot that never aliases ``words``
-        — the buffer cache keeps lazy references into it.  Only the map's
-        final, partial fblock is zero padded.
+        The result is an immutable snapshot that never aliases ``words``,
+        so the map may change while the run is still on its way to the
+        volume.  Only the map's final, partial fblock is zero padded.
         """
         start = fblock * BLOCKMAP_ENTRIES_PER_BLOCK
         end = min(start + count * BLOCKMAP_ENTRIES_PER_BLOCK, self.nblocks)

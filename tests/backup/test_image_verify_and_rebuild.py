@@ -49,7 +49,9 @@ class TestCompareImage:
         drive = make_drive()
         drain_engine(ImageDump(fs, drive, snapshot_name="c").run())
         cartridge = drive.stacker.cartridges[0]
-        cartridge.data[len(cartridge.data) // 2] ^= 0xFF  # inside a chunk
+        middle = cartridge.used // 2  # inside a chunk
+        cartridge.overwrite(middle,
+                            bytes([cartridge.read_at(middle, 1)[0] ^ 0xFF]))
         problems = compare_image(fs.volume, drive)
         assert any("corrupt" in p for p in problems)
 

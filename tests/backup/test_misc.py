@@ -175,8 +175,8 @@ class TestRobustness:
         drain_engine(LogicalDump(source, drive, dumpdates=DumpDates()).run())
         # Corrupt a 1 KB region in the middle of the stream.
         cartridge = drive.stacker.cartridges[0]
-        middle = (len(cartridge.data) // 2 // 1024) * 1024
-        cartridge.data[middle : middle + 1024] = b"\xa5" * 1024
+        middle = (cartridge.used // 2 // 1024) * 1024
+        cartridge.overwrite(middle, b"\xa5" * 1024)
         target = make_fs(name="dst")
         drain_engine(LogicalRestore(target, drive, resync=True).run())
         # "A minor tape corruption will usually affect only that single

@@ -169,7 +169,7 @@ def test_chunk_crc_detects_corruption():
     image_dump(source, drive)
     # Flip a byte inside the stream's data region.
     cartridge = drive.stacker.cartridges[0]
-    cartridge.data[20000] ^= 0xFF
+    cartridge.overwrite(20000, bytes([cartridge.read_at(20000, 1)[0] ^ 0xFF]))
     target_volume = source.volume.clone_empty()
     with pytest.raises(FormatError):
         image_restore(target_volume, drive)

@@ -64,8 +64,7 @@ def fault_of(kind, **params):
 
 
 def cartridge_bytes(drive):
-    return [bytes(cart.data[:cart.used])
-            for cart in drive.stacker.cartridges]
+    return [cart.read_at(0, cart.used) for cart in drive.stacker.cartridges]
 
 
 def assert_identical(oracle, chaos):

@@ -114,7 +114,7 @@ def test_corruption_without_resync_raises():
     write_basic_stream(drive, [(5, b"data" * 600, b"")])
     # Smash bytes in the middle of the stream.
     cartridge = drive.stacker.cartridges[0]
-    cartridge.data[4096:4200] = b"\xff" * 104
+    cartridge.overwrite(4096, b"\xff" * 104)
     drive.rewind()
     reader = DumpStreamReader(drive)
     with pytest.raises(FormatError):
@@ -133,7 +133,7 @@ def test_corruption_with_resync_loses_only_affected_file():
     # Corrupt a region that starts after file 5's data.
     offset = stream.find(b"B" * SEGMENT_SIZE)
     corrupt_at = (offset // 1024) * 1024 - 1024  # the TS_INODE header of 6
-    cartridge.data[corrupt_at : corrupt_at + 8] = b"\x00" * 8
+    cartridge.overwrite(corrupt_at, b"\x00" * 8)
     reader, entries = read_all(drive, resync=True)
     recovered = {e.ino for e in entries}
     assert 5 in recovered

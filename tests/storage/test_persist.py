@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import pickle
 import shutil
 import struct
@@ -180,8 +181,8 @@ def test_media_roundtrip_keeps_labels(tmp_path):
     loaded = load_media(path)
     assert [c.label for c in loaded] == ["crt0001", "crt0002", "crt0003"]
     assert [c.capacity for c in loaded] == [32 * KB] * 3
-    assert bytes(loaded[0].data) == b"x" * (32 * KB)
-    assert bytes(loaded[1].data) == b"y" * 100
+    assert loaded[0].read_at(0, loaded[0].used) == b"x" * (32 * KB)
+    assert loaded[1].read_at(0, loaded[1].used) == b"y" * 100
     assert loaded[2].used == 0
 
 
@@ -224,7 +225,7 @@ def _volume_state(volume):
 
 
 def _cartridge_state(cartridges):
-    return [(c.label, c.capacity, bytes(c.data)) for c in cartridges]
+    return [(c.label, c.capacity, c.read_at(0, c.used)) for c in cartridges]
 
 
 def _tiny_cartridges():
@@ -401,7 +402,8 @@ def test_interrupted_writer_keeps_the_previous_file(tmp_path, kind,
 
 def test_interrupted_first_write_leaves_nothing(tmp_path):
     cartridges = _tiny_cartridges()
-    cartridges[1].data = None  # the second payload frame cannot be written
+    # The second payload frame cannot be written.
+    cartridges[1].records = lambda: iter([None])
     with pytest.raises(TypeError):
         save_media(cartridges, str(tmp_path / "new.bin"))
     assert os.listdir(str(tmp_path)) == []
@@ -420,7 +422,7 @@ def test_header_that_lies_about_its_frames_is_rejected(tmp_path):
     listed = [{"label": "a", "capacity": 64}, {"label": "b", "capacity": 64}]
     honest = {"kind": "media", "volumes": [], "cartridges": listed}
     _crafted(path, honest, [b"one", b"two"])
-    assert [bytes(c.data) for c in load_media(path)] == [b"one", b"two"]
+    assert [c.read_at(0, c.used) for c in load_media(path)] == [b"one", b"two"]
     # One cartridge too many (the file ends early), one too few (a
     # frame is left over), more bytes than the announced capacity.
     _crafted(path, honest, [b"only one"])
@@ -442,6 +444,76 @@ def test_header_that_lies_about_its_frames_is_rejected(tmp_path):
     _crafted(path, dict(honest, kind="volume"), [b"one", b"two"])
     with pytest.raises(StorageError, match="holds 0 volumes"):
         load_volume(path)
+
+
+# ---------------------------------------------------------------------------
+# The media formats, pinned as bytes
+# ---------------------------------------------------------------------------
+
+#: ``v2.media`` and ``v2.tape`` were written from the two states below by
+#: the last writer that kept a cartridge as one ``bytearray``.  How a
+#: cartridge holds its stream in memory is not the file's business: the
+#: record-keeping writer must produce the same bytes, and read them.
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _pinned_cartridges():
+    """Multi-record, empty, exactly full, partial."""
+    multi = TapeCartridge(capacity=4 * KB, label="multi")
+    for record in (b"label " * 10, bytes(range(256)) * 5, b"trailer"):
+        multi.append(record)
+    empty = TapeCartridge(capacity=1 * KB, label="empty")
+    full = TapeCartridge(capacity=512, label="full")
+    full.append(b"\xa5" * 300)
+    full.append(b"\x5a" * 212)
+    partial = TapeCartridge(capacity=2 * KB, label="partial")
+    partial.append(b"seven hundred " * 50)
+    return [multi, empty, full, partial]
+
+
+_PINNED_RECORDS = (b"a" * 400, b"b" * 600, bytes(range(250)) * 6, b"end")
+
+
+def _pinned_drive():
+    """Four 1000-byte tapes: full (two records), full, partial, blank."""
+    drive = make_drive(name="pinned", tapes=4, capacity=1000)
+    for record in _PINNED_RECORDS:
+        drive.write(record)
+    return drive
+
+
+def test_the_media_file_is_pinned_byte_for_byte(tmp_path):
+    pinned = os.path.join(_DATA, "v2.media")
+    save_media(_pinned_cartridges(), str(tmp_path / "pool.med"))
+    assert (tmp_path / "pool.med").read_bytes() == pathlib.Path(pinned).read_bytes()
+    loaded = load_media(pinned)
+    assert _cartridge_state(loaded) == _cartridge_state(_pinned_cartridges())
+    assert [c.remaining for c in loaded] == [2749, 1024, 0, 1348]
+    # Loaded, changed and saved again is what the change alone would be.
+    loaded[3].append(b"more")
+    again = _pinned_cartridges()
+    again[3].append(b"more")
+    save_media(loaded, str(tmp_path / "pool.med"))
+    save_media(again, str(tmp_path / "again.med"))
+    assert (tmp_path / "pool.med").read_bytes() == \
+        (tmp_path / "again.med").read_bytes()
+
+
+def test_the_tape_file_is_pinned_byte_for_byte(tmp_path):
+    pinned = os.path.join(_DATA, "v2.tape")
+    save_tape(_pinned_drive(), str(tmp_path / "mon.tape"))
+    assert (tmp_path / "mon.tape").read_bytes() == pathlib.Path(pinned).read_bytes()
+    loaded, fresh = load_tape(pinned), _pinned_drive()
+    assert loaded.stream_bytes() == b"".join(_PINNED_RECORDS)
+    assert [c.used for c in loaded.stacker.cartridges] == [1000, 1000, 503, 0]
+    # Appends resume on the partial third cartridge, as on the drive
+    # that was never saved.
+    for drive in (loaded, fresh):
+        drive.write(b"z" * 600)
+    assert [c.used for c in loaded.stacker.cartridges] == [1000, 1000, 1000, 103]
+    assert loaded.stream_bytes() == fresh.stream_bytes()
+    loaded.rewind()
+    assert loaded.read(2500) == fresh.stream_bytes()[:2500]
 
 
 # ---------------------------------------------------------------------------

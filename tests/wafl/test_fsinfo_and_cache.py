@@ -91,77 +91,76 @@ class TestFsInfo:
 
 
 class TestBlockCache:
+    """The cache keeps residency, LRU order and counts — never bytes."""
+
     def test_get_put(self):
         cache = BlockCache(4)
-        cache.put(1, b"one")
-        assert cache.get(1) == b"one"
-        assert cache.get(2) is None
+        cache.put(1)
+        assert cache.get(1) is True
+        assert cache.get(2) is False
         assert cache.hits == 1
         assert cache.misses == 1
 
     def test_lru_eviction_order(self):
         cache = BlockCache(2)
-        cache.put(1, b"a")
-        cache.put(2, b"b")
+        cache.put(1)
+        cache.put(2)
         cache.get(1)  # 1 becomes most recent
-        cache.put(3, b"c")  # evicts 2
-        assert cache.get(2) is None
-        assert cache.get(1) == b"a"
+        cache.put(3)  # evicts 2
+        assert cache.get(2) is False
+        assert cache.get(1) is True
         assert cache.evictions == 1
 
     def test_a_long_run_does_not_pin_its_whole_buffer(self):
-        bs = 4096
         cache = BlockCache(8)
-        cache.put(5000, b"z" * bs)
+        cache.put(5000)
         tracemalloc.start()
         try:
-            run = bytes(range(256)) * (16 * 1000)       # 1000 blocks, 4 MB
-            cache.put_run(40, run, bs)
-            expected = run[992 * bs:]
-            del run
+            before, _peak = tracemalloc.get_traced_memory()
+            cache.put_run(40, 1000)
             held, _peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The eight blocks that fit are the run's last eight; they live
-        # in a copy of that tail (twice over here, with ``expected``),
-        # not in the 1000-block buffer.
-        assert held < 3 * 8 * bs
+        # The eight blocks that fit are the run's last eight, and all the
+        # cache holds for them is their numbers: a 4 MB run leaves bytes,
+        # not blocks, behind.
+        assert held - before < 8 * 200
         assert len(cache) == 8 and cache.evictions == 1 + 992
-        assert bytes(cache.get_run(1032, 8, bs)) == expected
-        assert cache.get(1031) is None and cache.get(5000) is None
+        assert cache.get_run(1032, 8) is True
+        assert cache.get(1031) is False and cache.get(5000) is False
 
     def test_every_cold_lookup_is_one_miss(self):
         cache = BlockCache(8)
-        cache.put_run(1, b"abcd", 1)
-        assert cache.get_run(1, 4, 1) == b"abcd"
-        assert cache.get_run(3, 4, 1) is None  # 5 and 6 are cold: one miss
-        assert cache.get_run(7, 1, 1) is None
-        assert cache.get(9) is None
+        cache.put_run(1, 4)
+        assert cache.get_run(1, 4) is True
+        assert cache.get_run(3, 4) is False  # 5 and 6 are cold: one miss
+        assert cache.get_run(7, 1) is False
+        assert cache.get(9) is False
         assert (cache.hits, cache.misses) == (4, 3)
         assert cache.hit_rate == pytest.approx(4 / 7)
 
     def test_one_block_run_is_the_single_block_lookup(self):
         cache = BlockCache(2)
-        cache.put(1, b"a")
-        cache.put_run(2, b"b", 1)
-        assert cache.get_run(1, 1, 1) == b"a"  # 1 refreshed, like get
-        cache.put(3, b"c")  # evicts 2
-        assert cache.get(2) is None
-        assert cache.get(1) == b"a"
+        cache.put(1)
+        cache.put_run(2, 1)
+        assert cache.get_run(1, 1) is True  # 1 refreshed, like get
+        cache.put(3)  # evicts 2
+        assert cache.get(2) is False
+        assert cache.get(1) is True
         assert (cache.hits, cache.misses, cache.evictions) == (2, 1, 1)
 
     def test_invalidate_and_clear(self):
         cache = BlockCache(4)
-        cache.put(1, b"a")
+        cache.put(1)
         cache.invalidate(1)
-        assert cache.get(1) is None
-        cache.put(2, b"b")
+        assert cache.get(1) is False
+        cache.put(2)
         cache.clear()
         assert len(cache) == 0
 
     def test_hit_rate(self):
         cache = BlockCache(4)
-        cache.put(1, b"a")
+        cache.put(1)
         cache.get(1)
         cache.get(9)
         assert cache.hit_rate == pytest.approx(0.5)
@@ -200,3 +199,39 @@ class TestCacheOnVolume:
         volume.recorder = recorder
         volume.read_block(3)
         assert recorder.drain() == [("read", 3, 1)]
+
+    def test_a_restored_cache_checkpoint_cannot_serve_stale_bytes(self):
+        """Chaos recovery puts a cache clone back after later writes
+        (``replay_dump``): the clone says what is resident, the store
+        says what the bytes are."""
+        from tests.conftest import make_volume
+
+        volume = make_volume()
+        volume.cache = BlockCache(64)
+        volume.write_block(5, b"a" * 4096)
+        checkpoint = volume.cache.clone()
+        volume.write_block(5, b"b" * 4096)
+        volume.cache = checkpoint
+        assert volume.read_block(5) == b"b" * 4096
+        assert (checkpoint.hits, checkpoint.misses) == (1, 0)
+
+    def test_a_hit_is_blind_to_the_device(self):
+        """No ``reads`` count, no fault lookup, no reconstruction — and
+        the same bytes, because a media error leaves them in the store."""
+        from tests.conftest import make_volume
+
+        volume = make_volume()
+        volume.cache = BlockCache(64)
+        payload = bytes(range(256)) * (8 * 4096 // 256)
+        volume.write_run(16, payload)
+        location = volume.locate(18)
+        group = volume.groups[location.group_index]
+        group.data_disks[location.disk_index].fail_block(location.disk_block)
+        reads = [disk.reads for disk in group.data_disks]
+        assert volume.read_run(16, 8) == payload
+        assert volume.read_block(18) == payload[2 * 4096 : 3 * 4096]
+        assert [disk.reads for disk in group.data_disks] == reads
+        assert group.reconstructed_reads == 0
+        volume.cache.clear()
+        assert volume.read_run(16, 8) == payload   # cold: through parity
+        assert group.reconstructed_reads == 1
