@@ -114,14 +114,17 @@ run) or run the same experiments as assertions with::
 ## Wall-clock performance
 
 Simulated device time is host-independent, but the simulator's own speed
-is tracked separately: ``python -m repro.bench.wallclock`` times the
-data-plane hot paths (bulk RAID I/O, the block cache, the block-map
-kernels, the dump-stream codec, the event kernel) and the end-to-end
-basic experiment, normalizes every timing by a fixed calibration
-workload so machines cancel out, and compares against the committed
-``BENCH_wallclock.json`` baseline.  Regenerate the baseline with
-``--mode full --write-baseline``; CI runs the smoke mode and fails on a
->20%% calibration-normalized regression.
+is tracked separately, one place per question.  What each layer costs
+(RAID, buffer cache, block map, dump stream, event kernel) is read from
+the ledger, ``benchmarks/ledger/``, which times every layer under the
+workloads that call it.  ``python -m repro.bench.wallclock`` holds the
+end-to-end gates the ledger cannot express — the Tables 2/3 experiment
+cold at smoke and paper geometry with its peak RSS, the ``--jobs N``
+speed-up, the fleet cold, warm and at scale, the observability-off
+overhead — normalizes every timing by a fixed calibration workload so
+machines cancel out, and compares against the committed
+``BENCH_wallclock.json``; CI fails on a >20%% calibration-normalized
+regression.
 
 """
 

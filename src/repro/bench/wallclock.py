@@ -1,11 +1,12 @@
-"""Wall-clock performance harness: how fast the *simulator itself* runs.
+"""Wall-clock gates: how fast the *simulator itself* runs, end to end.
 
 Everything else in :mod:`repro.bench` measures simulated seconds; this
-module measures real ones.  It times the hot paths the fast-path work
-targets (bulk volume I/O, the block cache, the dump stream codec, the
-sim kernel) plus the end-to-end ``run_basic`` macro benchmark, and emits
-a JSON report that doubles as a committed regression baseline
-(``BENCH_wallclock.json`` at the repository root).
+module measures real ones, and only the statements nothing else makes
+(:data:`GATES`).  What a *layer* costs — RAID, buffer cache, block map,
+dump stream, sim kernel — is read from the ledger (``benchmarks/ledger/``),
+which measures each layer under its real callers.  The JSON report
+doubles as the committed regression baseline (``BENCH_wallclock.json``
+at the repository root).
 
 Raw wall seconds are meaningless across machines, so every report
 includes a *calibration* measurement: the time a fixed pure-Python
@@ -16,30 +17,25 @@ cancels machine speed and leaves only changes to the code under test.
 Usage::
 
     python -m repro.bench.wallclock --mode smoke            # print report
-    python -m repro.bench.wallclock --mode full --write-baseline
     python -m repro.bench.wallclock --mode smoke --check --tolerance 0.2
+    python -m repro.bench.wallclock --mode fullscale --write-baseline
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import gc
 import json
 import os
 import sys
+import tempfile
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.bench.configs import FULLSCALE_DATA_CAP
 from repro.units import MB
 
 SCHEMA_VERSION = 1
 BASELINE_NAME = "BENCH_wallclock.json"
-
-# Smoke mode mirrors the tier-1 bench tests' tiny testbed (~12 MB home
-# volume); full mode is the default 1:1000 replica the tables use.
-SMOKE_SCALE = 16000
-SMOKE_AGING_ROUNDS = 1
 
 
 def default_baseline_path() -> str:
@@ -65,13 +61,6 @@ def peak_rss_bytes() -> Optional[int]:
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Linux reports kilobytes; macOS reports bytes.
     return rss if sys.platform == "darwin" else rss * 1024
-
-
-def _stamp_rss(entry: Dict) -> Dict:
-    rss = peak_rss_bytes()
-    if rss is not None:
-        entry["peak_rss_bytes"] = rss
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -104,215 +93,8 @@ def calibrate(repeats: int = 3) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Micro benchmarks
+# Observability-off overhead
 # ---------------------------------------------------------------------------
-
-def bench_volume_io() -> Dict[str, float]:
-    """Bulk read_run/write_run through RAID-4 parity, no cache."""
-    from repro.raid.layout import geometry_for_capacity
-    from repro.raid.volume import RaidVolume
-
-    geometry = geometry_for_capacity(8 * MB, ngroups=2, ndata_disks=6)
-    volume = RaidVolume(geometry, name="wallclock")
-    bs = volume.block_size
-    run_blocks = 64
-    span = volume.nblocks - run_blocks
-    payload = (bytes(range(256)) * ((run_blocks * bs) // 256 + 1))[: run_blocks * bs]
-
-    moved = 0
-    start = time.perf_counter()
-    for rep in range(3):
-        for base in range(0, span, run_blocks):
-            volume.write_run(base, payload)
-            moved += run_blocks * bs
-        for base in range(0, span, run_blocks):
-            data = volume.read_run(base, run_blocks)
-            moved += len(data)
-    seconds = time.perf_counter() - start
-    return {"seconds": seconds, "rate": moved / MB / seconds, "unit": "MB/s"}
-
-
-def bench_block_cache() -> Dict[str, float]:
-    """get_run/put_run hit paths of the LRU block cache."""
-    from repro.wafl.buffercache import BlockCache
-
-    nblocks = 512
-    cache = BlockCache(capacity_blocks=2 * nblocks)
-    cache.put_run(0, nblocks)
-
-    ops = 0
-    start = time.perf_counter()
-    for rep in range(40):
-        for base in range(0, nblocks - 8, 8):
-            cache.get_run(base, 8)
-            ops += 8
-        cache.put_run(0, nblocks)
-        ops += nblocks
-    seconds = time.perf_counter() - start
-    return {"seconds": seconds, "rate": ops / seconds, "unit": "block-ops/s"}
-
-
-def bench_dump_stream() -> Dict[str, float]:
-    """Dump-format write + read round trip through an in-memory sink."""
-    from repro.dumpfmt.records import RecordHeader, TapeLabel
-    from repro.dumpfmt.spec import TS_INODE
-    from repro.dumpfmt.stream import (
-        DumpStreamReader,
-        DumpStreamWriter,
-        data_to_segments,
-    )
-    from repro.wafl.inode import FileType
-
-    # Sized so the round trip takes >= 0.25 s on a typical machine: at the
-    # original 80 x 48 KB x 3 reps it ran ~0.013 s — beneath the ~0.017 s
-    # calibration workload itself, where a 20% regression gate is noise.
-    file_data = (bytes(range(256)) * 256)[: 64 * 1024]
-    nfiles = 600
-    reps = 6
-
-    start = time.perf_counter()
-    for rep in range(reps):
-        sink = io.BytesIO()
-        writer = DumpStreamWriter(sink, date=100, ddate=0)
-        writer.write_tape_header(TapeLabel("wall", "fs", "/", 0, 2, nfiles + 8))
-        writer.write_clri([], nfiles + 8)
-        writer.write_bits(range(2, nfiles + 2), nfiles + 8)
-        for ino in range(2, nfiles + 2):
-            header = RecordHeader(TS_INODE, ino)
-            header.size = len(file_data)
-            header.ftype = FileType.REGULAR
-            writer.begin_inode(header)
-            writer.feed_segments(data_to_segments(file_data))
-            writer.end_inode()
-        writer.write_end()
-
-        sink.seek(0)
-        reader = DumpStreamReader(sink)
-        reader.read_preamble()
-        while reader.next_inode() is not None:
-            pass
-    seconds = time.perf_counter() - start
-    moved = 2 * reps * nfiles * len(file_data)  # written + read back
-    return {"seconds": seconds, "rate": moved / MB / seconds, "unit": "MB/s"}
-
-
-def bench_blockmap() -> Dict[str, float]:
-    """Block-map churn: batched frees, deferred-reuse commits, span builds.
-
-    Models a consistency-point-heavy workload on a fragmented volume: every
-    round allocates a striped working set, frees alternating halves with
-    ``free_active_many`` (one half deferred), commits the deferred reuse,
-    then builds incremental read spans from the fragmented active plane.
-    """
-    import numpy as np
-
-    from repro.backup.physical.incremental import (
-        coalesce_block_array,
-        spans_with_readthrough,
-    )
-    from repro.wafl.blockmap import BlockMap
-
-    nblocks = 48_000
-    blockmap = BlockMap(nblocks, reserved=64)
-    rng = np.random.RandomState(4242)
-
-    ops = 0
-    start = time.perf_counter()
-    for rep in range(6):
-        allocated: List[int] = []
-        cursor = blockmap.reserved
-        while len(allocated) < 24_000:
-            run_start, count = blockmap.allocate_run(256, cursor)
-            allocated.extend(range(run_start, run_start + count))
-            cursor = run_start + count
-        arr = np.asarray(allocated, dtype=np.int64)
-        # Fragment: free a pseudo-random third immediately and a third
-        # deferred; the surviving third leaves a shredded active plane
-        # for the span build below.
-        lot = rng.rand(arr.size)
-        blockmap.free_active_many(arr[lot < 0.34], defer_reuse=False)
-        blockmap.free_active_many(arr[(lot >= 0.34) & (lot < 0.67)],
-                                  defer_reuse=True)
-        ops += arr.size
-        ops += blockmap.commit_deferred_reuse()
-        runs = coalesce_block_array(blockmap.plane_blocks(0), max_run=64)
-        spans = spans_with_readthrough(runs, gap_threshold=32, max_span=1024)
-        ops += len(spans)
-        # Drain the map so the next round starts clean.
-        remaining = blockmap.plane_blocks(0)
-        if remaining.size:
-            blockmap.free_active_many(remaining)
-            blockmap.commit_deferred_reuse()
-            ops += int(remaining.size)
-    seconds = time.perf_counter() - start
-    return {"seconds": seconds, "rate": ops / seconds, "unit": "block-ops/s"}
-
-
-def bench_blockmap_planes() -> Dict[str, float]:
-    """Whole-map operations on a 4 Mi-word sparse map: ``snapshot_create``,
-    serialize every fblock as one run, ``deserialize``, ``snapshot_delete``
-    (with its extent rebuild) — the address-space-proportional work of a
-    snapshot cycle and a mount, sized to >= 0.25 s like ``dump_stream``.
-    """
-    import numpy as np
-
-    from repro.wafl.blockmap import BlockMap
-
-    nblocks = 4 * 1024 * 1024
-    blockmap = BlockMap(nblocks, reserved=64)
-    rng = np.random.RandomState(1414)
-    for cursor in sorted(rng.randint(64, nblocks - 64, size=200)):
-        blockmap.allocate_run(int(rng.randint(1, 64)), int(cursor))
-    reps = 10
-
-    start = time.perf_counter()
-    for rep in range(reps):
-        plane = 1 + rep % 31
-        blockmap.snapshot_create(plane)
-        image = blockmap.serialize_fblock_run(0, blockmap.n_fblocks())
-        blockmap = BlockMap.deserialize(nblocks, 64, image)
-        # Blocks only the snapshot holds, so the delete rebuilds extents.
-        blockmap.free_active_many(blockmap.plane_blocks(0)[:8].tolist())
-        blockmap.snapshot_delete(plane)
-    seconds = time.perf_counter() - start
-    words = 4 * reps * nblocks  # one pass of the map per operation
-    return {"seconds": seconds, "rate": words / 1e6 / seconds,
-            "unit": "Mwords/s"}
-
-
-def bench_sim_kernel() -> Dict[str, float]:
-    """Timeout / Resource / Store hot paths of the event kernel."""
-    from repro.sim.core import Simulation
-    from repro.sim.resources import Resource, Store
-
-    sim = Simulation()
-    cpu = Resource(sim, capacity=2, name="cpu")
-    store = Store(sim, capacity=64, name="buf")
-    rounds = 20_000
-    events = {"count": 0}
-
-    def producer():
-        for i in range(rounds):
-            request = yield cpu.acquire()
-            yield sim.timeout(0.001)
-            cpu.release(request)
-            yield store.put(i, weight=1)
-            events["count"] += 4
-
-    def consumer():
-        for _ in range(rounds):
-            yield store.get()
-            yield sim.timeout(0.0005)
-            events["count"] += 2
-
-    sim.process(producer())
-    sim.process(consumer())
-    start = time.perf_counter()
-    sim.run()
-    seconds = time.perf_counter() - start
-    return {"seconds": seconds, "rate": events["count"] / seconds,
-            "unit": "events/s"}
-
 
 def bench_obs_null() -> Dict[str, float]:
     """Cost of the disabled observability gates, relative to a guarded op.
@@ -365,32 +147,11 @@ def bench_obs_null() -> Dict[str, float]:
     }
 
 
-MICRO_BENCHMARKS: Dict[str, Callable[[], Dict[str, float]]] = {
-    "micro.volume_io": bench_volume_io,
-    "micro.block_cache": bench_block_cache,
-    "micro.blockmap": bench_blockmap,
-    "micro.blockmap_planes": bench_blockmap_planes,
-    "micro.dump_stream": bench_dump_stream,
-    "micro.obs_null": bench_obs_null,
-    "micro.sim_kernel": bench_sim_kernel,
-}
-
-
 # ---------------------------------------------------------------------------
 # Macro benchmark: the basic four-operation experiment, end to end
 # ---------------------------------------------------------------------------
 
-def _macro_config(mode: str):
-    from repro.bench.configs import EliotConfig, fullscale_config
-
-    if mode == "smoke":
-        return EliotConfig(scale=SMOKE_SCALE, aging_rounds=SMOKE_AGING_ROUNDS)
-    if mode == "fullscale":
-        return fullscale_config()
-    return EliotConfig()
-
-
-def bench_macro(mode: str, repeats: Optional[int] = None) -> Dict[str, Dict[str, float]]:
+def bench_macro(mode: str) -> Tuple[Dict[str, float], Dict[str, float]]:
     """Time testbed construction and ``run_basic`` on a fresh environment.
 
     ``run_basic`` is the Tables 2/3 experiment every ``run_all`` grid runs
@@ -400,20 +161,20 @@ def bench_macro(mode: str, repeats: Optional[int] = None) -> Dict[str, Dict[str,
     and the pytest gate running alongside other bench tests — always
     measure a cold build.  Smoke mode is short enough to be noisy, so it
     takes the best of two runs; garbage from whatever ran before is
-    collected outside the timed regions.
+    collected outside the timed regions.  Returns the ``build_env`` and
+    ``run_basic`` entries, in that order.
     """
-    import gc
-
-    from repro.bench.configs import ExperimentEnv
+    from repro.bench.configs import EliotConfig, ExperimentEnv, fullscale_config
     from repro.bench.harness import run_basic
 
-    if repeats is None:
-        repeats = 2 if mode == "smoke" else 1
+    smoke = mode == "smoke"
     build_seconds = float("inf")
     run_seconds = float("inf")
     results = None
-    for _ in range(repeats):
-        env = ExperimentEnv(_macro_config(mode))
+    for _ in range(2 if smoke else 1):
+        # Smoke is the tier-1 bench tests' tiny testbed (~12 MB home).
+        env = ExperimentEnv(EliotConfig(scale=16000, aging_rounds=1)
+                            if smoke else fullscale_config())
         gc.collect()
         start = time.perf_counter()
         env.build_home()
@@ -426,14 +187,9 @@ def bench_macro(mode: str, repeats: Optional[int] = None) -> Dict[str, Dict[str,
     # Four single-drive passes (two dumps, two restores) each move the
     # active data set once at the block level.
     moved = 4 * results["data_bytes"]
-    return {
-        "macro.%s.build_env" % mode: {"seconds": build_seconds},
-        "macro.%s.run_basic" % mode: {
-            "seconds": run_seconds,
-            "rate": moved / MB / run_seconds,
-            "unit": "MB/s",
-        },
-    }
+    return ({"seconds": build_seconds},
+            {"seconds": run_seconds, "rate": moved / MB / run_seconds,
+             "unit": "MB/s"})
 
 
 # ---------------------------------------------------------------------------
@@ -504,25 +260,18 @@ def bench_fleet_smoke() -> Dict[str, float]:
     This is the *cold* lifecycle number (init + first days dominate);
     :func:`bench_fleet_hotpath` measures the warm steady state.
     """
-    import gc
-    import shutil
-    import tempfile
-
     from repro.fleet import FleetService
 
     spec = _fleet_smoke_spec()
     seconds = float("inf")
     totals = None
     for _ in range(2):
-        root = tempfile.mkdtemp(prefix="repro-fleet-bench-")
-        try:
+        with tempfile.TemporaryDirectory() as root:
             gc.collect()
             start = time.perf_counter()
             FleetService.init_fleet(root, spec)
             totals = FleetService(root).run_days(3)
             seconds = min(seconds, time.perf_counter() - start)
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
     return {"seconds": seconds, "rate": totals["jobs"] / seconds,
             "unit": "jobs/s"}
 
@@ -549,16 +298,11 @@ def bench_fleet_hotpath() -> Dict[str, float]:
     ``", "``/``": "`` separators — so the hot-commit encoding win is
     tracked by the harness rather than asserted in a comment.
     """
-    import gc
-    import shutil
-    import tempfile
-
     from repro.fleet import FleetService
 
     spec = _fleet_smoke_spec(cartridges=24)
     days = 30
-    root = tempfile.mkdtemp(prefix="repro-fleet-bench-")
-    try:
+    with tempfile.TemporaryDirectory() as root:
         FleetService.init_fleet(root, spec)
         service = FleetService(root)
         service.run_days(2)
@@ -584,11 +328,9 @@ def bench_fleet_hotpath() -> Dict[str, float]:
                 entry["journal_bytes_per_record"] = len(blob) / len(records)
                 entry["journal_compact_savings"] = 1.0 - len(blob) / loose
         return entry
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
 
 
-def bench_fleet_scale(jobs: int = 1) -> Dict[str, float]:
+def bench_fleet_scale() -> Dict[str, float]:
     """A 24-tenant, 4-drive fleet run for 14 simulated days, full cycle.
 
     The scale complement to the hot-path bench: small per-tenant volumes
@@ -599,9 +341,6 @@ def bench_fleet_scale(jobs: int = 1) -> Dict[str, float]:
     region; everything ``run_days`` does, including the final
     checkpoint, is inside it.
     """
-    import shutil
-    import tempfile
-
     from repro.fleet import FleetService, FleetSpec, TenantSpec
 
     strategies = ("logical", "image")
@@ -621,23 +360,21 @@ def bench_fleet_scale(jobs: int = 1) -> Dict[str, float]:
     ]
     spec = FleetSpec(tenants=tenants, drives=4, seed=7777)
     days = 14
-    root = tempfile.mkdtemp(prefix="repro-fleet-bench-")
-    try:
+    with tempfile.TemporaryDirectory() as root:
         FleetService.init_fleet(root, spec)
         start = time.perf_counter()
-        totals = FleetService(root, jobs=jobs).run_days(days)
+        totals = FleetService(root).run_days(days)
         seconds = time.perf_counter() - start
-        return {"seconds": seconds, "rate": totals["jobs"] / seconds,
-                "unit": "jobs/s"}
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
+    return {"seconds": seconds, "rate": totals["jobs"] / seconds,
+            "unit": "jobs/s"}
 
 
 # ---------------------------------------------------------------------------
 # Harness driver
 # ---------------------------------------------------------------------------
 
-def _profiled(name: str, fn: Callable[[], Dict], top: int) -> Dict:
+def _profiled(name: str, fn: Callable[[], Sequence[Dict]],
+              top: int) -> Sequence[Dict]:
     """Run ``fn`` under cProfile, dump its top-``top`` hotspots to stderr."""
     import cProfile
     import pstats
@@ -653,83 +390,88 @@ def _profiled(name: str, fn: Callable[[], Dict], top: int) -> Dict:
     return result
 
 
-def run_harness(mode: str = "smoke", quiet: bool = True,
-                profile: Optional[int] = None) -> Dict:
-    """Run calibration + micro benchmarks + the mode's macro benchmarks.
+class Gate(NamedTuple):
+    """One timed call and the report keys its entries land under."""
 
-    ``full`` mode includes the smoke macro as well, so a full baseline
-    carries every key a smoke check needs.  ``fullscale`` runs the micros
-    plus the paper-geometry macro only.  With ``profile`` set, each
-    benchmark runs once under cProfile and its top-N hotspots go to
-    stderr (profiled timings are *not* comparable to unprofiled ones).
+    names: Tuple[str, ...]
+    mode: str
+    run: Callable[[], Sequence[Dict]]
+
+
+MODES = ("smoke", "fullscale")
+SERIAL_GRID = "parallel.run_all_smoke"
+
+#: Every benchmark the harness runs, in run order.  A row earns its place
+#: by a statement no ledger row can make: a cold Table 2/3 run and its
+#: peak RSS in a fresh process, the ``--jobs N`` speed-up, fleet init and
+#: scale, a ratio taken inside one process.  The macros run last, so
+#: their high-water RSS covers the whole harness run.
+GATES: Tuple[Gate, ...] = (
+    # Best of three by seconds: 8 ms, where one scheduler hiccup dominates.
+    Gate(("micro.obs_null",), "smoke",
+         lambda: [min((bench_obs_null() for _ in range(3)),
+                      key=lambda entry: entry["seconds"])]),
+    Gate((SERIAL_GRID,), "smoke", lambda: [bench_parallel_run_all(1)]),
+    Gate(("macro.fleet.smoke",), "smoke", lambda: [bench_fleet_smoke()]),
+    Gate(("macro.fleet.hotpath",), "smoke", lambda: [bench_fleet_hotpath()]),
+    Gate(("macro.fleet.scale",), "smoke", lambda: [bench_fleet_scale()]),
+    Gate(("macro.smoke.build_env", "macro.smoke.run_basic"), "smoke",
+         lambda: bench_macro("smoke")),
+    Gate(("macro.fullscale.build_env", "macro.fullscale.run_basic"),
+         "fullscale", lambda: bench_macro("fullscale")),
+)
+
+
+def benchmark_names(mode: str) -> List[str]:
+    """The report keys a ``mode`` run produces, in run order."""
+    return [name for gate in GATES if gate.mode == mode
+            for name in gate.names]
+
+
+def run_harness(mode: str = "smoke", profile: Optional[int] = None) -> Dict:
+    """Run every :data:`GATES` row of ``mode``, a calibration probe either
+    side of each.
+
+    A shared machine's speed drifts within one run (a two-core sandbox
+    flips between two clock states 25 % apart, seconds at a time), so a
+    row carries the mean of the probes around it as its own
+    ``calibration_seconds``; the report-level figure is the first probe.
+    With ``profile`` set, each row runs under cProfile and its top-N
+    hotspots go to stderr (profiled timings are *not* comparable to
+    unprofiled ones).
     """
-    if mode not in ("smoke", "full", "fullscale"):
-        raise ValueError(
-            "mode must be 'smoke', 'full' or 'fullscale', got %r" % (mode,))
-
-    def note(text: str) -> None:
-        if not quiet:
-            print(text, file=sys.stderr)
-
-    note("calibrating ...")
+    if mode not in MODES:
+        raise ValueError("mode must be one of %r, got %r" % (MODES, mode))
+    print("calibrating ...", file=sys.stderr)
+    before = calibrate()
     report: Dict = {
         "schema": SCHEMA_VERSION,
         "mode": mode,
-        "calibration_seconds": calibrate(),
+        "calibration_seconds": before,
         "benchmarks": {},
     }
-    for name, bench in MICRO_BENCHMARKS.items():
-        note("running %s ..." % name)
-        if profile:
-            report["benchmarks"][name] = _stamp_rss(
-                _profiled(name, bench, profile))
+    for gate in GATES:
+        if gate.mode != mode:
             continue
-        # Best of three: micro runs are fractions of a second and a single
-        # scheduler hiccup would dominate them.
-        report["benchmarks"][name] = _stamp_rss(min(
-            (bench() for _ in range(3)), key=lambda entry: entry["seconds"]
-        ))
-    note("running parallel.run_all_smoke ...")
-    if profile:
-        report["benchmarks"]["parallel.run_all_smoke"] = _profiled(
-            "parallel.run_all_smoke", bench_parallel_run_all, profile)
-    else:
-        report["benchmarks"]["parallel.run_all_smoke"] = bench_parallel_run_all(1)
-    _stamp_rss(report["benchmarks"]["parallel.run_all_smoke"])
-    if mode in ("smoke", "full"):
-        fleet_benches = (("macro.fleet.smoke", bench_fleet_smoke),
-                         ("macro.fleet.hotpath", bench_fleet_hotpath),
-                         ("macro.fleet.scale", bench_fleet_scale))
-        for name, bench in fleet_benches:
-            note("running %s ..." % name)
-            if profile:
-                report["benchmarks"][name] = _profiled(name, bench, profile)
-            else:
-                report["benchmarks"][name] = bench()
-            _stamp_rss(report["benchmarks"][name])
-    if mode == "smoke":
-        macro_modes = ["smoke"]
-    elif mode == "full":
-        macro_modes = ["smoke", "full"]
-    else:
-        macro_modes = ["fullscale"]
-    for macro_mode in macro_modes:
-        note("running macro (%s) ..." % macro_mode)
-        run_macro = lambda m=macro_mode: bench_macro(m)  # noqa: E731
-        if profile:
-            entries = _profiled("macro.%s" % macro_mode, run_macro, profile)
-        else:
-            entries = run_macro()
-        for entry in entries.values():
-            _stamp_rss(entry)
-        report["benchmarks"].update(entries)
+        label = ", ".join(gate.names)
+        print("running %s ..." % label, file=sys.stderr)
+        entries = (_profiled(label, gate.run, profile) if profile
+                   else gate.run())
+        after = calibrate()
+        rss = peak_rss_bytes()
+        for name, entry in zip(gate.names, entries):
+            entry["calibration_seconds"] = (before + after) / 2
+            if rss is not None:
+                entry["peak_rss_bytes"] = rss
+            report["benchmarks"][name] = entry
+        before = after
     return report
 
 
 #: Benchmark keys whose ``peak_rss_bytes`` is gated by check_regression.
 #: Only the full-scale macros: their multi-GB footprint is what the COW
-#: clone / fork-sharing work protects, and they run in a known order;
-#: micro entries' RSS is an order-dependent high-water mark, not a gate.
+#: clone / fork-sharing work protects, and nothing runs before them;
+#: the smoke entries' RSS is an order-dependent high-water mark, not a gate.
 RSS_GATE_PREFIX = "macro.fullscale."
 
 
@@ -738,10 +480,13 @@ def check_regression(current: Dict, baseline: Dict,
                      rss_tolerance: float = 0.3) -> List[str]:
     """Compare calibration-normalized seconds; return regression messages.
 
+    A current entry is normalized by its own ``calibration_seconds`` when
+    it has one (:func:`run_harness` rows do), else by its report's; a
+    baseline entry by its file's (:func:`merge_baseline` sees to that).
     A benchmark regresses when its normalized time exceeds the baseline's
     by more than ``tolerance`` (0.2 = 20%).  Only keys present in both
-    reports are compared, so a smoke run checks cleanly against a full
-    baseline.  Speedups never fail.
+    reports are compared, so a run of either mode checks cleanly against
+    the one baseline file that holds both.  Speedups never fail.
 
     Entries under :data:`RSS_GATE_PREFIX` additionally gate their
     ``peak_rss_bytes`` (absolute, machines report comparable footprints
@@ -757,7 +502,8 @@ def check_regression(current: Dict, baseline: Dict,
         if cur_entry is None:
             continue
         base_norm = base_entry["seconds"] / base_cal
-        cur_norm = cur_entry["seconds"] / cur_cal
+        cur_norm = (cur_entry["seconds"]
+                    / cur_entry.get("calibration_seconds", cur_cal))
         if cur_norm > base_norm * (1.0 + tolerance):
             failures.append(
                 "%s: %.2fx slower than baseline "
@@ -778,47 +524,28 @@ def check_regression(current: Dict, baseline: Dict,
     return failures
 
 
-def fleet_speedup(report: Dict, baseline: Dict) -> Optional[float]:
-    """Hot-path fleet throughput relative to the committed fleet baseline.
-
-    Compares calibration-normalized jobs/s — ``rate * calibration`` is
-    jobs per calibration-unit, which cancels machine speed the same way
-    :func:`check_regression` does for seconds — between the current
-    ``macro.fleet.hotpath`` entry and the baseline's original
-    ``macro.fleet.smoke`` entry (the 53 jobs/s the worker-resident hot
-    path was built to beat).  Returns ``None`` when either side lacks
-    the needed entry.
-    """
-    current = report.get("benchmarks", {}).get("macro.fleet.hotpath")
-    base = baseline.get("benchmarks", {}).get("macro.fleet.smoke")
-    if not current or not base or "rate" not in current or "rate" not in base:
-        return None
-    current_norm = current["rate"] * report["calibration_seconds"]
-    base_norm = base["rate"] * baseline["calibration_seconds"]
-    if base_norm <= 0:
-        return None
-    return current_norm / base_norm
-
-
 def merge_baseline(existing: Dict, report: Dict) -> Dict:
     """Fold a new report into an existing baseline without clobbering it.
 
-    Committed baseline numbers are load-bearing — regression gates and
-    speedup targets reference them — so an existing benchmark entry (and
+    Committed baseline numbers are load-bearing — the regression gate
+    references them — so an existing benchmark entry (and
     the calibration it was normalized against) is never overwritten.
     Only benchmarks the baseline has never seen are added, rescaled from
-    the report's calibration to the baseline's so that every entry in the
-    file is normalized by the one ``calibration_seconds`` it carries.
+    the calibration they were measured under (their own, else the
+    report's) to the baseline's, so that every entry in the file is
+    normalized by the one ``calibration_seconds`` it carries.
     """
     merged = dict(existing)
     merged.setdefault("calibration_seconds", report["calibration_seconds"])
     merged.setdefault("schema", report["schema"])
     merged.setdefault("mode", report["mode"])
-    factor = merged["calibration_seconds"] / report["calibration_seconds"]
     merged["benchmarks"] = dict(existing.get("benchmarks", {}))
     for name, entry in report["benchmarks"].items():
         if name not in merged["benchmarks"]:
-            entry = dict(entry, seconds=entry["seconds"] * factor)
+            entry = dict(entry)
+            factor = merged["calibration_seconds"] / entry.pop(
+                "calibration_seconds", report["calibration_seconds"])
+            entry["seconds"] *= factor
             if "rate" in entry:
                 entry["rate"] /= factor
             merged["benchmarks"][name] = entry
@@ -843,11 +570,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.bench.wallclock",
         description="Wall-clock benchmark harness and regression gate.",
     )
-    parser.add_argument("--mode", choices=("smoke", "full", "fullscale"),
-                        default="smoke")
+    parser.add_argument("--mode", choices=MODES, default="smoke")
     parser.add_argument("--profile", nargs="?", const=25, default=None,
                         type=int, metavar="N",
-                        help="run each benchmark once under cProfile and"
+                        help="run each benchmark under cProfile and"
                              " dump its top-N hotspots to stderr")
     parser.add_argument("--baseline", default=None,
                         help="baseline JSON path (default: repo root %s)"
@@ -856,81 +582,66 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="merge the report into the baseline (existing"
                              " entries are never overwritten)")
     parser.add_argument("--check", action="store_true",
-                        help="compare against the baseline; exit 1 on regression")
+                        help="compare against the baseline; exit 1 on"
+                             " regression, 2 if the baseline cannot be read")
     parser.add_argument("--tolerance", type=float, default=0.2,
                         help="allowed normalized slowdown (0.2 = 20%%)")
     parser.add_argument("--output", default=None,
                         help="also write the report JSON to this path")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="also time parallel.run_all_smoke at this worker"
-                             " count and report the speedup over --jobs 1")
+                        help="also time %s at this worker count and report"
+                             " the speedup over --jobs 1" % SERIAL_GRID)
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="with --jobs N: exit 1 unless the parallel grid"
                              " is at least this many times faster than serial")
-    parser.add_argument("--min-fleet-speedup", type=float, default=None,
-                        help="exit 1 unless macro.fleet.hotpath is at least"
-                             " this many times the baseline macro.fleet.smoke"
-                             " rate (calibration-normalized jobs/s)")
     args = parser.parse_args(argv)
 
     baseline_path = args.baseline or default_baseline_path()
-    report = run_harness(mode=args.mode, quiet=False, profile=args.profile)
+    if args.jobs > 1 and SERIAL_GRID not in benchmark_names(args.mode):
+        parser.error("--jobs times %s, which --mode %s does not run"
+                     % (SERIAL_GRID, args.mode))
+    baseline = None
+    if args.check:
+        # Before any benchmark runs: a gate with nothing to compare
+        # against (a non-editable install has no repo root) must not pass.
+        try:
+            with open(baseline_path) as handle:
+                baseline = json.load(handle)
+        except (OSError, ValueError) as exc:
+            print("wallclock: error: --check cannot read baseline %s: %s"
+                  % (baseline_path, exc), file=sys.stderr)
+            return 2
+
+    report = run_harness(mode=args.mode, profile=args.profile)
     if args.jobs > 1:
-        print("running parallel.run_all_smoke with --jobs %d ..." % args.jobs,
+        print("running %s with --jobs %d ..." % (SERIAL_GRID, args.jobs),
               file=sys.stderr)
         entry = bench_parallel_run_all(args.jobs)
-        serial_entry = report["benchmarks"]["parallel.run_all_smoke"]
-        entry["speedup"] = serial_entry["seconds"] / entry["seconds"]
-        report["benchmarks"]["parallel.run_all_smoke.j%d" % args.jobs] = entry
+        entry["speedup"] = (report["benchmarks"][SERIAL_GRID]["seconds"]
+                            / entry["seconds"])
+        report["benchmarks"]["%s.j%d" % (SERIAL_GRID, args.jobs)] = entry
     print(format_report(report))
     if args.jobs > 1:
-        speedup = report["benchmarks"][
-            "parallel.run_all_smoke.j%d" % args.jobs]["speedup"]
-        print("parallel.run_all_smoke speedup at --jobs %d: %.2fx"
-              % (args.jobs, speedup))
-        if args.min_speedup is not None and speedup < args.min_speedup:
+        print("%s speedup at --jobs %d: %.2fx"
+              % (SERIAL_GRID, args.jobs, entry["speedup"]))
+        if args.min_speedup is not None and entry["speedup"] < args.min_speedup:
             print("speedup below required %.2fx" % args.min_speedup)
             return 1
-
-    if os.path.exists(baseline_path):
-        with open(baseline_path) as handle:
-            _baseline = json.load(handle)
-        ratio = fleet_speedup(report, _baseline)
-        if ratio is not None:
-            print("fleet hot-path speedup vs committed macro.fleet.smoke"
-                  " baseline: %.2fx" % ratio)
-            if (args.min_fleet_speedup is not None
-                    and ratio < args.min_fleet_speedup):
-                print("fleet speedup below required %.2fx"
-                      % args.min_fleet_speedup)
-                return 1
-        elif args.min_fleet_speedup is not None:
-            print("fleet speedup gate needs macro.fleet.hotpath in the report"
-                  " and macro.fleet.smoke in the baseline")
-            return 1
-    elif args.min_fleet_speedup is not None:
-        print("no baseline at %s; cannot gate fleet speedup" % baseline_path)
-        return 1
 
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if args.write_baseline:
-        to_write = report
+        merged = merge_baseline({}, report)
         if os.path.exists(baseline_path):
             with open(baseline_path) as handle:
-                to_write = merge_baseline(json.load(handle), report)
+                merged = merge_baseline(json.load(handle), report)
         with open(baseline_path, "w") as handle:
-            json.dump(to_write, handle, indent=2, sort_keys=True)
+            json.dump(merged, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print("baseline written: %s" % baseline_path)
-    if args.check:
-        if not os.path.exists(baseline_path):
-            print("no baseline at %s; nothing to check" % baseline_path)
-            return 0
-        with open(baseline_path) as handle:
-            baseline = json.load(handle)
+    if baseline is not None:
         failures = check_regression(report, baseline, tolerance=args.tolerance)
         if failures:
             print("wall-clock regression detected:")
@@ -948,17 +659,19 @@ if __name__ == "__main__":
 
 __all__ = [
     "BASELINE_NAME",
-    "FULLSCALE_DATA_CAP",
+    "GATES",
+    "MODES",
     "RSS_GATE_PREFIX",
     "bench_fleet_hotpath",
     "bench_fleet_scale",
     "bench_fleet_smoke",
+    "bench_macro",
     "bench_obs_null",
     "bench_parallel_run_all",
+    "benchmark_names",
     "calibrate",
     "check_regression",
     "default_baseline_path",
-    "fleet_speedup",
     "format_report",
     "merge_baseline",
     "peak_rss_bytes",

@@ -10,14 +10,12 @@ The kernel is deliberately small; everything the backup experiments need is
 expressible with ``Timeout``, ``Resource`` and ``Store``.
 """
 
-from repro.sim.core import Event, Interrupt, Process, SimError, Simulation, Timeout
+from repro.sim.core import Event, Process, SimError, Simulation, Timeout
 from repro.sim.resources import Resource, Store
-from repro.sim.stats import IntervalAccumulator, UtilizationTracker
+from repro.sim.stats import UtilizationTracker
 
 __all__ = [
     "Event",
-    "Interrupt",
-    "IntervalAccumulator",
     "Process",
     "Resource",
     "SimError",

@@ -18,23 +18,11 @@ milliseconds of real time.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 
 class SimError(Exception):
     """Raised for misuse of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -91,13 +79,6 @@ class Event:
         self.sim._schedule(self, delay)
         return self
 
-    def _run_callbacks(self) -> None:
-        self.processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation."""
 
@@ -116,37 +97,6 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
 
-class AllOf(Event):
-    """Fires once every child event has fired successfully.
-
-    The value is the list of child values in the order given.  If any child
-    fails, this event fails with that child's exception.
-    """
-
-    def __init__(self, sim: "Simulation", events: Iterable[Event]):
-        super().__init__(sim)
-        self._children = list(events)
-        self._pending = len(self._children)
-        if self._pending == 0:
-            self.succeed([])
-            return
-        for event in self._children:
-            if event.processed:
-                self._on_child(event)
-            else:
-                event.callbacks.append(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([child.value for child in self._children])
-
-
 class Process(Event):
     """A generator-based simulated process.
 
@@ -162,7 +112,6 @@ class Process(Event):
             raise SimError("Process requires a generator, got %r" % (generator,))
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         # Bootstrap: resume the process at the current simulated instant.
         bootstrap = Event(sim)
         bootstrap.callbacks.append(self._resume)
@@ -172,27 +121,8 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimError("cannot interrupt a finished process")
-        target = self._waiting_on
-        if target is not None and not target.triggered:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        wakeup = Event(self.sim)
-        wakeup.callbacks.append(
-            lambda event: self._step(throw=Interrupt(cause))
-        )
-        wakeup.succeed()
-
     def _resume(self, event: Event) -> None:
-        # _step inlined for the common resume path: this callback runs
-        # once per yield of every process in the system.
-        self._waiting_on = None
+        # Runs once per yield of every process in the system.
         if self.triggered:
             return
         try:
@@ -202,38 +132,6 @@ class Process(Event):
                 target = self._generator.send(event._value)
         except StopIteration as stop:
             self.succeed(getattr(stop, "value", None))
-            return
-        except Interrupt:
-            self.succeed(None)
-            return
-        if not isinstance(target, Event):
-            self._generator.close()
-            self.fail(SimError("process yielded non-event %r" % (target,)))
-            return
-        if target.processed:
-            immediate = Event(self.sim)
-            immediate.callbacks.append(
-                lambda _evt, tgt=target: self._resume(tgt)
-            )
-            immediate.succeed()
-        else:
-            self._waiting_on = target
-            target.callbacks.append(self._resume)
-
-    def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
-        if self.triggered:
-            return
-        try:
-            if throw is not None:
-                target = self._generator.throw(throw)
-            else:
-                target = self._generator.send(send)
-        except StopIteration as stop:
-            self.succeed(getattr(stop, "value", None))
-            return
-        except Interrupt:
-            # An unhandled interrupt terminates the process quietly.
-            self.succeed(None)
             return
         if not isinstance(target, Event):
             self._generator.close()
@@ -247,9 +145,7 @@ class Process(Event):
                 lambda _evt, tgt=target: self._resume(tgt)
             )
             immediate.succeed()
-            self._waiting_on = None
         else:
-            self._waiting_on = target
             target.callbacks.append(self._resume)
 
 
@@ -261,7 +157,7 @@ class Simulation:
         self._sequence = 0
         self.now = 0.0
         # Observability hook: called as ``observer(sim)`` once per run()
-        # completion — never from step(), so the hot loop pays nothing.
+        # completion — never per event, so the hot loop pays nothing.
         self.observer: Optional[Callable[["Simulation"], None]] = None
 
     @property
@@ -281,87 +177,29 @@ class Simulation:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
     # -- execution ------------------------------------------------------
 
-    def step(self) -> None:
-        """Pop and process the next scheduled event."""
-        when, _seq, event = heapq.heappop(self._heap)
-        if when < self.now:
-            raise SimError("time went backwards: %r < %r" % (when, self.now))
-        self.now = when
-        # Inlined _run_callbacks with a no-callback fast path: an event
-        # nothing waits on just flips to processed.
-        event.processed = True
-        callbacks = event.callbacks
-        if callbacks:
-            event.callbacks = []
-            for callback in callbacks:
-                callback(event)
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or the clock passes ``until``."""
-        if until is not None and until < self.now:
-            raise SimError("until %r is in the past (now=%r)" % (until, self.now))
-        # step() inlined: this loop pops hundreds of thousands of events
-        # per experiment, so the method call and repeated attribute
-        # lookups are hoisted out of it.
+    def run(self) -> None:
+        """Run until the heap drains."""
+        # This loop pops hundreds of thousands of events per experiment,
+        # so attribute lookups are hoisted out of it.
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            when = heap[0][0]
-            if until is not None and when > until:
-                self.now = until
-                break
             when, _seq, event = pop(heap)
             if when < self.now:
                 raise SimError(
                     "time went backwards: %r < %r" % (when, self.now))
             self.now = when
+            # An event nothing waits on just flips to processed.
             event.processed = True
             callbacks = event.callbacks
             if callbacks:
                 event.callbacks = []
                 for callback in callbacks:
                     callback(event)
-        else:
-            if until is not None:
-                self.now = until
         if self.observer is not None:
             self.observer(self)
-
-    def run_process(self, process: Process, until: Optional[float] = None) -> Any:
-        """Run until ``process`` completes and return its value.
-
-        Raises the process's exception if it failed.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        while not process.triggered:
-            if not heap:
-                raise SimError(
-                    "deadlock: no scheduled events but process %r is alive"
-                    % (process.name,)
-                )
-            if until is not None and heap[0][0] > until:
-                raise SimError("process %r did not finish by t=%r" % (process.name, until))
-            # step() inlined — same hot-loop treatment as run().
-            when, _seq, event = pop(heap)
-            if when < self.now:
-                raise SimError(
-                    "time went backwards: %r < %r" % (when, self.now))
-            self.now = when
-            event.processed = True
-            callbacks = event.callbacks
-            if callbacks:
-                event.callbacks = []
-                for callback in callbacks:
-                    callback(event)
-        if process._ok is False:
-            raise process.value
-        return process.value

@@ -182,37 +182,4 @@ class Store:
         return len(self._items)
 
 
-class PreemptiveClock:
-    """Tracks per-consumer shares of a rate-limited channel.
-
-    Used by device models that split bandwidth evenly among concurrent
-    streams (e.g. several dumps reading one RAID group).  Given ``n``
-    concurrent claims, each proceeds at ``rate / n``.  This class only does
-    the arithmetic; admission is still via :class:`Resource`.
-    """
-
-    def __init__(self, rate: float):
-        if rate <= 0:
-            raise SimError("rate must be positive")
-        self.rate = rate
-
-    def service_time(self, amount: float, concurrency: int = 1) -> float:
-        if amount < 0:
-            raise SimError("negative amount")
-        concurrency = max(1, concurrency)
-        return amount * concurrency / self.rate
-
-
-def hold(resource: Resource, duration: float):
-    """Process fragment: acquire ``resource``, hold for ``duration``, release.
-
-    Usage: ``yield from hold(cpu, seconds)``.
-    """
-    request = yield resource.acquire()
-    try:
-        yield resource.sim.timeout(duration)
-    finally:
-        resource.release(request)
-
-
-__all__ = ["PreemptiveClock", "Request", "Resource", "Store", "hold"]
+__all__ = ["Request", "Resource", "Store"]

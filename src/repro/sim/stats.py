@@ -8,7 +8,7 @@ arbitrary windows, not just whole-run averages.
 from __future__ import annotations
 
 import bisect
-from typing import List, Tuple
+from typing import List
 
 
 class UtilizationTracker:
@@ -61,54 +61,4 @@ class UtilizationTracker:
         return self.busy_time(start, end) / (self.capacity * (end - start))
 
 
-class IntervalAccumulator:
-    """Accumulates named quantities over named intervals.
-
-    Backup engines mark phase boundaries; the executor attributes bytes
-    moved and CPU-seconds consumed to the currently open phase so the
-    harness can print per-stage rows exactly like the paper's Table 3.
-    """
-
-    def __init__(self):
-        self._open: dict = {}
-        self.intervals: List[Tuple[str, float, float]] = []
-        self.quantities: dict = {}
-
-    def open(self, name: str, now: float) -> None:
-        if name in self._open:
-            raise ValueError("interval %r already open" % (name,))
-        self._open[name] = now
-
-    def close(self, name: str, now: float) -> None:
-        if name not in self._open:
-            raise ValueError("interval %r is not open" % (name,))
-        start = self._open.pop(name)
-        self.intervals.append((name, start, now))
-
-    def add(self, interval: str, quantity: str, amount: float) -> None:
-        key = (interval, quantity)
-        self.quantities[key] = self.quantities.get(key, 0.0) + amount
-
-    def total(self, interval: str, quantity: str) -> float:
-        return self.quantities.get((interval, quantity), 0.0)
-
-    def duration(self, name: str) -> float:
-        """Total closed duration of all intervals named ``name``."""
-        return sum(end - start for n, start, end in self.intervals if n == name)
-
-    def span(self, name: str) -> Tuple[float, float]:
-        """Earliest start and latest end across intervals named ``name``."""
-        matches = [(start, end) for n, start, end in self.intervals if n == name]
-        if not matches:
-            raise KeyError(name)
-        return min(m[0] for m in matches), max(m[1] for m in matches)
-
-    def names(self) -> List[str]:
-        seen = []
-        for name, _start, _end in self.intervals:
-            if name not in seen:
-                seen.append(name)
-        return seen
-
-
-__all__ = ["IntervalAccumulator", "UtilizationTracker"]
+__all__ = ["UtilizationTracker"]

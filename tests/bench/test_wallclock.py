@@ -7,6 +7,9 @@ regression gate" step, on a machine nothing else is loading; here only
 the comparison, the normalization and the baseline merge are tested.
 """
 
+import copy
+import json
+
 import pytest
 
 from repro.bench import wallclock
@@ -32,25 +35,53 @@ def test_check_regression_flags_slowdown():
     assert len(wallclock.check_regression(slow, baseline, tolerance=0.2)) == 1
     assert wallclock.check_regression(fast_machine, baseline,
                                       tolerance=0.2) == []
+    # A row measured between its own probes is normalized by those: the
+    # machine slowed down after the report-level probe was taken.
+    drifted = {"calibration_seconds": 1.0,
+               "benchmarks": {"micro.x": {"seconds": 2.0,
+                                          "calibration_seconds": 2.0}}}
+    assert wallclock.check_regression(drifted, baseline, tolerance=0.2) == []
 
 
-def test_fleet_speedup_is_calibration_normalized():
-    baseline = {
-        "calibration_seconds": 0.5,
-        "benchmarks": {"macro.fleet.smoke": {"rate": 50.0}},
-    }
-    report = {
-        "calibration_seconds": 1.0,  # half-speed machine...
-        "benchmarks": {"macro.fleet.hotpath": {"rate": 125.0}},
-    }
-    # ...so 125 jobs/s here is worth 250 on the baseline machine: 5x.
-    assert wallclock.fleet_speedup(report, baseline) == pytest.approx(5.0)
-    # Either side missing its entry -> no ratio, caller decides.
-    assert wallclock.fleet_speedup({"calibration_seconds": 1.0,
-                                    "benchmarks": {}}, baseline) is None
-    assert wallclock.fleet_speedup(report,
-                                   {"calibration_seconds": 0.5,
-                                    "benchmarks": {}}) is None
+def _committed_baseline():
+    with open(wallclock.default_baseline_path()) as handle:
+        return json.load(handle)
+
+
+def test_committed_baseline_has_exactly_the_keys_the_harness_produces():
+    """``check_regression`` skips a key only one side has, so a retired
+    or renamed benchmark would leave a baseline entry nothing checks."""
+    produced = {name for mode in wallclock.MODES
+                for name in wallclock.benchmark_names(mode)}
+    assert set(_committed_baseline()["benchmarks"]) == produced
+
+
+def test_slower_fleet_hot_path_fails_the_regression_check():
+    """The warm fleet rate is gated like every other key: against its own
+    committed entry, not as a ratio to another benchmark's."""
+    baseline = _committed_baseline()
+    report = copy.deepcopy(baseline)
+    report["benchmarks"]["macro.fleet.hotpath"]["seconds"] *= 1.3
+    failures = wallclock.check_regression(report, baseline, tolerance=0.2)
+    assert len(failures) == 1
+    assert failures[0].startswith("macro.fleet.hotpath: 1.30x slower")
+
+
+def test_check_without_a_readable_baseline_fails_before_running(
+        tmp_path, capsys, monkeypatch):
+    """A non-editable install has no ``BENCH_wallclock.json`` to find;
+    ``--check`` there is an error, not a pass with nothing compared."""
+    monkeypatch.setattr(wallclock, "run_harness", lambda **_kwargs: pytest.fail(
+        "benchmarks ran although the baseline is unreadable"))
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    for path in (tmp_path / "missing.json", garbled):
+        assert wallclock.main(["--check", "--baseline", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "wallclock: error: --check cannot read baseline %s: " % path)
+        assert captured.err.count("\n") == 1
 
 
 def test_merge_baseline_rescales_new_entries_to_the_baseline_calibration():
@@ -68,7 +99,8 @@ def test_merge_baseline_rescales_new_entries_to_the_baseline_calibration():
             "micro.x": {"seconds": 9.0, "rate": 1.0},
             "macro.y": {"seconds": 4.0, "rate": 25.0, "unit": "MB/s",
                         "peak_rss_bytes": 123},
-            "macro.z": {"seconds": 2.0},
+            # Measured while the machine ran at half the report's speed.
+            "macro.z": {"seconds": 2.0, "calibration_seconds": 2.0},
         },
     }
     merged = wallclock.merge_baseline(existing, report)
@@ -77,7 +109,7 @@ def test_merge_baseline_rescales_new_entries_to_the_baseline_calibration():
     assert merged["benchmarks"]["micro.x"] == {"seconds": 1.0, "rate": 10.0}
     assert merged["benchmarks"]["macro.y"] == {
         "seconds": 2.0, "rate": 50.0, "unit": "MB/s", "peak_rss_bytes": 123}
-    assert merged["benchmarks"]["macro.z"] == {"seconds": 1.0}
+    assert merged["benchmarks"]["macro.z"] == {"seconds": 0.5}
     assert report["benchmarks"]["macro.y"]["seconds"] == 4.0  # not mutated
     # The machine that produced the report checks clean on the keys it
     # added; only the entry that really is slower is flagged.
@@ -87,7 +119,8 @@ def test_merge_baseline_rescales_new_entries_to_the_baseline_calibration():
     # With no baseline calibration the report's is adopted unscaled.
     fresh = wallclock.merge_baseline({}, report)
     assert fresh["calibration_seconds"] == 1.0
-    assert fresh["benchmarks"] == report["benchmarks"]
+    assert fresh["benchmarks"] == dict(report["benchmarks"],
+                                       **{"macro.z": {"seconds": 1.0}})
 
 
 def test_null_observability_overhead_gate():

