@@ -13,8 +13,9 @@ that regime end to end:
 * seven service days with per-day pruning, then an ad-hoc interactive
   restore submitted through the same queue.
 
-The run is deterministic: with ``jobs=2`` the event log and every
-tenant catalog are byte-identical to this serial run (CI diffs them).
+The run is deterministic: the event log, every tenant catalog and
+every tenant volume are byte-identical from run to run (CI diffs two
+runs under different hash seeds).
 
 Run:  python examples/fleet_service.py
 """

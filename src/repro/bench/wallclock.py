@@ -279,10 +279,10 @@ def bench_fleet_smoke() -> Dict[str, float]:
 def bench_fleet_hotpath() -> Dict[str, float]:
     """Warm steady-state fleet throughput: the daily hot path itself.
 
-    Builds the smoke fleet once, runs two warm-up days (worker-resident
-    volumes built, first full dumps behind us), then times 30 consecutive
-    ``run_day`` calls — admission, sticky-affinity dispatch against the
-    resident cache, dump deltas, retention, and the group-committed
+    Builds the smoke fleet once, runs two warm-up days (volumes mounted,
+    first full dumps behind us), then times 30 consecutive ``run_day``
+    calls — admission, in-process dispatch against the mounted volumes,
+    dump commits, retention, and the group-committed
     catalog-journal appends with their end-of-day fsyncs.  Service
     startup and shutdown checkpointing are deliberately outside the
     timed region: a fleet daemon pays them once per process, not per

@@ -173,10 +173,9 @@ class VolumeDayFault:
 class ChaosCampaignDriver(CampaignDriver):
     """A campaign driver that injects (and survives) planned faults.
 
-    The parent merges volume-days in declaration order wherever they
-    ran, so ``--jobs 1`` and ``--jobs N`` campaigns of the same seed are
-    byte-identical — including the fault event stream, which the parent
-    (single-threaded) assigns global sequence numbers and appends to
+    Volume-days commit in declaration order, so two campaigns of the same
+    seed are byte-identical — including the fault event stream, which
+    the driver assigns global sequence numbers and appends to
     ``events_path`` as JSON lines.
     """
 

@@ -4,8 +4,8 @@ Determinism is the whole design: every decision — whether a fault fires,
 which kind, and every parameter (which tape-write op to die on, which
 cartridge to corrupt, which disk stripe to fail) — is a pure function of
 ``(chaos_seed, day, volume_index)``.  Nothing reads the wall clock, the
-OS, or any per-process state, so the same seed produces the same plan in
-a serial run, a ``--jobs N`` run, and a rerun next year.
+OS, or any per-process state, so the same seed produces the same plan
+under any hash seed, on any machine, and in a rerun next year.
 
 A plan serializes to JSON (``to_json``/``from_json``) so a campaign's
 fault schedule can be saved, diffed, and replayed exactly.

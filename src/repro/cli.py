@@ -668,12 +668,10 @@ def _campaign_run_once(args, catalog_path, pool_path, volumes_dir,
         driver = ChaosCampaignDriver(catalog, pool, chaos_plan,
                                      events_path=events_path,
                                      seed=args.seed,
-                                     keep_daily_snapshots=args.daily_snapshots,
-                                     jobs=args.jobs)
+                                     keep_daily_snapshots=args.daily_snapshots)
     else:
         driver = CampaignDriver(catalog, pool, seed=args.seed,
-                                keep_daily_snapshots=args.daily_snapshots,
-                                jobs=args.jobs)
+                                keep_daily_snapshots=args.daily_snapshots)
     if volumes_dir:
         os.makedirs(volumes_dir, exist_ok=True)
     specs = []
@@ -867,7 +865,7 @@ def cmd_fleet_run(args) -> int:
     from repro.fleet import FleetService
 
     _obs_begin(args)
-    service = FleetService(args.root, jobs=args.jobs)
+    service = FleetService(args.root)
     totals = service.run_days(args.days)
     print("fleet: %d day(s), %d job(s), %s to tape, %d set(s) retired"
           % (totals["days"], totals["jobs"],
@@ -1229,10 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for the live volume containers")
     p.add_argument("--daily-snapshots", action="store_true",
                    help="snapshot each volume every simulated day")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="age/dump volumes in N worker processes (catalog,"
-                        " media and volumes are byte-identical to a serial"
-                        " run)")
     p.add_argument("--chaos", action="store_true",
                    help="inject a deterministic fault campaign, recover"
                         " every fault, and verify the recovered state"
@@ -1268,10 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="advance the fleet N simulated days")
     fp.add_argument("root")
     fp.add_argument("--days", type=int, default=1)
-    fp.add_argument("--jobs", type=int, default=1,
-                    help="run each batch's dumps in N worker processes"
-                         " (event log and catalogs are byte-identical"
-                         " to a serial run)")
     _add_obs_flags(fp)
     fp.set_defaults(fleet_fn=cmd_fleet_run)
 

@@ -3,8 +3,7 @@
 The scheduler answers one question, repeatedly: *given everything
 queued, which jobs run next?*  It is deliberately a pure, deterministic
 decision procedure — no wall clock, no OS state — so a seeded fleet run
-produces the same admission sequence whether the admitted batches then
-execute serially or across worker processes.
+produces the same admission sequence every time.
 
 Model
 -----
@@ -35,7 +34,7 @@ Determinism contract: admission depends only on (queue contents,
 deficits, cursors, free drives) — all of which are pure functions of
 the submission history.  Every transition is appended to an event log
 of plain dicts with tick-stamps, which is the byte-comparison artifact
-CI uses to prove serial and ``--jobs N`` runs identical.
+CI uses to prove runs under different hash seeds identical.
 """
 
 from __future__ import annotations
@@ -52,8 +51,7 @@ class Job:
     """One queued unit of work (a dump or a restore for one tenant)."""
 
     __slots__ = ("job_id", "tenant", "kind", "lane", "day", "payload",
-                 "submit_tick", "start_tick", "end_tick", "drive",
-                 "affinity")
+                 "submit_tick", "start_tick", "end_tick", "drive")
 
     def __init__(self, job_id: str, tenant: str, kind: str, lane: str,
                  day: int, submit_tick: int,
@@ -72,8 +70,6 @@ class Job:
         self.start_tick: Optional[int] = None
         self.end_tick: Optional[int] = None
         self.drive: Optional[int] = None
-        #: Worker lane this tenant's state lives on (sticky affinity).
-        self.affinity: Optional[int] = None
 
     @property
     def wait_ticks(self) -> Optional[int]:
@@ -140,11 +136,6 @@ class FleetScheduler:
         self.events: List[Dict] = []
         self.tick = 0
         self._completed_waits: List[int] = []
-        # Sticky tenant -> worker-lane map.  Worker lanes are numbered
-        # [0, drives.count) — a property of the *fleet*, never of
-        # ``--jobs`` — so the assignment (and the events logging it) is
-        # identical however many OS processes actually serve the lanes.
-        self.affinity: Dict[str, int] = {}
 
     # -- event log ---------------------------------------------------------
 
@@ -183,10 +174,8 @@ class FleetScheduler:
         admission order.
 
         ``max_jobs`` additionally caps the batch (tests use it to force
-        small batches).  The service deliberately does NOT pass its
-        worker count here: batch composition must depend only on the
-        submission history, never on ``--jobs``, or the event log would
-        differ between serial and parallel runs.
+        small batches).  Batch composition depends only on the
+        submission history and the free drives.
         """
         budget = self.drives.free_count()
         if max_jobs is not None:
@@ -198,40 +187,13 @@ class FleetScheduler:
                 break
             batch.extend(self._admit_lane(lane, budget - len(batch),
                                           admitted_tenants))
-        taken: set = set()
         for job in batch:
             job.start_tick = self.tick
             job.drive = self.drives.reserve(job.job_id)
-            job.affinity = self._assign_affinity(job, taken)
             self.running[job.job_id] = job
-            self._log("start", job, drive=job.drive, worker=job.affinity,
+            self._log("start", job, drive=job.drive,
                       wait_ticks=job.wait_ticks)
         return batch
-
-    def _assign_affinity(self, job: Job, taken: set) -> int:
-        """The worker lane this job runs on — sticky per tenant.
-
-        A tenant keeps the lane its state already lives on unless another
-        job in this batch claimed it first (two tenants can share a
-        sticky lane; batches cannot).  Then the job *rebalances* to the
-        lowest lane no batch-mate is using — the lane that would
-        otherwise sit idle this barrier frame — and the tenant's state
-        follows it there.  Every (re)assignment is logged, so lane
-        placement is part of the byte-compared event stream.  A batch
-        never exceeds the free-drive count, which never exceeds the lane
-        count, so an idle lane always exists.
-        """
-        sticky = self.affinity.get(job.tenant)
-        if sticky is not None and sticky not in taken:
-            taken.add(sticky)
-            return sticky
-        lane = next(index for index in range(self.drives.count)
-                    if index not in taken)
-        taken.add(lane)
-        self.affinity[job.tenant] = lane
-        self._log("affinity", job, worker=lane,
-                  rebalanced=sticky is not None)
-        return lane
 
     def _admit_lane(self, lane: str, budget: int,
                     admitted_tenants: set) -> List[Job]:

@@ -8,23 +8,21 @@ layout) and advances it through simulated days.  Each day:
    along with any ad-hoc jobs queued via the API or ``repro fleet
    submit``;
 2. the queue drains in **batch barriers**: the scheduler admits a batch
-   onto the free drives (each job carrying its tenant's sticky worker
-   lane), the batch executes on a
-   :class:`~repro.parallel.pool.TaskPool` with lane routing
+   onto the free drives, the batch's dumps run in this process through
+   the in-process path of a :class:`~repro.parallel.pool.TaskPool`
    (:func:`~repro.manager.campaign.run_tenant_day_resident` against the
-   worker-resident volume), and the parent applies every returned delta
-   to the owning tenant's catalog in admission order before the next
-   tick;
+   tenant's mounted volume), and each result is committed to the owning
+   tenant's catalog in admission order before the next tick;
 3. retention runs per tenant and the day's catalog mutations are
    journaled (append + fsync); volumes are saved only when dirty and due.
 
 Determinism contract: job payloads (bytes, files, blocks, simulated
 times) are pure functions of (spec, seed, day); admission order is a
-pure function of submission history; commits happen in admission order
-regardless of worker completion order; ticks — not wall clock — stamp
-the event log.  A fleet run is therefore byte-identical between
-``jobs=1`` and ``jobs=N``, event log, tenant catalogs and tenant volumes
-included, which CI checks on every push.  A service start is a reboot:
+pure function of submission history; commits happen in admission order;
+ticks — not wall clock — stamp the event log.  A fleet run is therefore
+byte-identical from run to run and under any ``PYTHONHASHSEED``, event
+log, tenant catalogs and tenant volumes included, which CI checks on
+every push.  A service start is a reboot:
 every volume is mounted cold from its ``volume.bin``, so a restart shows
 only in the elapsed time of each logical tenant's next dump.
 
@@ -66,8 +64,8 @@ STATE_VERSION = 1
 #: Last-N job results kept in state.json for the status document.
 RECENT_JOBS = 20
 
-#: Chrome-export pid base for tenant lanes, above any worker index the
-#: pool could assign (workers get pid = declaration index + 1).
+#: Chrome-export pid base for tenant lanes, above any task lane the pool
+#: could assign (tasks get pid = declaration index + 1).
 TENANT_PID_BASE = 1000
 
 
@@ -81,31 +79,25 @@ def _default_state() -> Dict:
         "pending": [],
         "recent": [],
         "drr": {"cursors": {}, "deficits": {}},
-        "affinity": {},
     }
 
 
 class FleetService:
     """Run a fleet root through simulated days; everything on disk.
 
-    Tenant state is **worker-resident**: a tenant's volume ships to the
-    worker process serving its sticky scheduler lane once, stays pinned
-    there (:mod:`repro.parallel.pool`'s resident cache, keyed by tenant
-    and epoch), and subsequent jobs send only a descriptor — the worker
-    ages and dumps in place and returns a compact delta.  The parent's
-    copy of a resident volume is deliberately stale between checkpoints;
-    everything the parent decides with (admission, retention, restores,
-    effective dump levels) reads the catalog and the kept-snapshot
-    mirror, which the deltas keep current.  ``checkpoint_days > 0``
-    additionally syncs and saves dirty volumes every N days inside
-    :meth:`run_days`; the catalog journal makes the per-day commits
-    durable either way.
+    Tenant volumes live in this process: each is mounted from its
+    ``volume.bin`` on first use and aged and dumped in place by every
+    job after that.  The catalog journal makes the per-day commits
+    durable; dirty volumes are saved when :meth:`run_days` returns.
     """
 
-    def __init__(self, root: str, jobs: int = 1, checkpoint_days: int = 0):
+    def __init__(self, root: str, jobs: int = 1):
+        # Every tenant-day runs in this process (DESIGN.md, "Parallel
+        # where it pays"); the keyword stays for callers that pass 1.
+        if jobs != 1:
+            raise FleetError("the fleet service runs in one process;"
+                             " jobs must be 1, not %r" % (jobs,))
         self.root = root
-        self.jobs = jobs
-        self.checkpoint_days = checkpoint_days
         self.spec = load_fleet_spec(self.spec_path(root))
         self.state = self._load_state()
         self.tenants: Dict[str, Tenant] = {}
@@ -123,12 +115,6 @@ class FleetService:
             self.scheduler.cursors[lane] = cursor
         for lane, deficits in drr.get("deficits", {}).items():
             self.scheduler.deficits[lane].update(deficits)
-        for name, lane in self.state.get("affinity", {}).items():
-            self.scheduler.affinity[name] = int(lane)
-        self.task_pool = TaskPool(jobs, persistent=True)
-        # executor index -> {tenant name: epoch} — which worker process
-        # holds which tenant's volume resident, as the parent last saw.
-        self._residency: Dict[int, Dict[str, int]] = {}
 
     # -- paths -------------------------------------------------------------
 
@@ -175,7 +161,8 @@ class FleetService:
 
     def _save_state(self) -> None:
         self.state["tick"] = self.scheduler.tick
-        self.state["affinity"] = dict(self.scheduler.affinity)
+        # Written by versions that routed tenants to worker lanes.
+        self.state.pop("affinity", None)
         self.state["drr"] = {
             "cursors": dict(self.scheduler.cursors),
             "deficits": {lane: dict(d)
@@ -218,23 +205,12 @@ class FleetService:
     def run_days(self, days: int) -> Dict:
         """Advance the whole fleet ``days`` simulated days."""
         totals = {"days": 0, "jobs": 0, "bytes_to_tape": 0, "retired": 0}
-        try:
-            for count in range(1, days + 1):
-                day_stats = self.run_day()
-                totals["days"] += 1
-                totals["jobs"] += day_stats["jobs"]
-                totals["bytes_to_tape"] += day_stats["bytes_to_tape"]
-                totals["retired"] += day_stats["retired"]
-                if (self.checkpoint_days
-                        and count % self.checkpoint_days == 0):
-                    self._checkpoint()
-            # Workers die with the pool below; pull every current
-            # resident home first so the parent's volumes are whole.
-            self._sync_residents()
-        finally:
-            self.task_pool.close()
-            if self.task_pool.parallel:
-                self._residency.clear()
+        for _ in range(days):
+            day_stats = self.run_day()
+            totals["days"] += 1
+            totals["jobs"] += day_stats["jobs"]
+            totals["bytes_to_tape"] += day_stats["bytes_to_tape"]
+            totals["retired"] += day_stats["retired"]
         self._append_events()
         for tenant in self.tenants.values():
             tenant.save_state(force=False)
@@ -318,91 +294,14 @@ class FleetService:
         self._sample_counters()
         return stats
 
-    # -- worker residency --------------------------------------------------
-
-    def _resident_key(self, name: str) -> str:
-        """Resident-cache key: root-qualified so two services in one
-        process (serial runs share the parent's cache) never collide."""
-        return "%s:%s" % (os.path.abspath(self.root), name)
-
-    def _ship_bundle(self, name: str, lane: int) -> Optional[Dict]:
-        """The volume bundle to send with a job, or ``None`` if the
-        target worker already holds it resident at the current epoch.
-
-        A tenant rebalanced onto a lane served by a *different* worker
-        process migrates: its state is fetched home from the old worker,
-        the epoch is bumped so the old copy can never be trusted again,
-        and the fresh bundle ships to the new worker.
-        """
-        tenant = self.tenants[name]
-        index = self.task_pool.executor_index(lane)
-        held = self._residency.get(index, {}).get(name)
-        if held == tenant.epoch:
-            return None
-        for other, holdings in self._residency.items():
-            if other != index and name in holdings:
-                self._sync_resident(name)
-                tenant.bump_epoch()
-                break
-        for holdings in self._residency.values():
-            holdings.pop(name, None)
-        volume = tenant.volume
-        bundle = {"fs": volume.fs, "tree": volume.tree,
-                  "kept_snapshots": volume.kept_snapshots}
-        self._residency.setdefault(index, {})[name] = tenant.epoch
-        return bundle
-
-    def _sync_resident(self, name: str) -> None:
-        """Pull ``name``'s resident volume back into the parent copy."""
-        if not self.task_pool.parallel:
-            return
-        tenant = self.tenants[name]
-        for index, holdings in self._residency.items():
-            if holdings.get(name) != tenant.epoch:
-                continue
-            bundle = self.task_pool.fetch_resident(
-                self._resident_key(name), tenant.epoch, index)
-            if bundle is None:
-                raise FleetError(
-                    "worker %d lost resident state for tenant %r"
-                    % (index, name))
-            volume = tenant.volume
-            volume.fs = bundle["fs"]
-            volume.tree = bundle["tree"]
-            volume.kept_snapshots = dict(bundle["kept_snapshots"])
-            return
-
-    def _sync_residents(self) -> None:
-        for index in sorted(self._residency):
-            for name in list(self._residency[index]):
-                self._sync_resident(name)
-
-    def _checkpoint(self) -> None:
-        """Periodic durability for volumes: sync dirty residents home
-        and save them, without invalidating worker copies."""
-        for spec in self.spec.tenants:
-            tenant = self.tenants[spec.name]
-            if tenant.volume_dirty and tenant.volume_loaded():
-                self._sync_resident(spec.name)
-                tenant.save_volume()
-
-    def invalidate_tenant(self, name: str) -> int:
-        """Sync ``name`` home and bump its epoch, orphaning every worker
-        copy; the next job re-ships.  Returns the new epoch."""
-        self._sync_resident(name)
-        for holdings in self._residency.values():
-            holdings.pop(name, None)
-        return self.tenants[name].bump_epoch()
-
     # -- dump batches ------------------------------------------------------
 
     def _run_dumps(self, jobs: List[Job], day: int) -> Dict[str, Dict]:
-        """Execute a batch's dump jobs on the worker pool; commit the
-        returned deltas in admission order."""
+        """Run a batch's dump jobs in this process; commit each result
+        in admission order."""
         if not jobs:
             return {}
         specs = []
-        lanes = []
         staged = []
         for job in jobs:
             tenant = self.tenants[job.tenant]
@@ -414,27 +313,14 @@ class FleetService:
             if job.payload.get("scheduled") and day > 0:
                 mutation = day_mutation(self.spec.seed, day,
                                         job.payload["tenant_index"])
-            shipped = self._ship_bundle(job.tenant, job.affinity)
-            # retries=0: the job mutates the resident volume in place,
-            # so a re-run against already-aged state is not idempotent.
+            # retries=0: the job ages the live volume in place, so a
+            # re-run against already-aged state is not idempotent.
             specs.append(TaskSpec(job_name, run_tenant_day_resident, (
-                self._resident_key(job.tenant), tenant.epoch, shipped,
-                drive, job_name, volume.strategy, dump, mutation,
-            ), retries=0))
-            lanes.append(job.affinity)
+                volume, drive, job_name, dump, mutation), retries=0))
             staged.append((job, tenant, dump, drive))
-        values = self.task_pool.map_values(specs, lanes=lanes)
+        payloads = TaskPool().map_values(specs)
         outcomes: Dict[str, Dict] = {}
-        for (job, tenant, dump, drive), delta in zip(staged, values):
-            payload = delta["payload"]
-            written = delta["written"]
-            stacker = drive.stacker
-            stacker.cartridges[:len(written)] = written
-            stacker.next_slot = delta["next_slot"]
-            drive.media_changes = delta["media_changes"]
-            # The worker's kept-snapshot map rides in the payload (it
-            # deleted the superseded snapshots in place); the commit
-            # mirrors it for level math.
+        for (job, tenant, dump, drive), payload in zip(staged, payloads):
             backup_set = tenant.volume.commit_dump(
                 tenant.catalog, tenant.pool, day, dump, drive, payload)
             tenant.volume_dirty = True
@@ -451,8 +337,8 @@ class FleetService:
         return outcomes
 
     def _run_restore(self, job: Job) -> Dict:
-        """Ad-hoc restore: replay the chain in the parent (read-only
-        against the tenant's media; no worker shipping needed)."""
+        """Ad-hoc restore: replay the chain read-only against the
+        tenant's media."""
         tenant = self.tenants[job.tenant]
         target_day = job.payload.get("target_day")
         # fsid == tenant name by construction; going through the catalog
@@ -532,7 +418,7 @@ def export_fleet_trace(events: List[dict], path: str,
     """Write a Chrome trace with one named process lane per tenant.
 
     Events on a ``tenant/<name>`` tid move to that tenant's pid; drive
-    counters and everything else stay on the fleet process.  Worker
+    counters and everything else stay on the fleet process.  Task
     engine events (pid 1..N from the pool merge) keep their pids, which
     sit far below :data:`TENANT_PID_BASE`.
     """

@@ -17,7 +17,7 @@ subdirectory per tenant holding everything that tenant owns:
                             # persist.py container, mounted on load)
 
 Tenants never share media or catalogs — the only shared resources are
-the drive *slots* and the worker pool, which is what makes the
+the drive *slots*, which is what makes the
 scheduler's contention signals meaningful and the per-tenant state
 trivially isolated.
 
@@ -202,13 +202,6 @@ class Tenant:
     dirty records.  :meth:`save_state` with ``force=False`` writes only
     dirty pieces — a clean (paused, no-op) tenant costs nothing to
     checkpoint.
-
-    ``epoch`` versions the volume state for worker-resident caching: a
-    worker may keep the tenant's volume in memory across jobs keyed by
-    ``(name, epoch)``, so bumping the epoch (state replaced or reloaded
-    outside the worker's sight) invalidates every cached copy at once.
-    The epoch is in-memory only — a fresh service starts at 0 with no
-    workers holding residents, so it never needs to be persisted.
     """
 
     def __init__(self, spec: TenantSpec, root: str):
@@ -217,7 +210,6 @@ class Tenant:
         self._catalog: Optional[BackupCatalog] = None
         self._pool: Optional[MediaPool] = None
         self._volume: Optional[CampaignVolume] = None
-        self.epoch = 0
         self.volume_dirty = False
         self.media_dirty = False
         # Dumps completed / bytes shipped since this object was created
@@ -279,14 +271,6 @@ class Tenant:
                 for level, name, date in header["kept_snapshots"]}
             self._volume = volume
         return self._volume
-
-    def volume_loaded(self) -> bool:
-        return self._volume is not None
-
-    def bump_epoch(self) -> int:
-        """Invalidate every worker-resident copy of this volume."""
-        self.epoch += 1
-        return self.epoch
 
     # -- lifecycle ---------------------------------------------------------
 

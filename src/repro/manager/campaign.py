@@ -8,15 +8,14 @@ unit of work is one volume's whole day, :func:`run_volume_day`: age,
 snapshot, dump in its own :class:`~repro.perf.executor.TimedRun`, retire
 superseded image snapshots.  Plain campaigns, chaos campaigns (the same
 function with a fault hook) and fleet jobs (the same function behind
-:func:`run_tenant_day_resident`'s worker-resident cache) all run it, and
-all commit through :meth:`CampaignVolume.commit_dump`.
+:func:`run_tenant_day_resident`) all run it in this process, on the live
+volume, and all commit through :meth:`CampaignVolume.commit_dump`.
 
-:class:`CampaignDriver` stages each day's dumps, dispatches them through
-a :class:`~repro.parallel.pool.TaskPool` (``jobs`` chooses only *where*
-a volume-day executes — in-process or in a worker — never what it
-produces), and commits the results in declaration order.  Contention
-between dumps sharing a filer is a different experiment and lives in
-:mod:`repro.backup.jobs`.
+:class:`CampaignDriver` stages each day's dumps, runs them through the
+in-process path of a :class:`~repro.parallel.pool.TaskPool` (which gives
+each volume-day its own trace lane and metrics delta), and commits the
+results in declaration order.  Contention between dumps sharing a filer
+is a different experiment and lives in :mod:`repro.backup.jobs`.
 
 :func:`restore_point_in_time` closes the loop: it asks the catalog for
 the minimal chain covering a target day and replays it, logical chains
@@ -38,12 +37,7 @@ from repro.backup.logical.restore import LogicalRestore
 from repro.backup.physical.image import ImageHeader
 from repro.backup.physical.restore import ImageRestore
 from repro.catalog.records import STRATEGY_IMAGE, STRATEGY_LOGICAL
-from repro.parallel.pool import (
-    TaskPool,
-    TaskSpec,
-    resident_lookup,
-    resident_store,
-)
+from repro.parallel.pool import TaskPool, TaskSpec
 from repro.perf.costs import CostModel, HardwareProfile
 from repro.perf.executor import TimedRun
 from repro.perf.ops import drain_engine
@@ -66,25 +60,21 @@ def day_mutation(seed: int, day: int, index: int,
 
 
 def run_volume_day(
-    fs,
-    tree,
-    kept_snapshots: Dict[int, Tuple[str, int]],
+    volume: "CampaignVolume",
     drive,
     job_name: str,
-    strategy: str,
     dump: Dict,
     mutation: Optional[MutationConfig] = None,
     daily_snapshot: Optional[str] = None,
     profile: Optional[HardwareProfile] = None,
     fault=None,
-):
-    """One volume's whole day, in place, runnable in a worker process.
+) -> Tuple[Dict, List[Dict]]:
+    """One volume's whole day, in place on ``volume``.
 
     Ages the volume, takes the daily snapshot, dumps to ``drive`` in the
     volume's own :class:`TimedRun`, and — image strategy — retires the
-    kept snapshots the fresh dump supersedes (the function owns the live
-    file system, so they are deleted here, not in the parent).  ``dump``
-    holds :func:`build_dump_engine`'s keywords as
+    kept snapshots the fresh dump supersedes.  ``dump`` holds
+    :func:`build_dump_engine`'s keywords as
     :meth:`CampaignVolume.stage_dump` decided them.
 
     ``fault`` is ``None`` on a plain day.  A chaos campaign passes a hook
@@ -92,15 +82,17 @@ def run_volume_day(
     in for the aging step and whose ``drain`` drains the engine, each
     firing and recovering the planned fault if it belongs to that step;
     recovery hands back the op stream an unfaulted dump emits, so the
-    payload is the oracle's.
+    payload is the oracle's.  A crash recovery remounts the volume, and
+    ``volume.fs`` is rebound to the recovered mount.
 
-    Returns ``(fs, tree, drive, payload, events)`` — a module-level
-    function of picklable arguments so :class:`TaskSpec` can ship it.
+    Returns ``(payload, events)``: the day's timings and counts for
+    :meth:`CampaignVolume.commit_dump`, and the fault hook's events.
     """
+    fs, strategy = volume.fs, volume.strategy
     if fault is not None:
-        fs = fault.age(fs, tree, mutation)
+        fs = volume.fs = fault.age(fs, volume.tree, mutation)
     elif mutation is not None:
-        apply_mutations(fs, tree, mutation)
+        apply_mutations(fs, volume.tree, mutation)
     if daily_snapshot is not None:
         fs.snapshot_create(daily_snapshot)
     engine = build_dump_engine(fs, drive, strategy, **dump)
@@ -119,11 +111,12 @@ def run_volume_day(
         date = record.created if record else 0
         # A fresh level-L dump retires kept snapshots at levels >= L,
         # the same way dumpdates supersedes deeper records.
-        for old_level in list(kept_snapshots):
+        kept = volume.kept_snapshots
+        for old_level in list(kept):
             if old_level >= dump["level"]:
-                old_name, _date = kept_snapshots.pop(old_level)
+                old_name, _date = kept.pop(old_level)
                 fs.snapshot_delete(old_name)
-        kept_snapshots[dump["level"]] = (dump["snapshot_name"], date)
+        kept[dump["level"]] = (dump["snapshot_name"], date)
     payload = {
         "name": job_name,
         "date": date,
@@ -132,53 +125,22 @@ def run_volume_day(
         "bytes_to_tape": data.bytes_to_tape,
         "files": data.files,
         "blocks": data.blocks,
-        "kept_snapshots": kept_snapshots,
     }
-    return fs, tree, drive, payload, fault.events if fault is not None else []
+    return payload, fault.events if fault is not None else []
 
 
-def run_tenant_day_resident(tenant_name: str, epoch: int,
-                            shipped: Optional[Dict], *day_args):
-    """One tenant-day against **worker-resident** volume state.
+def run_tenant_day_resident(volume: "CampaignVolume", drive, job_name: str,
+                            dump: Dict,
+                            mutation: Optional[MutationConfig] = None) -> Dict:
+    """One fleet tenant-day over the tenant's resident volume.
 
-    The fleet hot path's adapter around :func:`run_volume_day`
-    (``day_args`` are its arguments from ``drive`` on): the volume
-    (``fs``, ``tree``, kept snapshots) stays pinned in the worker process
-    between jobs under ``(tenant_name, epoch)``
-    (:mod:`repro.parallel.pool`'s resident cache), so a job normally
-    ships only this descriptor — the full ``shipped`` bundle travels
-    once, when the worker has no resident copy (first job, or the epoch
-    was bumped).  The return value is a compact delta, not the state:
-    the day's payload and the written cartridge prefix.
-
-    On the serial path this runs in the parent against the parent's own
-    objects, so every "ship" is a reference pass and every delta
-    application a no-op rebind — which is what keeps ``--jobs 1`` and
-    ``--jobs N`` byte-identical.
+    The fleet's unit of work: :func:`run_volume_day` with no fault hook
+    against the :class:`CampaignVolume` the service holds for the tenant
+    (loaded and mounted once per service start).  Returns the payload.
     """
-    if shipped is not None:
-        # A shipped bundle always wins: the parent only ships when it
-        # believes this worker's copy is absent or stale (epoch bump),
-        # and in serial runs it also paves over leftovers from an
-        # earlier service instance on the same root.
-        resident = shipped
-        resident_store(tenant_name, epoch, resident)
-    else:
-        resident = resident_lookup(tenant_name, epoch)
-        if resident is None:
-            raise CatalogError(
-                "worker has no resident state for %r at epoch %d and the"
-                " parent shipped none" % (tenant_name, epoch))
-    _fs, _tree, drive, payload, _events = run_volume_day(
-        resident["fs"], resident["tree"], resident["kept_snapshots"],
-        *day_args)
-    stacker = drive.stacker
-    return {
-        "payload": payload,
-        "next_slot": stacker.next_slot,
-        "written": stacker.cartridges[:stacker.next_slot],
-        "media_changes": drive.media_changes,
-    }
+    payload, _events = run_volume_day(volume, drive, job_name, dump,
+                                      mutation)
+    return payload
 
 
 class CampaignVolume:
@@ -194,7 +156,7 @@ class CampaignVolume:
         self.subtree = subtree
         # Image strategy: the newest dump snapshot per level, kept alive
         # as future incremental bases.  :func:`run_volume_day` maintains
-        # it beside the file system; :meth:`commit_dump` mirrors it back.
+        # it beside the file system.
         self.kept_snapshots: Dict[int, Tuple[str, int]] = {}
 
     @property
@@ -228,8 +190,8 @@ class CampaignVolume:
         """Decide ``day``'s dump: :func:`build_dump_engine`'s keywords.
 
         ``tag`` makes the image snapshot's name unique to the job.  The
-        dumpdates are a private copy — the dump records into it wherever
-        it runs, and :meth:`commit_dump` records into the catalog's.
+        dumpdates are a private copy — the dump records into it as it
+        runs, and :meth:`commit_dump` records into the catalog's.
         """
         level = self.effective_level(catalog, self.schedule.level_for(day))
         image = self.strategy == STRATEGY_IMAGE
@@ -248,8 +210,7 @@ class CampaignVolume:
         """Record one finished volume-day; returns its backup set.
 
         Adopts the cartridges the day wrote, records the set and its
-        media, mirrors the kept-snapshot map the day maintained, and
-        emits one campaign-level span plus counters.  The catalog is not
+        media, and emits one campaign-level span plus counters.  The catalog is not
         saved — callers commit a whole day at once.
         """
         pool.adopt_cartridges(drive)
@@ -263,9 +224,6 @@ class CampaignVolume:
             blocks=payload["blocks"], save=False,
         )
         pool.commit_job(drive, backup_set)
-        # A copy: an in-process day mutates the very map it was handed,
-        # and the payload must keep this day's value.
-        self.kept_snapshots = dict(payload["kept_snapshots"])
         tracer = get_tracer()
         if tracer.enabled:
             tracer.complete(
@@ -293,7 +251,6 @@ class CampaignDriver:
         mutations: Optional[MutationConfig] = None,
         keep_daily_snapshots: bool = False,
         seed: int = 1234,
-        jobs: int = 1,
     ):
         self.catalog = catalog
         self.pool = pool
@@ -302,7 +259,6 @@ class CampaignDriver:
         self.mutations = mutations or MutationConfig()
         self.keep_daily_snapshots = keep_daily_snapshots
         self.seed = seed
-        self.jobs = jobs
         self.volumes: List[CampaignVolume] = []
         self.day = 0
 
@@ -326,39 +282,31 @@ class CampaignDriver:
         """One day with ``faults[i]`` handed to volume ``i``'s day.
 
         Each volume-day gets a disjoint slice of the scratch media
-        (:meth:`MediaPool.partitioned_drives`) and runs through a
-        :class:`TaskPool` — in this process on the live objects when
-        ``jobs=1``, on pickled copies in workers otherwise.  The parent
-        merges in declaration order — rebinding each volume's file system
-        and tree, then committing its set — so set IDs, dumpdates, and
-        media allocation never depend on where or when a day ran.
+        (:meth:`MediaPool.partitioned_drives`) and runs in this process on
+        the live volume; sets are committed in declaration order, so set
+        IDs, dumpdates and media allocation follow the volume order.
         """
         day = self.day
-        task_pool = TaskPool(self.jobs)
         names = ["%s.d%02d" % (volume.fsid, day) for volume in self.volumes]
         drives = self.pool.partitioned_drives(names)
         dumps = [volume.stage_dump(self.catalog, day, "d%d" % day, self.costs)
                  for volume in self.volumes]
-        # A forked day ran on a pickled copy, so a retry starts clean; an
-        # in-process day has already aged the live volume and must not
-        # run twice.
-        retries = 1 if task_pool.parallel else 0
+        # retries=0: a day ages the live volume in place, so a second
+        # attempt would age already-aged state.
         specs = [
             TaskSpec(names[index], run_volume_day, (
-                volume.fs, volume.tree, volume.kept_snapshots,
-                drives[index], names[index], volume.strategy, dumps[index],
+                volume, drives[index], names[index], dumps[index],
                 (day_mutation(self.seed, day, index, self.mutations)
                  if day > 0 else None),
                 DAILY_SNAPSHOT % day if self.keep_daily_snapshots else None,
                 self.profile, faults[index],
-            ), retries=retries)
+            ), retries=0)
             for index, volume in enumerate(self.volumes)
         ]
         results: Dict[str, object] = {}
         events: List[Dict] = []
-        for volume, dump, value in zip(self.volumes, dumps,
-                                       task_pool.map_values(specs)):
-            volume.fs, volume.tree, drive, payload, day_events = value
+        for volume, dump, drive, (payload, day_events) in zip(
+                self.volumes, dumps, drives, TaskPool().map_values(specs)):
             backup_set = volume.commit_dump(self.catalog, self.pool, day,
                                             dump, drive, payload)
             results[payload["name"]] = (backup_set, payload)

@@ -98,9 +98,9 @@ class MediaPool:
         free scratch media.
 
         A campaign day's volumes are independent filers on separate
-        drives, and their jobs may write to cartridge *copies* in worker
-        processes, so they must never share media: each drive here owns
-        its slice outright, wherever its job runs.
+        drives, so they must never share media: each drive here owns its
+        slice outright, and which cartridges a volume's day writes does
+        not depend on how much its neighbours wrote.
         """
         free = [self._cartridges[label]
                 for label in self.scratch_labels()
@@ -121,9 +121,9 @@ class MediaPool:
                 for name, stack in zip(names, stacks)]
 
     def adopt_cartridges(self, drive: TapeDrive) -> None:
-        """Adopt the cartridge copies a parallel job's drive came back
-        with, replacing the pool's stale originals, so
-        :meth:`commit_job` and later restores see the written bytes."""
+        """Point the pool at the cartridges the job's drive holds, so
+        :meth:`commit_job` and later restores see the written bytes; a
+        cartridge the pool never issued is refused."""
         for cartridge in drive.stacker.cartridges:
             if cartridge.label not in self._cartridges:
                 raise CatalogError(

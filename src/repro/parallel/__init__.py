@@ -4,9 +4,9 @@ Every experiment in :mod:`repro.bench` is an independent simulation over
 its own freshly built environment, so the evaluation plane is
 embarrassingly parallel.  :class:`~repro.parallel.pool.TaskPool` runs
 picklable task specs across worker processes and reassembles the results
-in task-declaration order, so any consumer (EXPERIMENTS.md, the campaign
-catalog) sees byte-identical output regardless of worker count or
-completion order.
+in task-declaration order, so any consumer (EXPERIMENTS.md) sees
+byte-identical output regardless of worker count or completion order.
+Campaign days and fleet batches use the same pool on its in-process path.
 """
 
 from repro.parallel.pool import (
@@ -14,7 +14,6 @@ from repro.parallel.pool import (
     TaskPool,
     TaskResult,
     TaskSpec,
-    TaskTimeout,
     fork_available,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "TaskPool",
     "TaskResult",
     "TaskSpec",
-    "TaskTimeout",
     "fork_available",
 ]

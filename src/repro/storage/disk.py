@@ -89,10 +89,10 @@ class VirtualDisk:
     def __getstate__(self):
         # memoryview chunks do not pickle: ship the store as its
         # pack_chunks image and rebuild writable views on the receiving
-        # side.  This is what lets a whole simulated volume cross a
-        # process boundary (parallel campaign workers return their file
-        # systems).  Like the image, the pickle does not say how the
-        # writer was chunked: the reader cuts the store its own way.
+        # side, so a whole simulated volume can cross a process boundary
+        # as a pool task's argument or result.  Like the image, the
+        # pickle does not say how the writer was chunked: the reader
+        # cuts the store its own way.
         state = self.__dict__.copy()
         state["_chunks"] = self.pack_chunks()
         del state["_chunk_blocks"]

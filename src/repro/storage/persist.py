@@ -13,7 +13,7 @@ Every frame is ``u64 length | zlib stream``.  The header is JSON: its
 :meth:`~repro.storage.disk.VirtualDisk.pack_chunks` image per member
 disk, then one byte stream per cartridge (its records end to end; the
 file does not say where one record stopped and the next began).  Equal
-state makes equal files, which the chaos and ``--jobs`` gates compare
+state makes equal files, which the chaos and determinism gates compare
 byte for byte.
 Writes replace the file atomically; every way a file can be wrong is a
 :class:`~repro.errors.StorageError`, which the CLI prints as one line.

@@ -44,7 +44,7 @@ class CampaignRun:
                                       self.volume_paths)
 
 
-def run_chaos_campaign(root, plan, days=6, seed=41, jobs=1,
+def run_chaos_campaign(root, plan, days=6, seed=41,
                        nbytes=MB, tape_capacity=MB, tapes=60,
                        schedule="gfs:7x4", events_path=None) -> CampaignRun:
     """Build, populate, and run one campaign under ``plan``.
@@ -60,11 +60,11 @@ def run_chaos_campaign(root, plan, days=6, seed=41, jobs=1,
     pool = MediaPool(catalog)
     pool.add_blank(tapes, capacity=tape_capacity)
     if plan is None:
-        driver = CampaignDriver(catalog, pool, seed=seed, jobs=jobs)
+        driver = CampaignDriver(catalog, pool, seed=seed)
     else:
         driver = ChaosCampaignDriver(catalog, pool, plan,
                                      events_path=events_path,
-                                     seed=seed, jobs=jobs)
+                                     seed=seed)
     for index, (name, strategy) in enumerate(CAMPAIGN_VOLUMES):
         volume = RaidVolume(make_geometry(2, 4, 2500), name=name)
         fs = WaflFilesystem.format(volume, nvram=NvramLog())

@@ -23,7 +23,7 @@ from repro.chaos.plan import (
     KIND_TORN_CP,
 )
 from repro.chaos.verify import file_digest, filesystem_digest, volume_digest
-from repro.manager import run_volume_day
+from repro.manager import CampaignVolume, run_volume_day
 from repro.storage.persist import save_volume
 from repro.units import MB
 from repro.workload import WorkloadGenerator
@@ -53,10 +53,11 @@ def run_day(fault=None, nvram=True, mutate=True):
     mutation = MUTATIONS[mutate]
     dump = {"level": 0, "subtree": "/", "dumpdates": DumpDates(),
             "snapshot_name": None, "base_snapshot": None, "costs": None}
-    fs, tree, drive, payload, events = run_volume_day(
-        fs, tree, {}, drive, "vol.d01", "logical", dump, mutation,
+    volume = CampaignVolume(fs, tree, "logical", schedule=None)
+    payload, events = run_volume_day(
+        volume, drive, "vol.d01", dump, mutation,
         fault=None if fault is None else VolumeDayFault(fault))
-    return fs, drive, payload, events
+    return volume.fs, drive, payload, events
 
 
 def fault_of(kind, **params):

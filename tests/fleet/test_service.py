@@ -1,17 +1,23 @@
 """The fleet service end to end: determinism, persistence, ad-hoc jobs.
 
 A module-scoped helper initialises a small 3-tenant, 2-drive fleet and
-runs it four simulated days twice — once serial, once with ``jobs=2`` —
-so the determinism tests can compare the two roots byte for byte.
+runs it four simulated days in two separate roots, so the determinism
+tests can compare the two roots byte for byte; a 4-tenant fleet run
+whole and run with a restart halfway shows what a restart costs.
 """
 
 from __future__ import annotations
 
 import filecmp
+import gc
 import json
 import os
+import shutil
+import weakref
 
 import pytest
+
+from repro.cli import main
 
 from repro.fleet import (
     FleetService,
@@ -62,33 +68,33 @@ def make_spec():
         drives=2, seed=424242)
 
 
-def run_fleet(root, jobs):
+def run_fleet(root):
     FleetService.init_fleet(str(root), make_spec())
-    service = FleetService(str(root), jobs=jobs)
+    service = FleetService(str(root))
     totals = service.run_days(DAYS)
     return service, totals
 
 
 @pytest.fixture(scope="module")
 def fleet_pair(tmp_path_factory):
-    serial_root = tmp_path_factory.mktemp("fleet_serial")
-    parallel_root = tmp_path_factory.mktemp("fleet_parallel")
-    serial = run_fleet(serial_root, jobs=1)
-    parallel = run_fleet(parallel_root, jobs=2)
-    return (serial_root, serial), (parallel_root, parallel)
+    roots = [tmp_path_factory.mktemp("fleet_%s" % name)
+             for name in ("one", "two")]
+    return [(root, run_fleet(root)) for root in roots]
 
 
 class TestDeterminism:
-    def test_serial_and_parallel_totals_match(self, fleet_pair):
-        (_, (_, serial_totals)), (_, (_, parallel_totals)) = fleet_pair
-        assert serial_totals == parallel_totals
-        assert serial_totals["jobs"] == 3 * DAYS
+    def test_totals_match_across_roots(self, fleet_pair):
+        (_, (_, one_totals)), (_, (_, two_totals)) = fleet_pair
+        assert one_totals == two_totals
+        assert one_totals["jobs"] == 3 * DAYS
 
     @pytest.mark.parametrize("rel", COMPARED_FILES)
     def test_artifact_byte_identical(self, fleet_pair, rel):
-        (serial_root, _), (parallel_root, _) = fleet_pair
-        assert filecmp.cmp(os.path.join(str(serial_root), rel),
-                           os.path.join(str(parallel_root), rel),
+        # Nothing about the root (its path, the process state an earlier
+        # service left behind) reaches a fleet artifact.
+        (one_root, _), (two_root, _) = fleet_pair
+        assert filecmp.cmp(os.path.join(str(one_root), rel),
+                           os.path.join(str(two_root), rel),
                            shallow=False), "%s differs" % rel
 
     def test_event_log_is_wellformed(self, fleet_pair):
@@ -97,7 +103,7 @@ class TestDeterminism:
             events = [json.loads(line) for line in handle]
         assert events, "event log is empty"
         kinds = {event["event"] for event in events}
-        assert kinds == {"submit", "start", "affinity", "finish"}
+        assert kinds == {"submit", "start", "finish"}
         starts = {e["job"] for e in events if e["event"] == "start"}
         finishes = {e["job"] for e in events if e["event"] == "finish"}
         assert starts == finishes
@@ -132,6 +138,77 @@ class TestPersistence:
         FleetService.init_fleet(root, make_spec())
         with pytest.raises(FleetError):
             FleetService.init_fleet(root, make_spec())
+
+    def test_more_than_one_job_refused(self, tmp_path):
+        root = str(tmp_path / "fleet")
+        FleetService.init_fleet(root, make_spec())
+        with pytest.raises(FleetError, match="jobs must be 1"):
+            FleetService(root, jobs=2)
+
+    def test_a_dropped_service_frees_its_tenants(self, tmp_path):
+        root = str(tmp_path / "fleet")
+        FleetService.init_fleet(root, make_spec())
+        service = FleetService(root)
+        service.run_days(2)
+        mounted = weakref.ref(service.tenants["acme"].volume.fs)
+        del service
+        gc.collect()
+        assert mounted() is None
+
+
+class TestStateFile:
+    """``tests/fleet/data/v1.state.json`` is a state file written by the
+    version that pinned tenants to worker lanes (it has an ``affinity``
+    map); the spec below is the one it was written under."""
+
+    DATA = os.path.join(os.path.dirname(__file__), "data", "v1.state.json")
+
+    @pytest.fixture()
+    def v1_root(self, tmp_path):
+        root = str(tmp_path / "fleet")
+        FleetService.init_fleet(root, make_spec())
+        shutil.copyfile(self.DATA, FleetService.state_path(root))
+        return root
+
+    def test_affinity_is_read_past_and_not_written_back(self, v1_root):
+        with open(self.DATA) as handle:
+            written = json.load(handle)
+        assert "affinity" in written
+        service = FleetService(v1_root)
+        assert service.scheduler.tick == written["tick"]
+        assert service.state["day"] == written["day"] == 2
+        service._save_state()
+        state = load_state(v1_root)
+        assert "affinity" not in state
+        assert state == {key: value for key, value in written.items()
+                         if key != "affinity"}
+        assert FleetService(v1_root).run_days(1)["jobs"] == 3
+
+    def test_another_version_is_one_error_line(self, v1_root, capsys):
+        path = FleetService.state_path(v1_root)
+        with open(path) as handle:
+            state = json.load(handle)
+        state["version"] = 2
+        with open(path, "w") as handle:
+            json.dump(state, handle)
+        assert main(["fleet", "status", v1_root]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("repro-backup: error: ")
+        assert "version 2" in err
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "run", "root", "--jobs", "2"],
+        ["run-campaign", "cat.json", "--pool", "pool.med",
+         "--volume", "home=logical", "--jobs", "2"],
+    ])
+    def test_jobs_is_not_an_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestAdHocJobs:
@@ -199,3 +276,101 @@ class TestRetention:
         live = [s for s in service.tenants["solo"].catalog.sets.values()
                 if s.status == "ok"]
         assert live  # the newest chain always survives
+
+
+# ---------------------------------------------------------------------------
+# What a restart costs
+# ---------------------------------------------------------------------------
+
+LOGICAL = ("alfa", "gila")
+IMAGE = ("beta", "dune")
+
+RESTART_FILES = ["events.jsonl", "state.json"] + [
+    "tenants/%s/%s" % (name, rel)
+    for name in ("alfa", "beta", "gila", "dune")
+    for rel in ("catalog.json", "catalog.json.journal", "media.bin",
+                "volume.bin")]
+
+
+def make_restart_spec():
+    names = ["alfa", "beta", "gila", "dune"]
+    strategies = ["logical", "image", "logical", "image"]
+    return FleetSpec(
+        tenants=[
+            TenantSpec(name, lane="daily", strategy=strategy,
+                       schedule="gfs:4x2", retention="redundancy 2",
+                       data_bytes=200_000 + 25_000 * index,
+                       seed=50 + index, cartridges=8,
+                       cartridge_capacity=2_000_000, blocks_per_disk=900)
+            for index, (name, strategy) in enumerate(zip(names, strategies))
+        ],
+        drives=2, seed=171717)
+
+
+@pytest.fixture(scope="module")
+def restart_roots(tmp_path_factory):
+    """The same days run whole, and as two service runs (a cold mount of
+    every volume halfway)."""
+    warm = str(tmp_path_factory.mktemp("warm"))
+    FleetService.init_fleet(warm, make_restart_spec())
+    FleetService(warm).run_days(DAYS)
+    cold = str(tmp_path_factory.mktemp("cold"))
+    FleetService.init_fleet(cold, make_restart_spec())
+    FleetService(cold).run_days(DAYS // 2)
+    FleetService(cold).run_days(DAYS - DAYS // 2)
+    return warm, cold
+
+
+def _json_lines(root, rel):
+    with open(os.path.join(root, rel)) as handle:
+        return [json.loads(line) for line in handle]
+
+
+def _leaf_diffs(one, other, path=()):
+    """``(path, one's leaf, other's leaf)`` wherever two JSON values differ."""
+    if isinstance(one, dict) and isinstance(other, dict) \
+            and one.keys() == other.keys():
+        return [diff for key in one
+                for diff in _leaf_diffs(one[key], other[key], path + (key,))]
+    if isinstance(one, list) and isinstance(other, list) \
+            and len(one) == len(other):
+        return [diff for index, pair in enumerate(zip(one, other))
+                for diff in _leaf_diffs(*pair, path + (index,))]
+    return [] if one == other else [(path, one, other)]
+
+
+def test_a_restart_costs_each_logical_tenant_one_cold_dump(restart_roots):
+    """A restart shows in exactly one number per logical tenant — its
+    first dump afterwards reads metadata the uninterrupted run still had
+    cached — and in nothing an image tenant owns, because an image dump
+    reads blocks by number, below the cache."""
+    warm, cold = restart_roots
+    for rel in RESTART_FILES:
+        if rel.startswith(tuple("tenants/%s/" % name for name in IMAGE)) \
+                or rel.endswith(("media.bin", "catalog.json", "volume.bin")):
+            assert filecmp.cmp(os.path.join(warm, rel),
+                               os.path.join(cold, rel), shallow=False), rel
+    # The event log: one number per logical tenant, strictly larger.
+    events = _json_lines(cold, "events.jsonl")
+    moved = {}
+    for path, before, after in _leaf_diffs(
+            _json_lines(warm, "events.jsonl"), events):
+        event = events[path[0]]
+        assert path[1:] == ("sim_seconds",) and after > before
+        assert (event["event"], event["kind"], event["day"]) == (
+            "finish", "dump", DAYS // 2)  # the first day after it
+        moved[event["tenant"]] = (before, after)
+    assert sorted(moved) == sorted(LOGICAL)
+    # The same seconds, and nothing else, in the journal and the state.
+    for name in LOGICAL:
+        rel = "tenants/%s/catalog.json.journal" % name
+        (path, before, after), = _leaf_diffs(_json_lines(warm, rel),
+                                             _json_lines(cold, rel))
+        assert path[-1] == "end_time"
+        assert after - before == pytest.approx(
+            moved[name][1] - moved[name][0], abs=1e-6)
+    recent = _leaf_diffs(load_state(warm), load_state(cold))
+    assert all(path[0] == "recent" and path[2:] == ("outcome", "sim_seconds")
+               for path, _, _ in recent)
+    assert sorted((before, after) for _, before, after in recent) \
+        == sorted(moved.values())

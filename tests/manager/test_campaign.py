@@ -181,15 +181,15 @@ def test_a_failed_in_process_day_is_not_retried(monkeypatch):
 
     attempts = []
 
-    def out_of_tape(*args, **kwargs):
-        attempts.append(args[4])
+    def out_of_tape(volume, drive, job_name, *args, **kwargs):
+        attempts.append(job_name)
         raise TapeError("stacker magazine exhausted")
 
     monkeypatch.setattr(campaign_module, "run_volume_day", out_of_tape)
     catalog = BackupCatalog()
     pool = MediaPool(catalog)
     pool.add_blank(2, capacity=2 * MB)
-    driver = CampaignDriver(catalog, pool, jobs=1)
+    driver = CampaignDriver(catalog, pool)
     fs = make_fs(name="home")
     tree = WorkloadGenerator(seed=20).populate(fs, MB // 4)
     driver.add_volume(fs, tree, "logical", GFS(4, 2))

@@ -578,9 +578,9 @@ def test_only_the_env_cache_refusal_loses_its_traceback(tmp_path, monkeypatch):
 
 
 def test_a_pickle_carrying_a_version_1_image_is_a_storage_error():
-    """File systems cross process boundaries pickled (pool IPC, worker
-    residents): a pickle whose image recorded 1024-block chunks must fail
-    like a container does, not inside numpy."""
+    """File systems cross process boundaries pickled (a pool task's
+    arguments and result): a pickle whose image recorded 1024-block
+    chunks must fail like a container does, not inside numpy."""
     fs = make_fs(ngroups=1, ndata=2, blocks_per_disk=1100)
     populate_small_tree(fs)
     with mock.patch.object(VirtualDisk, "pack_chunks", version_1_image):
