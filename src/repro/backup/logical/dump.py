@@ -84,6 +84,7 @@ class LogicalDump:
         snapshot_name: Optional[str] = None,
         hostname: str = "eliot",
         reuse_snapshot: bool = False,
+        readahead_extents: int = READAHEAD_EXTENTS,
     ):
         """``source`` is a live :class:`WaflFilesystem` (a snapshot is
         created for the dump and deleted afterwards, as the paper's dump
@@ -93,7 +94,8 @@ class LogicalDump:
         ``reuse_snapshot`` adopts an existing snapshot of that name
         instead of failing on it, still emitting the creation-stage ops
         and still deleting it at the end — so a dump resumed after a
-        fault replays the exact op stream of the original attempt."""
+        fault replays the exact op stream of the original attempt.
+        ``readahead_extents`` is the file phase's read-ahead window."""
         self.fs = source if hasattr(source, "snapshot_create") else None
         self.source = source
         self.drive = drive
@@ -106,6 +108,7 @@ class LogicalDump:
         self.snapshot_name = snapshot_name
         self.hostname = hostname
         self.reuse_snapshot = reuse_snapshot
+        self.readahead_extents = readahead_extents
         self._tape_mark = 0
         self._change_mark = 0
         self._prefetch_count = 0
@@ -393,7 +396,7 @@ class LogicalDump:
                 # Read-ahead covers the file being dumped plus one extent
                 # of the next file (open-ahead) — the scope of a per-file
                 # read-ahead policy, not an unbounded pipeline.
-                horizon = min(cursor + READAHEAD_EXTENTS + 1, last_task + 2)
+                horizon = min(cursor + self.readahead_extents + 1, last_task + 2)
                 for op in issue_extents(horizon):
                     yield op
                 yield ReadBarrier(task_barrier[task_index], stage=STAGE_FILES)

@@ -27,19 +27,24 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import repro.backup.logical.dump as logical_dump_module
-from repro.backup.logical.dump import STAGE_FILES, LogicalDump
+from repro.backup.logical.dump import READAHEAD_EXTENTS, STAGE_FILES, LogicalDump
 from repro.backup.logical.dumpdates import DumpDates
 from repro.backup.logical.restore import STAGE_FILL, LogicalRestore
 from repro.backup.physical.dump import STAGE_BLOCKS, ImageDump
 from repro.bench.configs import EliotConfig, ExperimentEnv, build_home_env
+from repro.bench.harness import aggregate_stage
 from repro.bench.report import Table
 from repro.nvram.log import NvramLog
 from repro.perf.costs import HardwareProfile
 from repro.perf.executor import TimedRun
+from repro.units import MB
 from repro.wafl.filesystem import WaflFilesystem
 
 ABLATION_SCALE = 4000  # ~47 MB home replica: seconds per configuration
+
+#: A tape fast enough that the disk side shows past the DLT bottleneck:
+#: Section 5.1's "remove the bottleneck device" methodology.
+FAST_TAPE = HardwareProfile(tape_rate=30.0 * MB)
 
 #: (label, measured, paper, unit, note) — what a point function returns.
 RowTuple = Tuple[str, object, object, str, str]
@@ -62,7 +67,7 @@ def _point_env(scale: Optional[int], **config) -> ExperimentEnv:
         EliotConfig(scale=_scale(scale), **config)).clone()
 
 
-def _dump_rate(env, engine, profile: Optional[HardwareProfile] = None) -> float:
+def _dump_rate(engine, profile: Optional[HardwareProfile] = None) -> float:
     run = TimedRun(profile)
     run.add_job("job", engine)
     result = run.run()["job"]
@@ -77,23 +82,18 @@ def _dump_rate(env, engine, profile: Optional[HardwareProfile] = None) -> float:
 def fragmentation_point(rounds: int, scale: Optional[int] = None) -> List[RowTuple]:
     """One aging level: who pays for a mature file system?
 
-    The DLT hides the effect at one drive (both strategies are tape
-    bound), so the sweep runs with a fast tape (30 MB/s) — the
-    "remove the bottleneck device" methodology of Section 5.1 — and the
-    disk-side difference shows directly.
+    The DLT hides the effect at one drive, so the sweep runs on
+    :data:`FAST_TAPE` and the disk-side difference shows directly.
     """
-    from repro.units import MB as _MB
-
-    fast_tape = HardwareProfile(tape_rate=30.0 * _MB)
     env = _point_env(scale, aging_rounds=rounds, churn_fraction=0.28,
                      seed=2000)
     costs = env.config.cost_model()
-    logical = _dump_rate(env, LogicalDump(
+    logical = _dump_rate(LogicalDump(
         env.home_fs, env.new_drive(), dumpdates=DumpDates(), costs=costs
-    ).run(), fast_tape)
-    physical = _dump_rate(env, ImageDump(
+    ).run(), FAST_TAPE)
+    physical = _dump_rate(ImageDump(
         env.home_fs, env.new_drive(), costs=costs
-    ).run(), fast_tape)
+    ).run(), FAST_TAPE)
     frag = env.fragmentation["mean_extent_blocks"]
     return [
         ("rounds=%d mean extent (blocks)" % rounds, frag, None, "", ""),
@@ -138,19 +138,15 @@ def nvram_point(bypass: bool, scale: Optional[int] = None) -> List[RowTuple]:
 
 def readahead_point(window: Optional[int],
                     scale: Optional[int] = None) -> List[RowTuple]:
-    """Dump with one read-ahead window (``None`` = the shipped default)."""
+    """Dump with one read-ahead window (``None`` = the shipped default),
+    on :data:`FAST_TAPE`: on the DLT every window is tape bound."""
     env = _point_env(scale)
-    costs = env.config.cost_model()
-    original = logical_dump_module.READAHEAD_EXTENTS
-    actual = original if window is None else window
-    try:
-        logical_dump_module.READAHEAD_EXTENTS = actual
-        rate = _dump_rate(env, LogicalDump(
-            env.home_fs, env.new_drive(), dumpdates=DumpDates(), costs=costs,
-        ).run())
-    finally:
-        logical_dump_module.READAHEAD_EXTENTS = original
-    return [("window=%d logical files MB/s" % actual, rate, None, "", "")]
+    window = READAHEAD_EXTENTS if window is None else window
+    rate = _dump_rate(LogicalDump(
+        env.home_fs, env.new_drive(), dumpdates=DumpDates(),
+        costs=env.config.cost_model(), readahead_extents=window,
+    ).run(), FAST_TAPE)
+    return [("window=%d logical files MB/s" % window, rate, None, "", "")]
 
 
 def cache_point(cache_blocks: int, scale: Optional[int] = None) -> List[RowTuple]:
@@ -202,12 +198,9 @@ def cpu_point(cpus: int, scale: Optional[int] = None) -> List[RowTuple]:
         dumpdates=DumpDates(), costs=costs,
     )
     run.run()
-    stages = [r.stages[STAGE_FILES] for r in results.values()]
-    start = min(s.start for s in stages)
-    end = max(s.end for s in stages)
-    tape = sum(s.tape_bytes for s in stages)
     return [("cpus=%d logical files MB/s (4 drives)" % cpus,
-             tape / 1e6 / (end - start), None, "", "")]
+             aggregate_stage(results, STAGE_FILES)["tape_mb_s"],
+             None, "", "")]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ timed executor, verifies the restored data bit-for-bit, and returns
 :class:`~repro.bench.report.Table` objects holding measured-vs-paper rows.
 
 Scale handling: throughput (MB/s, GB/h) and utilization are
-scale-invariant and compared directly; *elapsed hours* are extrapolated
-(data-proportional stages multiply by the scale factor; the fixed
-snapshot create/delete stages do not).
+scale-invariant and compared directly.  Every elapsed cell is
+extrapolated by one rule, :func:`paper_seconds`: the fixed snapshot
+stages multiply by the scale (undoing ``EliotConfig.cost_model``), every
+other stage by the paper's 188 GB over the bytes the replica holds.
+Table 2's elapsed cell is the sum of the Table 3 stage times it prints.
 """
 
 from __future__ import annotations
@@ -51,7 +53,21 @@ from repro.perf.executor import JobResult, TimedRun
 from repro.units import GB, HOUR, MB
 from repro.wafl.filesystem import WaflFilesystem
 
-_SNAPSHOT_FIXED_SECONDS = 65.0  # create (30 s) + delete (35 s)
+#: Stages of fixed duration, which ``EliotConfig.cost_model`` divides by
+#: the scale whatever the volume holds.
+_FIXED_STAGES = (STAGE_SNAP_CREATE, STAGE_SNAP_DELETE)
+
+
+def paper_seconds(stage_name: str, elapsed: float, data_bytes: int,
+                  scale: int) -> float:
+    """The one place a model second becomes a paper second.
+
+    A fixed stage multiplies by ``scale``; every other stage moves the
+    replica's ``data_bytes`` and stretches by the paper volume over them.
+    """
+    if stage_name in _FIXED_STAGES:
+        return elapsed * scale
+    return elapsed * paper.HOME_BYTES / data_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +203,11 @@ def _diff_count(diffs) -> int:
     return diffs if isinstance(diffs, int) else len(diffs)
 
 
-def _op_rate(result: JobResult, data_bytes: int,
-             exclude_stages: Tuple[str, ...] = ()) -> Tuple[float, float]:
-    """(MB/s, data seconds) over the data-proportional stages."""
-    data_seconds = sum(
-        stage.elapsed for name, stage in result.stages.items()
-        if name not in exclude_stages
-    )
-    if data_seconds <= 0:
-        return 0.0, 0.0
-    return data_bytes / MB / data_seconds, data_seconds
+def _op_rate(result: JobResult, data_bytes: int) -> float:
+    """MB/s over the stages that move the data."""
+    data_seconds = sum(stage.elapsed for name, stage in result.stages.items()
+                       if name not in _FIXED_STAGES)
+    return data_bytes / MB / data_seconds if data_seconds > 0 else 0.0
 
 
 def run_table2(env: Optional[ExperimentEnv] = None) -> Table:
@@ -209,33 +220,35 @@ def table2_from_basic(basic: Dict, scale: int) -> Table:
     """Assemble Table 2 from a basic-results dict (see
     :func:`basic_from_strategies`)."""
     data_bytes = basic["data_bytes"]
-    snapshot_stages = (STAGE_SNAP_CREATE, STAGE_SNAP_DELETE)
     table = Table(
         "Table 2 — basic backup and restore (1 DLT drive, %s)"
         % ("scale 1:%d" % scale)
     )
     ops = [
-        ("Logical Backup", basic["logical-dump"], snapshot_stages),
-        ("Logical Restore", basic["logical-restore"], ()),
-        ("Physical Backup", basic["physical-dump"], snapshot_stages),
-        ("Physical Restore", basic["physical-restore"], ()),
+        ("Logical Backup", basic["logical-dump"]),
+        ("Logical Restore", basic["logical-restore"]),
+        ("Physical Backup", basic["physical-dump"]),
+        ("Physical Restore", basic["physical-restore"]),
     ]
-    for label, result, excluded in ops:
+    rates = {}
+    for label, result in ops:
         published = paper.TABLE2[label]
-        rate, data_seconds = _op_rate(result, data_bytes, excluded)
-        fixed = sum(
-            result.stages[name].elapsed for name in excluded
-            if name in result.stages
-        )
-        # Extrapolate: the paper's 188 GB at our measured rate, plus the
-        # snapshot stages (scaled down in the run, scaled back here).
-        paper_hours = (fixed * scale
-                       + paper.HOME_BYTES / MB / max(rate, 1e-9)) / HOUR
+        rate = rates[label] = _op_rate(result, data_bytes)
+        # The sum of the stage times Table 3 prints for this op.
+        paper_hours = sum(
+            paper_seconds(name, stage.elapsed, data_bytes, scale)
+            for name, stage in result.stages.items()) / HOUR
         table.add("%s elapsed (extrapolated)" % label, paper_hours,
                   published["hours"], unit="")
         table.add("%s MBytes/second" % label, rate, published["mb_s"])
         table.add("%s GBytes/hour" % label, rate * 3600 / 1024,
                   published["gb_h"])
+    table.add("physical/logical backup throughput ratio",
+              rates["Physical Backup"] / rates["Logical Backup"],
+              paper.CLAIMS["backup_throughput_ratio"])
+    table.add("physical/logical restore throughput ratio",
+              rates["Physical Restore"] / rates["Logical Restore"],
+              paper.CLAIMS["restore_throughput_ratio"])
     table.add("logical restore verified (diff count)",
               _diff_count(basic["logical_diffs"]), 0)
     table.add("physical restore verified (diff count)",
@@ -252,6 +265,7 @@ def run_table3(env: Optional[ExperimentEnv] = None) -> Table:
 def table3_from_basic(basic: Dict, scale: int) -> Table:
     """Assemble Table 3 from a basic-results dict."""
     table = Table("Table 3 — dump and restore details (per stage)")
+    data_bytes = basic["data_bytes"]
     sections = [
         ("Logical Dump", basic["logical-dump"]),
         ("Logical Restore", basic["logical-restore"]),
@@ -266,8 +280,8 @@ def table3_from_basic(basic: Dict, scale: int) -> Table:
         for name in result.stage_order:
             stage = result.stages[name]
             pub = published.get(name)
-            measured_elapsed = stage.elapsed * scale
-            table.add("%s / %s time" % (section, name), measured_elapsed,
+            table.add("%s / %s time" % (section, name),
+                      paper_seconds(name, stage.elapsed, data_bytes, scale),
                       pub[0] if pub else None, unit="s")
             table.add("%s / %s CPU" % (section, name),
                       stage.cpu_utilization(),
@@ -277,21 +291,13 @@ def table3_from_basic(basic: Dict, scale: int) -> Table:
     pd = basic["physical-dump"]
     lr = basic["logical-restore"]
     pr = basic["physical-restore"]
-    dump_ratio = (
-        ld.stages[STAGE_FILES].cpu_seconds / ld.stages[STAGE_FILES].elapsed
-    ) / (
-        pd.stages[STAGE_DUMP_BLOCKS].cpu_seconds
-        / pd.stages[STAGE_DUMP_BLOCKS].elapsed
-    )
-    restore_ratio = (
-        lr.cpu_seconds / lr.elapsed
-    ) / (
-        pr.stages[STAGE_RESTORE_BLOCKS].cpu_seconds
-        / pr.stages[STAGE_RESTORE_BLOCKS].elapsed
-    )
-    table.add("logical/physical dump CPU ratio", dump_ratio,
+    table.add("logical/physical dump CPU ratio",
+              ld.stages[STAGE_FILES].cpu_utilization()
+              / pd.stages[STAGE_DUMP_BLOCKS].cpu_utilization(),
               paper.CLAIMS["dump_cpu_ratio"])
-    table.add("logical/physical restore CPU ratio", restore_ratio,
+    table.add("logical/physical restore CPU ratio",
+              lr.cpu_seconds / lr.elapsed
+              / pr.stages[STAGE_RESTORE_BLOCKS].cpu_utilization(),
               paper.CLAIMS["restore_cpu_ratio"])
     return table
 
@@ -299,6 +305,26 @@ def table3_from_basic(basic: Dict, scale: int) -> Table:
 # ---------------------------------------------------------------------------
 # Tables 4 and 5 — parallel backup and restore
 # ---------------------------------------------------------------------------
+
+def aggregate_stage(results: Dict[str, JobResult],
+                    stage_name: str) -> Optional[Dict[str, float]]:
+    """One stage across parallel jobs, first start to last end (None if none ran it)."""
+    stages = [result.stages[stage_name] for result in results.values()
+              if stage_name in result.stages]
+    if not stages:
+        return None
+    elapsed = (max(stage.end for stage in stages)
+               - min(stage.start for stage in stages))
+    cpu = sum(stage.cpu_seconds for stage in stages)
+    disk = sum(stage.disk_bytes for stage in stages)
+    tape = sum(stage.tape_bytes for stage in stages)
+    return {
+        "elapsed": elapsed,
+        "cpu": cpu / elapsed if elapsed else 0.0,
+        "disk_mb_s": disk / MB / elapsed if elapsed else 0.0,
+        "tape_mb_s": tape / MB / elapsed if elapsed else 0.0,
+    }
+
 
 def run_table45(ndrives: int, config: Optional[EliotConfig] = None) -> Table:
     """Tables 4 (2 drives) and 5 (4 drives): parallel runs.
@@ -358,82 +384,40 @@ def run_table45(ndrives: int, config: Optional[EliotConfig] = None) -> Table:
     fs.snapshot_delete("t45.image")
 
     # -- assemble the table ----------------------------------------------------
-    scale = env.config.scale
     table = Table(
         "Table %d — parallel backup and restore on %d tape drives"
         % (4 if ndrives == 2 else 5, ndrives)
     )
-
-    def aggregate_stage(results: Dict[str, JobResult], stage_name: str):
-        stages = [
-            result.stages[stage_name]
-            for result in results.values()
-            if stage_name in result.stages
-        ]
-        if not stages:
-            return None
-        start = min(stage.start for stage in stages)
-        end = max(stage.end for stage in stages)
-        elapsed = end - start
-        cpu = sum(stage.cpu_seconds for stage in stages)
-        disk = sum(stage.disk_bytes for stage in stages)
-        tape = sum(stage.tape_bytes for stage in stages)
-        return {
-            "elapsed": elapsed,
-            "cpu": cpu / elapsed if elapsed else 0.0,
-            "disk_mb_s": disk / MB / elapsed if elapsed else 0.0,
-            "tape_mb_s": tape / MB / elapsed if elapsed else 0.0,
-        }
-
-    logical_rows = [
-        ("Mapping", STAGE_MAPPING, dump_results),
-        ("Directories", STAGE_DIRS, dump_results),
-        ("Files", STAGE_FILES, dump_results),
-        ("Creating files", STAGE_CREATE, lrest_results),
-        ("Filling in data", STAGE_FILL, lrest_results),
+    # (row label, paper section, paper row, stage, the jobs that ran it)
+    rows = [
+        ("Logical Mapping", "Logical Backup", "Mapping", STAGE_MAPPING,
+         dump_results),
+        ("Logical Directories", "Logical Backup", "Directories", STAGE_DIRS,
+         dump_results),
+        ("Logical Files", "Logical Backup", "Files", STAGE_FILES,
+         dump_results),
+        ("Logical Creating files", "Logical Restore", "Creating files",
+         STAGE_CREATE, lrest_results),
+        ("Logical Filling in data", "Logical Restore", "Filling in data",
+         STAGE_FILL, lrest_results),
+        ("Physical dumping blocks", "Physical Backup", "Dumping blocks",
+         STAGE_DUMP_BLOCKS, {"image": pdump_result}),
+        ("Physical restoring blocks", "Physical Restore", "Restoring blocks",
+         STAGE_RESTORE_BLOCKS, prest_results),
     ]
-    section_of = {
-        "Mapping": "Logical Backup",
-        "Directories": "Logical Backup",
-        "Files": "Logical Backup",
-        "Creating files": "Logical Restore",
-        "Filling in data": "Logical Restore",
-    }
-    for label, stage_name, results in logical_rows:
+    for label, section, paper_row, stage_name, results in rows:
         agg = aggregate_stage(results, stage_name)
         if agg is None:
             continue
-        pub_rows = dict(
-            (name, (seconds, cpu, disk, tape))
-            for name, seconds, cpu, disk, tape in published[section_of[label]]
-        )
-        pub = pub_rows.get(label)
-        table.add("Logical %s time" % label, agg["elapsed"] * scale,
-                  pub[0] if pub else None, unit="s")
-        table.add("Logical %s CPU" % label, agg["cpu"],
-                  pub[1] if pub else None, unit="%")
-        table.add("Logical %s disk MB/s" % label, agg["disk_mb_s"],
-                  pub[2] if pub else None)
-        table.add("Logical %s tape MB/s" % label, agg["tape_mb_s"],
-                  pub[3] if pub else None)
-
-    prest_agg = aggregate_stage(prest_results, STAGE_RESTORE_BLOCKS)
-    pdump_stage = pdump_result.stages[STAGE_DUMP_BLOCKS]
-    physical_rows = [
-        ("Physical dumping blocks", "Physical Backup", {
-            "elapsed": pdump_stage.elapsed,
-            "cpu": pdump_stage.cpu_utilization(),
-            "disk_mb_s": pdump_stage.disk_rate,
-            "tape_mb_s": pdump_stage.tape_rate,
-        }),
-        ("Physical restoring blocks", "Physical Restore", prest_agg),
-    ]
-    for label, section, agg in physical_rows:
-        pub = published[section][0]
-        table.add("%s time" % label, agg["elapsed"] * scale, pub[1], unit="s")
-        table.add("%s CPU" % label, agg["cpu"], pub[2], unit="%")
-        table.add("%s disk MB/s" % label, agg["disk_mb_s"], pub[3])
-        table.add("%s tape MB/s" % label, agg["tape_mb_s"], pub[4])
+        pub = next(row[1:] for row in published[section]
+                   if row[0] == paper_row)
+        table.add("%s time" % label,
+                  paper_seconds(stage_name, agg["elapsed"], data_bytes,
+                                env.config.scale),
+                  pub[0], unit="s")
+        table.add("%s CPU" % label, agg["cpu"], pub[1], unit="%")
+        table.add("%s disk MB/s" % label, agg["disk_mb_s"], pub[2])
+        table.add("%s tape MB/s" % label, agg["tape_mb_s"], pub[3])
 
     # Section 5.2 summary (4-drive configuration).
     if ndrives == 4:
@@ -498,7 +482,9 @@ def run_concurrent_volumes(config: Optional[EliotConfig] = None) -> Table:
 
 __all__ = [
     "BASIC_STRATEGIES",
+    "aggregate_stage",
     "basic_from_strategies",
+    "paper_seconds",
     "run_basic",
     "run_concurrent_volumes",
     "run_strategy",

@@ -89,15 +89,14 @@ SUMMARY_4_DRIVES = {
 # Headline claims the reproduction must preserve (the "shape").
 CLAIMS = {
     # Table 2: physical dump ≈ 20 % higher throughput than logical.
-    "single_drive_physical_advantage": 1.20,
+    "backup_throughput_ratio": 1.20,
+    # Table 2: "the significant difference in the restore performance".
+    "restore_throughput_ratio": (TABLE2["Physical Restore"]["mb_s"]
+                                 / TABLE2["Logical Restore"]["mb_s"]),
     # Table 3: logical dump uses ~5x the CPU of physical dump.
     "dump_cpu_ratio": 5.0,
     # Table 3: logical restore uses >3x the CPU of physical restore.
     "restore_cpu_ratio": 3.0,
-    # Tables 4/5: physical scales nearly linearly 1 -> 4 drives.
-    "physical_scaling_4_drives": 6.2 / 1.7,  # ≈ 3.6x
-    # Logical per-tape efficiency degrades with drives (26 -> 17.4 GB/h).
-    "logical_per_tape_degradation": 17.4 / 25.3,
 }
 
 __all__ = [

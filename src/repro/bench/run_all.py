@@ -93,23 +93,19 @@ run) or run the same experiments as assertions with::
   bit-for-bit before its numbers are reported; timing comes from the
   discrete-event model calibrated in `repro/perf/costs.py`.
 * Throughput (MB/s, GB/h) and CPU utilization are scale-invariant and
-  compared directly.  Elapsed times are extrapolated: data-proportional
-  stage time multiplies by the scale; the fixed snapshot stages (30 s /
-  35 s) are run scaled-down and reported scaled back up.
+  compared directly.  Every elapsed time is extrapolated by one rule
+  (`paper_seconds` in `repro/bench/harness.py`): a stage's model time
+  stretches by 188 GB over the bytes the replica holds in active blocks,
+  except the fixed snapshot stages (30 s / 35 s), which run scaled down
+  and multiply back by the scale.  So Table 2's elapsed cells are the
+  sums of Table 3's stage times.
 * A ratio column of 1.00x means exact agreement with the paper's cell.
 
 ## Headline claims and where they land
 
 | Claim (paper) | Reproduced? |
 |---|---|
-| Physical dump ~20%% faster than logical at 1 drive (Table 2) | direction holds; measured gap smaller (~5-20%% depending on aging) — noted deviation |
-| Physical restore much faster than logical restore (Table 2) | yes (~1.5x) |
-| Logical dump uses ~5x the CPU of physical (Table 3) | yes |
-| Logical restore uses >3x the CPU of physical (Table 3) | yes (~2.5-3x) |
-| Physical scales near-linearly to 4 drives: 110 GB/h (Table 5) | %(physical_4_drives)s |
-| Logical saturates at 4 drives: 69.6 GB/h, 17.4/tape (Table 5) | %(logical_4_drives)s |
-| Concurrent home+rlse dumps do not interfere (Section 5.1) | yes (<10%% slowdown) |
-| Incremental image dump = bit-plane difference B−A (Table 1) | exact |
+%(headline)s
 
 ## Wall-clock performance
 
@@ -127,6 +123,26 @@ machines cancel out, and compares against the committed
 regression.
 
 """
+
+#: (claim, table, row label): each headline verdict is that rendered row's ratio.
+HEADLINE = (
+    ("Physical dump ~20% faster than logical at 1 drive (Table 2)",
+     "Table 2", "physical/logical backup throughput ratio"),
+    ("Physical restore much faster than logical restore (Table 2)",
+     "Table 2", "physical/logical restore throughput ratio"),
+    ("Logical dump uses ~5x the CPU of physical (Table 3)",
+     "Table 3", "logical/physical dump CPU ratio"),
+    ("Logical restore uses >3x the CPU of physical (Table 3)",
+     "Table 3", "logical/physical restore CPU ratio"),
+    ("Physical scales near-linearly to 4 drives: 110 GB/h (Table 5)",
+     "Table 5", "Physical overall GB/hour"),
+    ("Logical saturates at 4 drives: 69.6 GB/h, 17.4/tape (Table 5)",
+     "Table 5", "Logical overall GB/hour"),
+    ("Concurrent home+rlse dumps do not interfere (Section 5.1)",
+     "Section 5.1", "home concurrent elapsed"),
+    ("Incremental image dump = bit-plane difference B−A (Table 1)",
+     "Table 1", "incremental dump block count"),
+)
 
 _FOOTER = ("\n---\nSimulated device time is independent of host speed;"
            " wall-clock regeneration time depends only on the machine and"
@@ -248,14 +264,17 @@ def build_plan(preset: Preset) -> List[_Item]:
 
 
 def merge_sections(items: List[_Item], values: List[object], scale: int,
-                   echo=print) -> str:
+                   echo=print) -> Tuple[str, Dict[str, Table]]:
     """Reassemble task results — in declaration order — into the document
     body.  The two strategy payloads regroup into Tables 2 and 3 (at
     ``scale``), ablation points into their sweep's table; every table is
-    also echoed to the console."""
+    also echoed to the console.  Returns the body and the rendered
+    tables, each under its title's lead ("Table 2", "Section 5.1")."""
     sections: List[str] = []
+    tables: Dict[str, Table] = {}
 
     def emit(table: Table, note: str = "") -> None:
+        tables[table.title.split(" — ")[0]] = table
         echo(format_table(table))
         block = to_markdown(table)
         if note:
@@ -284,18 +303,18 @@ def merge_sections(items: List[_Item], values: List[object], scale: int,
         else:
             for item, table in group:
                 emit(table, item.note)
-    return "\n".join(sections)
+    return "\n".join(sections), tables
 
 
 class EnvCacheError(ReproError):
     """The ``--env-cache`` file cannot be used; the message says why."""
 
 
-def _table5_claim(table5: Optional[Table], label: str) -> str:
-    """A Table 5 headline cell, read off the rendered row that backs it."""
-    if table5 is None:
+def _claim(tables: Dict[str, Table], name: str, label: str) -> str:
+    """A headline cell, read off the rendered row that backs it."""
+    if name not in tables:
         return "not run"
-    return "%.2fx of paper" % table5.row(label).ratio
+    return "%.2fx of paper" % tables[name].row(label).ratio
 
 
 def generate_body(preset: Preset, jobs: int = 1,
@@ -329,17 +348,11 @@ def generate_body(preset: Preset, jobs: int = 1,
             " expected 0 (clones of the parent's single build)"
             % worker_builds)
     scale = preset.config.scale
-    table5 = dict(zip((item.spec.name for item in items), values)).get(
-        "table5.4-drives")
-    body = _HEADER % {
-        "scale": scale,
-        "physical_4_drives": _table5_claim(table5,
-                                           "Physical overall GB/hour"),
-        "logical_4_drives": _table5_claim(table5, "Logical overall GB/hour"),
-    }
-    body += merge_sections(items, values, scale, echo=echo)
-    body += _FOOTER
-    return body
+    sections, tables = merge_sections(items, values, scale, echo=echo)
+    headline = "\n".join("| %s | %s |" % (claim, _claim(tables, name, label))
+                         for claim, name, label in HEADLINE)
+    return (_HEADER % {"scale": scale, "headline": headline}
+            + sections + _FOOTER)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -418,6 +431,7 @@ if __name__ == "__main__":
 
 
 __all__ = [
+    "HEADLINE",
     "REDUCED_AGING_ROUNDS",
     "REDUCED_SCALE",
     "Preset",

@@ -592,8 +592,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also time %s at this worker count and report"
                              " the speedup over --jobs 1" % SERIAL_GRID)
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="with --jobs N: exit 1 unless the parallel grid"
-                             " is at least this many times faster than serial")
+                        help="with --jobs N (skipped below N cores): exit 1"
+                             " unless the grid is this many times faster")
     args = parser.parse_args(argv)
 
     baseline_path = args.baseline or default_baseline_path()
@@ -624,7 +624,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs > 1:
         print("%s speedup at --jobs %d: %.2fx"
               % (SERIAL_GRID, args.jobs, entry["speedup"]))
-        if args.min_speedup is not None and entry["speedup"] < args.min_speedup:
+        cores = os.cpu_count() or 1
+        if args.min_speedup is not None and cores < args.jobs:
+            print("speedup gate skipped: needs %d cores, has %d" % (args.jobs, cores))
+        elif args.min_speedup is not None and entry["speedup"] < args.min_speedup:
             print("speedup below required %.2fx" % args.min_speedup)
             return 1
 

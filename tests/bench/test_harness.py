@@ -12,8 +12,14 @@ from repro.bench import (
     run_table45,
 )
 from repro.bench.configs import EliotConfig
-from repro.bench.harness import run_basic, run_strategy
+from repro.bench.harness import (
+    run_basic,
+    run_strategy,
+    table2_from_basic,
+    table3_from_basic,
+)
 from repro.bench.report import Row, Table, to_markdown
+from repro.units import HOUR, MB
 
 TINY = 16000  # 1:16000 scale: ~12 MB home volume, seconds per run
 
@@ -114,6 +120,39 @@ class TestBasicTables:
         assert any("Creating snapshot" in label for label in labels)
         assert any("Filling in data" in label for label in labels)
         assert any("Restoring blocks" in label for label in labels)
+
+
+#: Table 3's sections beside the Table 2 operations they break down.
+SECTIONS = (("Logical Dump", "Logical Backup"),
+            ("Logical Restore", "Logical Restore"),
+            ("Physical Dump", "Physical Backup"),
+            ("Physical Restore", "Physical Restore"))
+
+
+def assert_stages_sum_to_table2(basic, scale):
+    """Table 3's stage times add up to Table 2's elapsed cell, as in the
+    paper (7.43 h = 30 s + 20 min + 20 min + 6.75 h + 35 s)."""
+    table2 = table2_from_basic(basic, scale)
+    table3 = table3_from_basic(basic, scale)
+    for section, op in SECTIONS:
+        stages = [row.measured for row in table3.rows
+                  if row.label.startswith(section + " / ")
+                  and row.label.endswith(" time")]
+        assert stages, section
+        total = table2.row("%s elapsed (extrapolated)" % op).measured
+        assert sum(stages) == pytest.approx(total * HOUR, rel=1e-9), section
+
+
+class TestOneExtrapolationRule:
+    def test_stages_sum_to_the_total(self, tiny_env):
+        assert_stages_sum_to_table2(run_basic(tiny_env), TINY)
+
+    def test_stages_sum_to_the_total_under_a_data_cap(self):
+        """With ``data_cap`` the scale is not the data ratio: the
+        replica holds far less than 188 GB / ``scale``."""
+        config = EliotConfig(scale=4000, data_cap=4 * MB, aging_rounds=1)
+        assert_stages_sum_to_table2(run_basic(build_home_env(config)),
+                                    config.scale)
 
 
 class TestParallelTables:

@@ -8,6 +8,8 @@ markdown byte for byte, and the task values behind it row for row.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.bench.harness import (
@@ -15,7 +17,7 @@ from repro.bench.harness import (
     table2_from_basic,
     table3_from_basic,
 )
-from repro.bench.run_all import Preset, build_plan
+from repro.bench.run_all import HEADLINE, Preset, build_plan
 from repro.parallel import fork_available
 
 REDUCED = Preset.named("reduced")
@@ -74,3 +76,21 @@ def test_merge_regroups_ablation_points_in_order():
         if not seen or seen[-1] != key:
             seen.append(key)
     assert len(seen) == len(set(sweeps)), "sweep points must be contiguous"
+
+
+def test_every_headline_cell_is_read_off_a_row(reduced_grid):
+    """No verdict is hand-written: a cell is a rendered row's ratio, or
+    says its table did not run (Tables 4/5 and Section 5.1 are not in
+    the reduced grid)."""
+    body = reduced_grid[1, "none", False].body
+    table = body.split("| Claim (paper) | Reproduced? |\n|---|---|\n")[1]
+    rows = table.split("\n\n")[0].split("\n")
+    assert len(rows) == len(HEADLINE)
+    cells = {}
+    for row, (claim, name, _label) in zip(rows, HEADLINE):
+        text, cell = row.strip("| ").split(" | ")
+        assert text == claim
+        assert re.fullmatch(r"\d+\.\d\dx of paper|not run", cell), row
+        cells[name] = cell
+    assert cells["Table 5"] == cells["Section 5.1"] == "not run"
+    assert cells["Table 1"] == "1.00x of paper"

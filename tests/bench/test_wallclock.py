@@ -84,6 +84,24 @@ def test_check_without_a_readable_baseline_fails_before_running(
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cores, exit_code", [(2, 0), (4, 1)])
+def test_speedup_gate_is_skipped_below_the_cores_it_needs(
+        cores, exit_code, capsys, monkeypatch):
+    """``--jobs 4`` cannot run four times as wide on two cores: there the
+    gate reports the speed-up and how many cores it needs instead of
+    failing; with the cores present a slow grid still fails."""
+    monkeypatch.setattr(wallclock, "run_harness", lambda **_kwargs: {
+        "mode": "smoke", "calibration_seconds": 1.0,
+        "benchmarks": {wallclock.SERIAL_GRID: {"seconds": 1.0}}})
+    monkeypatch.setattr(wallclock, "bench_parallel_run_all",
+                        lambda jobs: {"seconds": 1.1})
+    monkeypatch.setattr(wallclock.os, "cpu_count", lambda: cores)
+    assert wallclock.main(["--jobs", "4", "--min-speedup", "2.0"]) == exit_code
+    out = capsys.readouterr().out
+    assert "speedup at --jobs 4: 0.91x" in out
+    assert ("speedup gate skipped: needs 4 cores, has 2" in out) == (cores == 2)
+
+
 def test_merge_baseline_rescales_new_entries_to_the_baseline_calibration():
     """A key merged in later was measured under another calibration; it
     must land normalized by the one ``calibration_seconds`` the file
