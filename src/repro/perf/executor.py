@@ -19,14 +19,14 @@ recorded for the paper's Table 3-5 rows.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from collections import deque
+from typing import Deque, Dict, Iterator, List, Optional
 
 from repro.errors import ReproError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import get_tracer
 from repro.perf.costs import HardwareProfile, f630_profile
 from repro.perf.ops import (
-    Barrier,
     CpuOp,
     ReadBarrier,
     DiskReadOp,
@@ -225,17 +225,46 @@ class TimedRun:
                             dur=end - start, tid=job.name,
                             args={"stage": op.stage})
 
-    def _execute(self, job: _Job, op: PerfOp):
+    def _in_place(self, job: _Job, op: PerfOp) -> bool:
+        """Complete an op that needs no device model without a generator.
+
+        Phase markers always complete here; CPU and sleep slices do when
+        ``Simulation.ahead`` holds for them.  Returns False, having
+        changed nothing, when the op must go through :meth:`_execute`.
+        """
         sim = self.sim
         start = sim.now
         if isinstance(op, CpuOp):
-            request = yield self.cpu.acquire()
+            if not self.cpu.hold(op.seconds):
+                return False
+            self._record(job, op, start, sim.now, cpu_seconds=op.seconds)
+        elif isinstance(op, SleepOp):
+            if not sim.ahead(op.seconds):
+                return False
+            self._record(job, op, start, sim.now)
+        elif isinstance(op, (PhaseBegin, PhaseEnd)):
+            self._record(job, op, start, start)
+        else:
+            return False
+        return True
+
+    def _execute(self, job: _Job, op: PerfOp):
+        # Every wait is skipped when the kernel completed it in place: a
+        # processed grant/put/get, or a service time ``sim.ahead`` covers.
+        sim = self.sim
+        start = sim.now
+        if isinstance(op, CpuOp):
+            request = self.cpu.acquire()
+            if not request.processed:
+                yield request
             try:
-                yield sim.timeout(op.seconds)
+                if not sim.ahead(op.seconds):
+                    yield sim.timeout(op.seconds)
             finally:
                 self.cpu.release(request)
             self._record(job, op, start, sim.now, cpu_seconds=op.seconds)
         elif isinstance(op, SleepOp):
+            # _in_place already found that ahead() does not hold here.
             yield sim.timeout(op.seconds)
             self._record(job, op, start, sim.now)
         elif isinstance(op, (DiskReadOp, DiskWriteOp)):
@@ -258,7 +287,9 @@ class TimedRun:
                 # the entire group.
                 narrow = kind == "read" and in_group < model.ndisks
                 amount = 1 if narrow else resource.capacity
-                request = yield resource.acquire(amount)
+                request = resource.acquire(amount)
+                if not request.processed:
+                    yield request
                 try:
                     if narrow:
                         service = model.narrow_service(location.group_block,
@@ -266,7 +297,8 @@ class TimedRun:
                     else:
                         service = model.service_time(location.group_block,
                                                      in_group, kind=kind)
-                    yield sim.timeout(service)
+                    if not sim.ahead(service):
+                        yield sim.timeout(service)
                 finally:
                     resource.release(request)
                 moved += in_group * op.volume.block_size
@@ -275,20 +307,19 @@ class TimedRun:
             self._record(job, op, start, sim.now, disk_bytes=moved)
         elif isinstance(op, (TapeWriteOp, TapeReadOp)):
             model, resource = self._tape(op.drive)
-            request = yield resource.acquire()
+            request = resource.acquire()
+            if not request.processed:
+                yield request
             try:
                 service = model.transfer_time(
                     op.nbytes, op.media_changes, now=sim.now,
                     writing=isinstance(op, TapeWriteOp),
                 )
-                yield sim.timeout(service)
+                if not sim.ahead(service):
+                    yield sim.timeout(service)
             finally:
                 resource.release(request)
             self._record(job, op, start, sim.now, tape_bytes=op.nbytes)
-        elif isinstance(op, (PhaseBegin, PhaseEnd)):
-            self._record(job, op, start, start)
-        elif isinstance(op, Barrier):
-            pass  # barriers are handled in the producer
         else:
             raise ReproError("executor cannot handle op %r" % (op,))
 
@@ -296,24 +327,30 @@ class TimedRun:
 
     def _producer(self, job: _Job, stores: Dict[object, Store]):
         sim = self.sim
-        if job.start_at:
+        if job.start_at and not sim.ahead(job.start_at):
             yield sim.timeout(job.start_at)
         job.result.start = sim.now
         # Engine-directed read-ahead: prefetch reads run asynchronously,
-        # up to the profile's window; ReadBarrier orders completion.
-        inflight = []
+        # up to the profile's window; ReadBarrier orders completion.  A
+        # read that already finished is joined without an event when the
+        # heap would resume us next anyway.
+        inflight: Deque = deque()
         completed = 0
         window = max(1, self.profile.dump_readahead)
         for op in job.ops:
             if isinstance(op, DiskReadOp) and op.prefetch and not job.is_sink_op(op):
                 while len(inflight) >= window:
-                    yield inflight.pop(0)
+                    reader = inflight.popleft()
+                    if not (reader.processed and sim.ahead(0.0)):
+                        yield reader
                     completed += 1
                 inflight.append(sim.process(self._execute(job, op)))
                 continue
             if isinstance(op, ReadBarrier):
                 while completed < op.count and inflight:
-                    yield inflight.pop(0)
+                    reader = inflight.popleft()
+                    if not (reader.processed and sim.ahead(0.0)):
+                        yield reader
                     completed += 1
                 continue
             if job.is_sink_op(op):
@@ -326,20 +363,30 @@ class TimedRun:
                 # An op bigger than the whole buffer still has to flow; it
                 # just occupies the buffer exclusively.
                 weight = min(weight, store.capacity)
-                yield store.put(op, weight=weight)
-            else:
+                put = store.put(op, weight=weight)
+                if not put.processed:
+                    yield put
+            elif not self._in_place(job, op):
                 yield from self._execute(job, op)
         while inflight:
-            yield inflight.pop(0)
+            reader = inflight.popleft()
+            if not (reader.processed and sim.ahead(0.0)):
+                yield reader
         for store in stores.values():
-            yield store.put(_SENTINEL, weight=1)
+            put = store.put(_SENTINEL, weight=1)
+            if not put.processed:
+                yield put
 
     def _consumer(self, job: _Job, store: Store):
         while True:
-            op = yield store.get()
+            got = store.get()
+            if not got.processed:
+                yield got
+            op = got.value
             if op is _SENTINEL:
                 return
-            yield from self._execute(job, op)
+            if not self._in_place(job, op):
+                yield from self._execute(job, op)
 
     # -- running -----------------------------------------------------------------------
 

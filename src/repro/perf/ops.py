@@ -154,18 +154,6 @@ class PhaseEnd(PerfOp):
         return "<PhaseEnd %s>" % self.stage
 
 
-class Barrier(PerfOp):
-    """Producer/consumer synchronization point.
-
-    Emitted between stages whose work must not overlap (e.g. the snapshot
-    deletion after the last tape byte).  The executor drains the pipeline
-    buffer before continuing.
-    """
-
-    def __repr__(self) -> str:
-        return "<Barrier %s>" % self.stage
-
-
 def drain_engine(engine):
     """Run an engine generator for its data effects; return its result.
 
@@ -190,7 +178,6 @@ def scale_ops(ops, cpu_factor: float):
 
 
 __all__ = [
-    "Barrier",
     "CpuOp",
     "DiskReadOp",
     "DiskWriteOp",

@@ -13,6 +13,16 @@ The model follows SimPy's architecture in miniature:
 Simulated time is a ``float`` number of seconds.  There is no wall-clock
 component anywhere: a run over hours of simulated tape traffic completes in
 milliseconds of real time.
+
+One rule lets a process skip the heap: :meth:`Simulation.ahead`.  While
+the loop dispatches an event with exactly one callback, a wait of
+``delay`` whose end is *strictly* earlier than the heap's head (or the
+heap is empty) would be popped next anyway — a new entry's sequence
+number exceeds every queued one, so a time tie goes to the queued event.
+``ahead`` then advances ``now`` in place and the caller runs on; nobody
+else runs in between and every later event keeps its relative order, so
+the run is the one the heap would have produced.  ``events_scheduled``
+counts the heap entries actually pushed.
 """
 
 from __future__ import annotations
@@ -61,6 +71,20 @@ class Event:
         self._ok = True
         self._value = value
         self.sim._schedule(self, delay)
+        return self
+
+    def succeed_ahead(self, value: Any = None) -> "Event":
+        """Trigger the event now; when :meth:`Simulation.ahead` holds it is
+        *processed* in place instead of passing through the heap.
+
+        For an event the calling process waits on at once: it checks
+        ``processed`` and yields the event only if it is not.
+        """
+        if self.triggered or not self.sim.ahead(0.0):
+            return self.succeed(value)  # raises if already triggered
+        self.triggered = self.processed = True
+        self._ok = True
+        self._value = value
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -156,13 +180,17 @@ class Simulation:
         self._heap: List[Tuple[float, int, Event]] = []
         self._sequence = 0
         self.now = 0.0
+        # True only while run() dispatches the callback of an event that
+        # has exactly one.
+        self._sole = False
         # Observability hook: called as ``observer(sim)`` once per run()
         # completion — never per event, so the hot loop pays nothing.
         self.observer: Optional[Callable[["Simulation"], None]] = None
 
     @property
     def events_scheduled(self) -> int:
-        """Total events ever scheduled (the heap sequence counter)."""
+        """Heap entries ever pushed (the sequence counter); waits that
+        :meth:`ahead` completed in place are not among them."""
         return self._sequence
 
     # -- scheduling -----------------------------------------------------
@@ -180,6 +208,26 @@ class Simulation:
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
+    def ahead(self, delay: float) -> bool:
+        """Complete a wait of ``delay`` in place if the heap would pop it
+        next anyway; return False (changing nothing) otherwise.
+
+        Holds only inside the sole callback of the event being
+        dispatched, and only if ``now + delay`` is strictly earlier than
+        the heap's head.  The caller then continues at the advanced
+        ``now`` exactly as if a timeout had been scheduled and popped.
+        """
+        if delay < 0:
+            raise SimError("negative timeout delay %r" % (delay,))
+        if not self._sole:
+            return False
+        when = self.now + delay
+        heap = self._heap
+        if heap and heap[0][0] <= when:
+            return False
+        self.now = when
+        return True
+
     # -- execution ------------------------------------------------------
 
     def run(self) -> None:
@@ -188,18 +236,22 @@ class Simulation:
         # so attribute lookups are hoisted out of it.
         heap = self._heap
         pop = heapq.heappop
-        while heap:
-            when, _seq, event = pop(heap)
-            if when < self.now:
-                raise SimError(
-                    "time went backwards: %r < %r" % (when, self.now))
-            self.now = when
-            # An event nothing waits on just flips to processed.
-            event.processed = True
-            callbacks = event.callbacks
-            if callbacks:
-                event.callbacks = []
-                for callback in callbacks:
-                    callback(event)
+        try:
+            while heap:
+                when, _seq, event = pop(heap)
+                if when < self.now:
+                    raise SimError(
+                        "time went backwards: %r < %r" % (when, self.now))
+                self.now = when
+                # An event nothing waits on just flips to processed.
+                event.processed = True
+                callbacks = event.callbacks
+                if callbacks:
+                    event.callbacks = []
+                    self._sole = len(callbacks) == 1
+                    for callback in callbacks:
+                        callback(event)
+        finally:
+            self._sole = False
         if self.observer is not None:
             self.observer(self)

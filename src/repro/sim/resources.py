@@ -33,14 +33,18 @@ class Resource:
 
     Usage from a process::
 
-        req = yield resource.acquire()
+        req = resource.acquire()
+        if not req.processed:
+            yield req
         try:
-            yield sim.timeout(service_time)
+            if not sim.ahead(service_time):
+                yield sim.timeout(service_time)
         finally:
             resource.release(req)
 
-    ``acquire`` returns an event whose value is the request token itself,
-    so ``req = yield resource.acquire()`` reads naturally.
+    ``acquire`` returns an event whose value is the request token itself.
+    An uncontended grant comes back already processed when
+    :meth:`Simulation.ahead` holds; yielding it anyway also works.
     """
 
     def __init__(self, sim: Simulation, capacity: int = 1, name: str = ""):
@@ -62,15 +66,29 @@ class Resource:
         request = Request(self, amount)
         if not self._queue and self.in_use + amount <= self.capacity:
             # Uncontended fast path: grant immediately, with the same state
-            # mutations and the same succeed() scheduling the queued path
-            # would perform.
+            # mutations the queued path would perform; the grant skips the
+            # heap when the heap would deliver it next anyway.
             self.in_use += amount
             self.utilization.record(self.sim.now, self.in_use)
-            request.succeed(request)
+            request.succeed_ahead(request)
             return request
         self._queue.append(request)
         self._grant()
         return request
+
+    def hold(self, delay: float) -> bool:
+        """Acquire one unit, hold it ``delay`` seconds and release it, all
+        in place, when the grant is uncontended and
+        :meth:`Simulation.ahead` covers the hold; return False (changing
+        nothing) otherwise.  The utilization steps are the ones
+        ``acquire``/``release`` would record."""
+        start = self.sim.now
+        if (self._queue or self.in_use >= self.capacity
+                or not self.sim.ahead(delay)):
+            return False
+        self.utilization.record(start, self.in_use + 1)
+        self.utilization.record(self.sim.now, self.in_use)
+        return True
 
     def release(self, request: Request) -> None:
         if request.released:
@@ -128,11 +146,12 @@ class Store:
         if not self._putters and self.level + weight <= self.capacity:
             # Uncontended fast path: admit directly (the queued path would
             # admit this putter first and then serve getters — identical
-            # succeed() order).
+            # succeed() order).  The putter triggers before a served
+            # getter's event reaches the heap, where ahead() would see it.
             self.level += weight
             self.total_put += weight
             self._items.append((item, weight))
-            event.succeed()
+            event.succeed_ahead()
             if self._getters:
                 self._drain()
             return event
@@ -148,7 +167,7 @@ class Store:
             # so this get is served first either way.
             item, weight = self._items.popleft()
             self.level -= weight
-            event.succeed(item)
+            event.succeed_ahead(item)
             return event
         self._getters.append(event)
         self._drain()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.trace import Tracer
 from repro.perf import TimedRun
 from repro.perf.costs import HardwareProfile
 from repro.perf.ops import (
@@ -134,6 +135,25 @@ def test_read_barrier_orders_completion():
     run.add_ops("job", ops)
     result = run.run()["job"]
     assert result.elapsed > 0
+
+
+@pytest.mark.parametrize("join", ["barrier", "window"])
+def test_finished_prefetch_join_yields_to_events_at_the_same_instant(join):
+    """Job a joins a read that finished long ago at t=0.5, the instant job
+    b's sleep ends; b's sleep was queued first, so b runs first."""
+    volume = make_volume()
+    tracer = Tracer()
+    run = TimedRun(HardwareProfile(dump_readahead=1), tracer=tracer)
+    joining = (ReadBarrier(1, stage="x") if join == "barrier"
+               else DiskReadOp(volume, 8, 1, stage="x", prefetch=True))
+    run.add_ops("a", [DiskReadOp(volume, 0, 1, stage="x", prefetch=True),
+                      SleepOp(0.5, stage="x"), joining, PhaseEnd("x")])
+    run.add_ops("b", [SleepOp(0.5, stage="y"), PhaseEnd("y")])
+    run.run()
+    ends = [event["tid"] for event in
+            sorted(tracer.take_events(), key=lambda event: event["seq"])
+            if event["name"] == "PhaseEnd"]
+    assert ends == ["b", "a"]
 
 
 def test_stage_accounting():
