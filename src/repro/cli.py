@@ -35,52 +35,94 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from repro.backup import (
-    DumpDates,
-    ImageDump,
-    ImageRestore,
-    LogicalDump,
-    LogicalRestore,
-    SymbolTable,
-    drain_engine,
-)
-from repro.backup.logical.inspect import compare_tape, estimate_dump, list_tape
-from repro.errors import ReproError
-from repro.raid.layout import make_geometry
-from repro.raid.volume import RaidVolume
-from repro.storage.persist import load_tape, load_volume, save_tape, save_volume
-from repro.storage.tape import TapeDrive, TapeStacker
+from repro.errors import RaidError, ReproError
 from repro.units import GB, MB, fmt_bytes
-from repro.wafl.filesystem import WaflFilesystem
-from repro.wafl.fsck import fsck
-from repro.wafl.inode import FileType
+
+
+# ---------------------------------------------------------------------------
+# Verb registry — each verb is declared once, next to its function
+# ---------------------------------------------------------------------------
+
+VERBS = []  # (name, help, argument specs, obs, fn) in --help order
+
+
+def arg(*flags, **kwargs):
+    """One ``add_argument`` call, recorded for :func:`build_parser`."""
+    return flags, kwargs
+
+
+def verb(name: str, help: str, *args, obs: bool = False):
+    """Register the decorated ``cmd_*`` as verb ``name`` (``"fleet run"``
+    when nested); ``obs`` appends the observability flags.  A row with
+    no function only groups verbs or documents a passthrough."""
+    def register(fn):
+        VERBS.append((name, help, args, obs, fn))
+        return fn
+    return register
 
 
 # ---------------------------------------------------------------------------
 # Small helpers
 # ---------------------------------------------------------------------------
 
-def _parse_size(text: str) -> int:
+def size(text: str) -> int:
+    """A byte count such as ``35GB``, ``1.5MB`` or ``4096`` — the argparse
+    ``type`` of every size flag, so a malformed one is a usage error."""
     text = text.strip().upper()
     for suffix, factor in (("GB", GB), ("MB", MB), ("KB", 1024), ("B", 1)):
         if text.endswith(suffix):
-            return int(float(text[: -len(suffix)]) * factor)
+            number = float(text[: -len(suffix)])
+            if not math.isfinite(number):
+                raise ValueError(text)
+            return int(number * factor)
     return int(text)
 
 
-def _mount(path: str) -> WaflFilesystem:
+# Flag groups shared by several verbs (run-campaign keeps its own drive
+# defaults).
+GEOMETRY = (
+    arg("--groups", type=int, default=2),
+    arg("--disks", type=int, default=4),
+    arg("--blocks", type=int, default=2500, help="blocks per data disk"),
+)
+DRIVE = (
+    arg("--tapes", type=int, default=8),
+    arg("--tape-capacity", type=size, default="35GB"),
+)
+
+
+def _new_fs(args, name: str, nvram=None):
+    """A freshly formatted file system shaped by the ``GEOMETRY`` flags."""
+    from repro.raid.layout import make_geometry
+    from repro.raid.volume import RaidVolume
+    from repro.wafl.filesystem import WaflFilesystem
+
+    volume = RaidVolume(make_geometry(args.groups, args.disks, args.blocks),
+                        name=name)
+    return WaflFilesystem.format(volume, nvram=nvram)
+
+
+def _mount(path: str):
+    from repro.storage.persist import load_volume
+    from repro.wafl.filesystem import WaflFilesystem
+
     return WaflFilesystem.mount(load_volume(path))
 
 
-def _commit(fs: WaflFilesystem, path: str) -> None:
+def _commit(fs, path: str) -> None:
+    from repro.storage.persist import save_volume
+
     fs.consistency_point()
     save_volume(fs.volume, path)
 
 
-def _load_dumpdates(path) -> DumpDates:
+def _load_dumpdates(path):
+    from repro.backup import DumpDates
+
     dates = DumpDates()
     if path and os.path.exists(path):
         with open(path) as handle:
@@ -92,7 +134,7 @@ def _load_dumpdates(path) -> DumpDates:
     return dates
 
 
-def _save_dumpdates(dates: DumpDates, path) -> None:
+def _save_dumpdates(dates, path) -> None:
     if not path:
         return
     flat = {}
@@ -104,6 +146,8 @@ def _save_dumpdates(dates: DumpDates, path) -> None:
 
 
 def _load_symtab(path):
+    from repro.backup import SymbolTable
+
     if not path or not os.path.exists(path):
         return None
     table = SymbolTable()
@@ -113,7 +157,7 @@ def _load_symtab(path):
     return table
 
 
-def _save_symtab(table: SymbolTable, path) -> None:
+def _save_symtab(table, path) -> None:
     if not path or table is None:
         return
     with open(path, "w") as handle:
@@ -121,24 +165,35 @@ def _save_symtab(table: SymbolTable, path) -> None:
                   handle, indent=2)
 
 
-def _new_tape(name: str, tapes: int, capacity: int) -> TapeDrive:
-    return TapeDrive(TapeStacker.with_blank_tapes(tapes, capacity=capacity,
-                                                  name=name))
+def _new_tape(args, path: str):
+    """A drive of blank cartridges shaped by the ``DRIVE`` flags."""
+    from repro.storage.tape import TapeDrive, TapeStacker
+
+    return TapeDrive(TapeStacker.with_blank_tapes(
+        args.tapes, capacity=args.tape_capacity, name=os.path.basename(path)))
+
+
+def _type_char(ftype: int) -> str:
+    from repro.wafl.inode import FileType
+
+    return {FileType.REGULAR: "-", FileType.DIRECTORY: "d",
+            FileType.SYMLINK: "l"}.get(ftype, "?")
 
 
 # ---------------------------------------------------------------------------
 # Observability plane (--trace / --trace-chrome / --metrics)
 # ---------------------------------------------------------------------------
 
-def _add_obs_flags(p) -> None:
-    p.add_argument("--trace", default=None, metavar="OUT.jsonl",
-                   help="write a structured trace of the run (JSONL)")
-    p.add_argument("--trace-chrome", default=None, metavar="OUT.json",
-                   help="also export Chrome trace_event JSON (Perfetto)")
-    p.add_argument("--metrics", nargs="?", const="-", default=None,
-                   metavar="OUT.json",
-                   help="collect metrics; print them ('-', the default)"
-                        " or write a JSON snapshot")
+OBS = (
+    arg("--trace", default=None, metavar="OUT.jsonl",
+        help="write a structured trace of the run (JSONL)"),
+    arg("--trace-chrome", default=None, metavar="OUT.json",
+        help="also export Chrome trace_event JSON (Perfetto)"),
+    arg("--metrics", nargs="?", const="-", default=None,
+        metavar="OUT.json",
+        help="collect metrics; print them ('-', the default)"
+             " or write a JSON snapshot"),
+)
 
 
 def _obs_enabled(args) -> bool:
@@ -163,10 +218,12 @@ def _obs_begin(args) -> bool:
 
 def _run_engine(args, name: str, engine):
     """Drain ``engine`` — through a :class:`TimedRun` when the
-    observability plane is on, so simulated-time phase spans exist — and
-    return the engine's own result object.  Data movement is identical
-    either way."""
-    if not _obs_enabled(args):
+    observability plane is on (armed here), so simulated-time phase spans
+    exist — and return the engine's own result object.  Data movement is
+    identical either way."""
+    if not _obs_begin(args):
+        from repro.backup import drain_engine
+
         return drain_engine(engine)
     from repro.perf.executor import TimedRun
 
@@ -179,7 +236,10 @@ def _run_engine(args, name: str, engine):
 
 
 def _obs_end(args) -> None:
-    """Write/print the run's trace and metrics, then disarm the plane."""
+    """Write/print the run's trace and metrics, then disarm the plane.
+
+    A verb that sets ``args.chrome_lanes`` (tenant names) gets its Chrome
+    export with one named process lane per tenant."""
     if not _obs_enabled(args):
         return
     from repro.obs import (
@@ -191,6 +251,7 @@ def _obs_end(args) -> None:
         set_tracer,
     )
 
+    lanes = getattr(args, "chrome_lanes", None)
     tracer = get_tracer()
     if tracer.enabled:
         events = tracer.events()
@@ -201,7 +262,12 @@ def _obs_end(args) -> None:
             count = tracer.write_jsonl(args.trace)
             print("trace: %d event(s) -> %s" % (count, args.trace))
         if getattr(args, "trace_chrome", None):
-            export_chrome_trace(events, args.trace_chrome)
+            if lanes:
+                from repro.fleet import export_fleet_trace
+
+                export_fleet_trace(events, args.trace_chrome, lanes)
+            else:
+                export_chrome_trace(events, args.trace_chrome)
             print("trace: chrome trace_event -> %s (open in Perfetto)"
                   % args.trace_chrome)
         set_tracer(None)
@@ -217,22 +283,22 @@ def _obs_end(args) -> None:
             print("metrics: snapshot -> %s" % metrics_out)
         REGISTRY.reset()
         REGISTRY.enabled = False
-
-
-_TYPE_CHAR = {FileType.REGULAR: "-", FileType.DIRECTORY: "d",
-              FileType.SYMLINK: "l"}
+    if lanes and getattr(args, "trace_chrome", None):
+        print("trace: per-tenant chrome lanes -> %s" % args.trace_chrome)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands, in --help order
 # ---------------------------------------------------------------------------
 
+@verb("mkfs", "create and format a volume container",
+      arg("volume"),
+      *GEOMETRY,
+      arg("--name", default=None))
 def cmd_mkfs(args) -> int:
-    volume = RaidVolume(
-        make_geometry(args.groups, args.disks, args.blocks),
-        name=args.name or os.path.basename(args.volume).split(".")[0],
-    )
-    fs = WaflFilesystem.format(volume)
+    fs = _new_fs(
+        args, args.name or os.path.basename(args.volume).split(".")[0])
+    volume = fs.volume
     _commit(fs, args.volume)
     print("formatted %s: %s (%s usable)"
           % (args.volume, volume.geometry.describe(),
@@ -240,12 +306,17 @@ def cmd_mkfs(args) -> int:
     return 0
 
 
+@verb("populate", "fill with a synthetic workload",
+      arg("volume"),
+      arg("--bytes", type=size, default="16MB"),
+      arg("--seed", type=int, default=42),
+      arg("--age", type=int, default=0, help="aging rounds"))
 def cmd_populate(args) -> int:
     from repro.workload import AgingConfig, WorkloadGenerator, age_filesystem
 
     fs = _mount(args.volume)
     generator = WorkloadGenerator(seed=args.seed)
-    tree = generator.populate(fs, _parse_size(args.bytes))
+    tree = generator.populate(fs, args.bytes)
     if args.age:
         age_filesystem(fs, tree, AgingConfig(rounds=args.age,
                                              seed=args.seed + 1))
@@ -256,16 +327,20 @@ def cmd_populate(args) -> int:
     return 0
 
 
+@verb("ls", "list a subtree",
+      arg("volume"), arg("path", nargs="?", default="/"))
 def cmd_ls(args) -> int:
     fs = _mount(args.volume)
     for path, inode in sorted(fs.walk(args.path)):
         print("%s%s %4d %6d %10d  %s"
-              % (_TYPE_CHAR.get(inode.type, "?"),
+              % (_type_char(inode.type),
                  oct(inode.perms)[2:].rjust(4, "0"),
                  inode.nlink, inode.uid, inode.size, path))
     return 0
 
 
+@verb("put", "copy a host file into the volume",
+      arg("volume"), arg("source"), arg("dest"))
 def cmd_put(args) -> int:
     fs = _mount(args.volume)
     with open(args.source, "rb") as handle:
@@ -281,6 +356,8 @@ def cmd_put(args) -> int:
     return 0
 
 
+@verb("get", "copy a file out to the host",
+      arg("volume"), arg("source"), arg("dest"))
 def cmd_get(args) -> int:
     fs = _mount(args.volume)
     data = fs.read_file(args.source)
@@ -291,6 +368,8 @@ def cmd_get(args) -> int:
     return 0
 
 
+@verb("rm", "remove a file or empty directory",
+      arg("volume"), arg("path"))
 def cmd_rm(args) -> int:
     fs = _mount(args.volume)
     inode = fs.inode(fs.namei(args.path))
@@ -303,7 +382,12 @@ def cmd_rm(args) -> int:
     return 0
 
 
+@verb("snap", "manage snapshots",
+      arg("volume"), arg("action", choices=["create", "delete", "list"]),
+      arg("name", nargs="?"))
 def cmd_snap(args) -> int:
+    if args.action != "list" and args.name is None:
+        raise ReproError("snap %s needs a NAME" % args.action)
     fs = _mount(args.volume)
     if args.action == "list":
         for record in fs.snapshots():
@@ -320,12 +404,20 @@ def cmd_snap(args) -> int:
     return 0
 
 
+@verb("dump", "logical (BSD-style) dump to tape",
+      arg("volume"), arg("tape"),
+      arg("--level", type=int, default=0),
+      arg("--subtree", default="/"),
+      arg("--dumpdates", default=None,
+          help="JSON dumpdates database (read + updated)"),
+      *DRIVE, obs=True)
 def cmd_dump(args) -> int:
+    from repro.backup import LogicalDump
+    from repro.storage.persist import save_tape
+
     fs = _mount(args.volume)
     dates = _load_dumpdates(args.dumpdates)
-    drive = _new_tape(os.path.basename(args.tape), args.tapes,
-                      _parse_size(args.tape_capacity))
-    _obs_begin(args)
+    drive = _new_tape(args, args.tape)
     result = _run_engine(
         args, "dump",
         LogicalDump(fs, drive, level=args.level, subtree=args.subtree,
@@ -339,20 +431,30 @@ def cmd_dump(args) -> int:
     print("DUMP: %d files, %d directories, %s"
           % (result.files, result.directories,
              fmt_bytes(result.bytes_to_tape)))
-    _obs_end(args)
     return 0
 
 
+@verb("restore", "logical restore from tape",
+      arg("tape"), arg("volume"),
+      arg("--into", default="/"),
+      arg("--select", nargs="*", default=None,
+          help="restore only these paths (stupidity recovery)"),
+      arg("--symtab", default=None,
+          help="JSON symbol table for incremental chains"),
+      arg("--resync", action="store_true",
+          help="skip corrupted tape regions"),
+      arg("--mkfs", action="store_true",
+          help="create a fresh file system first"),
+      *GEOMETRY, obs=True)
 def cmd_restore(args) -> int:
+    from repro.backup import LogicalRestore
+    from repro.storage.persist import load_tape
+
     drive = load_tape(args.tape)
     if args.mkfs:
-        volume = RaidVolume(make_geometry(args.groups, args.disks,
-                                          args.blocks),
-                            name=os.path.basename(args.volume).split(".")[0])
-        fs = WaflFilesystem.format(volume)
+        fs = _new_fs(args, os.path.basename(args.volume).split(".")[0])
     else:
         fs = _mount(args.volume)
-    _obs_begin(args)
     result = _run_engine(
         args, "restore",
         LogicalRestore(fs, drive, into=args.into,
@@ -366,15 +468,23 @@ def cmd_restore(args) -> int:
           % (result.files, result.created, result.deleted, result.skipped))
     for error in result.errors:
         print("RESTORE: warning: %s" % error)
-    _obs_end(args)
     return 0
 
 
+@verb("image-dump", "physical (image) dump",
+      arg("volume"), arg("image"),
+      arg("--snapshot", default=None,
+          help="snapshot to dump (created and kept if named)"),
+      arg("--base", default=None,
+          help="base snapshot: produce an incremental image"),
+      arg("--include-snapshots", action="store_true"),
+      *DRIVE, obs=True)
 def cmd_image_dump(args) -> int:
+    from repro.backup import ImageDump
+    from repro.storage.persist import save_tape
+
     fs = _mount(args.volume)
-    drive = _new_tape(os.path.basename(args.image), args.tapes,
-                      _parse_size(args.tape_capacity))
-    _obs_begin(args)
+    drive = _new_tape(args, args.image)
     result = _run_engine(
         args, "image-dump",
         ImageDump(fs, drive, snapshot_name=args.snapshot,
@@ -386,36 +496,44 @@ def cmd_image_dump(args) -> int:
     print("IMAGE DUMP: %d blocks (%s) -> %s%s"
           % (result.blocks, fmt_bytes(result.bytes_to_tape), args.image,
              " [incremental]" if result.incremental else ""))
-    _obs_end(args)
     return 0
 
 
+@verb("image-restore", "physical (image) restore",
+      arg("image"), arg("volume"),
+      arg("--fresh", action="store_true",
+          help="ignore an existing volume container"),
+      obs=True)
 def cmd_image_restore(args) -> int:
+    from repro.backup.physical import ImageHeader, ImageRestore
+    from repro.raid.volume import RaidVolume
+    from repro.storage.persist import load_tape, load_volume, save_volume
+
     drive = load_tape(args.image)
     if os.path.exists(args.volume) and not args.fresh:
         volume = load_volume(args.volume)
     else:
         # Geometry comes from the image header itself.
-        from repro.backup.physical.image import ImageHeader
-
         drive.rewind()
         header = ImageHeader.unpack_from_stream(drive.read)
         volume = RaidVolume(header.geometry,
                             name=os.path.basename(args.volume).split(".")[0])
         drive.rewind()
-    _obs_begin(args)
     result = _run_engine(args, "image-restore",
                          ImageRestore(volume, drive).run())
     save_volume(volume, args.volume)
     print("IMAGE RESTORE: %d blocks onto %s (cp %d)"
           % (result.blocks, args.volume, result.cp_count))
-    _obs_end(args)
     return 0
 
 
+@verb("interactive", "browse a tape and extract marks (restore -i)",
+      arg("tape"), arg("volume", help="target volume for 'extract'"),
+      arg("--into", default="/"))
 def cmd_interactive(args) -> int:
     """restore -i: read shell commands from stdin (scriptable)."""
     from repro.backup.logical.interactive import InteractiveRestore
+    from repro.storage.persist import load_tape
 
     shell = InteractiveRestore(load_tape(args.tape))
     print("interactive restore; commands: ls [p], cd p, pwd, add p,"
@@ -454,24 +572,34 @@ def cmd_interactive(args) -> int:
     return 0
 
 
+@verb("toc", "list a tape's contents (restore -t)",
+      arg("tape"))
 def cmd_toc(args) -> int:
-    drive = load_tape(args.tape)
-    catalog = list_tape(drive)
+    from repro.backup import list_tape
+    from repro.storage.persist import load_tape
+
+    catalog = list_tape(load_tape(args.tape))
     label = catalog.label
     print("Dump of %s:%s level %d (%d objects)"
           % (label.filesystem, label.subtree, label.level, len(catalog)))
     for entry in catalog.entries:
         print("%s%s %6d  %s"
-              % (_TYPE_CHAR.get(entry.ftype, "?"),
+              % (_type_char(entry.ftype),
                  oct(entry.perms)[2:].rjust(4, "0"),
                  entry.size, entry.path))
     return 0
 
 
+@verb("verify", "compare tape vs volume (restore -C)",
+      arg("volume"), arg("tape"),
+      arg("--image", action="store_true",
+          help="the tape is an image stream, not a dump stream"))
 def cmd_verify(args) -> int:
-    if args.image:
-        from repro.backup.physical import compare_image
+    from repro.backup import compare_tape
+    from repro.backup.physical import compare_image
+    from repro.storage.persist import load_tape, load_volume
 
+    if args.image:
         volume = load_volume(args.volume)
         problems = compare_image(volume, load_tape(args.tape))
     else:
@@ -485,7 +613,14 @@ def cmd_verify(args) -> int:
     return 1
 
 
+@verb("estimate", "predict a dump's size (dump -S)",
+      arg("volume"),
+      arg("--level", type=int, default=0),
+      arg("--subtree", default="/"),
+      arg("--dumpdates", default=None))
 def cmd_estimate(args) -> int:
+    from repro.backup import estimate_dump
+
     fs = _mount(args.volume)
     dates = _load_dumpdates(args.dumpdates)
     size = estimate_dump(fs, level=args.level, subtree=args.subtree,
@@ -496,7 +631,14 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+@verb("fsck", "check file-system invariants",
+      arg("volume"),
+      arg("--parity", action="store_true",
+          help="also audit RAID parity"))
 def cmd_fsck(args) -> int:
+    from repro.storage.persist import save_volume
+    from repro.wafl.fsck import fsck
+
     fs = _mount(args.volume)
     report = fsck(fs, check_parity=args.parity)
     save_volume(fs.volume, args.volume)  # fsck's CP
@@ -510,8 +652,28 @@ def cmd_fsck(args) -> int:
     return 0 if report.clean else 1
 
 
-def cmd_rebuild(args) -> int:
+@verb("scrub", "recompute RAID parity",
+      arg("volume"))
+def cmd_scrub(args) -> int:
+    from repro.storage.persist import load_volume, save_volume
+
     volume = load_volume(args.volume)
+    repaired = sum(group.scrub() for group in volume.groups)
+    save_volume(volume, args.volume)
+    print("scrub: %d stripes repaired" % repaired)
+    return 0
+
+
+@verb("rebuild", "rebuild a failed data disk",
+      arg("volume"),
+      arg("--group", type=int, required=True),
+      arg("--disk", type=int, required=True))
+def cmd_rebuild(args) -> int:
+    from repro.storage.persist import load_volume, save_volume
+
+    volume = load_volume(args.volume)
+    if not 0 <= args.group < len(volume.groups):
+        raise RaidError("no RAID group %d in %r" % (args.group, volume.name))
     group = volume.groups[args.group]
     group.rebuild_disk(args.disk)
     save_volume(volume, args.volume)
@@ -520,12 +682,26 @@ def cmd_rebuild(args) -> int:
     return 0
 
 
-def cmd_scrub(args) -> int:
-    volume = load_volume(args.volume)
-    repaired = sum(group.scrub() for group in volume.groups)
-    save_volume(volume, args.volume)
-    print("scrub: %d stripes repaired" % repaired)
+@verb("df", "show space usage",
+      arg("volume"))
+def cmd_df(args) -> int:
+    fs = _mount(args.volume)
+    stats = fs.statfs()
+    total = stats["total_blocks"] * stats["block_size"]
+    used = stats["used_blocks"] * stats["block_size"]
+    print("%-12s %10s %10s %10s %5.1f%%  snapshots: %d"
+          % (args.volume, fmt_bytes(total), fmt_bytes(used),
+             fmt_bytes(stats["free_blocks"] * stats["block_size"]),
+             100.0 * used / total, stats["snapshots"]))
     return 0
+
+
+# ``main`` forwards ``bench`` before parsing; this row is its --help line.
+verb("bench",
+     "wall-clock benchmark harness (delegates to repro.bench.wallclock)",
+     arg("rest", nargs=argparse.REMAINDER,
+         help="arguments passed through, e.g."
+              " --mode smoke --check --jobs 4"))(None)
 
 
 def _load_catalog_and_pool(catalog_path, pool_path):
@@ -537,6 +713,11 @@ def _load_catalog_and_pool(catalog_path, pool_path):
     return catalog, pool
 
 
+@verb("dumpdates", "list persisted dumpdates records",
+      arg("path", nargs="?", default=None,
+          help="JSON dumpdates database (as written by dump)"),
+      arg("--catalog", default=None,
+          help="read the dumpdates the catalog rebuilt instead"))
 def cmd_dumpdates(args) -> int:
     """List the persisted dumpdates database."""
     if args.catalog:
@@ -546,9 +727,7 @@ def cmd_dumpdates(args) -> int:
     elif args.path:
         dates = _load_dumpdates(args.path)
     else:
-        print("repro-backup: dumpdates needs a JSON path or --catalog",
-              file=sys.stderr)
-        return 2
+        raise ReproError("dumpdates needs a JSON path or --catalog")
     rows = []
     for (fsid, subtree), levels in sorted(dates._records.items()):
         for level, date in sorted(levels.items()):
@@ -560,6 +739,13 @@ def cmd_dumpdates(args) -> int:
     return 0
 
 
+@verb("catalog", "inspect the backup catalog",
+      arg("catalog", help="catalog JSON file"),
+      arg("action", choices=["list", "chain"]),
+      arg("fsid", nargs="?", default=None),
+      arg("--subtree", default="/"),
+      arg("--day", type=int, default=None,
+          help="target campaign day (latest when omitted)"))
 def cmd_catalog(args) -> int:
     from repro.catalog import BackupCatalog
 
@@ -582,25 +768,27 @@ def cmd_catalog(args) -> int:
         for fsid, subtree, text in catalog.policy_targets():
             print("policy: %s:%s -> %s" % (fsid, subtree, text))
         return 0
-    if args.action == "chain":
-        if not args.fsid:
-            print("repro-backup: catalog chain needs a FSID", file=sys.stderr)
-            return 2
-        plan = catalog.chain_for(args.fsid, subtree=args.subtree,
-                                 target_day=args.day)
-        print("chain for %s:%s day %s (%s, %d set(s)):"
-              % (args.fsid, args.subtree,
-                 "latest" if args.day is None else args.day,
-                 plan.strategy, len(plan)))
-        for s in plan.sets:
-            print("  %s level %d day %d  tapes: %s"
-                  % (s.set_id, s.level, s.day, ",".join(s.cartridges)))
-        print("load order: %s" % ",".join(plan.cartridges))
-        return 0
-    print("unknown catalog action %r" % args.action, file=sys.stderr)
-    return 2
+    if not args.fsid:
+        raise ReproError("catalog chain needs a FSID")
+    plan = catalog.chain_for(args.fsid, subtree=args.subtree,
+                             target_day=args.day)
+    print("chain for %s:%s day %s (%s, %d set(s)):"
+          % (args.fsid, args.subtree,
+             "latest" if args.day is None else args.day,
+             plan.strategy, len(plan)))
+    for s in plan.sets:
+        print("  %s level %d day %d  tapes: %s"
+              % (s.set_id, s.level, s.day, ",".join(s.cartridges)))
+    print("load order: %s" % ",".join(plan.cartridges))
+    return 0
 
 
+@verb("policy", "manage retention policies",
+      arg("catalog"), arg("action", choices=["set", "list"]),
+      arg("fsid", nargs="?", default=None),
+      arg("policy", nargs="?", default=None,
+          help="'redundancy N' or 'window N days'"),
+      arg("--subtree", default="/"))
 def cmd_policy(args) -> int:
     from repro.catalog import BackupCatalog
     from repro.manager import parse_policy
@@ -608,9 +796,7 @@ def cmd_policy(args) -> int:
     catalog = BackupCatalog.load(args.catalog)
     if args.action == "set":
         if not args.fsid or not args.policy:
-            print("repro-backup: policy set needs FSID and POLICY",
-                  file=sys.stderr)
-            return 2
+            raise ReproError("policy set needs FSID and POLICY")
         parse_policy(args.policy)  # validate before storing
         catalog.set_policy(args.fsid, args.subtree, args.policy)
         print("policy for %s:%s -> %s" % (args.fsid, args.subtree,
@@ -621,6 +807,12 @@ def cmd_policy(args) -> int:
     return 0
 
 
+@verb("prune", "apply retention policies, recycle cartridges",
+      arg("catalog"),
+      arg("--pool", default=None,
+          help="media pool container (erased tapes written back)"),
+      arg("--day", type=int, default=None,
+          help="'today' for window policies (latest day if omitted)"))
 def cmd_prune(args) -> int:
     from repro.manager import prune
 
@@ -654,11 +846,13 @@ def _campaign_run_once(args, catalog_path, pool_path, volumes_dir,
         parse_policy,
         parse_schedule,
     )
+    from repro.nvram.log import NvramLog
+    from repro.storage.persist import save_volume
     from repro.workload import WorkloadGenerator
 
     catalog = BackupCatalog(catalog_path)
     pool = MediaPool(catalog)
-    pool.add_blank(args.tapes, capacity=_parse_size(args.tape_capacity))
+    pool.add_blank(args.tapes, capacity=args.tape_capacity)
     schedule = parse_schedule(args.schedule)
     if args.policy:
         parse_policy(args.policy)  # validate
@@ -677,16 +871,10 @@ def _campaign_run_once(args, catalog_path, pool_path, volumes_dir,
     specs = []
     for index, spec in enumerate(args.volume):
         name, strategy = spec.split("=", 1)
-        volume = RaidVolume(make_geometry(args.groups, args.disks,
-                                          args.blocks), name=name)
-        if chaos_plan is not None:
-            from repro.nvram.log import NvramLog
-
-            fs = WaflFilesystem.format(volume, nvram=NvramLog())
-        else:
-            fs = WaflFilesystem.format(volume)
+        fs = _new_fs(args, name,
+                     NvramLog() if chaos_plan is not None else None)
         generator = WorkloadGenerator(seed=args.seed + index)
-        tree = generator.populate(fs, _parse_size(args.bytes))
+        tree = generator.populate(fs, args.bytes)
         fs.consistency_point()
         driver.add_volume(fs, tree, strategy, schedule)
         if args.policy:
@@ -770,17 +958,52 @@ def _run_campaign_chaos(args) -> int:
     return 0
 
 
+@verb("run-campaign", "run a multi-day backup campaign",
+      arg("catalog", help="catalog JSON file to create"),
+      arg("--pool", required=True,
+          help="media pool container to create"),
+      arg("--volume", action="append", required=True,
+          metavar="NAME=STRATEGY",
+          help="volume to enroll (strategy: logical or image)"),
+      arg("--days", type=int, default=14),
+      arg("--schedule", default="gfs:7x4",
+          help="gfs[:DxW] or hanoi[:LEVELS]"),
+      arg("--policy", default=None,
+          help="retention policy applied to every volume"),
+      arg("--bytes", type=size, default="4MB",
+          help="initial data per volume"),
+      arg("--seed", type=int, default=42),
+      arg("--tapes", type=int, default=60),
+      arg("--tape-capacity", type=size, default="8MB"),
+      *GEOMETRY,
+      arg("--save-volumes", default=".",
+          help="directory for the live volume containers"),
+      arg("--daily-snapshots", action="store_true",
+          help="snapshot each volume every simulated day"),
+      arg("--chaos", action="store_true",
+          help="inject a deterministic fault campaign, recover"
+               " every fault, and verify the recovered state"
+               " byte-identical to a fault-free oracle run"),
+      arg("--chaos-seed", type=int, default=None,
+          help="fault-plan seed (defaults to --seed; the plan is"
+               " a pure function of this seed)"),
+      arg("--chaos-rate", type=float, default=0.5,
+          help="per volume-day fault probability (default 0.5)"),
+      arg("--chaos-kinds", default=None,
+          metavar="KIND[,KIND...]",
+          help="restrict faults to these kinds (default: all of"
+               " kill,corrupt,eject,disk_fail,crash,torn_cp)"),
+      arg("--chaos-events", default=None, metavar="OUT.jsonl",
+          help="fault/recovery event log (default:"
+               " <catalog>.chaos.jsonl)"),
+      obs=True)
 def cmd_run_campaign(args) -> int:
     for spec in args.volume:
         if "=" not in spec:
-            print("repro-backup: --volume wants NAME=STRATEGY, got %r"
-                  % spec, file=sys.stderr)
-            return 2
+            raise ReproError("--volume wants NAME=STRATEGY, got %r" % spec)
     _obs_begin(args)
     if args.chaos:
-        code = _run_campaign_chaos(args)
-        _obs_end(args)
-        return code
+        return _run_campaign_chaos(args)
     catalog, _driver, _paths = _campaign_run_once(
         args, args.catalog, args.pool, args.save_volumes or ".")
     print("campaign: %d day(s), %d volume(s), %d set(s) catalogued"
@@ -790,63 +1013,16 @@ def cmd_run_campaign(args) -> int:
         total = sum(s.bytes_to_tape for s in sets)
         print("  %s:%s  %d set(s), %s to tape"
               % (fsid, subtree, len(sets), fmt_bytes(total)))
-    _obs_end(args)
     return 0
 
 
-def cmd_restore_pit(args) -> int:
-    from repro.manager import restore_point_in_time
-
-    catalog, pool = _load_catalog_and_pool(args.catalog, args.pool)
-    fs, plan = restore_point_in_time(
-        catalog, pool, args.fsid, subtree=args.subtree, day=args.day,
-        geometry=make_geometry(args.groups, args.disks, args.blocks),
-    )
-    save_volume(fs.volume, args.out)
-    print("restore-pit: %s:%s day %s via %s (%d set(s))"
-          % (args.fsid, args.subtree,
-             "latest" if args.day is None else args.day,
-             plan.strategy, len(plan)))
-    print("restore-pit: loaded cartridges %s" % ",".join(plan.cartridges))
-    print("restore-pit: wrote %s" % args.out)
-    return 0
+verb("fleet", "multi-tenant backup service over shared drives")(None)
 
 
-def cmd_trace(args) -> int:
-    """Inspect, summarize, validate, or export a saved trace file."""
-    from repro.obs import (
-        export_chrome_trace,
-        format_phase_summary,
-        phase_rows,
-        read_jsonl,
-        to_chrome_trace,
-        validate_chrome_trace,
-        validate_spans,
-    )
-
-    events = read_jsonl(args.trace_file)
-    if args.action == "validate":
-        validate_spans(events)
-        validate_chrome_trace(to_chrome_trace(events))
-        print("trace: %d event(s); spans well-formed; export schema ok"
-              % len(events))
-        return 0
-    if args.action == "summary":
-        print(format_phase_summary(phase_rows(events)))
-        return 0
-    # export
-    out = args.out or (args.trace_file + ".chrome.json")
-    count = export_chrome_trace(events, out)
-    print("trace: %d event(s) -> %s (open in Perfetto or chrome://tracing)"
-          % (count, out))
-    return 0
-
-
-def cmd_fleet(args) -> int:
-    """Dispatch ``repro fleet init|run|status|submit|pause|resume|serve``."""
-    return args.fleet_fn(args)
-
-
+@verb("fleet init", "create a fleet root from a spec",
+      arg("root", help="fleet directory to create"),
+      arg("--spec", required=True,
+          help="fleet spec file (JSON, or TOML on 3.11+)"))
 def cmd_fleet_init(args) -> int:
     from repro.fleet import FleetService, load_fleet_spec
 
@@ -861,6 +1037,10 @@ def cmd_fleet_init(args) -> int:
     return 0
 
 
+@verb("fleet run", "advance the fleet N simulated days",
+      arg("root"),
+      arg("--days", type=int, default=1),
+      obs=True)
 def cmd_fleet_run(args) -> int:
     from repro.fleet import FleetService
 
@@ -874,42 +1054,33 @@ def cmd_fleet_run(args) -> int:
     for index, busy in enumerate(utilization):
         print("  drive %d: %.0f%% utilised" % (index, 100.0 * busy))
     print("  mean queue wait: %.2f tick(s)" % service.scheduler.mean_wait())
-    events = None
-    if getattr(args, "trace_chrome", None):
-        from repro.obs import get_tracer
-
-        tracer = get_tracer()
-        if tracer.enabled:
-            events = tracer.events()
-    _obs_end(args)
-    if events:
-        # Overwrite the generic export _obs_end just wrote with one that
-        # groups events into named per-tenant process lanes.
-        from repro.fleet import export_fleet_trace
-
-        export_fleet_trace(events, args.trace_chrome,
-                           [t.name for t in service.spec.tenants])
-        print("trace: per-tenant chrome lanes -> %s" % args.trace_chrome)
+    args.chrome_lanes = [t.name for t in service.spec.tenants]
     return 0
 
 
 def _fleet_http(url: str, method: str = "GET", body=None):
-    import json as json_module
     import urllib.request
 
     data = None
     if body is not None:
-        data = json_module.dumps(body).encode()
+        data = json.dumps(body).encode()
     request = urllib.request.Request(url, data=data, method=method)
     if data is not None:
         request.add_header("Content-Type", "application/json")
     with urllib.request.urlopen(request) as response:
-        return json_module.load(response)
+        return json.load(response)
 
 
+@verb("fleet status", "show tenants, drives, and recent jobs",
+      arg("root", nargs="?", default="."),
+      arg("--json", action="store_true",
+          help="print the raw status document"),
+      arg("--url", default=None,
+          help="query a running 'fleet serve' endpoint instead"
+               " of reading the root directly"),
+      arg("--last", type=int, default=5,
+          help="recent job lines to show"))
 def cmd_fleet_status(args) -> int:
-    import json as json_module
-
     if args.url:
         document = _fleet_http(args.url.rstrip("/") + "/status")
     else:
@@ -918,7 +1089,7 @@ def cmd_fleet_status(args) -> int:
         document = status_document(args.root)
         validate_status(document)
     if args.json:
-        print(json_module.dumps(document, indent=1, sort_keys=True))
+        print(json.dumps(document, indent=1, sort_keys=True))
         return 0
     fleet = document["fleet"]
     print("fleet %s: day %d, tick %d, %d drive(s)"
@@ -949,6 +1120,17 @@ def cmd_fleet_status(args) -> int:
     return 0
 
 
+@verb("fleet submit", "queue an ad-hoc dump or restore job",
+      arg("root", nargs="?", default="."),
+      arg("--tenant", required=True),
+      arg("--kind", choices=["dump", "restore"], default="dump"),
+      arg("--lane",
+          choices=["interactive", "daily", "background"],
+          default="interactive"),
+      arg("--day", type=int, default=None,
+          help="restore target day (default: latest)"),
+      arg("--url", default=None,
+          help="POST to a running 'fleet serve' endpoint"))
 def cmd_fleet_submit(args) -> int:
     if args.url:
         reply = _fleet_http(args.url.rstrip("/") + "/jobs", method="POST",
@@ -965,6 +1147,11 @@ def cmd_fleet_submit(args) -> int:
     return 0
 
 
+# The decorator nearest the function registers first: pause, then resume.
+@verb("fleet resume", "resume a paused tenant",
+      arg("root"), arg("tenant"))
+@verb("fleet pause", "pause a tenant's schedule",
+      arg("root"), arg("tenant"))
 def cmd_fleet_pause(args) -> int:
     from repro.fleet import set_paused
 
@@ -974,6 +1161,10 @@ def cmd_fleet_pause(args) -> int:
     return 0
 
 
+@verb("fleet serve", "serve the JSON status/REST API",
+      arg("root"),
+      arg("--host", default="127.0.0.1"),
+      arg("--port", type=int, default=7322))
 def cmd_fleet_serve(args) -> int:
     from repro.fleet import make_server
 
@@ -990,26 +1181,71 @@ def cmd_fleet_serve(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench.wallclock import main as wallclock_main
+@verb("trace", "inspect/export a --trace JSONL file",
+      arg("action", choices=["export", "summary", "validate"]),
+      arg("trace_file"),
+      arg("--out", default=None,
+          help="output path for export"
+               " (default: TRACE_FILE.chrome.json)"))
+def cmd_trace(args) -> int:
+    """Inspect, summarize, validate, or export a saved trace file."""
+    from repro.obs import (
+        export_chrome_trace,
+        format_phase_summary,
+        phase_rows,
+        read_jsonl,
+        to_chrome_trace,
+        validate_chrome_trace,
+        validate_spans,
+    )
 
-    return wallclock_main(args.rest)
+    events = read_jsonl(args.trace_file)
+    if args.action == "validate":
+        validate_spans(events)
+        validate_chrome_trace(to_chrome_trace(events))
+        print("trace: %d event(s); spans well-formed; export schema ok"
+              % len(events))
+        return 0
+    if args.action == "summary":
+        print(format_phase_summary(phase_rows(events)))
+        return 0
+    # export
+    out = args.out or (args.trace_file + ".chrome.json")
+    count = export_chrome_trace(events, out)
+    print("trace: %d event(s) -> %s (open in Perfetto or chrome://tracing)"
+          % (count, out))
+    return 0
 
 
-def cmd_df(args) -> int:
-    fs = _mount(args.volume)
-    stats = fs.statfs()
-    total = stats["total_blocks"] * stats["block_size"]
-    used = stats["used_blocks"] * stats["block_size"]
-    print("%-12s %10s %10s %10s %5.1f%%  snapshots: %d"
-          % (args.volume, fmt_bytes(total), fmt_bytes(used),
-             fmt_bytes(stats["free_blocks"] * stats["block_size"]),
-             100.0 * used / total, stats["snapshots"]))
+@verb("restore-pit", "catalog-planned point-in-time restore",
+      arg("catalog"), arg("fsid"),
+      arg("out", help="volume container to write"),
+      arg("--pool", required=True),
+      arg("--day", type=int, default=None),
+      arg("--subtree", default="/"),
+      *GEOMETRY)
+def cmd_restore_pit(args) -> int:
+    from repro.manager import restore_point_in_time
+    from repro.raid.layout import make_geometry
+    from repro.storage.persist import save_volume
+
+    catalog, pool = _load_catalog_and_pool(args.catalog, args.pool)
+    fs, plan = restore_point_in_time(
+        catalog, pool, args.fsid, subtree=args.subtree, day=args.day,
+        geometry=make_geometry(args.groups, args.disks, args.blocks),
+    )
+    save_volume(fs.volume, args.out)
+    print("restore-pit: %s:%s day %s via %s (%d set(s))"
+          % (args.fsid, args.subtree,
+             "latest" if args.day is None else args.day,
+             plan.strategy, len(plan)))
+    print("restore-pit: loaded cartridges %s" % ",".join(plan.cartridges))
+    print("restore-pit: wrote %s" % args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser and the one error boundary
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1018,318 +1254,19 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mkfs", help="create and format a volume container")
-    p.add_argument("volume")
-    p.add_argument("--groups", type=int, default=2)
-    p.add_argument("--disks", type=int, default=4)
-    p.add_argument("--blocks", type=int, default=2500,
-                   help="blocks per data disk")
-    p.add_argument("--name", default=None)
-    p.set_defaults(fn=cmd_mkfs)
-
-    p = sub.add_parser("populate", help="fill with a synthetic workload")
-    p.add_argument("volume")
-    p.add_argument("--bytes", default="16MB")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--age", type=int, default=0, help="aging rounds")
-    p.set_defaults(fn=cmd_populate)
-
-    p = sub.add_parser("ls", help="list a subtree")
-    p.add_argument("volume")
-    p.add_argument("path", nargs="?", default="/")
-    p.set_defaults(fn=cmd_ls)
-
-    p = sub.add_parser("put", help="copy a host file into the volume")
-    p.add_argument("volume")
-    p.add_argument("source")
-    p.add_argument("dest")
-    p.set_defaults(fn=cmd_put)
-
-    p = sub.add_parser("get", help="copy a file out to the host")
-    p.add_argument("volume")
-    p.add_argument("source")
-    p.add_argument("dest")
-    p.set_defaults(fn=cmd_get)
-
-    p = sub.add_parser("rm", help="remove a file or empty directory")
-    p.add_argument("volume")
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_rm)
-
-    p = sub.add_parser("snap", help="manage snapshots")
-    p.add_argument("volume")
-    p.add_argument("action", choices=["create", "delete", "list"])
-    p.add_argument("name", nargs="?")
-    p.set_defaults(fn=cmd_snap)
-
-    p = sub.add_parser("dump", help="logical (BSD-style) dump to tape")
-    p.add_argument("volume")
-    p.add_argument("tape")
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--subtree", default="/")
-    p.add_argument("--dumpdates", default=None,
-                   help="JSON dumpdates database (read + updated)")
-    p.add_argument("--tapes", type=int, default=8)
-    p.add_argument("--tape-capacity", default="35GB")
-    _add_obs_flags(p)
-    p.set_defaults(fn=cmd_dump)
-
-    p = sub.add_parser("restore", help="logical restore from tape")
-    p.add_argument("tape")
-    p.add_argument("volume")
-    p.add_argument("--into", default="/")
-    p.add_argument("--select", nargs="*", default=None,
-                   help="restore only these paths (stupidity recovery)")
-    p.add_argument("--symtab", default=None,
-                   help="JSON symbol table for incremental chains")
-    p.add_argument("--resync", action="store_true",
-                   help="skip corrupted tape regions")
-    p.add_argument("--mkfs", action="store_true",
-                   help="create a fresh file system first")
-    p.add_argument("--groups", type=int, default=2)
-    p.add_argument("--disks", type=int, default=4)
-    p.add_argument("--blocks", type=int, default=2500)
-    _add_obs_flags(p)
-    p.set_defaults(fn=cmd_restore)
-
-    p = sub.add_parser("image-dump", help="physical (image) dump")
-    p.add_argument("volume")
-    p.add_argument("image")
-    p.add_argument("--snapshot", default=None,
-                   help="snapshot to dump (created and kept if named)")
-    p.add_argument("--base", default=None,
-                   help="base snapshot: produce an incremental image")
-    p.add_argument("--include-snapshots", action="store_true")
-    p.add_argument("--tapes", type=int, default=8)
-    p.add_argument("--tape-capacity", default="35GB")
-    _add_obs_flags(p)
-    p.set_defaults(fn=cmd_image_dump)
-
-    p = sub.add_parser("image-restore", help="physical (image) restore")
-    p.add_argument("image")
-    p.add_argument("volume")
-    p.add_argument("--fresh", action="store_true",
-                   help="ignore an existing volume container")
-    _add_obs_flags(p)
-    p.set_defaults(fn=cmd_image_restore)
-
-    p = sub.add_parser("interactive",
-                       help="browse a tape and extract marks (restore -i)")
-    p.add_argument("tape")
-    p.add_argument("volume", help="target volume for 'extract'")
-    p.add_argument("--into", default="/")
-    p.set_defaults(fn=cmd_interactive)
-
-    p = sub.add_parser("toc", help="list a tape's contents (restore -t)")
-    p.add_argument("tape")
-    p.set_defaults(fn=cmd_toc)
-
-    p = sub.add_parser("verify", help="compare tape vs volume (restore -C)")
-    p.add_argument("volume")
-    p.add_argument("tape")
-    p.add_argument("--image", action="store_true",
-                   help="the tape is an image stream, not a dump stream")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("estimate", help="predict a dump's size (dump -S)")
-    p.add_argument("volume")
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--subtree", default="/")
-    p.add_argument("--dumpdates", default=None)
-    p.set_defaults(fn=cmd_estimate)
-
-    p = sub.add_parser("fsck", help="check file-system invariants")
-    p.add_argument("volume")
-    p.add_argument("--parity", action="store_true",
-                   help="also audit RAID parity")
-    p.set_defaults(fn=cmd_fsck)
-
-    p = sub.add_parser("scrub", help="recompute RAID parity")
-    p.add_argument("volume")
-    p.set_defaults(fn=cmd_scrub)
-
-    p = sub.add_parser("rebuild", help="rebuild a failed data disk")
-    p.add_argument("volume")
-    p.add_argument("--group", type=int, required=True)
-    p.add_argument("--disk", type=int, required=True)
-    p.set_defaults(fn=cmd_rebuild)
-
-    p = sub.add_parser("df", help="show space usage")
-    p.add_argument("volume")
-    p.set_defaults(fn=cmd_df)
-
-    p = sub.add_parser("bench",
-                       help="wall-clock benchmark harness"
-                            " (delegates to repro.bench.wallclock)")
-    p.add_argument("rest", nargs=argparse.REMAINDER,
-                   help="arguments passed through, e.g."
-                        " --mode smoke --check --jobs 4")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("dumpdates",
-                       help="list persisted dumpdates records")
-    p.add_argument("path", nargs="?", default=None,
-                   help="JSON dumpdates database (as written by dump)")
-    p.add_argument("--catalog", default=None,
-                   help="read the dumpdates the catalog rebuilt instead")
-    p.set_defaults(fn=cmd_dumpdates)
-
-    p = sub.add_parser("catalog", help="inspect the backup catalog")
-    p.add_argument("catalog", help="catalog JSON file")
-    p.add_argument("action", choices=["list", "chain"])
-    p.add_argument("fsid", nargs="?", default=None)
-    p.add_argument("--subtree", default="/")
-    p.add_argument("--day", type=int, default=None,
-                   help="target campaign day (latest when omitted)")
-    p.set_defaults(fn=cmd_catalog)
-
-    p = sub.add_parser("policy", help="manage retention policies")
-    p.add_argument("catalog")
-    p.add_argument("action", choices=["set", "list"])
-    p.add_argument("fsid", nargs="?", default=None)
-    p.add_argument("policy", nargs="?", default=None,
-                   help="'redundancy N' or 'window N days'")
-    p.add_argument("--subtree", default="/")
-    p.set_defaults(fn=cmd_policy)
-
-    p = sub.add_parser("prune",
-                       help="apply retention policies, recycle cartridges")
-    p.add_argument("catalog")
-    p.add_argument("--pool", default=None,
-                   help="media pool container (erased tapes written back)")
-    p.add_argument("--day", type=int, default=None,
-                   help="'today' for window policies (latest day if omitted)")
-    p.set_defaults(fn=cmd_prune)
-
-    p = sub.add_parser("run-campaign",
-                       help="run a multi-day backup campaign")
-    p.add_argument("catalog", help="catalog JSON file to create")
-    p.add_argument("--pool", required=True,
-                   help="media pool container to create")
-    p.add_argument("--volume", action="append", required=True,
-                   metavar="NAME=STRATEGY",
-                   help="volume to enroll (strategy: logical or image)")
-    p.add_argument("--days", type=int, default=14)
-    p.add_argument("--schedule", default="gfs:7x4",
-                   help="gfs[:DxW] or hanoi[:LEVELS]")
-    p.add_argument("--policy", default=None,
-                   help="retention policy applied to every volume")
-    p.add_argument("--bytes", default="4MB", help="initial data per volume")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tapes", type=int, default=60)
-    p.add_argument("--tape-capacity", default="8MB")
-    p.add_argument("--groups", type=int, default=2)
-    p.add_argument("--disks", type=int, default=4)
-    p.add_argument("--blocks", type=int, default=2500)
-    p.add_argument("--save-volumes", default=".",
-                   help="directory for the live volume containers")
-    p.add_argument("--daily-snapshots", action="store_true",
-                   help="snapshot each volume every simulated day")
-    p.add_argument("--chaos", action="store_true",
-                   help="inject a deterministic fault campaign, recover"
-                        " every fault, and verify the recovered state"
-                        " byte-identical to a fault-free oracle run")
-    p.add_argument("--chaos-seed", type=int, default=None,
-                   help="fault-plan seed (defaults to --seed; the plan is"
-                        " a pure function of this seed)")
-    p.add_argument("--chaos-rate", type=float, default=0.5,
-                   help="per volume-day fault probability (default 0.5)")
-    p.add_argument("--chaos-kinds", default=None,
-                   metavar="KIND[,KIND...]",
-                   help="restrict faults to these kinds (default: all of"
-                        " kill,corrupt,eject,disk_fail,crash,torn_cp)")
-    p.add_argument("--chaos-events", default=None, metavar="OUT.jsonl",
-                   help="fault/recovery event log (default:"
-                        " <catalog>.chaos.jsonl)")
-    _add_obs_flags(p)
-    p.set_defaults(fn=cmd_run_campaign)
-
-    p = sub.add_parser("fleet",
-                       help="multi-tenant backup service over shared drives")
-    fleet_sub = p.add_subparsers(dest="fleet_cmd", required=True)
-    p.set_defaults(fn=cmd_fleet)
-
-    fp = fleet_sub.add_parser("init",
-                              help="create a fleet root from a spec")
-    fp.add_argument("root", help="fleet directory to create")
-    fp.add_argument("--spec", required=True,
-                    help="fleet spec file (JSON, or TOML on 3.11+)")
-    fp.set_defaults(fleet_fn=cmd_fleet_init)
-
-    fp = fleet_sub.add_parser("run",
-                              help="advance the fleet N simulated days")
-    fp.add_argument("root")
-    fp.add_argument("--days", type=int, default=1)
-    _add_obs_flags(fp)
-    fp.set_defaults(fleet_fn=cmd_fleet_run)
-
-    fp = fleet_sub.add_parser("status",
-                              help="show tenants, drives, and recent jobs")
-    fp.add_argument("root", nargs="?", default=".")
-    fp.add_argument("--json", action="store_true",
-                    help="print the raw status document")
-    fp.add_argument("--url", default=None,
-                    help="query a running 'fleet serve' endpoint instead"
-                         " of reading the root directly")
-    fp.add_argument("--last", type=int, default=5,
-                    help="recent job lines to show")
-    fp.set_defaults(fleet_fn=cmd_fleet_status)
-
-    fp = fleet_sub.add_parser("submit",
-                              help="queue an ad-hoc dump or restore job")
-    fp.add_argument("root", nargs="?", default=".")
-    fp.add_argument("--tenant", required=True)
-    fp.add_argument("--kind", choices=["dump", "restore"], default="dump")
-    fp.add_argument("--lane",
-                    choices=["interactive", "daily", "background"],
-                    default="interactive")
-    fp.add_argument("--day", type=int, default=None,
-                    help="restore target day (default: latest)")
-    fp.add_argument("--url", default=None,
-                    help="POST to a running 'fleet serve' endpoint")
-    fp.set_defaults(fleet_fn=cmd_fleet_submit)
-
-    fp = fleet_sub.add_parser("pause", help="pause a tenant's schedule")
-    fp.add_argument("root")
-    fp.add_argument("tenant")
-    fp.set_defaults(fleet_fn=cmd_fleet_pause)
-
-    fp = fleet_sub.add_parser("resume", help="resume a paused tenant")
-    fp.add_argument("root")
-    fp.add_argument("tenant")
-    fp.set_defaults(fleet_fn=cmd_fleet_pause)
-
-    fp = fleet_sub.add_parser("serve",
-                              help="serve the JSON status/REST API")
-    fp.add_argument("root")
-    fp.add_argument("--host", default="127.0.0.1")
-    fp.add_argument("--port", type=int, default=7322)
-    fp.set_defaults(fleet_fn=cmd_fleet_serve)
-
-    p = sub.add_parser("trace",
-                       help="inspect/export a --trace JSONL file")
-    p.add_argument("action", choices=["export", "summary", "validate"])
-    p.add_argument("trace_file")
-    p.add_argument("--out", default=None,
-                   help="output path for export"
-                        " (default: TRACE_FILE.chrome.json)")
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("restore-pit",
-                       help="catalog-planned point-in-time restore")
-    p.add_argument("catalog")
-    p.add_argument("fsid")
-    p.add_argument("out", help="volume container to write")
-    p.add_argument("--pool", required=True)
-    p.add_argument("--day", type=int, default=None)
-    p.add_argument("--subtree", default="/")
-    p.add_argument("--groups", type=int, default=2)
-    p.add_argument("--disks", type=int, default=4)
-    p.add_argument("--blocks", type=int, default=2500)
-    p.set_defaults(fn=cmd_restore_pit)
-
+    parsers = {"": parser}
+    subparsers = {}
+    for full_name, help, args, obs, fn in VERBS:
+        group, _, name = full_name.rpartition(" ")
+        if group not in subparsers:
+            subparsers[group] = parsers[group].add_subparsers(
+                dest="%s_cmd" % group if group else "command", required=True)
+        p = subparsers[group].add_parser(name, help=help)
+        for flags, kwargs in args + (OBS if obs else ()):
+            p.add_argument(*flags, **kwargs)
+        if fn is not None:
+            p.set_defaults(fn=fn)
+        parsers[full_name] = p
     return parser
 
 
@@ -1342,13 +1279,14 @@ def main(argv=None) -> int:
         from repro.bench.wallclock import main as wallclock_main
 
         return wallclock_main(list(argv[1:]))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except ReproError as error:
+        code = args.fn(args)
+        _obs_end(args)
+    except (ReproError, OSError) as error:
         print("repro-backup: error: %s" % error, file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 """End-to-end tests for the repro-backup CLI."""
 
+import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import main
+import repro
+from repro.cli import VERBS, main
 
 
 def run(args):
@@ -341,3 +345,155 @@ def test_run_campaign_with_trace(workdir, capsys):
     assert len(spans) == 2  # one per campaign day
     assert {e["tid"] for e in spans} == {"home"}
     assert all("level" in e["args"] and "day" in e["args"] for e in spans)
+
+
+# ---------------------------------------------------------------------------
+# The verb registry, its one error boundary, and cold start
+# ---------------------------------------------------------------------------
+
+TOP_VERBS = ["mkfs", "populate", "ls", "put", "get", "rm", "snap", "dump",
+             "restore", "image-dump", "image-restore", "interactive", "toc",
+             "verify", "estimate", "fsck", "scrub", "rebuild", "df", "bench",
+             "dumpdates", "catalog", "policy", "prune", "run-campaign",
+             "fleet", "trace", "restore-pit"]
+FLEET_VERBS = ["init", "run", "status", "submit", "pause", "resume",
+               "serve"]
+
+
+def test_the_verbs_are_pinned():
+    names = [row[0] for row in VERBS]
+    assert [n for n in names if " " not in n] == TOP_VERBS
+    assert [n[len("fleet "):] for n in names
+            if n.startswith("fleet ")] == FLEET_VERBS
+
+
+@pytest.mark.parametrize(
+    "argv", [[v] for v in TOP_VERBS] + [["fleet", v] for v in FLEET_VERBS],
+    ids=lambda argv: " ".join(argv))
+def test_every_verb_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["populate", "v.vol", "--bytes", "10XB"],
+    ["dump", "v.vol", "t.tape", "--tape-capacity", "lots"],
+    ["image-dump", "v.vol", "i.img", "--tape-capacity", "infGB"],
+    ["run-campaign", "c.json", "--pool", "p.med", "--volume", "a=logical",
+     "--bytes", "MB"],
+    ["run-campaign", "c.json", "--pool", "p.med", "--volume", "a=logical",
+     "--tape-capacity", "1e999KB"],
+])
+def test_malformed_size_is_a_usage_error(workdir, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid size value" in err
+    assert "Traceback" not in err
+    assert os.listdir(workdir) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["snap", "vol.bin", "create"], "snap create needs a NAME"),
+    (["snap", "vol.bin", "delete"], "snap delete needs a NAME"),
+    (["rebuild", "vol.bin", "--group", "5", "--disk", "0"],
+     "no RAID group 5"),
+    (["rebuild", "vol.bin", "--group", "-1", "--disk", "0"],
+     "no RAID group -1"),
+    (["rebuild", "vol.bin", "--group", "0", "--disk", "9"],
+     "no data disk 9"),
+])
+def test_missing_operand_is_one_error_line(workdir, capsys, argv, message):
+    run(["mkfs", "vol.bin", "--groups", 1])
+    before = (workdir / "vol.bin").read_bytes()
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro-backup: error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+    assert (workdir / "vol.bin").read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["toc", "nosuch.tape"],
+    ["image-restore", "nosuch.img", "r.vol"],
+    ["trace", "summary", "nosuch.jsonl"],
+    ["fsck", "nosuch.vol"],
+])
+def test_missing_input_file_is_one_error_line(workdir, capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro-backup: error: ")
+    assert captured.err.count("\n") == 1
+    assert "nosuch" in captured.err
+
+
+def test_cold_start_imports_no_engine():
+    """Building the parser imports no verb's machinery: each verb
+    imports what it uses when it runs."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, repro.cli; repro.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules"
+            " if m == 'numpy' or m.startswith('repro.wafl')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_interactive_session_extracts_a_marked_file(workdir, capsys,
+                                                     monkeypatch):
+    from repro.storage.persist import load_volume, save_volume
+    from repro.wafl.filesystem import WaflFilesystem
+
+    payload = b"marked for extraction \x00\x01" * 50
+    run(["mkfs", "vol.bin"])
+    fs = WaflFilesystem.mount(load_volume("vol.bin"))
+    fs.mkdir("/docs")
+    fs.create("/docs/a.txt", payload)
+    fs.create("/docs/b.txt", b"left on tape")
+    fs.consistency_point()
+    save_volume(fs.volume, "vol.bin")
+    run(["dump", "vol.bin", "t.tape"])
+    run(["mkfs", "new.bin"])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        "ls\ncd docs\nls\nadd a.txt\nmarked\nextract\nquit\nls\n"))
+    capsys.readouterr()
+    assert run(["interactive", "t.tape", "new.bin"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["docs/", "a.txt", "b.txt", "marked /docs/a.txt",
+                       "/docs/a.txt", "extracted 1 files"]
+    assert run(["get", "new.bin", "/docs/a.txt", workdir / "back"]) == 0
+    assert (workdir / "back").read_bytes() == payload
+    assert run(["get", "new.bin", "/docs/b.txt", workdir / "b"]) == 2
+
+
+def test_fleet_lifecycle_through_main(workdir, capsys):
+    from repro.fleet import validate_status
+
+    (workdir / "spec.json").write_text(json.dumps({
+        "name": "filer-01", "drives": 1, "seed": 7,
+        "tenants": [{"name": "solo", "data_bytes": 100000,
+                     "cartridges": 4, "cartridge_capacity": 1000000,
+                     "blocks_per_disk": 600}]}))
+    assert run(["fleet", "init", "fl", "--spec", "spec.json"]) == 0
+    assert run(["fleet", "submit", "fl", "--tenant", "solo",
+                "--kind", "dump"]) == 0
+    assert run(["fleet", "pause", "fl", "solo"]) == 0
+    assert "paused tenants: solo" in capsys.readouterr().out
+    assert run(["fleet", "resume", "fl", "solo"]) == 0
+    assert "paused tenants: (none)" in capsys.readouterr().out
+    assert run(["fleet", "status", "fl", "--json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    validate_status(document)
+    assert [t["paused"] for t in document["tenants"]] == [False]
+    assert [(job["tenant"], job["kind"])
+            for job in document["jobs"]["pending"]] == [("solo", "dump")]
