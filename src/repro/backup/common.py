@@ -15,7 +15,14 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.perf.ops import CpuOp, DiskReadOp, DiskWriteOp, PerfOp, drain_engine
+from repro.perf.ops import (
+    CpuOp,
+    DiskReadOp,
+    DiskWriteOp,
+    PerfOp,
+    TapeReadOp,
+    drain_engine,
+)
 from repro.storage.device import READ, IoRecorder
 
 # Engines never read or write more than this many blocks per op, so the
@@ -73,6 +80,30 @@ class RecorderScope:
         return ops
 
 
+class TapeReadMeter:
+    """Charges a restore for what its drive read since the last look.
+
+    The drive's counters are cumulative (it may have served earlier
+    jobs), so the meter keeps marks and turns each delta into at most one
+    ``TapeReadOp``.
+    """
+
+    def __init__(self, drive):
+        self.drive = drive
+        self._bytes = drive.bytes_read
+        self._changes = drive.media_changes
+
+    def ops(self, stage: str) -> List[TapeReadOp]:
+        drive = self.drive
+        delta = drive.bytes_read - self._bytes
+        changes = drive.media_changes - self._changes
+        self._bytes = drive.bytes_read
+        self._changes = drive.media_changes
+        if delta <= 0 and changes <= 0:
+            return []
+        return [TapeReadOp(drive, delta, changes, stage=stage)]
+
+
 # drain_engine is re-exported from repro.perf.ops — the single canonical
 # implementation shared with repro.perf.executor.drain.
 
@@ -92,6 +123,7 @@ __all__ = [
     "BackupResult",
     "MAX_RUN_BLOCKS",
     "RecorderScope",
+    "TapeReadMeter",
     "chunked_cpu",
     "drain_engine",
 ]

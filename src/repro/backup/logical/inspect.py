@@ -15,14 +15,12 @@ Classic companions to dump/restore that the same stream format enables:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
+from repro.errors import ReproError
 from repro.backup.logical.dumpdates import DumpDates
-from repro.dumpfmt.records import RecordHeader
+from repro.backup.logical.restore import DumpNamespace
 from repro.dumpfmt.spec import HEADER_SIZE, SEGMENT_SIZE, SEGMENTS_PER_HEADER
-from repro.dumpfmt.stream import DumpStreamReader
-from repro.wafl.directory import iter_entries
 from repro.wafl.inode import FileType
 
 
@@ -63,53 +61,21 @@ class TapeCatalog:
         return len(self.entries)
 
 
-def _walk_stream(drive):
-    """Read the stream; returns (reader, dir map, attrs map, file entries)."""
-    drive.rewind()
-    reader = DumpStreamReader(drive)
-    label = reader.read_preamble()
-    dir_entries: Dict[int, List[Tuple[str, int]]] = {}
-    attrs: Dict[int, RecordHeader] = {}
-    file_records = []
-    while True:
-        entry = reader.next_inode()
-        if entry is None:
-            break
-        attrs[entry.ino] = entry.header
-        if entry.header.ftype == FileType.DIRECTORY:
-            dir_entries[entry.ino] = [
-                (name, ino) for name, ino in iter_entries(entry.data)
-                if name not in (".", "..")
-            ]
-        else:
-            file_records.append(entry)
-    return reader, label, dir_entries, attrs, file_records
-
-
 def list_tape(drive) -> TapeCatalog:
     """``restore -t``: every object on the tape with its attributes."""
-    reader, label, dir_entries, attrs, _files = _walk_stream(drive)
+    ns = DumpNamespace(drive).load()
+    headers = {ino: record.header for ino, record in ns.dirs.items()}
+    headers.update((record.ino, record.header) for record in ns.files())
     entries: List[TapeEntry] = []
-    paths: Dict[int, str] = {label.root_ino: "/"}
-    queue = deque([label.root_ino])
-    seen = {label.root_ino}
-    while queue:
-        dir_ino = queue.popleft()
-        base = paths[dir_ino]
-        for name, ino in dir_entries.get(dir_ino, []):
-            path = base.rstrip("/") + "/" + name
-            header = attrs.get(ino)
-            if header is not None:
-                entries.append(TapeEntry(
-                    path, ino, header.ftype, header.size, header.perms,
-                    header.uid, header.gid, header.mtime, header.nlink,
-                ))
-            if ino in dir_entries and ino not in seen:
-                paths[ino] = path
-                seen.add(ino)
-                queue.append(ino)
-    return TapeCatalog(label, entries, len(reader.clri_inos),
-                       len(reader.bits_inos))
+    for path, ino in ns.names:
+        header = headers.get(ino)
+        if header is not None:
+            entries.append(TapeEntry(
+                path, ino, header.ftype, header.size, header.perms,
+                header.uid, header.gid, header.mtime, header.nlink,
+            ))
+    return TapeCatalog(ns.label, entries, len(ns.reader.clri_inos),
+                       len(ns.reader.bits_inos))
 
 
 def compare_tape(fs, drive, prefix: str = "/") -> List[str]:
@@ -118,17 +84,13 @@ def compare_tape(fs, drive, prefix: str = "/") -> List[str]:
     Returns human-readable difference strings (empty = the tape matches).
     Objects on the tape but missing from (or different in) the file
     system are reported; live files that are not on the tape are ignored
-    (an incremental tape legitimately covers only part of the tree).
+    (an incremental tape legitimately covers only part of the tree).  The
+    tape is read once, one file at a time.
     """
     problems: List[str] = []
-    catalog = list_tape(drive)
-    _reader, label, dir_entries, attrs, file_records = _walk_stream(drive)
-    by_ino: Dict[int, List[str]] = {}
-    for entry in catalog.entries:
-        by_ino.setdefault(entry.ino, []).append(entry.path)
-
-    for record in file_records:
-        paths = by_ino.get(record.ino, [])
+    ns = DumpNamespace(drive).load()
+    for record in ns.files():
+        paths = ns.paths.get(record.ino, [])
         if not paths:
             continue
         live_path = prefix.rstrip("/") + paths[0]
@@ -136,7 +98,7 @@ def compare_tape(fs, drive, prefix: str = "/") -> List[str]:
         try:
             live_ino = fs.namei(live_path)
             live = fs.inode(live_ino)
-        except Exception:
+        except ReproError:
             problems.append("%s: missing from the file system" % live_path)
             continue
         if live.type != header.ftype:

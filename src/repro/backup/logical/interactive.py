@@ -8,20 +8,25 @@ directory file like a little shell — ``cd``, ``ls``, ``pwd``, ``add``,
 ``delete`` (unmark), ``marked`` — and ``extract()`` then runs a single
 selective restore for everything marked.
 
-The session never touches the target file system until ``extract()``,
-and the tape is only streamed once, exactly like ``restore -i``.
+The session reads only the tape's directory records (the shared
+:class:`~repro.backup.logical.restore.DumpNamespace`) and never touches
+the target file system until ``extract()``, which streams the tape once,
+exactly like ``restore -i``.
 """
 
 from __future__ import annotations
 
 import posixpath
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.errors import BackupError, NotFoundError
-from repro.backup.logical.inspect import TapeCatalog, list_tape
-from repro.backup.logical.restore import LogicalRestore, RestoreResult
+from repro.backup.common import drain_engine
+from repro.backup.logical.restore import (
+    DumpNamespace,
+    LogicalRestore,
+    RestoreResult,
+)
 from repro.perf.costs import CostModel
-from repro.wafl.inode import FileType
 
 
 class InteractiveRestore:
@@ -29,16 +34,7 @@ class InteractiveRestore:
 
     def __init__(self, drive):
         self.drive = drive
-        self.catalog: TapeCatalog = list_tape(drive)
-        self._children: Dict[str, List[str]] = {"/": []}
-        self._types: Dict[str, int] = {"/": FileType.DIRECTORY}
-        for entry in self.catalog.entries:
-            parent = posixpath.dirname(entry.path) or "/"
-            self._children.setdefault(parent, []).append(entry.path)
-            self._children.setdefault(
-                entry.path, []
-            ) if entry.ftype == FileType.DIRECTORY else None
-            self._types[entry.path] = entry.ftype
+        self.namespace = DumpNamespace(drive).load()
         self.cwd = "/"
         self.marks: Set[str] = set()
 
@@ -52,17 +48,20 @@ class InteractiveRestore:
         resolved = posixpath.normpath(path)
         return resolved if resolved != "." else "/"
 
-    def _require(self, path: str) -> str:
-        if path != "/" and path not in self._types:
+    def _require(self, path: str) -> int:
+        """The inode of a path the dump wrote (the root always counts)."""
+        ino = self.namespace.lookup(path)
+        if path != "/" and (ino is None or not self.namespace.on_tape(ino)):
             raise NotFoundError("%s is not on this tape" % path)
-        return path
+        return ino
 
     def pwd(self) -> str:
         return self.cwd
 
     def cd(self, path: str) -> str:
-        target = self._require(self._resolve(path))
-        if self._types.get(target, FileType.DIRECTORY) != FileType.DIRECTORY:
+        target = self._resolve(path)
+        ino = self._require(target)
+        if target != "/" and ino not in self.namespace.entries:
             raise BackupError("%s is not a directory" % target)
         self.cwd = target
         return target
@@ -70,11 +69,14 @@ class InteractiveRestore:
     def ls(self, path: Optional[str] = None) -> List[str]:
         """Names in a directory; marked entries carry a ``*`` prefix
         (matching the classic restore -i display)."""
-        target = self._require(self._resolve(path))
+        target = self._resolve(path)
+        ns = self.namespace
         names = []
-        for child in sorted(self._children.get(target, [])):
-            name = posixpath.basename(child)
-            if self._types.get(child) == FileType.DIRECTORY:
+        for name, ino in sorted(ns.entries.get(self._require(target), [])):
+            if not ns.on_tape(ino):
+                continue
+            child = posixpath.join(target, name)
+            if ino in ns.entries:
                 name += "/"
             if child in self.marks or self._covered_by_mark(child):
                 name = "*" + name
@@ -93,7 +95,8 @@ class InteractiveRestore:
 
     def add(self, path: str) -> str:
         """Mark a file (or a directory and thus its whole subtree)."""
-        target = self._require(self._resolve(path))
+        target = self._resolve(path)
+        self._require(target)
         self.marks.add(target)
         return target
 
@@ -115,8 +118,6 @@ class InteractiveRestore:
         """Selectively restore everything marked, in one tape pass."""
         if not self.marks:
             raise BackupError("nothing is marked for extraction")
-        from repro.backup.common import drain_engine
-
         engine = LogicalRestore(
             target_fs, self.drive, into=into,
             select=sorted(self.marks), costs=costs,

@@ -3,7 +3,9 @@
 Restore reads the dumped directories into an in-memory "directory file" —
 the *desiccated file system* the paper describes — and runs its own
 ``namei`` against it, so it can locate any file on the tape without
-materializing the directory structure first.
+materializing the directory structure first.  That reading,
+:class:`DumpNamespace`, is also what ``restore -t``, ``restore -C`` and
+``restore -i`` (:mod:`repro.backup.logical.inspect`, ``interactive``) use.
 
 Three modes:
 
@@ -29,11 +31,11 @@ from collections import deque
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import FormatError, NotFoundError, ReproError
-from repro.backup.common import BackupResult, RecorderScope
+from repro.backup.common import BackupResult, RecorderScope, TapeReadMeter
 from repro.obs import observe_failure
 from repro.dumpfmt.spec import SEGMENT_SIZE
 from repro.dumpfmt.stream import DumpStreamReader, InodeEntry
-from repro.perf.ops import CpuOp, PhaseBegin, PhaseEnd, SleepOp, TapeReadOp
+from repro.perf.ops import CpuOp, PhaseBegin, PhaseEnd, SleepOp
 from repro.perf.costs import CostModel
 from repro.wafl.consts import BLOCK_SIZE
 from repro.wafl.directory import iter_entries
@@ -90,6 +92,39 @@ def _block_runs(entry: "InodeEntry"):
             yield block, chunk, 1
 
 
+_WRITE_RUN_BLOCKS = 64
+
+
+def _write_runs(entry: "InodeEntry"):
+    """Yield ``(first_block, data, nblocks)`` writes of present blocks.
+
+    Adjacent stream runs merge into one write; a hole, or reaching 64
+    blocks, ends it.
+    """
+    start, parts, nblocks = 0, [], 0
+    for block, blob, count in _block_runs(entry):
+        if blob is None:
+            if nblocks:
+                yield start, b"".join(parts), nblocks
+                parts, nblocks = [], 0
+            continue
+        offset = 0
+        while count:
+            if not nblocks:
+                start = block
+            take = min(count, _WRITE_RUN_BLOCKS - nblocks)
+            parts.append(blob[offset * BLOCK_SIZE : (offset + take) * BLOCK_SIZE])
+            nblocks += take
+            block += take
+            offset += take
+            count -= take
+            if nblocks == _WRITE_RUN_BLOCKS:
+                yield start, b"".join(parts), nblocks
+                parts, nblocks = [], 0
+    if nblocks:
+        yield start, b"".join(parts), nblocks
+
+
 class SymbolTable:
     """Maps dump inode numbers to their current paths in the target.
 
@@ -134,6 +169,108 @@ def _join(base: str, name: str) -> str:
     return "%s/%s" % (base, name)
 
 
+class DumpNamespace:
+    """One reading of a dump stream: the desiccated file system.
+
+    Restore, ``restore -t``, ``restore -C`` and ``restore -i`` all start
+    here.  Construction rewinds the drive and reads the preamble;
+    :meth:`read_directories` reads the directory records (which the dump
+    writes before any file) and names every inode by its paths under
+    ``into``; :meth:`files` then streams the remaining records, one at a
+    time.
+    """
+
+    def __init__(self, drive, into: str = "/", resync: bool = False):
+        drive.rewind()
+        self.reader = DumpStreamReader(drive)
+        self.label = self.reader.read_preamble()
+        self.root_ino = self.label.root_ino
+        self.into = into
+        self.resync = resync
+        # Directory records, and their entries minus "." and "..".
+        self.dirs: Dict[int, InodeEntry] = {}
+        self.entries: Dict[int, List[Tuple[str, int]]] = {}
+        # Breadth first from the root: each reachable directory's path,
+        # every (path, ino) name, and every inode's names (hard links).
+        self.dir_paths: Dict[int, str] = {}
+        self.names: List[Tuple[str, int]] = []
+        self.paths: Dict[int, List[str]] = {}
+        self._first_file: Optional[InodeEntry] = None
+
+    def read_directories(self) -> Iterator[InodeEntry]:
+        """Read the directory records, yielding each record as it is read
+        (the first non-directory record ends the walk), then resolve every
+        name to its paths."""
+        while True:
+            entry = self.reader.next_inode(resync=self.resync)
+            if entry is None:
+                break
+            yield entry
+            if entry.header.ftype != FileType.DIRECTORY:
+                self._first_file = entry
+                break
+            self.dirs[entry.ino] = entry
+            self.entries[entry.ino] = [
+                (name, ino)
+                for name, ino in iter_entries(entry.data)
+                if name not in (".", "..")
+            ]
+        if self.root_ino not in self.entries and self.label.level == 0:
+            raise FormatError("dump stream has no root directory record")
+        self.dir_paths[self.root_ino] = self.into
+        self.paths[self.root_ino] = [self.into]
+        queue = deque([self.root_ino])
+        while queue:
+            dir_ino = queue.popleft()
+            base = self.dir_paths[dir_ino]
+            for name, ino in self.entries.get(dir_ino, []):
+                path = _join(base, name)
+                self.names.append((path, ino))
+                self.paths.setdefault(ino, []).append(path)
+                if ino in self.entries and ino not in self.dir_paths:
+                    self.dir_paths[ino] = path
+                    queue.append(ino)
+
+    def load(self) -> "DumpNamespace":
+        """Read the directories without charging for them."""
+        for _entry in self.read_directories():
+            pass
+        return self
+
+    def files(self) -> Iterator[InodeEntry]:
+        """The records after the directories, up to TS_END."""
+        entry = self._first_file
+        while entry is not None:
+            yield entry
+            entry = self.reader.next_inode(resync=self.resync)
+
+    def on_tape(self, ino: int) -> bool:
+        """Whether the dump wrote this inode (its TS_BITS map)."""
+        return ino in self.reader.bits_inos
+
+    def lookup(self, path: str) -> Optional[int]:
+        """The inode a dump-rooted path names, or None."""
+        ino = self.root_ino
+        for part in path.split("/"):
+            if part:
+                ino = next((child for name, child in self.entries.get(ino, [])
+                            if name == part), None)
+                if ino is None:
+                    return None
+        return ino
+
+    def subtree(self, ino: int) -> Set[int]:
+        """``ino`` and, for a directory, everything beneath it."""
+        found = {ino}
+        stack = [ino]
+        while stack:
+            for _name, child in self.entries.get(stack.pop(), []):
+                found.add(child)
+                if child in self.entries:
+                    stack.append(child)
+        return found
+
+
 class LogicalRestore:
     """One restore job: a dump stream from one drive into a file system."""
 
@@ -154,19 +291,6 @@ class LogicalRestore:
         self.select = select
         self.costs = costs or CostModel()
         self.resync = resync
-        self._read_mark = 0
-        self._change_mark = 0
-
-    # -- op helpers ---------------------------------------------------------
-
-    def _tape_ops(self, stage: str) -> List[TapeReadOp]:
-        delta = self.drive.bytes_read - self._read_mark
-        changes = self.drive.media_changes - self._change_mark
-        self._read_mark = self.drive.bytes_read
-        self._change_mark = self.drive.media_changes
-        if delta <= 0 and changes <= 0:
-            return []
-        return [TapeReadOp(self.drive, delta, changes, stage=stage)]
 
     def _cpu_block_cost(self) -> float:
         cost = self.costs.restore_data_block
@@ -190,125 +314,70 @@ class LogicalRestore:
 
     def _run(self) -> Iterator:
         result = RestoreResult()
-        self.drive.rewind()
-        # Marks are deltas against the drive's cumulative counters (the
-        # drive may have served earlier jobs).
         initial_bytes_read = self.drive.bytes_read
-        self._read_mark = initial_bytes_read
-        self._change_mark = self.drive.media_changes
-        reader = DumpStreamReader(self.drive)
+        meter = TapeReadMeter(self.drive)
 
         yield PhaseBegin(STAGE_CREATE)
-        label = reader.read_preamble()
-        result.level = label.level
-        for op in self._tape_ops(STAGE_CREATE):
-            yield op
-
-        # ---- read the directory records: the desiccated file system ----
-        dir_attrs: Dict[int, InodeEntry] = {}
-        dir_entries: Dict[int, List[Tuple[str, int]]] = {}
-        first_file: Optional[InodeEntry] = None
-        while True:
-            entry = reader.next_inode(resync=self.resync)
-            if entry is None:
-                break
+        ns = DumpNamespace(self.drive, into=self.into, resync=self.resync)
+        result.level = ns.label.level
+        yield from meter.ops(STAGE_CREATE)
+        for _record in ns.read_directories():
             yield CpuOp(self.costs.restore_parse_header,
                         stage=STAGE_CREATE, side="disk")
-            for op in self._tape_ops(STAGE_CREATE):
-                yield op
-            if entry.header.ftype != FileType.DIRECTORY:
-                first_file = entry
-                break
-            dir_attrs[entry.ino] = entry
-            dir_entries[entry.ino] = [
-                (name, ino)
-                for name, ino in iter_entries(entry.data)
-                if name not in (".", "..")
-            ]
-
-        root_ino = label.root_ino
-        if root_ino not in dir_entries and label.level == 0:
-            raise FormatError("dump stream has no root directory record")
-
-        # ---- dump-namespace paths (mapped under `into`) ----
-        dump_path: Dict[int, str] = {root_ino: self.into}
-        desired: Dict[int, List[str]] = {root_ino: [self.into]}
-        queue = deque([root_ino])
-        seen_dirs = {root_ino}
-        while queue:
-            dir_ino = queue.popleft()
-            base = dump_path.get(dir_ino)
-            if base is None:
-                continue
-            for name, ino in dir_entries.get(dir_ino, []):
-                path = _join(base, name)
-                desired.setdefault(ino, []).append(path)
-                if ino in dir_entries and ino not in seen_dirs:
-                    dump_path[ino] = path
-                    seen_dirs.add(ino)
-                    queue.append(ino)
-
-        selected = self._resolve_selection(dir_entries, desired, root_ino)
+            yield from meter.ops(STAGE_CREATE)
+        selected = self._resolve_selection(ns)
 
         # ---- namespace work ----
         if self.select is not None:
-            creator = self._create_selected(result, dir_attrs, dump_path,
-                                            desired, selected)
+            creator = self._create_selected(result, ns, selected)
         elif self.symtab is None:
-            creator = self._create_full(result, reader, dir_attrs, dir_entries,
-                                        dump_path, desired, root_ino)
+            creator = self._create_full(result, ns)
         else:
-            creator = self._apply_incremental(result, reader, dir_attrs,
-                                              dir_entries, dump_path, desired,
-                                              root_ino)
+            creator = self._apply_incremental(result, ns)
         for op in creator:
             yield op
         yield PhaseEnd(STAGE_CREATE)
 
         # ---- data ----
         yield PhaseBegin(STAGE_FILL)
-        entry = first_file
-        while entry is not None:
+        for entry in ns.files():
             yield CpuOp(self.costs.restore_parse_header,
                         stage=STAGE_FILL, side="tape")
-            for op in self._tape_ops(STAGE_FILL):
-                yield op
+            yield from meter.ops(STAGE_FILL)
             if entry.header.ftype == FileType.DIRECTORY:
                 # Directories arriving late (possible after resync): skip.
                 result.skipped += 1
             else:
                 wanted = selected is None or entry.ino in selected
-                paths = desired.get(entry.ino, [])
+                paths = ns.paths.get(entry.ino, [])
                 if wanted and paths:
                     for op in self._extract(result, entry, paths):
                         yield op
                 else:
                     result.skipped += 1
-            entry = reader.next_inode(resync=self.resync)
-        for op in self._tape_ops(STAGE_FILL):
-            yield op
+        yield from meter.ops(STAGE_FILL)
 
         # Final pass: directory times.  Permissions and ownership were set
         # at creation (restore runs as root), but creating children bumped
         # each directory's mtime, so times are re-applied last.
-        for ino, attrs in dir_attrs.items():
-            path = dump_path.get(ino)
+        for ino, attrs in ns.dirs.items():
+            path = ns.dir_paths.get(ino)
             if path is None or not self.fs.exists(path):
                 continue
             header = attrs.header
             self.fs.set_attrs(path, mtime=header.mtime, atime=header.atime)
-        yield CpuOp(len(dir_attrs) * self.costs.restore_parse_header,
+        yield CpuOp(len(ns.dirs) * self.costs.restore_parse_header,
                     stage=STAGE_FILL, side="disk")
         yield PhaseEnd(STAGE_FILL)
 
         # ---- symbol table for the next incremental in the chain ----
-        # ``desired`` is a partial view; names recorded by earlier
+        # ``ns.paths`` is a partial view; names recorded by earlier
         # restores that survived this one (their directories were not on
         # this tape) must be merged in, not overwritten.
         symtab = self.symtab or SymbolTable()
-        for ino in reader.clri_inos:
+        for ino in ns.reader.clri_inos:
             symtab.remove(ino)
-        for ino, paths in desired.items():
+        for ino, paths in ns.paths.items():
             survivors = [
                 p for p in symtab.get(ino)
                 if p not in paths and self.fs.exists(p)
@@ -316,44 +385,25 @@ class LogicalRestore:
             symtab.set(ino, list(paths) + survivors)
         result.symtab = symtab
         result.bytes_from_tape = self.drive.bytes_read - initial_bytes_read
+        resyncs = ns.reader.resyncs
         result.errors.extend(
-            ["%d corrupted records skipped" % reader.resyncs] if reader.resyncs else []
+            ["%d corrupted records skipped" % resyncs] if resyncs else []
         )
         return result
 
     # -- selection -------------------------------------------------------------
 
-    def _resolve_selection(self, dir_entries, desired, root_ino) -> Optional[Set[int]]:
-        """Resolve ``select`` paths (dump-rooted) to dump inode numbers."""
+    def _resolve_selection(self, ns: DumpNamespace) -> Optional[Set[int]]:
+        """Resolve ``select`` paths (dump-rooted) to dump inode numbers; a
+        selected directory pulls in its whole subtree."""
         if self.select is None:
             return None
         selected: Set[int] = set()
         for want in self.select:
-            ino = root_ino
-            parts = [part for part in want.split("/") if part]
-            ok = True
-            for part in parts:
-                found = None
-                for name, child in dir_entries.get(ino, []):
-                    if name == part:
-                        found = child
-                        break
-                if found is None:
-                    ok = False
-                    break
-                ino = found
-            if not ok:
+            ino = ns.lookup(want)
+            if ino is None:
                 raise NotFoundError("path %r is not on this tape" % want)
-            selected.add(ino)
-            # A selected directory pulls in its whole subtree.
-            if ino in dir_entries:
-                stack = [ino]
-                while stack:
-                    current = stack.pop()
-                    for _name, child in dir_entries.get(current, []):
-                        selected.add(child)
-                        if child in dir_entries:
-                            stack.append(child)
+            selected |= ns.subtree(ino)
         return selected
 
     # -- namespace passes ----------------------------------------------------------
@@ -389,32 +439,17 @@ class LogicalRestore:
         if entry.acl:
             self.fs.set_acl(path, entry.acl)
 
-    def _dirs_in_bfs_order(self, dump_path, dir_entries, root_ino) -> List[int]:
-        order: List[int] = []
-        queue = deque([root_ino])
-        seen = {root_ino}
-        while queue:
-            ino = queue.popleft()
-            order.append(ino)
-            for _name, child in dir_entries.get(ino, []):
-                if child in dir_entries and child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-        return order
-
-    def _create_full(self, result, reader, dir_attrs, dir_entries,
-                     dump_path, desired, root_ino) -> Iterator:
+    def _create_full(self, result, ns: DumpNamespace) -> Iterator:
         """Create the whole namespace: directories, then placeholder files
         and hard links (the paper's "Creating files" stage)."""
         volume = self.fs.volume
-        for ino in self._dirs_in_bfs_order(dump_path, dir_entries, root_ino):
-            path = dump_path[ino]
-            if ino == root_ino:
+        for ino, path in ns.dir_paths.items():
+            if ino == ns.root_ino:
                 if not self.fs.exists(path):
                     self.fs.mkdir(path)
                 continue
             with RecorderScope(volume) as scope:
-                if self._ensure_dir(path, dir_attrs.get(ino)):
+                if self._ensure_dir(path, ns.dirs.get(ino)):
                     result.created += 1
                     result.directories += 1
             yield CpuOp(self.costs.restore_create_file,
@@ -422,12 +457,20 @@ class LogicalRestore:
             yield SleepOp(self.costs.restore_create_latency, stage=STAGE_CREATE)
             for op in scope.drain_ops(STAGE_CREATE):
                 yield op
-        # Placeholder files for every non-directory entry that was dumped.
-        for ino, paths in desired.items():
-            if ino in dir_entries or ino == root_ino:
+        yield from self._create_placeholders(result, ns, latency=True)
+
+    def _create_placeholders(self, result, ns: DumpNamespace,
+                             latency: bool) -> Iterator:
+        """Placeholder files and hard links for every dumped
+        non-directory that the symbol table (if any) does not know yet."""
+        volume = self.fs.volume
+        for ino, paths in ns.paths.items():
+            if ino in ns.entries or ino == ns.root_ino:
                 continue
-            if ino not in reader.bits_inos:
+            if not ns.on_tape(ino):
                 continue  # not on this tape (filtered or unchanged)
+            if self.symtab is not None and self.symtab.get(ino):
+                continue
             with RecorderScope(volume) as scope:
                 first = paths[0]
                 if not self.fs.exists(first):
@@ -438,27 +481,28 @@ class LogicalRestore:
                         self.fs.link(first, extra)
             yield CpuOp(self.costs.restore_create_file * len(paths),
                         stage=STAGE_CREATE, side="disk")
-            yield SleepOp(self.costs.restore_create_latency * len(paths),
-                          stage=STAGE_CREATE)
+            if latency:
+                yield SleepOp(self.costs.restore_create_latency * len(paths),
+                              stage=STAGE_CREATE)
             for op in scope.drain_ops(STAGE_CREATE):
                 yield op
 
-    def _create_selected(self, result, dir_attrs, dump_path, desired,
-                         selected) -> Iterator:
+    def _create_selected(self, result, ns: DumpNamespace,
+                         selected: Set[int]) -> Iterator:
         """Create only the directories needed to hold the selection."""
         volume = self.fs.volume
         needed_dirs: Set[str] = set()
         for ino in selected:
-            for path in desired.get(ino, []):
+            for path in ns.paths.get(ino, []):
                 parent = path.rsplit("/", 1)[0] or "/"
                 while parent not in ("", "/") and parent not in needed_dirs:
                     needed_dirs.add(parent)
                     parent = parent.rsplit("/", 1)[0] or "/"
         by_depth = sorted(needed_dirs, key=lambda p: p.count("/"))
         attrs_by_path = {
-            dump_path[ino]: dir_attrs.get(ino)
-            for ino in dump_path
-            if ino in dir_attrs
+            path: ns.dirs[ino]
+            for ino, path in ns.dir_paths.items()
+            if ino in ns.dirs
         }
         for path in by_depth:
             with RecorderScope(volume) as scope:
@@ -470,14 +514,13 @@ class LogicalRestore:
             for op in scope.drain_ops(STAGE_CREATE):
                 yield op
 
-    def _apply_incremental(self, result, reader, dir_attrs, dir_entries,
-                           dump_path, desired, root_ino) -> Iterator:
+    def _apply_incremental(self, result, ns: DumpNamespace) -> Iterator:
         """Delete / move / create against the previous restore's state."""
         volume = self.fs.volume
         symtab = self.symtab
 
         # 1. Deletions: inodes free at dump time that we once restored.
-        doomed = [ino for ino in symtab.inos() if ino in reader.clri_inos]
+        doomed = [ino for ino in symtab.inos() if ino in ns.reader.clri_inos]
         doomed_paths: List[Tuple[str, int]] = []
         for ino in doomed:
             for path in symtab.get(ino):
@@ -503,14 +546,14 @@ class LogicalRestore:
 
         # 1b. Inode numbers reused as a different *kind* of object: the
         #     old incarnation must go before the namespace passes run.
-        for ino, want_paths in desired.items():
-            if ino == root_ino:
+        for ino, want_paths in ns.paths.items():
+            if ino == ns.root_ino:
                 continue
             known = symtab.get(ino)
             if not known:
                 continue
-            dumped_is_dir = ino in dir_entries
-            if ino not in reader.bits_inos and not dumped_is_dir:
+            dumped_is_dir = ino in ns.entries
+            if not ns.on_tape(ino) and not dumped_is_dir:
                 continue
             anchor = None
             for path in known:
@@ -538,14 +581,13 @@ class LogicalRestore:
                 yield op
 
         # 2. New directories (dumped dirs we have never seen).
-        for ino in self._dirs_in_bfs_order(dump_path, dir_entries, root_ino):
-            if ino == root_ino:
+        for ino, path in ns.dir_paths.items():
+            if ino == ns.root_ino:
                 continue
-            path = dump_path[ino]
             known = symtab.get(ino)
             if not known:
                 with RecorderScope(volume) as scope:
-                    if self._ensure_dir(path, dir_attrs.get(ino)):
+                    if self._ensure_dir(path, ns.dirs.get(ino)):
                         result.created += 1
                         result.directories += 1
                 yield CpuOp(self.costs.restore_create_file,
@@ -553,13 +595,13 @@ class LogicalRestore:
                 for op in scope.drain_ops(STAGE_CREATE):
                     yield op
 
-        # 3. Moves, renames, and new hard-link names.  ``desired`` is only
+        # 3. Moves, renames, and new hard-link names.  ``ns.paths`` is only
         #    a *partial* view (entries of the directories on this tape),
         #    so nothing is unlinked here: stale names under dumped
         #    directories are removed by pass 3c, which has the correct
         #    per-directory scope.
-        for ino, want_paths in desired.items():
-            if ino == root_ino:
+        for ino, want_paths in ns.paths.items():
+            if ino == ns.root_ino:
                 continue
             known = symtab.get(ino)
             if not known:
@@ -570,7 +612,7 @@ class LogicalRestore:
                 existing = [p for p in known if self.fs.exists(p)]
                 if not existing:
                     symtab.remove(ino)
-                elif ino in dir_entries:
+                elif ino in ns.entries:
                     # A directory has exactly one name: a new desired path
                     # is a genuine move/rename.
                     anchor = existing[0]
@@ -602,12 +644,11 @@ class LogicalRestore:
 
         # 3b. Directories whose inode number was reused (deleted above)
         #     now need their new incarnation created.
-        for ino in self._dirs_in_bfs_order(dump_path, dir_entries, root_ino):
-            if ino == root_ino or symtab.get(ino):
+        for ino, path in ns.dir_paths.items():
+            if ino == ns.root_ino or symtab.get(ino):
                 continue
-            path = dump_path[ino]
             with RecorderScope(volume) as scope:
-                if self._ensure_dir(path, dir_attrs.get(ino)):
+                if self._ensure_dir(path, ns.dirs.get(ino)):
                     result.created += 1
                     result.directories += 1
             for op in scope.drain_ops(STAGE_CREATE):
@@ -617,11 +658,10 @@ class LogicalRestore:
         #     exists in the target under a dumped directory but is absent
         #     from the dumped contents was deleted or moved away between
         #     the dumps (e.g. one name of a hard-linked pair unlinked).
-        for ino in self._dirs_in_bfs_order(dump_path, dir_entries, root_ino):
-            path = dump_path.get(ino)
-            if path is None or not self.fs.exists(path):
+        for ino, path in ns.dir_paths.items():
+            if not self.fs.exists(path):
                 continue
-            want_names = {name for name, _child in dir_entries.get(ino, [])}
+            want_names = {name for name, _child in ns.entries.get(ino, [])}
             with RecorderScope(volume) as scope:
                 removed = 0
                 for name, child_ino in list(self.fs.readdir(path)):
@@ -641,23 +681,7 @@ class LogicalRestore:
                 yield op
 
         # 4. Placeholders for newly appearing files on this tape.
-        for ino, paths in desired.items():
-            if ino in dir_entries or ino == root_ino:
-                continue
-            if ino not in reader.bits_inos or symtab.get(ino):
-                continue
-            with RecorderScope(volume) as scope:
-                first = paths[0]
-                if not self.fs.exists(first):
-                    self.fs.create(first)
-                    result.created += 1
-                for extra in paths[1:]:
-                    if not self.fs.exists(extra):
-                        self.fs.link(first, extra)
-            yield CpuOp(self.costs.restore_create_file * len(paths),
-                        stage=STAGE_CREATE, side="disk")
-            for op in scope.drain_ops(STAGE_CREATE):
-                yield op
+        yield from self._create_placeholders(result, ns, latency=False)
 
     def _remove_tree(self, path: str) -> None:
         for name, ino in list(self.fs.readdir(path)):
@@ -709,57 +733,13 @@ class LogicalRestore:
         for op in scope.drain_ops(STAGE_FILL):
             yield op
 
-        # Write runs of present 4 KB blocks, preserving holes.  Stream
-        # runs map straight onto write runs (split at 64 blocks, exactly
-        # where the per-block accumulator used to flush); a run that is
-        # not block aligned — which the writer never produces — falls back
-        # to the per-segment walk.
+        # Write runs of present 4 KB blocks, preserving holes.
         total_segments = entry.total_segments
         nblocks = (total_segments + _SEGMENTS_PER_BLOCK - 1) // _SEGMENTS_PER_BLOCK
-        run_start = None
-        run_data: List[bytes] = []
-        run_blocks = 0
-
-        def flush():
-            data = b"".join(run_data)
+        for start, data, count in _write_runs(entry):
             with RecorderScope(volume) as scope:
-                self.fs.write_file(path, data, offset=run_start * BLOCK_SIZE)
-            return scope, CpuOp(run_blocks * block_cost, stage=STAGE_FILL,
-                                side="disk")
-
-        for block_index, blob, count in _block_runs(entry):
-            if blob is None:
-                if run_start is not None:
-                    scope, cpu = flush()
-                    yield cpu
-                    for op in scope.drain_ops(STAGE_FILL):
-                        yield op
-                    run_start = None
-                    run_data = []
-                    run_blocks = 0
-                continue
-            offset = 0
-            while count:
-                if run_start is None:
-                    run_start = block_index
-                take = min(count, 64 - run_blocks)
-                run_data.append(blob[offset * BLOCK_SIZE
-                                     : (offset + take) * BLOCK_SIZE])
-                run_blocks += take
-                block_index += take
-                offset += take
-                count -= take
-                if run_blocks == 64:
-                    scope, cpu = flush()
-                    yield cpu
-                    for op in scope.drain_ops(STAGE_FILL):
-                        yield op
-                    run_start = None
-                    run_data = []
-                    run_blocks = 0
-        if run_start is not None:
-            scope, cpu = flush()
-            yield cpu
+                self.fs.write_file(path, data, offset=start * BLOCK_SIZE)
+            yield CpuOp(count * block_cost, stage=STAGE_FILL, side="disk")
             for op in scope.drain_ops(STAGE_FILL):
                 yield op
 
@@ -775,4 +755,4 @@ class LogicalRestore:
         result.blocks += nblocks
 
 
-__all__ = ["LogicalRestore", "RestoreResult", "SymbolTable"]
+__all__ = ["DumpNamespace", "LogicalRestore", "RestoreResult", "SymbolTable"]

@@ -9,7 +9,7 @@ byte-for-byte — same geometry required, snapshots included if requested.
 """
 
 from repro.backup.physical.dump import ImageDump, ImageDumpResult
-from repro.backup.physical.image import ImageHeader
+from repro.backup.physical.image import ImageHeader, read_image_header
 from repro.backup.physical.incremental import (
     BLOCK_STATES,
     block_state,
@@ -28,4 +28,5 @@ __all__ = [
     "block_state",
     "compare_image",
     "incremental_block_set",
+    "read_image_header",
 ]

@@ -6,14 +6,15 @@ address order — ``(start block, count, crc, raw data)`` — then a trailer.
 Because the block addresses are recorded, restore puts every block back
 where it came from; because the geometry is recorded, restore onto an
 incompatible volume is refused up front (the portability limitation the
-paper calls fundamental).
+paper calls fundamental).  Restore and verify share one reading of it:
+:func:`read_image_header`, then :func:`read_chunks`.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import FormatError, GeometryError
 from repro.raid.layout import GroupGeometry, VolumeGeometry
@@ -152,6 +153,35 @@ def try_unpack_trailer(raw: bytes) -> Optional[int]:
 TRAILER_SIZE = _TRAILER.size
 
 
+def read_image_header(drive) -> ImageHeader:
+    """Rewind ``drive`` and read the header its image stream starts with."""
+    drive.rewind()
+    return ImageHeader.unpack_from_stream(drive.read)
+
+
+def read_chunks(drive, block_size: int) -> Iterator[Tuple[int, int, bytes, bool]]:
+    """The chunks after the header, as ``(start, count, data, intact)``.
+
+    ``intact`` is False when the data fails its CRC.  The walk ends at the
+    trailer, and a trailer whose block count disagrees with the chunks
+    read (a stream cut short) is a :class:`FormatError`.
+    """
+    seen = 0
+    while True:
+        raw = drive.read(CHUNK_HEADER_SIZE)
+        total = try_unpack_trailer(raw)
+        if total is not None:
+            if total != seen:
+                raise FormatError(
+                    "stream on %s truncated: trailer says %d blocks, "
+                    "stream had %d" % (drive.name, total, seen))
+            return
+        start, count, crc = unpack_chunk_header(raw)
+        data = drive.read(count * block_size)
+        yield start, count, data, zlib.crc32(data) == crc
+        seen += count
+
+
 __all__ = [
     "CHUNK_HEADER_SIZE",
     "FLAG_INCLUDES_SNAPSHOTS",
@@ -161,6 +191,8 @@ __all__ = [
     "pack_chunk_header",
     "pack_geometry",
     "pack_trailer",
+    "read_chunks",
+    "read_image_header",
     "try_unpack_trailer",
     "unpack_chunk_header",
     "unpack_geometry",

@@ -14,20 +14,18 @@ intact when the image was taken with ``include_snapshots``).
 
 from __future__ import annotations
 
-import zlib
 from typing import Iterator, Optional
 
 from repro.errors import FormatError, IncrementalError, ReproError
-from repro.backup.common import BackupResult
+from repro.backup.common import BackupResult, TapeReadMeter
 from repro.obs import observe_failure
 from repro.backup.physical.image import (
-    CHUNK_HEADER_SIZE,
     ImageHeader,
-    try_unpack_trailer,
-    unpack_chunk_header,
+    read_chunks,
+    read_image_header,
 )
 from repro.perf.costs import CostModel
-from repro.perf.ops import CpuOp, DiskWriteOp, PhaseBegin, PhaseEnd, TapeReadOp
+from repro.perf.ops import CpuOp, DiskWriteOp, PhaseBegin, PhaseEnd
 from repro.wafl.consts import FSINFO_BLOCKS, FSINFO_PRIMARY
 from repro.wafl.fsinfo import FsInfo
 
@@ -46,14 +44,13 @@ class ImageRestore:
     """One image restore: one or more drives onto a raw volume."""
 
     def __init__(self, volume, drives, costs: Optional[CostModel] = None,
-                 verify_chunks: bool = True, expect_fsinfo: bool = True):
+                 expect_fsinfo: bool = True):
         """``expect_fsinfo=False`` marks a *part* of a multi-drive set
         restored as its own concurrent job: only one part of the set
         carries the root structure, so its absence is not an error."""
         self.volume = volume
         self.drives = list(drives) if isinstance(drives, (list, tuple)) else [drives]
         self.costs = costs or CostModel()
-        self.verify_chunks = verify_chunks
         self.expect_fsinfo = expect_fsinfo
 
     def run(self) -> Iterator:
@@ -77,21 +74,8 @@ class ImageRestore:
         fsinfo_image: bytes = b""
         header0: Optional[ImageHeader] = None
         for drive in self.drives:
-            drive.rewind()
-            read_mark = [0]
-            change_mark = [drive.media_changes]
-
-            def tape_op() -> Optional[TapeReadOp]:
-                delta = drive.bytes_read - read_mark[0]
-                changes = drive.media_changes - change_mark[0]
-                read_mark[0] = drive.bytes_read
-                change_mark[0] = drive.media_changes
-                if delta <= 0 and changes <= 0:
-                    return None
-                return TapeReadOp(drive, delta, changes, stage=STAGE_BLOCKS)
-
-            read_mark[0] = drive.bytes_read
-            header = ImageHeader.unpack_from_stream(drive.read)
+            meter = TapeReadMeter(drive)
+            header = read_image_header(drive)
             header.check_geometry(self.volume)
             if header0 is None:
                 header0 = header
@@ -100,30 +84,12 @@ class ImageRestore:
             if header.incremental:
                 result.incremental = True
                 self._check_incremental_base(header)
-            op = tape_op()
-            if op:
-                yield op
+            yield from meter.ops(STAGE_BLOCKS)
 
-            blocks_this_drive = 0
-            while True:
-                raw = drive.read(CHUNK_HEADER_SIZE)
-                trailer_total = try_unpack_trailer(raw)
-                if trailer_total is not None:
-                    if trailer_total != blocks_this_drive:
-                        raise FormatError(
-                            "trailer says %d blocks, stream had %d"
-                            % (trailer_total, blocks_this_drive)
-                        )
-                    op = tape_op()
-                    if op:
-                        yield op
-                    break
-                start, count, crc = unpack_chunk_header(raw)
-                data = drive.read(count * self.volume.block_size)
-                op = tape_op()
-                if op:
-                    yield op
-                if self.verify_chunks and zlib.crc32(data) != crc:
+            for start, count, data, intact in read_chunks(
+                    drive, self.volume.block_size):
+                yield from meter.ops(STAGE_BLOCKS)
+                if not intact:
                     raise FormatError(
                         "chunk crc mismatch at block %d" % start
                     )
@@ -131,8 +97,8 @@ class ImageRestore:
                 yield DiskWriteOp(self.volume, start, count, stage=STAGE_BLOCKS)
                 yield CpuOp(count * self.costs.image_restore_block,
                             stage=STAGE_BLOCKS, side="disk")
-                blocks_this_drive += count
                 result.blocks += count
+            yield from meter.ops(STAGE_BLOCKS)
 
         # Install the root structure at its fixed, redundant location.
         if fsinfo_image:

@@ -9,48 +9,35 @@ protected, so they cannot have changed.)
 
 from __future__ import annotations
 
-import zlib
 from typing import List
 
-from repro.backup.physical.image import (
-    CHUNK_HEADER_SIZE,
-    ImageHeader,
-    try_unpack_trailer,
-    unpack_chunk_header,
-)
+from repro.errors import FormatError
+from repro.backup.physical.image import read_chunks, read_image_header
 
 
 def compare_image(volume, drives, max_problems: int = 20) -> List[str]:
-    """Differences between an image stream and the volume (empty = match)."""
+    """Differences between an image stream and the volume (empty = match).
+
+    A chunk that fails its CRC, and a stream whose trailer disagrees with
+    its chunks, are reported as problems rather than raised.
+    """
     if not isinstance(drives, (list, tuple)):
         drives = [drives]
     problems: List[str] = []
     block_size = volume.block_size
     for drive in drives:
-        drive.rewind()
-        header = ImageHeader.unpack_from_stream(drive.read)
+        header = read_image_header(drive)
         if volume.geometry != header.geometry:
             problems.append("geometry differs from the image")
             return problems
-        blocks_seen = 0
-        while True:
-            raw = drive.read(CHUNK_HEADER_SIZE)
-            total = try_unpack_trailer(raw)
-            if total is not None:
-                if total != blocks_seen:
-                    problems.append(
-                        "stream on %s truncated: trailer %d, saw %d"
-                        % (drive.name, total, blocks_seen)
-                    )
-                break
-            start, count, crc = unpack_chunk_header(raw)
-            data = drive.read(count * block_size)
-            if zlib.crc32(data) != crc:
-                problems.append("chunk at block %d corrupt on tape" % start)
-                blocks_seen += count
-                continue
-            live = volume.read_run(start, count)
-            if live != data:
+        try:
+            for start, count, data, intact in read_chunks(drive, block_size):
+                if not intact:
+                    problems.append("chunk at block %d corrupt on tape" % start)
+                    continue
+                live = volume.read_run(start, count)
+                if live == data:
+                    continue
                 for index in range(count):
                     lo = index * block_size
                     if live[lo : lo + block_size] != data[lo : lo + block_size]:
@@ -58,7 +45,8 @@ def compare_image(volume, drives, max_problems: int = 20) -> List[str]:
                         if len(problems) >= max_problems:
                             problems.append("... (stopping)")
                             return problems
-            blocks_seen += count
+        except FormatError as error:
+            problems.append(str(error))
     return problems
 
 

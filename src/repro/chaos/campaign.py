@@ -251,7 +251,7 @@ def restore_drill(
     verify it against an uninterrupted oracle restore.
     """
     from repro.backup.logical.restore import LogicalRestore
-    from repro.backup.physical.image import ImageHeader
+    from repro.backup.physical.image import read_image_header
     from repro.backup.physical.restore import ImageRestore
     from repro.manager.campaign import restore_point_in_time
     from repro.raid.layout import make_geometry
@@ -269,9 +269,7 @@ def restore_drill(
             scratch_fs, pool.drive_for_restore(plan.sets[0]), costs=costs,
         ).run()
     else:
-        probe = pool.drive_for_restore(plan.sets[0])
-        probe.rewind()
-        header = ImageHeader.unpack_from_stream(probe.read)
+        header = read_image_header(pool.drive_for_restore(plan.sets[0]))
         scratch_volume = RaidVolume(header.geometry, name=scratch_name)
         engine = ImageRestore(
             scratch_volume, pool.drive_for_restore(plan.sets[0]),

@@ -505,7 +505,7 @@ def cmd_image_dump(args) -> int:
           help="ignore an existing volume container"),
       obs=True)
 def cmd_image_restore(args) -> int:
-    from repro.backup.physical import ImageHeader, ImageRestore
+    from repro.backup.physical import ImageRestore, read_image_header
     from repro.raid.volume import RaidVolume
     from repro.storage.persist import load_tape, load_volume, save_volume
 
@@ -514,11 +514,8 @@ def cmd_image_restore(args) -> int:
         volume = load_volume(args.volume)
     else:
         # Geometry comes from the image header itself.
-        drive.rewind()
-        header = ImageHeader.unpack_from_stream(drive.read)
-        volume = RaidVolume(header.geometry,
+        volume = RaidVolume(read_image_header(drive).geometry,
                             name=os.path.basename(args.volume).split(".")[0])
-        drive.rewind()
     result = _run_engine(args, "image-restore",
                          ImageRestore(volume, drive).run())
     save_volume(volume, args.volume)

@@ -34,7 +34,7 @@ from repro.backup.jobs import build_dump_engine
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import get_tracer
 from repro.backup.logical.restore import LogicalRestore
-from repro.backup.physical.image import ImageHeader
+from repro.backup.physical.image import read_image_header
 from repro.backup.physical.restore import ImageRestore
 from repro.catalog.records import STRATEGY_IMAGE, STRATEGY_LOGICAL
 from repro.parallel.pool import TaskPool, TaskSpec
@@ -362,9 +362,7 @@ def restore_point_in_time(
         fs.consistency_point()
         return fs, plan
 
-    first_drive = pool.drive_for_restore(plan.sets[0])
-    first_drive.rewind()
-    header = ImageHeader.unpack_from_stream(first_drive.read)
+    header = read_image_header(pool.drive_for_restore(plan.sets[0]))
     volume = RaidVolume(header.geometry, name=name)
     for backup_set in plan.sets:
         drive = pool.drive_for_restore(backup_set)
