@@ -88,7 +88,8 @@ class LogicalDump:
     ):
         """``source`` is a live :class:`WaflFilesystem` (a snapshot is
         created for the dump and deleted afterwards, as the paper's dump
-        does) or an existing :class:`SnapshotView` (no snapshot
+        does) or an existing snapshot view, a read-only
+        :class:`~repro.wafl.filesystem.FileTree` (no snapshot
         management).  ``exclude`` is the filter hook: a predicate over
         (path, inode) that filters files out of the dump.
         ``reuse_snapshot`` adopts an existing snapshot of that name
@@ -138,7 +139,7 @@ class LogicalDump:
             elapsed += piece
 
     def _read_whole(self, source, ino, stage: str):
-        """Prefetch-read one whole small object (directory) by extents.
+        """Prefetch-read one whole small object (directory).
 
         Returns ``(ops, data, barrier_count)``: the prefetch ops to yield
         and the barrier value that orders them complete.  Cache hits
@@ -146,20 +147,18 @@ class LogicalDump:
         """
         from repro.backup.common import RecorderScope
 
-        inode = source.inode(ino)
         volume = source.volume
-        nblocks = (inode.size + BLOCK_SIZE - 1) // BLOCK_SIZE
-        out = bytearray(nblocks * BLOCK_SIZE)
+        # The inode is loaded outside the scope: like every inode the walk
+        # loads, it is charged as mapping CPU, not as a prefetch read.
+        source.inode(ino)
         with RecorderScope(volume) as scope:
-            for fbn, vbn, count in source.file_extents(ino):
-                data = source.read_extent(vbn, count)
-                out[fbn * BLOCK_SIZE : fbn * BLOCK_SIZE + len(data)] = data
+            data = source.read_by_ino(ino)
         ops = []
         for _kind, start, count in scope.recorder.drain():
             ops.append(DiskReadOp(volume, start, count, stage=stage,
                                   prefetch=True))
             self._prefetch_count += 1
-        return ops, bytes(out[: inode.size]), self._prefetch_count
+        return ops, data, self._prefetch_count
 
     # -- the dump -----------------------------------------------------------------
 

@@ -34,7 +34,7 @@ from repro.errors import FormatError, NotFoundError, ReproError
 from repro.backup.common import BackupResult, RecorderScope, TapeReadMeter
 from repro.obs import observe_failure
 from repro.dumpfmt.spec import SEGMENT_SIZE
-from repro.dumpfmt.stream import DumpStreamReader, InodeEntry
+from repro.dumpfmt.stream import DumpStreamReader, InodeEntry, runs_to_data
 from repro.perf.ops import CpuOp, PhaseBegin, PhaseEnd, SleepOp
 from repro.perf.costs import CostModel
 from repro.wafl.consts import BLOCK_SIZE
@@ -53,8 +53,9 @@ def _block_runs(entry: "InodeEntry"):
     A block is present when any of its segments carries data; present
     runs come out zero padded to whole 4 KB blocks.  Stream runs from the
     dump writer always start on a block boundary, so the fast path maps
-    each run to blocks directly; anything unaligned falls back to the
-    per-segment walk (identical block classification).
+    each run to blocks directly; anything unaligned falls back to one
+    block at a time over the reassembled contents (identical block
+    classification).
     """
     runs = entry.runs
     position = 0
@@ -77,19 +78,19 @@ def _block_runs(entry: "InodeEntry"):
                 yield block, (buf + b"\0" * pad if pad > 0 else buf), bcount
             block += bcount
         return
-    segments = entry.segments
-    nblocks = (len(segments) + _SEGMENTS_PER_BLOCK - 1) // _SEGMENTS_PER_BLOCK
-    for block in range(nblocks):
-        window = segments[block * _SEGMENTS_PER_BLOCK
-                          : (block + 1) * _SEGMENTS_PER_BLOCK]
-        if all(seg is None for seg in window):
-            yield block, None, 1
-        else:
-            chunk = b"".join(
-                seg if seg is not None else bytes(SEGMENT_SIZE)
-                for seg in window
-            ).ljust(BLOCK_SIZE, b"\0")
-            yield block, chunk, 1
+    # Unaligned: a block is present when any data run touches it.
+    total = entry.total_segments
+    data = runs_to_data(runs, total * SEGMENT_SIZE)
+    present = set()
+    position = 0
+    for count, buf in runs:
+        if buf is not None and count:
+            present.update(range(position // _SEGMENTS_PER_BLOCK,
+                                 (position + count - 1) // _SEGMENTS_PER_BLOCK + 1))
+        position += count
+    for block in range(-(-total // _SEGMENTS_PER_BLOCK)):
+        chunk = data[block * BLOCK_SIZE : (block + 1) * BLOCK_SIZE]
+        yield block, chunk.ljust(BLOCK_SIZE, b"\0") if block in present else None, 1
 
 
 _WRITE_RUN_BLOCKS = 64

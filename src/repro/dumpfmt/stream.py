@@ -105,19 +105,6 @@ def segments_to_runs(segments: List[Optional[bytes]]) -> List[Run]:
     return runs
 
 
-def runs_to_segments(runs: List[Run]) -> List[Optional[bytes]]:
-    """Expand runs back into a per-kilobyte segment list (compat helper)."""
-    segments: List[Optional[bytes]] = []
-    for count, buf in runs:
-        if buf is None:
-            segments.extend([None] * count)
-            continue
-        for index in range(count):
-            chunk = buf[index * SEGMENT_SIZE : (index + 1) * SEGMENT_SIZE]
-            segments.append(chunk.ljust(SEGMENT_SIZE, b"\0"))
-    return segments
-
-
 def runs_to_data(runs: List[Run], size: int) -> bytes:
     """Reassemble file contents from runs (holes read back as zeros)."""
     parts = []
@@ -319,11 +306,7 @@ class DumpStreamWriter:
 
 
 class InodeEntry:
-    """A fully assembled inode record from the stream.
-
-    Data is held as runs; :attr:`segments` materializes the per-kilobyte
-    view on demand for callers that still want it.
-    """
+    """A fully assembled inode record from the stream, its data as runs."""
 
     def __init__(self, header: RecordHeader, runs: List[Run]):
         self.header = header
@@ -339,28 +322,8 @@ class InodeEntry:
         return runs_to_data(self.runs, self.header.size)
 
     @property
-    def segments(self) -> List[Optional[bytes]]:
-        return runs_to_segments(self.runs)
-
-    @property
     def total_segments(self) -> int:
         return sum(count for count, _buf in self.runs)
-
-    def hole_blocks(self, block_size: int = 4096) -> Set[int]:
-        """4 KB file blocks that are entirely holes."""
-        per_block = block_size // SEGMENT_SIZE
-        total = self.total_segments
-        nblocks = (total + per_block - 1) // per_block
-        # A block is a hole unless some data run touches it.
-        present: Set[int] = set()
-        position = 0
-        for count, buf in self.runs:
-            if buf is not None and count:
-                first = position // per_block
-                last = (position + count - 1) // per_block
-                present.update(range(first, last + 1))
-            position += count
-        return set(range(nblocks)) - present
 
 
 class DumpStreamReader:
@@ -504,7 +467,6 @@ __all__ = [
     "InodeEntry",
     "data_to_segments",
     "runs_to_data",
-    "runs_to_segments",
     "segments_to_data",
     "segments_to_runs",
 ]

@@ -86,27 +86,6 @@ class VirtualDisk:
     def size_bytes(self) -> int:
         return self.nblocks * self.block_size
 
-    def __getstate__(self):
-        # memoryview chunks do not pickle: ship the store as its
-        # pack_chunks image and rebuild writable views on the receiving
-        # side, so a whole simulated volume can cross a process boundary
-        # as a pool task's argument or result.  Like the image, the
-        # pickle does not say how the writer was chunked: the reader
-        # cuts the store its own way.
-        state = self.__dict__.copy()
-        state["_chunks"] = self.pack_chunks()
-        del state["_chunk_blocks"]
-        return state
-
-    def __setstate__(self, state):
-        image = state.pop("_chunks")
-        self.__dict__.update(state)
-        self._chunk_blocks = min(CHUNK_BLOCKS, self.nblocks)
-        # Rebuilt chunks are private copies regardless of what the source
-        # shared at pickling time; same for the fault set.
-        self.unpack_chunks(image)
-        self._bad_shared = False
-
     def _check(self, block: int) -> None:
         if not 0 <= block < self.nblocks:
             raise StorageError(

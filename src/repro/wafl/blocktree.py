@@ -28,9 +28,9 @@ from repro.wafl.inode import Inode
 class TreeContext:
     """Services a :class:`BlockTree` needs from its file system.
 
-    :class:`~repro.wafl.filesystem.WaflFilesystem` *is* one (read-write,
-    against the active plane); snapshot views instantiate this read-only
-    base.
+    Every :class:`~repro.wafl.filesystem.FileTree` *is* one: the active
+    :class:`~repro.wafl.filesystem.WaflFilesystem` read-write, a snapshot
+    view read-only.
     """
 
     def __init__(self, volume, readonly: bool = False):

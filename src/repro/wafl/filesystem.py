@@ -25,8 +25,11 @@ Snapshots
 
 ``snapshot_create`` takes a consistency point, copies the root structure
 into a snapshot slot, and ORs the active bit plane into the snapshot's
-plane.  Reads of the snapshot go through
-:class:`~repro.wafl.snapshot.SnapshotView` against the same volume.
+plane.  ``snapshot_view`` reads the snapshot as a read-only
+:class:`FileTree` over that copy, through the same read path as the
+active file system.  Every block reachable from the copy is pinned by
+the snapshot's plane and copy-on-write never overwrites a pinned block,
+so the view stays frozen while the active file system changes.
 """
 
 from __future__ import annotations
@@ -64,7 +67,242 @@ from repro.wafl.fsinfo import FsInfo, SnapshotRecord
 from repro.wafl.inode import FileType, Inode
 
 
-class WaflFilesystem(TreeContext):
+class FileTree(TreeContext):
+    """Read access to one file tree, rooted at an inode-file inode.
+
+    A snapshot is one: :meth:`WaflFilesystem.snapshot_view` returns a
+    read-only ``FileTree`` over the inode-file inode its record froze.
+    The active file system is another — :class:`WaflFilesystem` inherits
+    every read method here and adds the write side (its root lives in
+    ``fsinfo``, so it passes no ``inofile_inode``).  The tree owns the
+    inode cache and the directory-parse cache its reads fill.
+    """
+
+    def __init__(self, volume: RaidVolume, inofile_inode: Optional[Inode],
+                 readonly: bool = True):
+        super().__init__(volume, readonly=readonly)
+        self._inofile_inode = inofile_inode
+        self._inodes: Dict[int, Inode] = {}
+        # Directory parse cache: ino -> (raw bytes, parsed entries, name
+        # index).  Keyed to the exact on-disk bytes, so a hit never
+        # changes semantics.
+        self._dir_cache: Dict[int, Tuple[bytes, tuple, dict]] = {}
+
+    # ------------------------------------------------------------------
+    # Inodes
+    # ------------------------------------------------------------------
+
+    def _inofile_tree(self) -> BlockTree:
+        return BlockTree(self, self._inofile_inode)
+
+    def _load_inode(self, ino: int) -> Inode:
+        if ino in self._inodes:
+            return self._inodes[ino]
+        if ino < 1:
+            raise NotFoundError("invalid inode number %d" % ino)
+        tree = self._inofile_tree()
+        fbn = ino // INODES_PER_BLOCK
+        data = tree.read_fblock(fbn)
+        slot = ino % INODES_PER_BLOCK
+        inode = Inode.unpack(ino, data[slot * INODE_SIZE : (slot + 1) * INODE_SIZE])
+        self._inodes[ino] = inode
+        return inode
+
+    def inode(self, ino: int) -> Inode:
+        """Public read access to an inode (raises if free)."""
+        inode = self._load_inode(ino)
+        if inode.is_free:
+            raise NotFoundError("inode %d is free" % ino)
+        return inode
+
+    def max_ino(self) -> int:
+        """Upper bound (exclusive) on in-use inode numbers."""
+        return max(1, self._inofile_inode.size // INODE_SIZE)
+
+    def iter_used_inodes(self) -> Iterator[Inode]:
+        """All in-use inodes in ascending inode order (dump's walk order)."""
+        for ino in range(1, self.max_ino()):
+            if ino == INO_BLOCKMAP:
+                continue
+            inode = self._load_inode(ino)
+            if not inode.is_free:
+                yield inode
+
+    # ------------------------------------------------------------------
+    # Path resolution
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _split(path: str) -> List[str]:
+        if not path.startswith("/"):
+            raise FilesystemError("paths must be absolute: %r" % path)
+        return [part for part in path.split("/") if part]
+
+    def namei(self, path: str) -> int:
+        """Resolve a path to an inode number."""
+        ino = ROOT_INO
+        for part in self._split(path):
+            inode = self._load_inode(ino)
+            if not inode.is_dir:
+                raise NotADirectoryError_("%r: not a directory" % part)
+            child = self._dir_lookup(inode, part)
+            if child is None:
+                raise NotFoundError("no such path %r" % path)
+            ino = child
+        return ino
+
+    def _dir_lookup(self, inode: Inode, name: str):
+        """One lookup step without materializing a mutable Directory.
+
+        Reads the directory bytes exactly as :meth:`_read_directory` does
+        (same recorder events, same buffer-cache traffic), but resolves
+        the name against the parse cache's name index instead of building
+        a throwaway Directory copy per path component.
+        """
+        raw = self._read_tree_raw(inode)
+        cached = self._dir_cache.get(inode.ino)
+        if cached is None or cached[0] != raw:
+            directory = Directory.parse(raw)
+            cached = (raw, tuple(directory.entries()),
+                      dict(directory.entries()))
+            self._dir_cache[inode.ino] = cached
+        return cached[2].get(name)
+
+    def exists(self, path: str) -> bool:
+        try:
+            self.namei(path)
+            return True
+        except (NotFoundError, NotADirectoryError_):
+            return False
+
+    # ------------------------------------------------------------------
+    # File and directory contents
+    # ------------------------------------------------------------------
+
+    def _read_tree_raw(self, inode: Inode) -> bytes:
+        """Block-aligned file contents (zero padded to whole blocks).
+
+        The directory paths key their parse cache on this padded form so
+        the hot lookup never pays the byte-exact prefix copy; everything
+        else goes through :meth:`_read_tree_bytes` below.
+        """
+        if not inode.indirect and not inode.dindirect:
+            # Direct-only file: a valid extents memo skips even the
+            # throwaway BlockTree cursor (hot on every namei step).
+            memo = inode.extents_memo
+            if memo is not None and memo[0] == inode.direct:
+                extents = memo[1]
+            else:
+                extents = BlockTree(self, inode).extents()
+        else:
+            extents = BlockTree(self, inode).extents()
+        if (len(extents) == 1 and extents[0][0] == 0
+                and extents[0][2] * BLOCK_SIZE >= inode.size):
+            # One contiguous extent covering the file from block zero — the
+            # overwhelmingly common case for directories and small files.
+            return self.volume.read_run(extents[0][1], extents[0][2])
+        nblocks = (inode.size + BLOCK_SIZE - 1) // BLOCK_SIZE
+        out = bytearray(nblocks * BLOCK_SIZE)
+        for extent_fbn, extent_vbn, extent_len in extents:
+            data = self.volume.read_run(extent_vbn, extent_len)
+            out[extent_fbn * BLOCK_SIZE : extent_fbn * BLOCK_SIZE + len(data)] = data
+        return bytes(out)
+
+    def _read_tree_bytes(self, inode: Inode) -> bytes:
+        return self._read_tree_raw(inode)[: inode.size]
+
+    def _read_directory(self, inode: Inode) -> Directory:
+        if not inode.is_dir:
+            raise NotADirectoryError_("inode %d is not a directory" % inode.ino)
+        # The raw bytes are always read through the volume (same recorder
+        # events, same buffer-cache traffic as before); the cache only
+        # skips re-*parsing* bytes we have parsed before.  A fresh
+        # Directory is built per call, so callers may mutate freely.
+        raw = self._read_tree_raw(inode)
+        cached = self._dir_cache.get(inode.ino)
+        if cached is not None and cached[0] == raw:
+            return Directory.from_entries(cached[1])
+        directory = Directory.parse(raw)
+        entries = tuple(directory.entries())
+        self._dir_cache[inode.ino] = (raw, entries, dict(entries))
+        return directory
+
+    def readlink(self, path: str) -> str:
+        inode = self.inode(self.namei(path))
+        if not inode.is_symlink:
+            raise FilesystemError("%r is not a symlink" % path)
+        return self._read_tree_bytes(inode).decode("utf-8")
+
+    def read_file(self, path: str) -> bytes:
+        inode = self.inode(self.namei(path))
+        if inode.is_dir:
+            raise IsADirectoryError_("read of directory %r" % path)
+        return self._read_tree_bytes(inode)
+
+    def read_by_ino(self, ino: int) -> bytes:
+        return self._read_tree_bytes(self.inode(ino))
+
+    def file_extents(self, ino: int) -> List[Tuple[int, int, int]]:
+        """Physical extents of a file: ``(fbn, vbn, nblocks)`` runs."""
+        return BlockTree(self, self.inode(ino)).extents()
+
+    def read_extent(self, vbn: int, nblocks: int) -> bytes:
+        """Raw extent read (dump's private read path, still via the FS)."""
+        return self.volume.read_run(vbn, nblocks)
+
+    # ------------------------------------------------------------------
+    # Attributes
+    # ------------------------------------------------------------------
+
+    def stat(self, path: str) -> Inode:
+        """A detached copy of the inode for ``path``."""
+        return self.inode(self.namei(path)).copy()
+
+    def get_acl(self, path: str) -> bytes:
+        return self.get_acl_by_ino(self.namei(path))
+
+    def get_acl_by_ino(self, ino: int) -> bytes:
+        inode = self.inode(ino)
+        if not inode.acl_block:
+            return b""
+        raw = self.volume.read_block(inode.acl_block)
+        length = int.from_bytes(raw[:2], "little")
+        return raw[2 : 2 + length]
+
+    def qtree_of(self, path: str) -> int:
+        return self.inode(self.namei(path)).qtree
+
+    # ------------------------------------------------------------------
+    # Traversal
+    # ------------------------------------------------------------------
+
+    def readdir(self, path: str) -> List[Tuple[str, int]]:
+        inode = self.inode(self.namei(path))
+        return self._read_directory(inode).children()
+
+    def readdir_by_ino(self, ino: int) -> List[Tuple[str, int]]:
+        return self._read_directory(self.inode(ino)).children()
+
+    def walk(self, path: str = "/") -> Iterator[Tuple[str, Inode]]:
+        """Depth-first traversal yielding ``(path, inode)``; includes the root."""
+        start_ino = self.namei(path)
+        root = self.inode(start_ino)
+        base = path.rstrip("/")
+        yield (path if path == "/" else base), root
+        if not root.is_dir:
+            return
+        stack = [(base, start_ino)]
+        while stack:
+            prefix, dir_ino = stack.pop()
+            for name, ino in sorted(self.readdir_by_ino(dir_ino)):
+                child_path = "%s/%s" % (prefix, name)
+                inode = self.inode(ino)
+                yield child_path, inode
+                if inode.is_dir:
+                    stack.append((child_path, ino))
+
+
+class WaflFilesystem(FileTree):
     """A mounted write-anywhere file system on a :class:`RaidVolume`.
 
     It is its own read-write :class:`TreeContext`: the block trees of the
@@ -73,21 +311,27 @@ class WaflFilesystem(TreeContext):
     context object pointing back here — nothing a file system owns may
     refer to it, so that dropping the last reference frees it, its block
     map and its volume's private chunks at once, by reference count.
+    Its root is whatever inode-file inode ``fsinfo`` holds now, and its
+    inode numbers end at the allocation watermark.
     """
+
+    # The ledger's per-layer trace (benchmarks/ledger/trace.py) patches
+    # these five reads by ``vars(WaflFilesystem)[name]``, so they are
+    # bound on this class as well.
+    namei = FileTree.namei
+    read_file = FileTree.read_file
+    read_by_ino = FileTree.read_by_ino
+    file_extents = FileTree.file_extents
+    read_extent = FileTree.read_extent
 
     def __init__(self, volume: RaidVolume, fsinfo: FsInfo, blockmap: BlockMap,
                  nvram: Optional[NvramLog] = None,
                  clock: Optional[Callable[[], float]] = None):
-        super().__init__(volume, readonly=False)
+        super().__init__(volume, None, readonly=False)
         self.fsinfo = fsinfo
         self.blockmap = blockmap
         self.nvram = nvram
         self._clock = clock
-        self._inodes: Dict[int, Inode] = {}
-        # Directory parse cache: ino -> (raw bytes, parsed entries, name
-        # index).  Keyed to the exact on-disk bytes, so a hit never
-        # changes semantics.
-        self._dir_cache: Dict[int, Tuple[bytes, tuple, dict]] = {}
         self._dirty_inodes: Set[int] = set()
         self._fresh_blocks: Set[int] = set()
         self._in_cp = False
@@ -101,8 +345,6 @@ class WaflFilesystem(TreeContext):
             "files_created": 0,
             "files_deleted": 0,
             "bytes_written": 0,
-            "bytes_read": 0,
-            "namei_lookups": 0,
             "nvram_ops_skipped": 0,
         }
 
@@ -285,7 +527,7 @@ class WaflFilesystem(TreeContext):
         if self.fsinfo is None or self.blockmap is None:
             raise FilesystemError("cannot clone a crashed file system")
         fs = WaflFilesystem.__new__(WaflFilesystem)
-        TreeContext.__init__(fs, self.volume.clone(), readonly=False)
+        FileTree.__init__(fs, self.volume.clone(), None, readonly=False)
         fs.fsinfo = copy.deepcopy(self.fsinfo)
         fs.blockmap = self.blockmap.clone()
         fs.nvram = nvram
@@ -337,33 +579,12 @@ class WaflFilesystem(TreeContext):
     def _inofile_tree(self) -> BlockTree:
         return BlockTree(self, self.fsinfo.inofile_inode)
 
-    def _load_inode(self, ino: int) -> Inode:
-        if ino in self._inodes:
-            return self._inodes[ino]
-        if ino < 1:
-            raise NotFoundError("invalid inode number %d" % ino)
-        tree = self._inofile_tree()
-        fbn = ino // INODES_PER_BLOCK
-        data = tree.read_fblock(fbn)
-        slot = ino % INODES_PER_BLOCK
-        inode = Inode.unpack(ino, data[slot * INODE_SIZE : (slot + 1) * INODE_SIZE])
-        self._inodes[ino] = inode
-        return inode
+    def max_ino(self) -> int:
+        return self._ino_watermark
 
     def _install_inode(self, inode: Inode) -> None:
         self._inodes[inode.ino] = inode
         self._dirty_inodes.add(inode.ino)
-
-    def inode(self, ino: int) -> Inode:
-        """Public read access to an inode (raises if free)."""
-        inode = self._load_inode(ino)
-        if inode.is_free:
-            raise NotFoundError("inode %d is free" % ino)
-        return inode
-
-    def max_ino(self) -> int:
-        """Upper bound (exclusive) on in-use inode numbers."""
-        return self._ino_watermark
 
     def _alloc_ino(self) -> int:
         if self._free_ino_heap:
@@ -374,15 +595,6 @@ class WaflFilesystem(TreeContext):
 
     def _free_ino(self, ino: int) -> None:
         heapq.heappush(self._free_ino_heap, ino)
-
-    def iter_used_inodes(self) -> Iterator[Inode]:
-        """All in-use inodes in ascending inode order (dump's walk order)."""
-        for ino in range(1, self._ino_watermark):
-            if ino == INO_BLOCKMAP:
-                continue
-            inode = self._load_inode(ino)
-            if not inode.is_free:
-                yield inode
 
     # ------------------------------------------------------------------
     # Consistency points
@@ -484,43 +696,6 @@ class WaflFilesystem(TreeContext):
     # Path resolution
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _split(path: str) -> List[str]:
-        if not path.startswith("/"):
-            raise FilesystemError("paths must be absolute: %r" % path)
-        return [part for part in path.split("/") if part]
-
-    def namei(self, path: str) -> int:
-        """Resolve a path to an inode number."""
-        self.counters["namei_lookups"] += 1
-        ino = ROOT_INO
-        for part in self._split(path):
-            inode = self._load_inode(ino)
-            if not inode.is_dir:
-                raise NotADirectoryError_("%r: not a directory" % part)
-            child = self._dir_lookup(inode, part)
-            if child is None:
-                raise NotFoundError("no such path %r" % path)
-            ino = child
-        return ino
-
-    def _dir_lookup(self, inode: Inode, name: str):
-        """One lookup step without materializing a mutable Directory.
-
-        Reads the directory bytes exactly as :meth:`_read_directory` does
-        (same recorder events, same buffer-cache traffic), but resolves
-        the name against the parse cache's name index instead of building
-        a throwaway Directory copy per path component.
-        """
-        raw = self._read_tree_raw(inode)
-        cached = self._dir_cache.get(inode.ino)
-        if cached is None or cached[0] != raw:
-            directory = Directory.parse(raw)
-            cached = (raw, tuple(directory.entries()),
-                      dict(directory.entries()))
-            self._dir_cache[inode.ino] = cached
-        return cached[2].get(name)
-
     def _namei_parent(self, path: str) -> Tuple[Inode, str]:
         parts = self._split(path)
         if not parts:
@@ -532,64 +707,9 @@ class WaflFilesystem(TreeContext):
             raise NotADirectoryError_("%r: not a directory" % parent_path)
         return parent, parts[-1]
 
-    def exists(self, path: str) -> bool:
-        try:
-            self.namei(path)
-            return True
-        except (NotFoundError, NotADirectoryError_):
-            return False
-
     # ------------------------------------------------------------------
     # Directory plumbing
     # ------------------------------------------------------------------
-
-    def _read_tree_raw(self, inode: Inode) -> bytes:
-        """Block-aligned file contents (zero padded to whole blocks).
-
-        The directory paths key their parse cache on this padded form so
-        the hot lookup never pays the byte-exact prefix copy; everything
-        else goes through :meth:`_read_tree_bytes` below.
-        """
-        if not inode.indirect and not inode.dindirect:
-            # Direct-only file: a valid extents memo skips even the
-            # throwaway BlockTree cursor (hot on every namei step).
-            memo = inode.extents_memo
-            if memo is not None and memo[0] == inode.direct:
-                extents = memo[1]
-            else:
-                extents = BlockTree(self, inode).extents()
-        else:
-            extents = BlockTree(self, inode).extents()
-        if (len(extents) == 1 and extents[0][0] == 0
-                and extents[0][2] * BLOCK_SIZE >= inode.size):
-            # One contiguous extent covering the file from block zero — the
-            # overwhelmingly common case for directories and small files.
-            return self.volume.read_run(extents[0][1], extents[0][2])
-        nblocks = (inode.size + BLOCK_SIZE - 1) // BLOCK_SIZE
-        out = bytearray(nblocks * BLOCK_SIZE)
-        for extent_fbn, extent_vbn, extent_len in extents:
-            data = self.volume.read_run(extent_vbn, extent_len)
-            out[extent_fbn * BLOCK_SIZE : extent_fbn * BLOCK_SIZE + len(data)] = data
-        return bytes(out)
-
-    def _read_tree_bytes(self, inode: Inode) -> bytes:
-        return self._read_tree_raw(inode)[: inode.size]
-
-    def _read_directory(self, inode: Inode) -> Directory:
-        if not inode.is_dir:
-            raise NotADirectoryError_("inode %d is not a directory" % inode.ino)
-        # The raw bytes are always read through the volume (same recorder
-        # events, same buffer-cache traffic as before); the cache only
-        # skips re-*parsing* bytes we have parsed before.  A fresh
-        # Directory is built per call, so callers may mutate freely.
-        raw = self._read_tree_raw(inode)
-        cached = self._dir_cache.get(inode.ino)
-        if cached is not None and cached[0] == raw:
-            return Directory.from_entries(cached[1])
-        directory = Directory.parse(raw)
-        entries = tuple(directory.entries())
-        self._dir_cache[inode.ino] = (raw, entries, dict(entries))
-        return directory
 
     def _write_directory(self, inode: Inode, directory: Directory) -> None:
         data = directory.pack()
@@ -665,12 +785,6 @@ class WaflFilesystem(TreeContext):
         self._write_directory(parent, directory)
         self._write_inode_data(inode, target.encode("utf-8"), 0)
         return inode.ino
-
-    def readlink(self, path: str) -> str:
-        inode = self.inode(self.namei(path))
-        if not inode.is_symlink:
-            raise FilesystemError("%r is not a symlink" % path)
-        return self._read_tree_bytes(inode).decode("utf-8")
 
     def link(self, existing: str, new_path: str) -> None:
         """Create a hard link (directories excluded)."""
@@ -859,35 +973,9 @@ class WaflFilesystem(TreeContext):
         inode.mtime = self._now()
         self.inode_dirty(inode)
 
-    def read_file(self, path: str) -> bytes:
-        inode = self.inode(self.namei(path))
-        if inode.is_dir:
-            raise IsADirectoryError_("read of directory %r" % path)
-        data = self._read_tree_bytes(inode)
-        self.counters["bytes_read"] += len(data)
-        return data
-
-    def read_by_ino(self, ino: int) -> bytes:
-        inode = self.inode(ino)
-        data = self._read_tree_bytes(inode)
-        self.counters["bytes_read"] += len(data)
-        return data
-
-    def file_extents(self, ino: int) -> List[Tuple[int, int, int]]:
-        """Physical extents of a file: ``(fbn, vbn, nblocks)`` runs."""
-        return BlockTree(self, self.inode(ino)).extents()
-
-    def read_extent(self, vbn: int, nblocks: int) -> bytes:
-        """Raw extent read (dump's private read path, still via the FS)."""
-        return self.volume.read_run(vbn, nblocks)
-
     # ------------------------------------------------------------------
     # Attributes
     # ------------------------------------------------------------------
-
-    def stat(self, path: str) -> Inode:
-        """A detached copy of the inode for ``path``."""
-        return self.inode(self.namei(path)).copy()
 
     def set_attrs(self, path: str, perms: Optional[int] = None,
                   uid: Optional[int] = None, gid: Optional[int] = None,
@@ -937,17 +1025,6 @@ class WaflFilesystem(TreeContext):
         inode.ctime = self._now()
         self.inode_dirty(inode)
 
-    def get_acl(self, path: str) -> bytes:
-        return self.get_acl_by_ino(self.namei(path))
-
-    def get_acl_by_ino(self, ino: int) -> bytes:
-        inode = self.inode(ino)
-        if not inode.acl_block:
-            return b""
-        raw = self.volume.read_block(inode.acl_block)
-        length = int.from_bytes(raw[:2], "little")
-        return raw[2 : 2 + length]
-
     # ------------------------------------------------------------------
     # Qtrees
     # ------------------------------------------------------------------
@@ -963,38 +1040,6 @@ class WaflFilesystem(TreeContext):
         inode.qtree = ino  # the qtree id is its root directory's inode
         self.inode_dirty(inode)
         return ino
-
-    def qtree_of(self, path: str) -> int:
-        return self.inode(self.namei(path)).qtree
-
-    # ------------------------------------------------------------------
-    # Traversal
-    # ------------------------------------------------------------------
-
-    def readdir(self, path: str) -> List[Tuple[str, int]]:
-        inode = self.inode(self.namei(path))
-        return self._read_directory(inode).children()
-
-    def readdir_by_ino(self, ino: int) -> List[Tuple[str, int]]:
-        return self._read_directory(self.inode(ino)).children()
-
-    def walk(self, path: str = "/") -> Iterator[Tuple[str, Inode]]:
-        """Depth-first traversal yielding ``(path, inode)``; includes the root."""
-        start_ino = self.namei(path)
-        root = self.inode(start_ino)
-        base = path.rstrip("/")
-        yield (path if path == "/" else base), root
-        if not root.is_dir:
-            return
-        stack = [(base, start_ino)]
-        while stack:
-            prefix, dir_ino = stack.pop()
-            for name, ino in sorted(self.readdir_by_ino(dir_ino)):
-                child_path = "%s/%s" % (prefix, name)
-                inode = self.inode(ino)
-                yield child_path, inode
-                if inode.is_dir:
-                    stack.append((child_path, ino))
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -1032,14 +1077,12 @@ class WaflFilesystem(TreeContext):
     def snapshots(self) -> List[SnapshotRecord]:
         return list(self.fsinfo.snapshots)
 
-    def snapshot_view(self, name: str):
-        """A read-only file-system view of a snapshot."""
-        from repro.wafl.snapshot import SnapshotView
-
+    def snapshot_view(self, name: str) -> FileTree:
+        """A read-only file tree over the snapshot's frozen root."""
         record = self.fsinfo.find_snapshot(name)
         if record is None:
             raise SnapshotError("no snapshot named %r" % name)
-        return SnapshotView(self.volume, record)
+        return FileTree(self.volume, record.inofile_inode)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -186,13 +186,13 @@ def fsck_snapshot(fs, name: str) -> FsckReport:
         return report
     view = fs.snapshot_view(name)
     claimed: Dict[int, str] = {}
-    _collect_tree(report, claimed, view._ctx, record.inofile_inode, "snap-inofile")
+    _collect_tree(report, claimed, view, record.inofile_inode, "snap-inofile")
     for inode in view.iter_used_inodes():
         report.inodes_checked += 1
-        _collect_tree(report, claimed, view._ctx, inode, "snap-ino%d" % inode.ino)
+        _collect_tree(report, claimed, view, inode, "snap-ino%d" % inode.ino)
     bm_inode = view._load_inode(INO_BLOCKMAP)
     if not bm_inode.is_free:
-        _collect_tree(report, claimed, view._ctx, bm_inode, "snap-blockmap")
+        _collect_tree(report, claimed, view, bm_inode, "snap-blockmap")
     plane_mask = 1 << record.snap_id
     for vbn in claimed:
         if not int(fs.blockmap.words[vbn]) & plane_mask:

@@ -23,6 +23,7 @@ from repro.dumpfmt.stream import (
     DumpStreamReader,
     DumpStreamWriter,
     InodeEntry,
+    data_to_segments,
     segments_to_runs,
 )
 from repro.wafl.consts import BLOCK_SIZE
@@ -102,7 +103,7 @@ def _reencode_with_segment_holes(src_drive, dst_drive, target_ino: int):
         runs = entry.runs
         if entry.ino == target_ino:
             holed = [None if seg == _ZERO_SEGMENT else seg
-                     for seg in entry.segments]
+                     for seg in data_to_segments(entry.data)]
             runs = segments_to_runs(holed)
             assert _unaligned(runs), "re-encoded stream must be unaligned"
             rewritten += 1

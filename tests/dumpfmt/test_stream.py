@@ -160,8 +160,8 @@ def test_hole_map_roundtrip_through_stream():
     writer.write_end()
     _reader, entries = read_all(drive)
     entry = entries[0]
-    assert entry.segments[4] is None
-    assert entry.hole_blocks(block_size=4096) == {1}
+    assert entry.runs == [(4, b"d" * 4 * SEGMENT_SIZE), (4, None),
+                          (4, b"e" * 4 * SEGMENT_SIZE)]
     data = entry.data
     assert data.startswith(b"d")
     assert data.endswith(b"e")

@@ -52,6 +52,14 @@ def _apply(disk, op, arg, payload):
         disk.heal_block(arg)
 
 
+def _deepcopy(obj, disks):
+    """``copy.deepcopy`` of ``obj`` with each of ``disks``' chunk buffers
+    copied by hand first: a memoryview does not deep-copy."""
+    memo = {id(chunk): memoryview(bytearray(chunk))
+            for disk in disks for chunk in disk._chunks.values()}
+    return copy.deepcopy(obj, memo)
+
+
 def _snapshot(disk):
     """Full observable state: contents, fault set, counters."""
     contents = []
@@ -67,12 +75,12 @@ def _snapshot(disk):
 @given(_ops)
 def test_clone_interleavings_match_deepcopy_oracle(ops):
     disks = [VirtualDisk(NBLOCKS, BS, name="d")]
-    oracles = [copy.deepcopy(disks[0])]
+    oracles = [_deepcopy(disks[0], disks)]
     for op, arg, payload in ops:
         if op == "clone":
             source = arg % len(disks)
             disks.append(disks[source].clone())
-            oracles.append(copy.deepcopy(oracles[source]))
+            oracles.append(_deepcopy(oracles[source], [oracles[source]]))
             continue
         target = arg % len(disks) if op != "write" else len(disks) - 1
         # Writes go to the newest disk; faults/heals to a varying one,
@@ -90,7 +98,7 @@ def test_clone_mutations_never_leak_between_sides(ops):
     base = VirtualDisk(NBLOCKS, BS, name="base")
     for block in range(0, NBLOCKS, 7):
         base.write_block(block, _block(b"seed%d" % block))
-    frozen = copy.deepcopy(base)
+    frozen = _deepcopy(base, [base])
     clone = base.clone()
     for op, arg, payload in ops:
         if op == "clone":
@@ -110,7 +118,8 @@ def test_volume_clone_chain_matches_deepcopy(writes):
     for block, payload in writes[: len(writes) // 2]:
         volume.write_block(block, (payload * 4096)[:4096])
     clone = volume.clone()
-    oracle = copy.deepcopy(volume)
+    oracle = _deepcopy(volume, [disk for group in volume.groups
+                                for disk in group.data_disks + [group.parity_disk]])
     for block, payload in writes[len(writes) // 2 :]:
         clone.write_block(block, (payload * 4096)[:4096])
     assert clone.verify_parity()

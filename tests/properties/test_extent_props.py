@@ -6,7 +6,6 @@ per-block/per-kilobyte loops; each must stay bit-identical to the simple
 loop it replaced, across randomized geometries and failure injections.
 """
 
-import pickle
 import struct
 from unittest import mock
 
@@ -82,20 +81,19 @@ def _disk_of(ops):
 
 @_fast
 @given(write_ops, st.integers(0, NBLOCKS - 1))
-def test_chunked_store_pickle_round_trip(ops, detour):
+def test_chunked_store_pack_unpack_round_trip(ops, detour):
     disk = _disk_of(ops)
     image = disk.pack_chunks()
-    clone = pickle.loads(pickle.dumps(disk))
-    assert bytes(clone.read_run(0, NBLOCKS)) == bytes(disk.read_run(0, NBLOCKS))
-    # One codec, three readers: the pickle, unpack_chunks, and a
-    # per-block replay of nonzero_blocks() rebuild the same disk, and
-    # every rebuild packs back to the same image.
+    # One codec, two readers: unpack_chunks and a per-block replay of
+    # nonzero_blocks() rebuild the same disk, and every rebuild packs
+    # back to the same image.
     unpacked = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
     unpacked.unpack_chunks(image)
+    assert bytes(unpacked.read_run(0, NBLOCKS)) == bytes(disk.read_run(0, NBLOCKS))
     replayed = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
     for block, data in disk.nonzero_blocks():
         replayed.write_block(block, data)
-    for rebuilt in (clone, unpacked, replayed):
+    for rebuilt in (unpacked, replayed):
         assert list(rebuilt.nonzero_blocks()) == list(disk.nonzero_blocks())
         assert rebuilt.pack_chunks() == image
     # The image is a function of contents, not of history: a clone that
@@ -109,9 +107,10 @@ def test_chunked_store_pickle_round_trip(ops, detour):
     wanderer.write_block(detour, original)
     assert wanderer.pack_chunks() == image
     assert disk.pack_chunks() == image
-    # The clone is writable (views must be rebuilt over mutable buffers).
-    clone.write_block(0, b"\xa5" * BS)
-    assert clone.read_block(0) == b"\xa5" * BS
+    # The unpacked disk is writable (views are rebuilt over mutable
+    # buffers).
+    unpacked.write_block(0, b"\xa5" * BS)
+    assert unpacked.read_block(0) == b"\xa5" * BS
 
 
 def test_written_then_zeroed_chunk_packs_like_a_virgin_one():
@@ -121,11 +120,11 @@ def test_written_then_zeroed_chunk_packs_like_a_virgin_one():
     virgin = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
     assert list(touched.nonzero_blocks()) == list(virgin.nonzero_blocks())
     assert touched.pack_chunks() == virgin.pack_chunks()
-    # The pickle carries that image (beside the I/O counters, which
-    # do record history).
-    assert touched.__getstate__()["_chunks"] == virgin.pack_chunks()
-    # ... and the rebuilt disk has no backing store for the empty chunk.
-    assert pickle.loads(pickle.dumps(touched))._chunks == {}
+    # ... and a disk rebuilt from it has no backing store for the empty
+    # chunk.
+    rebuilt = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
+    rebuilt.unpack_chunks(touched.pack_chunks())
+    assert rebuilt._chunks == {}
 
 
 def _patched(image, offset, fmt, *values):
@@ -193,8 +192,8 @@ def _chunked(chunk_blocks, nblocks=NBLOCKS):
        st.integers(0, NBLOCKS - 1), st.integers(1, 300))
 def test_an_image_does_not_know_how_its_writer_was_chunked(
         ops, written_in, read_in, read_start, read_len):
-    """One image, whatever the chunk size on either side: a container, an
-    env cache or a pickle written today loads after the constant moves."""
+    """One image, whatever the chunk size on either side: a container or
+    an env cache written today loads after the constant moves."""
     reference = _disk_of(ops)
     writer = _chunked(written_in)
     for start, length, seed in ops:
@@ -213,18 +212,6 @@ def test_an_image_does_not_know_how_its_writer_was_chunked(
     # Only chunks holding a non-zero block got backing store.
     assert sorted(reader._chunks) == sorted(
         {block // read_in for block, _ in reference.nonzero_blocks()})
-    # A pickle is cut the reader's way too: a disk loaded from it chunks
-    # like the disks made beside it (a RAID group's members must agree).
-    writer.fail_block(read_start)
-    pickled = pickle.dumps(writer)
-    with mock.patch.object(disk_module, "CHUNK_BLOCKS", read_in):
-        loaded = pickle.loads(pickled)
-    assert loaded._chunk_blocks == read_in
-    assert sorted(loaded._chunks) == sorted(reader._chunks)
-    assert loaded.pack_chunks() == image
-    assert (loaded._bad, loaded.writes) == (writer._bad, writer.writes)
-    loaded.heal_block(read_start)
-    assert loaded.read_run(read_start, read_len) == expected
 
 
 @_fast

@@ -3,10 +3,8 @@
 import json
 import os
 import pathlib
-import pickle
 import shutil
 import struct
-from unittest import mock
 
 import pytest
 
@@ -15,7 +13,6 @@ from repro.bench.configs import EliotConfig
 from repro.cli import main
 from repro.errors import ReproError, StorageError, TapeError
 from repro.storage import persist
-from repro.storage.disk import VirtualDisk
 from repro.storage.persist import (
     CONTAINER_VERSION,
     load_env_container,
@@ -38,7 +35,6 @@ from tests.conftest import (
     make_fs,
     make_volume,
     populate_small_tree,
-    version_1_image,
 )
 
 
@@ -575,21 +571,6 @@ def test_only_the_env_cache_refusal_loses_its_traceback(tmp_path, monkeypatch):
     preset = run_all.Preset(EliotConfig(scale=60000, aging_rounds=1, seed=7))
     with pytest.raises(StorageError, match="is damaged$"):
         run_all.generate_body(preset, echo=lambda *_: None)
-
-
-def test_a_pickle_carrying_a_version_1_image_is_a_storage_error():
-    """File systems cross process boundaries pickled (a pool task's
-    arguments and result): a pickle whose image recorded 1024-block
-    chunks must fail like a container does, not inside numpy."""
-    fs = make_fs(ngroups=1, ndata=2, blocks_per_disk=1100)
-    populate_small_tree(fs)
-    with mock.patch.object(VirtualDisk, "pack_chunks", version_1_image):
-        bundle = pickle.dumps({"fs": fs, "kept_snapshots": []})
-    with pytest.raises(StorageError, match="disk image for") as failure:
-        pickle.loads(bundle)
-    assert "\n" not in str(failure.value)
-    assert pickle.loads(pickle.dumps(fs)).read_file(
-        "/docs/readme.txt") == fs.read_file("/docs/readme.txt")
 
 
 def test_a_fleet_root_from_before_volume_bin_is_refused_in_one_line(

@@ -112,7 +112,7 @@ def test_readonly_context_rejects_mutation():
     fs.create("/a", b"x" * BLOCK_SIZE)
     fs.snapshot_create("s")
     view = fs.snapshot_view("s")
-    tree = BlockTree(view._ctx, view.inode(view.namei("/a")))
+    tree = BlockTree(view, view.inode(view.namei("/a")))
     with pytest.raises(FilesystemError):
         tree.write_fblock(0, bytes(BLOCK_SIZE))
     with pytest.raises(FilesystemError):

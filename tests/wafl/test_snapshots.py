@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.errors import FilesystemError, NotFoundError, SnapshotError
+from repro.backup.common import RecorderScope
+from repro.errors import (
+    FilesystemError,
+    IsADirectoryError_,
+    NotFoundError,
+    SnapshotError,
+)
 from repro.wafl.consts import BLOCK_SIZE, MAX_SNAPSHOTS
 from repro.wafl.fsck import fsck, fsck_snapshot
 
@@ -31,7 +37,7 @@ def test_snapshot_is_readonly(fs):
     fs.create("/a", b"x")
     fs.snapshot_create("snap")
     view = fs.snapshot_view("snap")
-    tree_ctx = view._ctx
+    tree_ctx = view
     with pytest.raises(FilesystemError):
         tree_ctx.alloc_run(1)
 
@@ -150,3 +156,40 @@ def test_snapshot_of_snapshot_state_is_consistent(fs):
     view1 = fs.snapshot_view("s1")
     with pytest.raises(NotFoundError):
         view1.namei("/later")
+
+
+def _read_everything(tree):
+    """Walk ``tree`` and read every path by its kind; return what was
+    read and the block accesses the reads made."""
+    # Inodes are loaded first: a snapshot's inode file is not the active
+    # one (the consistency point after the snapshot moved its block 0).
+    list(tree.iter_used_inodes())
+    read = []
+    with RecorderScope(tree.volume) as scope:
+        for path, inode in tree.walk("/"):
+            if inode.is_dir:
+                content = tree.readdir(path)
+            elif inode.is_symlink:
+                content = tree.readlink(path)
+            else:
+                content = tree.read_file(path)
+            read.append((path, tree.stat(path).pack(), content,
+                         tree.get_acl(path)))
+    return read, scope.recorder.drain()
+
+
+def test_a_snapshot_reads_through_the_file_system_read_path(fs):
+    populate_small_tree(fs)
+    fs.snapshot_create("snap")
+    view = fs.snapshot_view("snap")
+    fs.volume.uncached_reads = True   # every read reaches the recorder
+    through_fs = _read_everything(fs)
+    through_view = _read_everything(view)
+    assert through_view == through_fs
+    assert through_fs[1], "the walk recorded no block reads"
+    with pytest.raises(IsADirectoryError_):
+        view.read_file("/src")
+    assert view.readlink("/docs/link") == "/src/main.c"
+    assert view.exists("/src/deep/data.bin") and not view.exists("/nope")
+    assert sorted(view.readdir("/src")) == sorted(fs.readdir("/src"))
+    assert view.stat("/sparse").size == fs.stat("/sparse").size
