@@ -11,16 +11,17 @@ the throughput curve for both strategies — the paper's Section 5.2:
 * physical scales almost linearly; logical saturates on CPU and scattered
   disk reads.
 
+Each strategy dumps, restores and verifies on its own clone of the
+volume (``run_strategy``, the runner of the paper's Tables 2-5), so
+neither finds what the other left in the buffer cache.
+
 Run:  python examples/parallel_backup.py
 """
 
-from repro.backup.jobs import parallel_image_dump, parallel_logical_dump
 from repro.backup.logical.dump import STAGE_FILES
-from repro.backup.logical.dumpdates import DumpDates
 from repro.backup.physical.dump import STAGE_BLOCKS
 from repro.bench.configs import EliotConfig, build_home_env
-from repro.perf import TimedRun
-from repro.units import MB
+from repro.bench.harness import run_strategy
 
 SCALE = 2000
 
@@ -31,38 +32,15 @@ def main():
     for ndrives in (1, 2, 4):
         env = build_home_env(EliotConfig(scale=SCALE, qtrees=ndrives,
                                          seed=13))
-        fs = env.home_fs
-        costs = env.config.cost_model()
-        data_bytes = env.data_bytes()
-
-        # Logical: one dump per qtree, one drive each.
-        run = TimedRun()
-        results = parallel_logical_dump(
-            run, fs, env.qtree_paths, env.new_drives(ndrives, "L"),
-            dumpdates=DumpDates(), costs=costs,
-        )
-        run.run()
-        stages = [r.stages[STAGE_FILES] for r in results.values()]
-        span = max(s.end for s in stages) - min(s.start for s in stages)
-        logical_rate = sum(s.tape_bytes for s in stages) / MB / span
-
-        # Physical: one image striped over all drives.
-        run = TimedRun()
-        presult = parallel_image_dump(
-            run, fs, env.new_drives(ndrives, "P"),
-            snapshot_name="sweep.%d" % ndrives, costs=costs,
-        )
-        run.run()
-        pstage = presult.stages[STAGE_BLOCKS]
-        physical_rate = pstage.tape_bytes / MB / pstage.elapsed
-        fs.snapshot_delete("sweep.%d" % ndrives)
-
-        def per_tape(rate):
-            return rate * 3600 / 1024 / ndrives
-
+        rates = []
+        for strategy, stage in (("logical", STAGE_FILES),
+                                ("physical", STAGE_BLOCKS)):
+            payload = run_strategy(env, strategy)
+            assert payload["diffs"] == 0, "%s restore differs" % strategy
+            rate = payload["dump"].stages[stage].tape_rate
+            rates += [rate, rate * 3600 / 1024 / ndrives]
         print("   %d    |        %6.2f (%5.1f)    |        %6.2f (%5.1f)"
-              % (ndrives, logical_rate, per_tape(logical_rate),
-                 physical_rate, per_tape(physical_rate)))
+              % ((ndrives,) + tuple(rates)))
 
     print()
     print("Paper's 4-drive summary: logical 69.6 GB/h (17.4/tape),"

@@ -10,7 +10,8 @@ Two complete strategies over the same substrate:
   difference, restores the volume byte-for-byte (snapshots included).
 
 Plus :mod:`repro.backup.verify` (tree and volume comparison) and
-:mod:`repro.backup.jobs` (multi-volume / multi-tape orchestration).
+:mod:`repro.backup.jobs` (qtree splits and the campaign's dump engine).
+The multi-drive experiments run in :func:`repro.bench.harness.run_strategy`.
 """
 
 from repro.backup.common import BackupResult, RecorderScope, drain_engine

@@ -1,32 +1,24 @@
-"""Multi-volume and multi-tape orchestration (Section 5.2 of the paper).
+"""Dump-engine plumbing shared by the experiments and the campaign driver.
 
-The paper's parallel experiments come in three shapes, all built here on
-top of :class:`~repro.perf.executor.TimedRun`:
+* :func:`split_into_qtrees` divides a volume into equal qtrees — the
+  paper's setup for its parallel runs ("we used quota trees"), since
+  logical dump cannot split one stream over drives.
+* :func:`build_dump_engine` builds one dump engine of either strategy,
+  the campaign driver's unit of work.
 
-* **Concurrent volumes** — dump ``home`` and ``rlse`` at the same time to
-  separate drives (Section 5.1: "did not interfere with each other at
-  all").
-* **Parallel logical dump** — dump cannot split one stream over drives
-  ("the strictly linear format"), so the volume is divided into equal
-  qtrees and one dump per qtree runs to its own drive (Tables 4, 5).
-* **Parallel physical dump** — image dump stripes blocks round-robin
-  across the drives natively.
-
-Restores mirror the same structure.
+The parallel experiments themselves (Tables 2-5: one dump per qtree, one
+image striped over the drives) run in :func:`repro.bench.harness.run_strategy`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import BackupError
 from repro.backup.logical.dump import LogicalDump
 from repro.backup.logical.dumpdates import DumpDates
-from repro.backup.logical.restore import LogicalRestore, SymbolTable
 from repro.backup.physical.dump import ImageDump
-from repro.backup.physical.restore import ImageRestore
 from repro.perf.costs import CostModel
-from repro.perf.executor import JobResult, TimedRun
 
 
 def split_into_qtrees(fs, generator, total_bytes: int, count: int,
@@ -49,93 +41,6 @@ def split_into_qtrees(fs, generator, total_bytes: int, count: int,
     generator.populate_many(fs, paths, total_bytes // count)
     fs.consistency_point()
     return paths
-
-
-def parallel_logical_dump(
-    run: TimedRun,
-    fs,
-    qtree_paths: List[str],
-    drives: List,
-    level: int = 0,
-    dumpdates: Optional[DumpDates] = None,
-    costs: Optional[CostModel] = None,
-    name_prefix: str = "ldump",
-) -> Dict[str, JobResult]:
-    """One logical dump per qtree, each to its own drive, concurrently."""
-    if len(qtree_paths) != len(drives):
-        raise BackupError("need one drive per qtree")
-    results = {}
-    for index, (path, drive) in enumerate(zip(qtree_paths, drives)):
-        engine = LogicalDump(
-            fs, drive, level=level, subtree=path,
-            dumpdates=dumpdates, costs=costs,
-            snapshot_name="%s.snap.%d" % (name_prefix, index),
-        ).run()
-        job = "%s.%d" % (name_prefix, index)
-        results[job] = run.add_job(job, engine)
-    return results
-
-
-def parallel_logical_restore(
-    run: TimedRun,
-    fs,
-    drives: List,
-    into_paths: List[str],
-    symtabs: Optional[List[Optional[SymbolTable]]] = None,
-    costs: Optional[CostModel] = None,
-    name_prefix: str = "lrest",
-) -> Dict[str, JobResult]:
-    """One restore per dumped qtree stream, concurrently into one volume."""
-    if len(into_paths) != len(drives):
-        raise BackupError("need one target path per drive")
-    symtabs = symtabs or [None] * len(drives)
-    results = {}
-    for index, (drive, into) in enumerate(zip(drives, into_paths)):
-        engine = LogicalRestore(
-            fs, drive, into=into, symtab=symtabs[index], costs=costs
-        ).run()
-        job = "%s.%d" % (name_prefix, index)
-        results[job] = run.add_job(job, engine)
-    return results
-
-
-def parallel_image_dump(
-    run: TimedRun,
-    fs,
-    drives: List,
-    snapshot_name: str = "image.parallel",
-    base_snapshot: Optional[str] = None,
-    costs: Optional[CostModel] = None,
-    name: str = "pdump",
-) -> JobResult:
-    """One image dump striped over N drives (a single job)."""
-    engine = ImageDump(
-        fs, drives, snapshot_name=snapshot_name,
-        base_snapshot=base_snapshot, costs=costs,
-    ).run()
-    return run.add_job(name, engine)
-
-
-def parallel_image_restore(
-    run: TimedRun,
-    volume,
-    drives: List,
-    costs: Optional[CostModel] = None,
-    name: str = "prest",
-) -> Dict[str, JobResult]:
-    """Restore an N-drive image set, one concurrent job per drive.
-
-    Each drive's stream is self-contained (its own header and trailer);
-    only one carries the root structure.  Running them as separate jobs
-    is what lets physical restore scale with drives (Table 5).
-    """
-    results = {}
-    for index, drive in enumerate(drives):
-        engine = ImageRestore(volume, drive, costs=costs,
-                              expect_fsinfo=False).run()
-        job = "%s.%d" % (name, index)
-        results[job] = run.add_job(job, engine)
-    return results
 
 
 def build_dump_engine(
@@ -175,36 +80,7 @@ def build_dump_engine(
     raise BackupError("unknown dump strategy %r" % (strategy,))
 
 
-def concurrent_volume_dumps(
-    run: TimedRun,
-    jobs: List[Tuple[str, object]],
-) -> Dict[str, JobResult]:
-    """Register several prepared engines to run concurrently.
-
-    ``jobs`` is a list of ``(name, engine)`` — e.g. a logical dump of
-    ``home`` and a logical dump of ``rlse`` to separate drives, the
-    Section 5.1 non-interference experiment.
-    """
-    return {name: run.add_job(name, engine) for name, engine in jobs}
-
-
-def aggregate_throughput(results: Dict[str, JobResult]) -> Tuple[float, float]:
-    """(total tape bytes, wall-clock seconds) across concurrent jobs."""
-    if not results:
-        return 0.0, 0.0
-    total_bytes = sum(result.tape_bytes for result in results.values())
-    start = min(result.start for result in results.values())
-    end = max(result.end for result in results.values())
-    return float(total_bytes), end - start
-
-
 __all__ = [
-    "aggregate_throughput",
     "build_dump_engine",
-    "concurrent_volume_dumps",
-    "parallel_image_dump",
-    "parallel_image_restore",
-    "parallel_logical_dump",
-    "parallel_logical_restore",
     "split_into_qtrees",
 ]

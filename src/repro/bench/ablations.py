@@ -32,11 +32,10 @@ from repro.backup.logical.dumpdates import DumpDates
 from repro.backup.logical.restore import STAGE_FILL, LogicalRestore
 from repro.backup.physical.dump import STAGE_BLOCKS, ImageDump
 from repro.bench.configs import EliotConfig, ExperimentEnv, build_home_env
-from repro.bench.harness import aggregate_stage
 from repro.bench.report import Table
 from repro.nvram.log import NvramLog
 from repro.perf.costs import HardwareProfile
-from repro.perf.executor import TimedRun
+from repro.perf.executor import JobResult, TimedRun
 from repro.units import MB
 from repro.wafl.filesystem import WaflFilesystem
 
@@ -187,20 +186,18 @@ def cache_point(cache_blocks: int, scale: Optional[int] = None) -> List[RowTuple
 
 def cpu_point(cpus: int, scale: Optional[int] = None) -> List[RowTuple]:
     """4-drive logical dump at one CPU count (Section 5.3)."""
-    from repro.backup.jobs import parallel_logical_dump
-
     env = _point_env(scale, qtrees=4)
     costs = env.config.cost_model()
-    profile = HardwareProfile(cpu_count=cpus)
-    run = TimedRun(profile)
-    results = parallel_logical_dump(
-        run, env.home_fs, env.qtree_paths, env.new_drives(4),
-        dumpdates=DumpDates(), costs=costs,
-    )
-    run.run()
+    dumpdates = DumpDates()
+    run = TimedRun(HardwareProfile(cpu_count=cpus))
+    for index, (subtree, drive) in enumerate(
+            zip(env.qtree_paths, env.new_drives(4))):
+        run.add_job("dump.%d" % index, LogicalDump(
+            env.home_fs, drive, level=0, subtree=subtree,
+            dumpdates=dumpdates, costs=costs).run())
+    files = JobResult.merged(run.run().values()).stages[STAGE_FILES]
     return [("cpus=%d logical files MB/s (4 drives)" % cpus,
-             aggregate_stage(results, STAGE_FILES)["tape_mb_s"],
-             None, "", "")]
+             files.tape_rate, None, "", "")]
 
 
 # ---------------------------------------------------------------------------

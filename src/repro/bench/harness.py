@@ -18,13 +18,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.backup.jobs import (
-    aggregate_throughput,
-    parallel_image_dump,
-    parallel_image_restore,
-    parallel_logical_dump,
-    parallel_logical_restore,
-)
 from repro.backup.logical.dump import (
     STAGE_DIRS,
     STAGE_FILES,
@@ -50,7 +43,7 @@ from repro.bench.configs import EliotConfig, ExperimentEnv, build_home_env
 from repro.bench.report import Table
 from repro.nvram.log import NvramLog
 from repro.perf.executor import JobResult, TimedRun
-from repro.units import GB, HOUR, MB
+from repro.units import HOUR, MB, gb_per_hour
 from repro.wafl.filesystem import WaflFilesystem
 
 #: Stages of fixed duration, which ``EliotConfig.cost_model`` divides by
@@ -122,66 +115,85 @@ def run_table1(scale_bytes: int = 8 * MB, seed: int = 3) -> Tuple[Table, Dict]:
 
 
 # ---------------------------------------------------------------------------
-# Tables 2 and 3 — basic single-drive backup and restore
+# Tables 2 and 3 — basic single-drive backup and restore, and the one
+# dump → restore → verify runner of Tables 2-5
 # ---------------------------------------------------------------------------
 
-#: The two backup strategies of Tables 2 and 3, as independent task names.
+#: The two backup strategies of Tables 2-5, as independent task names.
 BASIC_STRATEGIES = ("logical", "physical")
 
 
 def run_strategy(env: ExperimentEnv, strategy: str) -> Dict:
     """Dump, restore and verify one strategy on a private clone of ``env``.
 
+    The one runner of Tables 2-5.  The drives come from the environment:
+    one per qtree (Tables 4/5: "we used quota trees"), or one for the
+    whole volume.  Logical runs one dump per qtree, each to its drive,
+    then one restore per drive into its qtree of a fresh file system;
+    physical stripes one image over every drive, then restores each
+    drive's stream as its own job onto a volume of home's geometry.  The
+    jobs of one operation run side by side in one :class:`TimedRun`.
+
     The clone means a strategy's numbers are a function of (configuration,
     strategy) alone — not of what ran before it in this process, nor of
     which worker it landed in — and that ``env`` itself is never touched.
-    The restore reads the tape the dump just wrote, onto a fresh volume of
-    home's geometry.  Returns a payload dict: ``strategy``, ``dump`` and
-    ``restore`` (the two :class:`JobResult`), ``data_bytes`` and ``diffs``
-    (the verify-trees difference count, 0 when bit-perfect).  Nothing in
-    it refers to the clone, so the clone dies with this call.
+    Returns a payload dict: ``strategy``, ``dump`` and ``restore`` (each
+    one :class:`JobResult`, merged over the drives), ``data_bytes`` and
+    ``diffs`` (the verify-trees difference count, 0 when bit-perfect).
+    Nothing in it refers to the clone, so the clone dies with this call.
     """
     work = env.clone()
     fs = work.home_fs
     data_bytes = work.data_bytes("home")
     costs = work.config.cost_model()
-    drive = work.new_drive("t2-%s" % strategy)
+    subtrees = work.qtree_paths or ["/"]
+    drives = work.new_drives(len(subtrees), strategy)
 
-    def timed(op: str, engine) -> JobResult:
-        name = "%s-%s" % (strategy, op)
+    def timed(op: str, engines) -> JobResult:
         run = TimedRun()
-        run.add_job(name, engine.run())
-        return run.run()[name]
+        for index, engine in enumerate(engines):
+            run.add_job("%s-%s.%d" % (strategy, op, index), engine.run())
+        return JobResult.merged(run.run().values())
 
     if strategy == "logical":
-        dump = timed("dump", LogicalDump(fs, drive, level=0,
-                                         dumpdates=DumpDates(), costs=costs))
+        dumpdates = DumpDates()
+        dump = timed("dump", [
+            LogicalDump(fs, drive, level=0, subtree=subtree,
+                        dumpdates=dumpdates, costs=costs)
+            for subtree, drive in zip(subtrees, drives)])
         # Onto a fresh file system, through NVRAM, as shipped.
         restored = WaflFilesystem.format(work.fresh_home_volume(),
                                          nvram=NvramLog())
-        restore = timed("restore",
-                        LogicalRestore(restored, drive, costs=costs))
+        restore = timed("restore", [
+            LogicalRestore(restored, drive, into=subtree, costs=costs)
+            for subtree, drive in zip(subtrees, drives)])
     elif strategy == "physical":
-        dump = timed("dump", ImageDump(fs, drive, costs=costs))
-        # Onto identical geometry.
+        dump = timed("dump", [ImageDump(fs, drives, costs=costs)])
+        # Onto identical geometry; each drive's stream is self-contained,
+        # and only one of several carries the file system's root.
         image_volume = work.fresh_home_volume()
-        restore = timed("restore",
-                        ImageRestore(image_volume, drive, costs=costs))
+        restore = timed("restore", [
+            ImageRestore(image_volume, drive, costs=costs,
+                         expect_fsinfo=len(drives) == 1)
+            for drive in drives])
         restored = WaflFilesystem.mount(image_volume)
     else:
         raise ReproError("unknown backup strategy %r" % (strategy,))
+    # The volume root itself is outside every qtree dump.
+    ignore = ["/"] if work.qtree_paths else None
     return {
         "strategy": strategy,
         "dump": dump,
         "restore": restore,
         "data_bytes": data_bytes,
-        "diffs": len(verify_trees(fs, restored, check_mtime=True)),
+        "diffs": len(verify_trees(fs, restored, check_mtime=True,
+                                  ignore=ignore)),
     }
 
 
 def basic_from_strategies(payloads) -> Dict:
-    """The dict Tables 2 and 3 are read from, out of the two
-    :func:`run_strategy` payloads."""
+    """The dict Tables 2-5 are read from, out of :func:`run_strategy`
+    payloads."""
     basic: Dict = {}
     for payload in payloads:
         strategy = payload["strategy"]
@@ -306,137 +318,74 @@ def table3_from_basic(basic: Dict, scale: int) -> Table:
 # Tables 4 and 5 — parallel backup and restore
 # ---------------------------------------------------------------------------
 
-def aggregate_stage(results: Dict[str, JobResult],
-                    stage_name: str) -> Optional[Dict[str, float]]:
-    """One stage across parallel jobs, first start to last end (None if none ran it)."""
-    stages = [result.stages[stage_name] for result in results.values()
-              if stage_name in result.stages]
-    if not stages:
-        return None
-    elapsed = (max(stage.end for stage in stages)
-               - min(stage.start for stage in stages))
-    cpu = sum(stage.cpu_seconds for stage in stages)
-    disk = sum(stage.disk_bytes for stage in stages)
-    tape = sum(stage.tape_bytes for stage in stages)
-    return {
-        "elapsed": elapsed,
-        "cpu": cpu / elapsed if elapsed else 0.0,
-        "disk_mb_s": disk / MB / elapsed if elapsed else 0.0,
-        "tape_mb_s": tape / MB / elapsed if elapsed else 0.0,
-    }
-
-
 def run_table45(ndrives: int, config: Optional[EliotConfig] = None) -> Table:
-    """Tables 4 (2 drives) and 5 (4 drives): parallel runs.
-
-    The logical strategy dumps one qtree per drive ("we used quota
-    trees"); the physical strategy stripes one image over the drives.
-    """
+    """Tables 4 (2 drives) and 5 (4 drives): Tables 2/3 run again with
+    the volume split into one qtree per drive (see :func:`run_strategy`)."""
     if ndrives not in (2, 4):
         raise ReproError("the paper ran 2- and 4-drive configurations")
-    published = paper.TABLE4 if ndrives == 2 else paper.TABLE5
     config = config or EliotConfig(qtrees=ndrives)
     if config.qtrees != ndrives:
         raise ReproError("config.qtrees must equal ndrives")
-    env = build_home_env(config).clone()
-    fs = env.home_fs
-    data_bytes = env.data_bytes("home")
-    costs = env.config.cost_model()
+    return table45_from_basic(run_basic(build_home_env(config)), ndrives,
+                              config.scale)
 
-    # -- parallel logical dump -----------------------------------------
-    logical_drives = env.new_drives(ndrives, "t45-l")
-    run = TimedRun()
-    dump_results = parallel_logical_dump(
-        run, fs, env.qtree_paths, logical_drives, dumpdates=DumpDates(),
-        costs=costs,
-    )
-    run.run()
 
-    # -- parallel physical dump ------------------------------------------
-    physical_drives = env.new_drives(ndrives, "t45-p")
-    run = TimedRun()
-    pdump_result = parallel_image_dump(run, fs, physical_drives,
-                                       snapshot_name="t45.image",
-                                       costs=costs)
-    run.run()
-
-    # -- parallel logical restore ------------------------------------------
-    restore_volume = env.fresh_home_volume()
-    restore_fs = WaflFilesystem.format(restore_volume, nvram=NvramLog())
-    run = TimedRun()
-    lrest_results = parallel_logical_restore(
-        run, restore_fs, logical_drives, env.qtree_paths, costs=costs
-    )
-    run.run()
-    # The volume root itself is outside every qtree dump; only the qtrees
-    # are compared.
-    logical_diffs = verify_trees(fs, restore_fs, check_mtime=True,
-                                 ignore=["/"])
-
-    # -- parallel physical restore --------------------------------------------
-    image_volume = env.fresh_home_volume()
-    run = TimedRun()
-    prest_results = parallel_image_restore(run, image_volume, physical_drives,
-                                           costs=costs)
-    run.run()
-    image_fs = WaflFilesystem.mount(image_volume)
-    physical_diffs = verify_trees(fs, image_fs, check_mtime=True)
-    fs.snapshot_delete("t45.image")
-
-    # -- assemble the table ----------------------------------------------------
+def table45_from_basic(basic: Dict, ndrives: int, scale: int) -> Table:
+    """Assemble Table 4 or 5 from a basic-results dict (see
+    :func:`basic_from_strategies`); a strategy it lacks has no rows."""
+    published = paper.TABLE4 if ndrives == 2 else paper.TABLE5
+    data_bytes = basic["data_bytes"]
     table = Table(
         "Table %d — parallel backup and restore on %d tape drives"
         % (4 if ndrives == 2 else 5, ndrives)
     )
-    # (row label, paper section, paper row, stage, the jobs that ran it)
-    rows = [
-        ("Logical Mapping", "Logical Backup", "Mapping", STAGE_MAPPING,
-         dump_results),
-        ("Logical Directories", "Logical Backup", "Directories", STAGE_DIRS,
-         dump_results),
-        ("Logical Files", "Logical Backup", "Files", STAGE_FILES,
-         dump_results),
-        ("Logical Creating files", "Logical Restore", "Creating files",
-         STAGE_CREATE, lrest_results),
-        ("Logical Filling in data", "Logical Restore", "Filling in data",
-         STAGE_FILL, lrest_results),
-        ("Physical dumping blocks", "Physical Backup", "Dumping blocks",
-         STAGE_DUMP_BLOCKS, {"image": pdump_result}),
-        ("Physical restoring blocks", "Physical Restore", "Restoring blocks",
-         STAGE_RESTORE_BLOCKS, prest_results),
-    ]
-    for label, section, paper_row, stage_name, results in rows:
-        agg = aggregate_stage(results, stage_name)
-        if agg is None:
+    # (operation, row label, paper section, paper row, stage)
+    rows = (
+        ("logical-dump", "Logical Mapping", "Logical Backup", "Mapping",
+         STAGE_MAPPING),
+        ("logical-dump", "Logical Directories", "Logical Backup", "Directories",
+         STAGE_DIRS),
+        ("logical-dump", "Logical Files", "Logical Backup", "Files", STAGE_FILES),
+        ("logical-restore", "Logical Creating files", "Logical Restore",
+         "Creating files", STAGE_CREATE),
+        ("logical-restore", "Logical Filling in data", "Logical Restore",
+         "Filling in data", STAGE_FILL),
+        ("physical-dump", "Physical dumping blocks", "Physical Backup",
+         "Dumping blocks", STAGE_DUMP_BLOCKS),
+        ("physical-restore", "Physical restoring blocks", "Physical Restore",
+         "Restoring blocks", STAGE_RESTORE_BLOCKS),
+    )
+    for op, label, section, paper_row, stage_name in rows:
+        if op not in basic or stage_name not in basic[op].stages:
             continue
+        stage = basic[op].stages[stage_name]
         pub = next(row[1:] for row in published[section]
                    if row[0] == paper_row)
         table.add("%s time" % label,
-                  paper_seconds(stage_name, agg["elapsed"], data_bytes,
-                                env.config.scale),
+                  paper_seconds(stage_name, stage.elapsed, data_bytes, scale),
                   pub[0], unit="s")
-        table.add("%s CPU" % label, agg["cpu"], pub[1], unit="%")
-        table.add("%s disk MB/s" % label, agg["disk_mb_s"], pub[2])
-        table.add("%s tape MB/s" % label, agg["tape_mb_s"], pub[3])
+        table.add("%s CPU" % label, stage.cpu_utilization(), pub[1], unit="%")
+        table.add("%s disk MB/s" % label, stage.disk_rate, pub[2])
+        table.add("%s tape MB/s" % label, stage.tape_rate, pub[3])
 
-    # Section 5.2 summary (4-drive configuration).
+    strategies = [strategy for strategy in BASIC_STRATEGIES
+                  if "%s_diffs" % strategy in basic]
+    # Section 5.2 summary (4-drive configuration): logical over the whole
+    # dump, physical over its block stage.  Rates are scale-invariant.
     if ndrives == 4:
-        _total_bytes, wall = aggregate_throughput(dump_results)
-        # Rates are scale-invariant: model bytes over model seconds.
-        logical_gb_h = data_bytes / GB / (wall / HOUR)
-        pstage = pdump_result.stages[STAGE_DUMP_BLOCKS]
-        physical_gb_h = data_bytes / GB / (pstage.elapsed / HOUR)
-        table.add("Logical overall GB/hour", logical_gb_h,
-                  paper.SUMMARY_4_DRIVES["logical_gb_h"])
-        table.add("Logical GB/hour/tape", logical_gb_h / ndrives,
-                  paper.SUMMARY_4_DRIVES["logical_gb_h_per_tape"])
-        table.add("Physical overall GB/hour", physical_gb_h,
-                  paper.SUMMARY_4_DRIVES["physical_gb_h"])
-        table.add("Physical GB/hour/tape", physical_gb_h / ndrives,
-                  paper.SUMMARY_4_DRIVES["physical_gb_h_per_tape"])
-
-    table.add("logical restore verified (diff count)", len(logical_diffs), 0)
-    table.add("physical restore verified (diff count)", len(physical_diffs), 0)
+        for strategy in strategies:
+            dump = basic["%s-dump" % strategy]
+            wall = (dump.elapsed if strategy == "logical"
+                    else dump.stages[STAGE_DUMP_BLOCKS].elapsed)
+            gb_h = gb_per_hour(data_bytes, wall)
+            name = strategy.capitalize()
+            table.add("%s overall GB/hour" % name, gb_h,
+                      paper.SUMMARY_4_DRIVES["%s_gb_h" % strategy])
+            table.add("%s GB/hour/tape" % name, gb_h / ndrives,
+                      paper.SUMMARY_4_DRIVES["%s_gb_h_per_tape" % strategy])
+    for strategy in strategies:
+        table.add("%s restore verified (diff count)" % strategy,
+                  _diff_count(basic["%s_diffs" % strategy]), 0)
     return table
 
 
@@ -482,7 +431,6 @@ def run_concurrent_volumes(config: Optional[EliotConfig] = None) -> Table:
 
 __all__ = [
     "BASIC_STRATEGIES",
-    "aggregate_stage",
     "basic_from_strategies",
     "paper_seconds",
     "run_basic",
@@ -494,4 +442,5 @@ __all__ = [
     "run_table45",
     "table2_from_basic",
     "table3_from_basic",
+    "table45_from_basic",
 ]

@@ -15,7 +15,7 @@ volume, and all commit through :meth:`CampaignVolume.commit_dump`.
 in-process path of a :class:`~repro.parallel.pool.TaskPool` (which gives
 each volume-day its own trace lane and metrics delta), and commits the
 results in declaration order.  Contention between dumps sharing a filer
-is a different experiment and lives in :mod:`repro.backup.jobs`.
+is a different experiment: :func:`repro.bench.harness.run_strategy`.
 
 :func:`restore_point_in_time` closes the loop: it asks the catalog for
 the minimal chain covering a target day and replays it, logical chains

@@ -20,7 +20,7 @@ recorded for the paper's Table 3-5 rows.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ReproError
 from repro.obs.metrics import REGISTRY
@@ -109,6 +109,33 @@ class JobResult:
             self.stages[name] = StageStats(name)
             self.stage_order.append(name)
         return self.stages[name]
+
+    @classmethod
+    def merged(cls, results: Iterable["JobResult"]) -> "JobResult":
+        """One result for jobs that ran side by side (one per drive).
+
+        It spans the first start to the last end; each stage spans the
+        first start to the last end of that stage over the jobs, with CPU
+        seconds and device bytes summed in the order given.  One job
+        merges to its own figures.
+        """
+        results = list(results)
+        merged = cls("+".join(result.name for result in results))
+        merged.start = min(result.start for result in results)
+        merged.end = max(result.end for result in results)
+        for result in results:
+            merged.cpu_seconds += result.cpu_seconds
+            merged.disk_bytes += result.disk_bytes
+            merged.tape_bytes += result.tape_bytes
+            for name in result.stage_order:
+                stage = result.stages[name]
+                into = merged.stage(name)
+                into.touch(stage.start)
+                into.touch(stage.end)
+                into.cpu_seconds += stage.cpu_seconds
+                into.disk_bytes += stage.disk_bytes
+                into.tape_bytes += stage.tape_bytes
+        return merged
 
 
 class _Job:

@@ -169,14 +169,6 @@ def drain_engine(engine):
             return getattr(stop, "value", None)
 
 
-def scale_ops(ops, cpu_factor: float):
-    """Multiply every CpuOp's cost (ablation helper)."""
-    for op in ops:
-        if isinstance(op, CpuOp):
-            op.seconds *= cpu_factor
-        yield op
-
-
 __all__ = [
     "CpuOp",
     "DiskReadOp",
@@ -189,5 +181,4 @@ __all__ = [
     "SleepOp",
     "TapeReadOp",
     "TapeWriteOp",
-    "scale_ops",
 ]

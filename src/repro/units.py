@@ -52,11 +52,6 @@ def gb_per_hour(nbytes: float, seconds: float) -> float:
     return nbytes / GB / (seconds / HOUR)
 
 
-def pct(fraction: float) -> str:
-    """Format a fraction as a percentage string."""
-    return "%.0f%%" % (fraction * 100.0)
-
-
 __all__ = [
     "GB",
     "HOUR",
@@ -69,5 +64,4 @@ __all__ = [
     "fmt_duration",
     "gb_per_hour",
     "mb_per_s",
-    "pct",
 ]

@@ -9,7 +9,7 @@ from repro.backup.common import (
     chunked_cpu,
     drain_engine,
 )
-from repro.perf.ops import CpuOp, DiskReadOp, SleepOp, scale_ops
+from repro.perf.ops import CpuOp, SleepOp
 
 from tests.conftest import make_volume
 
@@ -57,15 +57,6 @@ def test_recorder_scope_splits_long_runs():
     assert len(ops) == 2
     assert ops[0].nblocks == MAX_RUN_BLOCKS
     assert ops[1].nblocks == 50
-
-
-def test_scale_ops_multiplies_cpu_only():
-    volume = make_volume()
-    ops = [CpuOp(1.0), DiskReadOp(volume, 0, 1), CpuOp(2.0)]
-    scaled = list(scale_ops(iter(ops), 0.5))
-    assert scaled[0].seconds == pytest.approx(0.5)
-    assert scaled[2].seconds == pytest.approx(1.0)
-    assert scaled[1].nblocks == 1
 
 
 def test_backup_result_repr():

@@ -1,38 +1,16 @@
-"""Parallel orchestration tests (jobs module + timed runs)."""
+"""Qtree split: the paper's equal-sized pieces for its parallel runs."""
 
-import pytest
-
-from repro.backup import verify_trees
-from repro.backup.jobs import (
-    aggregate_throughput,
-    concurrent_volume_dumps,
-    parallel_image_dump,
-    parallel_image_restore,
-    parallel_logical_dump,
-    parallel_logical_restore,
-    split_into_qtrees,
-)
-from repro.backup.logical.dump import LogicalDump
-from repro.backup.logical.dumpdates import DumpDates
-from repro.perf import TimedRun
+from repro.backup.jobs import split_into_qtrees
 from repro.units import MB
-from repro.wafl.filesystem import WaflFilesystem
 from repro.wafl.fsck import fsck
 from repro.workload import WorkloadGenerator
 
-from tests.conftest import make_drive, make_fs
+from tests.conftest import make_fs
 
 
-@pytest.fixture(scope="module")
-def qtree_env():
+def test_split_into_qtrees_balanced():
     fs = make_fs(ngroups=3, ndata=4, blocks_per_disk=2500, name="home")
-    generator = WorkloadGenerator(seed=99)
-    paths = split_into_qtrees(fs, generator, 16 * MB, 2)
-    return fs, paths
-
-
-def test_split_into_qtrees_balanced(qtree_env):
-    fs, paths = qtree_env
+    paths = split_into_qtrees(fs, WorkloadGenerator(seed=99), 16 * MB, 2)
     assert paths == ["/qt0", "/qt1"]
     sizes = []
     for path in paths:
@@ -42,70 +20,3 @@ def test_split_into_qtrees_balanced(qtree_env):
         sizes.append(total)
     assert min(sizes) > 0.5 * max(sizes)
     assert fsck(fs).clean
-
-
-def test_parallel_logical_dump_and_restore(qtree_env):
-    fs, paths = qtree_env
-    drives = [make_drive("pl%d" % index) for index in range(2)]
-    run = TimedRun()
-    dump_results = parallel_logical_dump(run, fs, paths, drives,
-                                         dumpdates=DumpDates())
-    run.run()
-    assert set(dump_results) == {"ldump.0", "ldump.1"}
-    for result in dump_results.values():
-        assert result.elapsed > 0
-        assert result.tape_bytes > 0
-
-    target = make_fs(ngroups=3, ndata=4, blocks_per_disk=2500, name="t")
-    run = TimedRun()
-    parallel_logical_restore(run, target, drives, paths)
-    run.run()
-    assert verify_trees(fs, target, check_mtime=True, ignore=["/"]) == []
-
-
-def test_parallel_image_dump_and_restore(qtree_env):
-    fs, _paths = qtree_env
-    drives = [make_drive("pi%d" % index) for index in range(2)]
-    run = TimedRun()
-    dump_result = parallel_image_dump(run, fs, drives,
-                                      snapshot_name="jobs.test")
-    run.run()
-    assert dump_result.tape_bytes > 0
-    target_volume = fs.volume.clone_empty()
-    run = TimedRun()
-    restore_results = parallel_image_restore(run, target_volume, drives)
-    run.run()
-    assert len(restore_results) == 2
-    target = WaflFilesystem.mount(target_volume)
-    assert verify_trees(fs, target, check_mtime=True) == []
-    fs.snapshot_delete("jobs.test")
-
-
-def test_mismatched_drive_count_rejected(qtree_env):
-    fs, paths = qtree_env
-    from repro.errors import BackupError
-
-    run = TimedRun()
-    with pytest.raises(BackupError):
-        parallel_logical_dump(run, fs, paths, [make_drive()],
-                              dumpdates=DumpDates())
-
-
-def test_concurrent_volume_dumps_and_aggregate():
-    fs_a = make_fs(name="a", blocks_per_disk=2000)
-    fs_b = make_fs(name="b", blocks_per_disk=2000)
-    WorkloadGenerator(seed=7).populate(fs_a, 4 * MB)
-    WorkloadGenerator(seed=8).populate(fs_b, 4 * MB)
-    run = TimedRun()
-    results = concurrent_volume_dumps(run, [
-        ("home", LogicalDump(fs_a, make_drive("cv-a"),
-                             dumpdates=DumpDates()).run()),
-        ("rlse", LogicalDump(fs_b, make_drive("cv-b"),
-                             dumpdates=DumpDates()).run()),
-    ])
-    run.run()
-    total_bytes, wall = aggregate_throughput(results)
-    assert total_bytes > 8 * MB
-    assert wall > 0
-    # Concurrent jobs overlap: wall-clock is far less than the sum.
-    assert wall < 0.8 * sum(r.elapsed for r in results.values())

@@ -13,10 +13,12 @@ from repro.bench import (
 )
 from repro.bench.configs import EliotConfig
 from repro.bench.harness import (
+    basic_from_strategies,
     run_basic,
     run_strategy,
     table2_from_basic,
     table3_from_basic,
+    table45_from_basic,
 )
 from repro.bench.report import Row, Table, to_markdown
 from repro.units import HOUR, MB
@@ -74,12 +76,20 @@ def _observable_state(env):
             (cache.hits, cache.misses))
 
 
+def _run_table4(env):
+    return run_table45(2, env.config)
+
+
 class TestBasicTables:
-    @pytest.mark.parametrize("runner", [run_basic, run_table2, run_table3])
-    def test_environment_is_left_untouched(self, tiny_env, runner):
-        before = _observable_state(tiny_env)
-        runner(tiny_env)
-        assert _observable_state(tiny_env) == before
+    @pytest.mark.parametrize("runner, qtrees", [
+        (run_basic, 0), (run_table2, 0), (run_table3, 0), (_run_table4, 2)],
+        ids=["run_basic", "run_table2", "run_table3", "run_table45"])
+    def test_environment_is_left_untouched(self, runner, qtrees):
+        env = build_home_env(EliotConfig(scale=TINY, aging_rounds=1,
+                                         qtrees=qtrees))
+        before = _observable_state(env)
+        runner(env)
+        assert _observable_state(env) == before
 
     def test_rows_do_not_depend_on_what_ran_before(self, tiny_env):
         first = to_markdown(run_table2(tiny_env))
@@ -165,6 +175,21 @@ class TestParallelTables:
         physical = table.row("Physical overall GB/hour").measured
         # The paper's summary shape: physical wins on 4 drives.
         assert physical > logical
+
+    def test_physical_rows_are_a_physical_only_run(self):
+        """Each strategy runs on its own cold clone: Table 4's physical
+        rows are what a physical-only run renders, whatever ran first."""
+        config = EliotConfig(scale=TINY, aging_rounds=1, qtrees=2)
+        table = run_table45(2, config)
+        assert table.row("logical restore verified (diff count)").measured == 0
+        assert table.row("physical restore verified (diff count)").measured == 0
+        alone = table45_from_basic(basic_from_strategies(
+            [run_strategy(build_home_env(config), "physical")]), 2, TINY)
+        assert len(alone.rows) == 9
+        rows = [(row.label, row.measured, row.paper) for row in table.rows
+                if row.label.lower().startswith("physical")]
+        assert rows == [(row.label, row.measured, row.paper)
+                        for row in alone.rows]
 
     def test_invalid_drive_count(self):
         from repro.errors import ReproError

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.backup.logical.dump import LogicalDump
+from repro.backup.logical.dumpdates import DumpDates
 from repro.obs.trace import Tracer
 from repro.perf import TimedRun
+from repro.perf.executor import JobResult
 from repro.perf.costs import HardwareProfile
 from repro.perf.ops import (
     CpuOp,
@@ -17,7 +20,10 @@ from repro.perf.ops import (
     TapeWriteOp,
 )
 
-from tests.conftest import make_drive, make_volume
+from repro.units import MB
+from repro.workload import WorkloadGenerator
+
+from tests.conftest import make_drive, make_fs, make_volume
 
 
 def dump_ops(volume, drive, chunks=50, blocks=256, stage="x"):
@@ -172,6 +178,70 @@ def test_stage_accounting():
     assert result.stages["one"].cpu_utilization() == pytest.approx(1.0)
     assert result.stages["two"].elapsed == pytest.approx(3.0)
     assert result.stages["two"].cpu_utilization() == 0.0
+
+
+def _stage_fields(stage):
+    return (stage.name, stage.start, stage.end, stage.cpu_seconds,
+            stage.disk_bytes, stage.tape_bytes)
+
+
+def test_merged_one_job_is_that_job():
+    volume = make_volume()
+    ops = dump_ops(volume, make_drive(), chunks=10)
+    ops[1:1] = [CpuOp(0.3, stage="x")]
+    ops += [PhaseBegin("y"), CpuOp(0.7, stage="y"), PhaseEnd("y")]
+    run = TimedRun()
+    run.add_ops("job", ops, start_at=0.25)
+    job = run.run()["job"]
+    merged = JobResult.merged([job])
+    assert (merged.name, merged.start, merged.end, merged.elapsed) == (
+        job.name, job.start, job.end, job.elapsed)
+    assert (merged.cpu_seconds, merged.disk_bytes, merged.tape_bytes) == (
+        job.cpu_seconds, job.disk_bytes, job.tape_bytes)
+    assert merged.stage_order == job.stage_order == ["x", "y"]
+    for name in job.stage_order:
+        ours, theirs = merged.stages[name], job.stages[name]
+        assert _stage_fields(ours) == _stage_fields(theirs)
+        assert (ours.elapsed, ours.cpu_utilization(), ours.disk_rate,
+                ours.tape_rate) == (theirs.elapsed, theirs.cpu_utilization(),
+                                    theirs.disk_rate, theirs.tape_rate)
+
+
+def test_merged_jobs_span_first_start_to_last_end():
+    volume = make_volume()
+    run = TimedRun()
+    run.add_ops("a", dump_ops(volume, make_drive("t1"), chunks=20))
+    run.add_ops("b", dump_ops(volume, make_drive("t2"), chunks=10),
+                start_at=1.0)
+    results = run.run()
+    a, b = results["a"], results["b"]
+    merged = JobResult.merged(results.values())
+    assert merged.start == a.start == 0.0
+    assert merged.end == max(a.end, b.end)
+    assert merged.tape_bytes == a.tape_bytes + b.tape_bytes == 30 * 256 * 4096
+    assert merged.disk_bytes == a.disk_bytes + b.disk_bytes
+    stage = merged.stages["x"]
+    assert stage.start == a.stages["x"].start
+    assert stage.end == max(a.stages["x"].end, b.stages["x"].end)
+    assert stage.tape_bytes == merged.tape_bytes
+
+
+def test_merged_concurrent_dumps_overlap():
+    fs_a = make_fs(name="a", blocks_per_disk=2000)
+    fs_b = make_fs(name="b", blocks_per_disk=2000)
+    WorkloadGenerator(seed=7).populate(fs_a, 4 * MB)
+    WorkloadGenerator(seed=8).populate(fs_b, 4 * MB)
+    run = TimedRun()
+    run.add_job("home", LogicalDump(fs_a, make_drive("cv-a"),
+                                    dumpdates=DumpDates()).run())
+    run.add_job("rlse", LogicalDump(fs_b, make_drive("cv-b"),
+                                    dumpdates=DumpDates()).run())
+    results = run.run()
+    merged = JobResult.merged(results.values())
+    assert merged.tape_bytes > 8 * MB
+    assert merged.elapsed > 0
+    # Concurrent jobs overlap: wall-clock is far less than the sum.
+    assert merged.elapsed < 0.8 * sum(r.elapsed for r in results.values())
 
 
 def test_sleep_does_not_hold_cpu():

@@ -11,7 +11,6 @@ from repro.units import (
     fmt_duration,
     gb_per_hour,
     mb_per_s,
-    pct,
 )
 
 
@@ -32,10 +31,6 @@ class TestUnits:
         assert gb_per_hour(1 * GB, 3600.0) == pytest.approx(1.0)
         assert mb_per_s(100, 0) == 0.0
         assert gb_per_hour(100, 0) == 0.0
-
-    def test_pct(self):
-        assert pct(0.25) == "25%"
-        assert pct(1.0) == "100%"
 
 
 class TestCoalesce:
