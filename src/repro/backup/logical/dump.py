@@ -32,10 +32,10 @@ from repro.dumpfmt.stream import DumpStreamWriter
 from repro.perf.ops import (
     CpuOp,
     DiskReadOp,
+    DutyCycleOp,
     PhaseBegin,
     PhaseEnd,
     ReadBarrier,
-    SleepOp,
     TapeWriteOp,
 )
 from repro.perf.costs import CostModel
@@ -125,19 +125,6 @@ class LogicalDump:
             return []
         return [TapeWriteOp(self.drive, delta, changes, stage=stage)]
 
-    def _snapshot_stage_ops(self, stage: str, seconds: float, cpu_share: float):
-        """A fixed-duration stage at a fixed CPU share (Table 3 rows).
-
-        Interleaved in small slices so one snapshot does not monopolize
-        the CPU against concurrent jobs."""
-        step = 0.5
-        elapsed = 0.0
-        while elapsed < seconds:
-            piece = min(step, seconds - elapsed)
-            yield CpuOp(piece * cpu_share, stage=stage, side="disk")
-            yield SleepOp(piece * (1.0 - cpu_share), stage=stage)
-            elapsed += piece
-
     def _read_whole(self, source, ino, stage: str):
         """Prefetch-read one whole small object (directory).
 
@@ -196,11 +183,9 @@ class LogicalDump:
             source = self.fs.snapshot_view(name)
             if self.date is None:
                 self.date = record.created
-            yield from self._snapshot_stage_ops(
-                STAGE_SNAP_CREATE,
-                self.costs.snapshot_create_seconds,
-                self.costs.snapshot_create_cpu,
-            )
+            yield DutyCycleOp(self.costs.snapshot_create_seconds,
+                              self.costs.snapshot_create_cpu,
+                              stage=STAGE_SNAP_CREATE)
             yield PhaseEnd(STAGE_SNAP_CREATE)
         result.snapshot = created_snapshot
         if self.date is None:
@@ -438,11 +423,9 @@ class LogicalDump:
         if created_snapshot is not None:
             yield PhaseBegin(STAGE_SNAP_DELETE)
             self.fs.snapshot_delete(created_snapshot)
-            yield from self._snapshot_stage_ops(
-                STAGE_SNAP_DELETE,
-                self.costs.snapshot_delete_seconds,
-                self.costs.snapshot_delete_cpu,
-            )
+            yield DutyCycleOp(self.costs.snapshot_delete_seconds,
+                              self.costs.snapshot_delete_cpu,
+                              stage=STAGE_SNAP_DELETE)
             yield PhaseEnd(STAGE_SNAP_DELETE)
 
         if self.dumpdates is not None:

@@ -29,7 +29,14 @@ from repro.backup.physical.incremental import (
     split_runs,
 )
 from repro.perf.costs import CostModel
-from repro.perf.ops import CpuOp, DiskReadOp, PhaseBegin, PhaseEnd, SleepOp, TapeWriteOp
+from repro.perf.ops import (
+    CpuOp,
+    DiskReadOp,
+    DutyCycleOp,
+    PhaseBegin,
+    PhaseEnd,
+    TapeWriteOp,
+)
 from repro.wafl.consts import ACTIVE_PLANE
 from repro.wafl.fsinfo import FsInfo
 
@@ -86,19 +93,6 @@ class ImageDump:
         self.manage_snapshot = manage_snapshot
         self.reuse_snapshot = reuse_snapshot
 
-    def _snapshot_stage_ops(self, stage: str, seconds: float, cpu_share: float):
-        """A fixed-duration stage at a fixed CPU share (Table 3 rows).
-
-        Interleaved in small slices so one snapshot does not monopolize
-        the CPU against concurrent jobs."""
-        step = 0.5
-        elapsed = 0.0
-        while elapsed < seconds:
-            piece = min(step, seconds - elapsed)
-            yield CpuOp(piece * cpu_share, stage=stage, side="disk")
-            yield SleepOp(piece * (1.0 - cpu_share), stage=stage)
-            elapsed += piece
-
     def run(self) -> Iterator:
         """Generator of perf ops; returns an :class:`ImageDumpResult`.
 
@@ -129,11 +123,9 @@ class ImageDump:
             if fs.fsinfo.find_snapshot(name) is None:
                 fs.snapshot_create(name)
             created = name
-            yield from self._snapshot_stage_ops(
-                STAGE_SNAP_CREATE,
-                self.costs.snapshot_create_seconds,
-                self.costs.snapshot_create_cpu,
-            )
+            yield DutyCycleOp(self.costs.snapshot_create_seconds,
+                              self.costs.snapshot_create_cpu,
+                              stage=STAGE_SNAP_CREATE)
             yield PhaseEnd(STAGE_SNAP_CREATE)
         record = fs.fsinfo.find_snapshot(name) if name else None
         if record is None:
@@ -282,11 +274,9 @@ class ImageDump:
             yield PhaseBegin(STAGE_SNAP_DELETE)
             fs.snapshot_delete(created)
             result.snapshot = None
-            yield from self._snapshot_stage_ops(
-                STAGE_SNAP_DELETE,
-                self.costs.snapshot_delete_seconds,
-                self.costs.snapshot_delete_cpu,
-            )
+            yield DutyCycleOp(self.costs.snapshot_delete_seconds,
+                              self.costs.snapshot_delete_cpu,
+                              stage=STAGE_SNAP_DELETE)
             yield PhaseEnd(STAGE_SNAP_DELETE)
         return result
 

@@ -31,6 +31,7 @@ from repro.perf.ops import (
     ReadBarrier,
     DiskReadOp,
     DiskWriteOp,
+    DutyCycleOp,
     PerfOp,
     PhaseBegin,
     PhaseEnd,
@@ -44,6 +45,10 @@ from repro.sim.resources import Resource, Store
 from repro.units import mb_per_s
 
 _SENTINEL = object()
+
+# A DutyCycleOp replays as slices this long, each a CPU charge and then
+# idle time, so concurrent jobs share the CPU slice by slice.
+_DUTY_SLICE = 0.5
 
 # The one canonical drain helper (also re-exported by repro.backup.common).
 drain = drain_engine
@@ -151,7 +156,7 @@ class _Job:
 
     def is_sink_op(self, op: PerfOp) -> bool:
         if self.is_restore:
-            return isinstance(op, (DiskWriteOp, DiskReadOp)) or (
+            return isinstance(op, (DiskWriteOp, DiskReadOp, DutyCycleOp)) or (
                 isinstance(op, CpuOp) and op.side == "disk"
             )
         return isinstance(op, TapeWriteOp)
@@ -234,7 +239,8 @@ class TimedRun:
 
     def _record(self, job: _Job, op: PerfOp, start: float, end: float,
                 cpu_seconds: float = 0.0, disk_bytes: int = 0,
-                tape_bytes: int = 0) -> None:
+                tape_bytes: int = 0, name: str = "") -> None:
+        """Charge one op (or one slice of it, traced as ``name``)."""
         result = job.result
         if op.stage:
             stage = result.stage(op.stage)
@@ -248,14 +254,14 @@ class TimedRun:
         result.tape_bytes += tape_bytes
         tracer = self.tracer
         if tracer.enabled:
-            tracer.complete(type(op).__name__, cat="op", ts=start,
+            tracer.complete(name or type(op).__name__, cat="op", ts=start,
                             dur=end - start, tid=job.name,
                             args={"stage": op.stage})
 
     def _in_place(self, job: _Job, op: PerfOp) -> bool:
         """Complete an op that needs no device model without a generator.
 
-        Phase markers always complete here; CPU and sleep slices do when
+        Phase markers always complete here; CPU and sleep ops do when
         ``Simulation.ahead`` holds for them.  Returns False, having
         changed nothing, when the op must go through :meth:`_execute`.
         """
@@ -275,25 +281,50 @@ class TimedRun:
             return False
         return True
 
+    def _cpu_wait(self, seconds: float):
+        """Hold one CPU for ``seconds`` through the grant queue: the wait
+        of a CPU charge that ``Resource.hold`` could not complete."""
+        request = self.cpu.acquire()
+        if not request.processed:
+            yield request
+        try:
+            if not self.sim.ahead(seconds):
+                yield self.sim.timeout(seconds)
+        finally:
+            self.cpu.release(request)
+
     def _execute(self, job: _Job, op: PerfOp):
         # Every wait is skipped when the kernel completed it in place: a
         # processed grant/put/get, or a service time ``sim.ahead`` covers.
         sim = self.sim
         start = sim.now
         if isinstance(op, CpuOp):
-            request = self.cpu.acquire()
-            if not request.processed:
-                yield request
-            try:
-                if not sim.ahead(op.seconds):
-                    yield sim.timeout(op.seconds)
-            finally:
-                self.cpu.release(request)
+            # _in_place already found that hold() refuses here.
+            yield from self._cpu_wait(op.seconds)
             self._record(job, op, start, sim.now, cpu_seconds=op.seconds)
         elif isinstance(op, SleepOp):
             # _in_place already found that ahead() does not hold here.
             yield sim.timeout(op.seconds)
             self._record(job, op, start, sim.now)
+        elif isinstance(op, DutyCycleOp):
+            # Each slice charges, waits and records as a CpuOp followed by
+            # a SleepOp would, with the same floats and in the same order.
+            seconds, share = op.seconds, op.cpu_share
+            elapsed = 0.0
+            while elapsed < seconds:
+                piece = min(_DUTY_SLICE, seconds - elapsed)
+                busy = piece * share
+                start = sim.now
+                if not self.cpu.hold(busy):
+                    yield from self._cpu_wait(busy)
+                self._record(job, op, start, sim.now, cpu_seconds=busy,
+                             name="CpuOp")
+                idle = piece * (1.0 - share)
+                start = sim.now
+                if not sim.ahead(idle):
+                    yield sim.timeout(idle)
+                self._record(job, op, start, sim.now, name="SleepOp")
+                elapsed += piece
         elif isinstance(op, (DiskReadOp, DiskWriteOp)):
             # A run may span RAID groups; each piece charges its group.
             remaining = op.nblocks

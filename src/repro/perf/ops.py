@@ -140,6 +140,27 @@ class SleepOp(PerfOp):
         return "<SleepOp %.3fs %s>" % (self.seconds, self.stage)
 
 
+class DutyCycleOp(PerfOp):
+    """A fixed-length stage that keeps the CPU busy ``cpu_share`` of the
+    time (snapshot creation and deletion, Table 3 rows).
+
+    The executor replays it as short slices, each a CPU charge and then
+    idle time, so one snapshot does not monopolize the CPU against
+    concurrent jobs.  It is disk-side CPU work.
+    """
+
+    __slots__ = ("seconds", "cpu_share")
+
+    def __init__(self, seconds: float, cpu_share: float, stage: str = ""):
+        super().__init__(stage)
+        self.seconds = seconds
+        self.cpu_share = cpu_share
+
+    def __repr__(self) -> str:
+        return "<DutyCycleOp %.3fs x%.2f %s>" % (self.seconds, self.cpu_share,
+                                                 self.stage)
+
+
 class PhaseBegin(PerfOp):
     """Marks the start of a named stage (Table 3 rows)."""
 
@@ -174,6 +195,7 @@ __all__ = [
     "DiskReadOp",
     "DiskWriteOp",
     "drain_engine",
+    "DutyCycleOp",
     "PerfOp",
     "PhaseBegin",
     "PhaseEnd",

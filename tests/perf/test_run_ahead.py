@@ -1,8 +1,11 @@
-"""Run-ahead is exact: every op stream times the same with and without it.
+"""Run-ahead and the snapshot stage op are exact.
 
-Each generated stream is replayed twice — as is, and with
-``Simulation.ahead`` patched to refuse, which is the event-by-event path
-where every wait goes through the heap.  Every result field, every
+Each generated stream is replayed as is and with ``Simulation.ahead``
+patched to refuse, which is the event-by-event path where every wait
+goes through the heap.  Each is also replayed with every
+:class:`DutyCycleOp` expanded by :func:`_old_stage_pairs`, a copy of
+the generator both dump engines emitted a snapshot stage with before
+the executor replayed its slices itself.  Every result field, every
 resource's utilization steps, the op trace and the final clock must be
 equal, not approximately equal.
 """
@@ -19,6 +22,7 @@ from repro.perf.ops import (
     CpuOp,
     DiskReadOp,
     DiskWriteOp,
+    DutyCycleOp,
     PhaseBegin,
     PhaseEnd,
     ReadBarrier,
@@ -34,11 +38,26 @@ from tests.conftest import make_drive, make_volume
 VOLUME = make_volume(ngroups=2, ndata=4, blocks_per_disk=2500)
 DRIVES = [make_drive(name="t%d" % index, tapes=1) for index in range(4)]
 
+
+def _old_stage_pairs(stage, seconds, cpu_share):
+    """The CpuOp/SleepOp slices of a snapshot stage, as once emitted."""
+    step = 0.5
+    elapsed = 0.0
+    while elapsed < seconds:
+        piece = min(step, seconds - elapsed)
+        yield CpuOp(piece * cpu_share, stage=stage, side="disk")
+        yield SleepOp(piece * (1.0 - cpu_share), stage=stage)
+        elapsed += piece
+
+
 # Few distinct durations, so that waits of different jobs tie often.
 _seconds = st.sampled_from([0.0, 0.001, 0.25, 0.5])
 _block = st.one_of(st.integers(0, 19000), st.sampled_from([9996, 9999]))
 
 _step = st.one_of(
+    # Stage lengths on and off the 0.5 s slice grid.
+    st.tuples(st.just("duty"), st.sampled_from([30.0, 35.0, 0.75, 0.2, 0.0]),
+              st.sampled_from([0.0, 0.5, 1.0])),
     st.tuples(st.just("cpu"), _seconds, st.sampled_from(["disk", "tape"])),
     st.tuples(st.just("sleep"), _seconds),
     st.tuples(st.just("read"), _block, st.integers(1, 16), st.booleans()),
@@ -62,7 +81,7 @@ _profile = st.fixed_dictionaries({
 })
 
 
-def _ops(spec):
+def _ops(spec, expand=False):
     drive = DRIVES[spec["drive"]]
     tape_op = TapeReadOp if spec["restore"] else TapeWriteOp
     ops = [tape_op(drive, 4096, 0, stage="s0")] if spec["restore"] else []
@@ -71,7 +90,16 @@ def _ops(spec):
         ops.append(PhaseBegin(stage))
         for step in steps:
             kind = step[0]
-            if kind == "cpu":
+            if kind == "duty":
+                # Engines emit a stage op only in dumps, where the whole
+                # stage runs in the producer as its pairs did.
+                if spec["restore"]:
+                    continue
+                if expand:
+                    ops.extend(_old_stage_pairs(stage, step[1], step[2]))
+                else:
+                    ops.append(DutyCycleOp(step[1], step[2], stage=stage))
+            elif kind == "cpu":
                 ops.append(CpuOp(step[1], stage=stage, side=step[2]))
             elif kind == "sleep":
                 ops.append(SleepOp(step[1], stage=stage))
@@ -93,11 +121,12 @@ def _fields(obj):
             if key not in ("stages", "data")}
 
 
-def _replay(jobs, profile):
+def _replay(jobs, profile, expand=False):
     tracer = Tracer()
     run = TimedRun(HardwareProfile(**profile), tracer=tracer)
     for index, spec in enumerate(jobs):
-        run.add_ops("job%d" % index, _ops(spec), start_at=spec["start_at"])
+        run.add_ops("job%d" % index, _ops(spec, expand),
+                    start_at=spec["start_at"])
     results = run.run()
     observed = {
         name: (_fields(result),
@@ -108,10 +137,13 @@ def _replay(jobs, profile):
                  *run._tape_resources.values()]
     steps = [(r.name, r.utilization._times, r.utilization._levels)
              for r in resources]
-    # Op, stage and job spans in emission order; the sim instant carries
-    # the event count, which is what run-ahead changes.
-    spans = [event for event in tracer.take_events() if event["cat"] != "sim"]
-    return observed, steps, spans, run.sim.now, run.sim.events_scheduled
+    # Op, stage and job spans in emission order, then the sim instant:
+    # it carries the event count, which is what run-ahead changes.
+    events = tracer.take_events()
+    spans = [event for event in events if event["cat"] != "sim"]
+    sim_events = [event for event in events if event["cat"] == "sim"]
+    return (observed, steps, spans, run.sim.now, run.sim.events_scheduled,
+            sim_events)
 
 
 def _dump(*steps):
@@ -133,3 +165,18 @@ def test_run_ahead_matches_the_event_by_event_path(jobs, profile):
         slow = _replay(jobs, profile)
     assert fast[:4] == slow[:4]
     assert fast[4] <= slow[4]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_job, min_size=1, max_size=3), _profile)
+# Two snapshot stages share one CPU, slice against slice.  The second
+# stage's CPU seconds, added slice by slice after 0.001, come to
+# 17.500999999999998; added as one sum they would be 17.501.
+@example([_dump(("duty", 30.0, 0.5)),
+          _dump(("cpu", 0.001, "disk"), ("duty", 35.0, 0.5))],
+         {"cpu_count": 1, "dump_readahead": 8, "pipeline_buffer_blocks": 16})
+def test_a_stage_op_replays_as_its_old_slices(jobs, profile):
+    assert _replay(jobs, profile) == _replay(jobs, profile, expand=True)
+    with mock.patch.object(Simulation, "ahead", lambda self, delay: False):
+        assert _replay(jobs, profile) == _replay(jobs, profile, expand=True)
