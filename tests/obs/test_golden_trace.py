@@ -1,7 +1,8 @@
 """Golden-file test: a traced run is byte-stable, viewable, well-formed.
 
-The trace of a fixed workload (a logical dump and an image dump of the
-small reference tree on the small reference volume) is a pure function
+The trace of a fixed workload (a logical dump, a full restore of that
+tape onto a fresh volume, and an image dump of the small reference tree
+on the small reference volume) is a pure function
 of the workload — no wall clock, no process ids, no dict-order
 dependence — so the JSONL sink must match the committed golden file
 byte for byte.  Regenerate after an *intended* timing-model change
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import os
 
-from repro.backup import DumpDates, ImageDump, LogicalDump
+from repro.backup import DumpDates, ImageDump, LogicalDump, LogicalRestore
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
 from repro.obs.trace import Tracer, read_jsonl, validate_spans
 from repro.perf.executor import TimedRun
@@ -27,16 +28,22 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
 
 
 def traced_backup_run() -> Tracer:
-    """Logical dump then image dump of the fixed tree, one shared tracer."""
+    """Logical dump, full restore of it, then image dump of the fixed
+    tree, one shared tracer."""
     tracer = Tracer()
     fs = make_fs(name="src")
     populate_small_tree(fs)
+    ltape = make_drive(name="ltape")
 
     logical = TimedRun(tracer=tracer)
     logical.add_job("logical-dump",
-                    LogicalDump(fs, make_drive(name="ltape"),
-                                dumpdates=DumpDates()).run())
+                    LogicalDump(fs, ltape, dumpdates=DumpDates()).run())
     logical.run()
+
+    restore = TimedRun(tracer=tracer)
+    restore.add_job("logical-restore",
+                    LogicalRestore(make_fs(name="dst"), ltape).run())
+    restore.run()
 
     image = TimedRun(tracer=tracer)
     image.add_job("image-dump",
@@ -81,6 +88,6 @@ def test_golden_trace_is_well_formed_and_exportable():
     # Every event category the plane emits is represented.
     cats = {event.get("cat") for event in events}
     assert {"op", "stage", "job", "sim"} <= cats
-    # Both jobs made it into the stream.
+    # Every job made it into the stream.
     tids = {event.get("tid") for event in events}
-    assert {"logical-dump", "image-dump", "sim"} <= tids
+    assert {"logical-dump", "logical-restore", "image-dump", "sim"} <= tids

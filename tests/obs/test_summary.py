@@ -67,7 +67,7 @@ def real_events():
 def test_stage_durations_cover_job_elapsed(real_events):
     """Per-job stage spans tile the job span: sums match the elapsed."""
     elapsed = job_elapsed(real_events)
-    assert set(elapsed) == {"logical-dump", "image-dump"}
+    assert set(elapsed) == {"logical-dump", "logical-restore", "image-dump"}
     for job, job_dur in elapsed.items():
         stage_sum = sum(row.elapsed for row in phase_rows(real_events)
                         if row.job == job)
