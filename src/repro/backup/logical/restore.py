@@ -7,18 +7,18 @@ materializing the directory structure first.  That reading,
 :class:`DumpNamespace`, is also what ``restore -t``, ``restore -C`` and
 ``restore -i`` (:mod:`repro.backup.logical.inspect`, ``interactive``) use.
 
-Three modes:
-
-* **Full restore** (no symbol table): recreate the whole dumped subtree.
-  Stage structure matches Table 3 — "Creating files" (directory skeleton
-  plus file creation) then "Filling in data".
-* **Incremental restore** (with the symbol table returned by the previous
-  restore in the chain): delete inodes freed since the base (TS_CLRI),
-  reconcile renames/moves from the dumped directories, create new files,
-  then fill changed data.
-* **Selective restore** (``select=[paths]``): stupidity recovery — walk
-  the desiccated directory tree to the requested names and extract only
-  those, while still streaming past the rest of the tape.
+Every restore is one pass, staged as in Table 3: "Creating files"
+reconciles the target's namespace with the dump, then "Filling in data"
+extracts the wanted files as the tape streams past.  The reconciliation
+starts from the symbol table the previous restore in the chain handed on
+(BSD restore's ``restoresymtable``): it deletes the inodes freed since
+the base (TS_CLRI), re-kinds reused inode numbers, follows renames and
+moves, then creates the directories and placeholder files the table does
+not know.  A level 0 is the same pass against an empty table, which
+knows nothing in the target and so deletes and renames nothing.
+``select=[paths]`` (stupidity recovery) narrows what is wanted to the
+selected subtrees plus the directories above them, and, like BSD
+``restore -x``, only adds names: it reconciles against an empty table.
 
 Because the engine "runs as root" (the paper's kernel-integrated restore),
 permissions and ownership are set at creation time and no final
@@ -317,6 +317,7 @@ class LogicalRestore:
         result = RestoreResult()
         initial_bytes_read = self.drive.bytes_read
         meter = TapeReadMeter(self.drive)
+        symtab = self.symtab or SymbolTable()
 
         yield PhaseBegin(STAGE_CREATE)
         ns = DumpNamespace(self.drive, into=self.into, resync=self.resync)
@@ -326,17 +327,8 @@ class LogicalRestore:
             yield CpuOp(self.costs.restore_parse_header,
                         stage=STAGE_CREATE, side="disk")
             yield from meter.ops(STAGE_CREATE)
-        selected = self._resolve_selection(ns)
-
-        # ---- namespace work ----
-        if self.select is not None:
-            creator = self._create_selected(result, ns, selected)
-        elif self.symtab is None:
-            creator = self._create_full(result, ns)
-        else:
-            creator = self._apply_incremental(result, ns)
-        for op in creator:
-            yield op
+        wanted = self._wanted(ns)
+        yield from self._reconcile(result, ns, symtab, wanted)
         yield PhaseEnd(STAGE_CREATE)
 
         # ---- data ----
@@ -348,14 +340,10 @@ class LogicalRestore:
             if entry.header.ftype == FileType.DIRECTORY:
                 # Directories arriving late (possible after resync): skip.
                 result.skipped += 1
+            elif entry.ino in wanted:
+                yield from self._extract(result, entry, ns.paths[entry.ino])
             else:
-                wanted = selected is None or entry.ino in selected
-                paths = ns.paths.get(entry.ino, [])
-                if wanted and paths:
-                    for op in self._extract(result, entry, paths):
-                        yield op
-                else:
-                    result.skipped += 1
+                result.skipped += 1
         yield from meter.ops(STAGE_FILL)
 
         # Final pass: directory times.  Permissions and ownership were set
@@ -375,7 +363,6 @@ class LogicalRestore:
         # ``ns.paths`` is a partial view; names recorded by earlier
         # restores that survived this one (their directories were not on
         # this tape) must be merged in, not overwritten.
-        symtab = self.symtab or SymbolTable()
         for ino in ns.reader.clri_inos:
             symtab.remove(ino)
         for ino, paths in ns.paths.items():
@@ -392,36 +379,52 @@ class LogicalRestore:
         )
         return result
 
-    # -- selection -------------------------------------------------------------
+    # -- the namespace pass -----------------------------------------------------------
 
-    def _resolve_selection(self, ns: DumpNamespace) -> Optional[Set[int]]:
-        """Resolve ``select`` paths (dump-rooted) to dump inode numbers; a
-        selected directory pulls in its whole subtree."""
+    def _wanted(self, ns: DumpNamespace) -> Set[int]:
+        """The dump inodes this restore materializes: every one, or the
+        ``select`` subtrees (dump-rooted paths) plus every directory above
+        one of their names."""
         if self.select is None:
-            return None
-        selected: Set[int] = set()
+            return set(ns.paths)
+        wanted: Set[int] = set()
         for want in self.select:
             ino = ns.lookup(want)
             if ino is None:
                 raise NotFoundError("path %r is not on this tape" % want)
-            selected |= ns.subtree(ino)
-        return selected
+            wanted |= ns.subtree(ino)
+        parents: Dict[int, List[int]] = {}
+        for dir_ino, children in ns.entries.items():
+            for _name, child in children:
+                parents.setdefault(child, []).append(dir_ino)
+        stack = list(wanted)
+        while stack:
+            for parent in parents.get(stack.pop(), ()):
+                if parent not in wanted:
+                    wanted.add(parent)
+                    stack.append(parent)
+        return wanted
 
-    # -- namespace passes ----------------------------------------------------------
+    def _charge(self, scope: RecorderScope, count: int = 1,
+                create: bool = False) -> Iterator:
+        """The ops of one namespace step: ``count`` file operations of CPU
+        (a create also waits out its latency), then the disk I/O
+        ``scope`` recorded."""
+        if count:
+            yield CpuOp(self.costs.restore_create_file * count,
+                        stage=STAGE_CREATE, side="disk")
+            if create:
+                yield SleepOp(self.costs.restore_create_latency * count,
+                              stage=STAGE_CREATE)
+        yield from scope.drain_ops(STAGE_CREATE)
 
-    def _ensure_dir(self, path: str, attrs: Optional[InodeEntry]) -> bool:
+    def _ensure_dir(self, path: str, attrs: InodeEntry) -> bool:
         """Create one directory (idempotent); True if created."""
         if self.fs.exists(path):
             return False
-        header = attrs.header if attrs is not None else None
-        self.fs.mkdir(
-            path,
-            perms=header.perms if header else 0o755,
-            uid=header.uid if header else 0,
-            gid=header.gid if header else 0,
-        )
-        if header is not None:
-            self._apply_attrs(path, attrs)
+        header = attrs.header
+        self.fs.mkdir(path, perms=header.perms, uid=header.uid, gid=header.gid)
+        self._apply_attrs(path, attrs)
         return True
 
     def _apply_attrs(self, path: str, entry: InodeEntry) -> None:
@@ -440,85 +443,21 @@ class LogicalRestore:
         if entry.acl:
             self.fs.set_acl(path, entry.acl)
 
-    def _create_full(self, result, ns: DumpNamespace) -> Iterator:
-        """Create the whole namespace: directories, then placeholder files
-        and hard links (the paper's "Creating files" stage)."""
-        volume = self.fs.volume
-        for ino, path in ns.dir_paths.items():
-            if ino == ns.root_ino:
-                if not self.fs.exists(path):
-                    self.fs.mkdir(path)
-                continue
-            with RecorderScope(volume) as scope:
-                if self._ensure_dir(path, ns.dirs.get(ino)):
-                    result.created += 1
-                    result.directories += 1
-            yield CpuOp(self.costs.restore_create_file,
-                        stage=STAGE_CREATE, side="disk")
-            yield SleepOp(self.costs.restore_create_latency, stage=STAGE_CREATE)
-            for op in scope.drain_ops(STAGE_CREATE):
-                yield op
-        yield from self._create_placeholders(result, ns, latency=True)
+    def _reconcile(self, result, ns: DumpNamespace, symtab: SymbolTable,
+                   wanted: Set[int]) -> Iterator:
+        """Bring the target's namespace to the dump's.
 
-    def _create_placeholders(self, result, ns: DumpNamespace,
-                             latency: bool) -> Iterator:
-        """Placeholder files and hard links for every dumped
-        non-directory that the symbol table (if any) does not know yet."""
+        Only inodes ``symtab`` knows -- what earlier restores in the chain
+        put in the target -- are deleted, re-kinded or renamed, so against
+        an empty table (a level 0) nothing already there is touched.  Then
+        the wanted directories and placeholder files the table does not
+        know are created, each name charged a create.  A selection
+        (``restore -x``) only adds names, so it reconciles against an
+        empty table too; the table it hands on is still merged in full.
+        """
+        if self.select is not None:
+            symtab = SymbolTable()
         volume = self.fs.volume
-        for ino, paths in ns.paths.items():
-            if ino in ns.entries or ino == ns.root_ino:
-                continue
-            if not ns.on_tape(ino):
-                continue  # not on this tape (filtered or unchanged)
-            if self.symtab is not None and self.symtab.get(ino):
-                continue
-            with RecorderScope(volume) as scope:
-                first = paths[0]
-                if not self.fs.exists(first):
-                    self.fs.create(first)
-                    result.created += 1
-                for extra in paths[1:]:
-                    if not self.fs.exists(extra):
-                        self.fs.link(first, extra)
-            yield CpuOp(self.costs.restore_create_file * len(paths),
-                        stage=STAGE_CREATE, side="disk")
-            if latency:
-                yield SleepOp(self.costs.restore_create_latency * len(paths),
-                              stage=STAGE_CREATE)
-            for op in scope.drain_ops(STAGE_CREATE):
-                yield op
-
-    def _create_selected(self, result, ns: DumpNamespace,
-                         selected: Set[int]) -> Iterator:
-        """Create only the directories needed to hold the selection."""
-        volume = self.fs.volume
-        needed_dirs: Set[str] = set()
-        for ino in selected:
-            for path in ns.paths.get(ino, []):
-                parent = path.rsplit("/", 1)[0] or "/"
-                while parent not in ("", "/") and parent not in needed_dirs:
-                    needed_dirs.add(parent)
-                    parent = parent.rsplit("/", 1)[0] or "/"
-        by_depth = sorted(needed_dirs, key=lambda p: p.count("/"))
-        attrs_by_path = {
-            path: ns.dirs[ino]
-            for ino, path in ns.dir_paths.items()
-            if ino in ns.dirs
-        }
-        for path in by_depth:
-            with RecorderScope(volume) as scope:
-                if self._ensure_dir(path, attrs_by_path.get(path)):
-                    result.created += 1
-                    result.directories += 1
-            yield CpuOp(self.costs.restore_create_file, stage=STAGE_CREATE,
-                        side="disk")
-            for op in scope.drain_ops(STAGE_CREATE):
-                yield op
-
-    def _apply_incremental(self, result, ns: DumpNamespace) -> Iterator:
-        """Delete / move / create against the previous restore's state."""
-        volume = self.fs.volume
-        symtab = self.symtab
 
         # 1. Deletions: inodes free at dump time that we once restored.
         doomed = [ino for ino in symtab.inos() if ino in ns.reader.clri_inos]
@@ -538,10 +477,7 @@ class LogicalRestore:
                 else:
                     self.fs.unlink(path)
                 result.deleted += 1
-            yield CpuOp(self.costs.restore_create_file, stage=STAGE_CREATE,
-                        side="disk")
-            for op in scope.drain_ops(STAGE_CREATE):
-                yield op
+            yield from self._charge(scope)
         for ino in doomed:
             symtab.remove(ino)
 
@@ -576,31 +512,42 @@ class LogicalRestore:
                             self.fs.unlink(path)
                 result.deleted += 1
                 symtab.remove(ino)
-            yield CpuOp(self.costs.restore_create_file, stage=STAGE_CREATE,
-                        side="disk")
-            for op in scope.drain_ops(STAGE_CREATE):
-                yield op
+            yield from self._charge(scope)
 
-        # 2. New directories (dumped dirs we have never seen).
-        for ino, path in ns.dir_paths.items():
-            if ino == ns.root_ino:
-                continue
-            known = symtab.get(ino)
-            if not known:
+        # 2. Wanted directories the table does not know, parents first.
+        #    One at or under a path a known inode is about to leave would
+        #    leave with it: it waits for pass 3b.
+        def create_dirs() -> Iterator:
+            leaving = {
+                path for ino, want_paths in ns.paths.items()
+                for path in symtab.get(ino) if path not in want_paths
+            }
+            for ino, path in ns.dir_paths.items():
+                if ino not in wanted or symtab.get(ino):
+                    continue
+                if any(path == old or path.startswith(old + "/")
+                       for old in leaving):
+                    continue
+                if ino == ns.root_ino:
+                    # The mount point: bare and uncharged.
+                    if not self.fs.exists(path):
+                        self.fs.mkdir(path)
+                    continue
                 with RecorderScope(volume) as scope:
-                    if self._ensure_dir(path, ns.dirs.get(ino)):
+                    created = self._ensure_dir(path, ns.dirs[ino])
+                    if created:
                         result.created += 1
                         result.directories += 1
-                yield CpuOp(self.costs.restore_create_file,
-                            stage=STAGE_CREATE, side="disk")
-                for op in scope.drain_ops(STAGE_CREATE):
-                    yield op
+                yield from self._charge(scope, int(created), create=True)
+
+        yield from create_dirs()
 
         # 3. Moves, renames, and new hard-link names.  ``ns.paths`` is only
         #    a *partial* view (entries of the directories on this tape),
         #    so nothing is unlinked here: stale names under dumped
         #    directories are removed by pass 3c, which has the correct
         #    per-directory scope.
+        retry_dirs = False
         for ino, want_paths in ns.paths.items():
             if ino == ns.root_ino:
                 continue
@@ -613,13 +560,17 @@ class LogicalRestore:
                 existing = [p for p in known if self.fs.exists(p)]
                 if not existing:
                     symtab.remove(ino)
-                elif ino in ns.entries:
-                    # A directory has exactly one name: a new desired path
+                    retry_dirs = True
+                elif (ino in ns.entries or
+                      self.fs.inode(self.fs.namei(existing[0])).is_dir):
+                    # A directory (dumped, or renamed with its contents
+                    # unchanged) has exactly one name: a new desired path
                     # is a genuine move/rename.
                     anchor = existing[0]
                     if anchor not in want_paths:
                         self.fs.rename(anchor, want_paths[0])
                         result.renamed += 1
+                        retry_dirs = True
                         existing = [want_paths[0]]
                     symtab.set(ino, sorted(set(want_paths) | set(existing)))
                 else:
@@ -638,29 +589,19 @@ class LogicalRestore:
                     symtab.set(
                         ino, sorted(set(want_paths) | set(existing))
                     )
-            yield CpuOp(self.costs.restore_create_file, stage=STAGE_CREATE,
-                        side="disk")
-            for op in scope.drain_ops(STAGE_CREATE):
-                yield op
+            yield from self._charge(scope)
 
-        # 3b. Directories whose inode number was reused (deleted above)
-        #     now need their new incarnation created.
-        for ino, path in ns.dir_paths.items():
-            if ino == ns.root_ino or symtab.get(ino):
-                continue
-            with RecorderScope(volume) as scope:
-                if self._ensure_dir(path, ns.dirs.get(ino)):
-                    result.created += 1
-                    result.directories += 1
-            for op in scope.drain_ops(STAGE_CREATE):
-                yield op
+        # 3b. Moves vacated paths pass 2 left alone, and a known directory
+        #     found missing is no longer known: ensure them again.
+        if retry_dirs:
+            yield from create_dirs()
 
-        # 3c. Dumped directories are authoritative: a name that still
-        #     exists in the target under a dumped directory but is absent
-        #     from the dumped contents was deleted or moved away between
-        #     the dumps (e.g. one name of a hard-linked pair unlinked).
+        # 3c. Dumped directories the table knows are authoritative: a name
+        #     that still exists under one but is absent from the dumped
+        #     contents was deleted or moved away between the dumps (e.g.
+        #     one name of a hard-linked pair unlinked).
         for ino, path in ns.dir_paths.items():
-            if not self.fs.exists(path):
+            if not symtab.get(ino) or not self.fs.exists(path):
                 continue
             want_names = {name for name, _child in ns.entries.get(ino, [])}
             with RecorderScope(volume) as scope:
@@ -675,14 +616,29 @@ class LogicalRestore:
                         self.fs.unlink(child_path)
                     removed += 1
                     result.deleted += 1
-            if removed:
-                yield CpuOp(removed * self.costs.restore_create_file,
-                            stage=STAGE_CREATE, side="disk")
-            for op in scope.drain_ops(STAGE_CREATE):
-                yield op
+            yield from self._charge(scope, removed)
 
-        # 4. Placeholders for newly appearing files on this tape.
-        yield from self._create_placeholders(result, ns, latency=False)
+        # 4. Placeholder files and hard links for every wanted file on this
+        #    tape that the table does not know.
+        for ino, paths in ns.paths.items():
+            if ino in ns.entries or ino == ns.root_ino or ino not in wanted:
+                continue
+            if not ns.on_tape(ino):
+                continue  # not on this tape (filtered or unchanged)
+            if symtab.get(ino):
+                continue
+            with RecorderScope(volume) as scope:
+                first = paths[0]
+                created = 0
+                if not self.fs.exists(first):
+                    self.fs.create(first)
+                    result.created += 1
+                    created += 1
+                for extra in paths[1:]:
+                    if not self.fs.exists(extra):
+                        self.fs.link(first, extra)
+                        created += 1
+            yield from self._charge(scope, created, create=True)
 
     def _remove_tree(self, path: str) -> None:
         for name, ino in list(self.fs.readdir(path)):

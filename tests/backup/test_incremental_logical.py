@@ -82,6 +82,25 @@ def test_chain_with_renames_and_moves():
     assert fsck(target).clean
 
 
+@pytest.mark.parametrize("new_name", ["/old-src", "/docs/old-src"])
+def test_directory_renamed_and_its_name_reused(new_name):
+    """A directory moves away (unchanged, or dumped because it changed
+    parent) and a new one, with a new subdirectory, takes its old name:
+    the subdirectory must not leave with the move."""
+    chain = Chain()
+    source = chain.source
+    populate_small_tree(source)
+    chain.dump(0)
+    source.rename("/src", new_name)
+    source.mkdir("/src")
+    source.mkdir("/src/sub")
+    source.create("/src/sub/f", b"new file in a reused name")
+    chain.dump(1)
+    target = chain.restore_all()
+    assert verify_trees(source, target, check_mtime=True) == []
+    assert fsck(target).clean
+
+
 def test_multi_level_chain_0_1_2():
     chain = Chain()
     source = chain.source

@@ -174,3 +174,22 @@ def test_hardlinks_restored_as_one_inode():
     restore_from(target, drive)
     assert target.namei("/a") == target.namei("/b") == target.namei("/c")
     assert target.inode(target.namei("/a")).nlink == 3
+
+
+def test_full_restore_leaves_unknown_names_alone():
+    """Without a symbol table the restore knows nothing in the target, so
+    it deletes and renames nothing: a local file survives, a dumped name
+    is overwritten in place."""
+    source = make_fs(name="src")
+    source.mkdir("/src")
+    source.create("/src/a.c", b"new contents of a\n")
+    drive = make_drive()
+    dump_to(source, drive, level=0, dumpdates=DumpDates())
+    target = make_fs(name="dst")
+    target.mkdir("/src")
+    target.create("/src/local.txt", b"kept\n")
+    target.create("/src/a.c", b"an older and longer version of a.c\n")
+    restore_from(target, drive)
+    assert target.read_file("/src/local.txt") == b"kept\n"
+    assert target.read_file("/src/a.c") == b"new contents of a\n"
+    assert fsck(target).clean

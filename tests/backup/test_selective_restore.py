@@ -88,3 +88,52 @@ def test_selective_restore_into_existing_tree():
     assert source.exists("/docs/readme.txt")
     assert result.files == 1
     assert fsck(source).clean
+
+
+def test_selection_with_symbol_table_keeps_local_files():
+    """A selection only adds names, even when handed a symbol table: a
+    local file in a dumped directory is not a stale name to delete."""
+    source, drive = prepare_tape()
+    target = make_fs(name="dst")
+    full = drain_engine(LogicalRestore(target, drive).run())
+    target.create("/src/new.txt", b"made after the restore\n")
+    target.unlink("/src/main-hard.c")
+    result = drain_engine(LogicalRestore(
+        target, drive, select=["/docs/readme.txt"], symtab=full.symtab,
+    ).run())
+    assert target.read_file("/src/new.txt") == b"made after the restore\n"
+    assert not target.exists("/src/main-hard.c")
+    assert result.deleted == result.renamed == 0
+    assert target.read_file("/docs/readme.txt") == source.read_file(
+        "/docs/readme.txt")
+    assert fsck(target).clean
+
+
+def _tape_with_empty_directory():
+    source = make_fs(name="src")
+    source.mkdir("/src")
+    source.mkdir("/src/empty")
+    source.mkdir("/src/sub")
+    source.create("/src/a.c", b"int a;\n")
+    source.create("/src/sub/b.c", b"int b;\n")
+    drive = make_drive()
+    drain_engine(LogicalDump(source, drive, dumpdates=DumpDates()).run())
+    return drive
+
+
+def test_selection_restores_empty_directories():
+    drive = _tape_with_empty_directory()
+    target = make_fs(name="dst")
+    drain_engine(LogicalRestore(target, drive, select=["/src"]).run())
+    for path in ("/src/empty", "/src/a.c", "/src/sub/b.c"):
+        assert target.exists(path), path
+    assert target.inode(target.namei("/src/empty")).is_dir
+
+    target = make_fs(name="dst2")
+    result = drain_engine(
+        LogicalRestore(target, drive, select=["/src/empty"]).run())
+    assert target.exists("/src/empty")
+    assert result.created == 2
+    assert not target.exists("/src/a.c")
+    assert not target.exists("/src/sub")
+    assert fsck(target).clean
