@@ -5,10 +5,8 @@ which kind, and every parameter (which tape-write op to die on, which
 cartridge to corrupt, which disk stripe to fail) — is a pure function of
 ``(chaos_seed, day, volume_index)``.  Nothing reads the wall clock, the
 OS, or any per-process state, so the same seed produces the same plan
-under any hash seed, on any machine, and in a rerun next year.
-
-A plan serializes to JSON (``to_json``/``from_json``) so a campaign's
-fault schedule can be saved, diffed, and replayed exactly.
+under any hash seed, on any machine, and in a rerun next year.  A plan
+is never stored: ``(seed, rate, kinds)`` rebuilds it.
 """
 
 from __future__ import annotations
@@ -55,11 +53,6 @@ class FaultSpec:
             "kind": self.kind,
             "params": dict(self.params),
         }
-
-    @classmethod
-    def from_dict(cls, raw: Dict) -> "FaultSpec":
-        return cls(raw["fault_id"], raw["day"], raw["volume_index"],
-                   raw["kind"], raw.get("params"))
 
     def __repr__(self) -> str:
         return "<FaultSpec %s d%d v%d %s %r>" % (
@@ -155,10 +148,8 @@ class ChaosPlan:
                     out.append(fault)
         return out
 
-    # -- serialization ------------------------------------------------------
-
     def to_json(self, days: int, volumes: int) -> str:
-        """The materialized schedule as canonical JSON."""
+        """The materialized schedule as canonical JSON (a digest input)."""
         document = {
             "chaos_plan": 1,
             "seed": self.seed,
@@ -169,15 +160,6 @@ class ChaosPlan:
                        for f in self.faults_for_campaign(days, volumes)],
         }
         return json.dumps(document, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        document = json.loads(text)
-        if document.get("chaos_plan") != 1:
-            raise ReproError("not a chaos plan document")
-        return cls(document["seed"], rate=document["rate"],
-                   kinds=tuple(document["kinds"]),
-                   enabled=document.get("enabled", True))
 
 
 __all__ = [

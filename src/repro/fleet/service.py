@@ -8,11 +8,11 @@ layout) and advances it through simulated days.  Each day:
    along with any ad-hoc jobs queued via the API or ``repro fleet
    submit``;
 2. the queue drains in **batch barriers**: the scheduler admits a batch
-   onto the free drives, the batch's dumps run in this process through
-   the in-process path of a :class:`~repro.parallel.pool.TaskPool`
-   (:func:`~repro.manager.campaign.run_tenant_day_resident` against the
-   tenant's mounted volume), and each result is committed to the owning
-   tenant's catalog in admission order before the next tick;
+   onto the free drives, each of the batch's dumps calls
+   :func:`~repro.manager.campaign.run_tenant_day_resident` against the
+   tenant's mounted volume in this process, and each result is committed
+   to the owning tenant's catalog in admission order before the next
+   tick;
 3. retention runs per tenant and the day's catalog mutations are
    journaled (append + fsync); volumes are saved only when dirty and due.
 
@@ -57,15 +57,13 @@ from repro.manager.retention import prune
 from repro.obs.export import export_chrome_trace
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import get_tracer
-from repro.parallel.pool import TaskPool, TaskSpec
 
 STATE_VERSION = 1
 
 #: Last-N job results kept in state.json for the status document.
 RECENT_JOBS = 20
 
-#: Chrome-export pid base for tenant lanes, above any task lane the pool
-#: could assign (tasks get pid = declaration index + 1).
+#: Chrome-export pid of the first tenant lane (pid 0 is the fleet).
 TENANT_PID_BASE = 1000
 
 
@@ -297,12 +295,13 @@ class FleetService:
     # -- dump batches ------------------------------------------------------
 
     def _run_dumps(self, jobs: List[Job], day: int) -> Dict[str, Dict]:
-        """Run a batch's dump jobs in this process; commit each result
-        in admission order."""
+        """Stage a batch's dump jobs, run each in this process, then
+        commit each result in admission order: a job that raises does
+        so before anything of the batch is committed."""
         if not jobs:
             return {}
-        specs = []
         staged = []
+        calls = []
         for job in jobs:
             tenant = self.tenants[job.tenant]
             volume = tenant.volume
@@ -313,12 +312,9 @@ class FleetService:
             if job.payload.get("scheduled") and day > 0:
                 mutation = day_mutation(self.spec.seed, day,
                                         job.payload["tenant_index"])
-            # retries=0: the job ages the live volume in place, so a
-            # re-run against already-aged state is not idempotent.
-            specs.append(TaskSpec(job_name, run_tenant_day_resident, (
-                volume, drive, job_name, dump, mutation), retries=0))
             staged.append((job, tenant, dump, drive))
-        payloads = TaskPool().map_values(specs)
+            calls.append((volume, drive, job_name, dump, mutation))
+        payloads = [run_tenant_day_resident(*call) for call in calls]
         outcomes: Dict[str, Dict] = {}
         for (job, tenant, dump, drive), payload in zip(staged, payloads):
             backup_set = tenant.volume.commit_dump(
@@ -418,9 +414,8 @@ def export_fleet_trace(events: List[dict], path: str,
     """Write a Chrome trace with one named process lane per tenant.
 
     Events on a ``tenant/<name>`` tid move to that tenant's pid; drive
-    counters and everything else stay on the fleet process.  Task
-    engine events (pid 1..N from the pool merge) keep their pids, which
-    sit far below :data:`TENANT_PID_BASE`.
+    counters and the jobs' engine spans (tid = job name) stay on the
+    fleet process.
     """
     pid_of = {name: TENANT_PID_BASE + index
               for index, name in enumerate(tenants)}

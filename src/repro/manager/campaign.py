@@ -11,11 +11,11 @@ function with a fault hook) and fleet jobs (the same function behind
 :func:`run_tenant_day_resident`) all run it in this process, on the live
 volume, and all commit through :meth:`CampaignVolume.commit_dump`.
 
-:class:`CampaignDriver` stages each day's dumps, runs them through the
-in-process path of a :class:`~repro.parallel.pool.TaskPool` (which gives
-each volume-day its own trace lane and metrics delta), and commits the
-results in declaration order.  Contention between dumps sharing a filer
-is a different experiment: :func:`repro.bench.harness.run_strategy`.
+:class:`CampaignDriver` stages each day's dumps, calls
+:func:`run_volume_day` for each volume, and commits the results, all in
+declaration order; each day's executor spans sit on its job name's lane
+(``home.d03``).  Contention between dumps sharing a filer is a different
+experiment: :func:`repro.bench.harness.run_strategy`.
 
 :func:`restore_point_in_time` closes the loop: it asks the catalog for
 the minimal chain covering a target day and replays it, logical chains
@@ -37,7 +37,6 @@ from repro.backup.logical.restore import LogicalRestore
 from repro.backup.physical.image import read_image_header
 from repro.backup.physical.restore import ImageRestore
 from repro.catalog.records import STRATEGY_IMAGE, STRATEGY_LOGICAL
-from repro.parallel.pool import TaskPool, TaskSpec
 from repro.perf.costs import CostModel, HardwareProfile
 from repro.perf.executor import TimedRun
 from repro.perf.ops import drain_engine
@@ -283,30 +282,28 @@ class CampaignDriver:
 
         Each volume-day gets a disjoint slice of the scratch media
         (:meth:`MediaPool.partitioned_drives`) and runs in this process on
-        the live volume; sets are committed in declaration order, so set
-        IDs, dumpdates and media allocation follow the volume order.
+        the live volume.  Sets are committed once every day has run, in
+        declaration order, so set IDs, dumpdates and media allocation
+        follow the volume order and a day that raises commits nothing.
         """
         day = self.day
         names = ["%s.d%02d" % (volume.fsid, day) for volume in self.volumes]
         drives = self.pool.partitioned_drives(names)
         dumps = [volume.stage_dump(self.catalog, day, "d%d" % day, self.costs)
                  for volume in self.volumes]
-        # retries=0: a day ages the live volume in place, so a second
-        # attempt would age already-aged state.
-        specs = [
-            TaskSpec(names[index], run_volume_day, (
+        payloads = [
+            run_volume_day(
                 volume, drives[index], names[index], dumps[index],
                 (day_mutation(self.seed, day, index, self.mutations)
                  if day > 0 else None),
                 DAILY_SNAPSHOT % day if self.keep_daily_snapshots else None,
-                self.profile, faults[index],
-            ), retries=0)
+                self.profile, faults[index])
             for index, volume in enumerate(self.volumes)
         ]
         results: Dict[str, object] = {}
         events: List[Dict] = []
         for volume, dump, drive, (payload, day_events) in zip(
-                self.volumes, dumps, drives, TaskPool().map_values(specs)):
+                self.volumes, dumps, drives, payloads):
             backup_set = volume.commit_dump(self.catalog, self.pool, day,
                                             dump, drive, payload)
             results[payload["name"]] = (backup_set, payload)

@@ -22,35 +22,7 @@ from repro.backup.common import drain_engine
 from repro.backup.physical.dump import ImageDump
 from repro.backup.physical.restore import ImageRestore
 from repro.perf.costs import CostModel
-
-
-class _BufferStream:
-    """An in-memory transfer link with the drive interface engines use."""
-
-    def __init__(self, name: str = "mirror-link"):
-        self.name = name
-        self.data = bytearray()
-        self.read_offset = 0
-        self.media_changes = 0
-        self.bytes_written = 0
-        self.bytes_read = 0
-
-    def write(self, chunk: bytes) -> int:
-        self.data.extend(chunk)
-        self.bytes_written += len(chunk)
-        return 0
-
-    def read(self, nbytes: int) -> bytes:
-        end = self.read_offset + nbytes
-        if end > len(self.data):
-            raise BackupError("mirror link underrun")
-        chunk = bytes(self.data[self.read_offset : end])
-        self.read_offset = end
-        self.bytes_read += nbytes
-        return chunk
-
-    def rewind(self) -> None:
-        self.read_offset = 0
+from repro.storage.tape import TapeDrive, TapeStacker
 
 
 class MirrorTransferResult:
@@ -96,42 +68,31 @@ class MirrorRelationship:
         """Ship the full image; establishes the baseline snapshot."""
         if self.baseline is not None:
             raise BackupError("mirror already initialized")
-        name = self._next_snapshot()
-        link = _BufferStream()
-        dump = ImageDump(self.source, link, snapshot_name=name,
-                         costs=self.costs)
-        dump_result = drain_engine(dump.run())
-        link.rewind()
-        drain_engine(ImageRestore(self.target, link, costs=self.costs).run())
-        self.baseline = name
-        result = MirrorTransferResult(
-            "initialize", dump_result.blocks, link.bytes_written, name
-        )
-        self.transfers.append(result)
-        return result
+        return self._transfer("initialize")
 
     def update(self) -> MirrorTransferResult:
         """Ship the changes since the previous transfer."""
         if self.baseline is None:
             raise BackupError("mirror not initialized")
+        return self._transfer("update")
+
+    def _transfer(self, kind: str) -> MirrorTransferResult:
+        """Dump a fresh snapshot (incremental against the baseline, if
+        any) to a one-cartridge link and restore it onto the replica.
+        The new snapshot becomes the next transfer's base; the old one
+        is retired on the source."""
         name = self._next_snapshot()
-        link = _BufferStream()
-        dump = ImageDump(
-            self.source, link,
-            snapshot_name=name,
-            base_snapshot=self.baseline,
-            costs=self.costs,
-        )
+        link = TapeDrive(TapeStacker.with_blank_tapes(1, name="mirror-link"))
+        dump = ImageDump(self.source, link, snapshot_name=name,
+                         base_snapshot=self.baseline, costs=self.costs)
         dump_result = drain_engine(dump.run())
         link.rewind()
         drain_engine(ImageRestore(self.target, link, costs=self.costs).run())
-        # Retire the old baseline on the source; the new snapshot is the
-        # next transfer's base.
-        self.source.snapshot_delete(self.baseline)
+        if self.baseline is not None:
+            self.source.snapshot_delete(self.baseline)
         self.baseline = name
-        result = MirrorTransferResult(
-            "update", dump_result.blocks, link.bytes_written, name
-        )
+        result = MirrorTransferResult(kind, dump_result.blocks,
+                                      link.bytes_written, name)
         self.transfers.append(result)
         return result
 

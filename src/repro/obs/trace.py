@@ -17,10 +17,10 @@ Two clocks, one deterministic by construction:
   events carry a ``"wall"`` field alongside the deterministic ``ts``.
 
 The sink is a JSONL file with sorted keys and a static footer recording
-the event count — append-safe, greppable, and mergeable across worker
-processes (:meth:`Tracer.add_events` re-sequences shipped events under
-the parent's ordering, which is how the parallel pool keeps ``--jobs 2``
-traces byte-identical to serial ones).
+the event count.  Code running in this process (campaign days, fleet
+jobs) emits into the installed tracer directly, its spans on a lane per
+job name; only ``run_all``'s pool tasks run under a tracer of their own,
+adopted with :meth:`Tracer.add_events`.
 
 Disabled tracing costs one attribute check: call sites hold a tracer
 reference (usually via :func:`get_tracer`) and test ``tracer.enabled``
@@ -122,14 +122,12 @@ class Tracer:
 
     def add_events(self, events: Iterable[dict],
                    pid: Optional[int] = None) -> None:
-        """Adopt events shipped from another tracer (a pool worker).
+        """Adopt events from another tracer (a pool task's).
 
-        Events are re-sequenced under this tracer's counter, in the order
-        given, so merging workers in declaration order yields the same
-        stream regardless of which OS process produced them.  ``pid``
-        (when given) overrides the events' process id — callers pass the
-        task's *declaration index*, never an OS pid, to keep merged
-        traces deterministic.
+        Events are re-sequenced under this tracer's counter in the order
+        given; ``pid`` (when given) overrides their process id — the pool
+        passes a task's declaration index + 1, never an OS pid, so the
+        merged stream is the same whatever process produced it.
         """
         for event in events:
             event = dict(event)

@@ -1,18 +1,16 @@
 """The parallel evaluation plane: process-pool task fan-out.
 
 Every experiment in :mod:`repro.bench` is an independent simulation over
-its own freshly built environment, so the evaluation plane is
-embarrassingly parallel.  :class:`~repro.parallel.pool.TaskPool` runs
-picklable task specs across worker processes and reassembles the results
-in task-declaration order, so any consumer (EXPERIMENTS.md) sees
-byte-identical output regardless of worker count or completion order.
-Campaign days and fleet batches use the same pool on its in-process path.
+its own environment, so ``run_all``'s grid is embarrassingly parallel.
+:class:`~repro.parallel.pool.TaskPool` runs picklable task specs across
+forked workers (or in this process) and returns the values in
+task-declaration order, so EXPERIMENTS.md is byte-identical whatever the
+worker count or completion order.
 """
 
 from repro.parallel.pool import (
     TaskError,
     TaskPool,
-    TaskResult,
     TaskSpec,
     fork_available,
 )
@@ -20,7 +18,6 @@ from repro.parallel.pool import (
 __all__ = [
     "TaskError",
     "TaskPool",
-    "TaskResult",
     "TaskSpec",
     "fork_available",
 ]

@@ -1,4 +1,4 @@
-"""The injection plan: pure-function determinism and serialization."""
+"""The injection plan: a pure function of (seed, rate, kinds)."""
 
 from __future__ import annotations
 
@@ -18,15 +18,18 @@ from repro.errors import ReproError
 DAYS, VOLUMES = 30, 4
 
 
+def schedule(plan):
+    return [f.to_dict() for f in plan.faults_for_campaign(DAYS, VOLUMES)]
+
+
 class TestDeterminism:
     def test_same_seed_same_schedule(self):
-        first = ChaosPlan(7).to_json(DAYS, VOLUMES)
-        second = ChaosPlan(7).to_json(DAYS, VOLUMES)
-        assert first == second
+        first = schedule(ChaosPlan(7))
+        second = schedule(ChaosPlan(7))
+        assert first and first == second
 
     def test_different_seeds_differ(self):
-        assert (ChaosPlan(7).to_json(DAYS, VOLUMES)
-                != ChaosPlan(8).to_json(DAYS, VOLUMES))
+        assert schedule(ChaosPlan(7)) != schedule(ChaosPlan(8))
 
     def test_repeated_queries_are_stable(self):
         plan = ChaosPlan(11)
@@ -94,22 +97,6 @@ class TestParams:
     def test_tape_faults_subset(self):
         assert set(TAPE_FAULTS) == {KIND_KILL, KIND_CORRUPT, KIND_EJECT}
         assert set(TAPE_FAULTS) < set(FAULT_KINDS)
-
-
-class TestSerialization:
-    def test_json_round_trip_reproduces_schedule(self):
-        plan = ChaosPlan(17, rate=0.7, kinds=(KIND_KILL, KIND_CRASH))
-        text = plan.to_json(DAYS, VOLUMES)
-        loaded = ChaosPlan.from_json(text)
-        assert loaded.to_json(DAYS, VOLUMES) == text
-
-    def test_fault_spec_round_trip(self):
-        fault = ChaosPlan(17, rate=1.0).fault_for(3, 1)
-        assert FaultSpec.from_dict(fault.to_dict()).to_dict() == fault.to_dict()
-
-    def test_from_json_rejects_other_documents(self):
-        with pytest.raises(ReproError):
-            ChaosPlan.from_json('{"something": "else"}')
 
 
 class TestValidation:

@@ -156,6 +156,36 @@ class TestPersistence:
         assert mounted() is None
 
 
+    def test_a_failing_tenant_day_leaves_the_root_untouched(
+            self, tmp_path, monkeypatch):
+        # A batch stages every dump, runs them all, then commits: when a
+        # tenant-day raises, its own error reaches the caller after one
+        # attempt and no file of the root changes.
+        from repro.errors import TapeError
+        from repro.fleet import service as service_module
+
+        root = tmp_path / "fleet"
+        FleetService.init_fleet(str(root), make_spec())
+        FleetService(str(root)).run_days(2)
+        before = {rel: (root / rel).read_bytes() for rel in COMPARED_FILES}
+        real_day = service_module.run_tenant_day_resident
+        attempts = []
+
+        def bolt_runs_dry(volume, drive, job_name, *args):
+            attempts.append(job_name)
+            if job_name.startswith("bolt."):
+                raise TapeError("stacker magazine exhausted")
+            return real_day(volume, drive, job_name, *args)
+
+        monkeypatch.setattr(service_module, "run_tenant_day_resident",
+                            bolt_runs_dry)
+        with pytest.raises(TapeError, match="stacker magazine exhausted"):
+            FleetService(str(root)).run_days(1)
+        assert attempts == ["acme.J00006", "bolt.J00007"]
+        for rel, data in before.items():
+            assert (root / rel).read_bytes() == data, rel
+
+
 class TestStateFile:
     """``tests/fleet/data/v1.state.json`` is a state file written by the
     version that pinned tenants to worker lanes (it has an ``affinity``

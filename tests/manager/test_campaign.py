@@ -173,11 +173,11 @@ class TestPruneAndRestoreAgain:
             == catalog.dumpdates.base_for("home", "/", 2)
 
 
-def test_a_failed_in_process_day_is_not_retried(monkeypatch):
-    # An in-process volume-day ages the live volume, so a second attempt
-    # would age already-aged state: it must fail after one, as TaskError.
+def test_a_failed_day_raises_its_own_error_after_one_attempt(monkeypatch):
+    # A volume-day ages the live volume, so it is never re-run: the
+    # day's own error reaches the caller after one attempt, and nothing
+    # of the day is committed.
     from repro.manager import campaign as campaign_module
-    from repro.parallel import TaskError
 
     attempts = []
 
@@ -193,7 +193,41 @@ def test_a_failed_in_process_day_is_not_retried(monkeypatch):
     fs = make_fs(name="home")
     tree = WorkloadGenerator(seed=20).populate(fs, MB // 4)
     driver.add_volume(fs, tree, "logical", GFS(4, 2))
-    with pytest.raises(TaskError) as failure:
+    with pytest.raises(TapeError, match="stacker magazine exhausted"):
         driver.run_day()
     assert attempts == ["home.d00"]
-    assert "TapeError" in failure.value.worker_traceback
+    assert catalog.sets == {} and driver.day == 0
+
+
+def test_a_traced_campaign_puts_each_volume_day_on_its_job_lane():
+    # Volume-days run in this process, in declaration order: every
+    # executor span lands in the parent's stream under pid 0, on the lane
+    # named after its job (``<fsid>.dNN``).
+    from repro.obs.trace import Tracer, set_tracer, validate_spans
+
+    catalog = BackupCatalog()
+    pool = MediaPool(catalog)
+    pool.add_blank(20, capacity=2 * MB)
+    driver = CampaignDriver(catalog, pool, seed=7)
+    for index, (name, strategy) in enumerate(
+            [("home", "logical"), ("rlse", "image")]):
+        fs = make_fs(name=name, blocks_per_disk=600)
+        tree = WorkloadGenerator(seed=20 + index).populate(fs, MB // 4)
+        driver.add_volume(fs, tree, strategy, GFS(4, 2))
+    tracer = Tracer()
+    set_tracer(tracer)
+    try:
+        driver.run(2)
+    finally:
+        set_tracer(None)
+    events = tracer.events()
+    validate_spans(events)
+    jobs = ["home.d00", "rlse.d00", "home.d01", "rlse.d01"]
+    spans = [e for e in events if e["cat"] in ("job", "stage")]
+    assert {e["pid"] for e in spans} == {0}
+    assert {e["tid"] for e in spans} == set(jobs)
+    job_spans = sorted((e for e in spans if e["cat"] == "job"),
+                       key=lambda e: e["seq"])
+    assert [(e["name"], e["tid"]) for e in job_spans] \
+        == [(job, job) for job in jobs]
+    assert all(e["pid"] == 0 for e in events)

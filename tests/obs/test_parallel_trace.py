@@ -1,8 +1,8 @@
 """Parallel observability: worker event/metric shipping is jobs-invariant.
 
-The pool installs a fresh tracer in each worker (serial and forked
-alike), ships events and a per-task metrics delta home with the result,
-and merges everything in *declaration* order under a synthetic pid — so
+The pool runs each task under a fresh tracer (in-process and forked
+alike); a forked worker also ships its metrics delta home with the
+result.  Events merge in *declaration* order under a synthetic pid — so
 a traced ``--jobs 2`` run produces byte-for-byte the stream a serial run
 does.  Task functions live at module top level so they pickle.
 """

@@ -1,9 +1,9 @@
-"""TaskPool semantics: deterministic merge, failures, retries.
+"""TaskPool semantics: deterministic merge, failures, retries, progress.
 
 The worker functions live at module top level so they pickle into real
-worker processes; each parametrized case runs both the serial in-process
-path (``jobs=1``) and the fork-based pool (``jobs=2``), which must agree
-on everything except wall-clock.
+worker processes; each parametrized case runs both the in-process runner
+(``jobs=1``) and the fork-based pool (``jobs=2``), which feed the same
+attempt loop and must agree on everything except wall-clock.
 """
 
 from __future__ import annotations
@@ -43,19 +43,27 @@ def fail_until_marker(marker_path):
     return "recovered"
 
 
+def _run(jobs, specs):
+    """Values plus every progress event of one pool run."""
+    events = []
+    values = TaskPool(jobs).map_values(specs, progress=events.append)
+    return values, events
+
+
 @pytest.mark.parametrize("jobs", JOBS)
 def test_results_come_back_in_declaration_order(jobs):
     # Later tasks finish first under the pool (earlier ones sleep), so
-    # declaration-order results prove the merge ignores completion order.
+    # declaration-order values prove the merge ignores completion order.
     specs = [
         TaskSpec("t%d" % value, slow_square,
                  (value, 0.05 if value < 2 else 0.0))
         for value in range(6)
     ]
-    results = TaskPool(jobs).run(specs)
-    assert [r.name for r in results] == ["t%d" % v for v in range(6)]
-    assert [r.value for r in results] == [v * v for v in range(6)]
-    assert all(r.attempts == 1 for r in results)
+    values, events = _run(jobs, specs)
+    assert values == [v * v for v in range(6)]
+    assert sorted((e.index, e.name) for e in events) \
+        == [(v, "t%d" % v) for v in range(6)]
+    assert all(e.ok and e.attempt == 1 for e in events)
 
 
 @pytest.mark.parametrize("jobs", JOBS)
@@ -68,12 +76,9 @@ def test_map_values(jobs):
 
 @pytest.mark.parametrize("jobs", JOBS)
 def test_worker_exception_propagates_with_traceback(jobs):
-    specs = [
-        TaskSpec("good", square, (2,)),
-        TaskSpec("bad", boom, ("kaput",), retries=0),
-    ]
+    specs = [TaskSpec("good", square, (2,)), TaskSpec("bad", boom, ("kaput",))]
     with pytest.raises(TaskError) as exc_info:
-        TaskPool(jobs).run(specs)
+        TaskPool(jobs).map_values(specs)
     error = exc_info.value
     assert error.task_name == "bad"
     assert "kaput" in str(error)
@@ -86,34 +91,41 @@ def test_retry_once_recovers(jobs, tmp_path):
     marker = str(tmp_path / ("fail.%d" % jobs))
     with open(marker, "w"):
         pass
-    results = TaskPool(jobs).run(
-        [TaskSpec("flaky", fail_until_marker, (marker,))]
-    )
-    assert results[0].value == "recovered"
-    assert results[0].attempts == 2
+    values, events = _run(jobs, [TaskSpec("flaky", fail_until_marker, (marker,))])
+    assert values == ["recovered"]
+    assert [(e.ok, e.attempt, e.will_retry, e.done) for e in events] \
+        == [(False, 1, True, 0), (True, 2, False, 1)]
+    assert "RuntimeError: first attempt fails" in events[0].error
 
 
 @pytest.mark.parametrize("jobs", JOBS)
-def test_retries_exhausted_raises(jobs, tmp_path):
+def test_retries_exhausted_raises(jobs):
+    # A task is retried once: its second failure fails the run.
+    events = []
     with pytest.raises(TaskError) as exc_info:
-        TaskPool(jobs).run(
-            [TaskSpec("hopeless", boom, ("always",), retries=1)]
-        )
+        TaskPool(jobs).map_values([TaskSpec("hopeless", boom, ("always",))],
+                                  progress=events.append)
     assert "after 2 attempt(s)" in str(exc_info.value)
+    assert [(e.ok, e.attempt, e.will_retry) for e in events] \
+        == [(False, 1, True), (False, 2, False)]
+    assert events[-1].error == "ValueError: always"
+    assert events[0].describe() \
+        == "[0/1] hopeless  retrying (attempt 1): ValueError: always"
+    assert events[1].describe() \
+        == "[0/1] hopeless  FAILED (attempt 2): ValueError: always"
 
 
 @pytest.mark.parametrize("jobs", JOBS)
 def test_progress_events_stream(jobs):
-    events = []
-    TaskPool(jobs).run(
-        [TaskSpec("p%d" % v, square, (v,)) for v in range(4)],
-        progress=events.append,
-    )
+    values, events = _run(jobs, [TaskSpec("p%d" % v, square, (v,))
+                                 for v in range(4)])
+    assert values == [0, 1, 4, 9]
     assert len(events) == 4
-    assert all(event.ok for event in events)
+    assert all(event.ok and event.total == 4 for event in events)
     # "done" counts up monotonically as attempts complete.
-    assert sorted(event.done for event in events) == [1, 2, 3, 4]
+    assert [event.done for event in events] == [1, 2, 3, 4]
     assert {event.name for event in events} == {"p0", "p1", "p2", "p3"}
+    assert events[0].describe().startswith("[1/4] p")
 
 
 def big_blob(seed):
@@ -125,18 +137,16 @@ def big_blob(seed):
 @pytest.mark.parametrize("jobs", JOBS)
 def test_large_results_round_trip(jobs):
     """Megabyte results come back intact through the result pipe."""
-    results = TaskPool(jobs).run(
+    values = TaskPool(jobs).map_values(
         [TaskSpec("big%d" % seed, big_blob, (seed,)) for seed in range(3)]
     )
-    for seed, result in zip(range(3), results):
-        assert result.value == big_blob(seed)
+    assert values == [big_blob(seed) for seed in range(3)]
 
 
 def test_empty_spec_list():
-    assert TaskPool(1).run([]) == []
+    assert TaskPool(1).map_values([]) == []
 
 
 def test_bad_jobs_rejected():
     with pytest.raises(Exception):
         TaskPool(0)
-
