@@ -104,8 +104,7 @@ class TapeReadMeter:
         return [TapeReadOp(drive, delta, changes, stage=stage)]
 
 
-# drain_engine is re-exported from repro.perf.ops — the single canonical
-# implementation shared with repro.perf.executor.drain.
+# drain_engine is re-exported from repro.perf.ops, its one implementation.
 
 def chunked_cpu(total_seconds: float, stage: str, side: str = "disk",
                 max_piece: float = 0.05) -> List[CpuOp]:

@@ -11,7 +11,7 @@ per-stage CPU utilization — the quantities in Tables 2-5.
 """
 
 from repro.perf.costs import CostModel, HardwareProfile, f630_profile
-from repro.perf.executor import JobResult, TimedRun, drain
+from repro.perf.executor import JobResult, TimedRun
 from repro.perf.ops import (
     CpuOp,
     DiskReadOp,
@@ -34,6 +34,5 @@ __all__ = [
     "TapeReadOp",
     "TapeWriteOp",
     "TimedRun",
-    "drain",
     "f630_profile",
 ]

@@ -28,8 +28,6 @@ Every constant is an attribute so ablation benchmarks can sweep them.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.storage.disk import DiskModel
 from repro.storage.tape import TapeModel
 from repro.units import KB, MB
@@ -100,7 +98,6 @@ class HardwareProfile:
         tape_restart_penalty: float = 0.12,
         tape_restart_idle: float = 0.004,
         pipeline_buffer_blocks: int = 2048,
-        dump_readahead: int = 8,
     ):
         self.cpu_count = cpu_count
         self.per_disk_stream = per_disk_stream
@@ -114,9 +111,6 @@ class HardwareProfile:
         self.tape_restart_penalty = tape_restart_penalty
         self.tape_restart_idle = tape_restart_idle
         self.pipeline_buffer_blocks = pipeline_buffer_blocks
-        # Outstanding prefetch reads per job: the engine's own read-ahead
-        # policy (the paper: dump "generates its own read-ahead policy").
-        self.dump_readahead = dump_readahead
 
     def disk_model_for_group(self, ndata_disks: int, block_size: int) -> DiskModel:
         return DiskModel(
@@ -127,12 +121,6 @@ class HardwareProfile:
             near_seek_time=self.disk_near_seek,
             block_size=block_size,
         )
-
-    def disk_models_for_volume(self, volume) -> List[DiskModel]:
-        return [
-            self.disk_model_for_group(group.ndata_disks, volume.block_size)
-            for group in volume.geometry.groups
-        ]
 
     def tape_model(self) -> TapeModel:
         return TapeModel(

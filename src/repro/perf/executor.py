@@ -14,7 +14,9 @@ Each job (one dump or restore) becomes a *producer* process and one
 All jobs in a :class:`TimedRun` share one CPU resource and per-RAID-group
 disk channels, so concurrent jobs contend exactly where the real filer
 contends.  Per-stage elapsed time, CPU-seconds, and device bytes are
-recorded for the paper's Table 3-5 rows.
+recorded for the paper's Table 3-5 rows.  :class:`StageStats` is the one
+record of simulated work: the kernel schedules and the device models
+return service times, and neither keeps an account of its own.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from repro.perf.ops import (
     SleepOp,
     TapeReadOp,
     TapeWriteOp,
-    drain_engine,
 )
 from repro.sim.core import Simulation
 from repro.sim.resources import Resource, Store
@@ -49,9 +50,6 @@ _SENTINEL = object()
 # A DutyCycleOp replays as slices this long, each a CPU charge and then
 # idle time, so concurrent jobs share the CPU slice by slice.
 _DUTY_SLICE = 0.5
-
-# The one canonical drain helper (also re-exported by repro.backup.common).
-drain = drain_engine
 
 
 class StageStats:
@@ -389,19 +387,13 @@ class TimedRun:
             yield sim.timeout(job.start_at)
         job.result.start = sim.now
         # Engine-directed read-ahead: prefetch reads run asynchronously,
-        # up to the profile's window; ReadBarrier orders completion.  A
-        # read that already finished is joined without an event when the
-        # heap would resume us next anyway.
+        # as many as the engine issues before its next ReadBarrier, which
+        # orders completion.  A read that already finished is joined
+        # without an event when the heap would resume us next anyway.
         inflight: Deque = deque()
         completed = 0
-        window = max(1, self.profile.dump_readahead)
         for op in job.ops:
             if isinstance(op, DiskReadOp) and op.prefetch and not job.is_sink_op(op):
-                while len(inflight) >= window:
-                    reader = inflight.popleft()
-                    if not (reader.processed and sim.ahead(0.0)):
-                        yield reader
-                    completed += 1
                 inflight.append(sim.process(self._execute(job, op)))
                 continue
             if isinstance(op, ReadBarrier):
@@ -452,8 +444,6 @@ class TimedRun:
         """Execute every job; returns results keyed by job name."""
         sim = self.sim
         waiters = []
-        if self.tracer.enabled or self.metrics.enabled:
-            sim.observer = self._observe_sim
         for job in self._jobs:
             sink_keys = {job.sink_key(op) for op in job.ops if job.is_sink_op(op)}
             stores = {
@@ -469,6 +459,7 @@ class TimedRun:
             ]
             waiters.append((job, producer, consumers))
         sim.run()
+        self._observe_sim()
         results = {}
         for job, producer, consumers in waiters:
             if producer.is_alive or any(c.is_alive for c in consumers):
@@ -484,8 +475,9 @@ class TimedRun:
 
     # -- observability ---------------------------------------------------------
 
-    def _observe_sim(self, sim: Simulation) -> None:
-        """``Simulation.observer`` hook: fires once when the run drains."""
+    def _observe_sim(self) -> None:
+        """Emit the kernel's event count once the run has drained."""
+        sim = self.sim
         if self.metrics.enabled:
             self.metrics.gauge("sim.events_scheduled").set(
                 sim.events_scheduled)
@@ -522,4 +514,4 @@ class TimedRun:
             metrics.counter("executor.tape_bytes").inc(result.tape_bytes)
 
 
-__all__ = ["JobResult", "StageStats", "TimedRun", "drain"]
+__all__ = ["JobResult", "StageStats", "TimedRun"]

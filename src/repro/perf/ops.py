@@ -46,9 +46,9 @@ class DiskReadOp(PerfOp):
     """A physical run read from a volume: charged to that RAID group.
 
     ``prefetch=True`` marks a read issued by an engine's own read-ahead
-    policy: the executor may run it asynchronously (up to the profile's
-    read-ahead window) and a later :class:`ReadBarrier` orders completion
-    before the data is consumed.
+    policy: the executor runs it asynchronously, and a later
+    :class:`ReadBarrier` orders completion before the data is consumed.
+    The engine alone decides how many are in flight.
     """
 
     __slots__ = ("volume", "start_block", "nblocks", "prefetch")
@@ -178,10 +178,9 @@ class PhaseEnd(PerfOp):
 def drain_engine(engine):
     """Run an engine generator for its data effects; return its result.
 
-    The canonical drain helper: ``repro.backup.common.drain_engine`` and
-    ``repro.perf.executor.drain`` are aliases of this function.  It lives
-    here (not in ``repro.backup``) because the executor must be importable
-    without triggering the backup package's engine imports.
+    The one drain helper (``repro.backup.common`` re-exports it).  It lives
+    here (not in ``repro.backup``) so that it imports without the backup
+    package's engines.
     """
     while True:
         try:

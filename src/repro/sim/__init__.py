@@ -7,12 +7,13 @@ processes scheduled on a global event heap, plus the resource primitives
 model CPU, disk, and tape contention.
 
 The kernel is deliberately small; everything the backup experiments need is
-expressible with ``Timeout``, ``Resource`` and ``Store``.
+expressible with ``Timeout``, ``Resource`` and ``Store``.  It schedules and
+keeps no account of the work done: the executor's ``StageStats``
+(:mod:`repro.perf.executor`) is the one record of it.
 """
 
 from repro.sim.core import Event, Process, SimError, Simulation, Timeout
 from repro.sim.resources import Resource, Store
-from repro.sim.stats import UtilizationTracker
 
 __all__ = [
     "Event",
@@ -22,5 +23,4 @@ __all__ = [
     "Simulation",
     "Store",
     "Timeout",
-    "UtilizationTracker",
 ]

@@ -183,9 +183,6 @@ class Simulation:
         # True only while run() dispatches the callback of an event that
         # has exactly one.
         self._sole = False
-        # Observability hook: called as ``observer(sim)`` once per run()
-        # completion — never per event, so the hot loop pays nothing.
-        self.observer: Optional[Callable[["Simulation"], None]] = None
 
     @property
     def events_scheduled(self) -> int:
@@ -253,5 +250,3 @@ class Simulation:
                         callback(event)
         finally:
             self._sole = False
-        if self.observer is not None:
-            self.observer(self)

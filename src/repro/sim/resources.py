@@ -5,8 +5,8 @@ channel, a tape drive) with FIFO queueing.  :class:`Store` is a bounded
 buffer used to join the producer (disk-side) and consumer (tape-side)
 halves of a backup pipeline.
 
-Both record enough bookkeeping to report utilization afterwards, which is
-what the paper's tables measure.
+Neither keeps an account of the work it served: the executor
+(:mod:`repro.perf.executor`) records each op's time and bytes itself.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from collections import deque
 from typing import Any, Deque
 
 from repro.sim.core import Event, SimError, Simulation
-from repro.sim.stats import UtilizationTracker
 
 
 class Request(Event):
@@ -55,7 +54,6 @@ class Resource:
         self.name = name
         self.in_use = 0
         self._queue: Deque[Request] = deque()
-        self.utilization = UtilizationTracker(capacity=capacity)
 
     def acquire(self, amount: int = 1) -> Request:
         if amount < 1 or amount > self.capacity:
@@ -69,7 +67,6 @@ class Resource:
             # mutations the queued path would perform; the grant skips the
             # heap when the heap would deliver it next anyway.
             self.in_use += amount
-            self.utilization.record(self.sim.now, self.in_use)
             request.succeed_ahead(request)
             return request
         self._queue.append(request)
@@ -80,15 +77,11 @@ class Resource:
         """Acquire one unit, hold it ``delay`` seconds and release it, all
         in place, when the grant is uncontended and
         :meth:`Simulation.ahead` covers the hold; return False (changing
-        nothing) otherwise.  The utilization steps are the ones
-        ``acquire``/``release`` would record."""
-        start = self.sim.now
-        if (self._queue or self.in_use >= self.capacity
-                or not self.sim.ahead(delay)):
+        nothing) otherwise.  The clock and ``in_use`` end where
+        ``acquire``/``release`` would leave them."""
+        if self._queue or self.in_use >= self.capacity:
             return False
-        self.utilization.record(start, self.in_use + 1)
-        self.utilization.record(self.sim.now, self.in_use)
-        return True
+        return self.sim.ahead(delay)
 
     def release(self, request: Request) -> None:
         if request.released:
@@ -100,7 +93,6 @@ class Resource:
             return
         request.released = True
         self.in_use -= request.amount
-        self.utilization.record(self.sim.now, self.in_use)
         self._grant()
 
     def _grant(self) -> None:
@@ -110,7 +102,6 @@ class Resource:
                 return
             self._queue.popleft()
             self.in_use += head.amount
-            self.utilization.record(self.sim.now, self.in_use)
             head.succeed(head)
 
 
@@ -133,7 +124,6 @@ class Store:
         self._items: Deque[Any] = deque()
         self._putters: Deque[Event] = deque()
         self._getters: Deque[Event] = deque()
-        self.total_put = 0.0
 
     def put(self, item: Any, weight: float = 1.0) -> Event:
         if weight <= 0:
@@ -149,7 +139,6 @@ class Store:
             # succeed() order).  The putter triggers before a served
             # getter's event reaches the heap, where ahead() would see it.
             self.level += weight
-            self.total_put += weight
             self._items.append((item, weight))
             event.succeed_ahead()
             if self._getters:
@@ -185,7 +174,6 @@ class Store:
                     break
                 self._putters.popleft()
                 self.level += weight
-                self.total_put += weight
                 self._items.append((item, weight))
                 putter.succeed()
                 progressed = True

@@ -461,8 +461,6 @@ class DiskModel:
         # write-back path, so continuing *any* recent stream is free.
         self.write_streams: List[int] = []
         self.max_write_streams = 8
-        self.busy_seconds = 0.0
-        self.bytes_moved = 0
 
     @property
     def stream_rate(self) -> float:
@@ -483,7 +481,7 @@ class DiskModel:
 
     def service_time(self, start_block: int, nblocks: int,
                      kind: str = "read") -> float:
-        """Charge and return the time for a request; advances the head.
+        """Return the service time of a request; advances the head.
 
         Writes with a short hop (either direction) are free of
         positioning cost: the write-anywhere allocator gathers ascending
@@ -503,8 +501,6 @@ class DiskModel:
         if kind == "write":
             self._note_write_stream(start_block + nblocks)
         total = position + transfer
-        self.busy_seconds += total
-        self.bytes_moved += nblocks * self.block_size
         if REGISTRY.enabled:
             REGISTRY.counter("disk.requests").inc()
             REGISTRY.counter("disk.%s_seconds" % kind).inc(total)
@@ -513,7 +509,7 @@ class DiskModel:
         return total
 
     def narrow_service(self, start_block: int, nblocks: int) -> float:
-        """Charge and return the time for a *narrow* read; advances the head.
+        """Return the service time of a *narrow* read; advances the head.
 
         A read shorter than the group width keeps only ``nblocks`` spindles
         busy, so it transfers at ``per_disk_stream`` — not the aggregate
@@ -526,8 +522,6 @@ class DiskModel:
             nblocks * self.block_size / self.per_disk_stream
         )
         self.last_end = start_block + nblocks
-        self.busy_seconds += service
-        self.bytes_moved += nblocks * self.block_size
         if REGISTRY.enabled:
             REGISTRY.counter("disk.requests").inc()
             REGISTRY.counter("disk.narrow_reads").inc()

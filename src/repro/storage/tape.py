@@ -272,7 +272,6 @@ class TapeModel:
         rate: float = 9.5 * MB,
         record_size: int = 60 * KB,
         record_gap: float = 0.00035,
-        load_time: float = 40.0,
         change_time: float = 60.0,
         restart_penalty: float = 0.12,
         restart_idle: float = 0.004,
@@ -290,13 +289,9 @@ class TapeModel:
         self.rate = rate
         self.record_size = record_size
         self.record_gap = record_gap
-        self.load_time = load_time
         self.change_time = change_time
         self.restart_penalty = restart_penalty
         self.restart_idle = restart_idle
-        self.busy_seconds = 0.0
-        self.bytes_moved = 0
-        self.restarts = 0
         self.last_busy_end = None
 
     def transfer_time(self, nbytes: int, media_changes: int = 0,
@@ -317,10 +312,7 @@ class TapeModel:
             if (self.last_busy_end is not None
                     and now - self.last_busy_end > self.restart_idle):
                 total += self.restart_penalty
-                self.restarts += 1
-            self.last_busy_end = (now if self.last_busy_end is None else now) + total
-        self.busy_seconds += total
-        self.bytes_moved += nbytes
+            self.last_busy_end = now + total
         return total
 
 

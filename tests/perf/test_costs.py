@@ -43,15 +43,6 @@ class TestHardwareProfile:
         assert model.ndisks == 10
         assert model.stream_rate == pytest.approx(10 * profile.per_disk_stream)
 
-    def test_disk_models_for_volume(self):
-        from tests.conftest import make_volume
-
-        profile = HardwareProfile()
-        volume = make_volume(ngroups=3, ndata=4)
-        models = profile.disk_models_for_volume(volume)
-        assert len(models) == 3
-        assert all(m.ndisks == 4 for m in models)
-
     def test_tape_model_carries_parameters(self):
         profile = HardwareProfile(tape_rate=5 * MB, tape_change_time=30.0)
         model = profile.tape_model()

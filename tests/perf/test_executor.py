@@ -7,7 +7,6 @@ from repro.backup.logical.dumpdates import DumpDates
 from repro.obs.trace import Tracer
 from repro.perf import TimedRun
 from repro.perf.executor import JobResult
-from repro.perf.costs import HardwareProfile
 from repro.perf.ops import (
     CpuOp,
     DiskReadOp,
@@ -143,17 +142,15 @@ def test_read_barrier_orders_completion():
     assert result.elapsed > 0
 
 
-@pytest.mark.parametrize("join", ["barrier", "window"])
-def test_finished_prefetch_join_yields_to_events_at_the_same_instant(join):
+def test_finished_prefetch_join_yields_to_events_at_the_same_instant():
     """Job a joins a read that finished long ago at t=0.5, the instant job
     b's sleep ends; b's sleep was queued first, so b runs first."""
     volume = make_volume()
     tracer = Tracer()
-    run = TimedRun(HardwareProfile(dump_readahead=1), tracer=tracer)
-    joining = (ReadBarrier(1, stage="x") if join == "barrier"
-               else DiskReadOp(volume, 8, 1, stage="x", prefetch=True))
+    run = TimedRun(tracer=tracer)
     run.add_ops("a", [DiskReadOp(volume, 0, 1, stage="x", prefetch=True),
-                      SleepOp(0.5, stage="x"), joining, PhaseEnd("x")])
+                      SleepOp(0.5, stage="x"), ReadBarrier(1, stage="x"),
+                      PhaseEnd("x")])
     run.add_ops("b", [SleepOp(0.5, stage="y"), PhaseEnd("y")])
     run.run()
     ends = [event["tid"] for event in
@@ -313,28 +310,6 @@ def test_read_barrier_count_exceeds_issued_prefetches():
     result = run.run()["job"]
     assert result.disk_bytes == 16 * 4096
     assert result.elapsed > 0
-
-
-def test_prefetch_window_of_one_serializes():
-    volume = make_volume(ngroups=3, ndata=10, blocks_per_disk=4000)
-    ops = []
-    for index in range(30):
-        block = (index % 3) * 10000 + (index * 517) % 9000
-        ops.append(DiskReadOp(volume, block, 8, stage="x", prefetch=True))
-    ops.append(ReadBarrier(len(ops), stage="x"))
-
-    narrow = TimedRun(HardwareProfile(dump_readahead=1))
-    narrow.add_ops("job", list(ops))
-    narrow_elapsed = narrow.run()["job"].elapsed
-
-    # dump_readahead=0 clamps to a window of 1: identical schedule.
-    clamped = TimedRun(HardwareProfile(dump_readahead=0))
-    clamped.add_ops("job", list(ops))
-    assert clamped.run()["job"].elapsed == narrow_elapsed
-
-    wide = TimedRun(HardwareProfile(dump_readahead=8))
-    wide.add_ops("job", list(ops))
-    assert wide.run()["job"].elapsed < narrow_elapsed
 
 
 def test_sink_op_larger_than_pipeline_buffer():

@@ -6,7 +6,7 @@ goes through the heap.  Each is also replayed with every
 :class:`DutyCycleOp` expanded by :func:`_old_stage_pairs`, a copy of
 the generator both dump engines emitted a snapshot stage with before
 the executor replayed its slices itself.  Every result field, every
-resource's utilization steps, the op trace and the final clock must be
+resource's final ``in_use``, the op trace and the final clock must be
 equal, not approximately equal.
 """
 
@@ -76,7 +76,6 @@ _job = st.fixed_dictionaries({
 
 _profile = st.fixed_dictionaries({
     "cpu_count": st.integers(1, 2),
-    "dump_readahead": st.sampled_from([1, 2, 8]),
     "pipeline_buffer_blocks": st.sampled_from([4, 16, 2048]),
 })
 
@@ -135,14 +134,13 @@ def _replay(jobs, profile, expand=False):
     }
     resources = [run.cpu, *run._disk_resources.values(),
                  *run._tape_resources.values()]
-    steps = [(r.name, r.utilization._times, r.utilization._levels)
-             for r in resources]
+    in_use = [(r.name, r.in_use) for r in resources]
     # Op, stage and job spans in emission order, then the sim instant:
     # it carries the event count, which is what run-ahead changes.
     events = tracer.take_events()
     spans = [event for event in events if event["cat"] != "sim"]
     sim_events = [event for event in events if event["cat"] == "sim"]
-    return (observed, steps, spans, run.sim.now, run.sim.events_scheduled,
+    return (observed, in_use, spans, run.sim.now, run.sim.events_scheduled,
             sim_events)
 
 
@@ -158,7 +156,7 @@ def _dump(*steps):
 # the other job runs first, so the join must not skip ahead of it.
 @example([_dump(("read", 0, 1, True), ("sleep", 0.5), ("barrier", 1)),
           _dump(("sleep", 0.5))],
-         {"cpu_count": 1, "dump_readahead": 8, "pipeline_buffer_blocks": 16})
+         {"cpu_count": 1, "pipeline_buffer_blocks": 16})
 def test_run_ahead_matches_the_event_by_event_path(jobs, profile):
     fast = _replay(jobs, profile)
     with mock.patch.object(Simulation, "ahead", lambda self, delay: False):
@@ -175,7 +173,7 @@ def test_run_ahead_matches_the_event_by_event_path(jobs, profile):
 # 17.500999999999998; added as one sum they would be 17.501.
 @example([_dump(("duty", 30.0, 0.5)),
           _dump(("cpu", 0.001, "disk"), ("duty", 35.0, 0.5))],
-         {"cpu_count": 1, "dump_readahead": 8, "pipeline_buffer_blocks": 16})
+         {"cpu_count": 1, "pipeline_buffer_blocks": 16})
 def test_a_stage_op_replays_as_its_old_slices(jobs, profile):
     assert _replay(jobs, profile) == _replay(jobs, profile, expand=True)
     with mock.patch.object(Simulation, "ahead", lambda self, delay: False):

@@ -120,15 +120,14 @@ def test_hold_records_the_steps_acquire_and_release_would():
             resource.release(request)
         yield sim.timeout(1.0)
 
-    trackers = []
+    ends = []
     for in_place in (True, False):
         sim = Simulation()
         resource = Resource(sim, capacity=2)
         sim.process(worker(sim, resource, in_place))
         sim.run()
-        trackers.append((resource.utilization._times,
-                         resource.utilization._levels, sim.now))
-    assert trackers[0] == trackers[1] == ([0.0, 2.0], [1, 0], 3.0)
+        ends.append((resource.in_use, sim.now))
+    assert ends[0] == ends[1] == (0, 3.0)
 
 
 def test_hold_refuses_a_contended_resource():
@@ -147,4 +146,4 @@ def test_hold_refuses_a_contended_resource():
     sim.process(owner())
     sim.run()
     assert seen == [False, True]
-    assert resource.utilization._levels[-1] == 0
+    assert resource.in_use == 0

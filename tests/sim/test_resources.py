@@ -84,21 +84,6 @@ def test_resource_double_release_rejected():
     assert process.ok
 
 
-def test_resource_utilization_tracked():
-    sim = Simulation()
-    resource = Resource(sim, capacity=1)
-
-    def worker():
-        request = yield resource.acquire()
-        yield sim.timeout(4.0)
-        resource.release(request)
-        yield sim.timeout(4.0)
-
-    sim.process(worker())
-    sim.run()
-    assert resource.utilization.utilization(0.0, 8.0) == pytest.approx(0.5)
-
-
 def test_store_fifo_order():
     sim = Simulation()
     store = Store(sim, capacity=10)

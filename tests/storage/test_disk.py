@@ -178,12 +178,6 @@ class TestDiskModel:
         with pytest.raises(StorageError):
             model.service_time(0, 0)
 
-    def test_busy_accounting(self):
-        model = DiskModel(ndisks=10)
-        t = model.service_time(0, 100)
-        assert model.busy_seconds == pytest.approx(t)
-        assert model.bytes_moved == 100 * model.block_size
-
     def test_reset_position(self):
         model = DiskModel()
         model.service_time(0, 10)
