@@ -100,7 +100,8 @@ def _write_runs(entry: "InodeEntry"):
     """Yield ``(first_block, data, nblocks)`` writes of present blocks.
 
     Adjacent stream runs merge into one write; a hole, or reaching 64
-    blocks, ends it.
+    blocks, ends it.  The stream runs are sliced as views, so the join
+    is the one copy a write's bytes make before the store.
     """
     start, parts, nblocks = 0, [], 0
     for block, blob, count in _block_runs(entry):
@@ -109,12 +110,13 @@ def _write_runs(entry: "InodeEntry"):
                 yield start, b"".join(parts), nblocks
                 parts, nblocks = [], 0
             continue
+        view = memoryview(blob)
         offset = 0
         while count:
             if not nblocks:
                 start = block
             take = min(count, _WRITE_RUN_BLOCKS - nblocks)
-            parts.append(blob[offset * BLOCK_SIZE : (offset + take) * BLOCK_SIZE])
+            parts.append(view[offset * BLOCK_SIZE : (offset + take) * BLOCK_SIZE])
             nblocks += take
             block += take
             offset += take

@@ -163,16 +163,14 @@ class RaidGroup:
                 pos = offset + (gb - group_block) * bs
                 acc = np.frombuffer(view[pos : pos + bs],
                                     dtype=np.uint8).copy()
-                self.data_disks[0].write_block(stripe,
-                                               bytes(view[pos : pos + bs]))
+                self.data_disks[0].write_block(stripe, view[pos : pos + bs])
                 pos += bs
                 for disk_index in range(1, nd):
                     chunk = view[pos : pos + bs]
                     acc ^= np.frombuffer(chunk, dtype=np.uint8)
-                    self.data_disks[disk_index].write_block(stripe,
-                                                            bytes(chunk))
+                    self.data_disks[disk_index].write_block(stripe, chunk)
                     pos += bs
-                self.parity_disk.write_block(stripe, acc.tobytes())
+                self.parity_disk.write_block(stripe, acc)
                 gb += nd
         elif nfull:
             # Long run: parity for every stripe with one XOR-reduce, each
@@ -208,7 +206,7 @@ class RaidGroup:
         while gb < gb_end:
             take = min(gb_end - gb, nd - gb % nd)
             if take == 1:
-                self.write_block(gb, bytes(view[pos : pos + bs]))
+                self.write_block(gb, view[pos : pos + bs])
             else:
                 self._rmw_stripe(gb // nd, gb % nd, view, pos, take)
             pos += take * bs
@@ -218,31 +216,31 @@ class RaidGroup:
                     k: int) -> None:
         """Read-modify-write ``k`` consecutive columns of one stripe.
 
-        New parity = old parity XOR (old XOR new) of every written
-        column, accumulated in one pass.  If any old column is
-        unreadable, the stripe falls back to per-block writes *before*
-        anything is modified — their incremental parity updates keep the
-        reconstruction of later columns correct.
+        New parity is one XOR-reduce over the stacked old columns, old
+        parity and new columns, and the members take views of ``view``.
+        If any old column is unreadable, the stripe falls back to
+        per-block writes *before* anything is modified — their
+        incremental parity updates keep the reconstruction of later
+        columns correct.
         """
         bs = self.block_size
-        disks = self.data_disks
+        disks = self.data_disks[first_disk : first_disk + k]
+        rows: list = [None] * (k + 1)
         try:
-            olds = [disks[first_disk + j].read_block(stripe)
-                    for j in range(k)]
+            for j, disk in enumerate(disks):
+                disk.read_run(stripe, 1, rows, j)
         except StorageError:
             base = stripe * self.geometry.ndata_disks + first_disk
             for j in range(k):
-                self.write_block(base + j,
-                                 bytes(view[pos + j * bs : pos + (j + 1) * bs]))
+                self.write_block(base + j, view[pos + j * bs : pos + (j + 1) * bs])
             return
-        total = np.frombuffer(self.parity_disk.read_block(stripe),
-                              dtype=np.uint8).copy()
-        for j in range(k):
-            piece = view[pos + j * bs : pos + (j + 1) * bs]
-            total ^= np.frombuffer(olds[j], dtype=np.uint8)
-            total ^= np.frombuffer(piece, dtype=np.uint8)
-            disks[first_disk + j].write_block(stripe, bytes(piece))
-        self.parity_disk.write_block(stripe, total.tobytes())
+        self.parity_disk.read_run(stripe, 1, rows, k)
+        rows.append(view[pos : pos + k * bs])
+        parity = np.bitwise_xor.reduce(np.frombuffer(
+            b"".join(rows), dtype=np.uint8).reshape(2 * k + 1, bs))
+        for j, disk in enumerate(disks):
+            disk.write_block(stripe, view[pos + j * bs : pos + (j + 1) * bs])
+        self.parity_disk.write_block(stripe, parity)
 
     def _reconstruct(self, failed_disk: int, stripe: int) -> bytes:
         """Rebuild one block from the surviving stripe members + parity."""
@@ -336,15 +334,40 @@ class RaidGroup:
         found.extend((-1, stripe) for stripe in sorted(self.parity_disk._bad))
         return found
 
+    def _data_parity(self, stripe: int) -> bytes:
+        """The XOR of ``stripe``'s data columns (a bad column raises)."""
+        nd = self.geometry.ndata_disks
+        rows: list = [None] * nd
+        for index, disk in enumerate(self.data_disks):
+            disk.read_run(stripe, 1, rows, index)
+        return np.bitwise_xor.reduce(np.frombuffer(
+            b"".join(rows), dtype=np.uint8).reshape(nd, self.block_size)
+        ).tobytes()
+
+    def repair_parity(self, stripe: int) -> None:
+        """Recompute one stripe's parity from its data members and write
+        it in place, which clears a fault mark on the parity member."""
+        self.parity_disk.write_block(stripe, self._data_parity(stripe))
+
     def scrub(self) -> int:
-        """Recompute parity for every stripe; returns stripes repaired."""
+        """Recompute parity for every stripe; returns stripes repaired.
+
+        A stripe with an unreadable data member is skipped, as in
+        :meth:`verify_parity` (its parity is what reconstructs it); an
+        unreadable parity member is rewritten, which clears its mark.
+        """
         repaired = 0
         for stripe in range(self.geometry.blocks_per_disk):
-            acc = bytes(self.block_size)
-            for disk in self.data_disks:
-                acc = _xor2(acc, disk.read_block(stripe))
-            if acc != self.parity_disk.read_block(stripe):
-                self.parity_disk.write_block(stripe, acc)
+            try:
+                parity = self._data_parity(stripe)
+            except StorageError:
+                continue
+            try:
+                stale = parity != self.parity_disk.read_block(stripe)
+            except StorageError:
+                stale = True
+            if stale:
+                self.parity_disk.write_block(stripe, parity)
                 repaired += 1
         return repaired
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import PowerLossError, RaidError
 from repro.obs.metrics import REGISTRY
-from repro.raid.group import RaidGroup, _xor2
+from repro.raid.group import RaidGroup
 from repro.raid.layout import BlockLocation, VolumeGeometry, locate
 from repro.storage.device import IoRecorder
 
@@ -40,6 +40,7 @@ class RaidVolume:
         for group in geometry.groups:
             self._group_base.append(base)
             base += group.data_blocks
+        self.nblocks = base  # read by every run's range check
         self.recorder: Optional[IoRecorder] = None
         # Optional block buffer cache (see repro.wafl.buffercache): hits
         # produce no recorder events, modelling RAM-resident metadata.
@@ -53,10 +54,6 @@ class RaidVolume:
         self._write_fuse: Optional[int] = None
 
     # -- geometry ---------------------------------------------------------
-
-    @property
-    def nblocks(self) -> int:
-        return self.geometry.data_blocks
 
     @property
     def block_size(self) -> int:
@@ -106,34 +103,42 @@ class RaidVolume:
             yield group, group_block, count
             block += count
 
-    def read_run(self, start_block: int, nblocks: int) -> bytes:
+    def read_run(self, start_block: int, nblocks: int,
+                 out: Optional[list] = None) -> Optional[bytes]:
         """Read ``nblocks`` contiguous volume blocks as one access.
 
         The bytes come from the member disks' chunk stores in one copy:
         each RAID group gathers one buffer per block and the run is their
-        join.  The cache only decides whether the *device* is involved.
+        join — or, with ``out``, the buffers are appended to it (as
+        :meth:`VirtualDisk.read_run` lands them: views of the live store)
+        for the caller to join once with other runs, before anything
+        writes, and nothing is returned.  The cache only decides whether
+        the *device* is involved.
         A fully resident run is the bare gather — no disk ``reads``, no
         fault lookup or reconstruction, no recorder event, so no I/O
         time — which is exact because a media fault marks a block
         unreadable and leaves its stored bytes alone.  A run with any
         cold block is read (and recorded) whole, as a real chained read
         is.  Nine reads in ten are one block (DESIGN.md, "One block
-        path"): that size skips the list.
+        path"): that size, joined, skips the list.
         """
         if nblocks <= 0:
             raise RaidError("zero-length run read")
         cache = None if self.uncached_reads else self.cache
         device = cache is None or not cache.get_run(start_block, nblocks)
-        if nblocks == 1:
+        if out is None and nblocks == 1:
             group, group_block = self._piece(start_block)
             result = group.read_block(group_block, device)
         else:
-            buffers: list = [None] * nblocks
-            at = 0
+            if out is None:
+                buffers, at = [None] * nblocks, 0
+            else:
+                buffers, at = out, len(out)
+                out += [None] * nblocks
             for group, group_block, count in self._pieces(start_block, nblocks):
                 group.read_run(group_block, count, buffers, at, device)
                 at += count
-            result = b"".join(buffers)
+            result = None if out is not None else b"".join(buffers)
         if not device:
             return result
         if cache is not None:
@@ -151,7 +156,9 @@ class RaidVolume:
                   nblocks: Optional[int] = None) -> None:
         """Write ``nblocks`` contiguous volume blocks from ``data[offset:]``
         (by default, all of ``data``) as one access.  A single block — most
-        writes are — is the group's read-modify-write and nothing else."""
+        writes are — is the group's read-modify-write and nothing else.
+        The members take views of ``data``: the chunk store is the one
+        copy a written block makes."""
         bs = self.block_size
         if nblocks is None:
             if (len(data) - offset) % bs:
@@ -165,7 +172,8 @@ class RaidVolume:
             group, group_block = self._piece(start_block)
             group.write_block(
                 group_block,
-                data if len(data) == bs else bytes(data[offset : offset + bs]))
+                data if len(data) == bs
+                else memoryview(data)[offset : offset + bs])
         else:
             done = 0
             for group, group_block, count in self._pieces(start_block, nblocks):
@@ -241,10 +249,7 @@ class RaidVolume:
         for group in self.groups:
             for disk_index, stripe in group.bad_blocks():
                 if disk_index < 0:
-                    acc = bytes(group.block_size)
-                    for disk in group.data_disks:
-                        acc = _xor2(acc, disk.read_block(stripe))
-                    group.parity_disk.write_block(stripe, acc)
+                    group.repair_parity(stripe)
                 else:
                     group.repair_block(disk_index, stripe)
                 repaired += 1
@@ -273,6 +278,7 @@ class RaidVolume:
         other.name = self.name
         other.groups = [group.clone() for group in self.groups]
         other._group_base = list(self._group_base)
+        other.nblocks = self.nblocks
         other.recorder = None
         other.cache = self.cache.clone() if self.cache is not None else None
         other.uncached_reads = self.uncached_reads

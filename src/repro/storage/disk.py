@@ -138,7 +138,9 @@ class VirtualDisk:
         self.reads += 1
         return self.block(block)
 
-    def write_block(self, block: int, data: bytes) -> None:
+    def write_block(self, block: int, data) -> None:
+        """Write one block from any bytes-like ``data`` (a view of the
+        writer's buffer is copied once, into the chunk store)."""
         self._check(block)
         if len(data) != self.block_size:
             raise StorageError(
@@ -151,8 +153,11 @@ class VirtualDisk:
         ci = block // cb
         chunk = self._chunks.get(ci)
         if chunk is None:
-            if data == self._zero:
-                # Keep the store sparse: a zero block is the default.
+            # Keep the store sparse: a zero block is the default.  Bytes
+            # against bytes (``bytes()`` of bytes is the object itself): a
+            # view against bytes compares element by element, hundreds of
+            # times slower than copying it.
+            if bytes(data) == self._zero:
                 return
             chunk = self._materialize(ci)
         elif self._shared and ci in self._shared:
@@ -170,7 +175,8 @@ class VirtualDisk:
         """Put one buffer per block of the run into ``out[at::step]``: a
         view of the chunk that holds the block, or the shared zero block
         where no chunk is materialized (``step`` is how a RAID group
-        de-stripes: each member's column lands every ``step``-th slot).
+        de-stripes: each member's column lands every ``step``-th slot;
+        the slots must exist).
 
         This is the part of a read that is not the device — no copy, no
         range or fault check, no accounting — and so all a buffer-cache
@@ -180,6 +186,13 @@ class VirtualDisk:
         bs = self.block_size
         cb = self._chunk_blocks
         chunks = self._chunks
+        if nblocks == 1:
+            # One block — each column of a run shorter than its RAID
+            # group's width is one — is one slot: no list to build.
+            chunk = chunks.get(start_block // cb)
+            off = start_block % cb * bs
+            out[at] = self._zero if chunk is None else chunk[off : off + bs]
+            return
         views: list = []
         block = start_block
         end = start_block + nblocks
@@ -223,7 +236,7 @@ class VirtualDisk:
                 )
         self.reads += nblocks
         if out is None:
-            out = []
+            out = [None] * nblocks
             self.gather(start_block, nblocks, out)
             return b"".join(out)
         self.gather(start_block, nblocks, out, at, step)

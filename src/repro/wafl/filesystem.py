@@ -67,6 +67,9 @@ from repro.wafl.fsinfo import FsInfo, SnapshotRecord
 from repro.wafl.inode import FileType, Inode
 
 
+_ZERO_BLOCK = bytes(BLOCK_SIZE)
+
+
 class FileTree(TreeContext):
     """Read access to one file tree, rooted at an inode-file inode.
 
@@ -179,6 +182,25 @@ class FileTree(TreeContext):
     # File and directory contents
     # ------------------------------------------------------------------
 
+    def _read_blocks(self, inode: Inode, extents) -> list:
+        """One buffer per file block below ``inode.size``, in file order.
+
+        Every extent is read whole, in extent order, appending its views
+        (:meth:`RaidVolume.read_run`'s ``out``); a hole is the zero
+        block, and blocks an extent holds past the size are dropped.
+        The caller joins the list once, before anything writes.
+        """
+        blocks: list = []
+        for extent_fbn, extent_vbn, extent_len in extents:
+            if extent_fbn > len(blocks):
+                blocks += [_ZERO_BLOCK] * (extent_fbn - len(blocks))
+            self.volume.read_run(extent_vbn, extent_len, blocks)
+        nblocks = (inode.size + BLOCK_SIZE - 1) // BLOCK_SIZE
+        if len(blocks) < nblocks:
+            blocks += [_ZERO_BLOCK] * (nblocks - len(blocks))
+        del blocks[nblocks:]
+        return blocks
+
     def _read_tree_raw(self, inode: Inode) -> bytes:
         """Block-aligned file contents (zero padded to whole blocks).
 
@@ -201,15 +223,16 @@ class FileTree(TreeContext):
             # One contiguous extent covering the file from block zero — the
             # overwhelmingly common case for directories and small files.
             return self.volume.read_run(extents[0][1], extents[0][2])
-        nblocks = (inode.size + BLOCK_SIZE - 1) // BLOCK_SIZE
-        out = bytearray(nblocks * BLOCK_SIZE)
-        for extent_fbn, extent_vbn, extent_len in extents:
-            data = self.volume.read_run(extent_vbn, extent_len)
-            out[extent_fbn * BLOCK_SIZE : extent_fbn * BLOCK_SIZE + len(data)] = data
-        return bytes(out)
+        return b"".join(self._read_blocks(inode, extents))
 
     def _read_tree_bytes(self, inode: Inode) -> bytes:
-        return self._read_tree_raw(inode)[: inode.size]
+        """The file's ``size`` bytes: its blocks joined once, the last
+        one trimmed as a view."""
+        blocks = self._read_blocks(inode, BlockTree(self, inode).extents())
+        tail = inode.size % BLOCK_SIZE
+        if tail:
+            blocks[-1] = memoryview(blocks[-1])[:tail]
+        return b"".join(blocks)
 
     def _read_directory(self, inode: Inode) -> Directory:
         if not inode.is_dir:
@@ -926,21 +949,21 @@ class WaflFilesystem(FileTree):
         tree = BlockTree(self, inode)
         first_fbn = offset // BLOCK_SIZE
         last_fbn = (end - 1) // BLOCK_SIZE if data else first_fbn
-        # Assemble whole-block images, merging partial edges with existing
-        # contents, then write as runs.
-        buffered = bytearray()
-        run_start = first_fbn
+        # A buffer on block boundaries goes down as it is; one with a
+        # partial edge block is staged, merging the edges with the
+        # existing contents.
         head_pad = offset - first_fbn * BLOCK_SIZE
-        if head_pad:
-            buffered.extend(tree.read_fblock(first_fbn)[:head_pad])
-        buffered.extend(data)
-        tail_end = (last_fbn + 1) * BLOCK_SIZE
-        tail_pad = tail_end - end
-        if tail_pad:
-            existing = tree.read_fblock(last_fbn)
-            buffered.extend(existing[BLOCK_SIZE - tail_pad :])
+        tail_pad = (last_fbn + 1) * BLOCK_SIZE - end
+        blocks = data
+        if head_pad or tail_pad:
+            blocks = bytearray()
+            if head_pad:
+                blocks += tree.read_fblock(first_fbn)[:head_pad]
+            blocks += data
+            if tail_pad:
+                blocks += tree.read_fblock(last_fbn)[BLOCK_SIZE - tail_pad :]
         if data:
-            tree.write_run(run_start, bytes(buffered))
+            tree.write_run(first_fbn, blocks)
         tree.flush()
         if end > inode.size:
             inode.size = end

@@ -381,16 +381,28 @@ def _volume_image(volume):
     return b"".join(chunks)
 
 
+# Three data disks, and four: a stripe's width decides which runs are
+# partial, and the RMW stacks as many columns as it covers.
+raid_geometries = st.sampled_from([(2, 3, 40), (2, 4, 30)])
+
+
+def _write_from_view(volume, start, data, lead):
+    """``data`` as the RAID layer gets it from a block tree: a memoryview
+    of a larger buffer, at an offset into it."""
+    buffer = memoryview(bytes(lead) + data + bytes(volume.block_size))
+    volume.write_run(start, buffer, lead, len(data) // volume.block_size)
+
+
 @_fast
-@given(raid_writes)
-def test_write_run_matches_scalar_write_block(writes):
-    batched = RaidVolume(make_geometry(2, 3, 40), name="a")
-    reference = RaidVolume(make_geometry(2, 3, 40), name="b")
+@given(raid_writes, raid_geometries, st.integers(0, 3 * BS))
+def test_write_run_matches_scalar_write_block(writes, geometry, lead):
+    batched = RaidVolume(make_geometry(*geometry), name="a")
+    reference = RaidVolume(make_geometry(*geometry), name="b")
     bs = batched.block_size
     for start, length, seed in writes:
         length = min(length, batched.nblocks - start)
         data = _payload(seed, length * bs)
-        batched.write_run(start, data)
+        _write_from_view(batched, start, data, lead)
         for i in range(length):
             reference.write_block(start + i, data[i * bs : (i + 1) * bs])
     assert _volume_image(batched) == _volume_image(reference)
@@ -398,12 +410,13 @@ def test_write_run_matches_scalar_write_block(writes):
 
 
 @_fast
-@given(raid_writes, st.integers(0, 239))
-def test_write_run_matches_scalar_under_media_failure(writes, bad_block):
+@given(raid_writes, st.integers(0, 239), raid_geometries, st.integers(0, 3 * BS))
+def test_write_run_matches_scalar_under_media_failure(writes, bad_block,
+                                                      geometry, lead):
     """A failed old column forces the per-block reconstruct fallback; the
     final physical state must match the scalar path hitting the same
     failure."""
-    volumes = [RaidVolume(make_geometry(2, 3, 40), name=n) for n in "ab"]
+    volumes = [RaidVolume(make_geometry(*geometry), name=n) for n in "ab"]
     bs = volumes[0].block_size
     seed_data = _payload(7, volumes[0].nblocks * bs)
     for volume in volumes:
@@ -417,7 +430,7 @@ def test_write_run_matches_scalar_under_media_failure(writes, bad_block):
     for start, length, seed in writes:
         length = min(length, batched.nblocks - start)
         data = _payload(seed, length * bs)
-        batched.write_run(start, data)
+        _write_from_view(batched, start, data, lead)
         for i in range(length):
             reference.write_block(start + i, data[i * bs : (i + 1) * bs])
     for volume in volumes:

@@ -101,6 +101,36 @@ class TestRaidGroup:
         assert repaired >= 1
         assert group.verify_parity()
 
+    def test_scrub_skips_a_stripe_with_an_unreadable_data_member(self):
+        group = RaidGroup(GroupGeometry(4, 50), BS, name="g")
+        for block in range(16):
+            group.write_block(block, bytes([block + 1]) * BS)
+        group.data_disks[1].fail_block(3)
+        assert group.verify_parity()
+        assert group.scrub() == 0
+        assert group.verify_parity()
+        assert group.read_block(3 * 4 + 1) == bytes([14]) * BS
+        assert group.bad_blocks() == [(1, 3)]
+
+    def test_scrub_rewrites_an_unreadable_parity_member(self):
+        group = RaidGroup(GroupGeometry(4, 50), BS, name="g")
+        for block in range(16):
+            group.write_block(block, bytes([block + 1]) * BS)
+        group.parity_disk.fail_block(2)
+        assert group.scrub() == 1
+        assert group.bad_blocks() == []
+        assert group.verify_parity()
+
+    def test_rebuild_with_a_second_failed_member_raises(self):
+        group = RaidGroup(GroupGeometry(4, 50), BS, name="g")
+        for block in range(16):
+            group.write_block(block, bytes([block + 1]) * BS)
+        for stripe in range(50):
+            group.data_disks[0].fail_block(stripe)
+        group.data_disks[2].fail_block(1)
+        with pytest.raises(RaidError):
+            group.rebuild_disk(0)
+
     def test_out_of_range_block(self):
         group = RaidGroup(GroupGeometry(4, 50), BS, name="g")
         with pytest.raises(RaidError):
