@@ -125,22 +125,42 @@ class RaidVolume:
         if nblocks <= 0:
             raise RaidError("zero-length run read")
         cache = None if self.uncached_reads else self.cache
-        device = cache is None or not cache.get_run(start_block, nblocks)
+        if cache is None or not cache.get_run(start_block, nblocks):
+            return self._read_device(start_block, nblocks, out, cache)
+        return self._gather(start_block, nblocks, out, False)
+
+    def touch_run(self, start_block: int, nblocks: int) -> None:
+        """:meth:`read_run` without the gather, for a reader that already
+        holds the bytes: a resident run is the same cache hit, a cold one
+        the same device read, cache fill, recorder event and counts."""
+        if nblocks <= 0:
+            raise RaidError("zero-length run read")
+        cache = None if self.uncached_reads else self.cache
+        if cache is None or not cache.get_run(start_block, nblocks):
+            self._read_device(start_block, nblocks, [], cache)
+
+    def _gather(self, start_block: int, nblocks: int, out: Optional[list],
+                device: bool) -> Optional[bytes]:
+        """The run's buffers, from the members' devices (counted and
+        fault-checked) or, for a cache hit, from their stores."""
         if out is None and nblocks == 1:
             group, group_block = self._piece(start_block)
-            result = group.read_block(group_block, device)
+            return group.read_block(group_block, device)
+        if out is None:
+            buffers, at = [None] * nblocks, 0
         else:
-            if out is None:
-                buffers, at = [None] * nblocks, 0
-            else:
-                buffers, at = out, len(out)
-                out += [None] * nblocks
-            for group, group_block, count in self._pieces(start_block, nblocks):
-                group.read_run(group_block, count, buffers, at, device)
-                at += count
-            result = None if out is not None else b"".join(buffers)
-        if not device:
-            return result
+            buffers, at = out, len(out)
+            out += [None] * nblocks
+        for group, group_block, count in self._pieces(start_block, nblocks):
+            group.read_run(group_block, count, buffers, at, device)
+            at += count
+        return None if out is not None else b"".join(buffers)
+
+    def _read_device(self, start_block: int, nblocks: int,
+                     out: Optional[list], cache) -> Optional[bytes]:
+        """The miss path of a run read: the device read, then the cache
+        fill, the recorder event and the counts."""
+        result = self._gather(start_block, nblocks, out, True)
         if cache is not None:
             cache.put_run(start_block, nblocks)
         if self.recorder is not None:

@@ -76,6 +76,8 @@ def _pack_ptrs(ptrs: List[int]) -> bytes:
 
 # What an absent indirect block holds: holes.  Never written through.
 _NO_PTRS = (0,) * PTRS_PER_BLOCK
+_NO_PTR_BYTES = bytes(BLOCK_SIZE)
+_DIRECT_STRUCT = struct.Struct("<%dI" % NDIRECT)
 
 
 class _IndirectBlock:
@@ -87,6 +89,51 @@ class _IndirectBlock:
         self.vbn = vbn  # 0 when the block does not exist on disk yet
         self.ptrs = ptrs
         self.dirty = False
+
+
+def _direct_runs(direct: List[int]) -> List[Tuple[int, int, int]]:
+    """The extents of a direct-only tree: a plain merge loop."""
+    runs: List[Tuple[int, int, int]] = []
+    run_fbn = run_vbn = run_len = 0
+    for fbn in range(NDIRECT):
+        vbn = direct[fbn]
+        if not vbn:
+            continue
+        if run_len and fbn == run_fbn + run_len and vbn == run_vbn + run_len:
+            run_len += 1
+            runs[-1] = (run_fbn, run_vbn, run_len)
+            continue
+        run_fbn, run_vbn, run_len = fbn, vbn, 1
+        runs.append((fbn, vbn, 1))
+    return runs
+
+
+def _tree_runs(inode: Inode, images) -> List[Tuple[int, int, int]]:
+    """The extents of a tree with indirect levels, from ``images``
+    (:meth:`BlockTree._indirect_images`): the pointers laid end to end in
+    file order — a missing block is a block of holes — so that a
+    pointer's index is its file block, then one vectorized edge scan."""
+    data = (block for _vbn, block in images)
+    parts = [_DIRECT_STRUCT.pack(*inode.direct),
+             next(data) if inode.indirect else _NO_PTR_BYTES]
+    if inode.dindirect:
+        at = 0
+        for child in np.flatnonzero(
+                np.frombuffer(next(data), dtype="<u4")).tolist():
+            parts += [_NO_PTR_BYTES] * (child - at)
+            parts.append(next(data))
+            at = child + 1
+    ptrs = np.frombuffer(b"".join(parts), dtype="<u4")
+    fbns = np.flatnonzero(ptrs)
+    if not fbns.size:
+        return []
+    vbns = ptrs[fbns]
+    # uint32 differences wrap, but never to 1 between nonzero pointers.
+    breaks = np.flatnonzero((np.diff(fbns) != 1) | (np.diff(vbns) != 1))
+    starts = np.concatenate(([0], breaks + 1))
+    lengths = np.diff(np.concatenate((starts, [fbns.size])))
+    return list(zip(fbns[starts].tolist(), vbns[starts].tolist(),
+                    lengths.tolist()))
 
 
 class BlockTree:
@@ -329,111 +376,98 @@ class BlockTree:
             self.ctx.free_block(vbn)
 
     def truncate_blocks(self, keep_blocks: int) -> None:
-        """Free every file block at or beyond ``keep_blocks``."""
+        """Free every file block at or beyond ``keep_blocks``, in file order.
+
+        Every indirect block is loaded first, in file order; then each
+        segment reaching past ``keep_blocks`` loses its tail in one slice,
+        and only a segment that lost a pointer is dirtied.
+        """
         if self.ctx.readonly:
             raise FilesystemError("write through a read-only tree")
-        doomed = []
-        for fbn, vbn in list(self.allocated_fblocks()):
-            if fbn >= keep_blocks:
-                self._set_pointer(fbn, 0)
-                doomed.append(vbn)
+        doomed: List[int] = []
+        for base, block in list(self._tree_segments()):
+            ptrs = self.inode.direct if block is None else block.ptrs
+            cut = max(keep_blocks - base, 0)
+            lost = list(filter(None, ptrs[cut:]))
+            if not lost:
+                continue
+            doomed += lost
+            ptrs[cut:] = [0] * (len(ptrs) - cut)
+            if block is None:
+                self.ctx.inode_dirty(self.inode)
+            else:
+                block.dirty = True
         self.ctx.free_blocks(doomed)
 
     # -- enumeration ------------------------------------------------------------------
 
     def allocated_fblocks(self) -> Iterator[Tuple[int, int]]:
         """Yield ``(fbn, vbn)`` for every allocated file block, in file order."""
-        inode = self.inode
-        for fbn in range(NDIRECT):
-            if inode.direct[fbn]:
-                yield fbn, inode.direct[fbn]
-        if inode.indirect or ("ind",) in self._cache:
-            block = self._load(("ind",), inode.indirect)
-            for slot, vbn in enumerate(block.ptrs):
+        for base, block in self._tree_segments():
+            ptrs = self.inode.direct if block is None else block.ptrs
+            for slot, vbn in enumerate(ptrs):
                 if vbn:
-                    yield NDIRECT + slot, vbn
-        if inode.dindirect or ("dptr",) in self._cache:
-            dptr = self._load(("dptr",), inode.dindirect)
-            for child, child_vbn in enumerate(dptr.ptrs):
-                if not child_vbn and ("dind", child) not in self._cache:
-                    continue
-                block = self._load(("dind", child), child_vbn)
-                base = NDIRECT + PTRS_PER_BLOCK + child * PTRS_PER_BLOCK
-                for slot, vbn in enumerate(block.ptrs):
-                    if vbn:
-                        yield base + slot, vbn
+                    yield base + slot, vbn
 
-    def _ptr_segments(self) -> List[Tuple[int, List[int]]]:
-        """``(base_fbn, pointer_list)`` per tree level, in file order."""
+    def _tree_segments(self) -> Iterator[Tuple[int, Optional[_IndirectBlock]]]:
+        """``(base_fbn, indirect block)`` per pointer segment in file order,
+        each indirect block loaded when it is reached; the direct array
+        is ``(0, None)``."""
         inode = self.inode
-        segments: List[Tuple[int, List[int]]] = [(0, inode.direct)]
+        yield 0, None
         if inode.indirect or ("ind",) in self._cache:
-            segments.append(
-                (NDIRECT, self._load(("ind",), inode.indirect).ptrs)
-            )
+            yield NDIRECT, self._load(("ind",), inode.indirect)
         if inode.dindirect or ("dptr",) in self._cache:
             dptr = self._load(("dptr",), inode.dindirect)
             for child, child_vbn in enumerate(dptr.ptrs):
                 if not child_vbn and ("dind", child) not in self._cache:
                     continue
-                block = self._load(("dind", child), child_vbn)
                 base = NDIRECT + PTRS_PER_BLOCK + child * PTRS_PER_BLOCK
-                segments.append((base, block.ptrs))
-        return segments
+                yield base, self._load(("dind", child), child_vbn)
+
+    def _indirect_images(self) -> Tuple[Tuple[int, bytes], ...]:
+        """``(vbn, bytes)`` of every indirect block of the on-disk tree —
+        the single indirect, the double indirect, then its children in
+        order — each read with ``volume.read_block``, as a fresh cursor
+        loads them."""
+        inode = self.inode
+        images: List[Tuple[int, bytes]] = []
+        read = self.ctx.volume.read_block
+        if inode.indirect:
+            images.append((inode.indirect, read(inode.indirect)))
+        if inode.dindirect:
+            dptr = read(inode.dindirect)
+            images.append((inode.dindirect, dptr))
+            for child_vbn in _PTR_STRUCT.unpack_from(dptr, 0):
+                if child_vbn:
+                    images.append((child_vbn, read(child_vbn)))
+        return tuple(images)
 
     def extents(self) -> List[Tuple[int, int, int]]:
         """Physical extents in file order: ``(fbn, vbn, nblocks)`` runs.
 
         Consecutive file blocks whose volume blocks are also consecutive
-        merge into one extent — the unit logical dump reads with.  Small
-        files (direct pointers only) take a plain loop; trees with
-        indirect levels build the runs with one vectorized edge scan over
-        the pointer arrays instead of a per-block merge.
+        merge into one extent — the unit logical dump reads with.  The
+        tree is the on-disk one, so the cursor must be fresh.
+
+        The runs are memoized on the inode.  Every call still reads the
+        indirect blocks (:meth:`_indirect_images`), and the memo holds
+        while the direct array and each indirect block's number and
+        bytes equal its own — an indirect block rewritten in place
+        misses, and there is no invalidation hook to forget.  Callers
+        must treat the list as read-only.
         """
+        if self._cache:
+            raise FilesystemError("extents of a cursor with loaded blocks")
         inode = self.inode
-        if not inode.indirect and not inode.dindirect and not self._cache:
-            # Direct-only trees touch no indirect blocks (no simulated
-            # I/O), so the result can be memoized on the inode.  The memo
-            # keeps a copy of the direct array and self-validates against
-            # the live one — no invalidation hooks to miss.  Callers must
-            # treat the returned list as read-only.
-            direct = inode.direct
-            memo = inode.extents_memo
-            if memo is not None and memo[0] == direct:
-                return memo[1]
-            runs: List[Tuple[int, int, int]] = []
-            run_fbn = run_vbn = run_len = 0
-            for fbn in range(NDIRECT):
-                vbn = direct[fbn]
-                if not vbn:
-                    continue
-                if run_len and fbn == run_fbn + run_len and vbn == run_vbn + run_len:
-                    run_len += 1
-                    runs[-1] = (run_fbn, run_vbn, run_len)
-                    continue
-                run_fbn, run_vbn, run_len = fbn, vbn, 1
-                runs.append((fbn, vbn, 1))
-            inode.extents_memo = (direct[:], runs)
-            return runs
-        fbn_parts = []
-        vbn_parts = []
-        for base, ptrs in self._ptr_segments():
-            arr = np.array(ptrs, dtype=np.int64)
-            hot = np.flatnonzero(arr)
-            if hot.size:
-                fbn_parts.append(hot + base)
-                vbn_parts.append(arr[hot])
-        if not fbn_parts:
-            return []
-        fbns = np.concatenate(fbn_parts)
-        vbns = np.concatenate(vbn_parts)
-        breaks = np.flatnonzero((np.diff(fbns) != 1) | (np.diff(vbns) != 1))
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks + 1, [fbns.size]))
-        return [
-            (int(fbns[s]), int(vbns[s]), int(e - s))
-            for s, e in zip(starts, ends)
-        ]
+        direct = inode.direct
+        images = self._indirect_images()
+        memo = inode.extents_memo
+        if memo is not None and memo[0] == direct and memo[1] == images:
+            return memo[2]
+        runs = _tree_runs(inode, images) if images else _direct_runs(direct)
+        inode.extents_memo = (direct[:], images, runs)
+        return runs
 
     def metadata_blocks(self) -> List[int]:
         """Volume blocks holding this tree's indirect blocks (for fsck)."""

@@ -49,7 +49,7 @@ from repro.errors import (
     NotFoundError,
     SnapshotError,
 )
-from repro.nvram.log import LoggedOp, NvramLog
+from repro.nvram.log import OP_OVERHEAD, LoggedOp, NvramLog
 from repro.raid.volume import RaidVolume
 from repro.wafl.blockmap import BlockMap
 from repro.wafl.blocktree import BlockTree, TreeContext
@@ -86,10 +86,10 @@ class FileTree(TreeContext):
         super().__init__(volume, readonly=readonly)
         self._inofile_inode = inofile_inode
         self._inodes: Dict[int, Inode] = {}
-        # Directory parse cache: ino -> (raw bytes, parsed entries, name
-        # index).  Keyed to the exact on-disk bytes, so a hit never
-        # changes semantics.
-        self._dir_cache: Dict[int, Tuple[bytes, tuple, dict]] = {}
+        # Directory cache: ino -> (raw bytes, parsed entries, name index,
+        # direct, indirect, dindirect).  _read_directory keys it on the
+        # on-disk bytes, namei on the block pointers (_dir_lookup).
+        self._dir_cache: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Inodes
@@ -155,21 +155,35 @@ class FileTree(TreeContext):
         return ino
 
     def _dir_lookup(self, inode: Inode, name: str):
-        """One lookup step without materializing a mutable Directory.
+        """One lookup step, answered from the directory cache.
 
-        Reads the directory bytes exactly as :meth:`_read_directory` does
-        (same recorder events, same buffer-cache traffic), but resolves
-        the name against the parse cache's name index instead of building
-        a throwaway Directory copy per path component.
+        An entry made for the directory's current block pointers is
+        current — its writers keep the cache so, as for the inode cache
+        (DESIGN.md decision 23) — so a hit reads no bytes: it touches the
+        extents in order, as :meth:`_read_tree_raw` reads them.  Anything
+        else reads and parses the bytes.
         """
-        raw = self._read_tree_raw(inode)
         cached = self._dir_cache.get(inode.ino)
-        if cached is None or cached[0] != raw:
-            directory = Directory.parse(raw)
-            cached = (raw, tuple(directory.entries()),
-                      dict(directory.entries()))
-            self._dir_cache[inode.ino] = cached
-        return cached[2].get(name)
+        if cached is not None and cached[4] == inode.indirect and (
+                cached[5] == inode.dindirect and cached[3] == inode.direct):
+            touch = self.volume.touch_run
+            for _fbn, vbn, count in self._extents(inode):
+                touch(vbn, count)
+            return cached[2].get(name)
+        raw = self._read_tree_raw(inode)
+        if cached is not None and cached[0] == raw:
+            entries = cached[1]
+        else:
+            entries = tuple(Directory.parse(raw).entries())
+        return self._cache_directory(inode, raw, entries)[2].get(name)
+
+    def _cache_directory(self, inode: Inode, raw: bytes,
+                         entries: tuple) -> tuple:
+        """Enter the directory ``raw`` holds, for the inode's pointers."""
+        cached = (raw, entries, dict(entries),
+                  inode.direct[:], inode.indirect, inode.dindirect)
+        self._dir_cache[inode.ino] = cached
+        return cached
 
     def exists(self, path: str) -> bool:
         try:
@@ -201,6 +215,15 @@ class FileTree(TreeContext):
         del blocks[nblocks:]
         return blocks
 
+    def _extents(self, inode: Inode) -> List[Tuple[int, int, int]]:
+        """:meth:`BlockTree.extents`; a direct-only tree whose memo holds
+        skips even the throwaway cursor (hot on every namei step)."""
+        memo = inode.extents_memo
+        if (memo is not None and not memo[1] and not inode.indirect
+                and not inode.dindirect and memo[0] == inode.direct):
+            return memo[2]
+        return BlockTree(self, inode).extents()
+
     def _read_tree_raw(self, inode: Inode) -> bytes:
         """Block-aligned file contents (zero padded to whole blocks).
 
@@ -208,16 +231,7 @@ class FileTree(TreeContext):
         the hot lookup never pays the byte-exact prefix copy; everything
         else goes through :meth:`_read_tree_bytes` below.
         """
-        if not inode.indirect and not inode.dindirect:
-            # Direct-only file: a valid extents memo skips even the
-            # throwaway BlockTree cursor (hot on every namei step).
-            memo = inode.extents_memo
-            if memo is not None and memo[0] == inode.direct:
-                extents = memo[1]
-            else:
-                extents = BlockTree(self, inode).extents()
-        else:
-            extents = BlockTree(self, inode).extents()
+        extents = self._extents(inode)
         if (len(extents) == 1 and extents[0][0] == 0
                 and extents[0][2] * BLOCK_SIZE >= inode.size):
             # One contiguous extent covering the file from block zero — the
@@ -246,8 +260,7 @@ class FileTree(TreeContext):
         if cached is not None and cached[0] == raw:
             return Directory.from_entries(cached[1])
         directory = Directory.parse(raw)
-        entries = tuple(directory.entries())
-        self._dir_cache[inode.ino] = (raw, entries, dict(entries))
+        self._cache_directory(inode, raw, tuple(directory.entries()))
         return directory
 
     def readlink(self, path: str) -> str:
@@ -715,6 +728,32 @@ class WaflFilesystem(FileTree):
             if not self.nvram.try_append(op):
                 raise FilesystemError("NVRAM log cannot hold operation")
 
+    def _piece_size(self, path: str, data) -> int:
+        """How many bytes of ``data`` one logged ``write_file`` of ``path``
+        carries when ``data`` is too big to log whole in half the NVRAM:
+        the most whole blocks that fit.  0 when it fits (or nothing is
+        logged, or not one block fits — the log then refuses the op)."""
+        nvram = self.nvram
+        if nvram is None or self._replaying or nvram.failed:
+            return 0
+        room = nvram.half_capacity - OP_OVERHEAD - len(path)
+        if len(data) <= room or LoggedOp(
+                "write_file", (path, data), {}).nbytes <= nvram.half_capacity:
+            return 0
+        return max(room, 0) // BLOCK_SIZE * BLOCK_SIZE
+
+    def _write_pieces(self, path: str, data, offset: int, piece: int) -> None:
+        """``write_file`` in pieces of at most ``piece`` bytes that end on
+        block boundaries, each logged and applied before the next — a
+        filer logs client requests, not files."""
+        view = memoryview(data)
+        pos, end = offset, offset + len(data)
+        while pos < end:
+            stop = min(end, pos - pos % BLOCK_SIZE + piece)
+            self.write_file(path, bytes(view[pos - offset : stop - offset]),
+                            offset=pos)
+            pos = stop
+
     # ------------------------------------------------------------------
     # Path resolution
     # ------------------------------------------------------------------
@@ -745,8 +784,7 @@ class WaflFilesystem(FileTree):
         inode.size = len(data)
         inode.mtime = self._now()
         self.inode_dirty(inode)
-        entries = tuple(directory.entries())
-        self._dir_cache[inode.ino] = (padded, entries, dict(entries))
+        self._cache_directory(inode, padded, tuple(directory.entries()))
 
     # ------------------------------------------------------------------
     # Namespace operations
@@ -769,6 +807,11 @@ class WaflFilesystem(FileTree):
     def create(self, path: str, data: bytes = b"", perms: int = 0o644,
                uid: int = 0, gid: int = 0) -> int:
         """Create a regular file (optionally with initial contents)."""
+        piece = self._piece_size(path, data)
+        if piece:
+            ino = self.create(path, perms=perms, uid=uid, gid=gid)
+            self._write_pieces(path, data, 0, piece)
+            return ino
         self._log_op("create", path, data, perms=perms, uid=uid, gid=gid)
         parent, name = self._namei_parent(path)
         directory = self._read_directory(parent)
@@ -973,6 +1016,9 @@ class WaflFilesystem(FileTree):
 
     def write_file(self, path: str, data: bytes, offset: int = 0) -> None:
         """Write ``data`` at ``offset`` (sparse writes allowed)."""
+        piece = self._piece_size(path, data)
+        if piece:
+            return self._write_pieces(path, data, offset, piece)
         self._log_op("write_file", path, data, offset=offset)
         inode = self.inode(self.namei(path))
         self._write_inode_data(inode, data, offset)

@@ -68,9 +68,9 @@ class Inode:
         "indirect",
         "dindirect",
         "acl_block",
-        # Not part of the on-disk image: ``(direct_copy, extents)`` memo
-        # for direct-only trees (see BlockTree.extents), self-validating
-        # against the current ``direct`` list.
+        # Not part of the on-disk image, and not copied: the
+        # ``(direct_copy, indirect_images, extents)`` memo of
+        # BlockTree.extents, self-validating against the live tree.
         "extents_memo",
     )
 

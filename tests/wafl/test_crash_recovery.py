@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import FilesystemError
-from repro.nvram.log import NvramLog
+from repro.chaos.verify import volume_digest
+from repro.nvram.log import OP_OVERHEAD, NvramLog
 from repro.units import MB
 from repro.wafl.consts import FSINFO_BLOCKS
 from repro.wafl.filesystem import WaflFilesystem
@@ -61,6 +62,61 @@ def test_nvram_full_forces_consistency_point():
     for index in range(6):
         fs.create("/f%d" % index, b"x" * 512 * 1024)
     assert fs.counters["cp_count"] > cps_before
+
+
+def _pattern(nbytes: int) -> bytes:
+    return bytes((i * 7 + i // 4096) % 251 for i in range(nbytes))
+
+
+@pytest.mark.parametrize("method", ["create", "write_file"])
+def test_a_write_too_big_for_half_the_nvram_is_logged_in_pieces(method):
+    """Three halves' worth of file data: logged as block-aligned
+    ``write_file`` pieces that each fit, applied as they are logged, and
+    replayed after a crash to the same bytes as a filer that never
+    crashed."""
+    volumes = []
+    for crash in (False, True):
+        fs = make_fs(nvram=True)
+        half = fs.nvram.half_capacity
+        data = _pattern(3 * half)
+        fs.create("/keep", b"k")
+        fs.consistency_point()
+        if method == "create":
+            fs.create("/big", data)
+        else:
+            fs.create("/big", b"head")
+            fs.write_file("/big", data, offset=100)
+        written = fs.counters["bytes_written"]
+        if method == "write_file":
+            written -= len(b"head")
+            data = b"head" + bytes(96) + data
+        pending = fs.nvram.pending_ops()
+        assert pending and all(op.nbytes <= half for op in pending)
+        assert [op.method for op in pending] == ["write_file"] * len(pending)
+        assert all(op.kwargs["offset"] % 4096 == 0 for op in pending[1:])
+        assert written == 3 * half + len(b"k")
+        volume, nvram = fs.volume, fs.nvram
+        if crash:
+            fs.crash()
+            fs = WaflFilesystem.mount(volume, nvram=nvram)
+        fs.consistency_point()
+        assert fs.read_file("/big") == data
+        assert fs.read_file("/keep") == b"k"
+        assert fsck(fs, check_parity=True).clean
+        volumes.append(volume_digest(volume))
+    assert volumes[0] == volumes[1]
+
+
+def test_a_write_that_fits_is_one_logged_op():
+    fs = make_fs(nvram=True)
+    room = fs.nvram.half_capacity - OP_OVERHEAD - len("/f")
+    fs.create("/f", b"x" * room)
+    fs.write_file("/f", b"y" * room, offset=1)
+    # Each op fills a half exactly, so the second one follows a CP.
+    assert [(op.method, op.nbytes) for op in fs.nvram.pending_ops()] == [
+        ("write_file", fs.nvram.half_capacity)]
+    assert fs.nvram.total_ops_logged == 2
+    assert fs.nvram.total_bytes_logged == 2 * fs.nvram.half_capacity
 
 
 def test_nvram_failure_is_not_fatal():
