@@ -237,7 +237,8 @@ class LogicalDump:
             yield ReadBarrier(barrier, stage=STAGE_MAPPING)
             pending_cpu += self.costs.map_inode  # the directory itself
             dir_inode = source.inode(dir_ino)
-            if self.level == 0 or dir_inode.mtime > base_date:
+            if (self.level == 0 or dir_inode.mtime > base_date
+                    or dir_inode.ctime > base_date):
                 dump_dirs.add(dir_ino)
             for name, ino in entries:
                 child = source.inode(ino)

@@ -348,15 +348,14 @@ class LogicalRestore:
                 result.skipped += 1
         yield from meter.ops(STAGE_FILL)
 
-        # Final pass: directory times.  Permissions and ownership were set
-        # at creation (restore runs as root), but creating children bumped
-        # each directory's mtime, so times are re-applied last.
+        # Final pass: directory attributes, last because creating children
+        # bumps a directory's mtime.  A directory an earlier restore made
+        # (or the mount point) gets the dumped ones here too.
         for ino, attrs in ns.dirs.items():
             path = ns.dir_paths.get(ino)
             if path is None or not self.fs.exists(path):
                 continue
-            header = attrs.header
-            self.fs.set_attrs(path, mtime=header.mtime, atime=header.atime)
+            self._apply_attrs(path, attrs, acl=self.fs.get_acl(path))
         yield CpuOp(len(ns.dirs) * self.costs.restore_parse_header,
                     stage=STAGE_FILL, side="disk")
         yield PhaseEnd(STAGE_FILL)
@@ -429,7 +428,9 @@ class LogicalRestore:
         self._apply_attrs(path, attrs)
         return True
 
-    def _apply_attrs(self, path: str, entry: InodeEntry) -> None:
+    def _apply_attrs(self, path: str, entry: InodeEntry,
+                     acl: bytes = b"") -> None:
+        """Set the dumped attributes; ``acl`` is the one ``path`` has."""
         header = entry.header
         self.fs.set_attrs(
             path,
@@ -442,7 +443,7 @@ class LogicalRestore:
             dos_bits=header.dos_bits,
             dos_time=header.dos_time,
         )
-        if entry.acl:
+        if entry.acl != acl:
             self.fs.set_acl(path, entry.acl)
 
     def _reconcile(self, result, ns: DumpNamespace, symtab: SymbolTable,
@@ -664,13 +665,7 @@ class LogicalRestore:
                 if self.fs.exists(path):
                     self.fs.unlink(path)
                 self.fs.symlink(path, entry.data.decode("utf-8"))
-                self.fs.set_attrs(
-                    path,
-                    uid=header.uid,
-                    gid=header.gid,
-                    mtime=header.mtime,
-                    atime=header.atime,
-                )
+                self._apply_attrs(path, entry)
             yield CpuOp(self.costs.restore_create_file, stage=STAGE_FILL,
                         side="disk")
             for op in scope.drain_ops(STAGE_FILL):
@@ -687,8 +682,11 @@ class LogicalRestore:
                 if existing.is_symlink:
                     self.fs.unlink(path)
                     self.fs.create(path)
-                elif existing.size:
-                    self.fs.truncate(path, 0)
+                else:
+                    if existing.size:
+                        self.fs.truncate(path, 0)
+                    if existing.acl_block and not entry.acl:
+                        self.fs.set_acl(path, b"")  # the dumped file has none
         for op in scope.drain_ops(STAGE_FILL):
             yield op
 

@@ -266,11 +266,8 @@ class ImageDump:
         result.drives_used = ndrives
 
         # -- cleanup ------------------------------------------------------------
-        if created is not None and self.base_snapshot is None and not self.include_snapshots:
-            # A full dump's working snapshot can be kept as the base for a
-            # future incremental; the paper's plain dump deletes it.
-            pass
-        if created is not None and self._should_delete(created):
+        # A named snapshot is kept: it is the next incremental's base.
+        if created is not None and self.snapshot_name is None:
             yield PhaseBegin(STAGE_SNAP_DELETE)
             fs.snapshot_delete(created)
             result.snapshot = None
@@ -279,11 +276,6 @@ class ImageDump:
                               stage=STAGE_SNAP_DELETE)
             yield PhaseEnd(STAGE_SNAP_DELETE)
         return result
-
-    def _should_delete(self, created: str) -> bool:
-        # Keep the snapshot when it will serve as an incremental base:
-        # the caller asked for it by name.
-        return self.snapshot_name is None
 
 
 __all__ = ["ImageDump", "ImageDumpResult", "STAGE_BLOCKS", "STAGE_SNAP_CREATE",

@@ -633,18 +633,14 @@ def cmd_estimate(args) -> int:
       arg("--parity", action="store_true",
           help="also audit RAID parity"))
 def cmd_fsck(args) -> int:
-    from repro.storage.persist import save_volume
     from repro.wafl.fsck import fsck
 
     fs = _mount(args.volume)
     report = fsck(fs, check_parity=args.parity)
-    save_volume(fs.volume, args.volume)  # fsck's CP
     print("fsck: %d inodes, %d blocks checked"
           % (report.inodes_checked, report.blocks_checked))
     for error in report.errors:
         print("fsck: ERROR: %s" % error)
-    for warning in report.warnings:
-        print("fsck: warning: %s" % warning)
     print("fsck: %s" % ("clean" if report.clean else "DIRTY"))
     return 0 if report.clean else 1
 

@@ -44,6 +44,7 @@ from repro.errors import (
     ExistsError,
     FilesystemError,
     IsADirectoryError_,
+    NoSpaceError,
     NotADirectoryError_,
     NotEmptyError,
     NotFoundError,
@@ -59,6 +60,8 @@ from repro.wafl.consts import (
     INODES_PER_BLOCK,
     INODE_SIZE,
     INO_BLOCKMAP,
+    NDIRECT,
+    PTRS_PER_BLOCK,
     RESERVED_BLOCKS,
     ROOT_INO,
 )
@@ -769,6 +772,19 @@ class WaflFilesystem(FileTree):
             raise NotADirectoryError_("%r: not a directory" % parent_path)
         return parent, parts[-1]
 
+    def _room_for(self, *writes: int) -> None:
+        """Refuse, before it changes anything, an op that writes trees of
+        ``writes`` blocks unless they fit above the consistency-point
+        reserve with every indirect block above them: then nothing
+        partway through the op can fail."""
+        need = sum(n + n // PTRS_PER_BLOCK + 3 for n in writes if n)
+        if need and self.blockmap.free_blocks() - need < self.blockmap.cp_reserve:
+            raise NoSpaceError("file system is full (consistency-point reserve)")
+
+    @staticmethod
+    def _dir_blocks(inode: Inode) -> int:
+        return inode.size // BLOCK_SIZE + 2  # rewritten with one more entry
+
     # ------------------------------------------------------------------
     # Directory plumbing
     # ------------------------------------------------------------------
@@ -777,6 +793,7 @@ class WaflFilesystem(FileTree):
         data = directory.pack()
         nblocks = max(1, (len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE)
         padded = data.ljust(nblocks * BLOCK_SIZE, b"\0")
+        self._room_for(nblocks)
         tree = BlockTree(self, inode)
         tree.truncate_blocks(nblocks)
         tree.write_run(0, padded)
@@ -817,6 +834,7 @@ class WaflFilesystem(FileTree):
         directory = self._read_directory(parent)
         if name in directory:
             raise ExistsError("path exists: %r" % path)
+        self._room_for(self._dir_blocks(parent))
         inode = self._new_inode(FileType.REGULAR, parent, perms, uid, gid)
         directory.add(name, inode.ino)
         self._write_directory(parent, directory)
@@ -831,6 +849,7 @@ class WaflFilesystem(FileTree):
         directory = self._read_directory(parent)
         if name in directory:
             raise ExistsError("path exists: %r" % path)
+        self._room_for(1, self._dir_blocks(parent))
         inode = self._new_inode(FileType.DIRECTORY, parent, perms, uid, gid)
         inode.nlink = 2
         self._write_directory(inode, Directory.new_empty(inode.ino, parent.ino))
@@ -846,6 +865,8 @@ class WaflFilesystem(FileTree):
         directory = self._read_directory(parent)
         if name in directory:
             raise ExistsError("path exists: %r" % path)
+        self._room_for(self._dir_blocks(parent),
+                       -(-len(target.encode("utf-8")) // BLOCK_SIZE))
         inode = self._new_inode(FileType.SYMLINK, parent, 0o777, 0, 0)
         directory.add(name, inode.ino)
         self._write_directory(parent, directory)
@@ -930,6 +951,10 @@ class WaflFilesystem(FileTree):
                     self._load_inode(cursor)
                 ).lookup("..")
         same_dir = old_parent.ino == new_parent.ino
+        rewritten = [old_parent] if same_dir else [old_parent, new_parent]
+        if moving.is_dir and not same_dir:
+            rewritten.append(moving)  # its '..' entry
+        self._room_for(*map(self._dir_blocks, rewritten))
         new_dir = old_dir if same_dir else self._read_directory(new_parent)
         existing = new_dir.lookup(new_name)
         if existing is not None:
@@ -989,9 +1014,10 @@ class WaflFilesystem(FileTree):
         if inode.is_dir:
             raise IsADirectoryError_("write to directory inode %d" % inode.ino)
         end = offset + len(data)
-        tree = BlockTree(self, inode)
         first_fbn = offset // BLOCK_SIZE
         last_fbn = (end - 1) // BLOCK_SIZE if data else first_fbn
+        self._room_for(last_fbn - first_fbn + 1 if data else 0)
+        tree = BlockTree(self, inode)
         # A buffer on block boundaries goes down as it is; one with a
         # partial edge block is staged, merging the edges with the
         # existing contents.
@@ -1029,6 +1055,9 @@ class WaflFilesystem(FileTree):
         if inode.is_dir:
             raise IsADirectoryError_("truncate on a directory")
         keep_blocks = (size + BLOCK_SIZE - 1) // BLOCK_SIZE
+        # A cut leaves a tail block or an indirect block to rewrite.
+        self._room_for(size < inode.size and (size % BLOCK_SIZE > 0
+                                              or keep_blocks > NDIRECT))
         tree = BlockTree(self, inode)
         tree.truncate_blocks(keep_blocks)
         if size % BLOCK_SIZE and size < inode.size:
@@ -1082,6 +1111,7 @@ class WaflFilesystem(FileTree):
         if len(acl) > BLOCK_SIZE - 2:
             raise FilesystemError("ACL larger than one block")
         inode = self.inode(self.namei(path))
+        self._room_for(len(acl) > 0)
         if inode.acl_block:
             self.free_block(inode.acl_block)
             inode.acl_block = 0

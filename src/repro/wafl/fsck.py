@@ -24,7 +24,6 @@ class FsckReport:
 
     def __init__(self):
         self.errors: List[str] = []
-        self.warnings: List[str] = []
         self.blocks_checked = 0
         self.inodes_checked = 0
 
@@ -35,15 +34,9 @@ class FsckReport:
     def error(self, message: str) -> None:
         self.errors.append(message)
 
-    def warn(self, message: str) -> None:
-        self.warnings.append(message)
-
     def __repr__(self) -> str:
-        return "<FsckReport %s: %d errors, %d warnings>" % (
-            "clean" if self.clean else "DIRTY",
-            len(self.errors),
-            len(self.warnings),
-        )
+        return "<FsckReport %s: %d errors>" % (
+            "clean" if self.clean else "DIRTY", len(self.errors))
 
 
 def _claim(report: FsckReport, claimed: Dict[int, str], vbn: int, owner: str) -> None:
@@ -74,11 +67,15 @@ def _collect_tree(report, claimed, ctx, inode, owner: str) -> None:
 def fsck(fs, check_parity: bool = False) -> FsckReport:
     """Check the active file system's structural invariants.
 
-    Runs a consistency point first so that the deferred-free window is
-    empty and the in-memory block map matches the committed tree.
+    A dirty file system takes a consistency point first, so that the
+    deferred-free window is empty and the in-memory block map matches
+    the committed tree.  A clean one is only read: a consistency point
+    there would bump ``cp_count``, and a mirror replica or an image
+    restore target at another count refuses its next incremental.
     """
     report = FsckReport()
-    fs.consistency_point()
+    if not fs.at_consistency_point():
+        fs.consistency_point()
     claimed: Dict[int, str] = {}
 
     # 1. The inode file's own blocks.

@@ -218,13 +218,13 @@ class WorkloadGenerator:
 
     def _grow(self, fs, tree: GeneratedTree, rng: random.Random,
               frontier: List[Tuple[str, int, set]], file_seed: int,
-              target_bytes: int, planned=None, tree_index: int = 0) -> Tuple[int, int]:
+              target_bytes: int, planned: List[Tuple[int, str, int, int]],
+              tree_index: int) -> Tuple[int, int]:
         """Plan content until ``tree.total_bytes`` reaches ``target_bytes``.
 
-        Creates the namespace immediately; with ``planned`` given, data
-        writes are deferred into that list (filled later in shuffled
-        order).  Returns the updated seed and the bytes planned (0 = out
-        of space).
+        Creates the namespace immediately; data writes are deferred into
+        ``planned`` (filled later in shuffled order).  Returns the updated
+        seed and the bytes planned (0 = out of space).
         """
         shape = self.shape
         grown = 0
@@ -250,10 +250,7 @@ class WorkloadGenerator:
                           gid=rng.randrange(1, 50))
             except NoSpaceError:
                 return file_seed, 0
-            if planned is not None:
-                planned.append((tree_index, path, file_seed, size))
-            else:
-                fs.write_file(path, deterministic_bytes(file_seed, size), 0)
+            planned.append((tree_index, path, file_seed, size))
             tree.files.append(path)
             tree.total_bytes += size
             grown += size

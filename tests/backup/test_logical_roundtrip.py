@@ -36,18 +36,6 @@ def test_full_roundtrip_preserves_everything():
     assert restore_result.symtab is not None
 
 
-def test_cross_geometry_restore():
-    """The archival property physical backup lacks: restore onto a volume
-    with a completely different RAID layout."""
-    source = make_fs(ngroups=2, ndata=4, name="src")
-    populate_small_tree(source)
-    drive = make_drive()
-    dump_to(source, drive)
-    target = make_fs(ngroups=1, ndata=7, blocks_per_disk=3000, name="dst")
-    restore_from(target, drive)
-    assert verify_trees(source, target, check_mtime=True) == []
-
-
 def test_dump_from_snapshot_is_consistent_view():
     """Mutations during (after) the snapshot do not reach the tape."""
     source = make_fs()

@@ -12,7 +12,6 @@ from repro.backup import (
 )
 from repro.backup.physical.incremental import incremental_block_set
 from repro.wafl.filesystem import WaflFilesystem
-from repro.wafl.fsck import fsck
 
 from tests.conftest import make_drive, make_fs, make_volume, populate_small_tree
 
@@ -23,20 +22,6 @@ def image_dump(fs, drive, **kwargs):
 
 def image_restore(volume, drive, **kwargs):
     return drain_engine(ImageRestore(volume, drive, **kwargs).run())
-
-
-def test_full_image_roundtrip():
-    source = make_fs(name="src")
-    populate_small_tree(source)
-    drive = make_drive()
-    dump_result = image_dump(source, drive, snapshot_name="base")
-    assert dump_result.blocks > 0
-    target_volume = source.volume.clone_empty()
-    restore_result = image_restore(target_volume, drive)
-    assert restore_result.blocks == dump_result.blocks
-    target = WaflFilesystem.mount(target_volume)
-    assert verify_trees(source, target, check_mtime=True) == []
-    assert fsck(target).clean
 
 
 def test_restored_blocks_are_byte_identical():
@@ -60,26 +45,6 @@ def test_geometry_mismatch_refused():
     wrong = make_volume(ngroups=1, ndata=3, blocks_per_disk=900)
     with pytest.raises(GeometryError):
         image_restore(wrong, drive)
-
-
-def test_incremental_image_chain():
-    source = make_fs(name="src")
-    populate_small_tree(source)
-    full_drive = make_drive("full")
-    image_dump(source, full_drive, snapshot_name="A")
-    source.write_file("/src/main.c", b"CHANGED" * 100, 0)
-    source.create("/added", b"new data" * 50)
-    source.unlink("/docs/readme.txt")
-    incr_drive = make_drive("incr")
-    incr = image_dump(source, incr_drive, snapshot_name="B",
-                      base_snapshot="A")
-    assert incr.incremental
-    target_volume = source.volume.clone_empty()
-    image_restore(target_volume, full_drive)
-    image_restore(target_volume, incr_drive)
-    target = WaflFilesystem.mount(target_volume)
-    assert verify_trees(source, target, check_mtime=True) == []
-    assert not target.exists("/docs/readme.txt")
 
 
 def test_incremental_is_smaller_than_full():

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.errors import BackupError, IncrementalError
-from repro.backup import verify_trees
-from repro.wafl.fsck import fsck
 
 from tests.conftest import make_fs, make_volume, populate_small_tree
 from repro.mirror import MirrorRelationship
@@ -15,16 +13,6 @@ def make_pair():
     populate_small_tree(source)
     target_volume = source.volume.clone_empty()
     return source, target_volume
-
-
-def test_initialize_copies_everything():
-    source, target_volume = make_pair()
-    mirror = MirrorRelationship(source, target_volume)
-    result = mirror.initialize()
-    assert result.kind == "initialize"
-    replica = mirror.read_replica()
-    assert verify_trees(source, replica, check_mtime=True,
-                        ignore=["/"]) == []
 
 
 def test_update_ships_only_changes():
@@ -39,33 +27,6 @@ def test_update_ships_only_changes():
     replica = mirror.read_replica()
     assert replica.read_file("/fresh") == b"f" * 5000
     assert replica.read_file("/docs/readme.txt")[:6] == b"edited"
-
-
-def test_repeated_updates_converge():
-    source, target_volume = make_pair()
-    mirror = MirrorRelationship(source, target_volume)
-    mirror.initialize()
-    for cycle in range(4):
-        source.create("/cycle%d" % cycle, bytes([cycle]) * 3000)
-        if cycle % 2:
-            source.unlink("/cycle%d" % (cycle - 1))
-        mirror.update()
-    replica = mirror.read_replica()
-    diffs = verify_trees(source, replica, check_mtime=True, ignore=["/"])
-    assert diffs == []
-    assert fsck(replica).clean
-
-
-def test_source_keeps_only_latest_mirror_snapshot():
-    source, target_volume = make_pair()
-    mirror = MirrorRelationship(source, target_volume)
-    mirror.initialize()
-    mirror.update()
-    mirror.update()
-    mirror_snaps = [s.name for s in source.snapshots()
-                    if s.name.startswith("mirror.")]
-    assert len(mirror_snaps) == 1
-    assert mirror_snaps[0] == mirror.baseline
 
 
 def test_geometry_mismatch_rejected():

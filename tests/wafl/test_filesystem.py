@@ -6,6 +6,7 @@ from repro.errors import (
     ExistsError,
     FilesystemError,
     IsADirectoryError_,
+    NoSpaceError,
     NotADirectoryError_,
     NotEmptyError,
     NotFoundError,
@@ -340,6 +341,21 @@ class TestStatfs:
         after = fs.statfs()
         assert after["active_blocks"] > before["active_blocks"]
         assert after["free_blocks"] < before["free_blocks"]
+
+
+class TestFullVolume:
+    def test_a_write_is_refused_whole(self):
+        """Its data fits above the consistency-point reserve, its indirect
+        block would not: refused before anything is allocated."""
+        fs = make_fs(blocks_per_disk=300)
+        fs.create("/f")
+        fs.consistency_point()
+        room = fs.blockmap.free_blocks() - fs.blockmap.cp_reserve
+        with pytest.raises(NoSpaceError):
+            fs.write_file("/f", bytes(room * BLOCK_SIZE))
+        assert fs.read_file("/f") == b""
+        report = fsck(fs)
+        assert report.clean, report.errors
 
 
 class TestRenameCycles:
