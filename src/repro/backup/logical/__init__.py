@@ -10,13 +10,7 @@ final permissions pass.
 
 from repro.backup.logical.dump import DumpResult, LogicalDump
 from repro.backup.logical.dumpdates import DumpDates
-from repro.backup.logical.inspect import (
-    TapeCatalog,
-    TapeEntry,
-    compare_tape,
-    estimate_dump,
-    list_tape,
-)
+from repro.backup.logical.inspect import compare_tape, estimate_dump, list_tape
 from repro.backup.logical.interactive import InteractiveRestore
 from repro.backup.logical.restore import LogicalRestore, RestoreResult, SymbolTable
 
@@ -28,8 +22,6 @@ __all__ = [
     "LogicalRestore",
     "RestoreResult",
     "SymbolTable",
-    "TapeCatalog",
-    "TapeEntry",
     "compare_tape",
     "estimate_dump",
     "list_tape",

@@ -1,198 +1,105 @@
 """Tape inspection: table of contents, compare mode, dump estimation.
 
-Classic companions to dump/restore that the same stream format enables:
+Classic companions to dump/restore.  Each reads the tape through the one
+reader, :class:`DumpNamespace`, and answers with the rule of the code
+that owns it:
 
-* :func:`list_tape` — ``restore -t``: walk the desiccated directory file
-  and print what is on the tape without restoring anything.
-* :func:`compare_tape` — ``restore -C``: read the tape alongside a live
-  file system and report differences (the verification an administrator
-  runs right after cutting a tape).
-* :func:`estimate_dump` — ``dump -S``: predict the tape bytes a dump at a
-  given level would produce, without writing anything.  The paper's
-  administrators scheduled drives and cartridges around exactly this
-  number.
+* :func:`list_tape` — ``restore -t``: the namespace's own names and
+  record headers, without restoring anything.
+* :func:`compare_tape` — ``restore -C``: every object on the tape against
+  the live file system, by the comparison ``verify_trees`` makes.
+* :func:`estimate_dump` — ``dump -S``: the tape bytes a dump at a given
+  level would write, found by running that dump on a clone.  The paper's
+  administrators scheduled drives and cartridges around this number.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+import copy
+from itertools import chain
+from types import SimpleNamespace
+from typing import List, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.backup.logical.dump import LogicalDump
 from repro.backup.logical.dumpdates import DumpDates
 from repro.backup.logical.restore import DumpNamespace
-from repro.dumpfmt.spec import HEADER_SIZE, SEGMENT_SIZE, SEGMENTS_PER_HEADER
-from repro.wafl.inode import FileType
+from repro.backup.verify import diff_object
+from repro.dumpfmt.records import RecordHeader, TapeLabel
+from repro.errors import ReproError
+from repro.perf.ops import drain_engine
+from repro.wafl.inode import FileType, Inode
 
 
-class TapeEntry(NamedTuple):
-    """One object on the tape."""
-
-    path: str
-    ino: int
-    ftype: int
-    size: int
-    perms: int
-    uid: int
-    gid: int
-    mtime: int
-    nlink: int
-
-
-class TapeCatalog:
-    """The result of walking a dump stream's directory records."""
-
-    def __init__(self, label, entries: List[TapeEntry],
-                 clri_count: int, dumped_count: int):
-        self.label = label
-        self.entries = entries
-        self.clri_count = clri_count
-        self.dumped_count = dumped_count
-
-    def paths(self) -> List[str]:
-        return [entry.path for entry in self.entries]
-
-    def find(self, path: str) -> Optional[TapeEntry]:
-        for entry in self.entries:
-            if entry.path == path:
-                return entry
-        return None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def list_tape(drive) -> TapeCatalog:
-    """``restore -t``: every object on the tape with its attributes."""
+def list_tape(drive) -> Tuple[TapeLabel, List[Tuple[str, RecordHeader]]]:
+    """``restore -t``: the tape's label and a ``(path, header)`` per name."""
     ns = DumpNamespace(drive).load()
     headers = {ino: record.header for ino, record in ns.dirs.items()}
     headers.update((record.ino, record.header) for record in ns.files())
-    entries: List[TapeEntry] = []
-    for path, ino in ns.names:
-        header = headers.get(ino)
-        if header is not None:
-            entries.append(TapeEntry(
-                path, ino, header.ftype, header.size, header.perms,
-                header.uid, header.gid, header.mtime, header.nlink,
-            ))
-    return TapeCatalog(ns.label, entries, len(ns.reader.clri_inos),
-                       len(ns.reader.bits_inos))
+    return ns.label, [(path, headers[ino]) for path, ino in ns.names
+                      if ino in headers]
 
 
-def compare_tape(fs, drive, prefix: str = "/") -> List[str]:
+class _Recorded(Inode):
+    """A tape record as ``diff_object`` reads an inode and its tree."""
+
+    __slots__ = ("record",)
+
+    def __init__(self, record):
+        header = record.header
+        super().__init__(header.ino, header.ftype)
+        for field in ("size", "nlink", "perms", "uid", "gid", "mtime",
+                      "dos_name", "dos_bits"):
+            setattr(self, field, getattr(header, field))
+        self.record = record
+
+    def read_by_ino(self, _ino: int) -> bytes:
+        return self.record.data
+
+    def get_acl_by_ino(self, _ino: int) -> bytes:
+        return self.record.acl
+
+
+def compare_tape(fs, drive) -> List[str]:
     """``restore -C``: differences between the tape and a live tree.
 
     Returns human-readable difference strings (empty = the tape matches).
-    Objects on the tape but missing from (or different in) the file
-    system are reported; live files that are not on the tape are ignored
-    (an incremental tape legitimately covers only part of the tree).  The
-    tape is read once, one file at a time.
+    Every directory and file on the tape is compared with the object its
+    first name reaches under the dumped subtree.  Live names not on the
+    tape are ignored (an incremental covers only part of the tree), and so
+    are directory mtimes, which such a name moves.  The tape is read once.
     """
     problems: List[str] = []
-    ns = DumpNamespace(drive).load()
-    for record in ns.files():
-        paths = ns.paths.get(record.ino, [])
+    ns = DumpNamespace(drive)
+    ns.into = ns.label.subtree
+    ns.load()
+    for record in chain(ns.dirs.values(), ns.files()):
+        paths = ns.paths.get(record.ino)
         if not paths:
             continue
-        live_path = prefix.rstrip("/") + paths[0]
-        header = record.header
         try:
-            live_ino = fs.namei(live_path)
-            live = fs.inode(live_ino)
+            live = fs.inode(fs.namei(paths[0]))
         except ReproError:
-            problems.append("%s: missing from the file system" % live_path)
+            problems.append("%s: missing from the file system" % paths[0])
             continue
-        if live.type != header.ftype:
-            problems.append("%s: type differs" % live_path)
-            continue
-        if header.ftype == FileType.REGULAR:
-            if live.size != header.size:
-                problems.append("%s: size %d on tape, %d live"
-                                % (live_path, header.size, live.size))
-            elif fs.read_by_ino(live_ino) != record.data:
-                problems.append("%s: contents differ" % live_path)
-        elif header.ftype == FileType.SYMLINK:
-            if fs.read_by_ino(live_ino) != record.data:
-                problems.append("%s: symlink target differs" % live_path)
-        for field, live_value in (("perms", live.perms), ("uid", live.uid),
-                                  ("gid", live.gid), ("mtime", live.mtime)):
-            if getattr(header, field) != live_value:
-                problems.append("%s: %s differs (tape %s, live %s)"
-                                % (live_path, field,
-                                   getattr(header, field), live_value))
+        tape = _Recorded(record)
+        problems += diff_object(
+            paths[0], tape, live, tape, fs,
+            check_mtime=record.header.ftype != FileType.DIRECTORY)
     return problems
 
 
-def estimate_dump(source, level: int = 0, subtree: str = "/",
+def estimate_dump(fs, level: int = 0, subtree: str = "/",
                   dumpdates: Optional[DumpDates] = None) -> int:
-    """``dump -S``: predicted stream size in bytes, without dumping.
+    """``dump -S``: the bytes a dump would write, exactly.
 
-    Walks the same selection logic as Phase I/II and sums header,
-    directory, bitmap, and data-segment costs.
+    Runs the dump itself on a copy-on-write clone of ``fs`` with a copy of
+    ``dumpdates``, so neither changes, onto a drive that keeps nothing
+    (the stream writer counts the bytes).
     """
-    base_date = 0
-    if dumpdates is not None and level > 0:
-        base_date, _lvl = dumpdates.base_for(source.volume.name, subtree,
-                                             level)
-    root_ino = source.namei(subtree)
-    total = 0
-    dump_dirs = set()
-    dump_files = []
-    seen_files = set()
-    parent: Dict[int, int] = {}
-    stack = [root_ino]
-    while stack:
-        dir_ino = stack.pop()
-        inode = source.inode(dir_ino)
-        if level == 0 or inode.mtime > base_date:
-            dump_dirs.add(dir_ino)
-        for name, ino in source.readdir_by_ino(dir_ino):
-            child = source.inode(ino)
-            parent.setdefault(ino, dir_ino)
-            if child.is_dir:
-                stack.append(ino)
-            elif ino in seen_files:
-                continue  # a hard link: the inode dumps once
-            elif (level == 0 or child.mtime > base_date
-                  or child.ctime > base_date):
-                seen_files.add(ino)
-                dump_files.append(child)
-    for inode in dump_files:
-        cursor = inode.ino
-        while cursor != root_ino:
-            cursor = parent.get(cursor, root_ino)
-            dump_dirs.add(cursor)
-    dump_dirs.add(root_ino)
-
-    def record_size(data_bytes: int) -> int:
-        segments = (data_bytes + SEGMENT_SIZE - 1) // SEGMENT_SIZE
-        headers = max(1, (segments + SEGMENTS_PER_HEADER - 1)
-                      // SEGMENTS_PER_HEADER)
-        return headers * HEADER_SIZE + segments * SEGMENT_SIZE
-
-    # Preamble: tape header + two inode bitmaps.
-    max_ino = source.max_ino()
-    bitmap_bytes = (max_ino + 8) // 8
-    total += record_size(64) + 2 * record_size(bitmap_bytes)
-    for dir_ino in dump_dirs:
-        total += record_size(source.inode(dir_ino).size)
-    for inode in dump_files:
-        # Holes ship as map bits, not segments: count allocated blocks.
-        allocated = sum(
-            count for _f, _v, count in source.file_extents(inode.ino)
-        )
-        data_segments = min(
-            (inode.size + SEGMENT_SIZE - 1) // SEGMENT_SIZE,
-            allocated * (4096 // SEGMENT_SIZE),
-        )
-        segments_total = (inode.size + SEGMENT_SIZE - 1) // SEGMENT_SIZE
-        headers = max(1, (segments_total + SEGMENTS_PER_HEADER - 1)
-                      // SEGMENTS_PER_HEADER)
-        total += headers * HEADER_SIZE + data_segments * SEGMENT_SIZE
-        if inode.acl_block:
-            total += record_size(64)
-    total += HEADER_SIZE  # TS_END
-    return total
+    drive = SimpleNamespace(media_changes=0, write=lambda _chunk: 0)
+    dump = LogicalDump(fs.clone_volume(), drive, level=level,
+                       subtree=subtree, dumpdates=copy.deepcopy(dumpdates))
+    return drain_engine(dump.run()).bytes_to_tape
 
 
-__all__ = ["TapeCatalog", "TapeEntry", "compare_tape", "estimate_dump",
-           "list_tape"]
+__all__ = ["compare_tape", "estimate_dump", "list_tape"]

@@ -117,10 +117,11 @@ class ImageRestore:
         return result
 
     def _check_incremental_base(self, header: ImageHeader) -> None:
-        """An incremental only applies over the base it was cut against."""
+        """An incremental only applies over its base: a root at the base's
+        CP, or one holding it as a snapshot (a full taken with them)."""
         try:
             current = FsInfo.read_from(self.volume)
-        except Exception:
+        except ReproError:
             raise IncrementalError(
                 "incremental image restore requires the base image on the "
                 "target volume (no readable root structure found)"
@@ -129,7 +130,8 @@ class ImageRestore:
             # Another stream of the same multi-drive set already installed
             # this image's root structure; the part still applies.
             return
-        if current.cp_count != header.base_cp:
+        if header.base_cp not in [current.cp_count] + [
+                snap.cp_count for snap in current.snapshots]:
             raise IncrementalError(
                 "incremental base mismatch: image was cut against cp %d "
                 "but the volume is at cp %d" % (header.base_cp, current.cp_count)

@@ -13,9 +13,10 @@ from typing import List
 
 from repro.errors import FormatError
 from repro.backup.physical.image import read_chunks, read_image_header
+from repro.backup.verify import diff_blocks
 
 
-def compare_image(volume, drives, max_problems: int = 20) -> List[str]:
+def compare_image(volume, drives) -> List[str]:
     """Differences between an image stream and the volume (empty = match).
 
     A chunk that fails its CRC, and a stream whose trailer disagrees with
@@ -36,15 +37,12 @@ def compare_image(volume, drives, max_problems: int = 20) -> List[str]:
                     problems.append("chunk at block %d corrupt on tape" % start)
                     continue
                 live = volume.read_run(start, count)
-                if live == data:
-                    continue
-                for index in range(count):
-                    lo = index * block_size
-                    if live[lo : lo + block_size] != data[lo : lo + block_size]:
-                        problems.append("block %d differs" % (start + index))
-                        if len(problems) >= max_problems:
-                            problems.append("... (stopping)")
-                            return problems
+                if live != data and diff_blocks(problems, (
+                        (start + index,
+                         data[index * block_size : (index + 1) * block_size],
+                         live[index * block_size : (index + 1) * block_size])
+                        for index in range(count))):
+                    return problems
         except FormatError as error:
             problems.append(str(error))
     return problems

@@ -575,15 +575,13 @@ def cmd_toc(args) -> int:
     from repro.backup import list_tape
     from repro.storage.persist import load_tape
 
-    catalog = list_tape(load_tape(args.tape))
-    label = catalog.label
+    label, entries = list_tape(load_tape(args.tape))
     print("Dump of %s:%s level %d (%d objects)"
-          % (label.filesystem, label.subtree, label.level, len(catalog)))
-    for entry in catalog.entries:
+          % (label.filesystem, label.subtree, label.level, len(entries)))
+    for path, header in entries:
         print("%s%s %6d  %s"
-              % (_type_char(entry.ftype),
-                 oct(entry.perms)[2:].rjust(4, "0"),
-                 entry.size, entry.path))
+              % (_type_char(header.ftype),
+                 oct(header.perms)[2:].rjust(4, "0"), header.size, path))
     return 0
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
-from repro.errors import NoSpaceError
+from repro.errors import NoSpaceError, ReproError
 from repro.wafl.consts import BLOCK_SIZE
 from repro.workload.distributions import FileSizeDistribution, deterministic_bytes
 from repro.workload.generator import GeneratedTree
@@ -73,7 +73,7 @@ def age_filesystem(fs, tree: GeneratedTree, config: AgingConfig = None,
                 try:
                     fs.unlink(path)
                     stats["deleted"] += 1
-                except Exception:
+                except ReproError:
                     pass
                 fs.consistency_point()
                 ops_since_cp = 0
@@ -122,7 +122,7 @@ def age_filesystem(fs, tree: GeneratedTree, config: AgingConfig = None,
                     fs.unlink(path)
                     tree.files.pop(index)
                     stats["deleted"] += 1
-                except Exception:
+                except ReproError:
                     pass
             ops_since_cp += 1
             if ops_since_cp >= config.cp_every_ops:

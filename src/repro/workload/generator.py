@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import NoSpaceError, WorkloadError
+from repro.errors import NoSpaceError, ReproError, WorkloadError
 from repro.workload.distributions import (
     FileSizeDistribution,
     TreeShape,
@@ -122,7 +122,7 @@ class WorkloadGenerator:
                 target = rng.choice(tree.files)
                 try:
                     fs.link(target, path)
-                except Exception:
+                except ReproError:
                     continue
                 tree.hardlinks.append((target, path))
                 continue

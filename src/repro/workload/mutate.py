@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
-from repro.errors import NoSpaceError
+from repro.errors import NoSpaceError, ReproError
 from repro.workload.distributions import FileSizeDistribution, deterministic_bytes
 from repro.workload.generator import GeneratedTree
 
@@ -60,7 +60,7 @@ def apply_mutations(fs, tree: GeneratedTree, config: MutationConfig = None,
         try:
             fs.unlink(path)
             report["deleted"].append(path)
-        except Exception:
+        except ReproError:
             continue
 
     # Modifications.
@@ -77,7 +77,7 @@ def apply_mutations(fs, tree: GeneratedTree, config: MutationConfig = None,
             report["modified"].append(path)
         except NoSpaceError:
             break
-        except Exception:
+        except ReproError:
             continue
 
     # Renames (within the same directory, new suffix).
@@ -91,7 +91,7 @@ def apply_mutations(fs, tree: GeneratedTree, config: MutationConfig = None,
             fs.rename(path, new_path)
             tree.files[index] = new_path
             report["renamed"].append(new_path)
-        except Exception:
+        except ReproError:
             continue
 
     # Creations.
@@ -108,7 +108,7 @@ def apply_mutations(fs, tree: GeneratedTree, config: MutationConfig = None,
             report["created"].append(path)
         except NoSpaceError:
             break
-        except Exception:
+        except ReproError:
             continue
 
     if checkpoint:

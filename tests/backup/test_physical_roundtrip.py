@@ -86,6 +86,25 @@ def test_incremental_onto_wrong_base_refused():
         image_restore(blank, incr_drive)
 
 
+def test_incremental_restores_over_a_full_with_snapshots():
+    """The full restores the live root, one CP past snapshot A; the
+    B - A incremental still applies, since the target holds A intact."""
+    source = make_fs(name="src")
+    populate_small_tree(source)
+    full_drive = make_drive("full")
+    image_dump(source, full_drive, snapshot_name="A", include_snapshots=True)
+    source.create("/delta", b"d" * 9000)
+    source.unlink("/docs/readme.txt")
+    incr_drive = make_drive("incr")
+    image_dump(source, incr_drive, snapshot_name="B", base_snapshot="A")
+    target_volume = source.volume.clone_empty()
+    image_restore(target_volume, full_drive)
+    assert image_restore(target_volume, incr_drive).incremental
+    target = WaflFilesystem.mount(target_volume)
+    assert verify_trees(source.snapshot_view("B"), target,
+                        check_mtime=True) == []
+
+
 def test_incremental_missing_base_snapshot_refused():
     source = make_fs()
     source.create("/f", b"x")

@@ -83,6 +83,7 @@ class FilesystemMachine(RuleBasedStateMachine):
         self.logical_chain = []  # (level, drive), oldest first
         self.image_chain = []  # (drive, blocks dumped), oldest first
         self.image_base = None  # the chain's snapshot: the next B - A's A
+        self.image_with_snapshots = False  # the chain's full dump's
         self.oracles = {}  # strategy -> (version, clone) at its last dump
         self.mirror = None
 
@@ -312,23 +313,21 @@ class FilesystemMachine(RuleBasedStateMachine):
 
     @rule(incremental=st.booleans(), include_snapshots=st.booleans())
     def image_dump(self, incremental, include_snapshots):
-        """``B - A`` against the chain's snapshot, or a full dump.  A
-        full dump with snapshots stands alone: its snapshot is not kept
-        as a base, because an incremental cannot restore over it (the
-        restored root is one consistency point past the base's)."""
+        """``B - A`` against the chain's snapshot, or a full dump, with or
+        without the volume's snapshots; its snapshot is the next base."""
         drive = make_drive("image")
         base = self.image_base if incremental else None
-        with_snapshots = include_snapshots and base is None
-        name = None if with_snapshots else self._name("img")
+        name = self._name("img")
         result = drain_engine(ImageDump(
             self.fs, drive, snapshot_name=name, base_snapshot=base,
-            include_snapshots=with_snapshots).run())
+            include_snapshots=include_snapshots and base is None).run())
         assert result.incremental == (base is not None)
         assert result.blocks > 0 or result.incremental
         if self.image_base is not None:
             self.fs.snapshot_delete(self.image_base)
         if base is None:
             self.image_chain = []
+            self.image_with_snapshots = include_snapshots
         self.image_chain.append((drive, result.blocks))
         self.image_base = name
         self._freeze("image")
@@ -343,7 +342,7 @@ class FilesystemMachine(RuleBasedStateMachine):
     @rule()
     def restore_image(self):
         oracle, target = self._restore("image")
-        if self.image_base is None:  # one full dump, snapshots and all
+        if len(self.image_chain) == 1 and self.image_with_snapshots:
             names = {record.name for record in target.snapshots()}
             for record in oracle.snapshots():
                 assert record.name in names
