@@ -1,11 +1,10 @@
-"""Append-only catalog journal: O(delta) commits for the hot path.
+"""Append-only catalog journal: every catalog commit is one O(delta) line.
 
-A catalog commit used to mean rewriting the whole JSON image — every
-set, every cartridge — even when a single dump landed.  The journal
-replaces that with one fsync'd JSONL append per commit: each record is a
-self-contained upsert (a backup set, a cartridge record, a policy, or
-the id-counter metadata), so replaying the journal over the last
-compacted image reproduces the live catalog exactly.  This is the same
+A commit never rewrites the whole JSON image — every set, every
+cartridge — when a single dump lands: it is one fsync'd JSONL append.
+Each record is a self-contained upsert (a backup set, a cartridge
+record, a policy, or the id-counter metadata), so replaying the journal
+over the last compacted image reproduces the live catalog exactly.  This is the same
 move Lomet-style logical recovery makes: once state is resident, only
 operation deltas need to reach the disk.
 
@@ -17,11 +16,11 @@ Crash safety
   tear the *tail*: replay parses line by line and discards everything
   from the first incomplete or undecodable line onward, recovering the
   catalog as of the last durable record.
-* **Compaction** writes the full image via temp-then-rename *first* and
-  truncates the journal *second*.  A crash between the two leaves a
-  journal whose records are already folded into the image — and since
-  every record is an idempotent upsert, replaying them again is
-  harmless.
+* **Compaction** writes the full image via fsync'd temp-then-rename
+  *first* and truncates the journal *second*.  A crash between the two
+  leaves a journal whose records are already folded into the image —
+  and since every record is an idempotent upsert, replaying them again
+  is harmless.
 
 Records are JSON objects, one per line, compact separators, sorted
 keys — the same canonical encoding on every writer, so serial and

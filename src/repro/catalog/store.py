@@ -7,11 +7,12 @@ the dumpdates database (which it subsumes — the in-memory
 set records on load, so incremental base selection survives process
 restarts for free).
 
-Persistence is a single versioned JSON document written crash-safely:
-the new image goes to ``<path>.tmp`` and is renamed over the old one, so
-a crash mid-save leaves the previous catalog intact.  An in-memory
-catalog (``path=None``) never touches the disk; tests and short
-experiments use it directly.
+Persistence is a versioned JSON image plus the append-only journal
+beside it (:mod:`repro.catalog.journal`): every commit is one fsync'd
+journal line, and :meth:`BackupCatalog.save` compacts — a new image
+through ``<path>.tmp``, fsync'd and renamed over the old one, then an
+empty journal.  An in-memory catalog (``path=None``) never touches the
+disk; tests and short experiments use it directly.
 """
 
 from __future__ import annotations
@@ -42,8 +43,11 @@ def _policy_key(fsid: str, subtree: str) -> str:
 class BackupCatalog:
     """Backup sets, media inventory, policies, and chain planning."""
 
+    #: A commit that finds this many upserts in the journal compacts.
+    compact_after = COMPACT_AFTER
+
     def __init__(self, path: Optional[str] = None):
-        self.path = path
+        self.path = path  # also sets up the journal
         self.sets: Dict[str, BackupSet] = {}
         self.media: Dict[str, CartridgeRecord] = {}
         self.policies: Dict[str, str] = {}
@@ -51,10 +55,7 @@ class BackupCatalog:
         self.next_cartridge = 1
         self.dumpdates = DumpDates()
         # Delta tracking: which entities changed since the last durable
-        # commit.  Mutators mark, :meth:`commit_dirty` flushes — as an
-        # O(delta) journal append in journal mode, a full image write
-        # otherwise.
-        self._journal: Optional[CatalogJournal] = None
+        # commit.  Mutators mark, :meth:`commit_dirty` appends them.
         self._dirty_sets: set = set()
         self._dirty_media: set = set()
         self._dirty_policies: set = set()
@@ -62,21 +63,18 @@ class BackupCatalog:
 
     # -- persistence -------------------------------------------------------
 
-    def use_journal(self, compact_after: int = COMPACT_AFTER) -> "BackupCatalog":
-        """Switch the commit path to append-only journal mode.
+    @property
+    def path(self) -> Optional[str]:
+        return self._path
 
-        :meth:`commit_dirty` then appends only the changed records
-        (fsync'd, under the lock) instead of rewriting the image;
-        :meth:`save` becomes *compaction*: full image, then journal
-        truncate.  ``compact_after`` bounds the journal — a commit that
-        finds at least that many records folds into the image instead.
-        """
-        if not self.path:
-            raise CatalogError("an in-memory catalog cannot journal")
-        if self._journal is None:
-            self._journal = CatalogJournal(journal_path(self.path))
-        self._compact_after = compact_after
-        return self
+    @path.setter
+    def path(self, path: Optional[str]) -> None:
+        self._path = path
+        self._journal = CatalogJournal(journal_path(path)) if path else None
+        # Journal lines replay over an image, so until this catalog has
+        # loaded or written one at ``path`` its first commit compacts —
+        # which also empties a journal an earlier catalog left there.
+        self._imaged = False
 
     @property
     def dirty(self) -> bool:
@@ -99,46 +97,43 @@ class BackupCatalog:
         self._dirty_meta = False
 
     def save(self) -> None:
-        """Write-temp-then-rename under the catalog's file lock; a no-op
-        for in-memory catalogs.
+        """Compact: write the whole image, then empty the journal; a
+        no-op for in-memory catalogs.
 
-        The rename is atomic against readers, but two concurrent writers
-        (a fleet daemon and a CLI invocation, say) would race their temp
-        files and silently drop one commit — the lock serialises them.
-        In journal mode this is *compaction*: the image write is followed
-        by a journal truncate (in that order — a crash in between leaves
-        idempotent upserts that replay harmlessly over the new image).
+        Runs under the catalog's file lock, so two writers (a fleet
+        daemon and a CLI invocation, say) cannot race their temp files
+        and drop a commit.  The image is durable before the journal is
+        emptied: a crash in between leaves idempotent upserts that
+        replay harmlessly over the new image.
         """
         if not self.path:
             return
         with self._lock():
             self._save_unlocked()
-            if self._journal is not None:
-                self._journal.clear()
+            self._journal.clear()
+        self._imaged = True
         self._clear_dirty()
 
     def commit_dirty(self, sync: bool = True) -> int:
         """Durably commit the changed entities; returns records written.
 
-        Journal mode appends the commit as one ``batch`` record — one
+        Appends the commit to the journal as one ``batch`` record — one
         JSONL line holding every dirty entity's upsert (sorted by id,
         so serial and parallel runs write byte-identical journals) with
         a single fsync.  One line per commit is what makes commits
         *atomic under torn writes*: replay discards the journal tail
         from the first unparseable line, so a crash mid-append loses the
         whole commit or none of it — never a backup set without its
-        media allocation.  Without a journal this falls back to a full
-        :meth:`save`.  A no-op when nothing is dirty.  ``sync=False``
+        media allocation.  A no-op when nothing is dirty.  ``sync=False``
         defers the fsync to :meth:`sync_journal` so multi-catalog
-        callers can group their syncs.
+        callers can group their syncs.  The commit is a :meth:`save`
+        instead when the catalog has no image yet or the journal holds
+        :attr:`compact_after` upserts.
         """
         if not self.path or not self.dirty:
             return 0
-        if self._journal is None:
+        if not self._imaged or self._journal.records >= self.compact_after:
             self.save()
-            return 1
-        if self._journal.records >= self._compact_after:
-            self.save()  # fold the grown journal back into the image
             return 1
         records = []
         if self._dirty_meta:
@@ -178,12 +173,14 @@ class BackupCatalog:
         }
         temp = self.path + ".tmp"
         with open(temp, "w") as handle:
-            # Compact separators: the image sits on the commit path (and
-            # under the determinism byte-diff), so no pretty-printing —
-            # and ``dumps``, the C one-shot encoder: ``dump`` streams the
-            # same bytes through the pure-Python one.
+            # Compact separators: the image is under the determinism
+            # byte-diff, so no pretty-printing — and ``dumps``, the C
+            # one-shot encoder: ``dump`` streams the same bytes through
+            # the pure-Python one.
             handle.write(json.dumps(document, sort_keys=True,
                                     separators=(",", ":")))
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp, self.path)
 
     def _apply_journal(self, records: List[Dict]) -> None:
@@ -231,13 +228,10 @@ class BackupCatalog:
             cartridge = CartridgeRecord.from_dict(raw)
             catalog.media[cartridge.label] = cartridge
         catalog.policies = dict(document.get("policies", {}))
-        # A journal next to the image means the last writer crashed (or
-        # is mid-run): replay its upserts — torn tails are discarded by
-        # CatalogJournal.load — to recover the committed state.
-        sidecar = CatalogJournal(journal_path(path))
-        replayed = sidecar.load()
-        if replayed:
-            catalog._apply_journal(replayed)
+        # Every commit since the last compaction is in the journal:
+        # replay its upserts (CatalogJournal.load drops a torn tail).
+        catalog._apply_journal(catalog._journal.load())
+        catalog._imaged = True
         catalog._rebuild_dumpdates()
         return catalog
 
@@ -331,7 +325,7 @@ class BackupCatalog:
             # ``self.dumpdates`` (same level, same date).
             self.dumpdates.record(fsid, subtree, level, date)
         if save:
-            self.save()
+            self.commit_dirty()
         return backup_set
 
     def _resolve_base(self, fsid: str, subtree: str, strategy: str,
@@ -451,7 +445,7 @@ class BackupCatalog:
             self.sets[set_id].status = STATUS_OBSOLETE
             self._dirty_sets.add(set_id)
         if save:
-            self.save()
+            self.commit_dirty()
 
     def validate_no_orphans(self) -> List[str]:
         """Invariant check: every ok set's whole chain is ok.
@@ -482,7 +476,7 @@ class BackupCatalog:
         self.policies[_policy_key(fsid, subtree)] = text
         self._dirty_policies.add(_policy_key(fsid, subtree))
         if save:
-            self.save()
+            self.commit_dirty()
 
     def policy_for(self, fsid: str, subtree: str = "/") -> Optional[str]:
         return self.policies.get(_policy_key(fsid, subtree))

@@ -4,8 +4,8 @@ Every comparison here is a content digest, not an object comparison:
 two campaigns match when the bytes an operator could ever read back —
 disk blocks, catalog files, tape cartridges — are identical.  Volume
 digests hash each disk's non-zero blocks (parity included, so a sloppy
-repair that fixed data but not parity is caught); catalog and media
-digests hash the persisted files byte-for-byte.
+repair that fixed data but not parity is caught); catalog, journal and
+media digests hash the persisted files byte-for-byte.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import os
 from typing import Dict, List, Tuple
+
+from repro.catalog.journal import journal_path
 
 
 def volume_digest(volume) -> str:
@@ -66,12 +68,14 @@ def campaign_state_digests(catalog_path: str, pool_path: str,
                            volume_paths: Dict[str, str]) -> Dict[str, str]:
     """Every persisted artifact of a finished campaign, digested.
 
-    Keys: ``catalog``, ``media``, and ``volume:<name>`` per saved
+    Keys: ``catalog``, ``journal`` (the catalog's commits since its
+    last compaction), ``media``, and ``volume:<name>`` per saved
     volume.  Two campaigns whose digest maps are equal produced
     byte-identical catalogs, tape libraries, and volume images.
     """
     digests = {
         "catalog": file_digest(catalog_path),
+        "journal": file_digest(journal_path(catalog_path)),
         "media": file_digest(pool_path),
     }
     for name, path in sorted(volume_paths.items()):

@@ -240,9 +240,7 @@ class Tenant:
     @property
     def catalog(self) -> BackupCatalog:
         if self._catalog is None:
-            catalog = BackupCatalog.load(self.catalog_path)
-            catalog.use_journal()
-            self._catalog = catalog
+            self._catalog = BackupCatalog.load(self.catalog_path)
         return self._catalog
 
     @property
@@ -285,7 +283,6 @@ class Tenant:
         generator = WorkloadGenerator(seed=spec.seed)
         tree = generator.populate(fs, spec.data_bytes)
         self._catalog = BackupCatalog(self.catalog_path)
-        self._catalog.use_journal()
         self._pool = MediaPool(self._catalog)
         self._pool.add_blank(spec.cartridges,
                              capacity=spec.cartridge_capacity)

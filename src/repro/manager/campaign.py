@@ -282,9 +282,10 @@ class CampaignDriver:
 
         Each volume-day gets a disjoint slice of the scratch media
         (:meth:`MediaPool.partitioned_drives`) and runs in this process on
-        the live volume.  Sets are committed once every day has run, in
-        declaration order, so set IDs, dumpdates and media allocation
-        follow the volume order and a day that raises commits nothing.
+        the live volume.  Sets are committed, as one journal line, once
+        every day has run, in declaration order, so set IDs, dumpdates
+        and media allocation follow the volume order and a day that
+        raises commits nothing.
         """
         day = self.day
         names = ["%s.d%02d" % (volume.fsid, day) for volume in self.volumes]
@@ -308,7 +309,7 @@ class CampaignDriver:
                                             dump, drive, payload)
             results[payload["name"]] = (backup_set, payload)
             events.extend(day_events)
-        self.catalog.save()
+        self.catalog.commit_dirty()
         self.day += 1
         return results, events
 

@@ -124,8 +124,8 @@ def prune(catalog, pool=None, now_day: Optional[int] = None,
 
     Marks whole chains obsolete in the catalog and — when a media
     ``pool`` is given — recycles their cartridges back to scratch.
-    ``save=False`` leaves persistence to the caller (the fleet service
-    journals the dirty records instead of rewriting the image per day).
+    ``save=False`` leaves the commit to the caller (the fleet service
+    group-commits its tenants' catalogs once per day).
     """
     if now_day is None:
         now_day = catalog.latest_day()
@@ -144,7 +144,7 @@ def prune(catalog, pool=None, now_day: Optional[int] = None,
     if problems:
         raise CatalogError("prune broke a chain: %s" % "; ".join(problems))
     if save:
-        catalog.save()
+        catalog.commit_dirty()
     return retired
 
 

@@ -18,14 +18,24 @@ import pytest
 
 from repro.catalog import BackupCatalog, FileLock
 from repro.catalog.journal import CatalogJournal, journal_path
-from repro.errors import CatalogError
 
 APPENDS = 100
 
 
-def journaled_catalog(tmp_path, **kwargs):
+def journaled_catalog(tmp_path, compact_after=None):
     path = str(tmp_path / "catalog.json")
-    return BackupCatalog(path).use_journal(**kwargs), path
+    catalog = BackupCatalog(path)
+    if compact_after is not None:
+        catalog.compact_after = compact_after
+    return catalog, path
+
+
+def cut_journal(journal, blob):
+    """Leave ``blob`` as the journal's bytes, overwriting in place (a
+    truncate that frees blocks is slow where ``discard`` is mounted)."""
+    with open(journal, "r+b") as handle:
+        handle.write(blob)
+        handle.truncate(len(blob))
 
 
 def record_day(catalog, day, fsid="home"):
@@ -82,9 +92,70 @@ class TestJournalMode:
         catalog.sync_journal()
         assert sorted(BackupCatalog.load(path).sets) == ["S0001"]
 
-    def test_in_memory_catalog_cannot_journal(self):
-        with pytest.raises(CatalogError):
-            BackupCatalog().use_journal()
+    def test_in_memory_catalog_keeps_no_journal(self):
+        catalog = BackupCatalog()
+        record_day(catalog, 0)
+        assert catalog.commit_dirty() == 0
+        catalog.sync_journal()  # nothing to sync: not an error
+
+    def test_first_commit_of_a_new_catalog_writes_the_image(self, tmp_path):
+        catalog, path = journaled_catalog(tmp_path)
+        record_day(catalog, 0)
+        catalog.commit_dirty()
+        with open(path) as handle:
+            assert [raw["set_id"] for raw in json.load(handle)["sets"]] \
+                == ["S0001"]
+        assert not os.path.exists(journal_path(path))
+        record_day(catalog, 1)
+        catalog.commit_dirty()  # the image exists: this one appends
+        with open(journal_path(path)) as handle:
+            assert len(handle.readlines()) == 1
+
+    def test_leftover_journal_is_not_replayed_over_a_new_catalog(
+            self, tmp_path):
+        # A campaign that deletes the old image but not its journal
+        # starts a new catalog at the same path: the stale commits must
+        # not come back on load.
+        stale, path = journaled_catalog(tmp_path)
+        stale.save()
+        for day in range(3):
+            record_day(stale, day, fsid="old")
+            stale.commit_dirty()
+        os.remove(path)
+        catalog = BackupCatalog(path)
+        catalog.set_policy("home", "/", "redundancy 2", save=False)
+        record_day(catalog, 0)
+        catalog.commit_dirty()
+        record_day(catalog, 1)
+        catalog.commit_dirty()
+        loaded = BackupCatalog.load(path)
+        assert ({k: s.to_dict() for k, s in loaded.sets.items()}
+                == {k: s.to_dict() for k, s in catalog.sets.items()})
+        assert (loaded.next_set, loaded.next_cartridge, loaded.policies) \
+            == (catalog.next_set, catalog.next_cartridge, catalog.policies)
+        assert loaded.volumes() == [("home", "/")]
+
+    def test_compaction_makes_the_image_durable_before_emptying(
+            self, tmp_path, monkeypatch):
+        catalog, path = journaled_catalog(tmp_path)
+        catalog.save()
+        record_day(catalog, 0)
+        catalog.commit_dirty()
+        calls = []
+        fsync, replace, clear = os.fsync, os.replace, CatalogJournal.clear
+
+        def record(name, real):
+            def call(*args):
+                calls.append((name, args[-1] if name == "replace" else None))
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(os, "fsync", record("fsync", fsync))
+        monkeypatch.setattr(os, "replace", record("replace", replace))
+        monkeypatch.setattr(CatalogJournal, "clear", record("clear", clear))
+        catalog.save()
+        assert calls == [("fsync", None), ("replace", path), ("clear", None)]
+        assert os.path.getsize(journal_path(path)) == 0
 
 
 class TestCrashRecovery:
@@ -103,8 +174,7 @@ class TestCrashRecovery:
             blob = handle.read()
         # Chop into the middle of the last line: the crash happened
         # mid-append, after two whole day-commits had been fsync'd.
-        with open(journal, "wb") as handle:
-            handle.write(blob[:-10])
+        cut_journal(journal, blob[:-10])
         loaded = BackupCatalog.load(path)
         assert "S0003" not in loaded.sets
         assert sorted(loaded.sets) == ["S0001", "S0002"]
@@ -146,6 +216,17 @@ class TestCrashRecovery:
         assert loaded.next_set == reference.next_set
         for set_id, backup_set in reference.sets.items():
             assert loaded.sets[set_id].to_dict() == backup_set.to_dict()
+
+    def test_a_loaded_catalog_counts_the_replayed_upserts(self, tmp_path):
+        # A restarted writer must compact when an uninterrupted one
+        # would: three day-commits left six upserts in the journal.
+        _, path = self.build(tmp_path)
+        loaded = BackupCatalog.load(path)
+        loaded.compact_after = 6
+        record_day(loaded, 3)
+        loaded.commit_dirty()
+        assert os.path.getsize(journal_path(path)) == 0
+        assert len(BackupCatalog.load(path).sets) == 4
 
     def test_empty_journal_is_a_clean_load(self, tmp_path):
         _, path = self.build(tmp_path)
@@ -193,8 +274,7 @@ class TestBatchAtomicity:
             blob = handle.read()
         last_line_start = blob.rstrip(b"\n").rfind(b"\n") + 1
         for cut in range(last_line_start, len(blob) + 1):
-            with open(journal, "wb") as handle:
-                handle.write(blob[:cut])
+            cut_journal(journal, blob[:cut])
             loaded = BackupCatalog.load(path)
             chain = [s.set_id for s in loaded.chain_for("home").sets]
             if cut < len(blob):
@@ -214,7 +294,7 @@ class TestBatchAtomicity:
         # crash in that window can persist any byte prefix of the
         # commit's line.  chain_for must see the whole commit or none.
         path, first, _ = self.build_two_commits(tmp_path)
-        catalog = BackupCatalog.load(path).use_journal()
+        catalog = BackupCatalog.load(path)
         catalog.register_cartridge(100, label="T3")
         third = catalog.record_set("home", "/", "logical", 2, 3, 300,
                                    cartridges=["T3"], save=False)
@@ -225,8 +305,7 @@ class TestBatchAtomicity:
         last_line_start = blob.rstrip(b"\n").rfind(b"\n") + 1
         for cut in (last_line_start, last_line_start + 1,
                     (last_line_start + len(blob)) // 2, len(blob) - 1):
-            with open(journal, "wb") as handle:
-                handle.write(blob[:cut])
+            cut_journal(journal, blob[:cut])
             loaded = BackupCatalog.load(path)
             assert third.set_id not in loaded.sets
             assert "T3" not in loaded.media

@@ -34,7 +34,7 @@ _PINNED = os.path.join(_DATA, "v1.catalog.json")
 
 def write_pinned(path):
     """Write the pinned catalog image plus its journal at ``path``."""
-    catalog = BackupCatalog(path).use_journal()
+    catalog = BackupCatalog(path)
     pool = MediaPool(catalog)
     pool.add_blank(12, capacity=2 * MB)
     driver = CampaignDriver(catalog, pool, seed=7)
@@ -43,7 +43,8 @@ def write_pinned(path):
         fs = make_fs(name=name, blocks_per_disk=600)
         tree = WorkloadGenerator(seed=20 + index).populate(fs, MB // 4)
         driver.add_volume(fs, tree, strategy, GFS(2, 2))
-    driver.run(5)  # each day compacts: image written, journal empty
+    driver.run(5)
+    catalog.save()  # the five days fold into the image; journal empty
     catalog.set_policy("home", "/", "redundancy 1", save=False)
     prune(catalog, pool, save=False)
     catalog.commit_dirty()

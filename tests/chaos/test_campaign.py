@@ -14,7 +14,14 @@ import os
 
 import pytest
 
-from repro.chaos import ChaosPlan, compare_digests, restore_drill
+from repro.catalog import BackupCatalog
+from repro.catalog.journal import journal_path
+from repro.chaos import (
+    ChaosPlan,
+    campaign_state_digests,
+    compare_digests,
+    restore_drill,
+)
 from repro.chaos.verify import volume_digest
 from repro.manager import restore_point_in_time
 
@@ -52,9 +59,28 @@ class TestOracleConvergence:
         assert compare_digests(oracle.digests(), chaos.digests()) == []
 
     def test_catalog_file_identical(self, oracle, chaos):
-        with open(oracle.catalog_path, "rb") as left, \
-                open(chaos.catalog_path, "rb") as right:
-            assert left.read() == right.read()
+        for name in (oracle.catalog_path, journal_path(oracle.catalog_path)):
+            with open(name, "rb") as left, open(os.path.join(
+                    chaos.root, os.path.basename(name)), "rb") as right:
+                assert left.read() == right.read()
+        # Days after the first are journal lines, not image rewrites.
+        with open(journal_path(oracle.catalog_path)) as handle:
+            assert len(handle.readlines()) == DAYS - 1
+
+    def test_catalogs_differing_in_one_journal_line_mismatch(self, tmp_path):
+        digests = []
+        for name, date in (("left", 200), ("right", 201)):
+            path = str(tmp_path / name / "catalog.json")
+            os.makedirs(os.path.dirname(path))
+            catalog = BackupCatalog(path)
+            catalog.record_set("home", "/", "logical", 0, 0, 100)
+            catalog.record_set("home", "/", "logical", 1, 1, date)
+            digests.append(campaign_state_digests(
+                path, str(tmp_path / name / "pool.med"), {}))
+        # The images (day 0) are the same bytes; only day 1 differs.
+        assert digests[0]["catalog"] == digests[1]["catalog"]
+        assert [key for key, _l, _r in compare_digests(*digests)] \
+            == ["journal"]
 
 
 class TestOracleIsThePlainCampaign:
