@@ -17,7 +17,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    enable_metrics,
 )
 from repro.obs.summary import (
     PhaseRow,
@@ -33,7 +32,6 @@ from repro.obs.trace import (
     get_tracer,
     read_jsonl,
     set_tracer,
-    validate_spans,
 )
 
 
@@ -61,7 +59,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "enable_metrics",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -69,7 +66,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "read_jsonl",
-    "validate_spans",
     "to_chrome_trace",
     "validate_chrome_trace",
     "export_chrome_trace",

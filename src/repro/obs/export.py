@@ -14,9 +14,12 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.errors import ReproError
+from repro.obs.trace import TRACE_PHASES
+
 _US = 1_000_000  # simulated seconds -> microseconds
 
-_CHROME_PHASES = ("B", "E", "X", "i", "C", "M")
+_CHROME_PHASES = TRACE_PHASES + ("M",)
 
 
 def to_chrome_trace(events: Iterable[dict],
@@ -33,7 +36,7 @@ def to_chrome_trace(events: Iterable[dict],
 
     for event in events:
         ph = event.get("ph")
-        if ph not in ("B", "E", "X", "i", "C"):
+        if ph not in TRACE_PHASES:
             continue
         pid = event.get("pid", 0)
         tid = event.get("tid", 0)
@@ -75,27 +78,28 @@ def to_chrome_trace(events: Iterable[dict],
 
 
 def validate_chrome_trace(doc: dict) -> None:
-    """Schema check for an exported document; raises ``ValueError``."""
+    """Schema check for an exported document; raises ``ReproError``."""
     if not isinstance(doc, dict) or "traceEvents" not in doc:
-        raise ValueError("not a trace document: missing traceEvents")
+        raise ReproError("not a trace document: missing traceEvents")
     for index, event in enumerate(doc["traceEvents"]):
         context = "traceEvents[%d]" % index
         if not isinstance(event, dict):
-            raise ValueError("%s is not an object" % context)
+            raise ReproError("%s is not an object" % context)
         ph = event.get("ph")
         if ph not in _CHROME_PHASES:
-            raise ValueError("%s has bad ph %r" % (context, ph))
+            raise ReproError("%s has bad ph %r" % (context, ph))
         if not isinstance(event.get("name"), str):
-            raise ValueError("%s has no name" % context)
+            raise ReproError("%s has no name" % context)
         if "pid" not in event or "tid" not in event:
-            raise ValueError("%s missing pid/tid" % context)
+            raise ReproError("%s missing pid/tid" % context)
         if ph == "M":
             continue
         if not isinstance(event.get("ts"), int):
-            raise ValueError("%s ts must be integer microseconds" % context)
-        if ph == "X" and not isinstance(event.get("dur"), int):
-            raise ValueError("%s complete event missing integer dur"
-                             % context)
+            raise ReproError("%s ts must be integer microseconds" % context)
+        dur = event.get("dur")
+        if ph == "X" and not (isinstance(dur, int) and dur >= 0):
+            raise ReproError("%s complete event needs a non-negative"
+                             " integer dur" % context)
 
 
 def export_chrome_trace(events: Iterable[dict], path: str,

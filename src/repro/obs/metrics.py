@@ -1,21 +1,18 @@
 """Counters, gauges, and fixed-bucket histograms with deterministic snapshots.
 
 The registry is the *measurement* half of the observability plane: hot
-paths (tape writes, RAID run reads, NVRAM half-switches, cache lookups,
-pool retries) bump named instruments, and a run ends with a single
-deterministic snapshot — sorted keys, plain JSON types — that can be
-printed, diffed, or merged across worker processes.
+paths (tape writes, RAID run reads, NVRAM half-switches, cache lookups)
+bump named instruments, and a run ends with a single deterministic
+snapshot — sorted keys, plain JSON types — that can be printed or
+diffed.  One process writes it: whoever enables it (the CLI's
+``--metrics`` verbs) runs its jobs in-process, never in a pool.
 
 Zero-overhead-when-disabled contract: every instrumented call site gates
 on ``REGISTRY.enabled`` (one attribute load on a shared singleton) before
 touching any instrument, so the disabled path costs the same as an
 ``if False`` check.  Code must *never* rebind the ``REGISTRY`` global —
-toggle ``REGISTRY.enabled`` (or call :func:`enable_metrics`) so that
-call sites holding the module reference observe the change.
-
-Merging is exact: counters and histogram buckets add, gauges take the
-last writer (declaration order when merging pool workers), so a serial
-run and a parallel run over the same tasks produce identical snapshots.
+toggle ``REGISTRY.enabled`` so that call sites holding the module
+reference observe the change.
 """
 
 from __future__ import annotations
@@ -50,9 +47,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -89,7 +83,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named instruments with get-or-create access and exact merge."""
+    """Named instruments with get-or-create access."""
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
@@ -152,26 +146,6 @@ class MetricsRegistry:
             },
         }
 
-    @classmethod
-    def from_snapshot(cls, snapshot: dict,
-                      enabled: bool = False) -> "MetricsRegistry":
-        registry = cls(enabled=enabled)
-        registry.merge(snapshot)
-        return registry
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold another registry's snapshot in: sums add, gauges last-win."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).value += value
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).value = value
-        for name, data in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, data["bounds"])
-            for index, count in enumerate(data["counts"]):
-                hist.counts[index] += count
-            hist.count += data["count"]
-            hist.total += data["total"]
-
     def to_text(self) -> str:
         """A fixed-order plain-text rendering for terminals and diffs."""
         snap = self.snapshot()
@@ -198,40 +172,6 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
-def diff_snapshots(before: dict, after: dict) -> dict:
-    """The delta between two snapshots of the same registry.
-
-    Used by pool workers to ship *per-task* metrics back to the parent: a
-    forked (and reused) worker's registry carries whatever it inherited or
-    accumulated earlier, so the parent must only merge what this task
-    added.  Counters and histogram buckets subtract; gauges ship their
-    final value (merge is last-wins anyway).
-    """
-    out = {"counters": {}, "gauges": dict(after.get("gauges", {})),
-           "histograms": {}}
-    before_counters = before.get("counters", {})
-    for name, value in after.get("counters", {}).items():
-        delta = value - before_counters.get(name, 0.0)
-        if delta:
-            out["counters"][name] = delta
-    before_histograms = before.get("histograms", {})
-    for name, data in after.get("histograms", {}).items():
-        base = before_histograms.get(name)
-        if base is None:
-            if data["count"]:
-                out["histograms"][name] = data
-            continue
-        counts = [a - b for a, b in zip(data["counts"], base["counts"])]
-        if any(counts):
-            out["histograms"][name] = {
-                "bounds": data["bounds"],
-                "counts": counts,
-                "count": data["count"] - base["count"],
-                "total": data["total"] - base["total"],
-            }
-    return out
-
-
 def _format_number(value: float) -> str:
     if value == int(value):
         return str(int(value))
@@ -243,18 +183,10 @@ def _format_number(value: float) -> str:
 REGISTRY = MetricsRegistry(enabled=False)
 
 
-def enable_metrics(enabled: bool = True) -> MetricsRegistry:
-    """Toggle the shared registry and return it."""
-    REGISTRY.enabled = enabled
-    return REGISTRY
-
-
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "diff_snapshots",
-    "enable_metrics",
 ]

@@ -1,26 +1,25 @@
-"""Structured tracing: spans and instants on the simulated clock.
+"""Structured tracing: complete spans, instants and counter samples on
+the simulated clock.
 
 Events are plain dicts so they serialize without ceremony:
 
 ``{"ph": ..., "name": ..., "cat": ..., "ts": ..., "pid": ..., "tid": ...,
-"args": {...}}`` plus ``"dur"`` for complete ("X") spans and an optional
-``"wall"`` wall-clock stamp.
+"args": {...}}`` plus ``"dur"`` for complete spans.  A trace holds
+exactly three phases: ``"X"`` complete spans (the executor's ops, stages
+and jobs, each stage span carrying its ``cpu_seconds``, ``disk_bytes``
+and ``tape_bytes``), ``"i"`` instants and ``"C"`` counter samples.
 
-Two clocks, one deterministic by construction:
-
-* ``ts`` is *simulated seconds* when the caller knows them (the executor
-  passes sim time), else a logical sequence number — either way the
-  stream is a pure function of the workload, so a traced run is
-  byte-reproducible and golden-file testable.
-* wall-clock capture is **opt-in** (``Tracer(wall_clock=time.monotonic)``)
-  because real timestamps would break that byte-stability; when enabled,
-  events carry a ``"wall"`` field alongside the deterministic ``ts``.
+``ts`` is *simulated seconds* when the caller knows them (the executor
+passes sim time), else a logical sequence number — either way the stream
+is a pure function of the workload, so a traced run is byte-reproducible
+and golden-file testable.
 
 The sink is a JSONL file with sorted keys and a static footer recording
-the event count.  Code running in this process (campaign days, fleet
-jobs) emits into the installed tracer directly, its spans on a lane per
-job name; only ``run_all``'s pool tasks run under a tracer of their own,
-adopted with :meth:`Tracer.add_events`.
+the event count; :func:`read_jsonl` is the one input check.  Code
+running in this process (campaign days, fleet jobs) emits into the
+installed tracer directly, its spans on a lane per job name; only
+``run_all``'s pool tasks run under a tracer of their own, adopted with
+:meth:`Tracer.add_events`.
 
 Disabled tracing costs one attribute check: call sites hold a tracer
 reference (usually via :func:`get_tracer`) and test ``tracer.enabled``
@@ -31,21 +30,23 @@ every method into a no-op for callers that skip the check.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
+
+from repro.errors import ReproError
 
 TRACE_SCHEMA_VERSION = 1
 
+#: The phases a trace holds: complete spans, instants, counter samples.
+TRACE_PHASES = ("X", "i", "C")
+
 
 class Tracer:
-    """Collects span/instant events with a deterministic ordering."""
+    """Collects span/instant/counter events with a deterministic ordering."""
 
-    def __init__(self, wall_clock: Optional[Callable[[], float]] = None):
+    def __init__(self):
         self.enabled = True
-        self.wall_clock = wall_clock
         self._events: List[dict] = []
         self._seq = 0
-        # Per-tid stacks of open "B" events, for nesting discipline.
-        self._open: Dict[object, List[dict]] = {}
 
     # -- event emission ----------------------------------------------------
 
@@ -54,31 +55,8 @@ class Tracer:
         self._seq = seq + 1
         event["ts"] = seq if ts is None else ts
         event["seq"] = seq
-        if self.wall_clock is not None:
-            event["wall"] = self.wall_clock()
         self._events.append(event)
         return event
-
-    def begin(self, name: str, cat: str = "", ts: Optional[float] = None,
-              tid: object = 0, args: Optional[dict] = None) -> dict:
-        event = {"ph": "B", "name": name, "cat": cat, "pid": 0, "tid": tid}
-        if args:
-            event["args"] = args
-        self._open.setdefault(tid, []).append(event)
-        return self._stamp(event, ts)
-
-    def end(self, name: str, ts: Optional[float] = None, tid: object = 0,
-            args: Optional[dict] = None) -> dict:
-        stack = self._open.get(tid)
-        if not stack or stack[-1]["name"] != name:
-            open_name = stack[-1]["name"] if stack else None
-            raise ValueError("end(%r) does not match open span %r on tid %r"
-                             % (name, open_name, tid))
-        stack.pop()
-        event = {"ph": "E", "name": name, "pid": 0, "tid": tid}
-        if args:
-            event["args"] = args
-        return self._stamp(event, ts)
 
     def complete(self, name: str, cat: str = "", ts: float = 0.0,
                  dur: float = 0.0, tid: object = 0,
@@ -117,7 +95,6 @@ class Tracer:
         """Drain: return sorted events and leave the tracer empty."""
         events = self.events()
         self._events = []
-        self._open.clear()
         return events
 
     def add_events(self, events: Iterable[dict],
@@ -159,13 +136,6 @@ class NullTracer:
     """The disabled fast path: every method is a no-op."""
 
     enabled = False
-    wall_clock = None
-
-    def begin(self, *args, **kwargs):
-        return None
-
-    def end(self, *args, **kwargs):
-        return None
 
     def complete(self, *args, **kwargs):
         return None
@@ -206,58 +176,45 @@ def set_tracer(tracer) -> None:
 
 
 def read_jsonl(path: str) -> List[dict]:
-    """Load a trace file, verifying the footer count."""
+    """Load a trace file: every line JSON, every event of a
+    :data:`TRACE_PHASES` phase with a numeric ``ts`` (and ``dur``), and a
+    footer whose count matches.  Raises :class:`ReproError` naming the
+    file on the first fault."""
     events: List[dict] = []
     footer = None
-    with open(path) as handle:
-        for line in handle:
+    with open(path, "rb") as handle:  # undecodable bytes are "not JSON"
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if record.get("ph") == "footer":
+            try:
+                record = json.loads(line)
+            except ValueError:
+                raise ReproError("trace file %r line %d is not JSON"
+                                 % (path, number)) from None
+            ph = record.get("ph") if isinstance(record, dict) else None
+            if ph == "footer":
                 footer = record
-            else:
+            elif ph in TRACE_PHASES:
+                if not (isinstance(record.get("ts"), (int, float))
+                        and isinstance(record.get("dur", 0), (int, float))):
+                    raise ReproError("trace file %r line %d needs a numeric"
+                                     " ts (and dur)" % (path, number))
                 events.append(record)
+            else:
+                raise ReproError("trace file %r line %d has phase %r, not"
+                                 " one of %s"
+                                 % (path, number, ph, "/".join(TRACE_PHASES)))
     if footer is None:
-        raise ValueError("trace file %r has no footer" % path)
-    if footer["events"] != len(events):
-        raise ValueError("trace file %r footer says %d events, found %d"
-                         % (path, footer["events"], len(events)))
+        raise ReproError("trace file %r has no footer" % path)
+    if footer.get("events") != len(events):
+        raise ReproError("trace file %r footer says %s events, found %d"
+                         % (path, footer.get("events"), len(events)))
     return events
 
 
-def validate_spans(events: Iterable[dict]) -> None:
-    """Check begin/end well-formedness per (pid, tid) lane.
-
-    Every "E" must match the innermost open "B" on its lane, and every
-    lane must be fully closed at the end of the stream.  Raises
-    ``ValueError`` on the first violation.
-    """
-    stacks: Dict[object, List[str]] = {}
-    for event in events:
-        ph = event.get("ph")
-        if ph not in ("B", "E"):
-            continue
-        lane = (event.get("pid", 0), event.get("tid", 0))
-        stack = stacks.setdefault(lane, [])
-        if ph == "B":
-            stack.append(event["name"])
-        else:
-            if not stack:
-                raise ValueError("end %r on lane %r with no open span"
-                                 % (event["name"], lane))
-            if stack[-1] != event["name"]:
-                raise ValueError(
-                    "end %r on lane %r does not match open span %r"
-                    % (event["name"], lane, stack[-1]))
-            stack.pop()
-    for lane, stack in stacks.items():
-        if stack:
-            raise ValueError("lane %r left spans open: %r" % (lane, stack))
-
-
 __all__ = [
+    "TRACE_PHASES",
     "TRACE_SCHEMA_VERSION",
     "Tracer",
     "NullTracer",
@@ -265,5 +222,4 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "read_jsonl",
-    "validate_spans",
 ]

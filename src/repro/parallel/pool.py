@@ -16,8 +16,8 @@ traceback text.  The caller's ``progress`` callback gets one
 :class:`TaskEvent` per finished attempt.
 
 Each attempt runs under its own tracer; the loop adopts the events in
-declaration order under ``pid = index + 1``.  A forked attempt also ships
-its metrics delta home (an in-process one wrote the parent's registry).
+declaration order under ``pid = index + 1``.  Metrics stay out: no
+caller that enables the registry runs a pool.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.obs.metrics import REGISTRY, diff_snapshots
 from repro.obs.trace import Tracer, get_tracer, set_tracer
 
 #: Attempts after the first before a failing task fails the run.
@@ -105,28 +104,22 @@ def fork_available() -> bool:
         return False
 
 
-def _attempt(spec: TaskSpec, forked: bool = False) -> Tuple[bool, Any, float, str, Optional[dict]]:
+def _attempt(spec: TaskSpec) -> Tuple[bool, Any, float, str, Optional[list]]:
     """Run one attempt; never raises, so tracebacks survive pickling.
 
-    Returns ``(True, value, elapsed, "", obs)`` or
-    ``(False, summary, elapsed, traceback_text, None)``.  ``obs`` holds
-    the attempt's trace events (when tracing is on) and, in a forked
-    worker, its metrics delta.
+    Returns ``(True, value, elapsed, "", events)`` or
+    ``(False, summary, elapsed, traceback_text, None)``.  ``events`` are
+    the attempt's trace events, None when tracing is off.
     """
     parent_tracer = get_tracer()
-    metrics_before = REGISTRY.snapshot() if forked and REGISTRY.enabled else None
     if parent_tracer.enabled:
-        set_tracer(Tracer(wall_clock=parent_tracer.wall_clock))
+        set_tracer(Tracer())
     begin = time.perf_counter()
     try:
         value = spec.fn(*spec.args)
         elapsed = time.perf_counter() - begin
-        obs = {}
-        if parent_tracer.enabled:
-            obs["events"] = get_tracer().take_events()
-        if metrics_before is not None:
-            obs["metrics"] = diff_snapshots(metrics_before, REGISTRY.snapshot())
-        return (True, value, elapsed, "", obs)
+        events = get_tracer().take_events() if parent_tracer.enabled else None
+        return (True, value, elapsed, "", events)
     except BaseException as error:  # noqa: BLE001 - must cross the pipe
         return (False, "%s: %s" % (type(error).__name__, error),
                 time.perf_counter() - begin, traceback.format_exc(), None)
@@ -176,7 +169,7 @@ class _Forked:
         self.ready: collections.deque = collections.deque()
 
     def submit(self, index: int) -> None:
-        self.pending[self.executor.submit(_attempt, self.specs[index], True)] = index
+        self.pending[self.executor.submit(_attempt, self.specs[index])] = index
 
     def __len__(self) -> int:
         return len(self.pending)
@@ -217,18 +210,17 @@ class TaskPool:
         if not specs:
             return []
         runner = _Forked(specs, self.jobs) if self.parallel else _InProcess(specs)
-        results: Dict[int, Tuple[Any, dict]] = {}
+        results: Dict[int, Tuple[Any, Optional[list]]] = {}
         attempts = [1] * len(specs)
         try:
             for index in range(len(specs)):
                 runner.submit(index)
             while len(runner):
-                index, (ok, value, elapsed, tb_text, obs) = runner.next_outcome()
+                index, (ok, value, elapsed, tb_text, events) = runner.next_outcome()
                 name = specs[index].name
                 will_retry = not ok and attempts[index] <= RETRIES
-                _count_attempt(ok, will_retry)
                 if ok:
-                    results[index] = (value, obs)
+                    results[index] = (value, events)
                 if progress is not None:
                     progress(TaskEvent(name, index, len(results), len(specs),
                                        elapsed, ok, attempts[index],
@@ -245,22 +237,10 @@ class TaskPool:
         # OS pid): the merged stream is the same at any ``jobs``.
         tracer = get_tracer()
         for index in range(len(specs)):
-            obs = results[index][1]
-            if tracer.enabled and obs.get("events"):
-                tracer.add_events(obs["events"], pid=index + 1)
-            if REGISTRY.enabled and obs.get("metrics"):
-                REGISTRY.merge(obs["metrics"])
+            events = results[index][1]
+            if tracer.enabled and events:
+                tracer.add_events(events, pid=index + 1)
         return [results[index][0] for index in range(len(specs))]
-
-
-def _count_attempt(ok: bool, will_retry: bool) -> None:
-    if not REGISTRY.enabled:
-        return
-    REGISTRY.counter("pool.attempts").inc()
-    if ok:
-        REGISTRY.counter("pool.tasks").inc()
-    if will_retry:
-        REGISTRY.counter("pool.retries").inc()
 
 
 __all__ = [

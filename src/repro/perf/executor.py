@@ -168,14 +168,13 @@ class _Job:
 class TimedRun:
     """A set of concurrent jobs over one simulated machine."""
 
-    def __init__(self, profile: Optional[HardwareProfile] = None,
-                 tracer=None, metrics=None):
+    def __init__(self, profile: Optional[HardwareProfile] = None):
         self.profile = profile or f630_profile()
-        # Observability: default to the process-wide tracer/registry, both
-        # disabled unless the caller (CLI --trace/--metrics, tests) turned
-        # them on.  Disabled costs one attribute check per record.
-        self.tracer = get_tracer() if tracer is None else tracer
-        self.metrics = REGISTRY if metrics is None else metrics
+        # Observability: the process-wide tracer/registry, both disabled
+        # unless the caller (CLI --trace/--metrics, tests) turned them on.
+        # Disabled costs one attribute check per record.
+        self.tracer = get_tracer()
+        self.metrics = REGISTRY
         self.sim = Simulation()
         self.cpu = Resource(self.sim, capacity=self.profile.cpu_count, name="cpu")
         self._disk_models = {}

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.errors import ReproError
 from repro.obs.export import (
     export_chrome_trace,
     to_chrome_trace,
@@ -16,11 +17,11 @@ from repro.obs.trace import Tracer
 
 def sample_events():
     tracer = Tracer()
-    tracer.begin("outer", cat="stage", ts=0.0, tid="dump")
+    tracer.complete("outer", cat="stage", ts=0.0, dur=1.0, tid="dump")
     tracer.complete("DiskReadOp", cat="op", ts=0.25, dur=0.125, tid="dump",
                     args={"stage": "Dumping files"})
     tracer.instant("sim.run_complete", cat="sim", ts=1.0, tid="sim")
-    tracer.end("outer", ts=1.0, tid="dump")
+    tracer.counter("queue", 2, cat="fleet", ts=1.0, tid="sim")
     return tracer.events()
 
 
@@ -36,14 +37,16 @@ def test_chrome_mapping_tids_and_timestamps():
     assert ("thread_name", "dump") in names
     assert ("thread_name", "sim") in names
     # Lanes numbered in first-appearance order, starting at 1.
-    assert [e["tid"] for e in body] == [1, 1, 2, 1]
+    assert [e["tid"] for e in body] == [1, 1, 2, 2]
     # Simulated seconds become integer microseconds.
     assert [e["ts"] for e in body] == [0, 250000, 1000000, 1000000]
+    assert body[0]["dur"] == 1000000
     complete = body[1]
     assert complete["dur"] == 125000
     assert complete["args"] == {"stage": "Dumping files"}
     instant = body[2]
     assert instant["s"] == "t"
+    assert body[3]["args"] == {"value": 2}
     assert doc["displayTimeUnit"] == "ms"
 
 
@@ -78,18 +81,23 @@ def test_validate_chrome_trace_accepts_own_output():
                       "ts": 0.5}]},
     {"traceEvents": [{"ph": "X", "name": "x", "pid": 0, "tid": 1,
                       "ts": 0}]},
+    {"traceEvents": [{"ph": "X", "name": "x", "pid": 0, "tid": 1,
+                      "ts": 0, "dur": -1}]},
+    {"traceEvents": [{"ph": "B", "name": "x", "pid": 0, "tid": 1,
+                      "ts": 0}]},
 ])
 def test_validate_chrome_trace_rejects_bad_documents(doc):
-    with pytest.raises(ValueError):
+    with pytest.raises(ReproError):
         validate_chrome_trace(doc)
 
 
 def test_export_writes_compact_valid_json(tmp_path):
     path = str(tmp_path / "trace.chrome.json")
-    count = export_chrome_trace(sample_events(), path)
+    foreign = {"ph": "B", "name": "x", "ts": 0.0, "pid": 0, "tid": "dump"}
+    count = export_chrome_trace(sample_events() + [foreign], path)
     with open(path) as handle:
         doc = json.load(handle)
     assert len(doc["traceEvents"]) == count
     validate_chrome_trace(doc)
     # Unknown phases never reach the export.
-    assert {e["ph"] for e in doc["traceEvents"]} <= {"B", "E", "X", "i", "M"}
+    assert {e["ph"] for e in doc["traceEvents"]} == {"X", "i", "C", "M"}

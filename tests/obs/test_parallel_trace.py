@@ -1,17 +1,16 @@
-"""Parallel observability: worker event/metric shipping is jobs-invariant.
+"""Parallel observability: worker event shipping is jobs-invariant.
 
 The pool runs each task under a fresh tracer (in-process and forked
-alike); a forked worker also ships its metrics delta home with the
-result.  Events merge in *declaration* order under a synthetic pid — so
-a traced ``--jobs 2`` run produces byte-for-byte the stream a serial run
-does.  Task functions live at module top level so they pickle.
+alike) and ships its events home with the result.  Events merge in
+*declaration* order under a synthetic pid — so a traced ``--jobs 2`` run
+produces byte-for-byte the stream a serial run does.  Task functions
+live at module top level so they pickle.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer, get_tracer, set_tracer
 from repro.parallel import TaskPool, TaskSpec, fork_available
 
@@ -21,52 +20,42 @@ JOBS = [1] + ([2] if fork_available() else [])
 def traced_task(value):
     tracer = get_tracer()
     if tracer.enabled:
-        tracer.begin("task", cat="test", ts=float(value), tid="lane")
+        tracer.complete("task", cat="test", ts=float(value), dur=1.0,
+                        tid="lane")
         tracer.instant("mark", cat="test", ts=float(value) + 0.25,
                        tid="lane", args={"value": value})
-        tracer.end("task", ts=float(value) + 1.0, tid="lane")
-    if REGISTRY.enabled:
-        REGISTRY.counter("test.tasks").inc()
-        REGISTRY.counter("test.sum").inc(value)
-        REGISTRY.histogram("test.values", (2, 5)).observe(value)
+        tracer.counter("depth", value, cat="test", ts=float(value) + 0.5,
+                       tid="lane")
     return value * value
 
 
 def _run_observed(jobs, nvalues=5):
-    """Run the task grid under a fresh tracer+registry; return the state."""
+    """Run the task grid under a fresh tracer; return values and events."""
     set_tracer(Tracer())
-    REGISTRY.reset()
-    REGISTRY.enabled = True
     try:
         specs = [TaskSpec("t%d" % value, traced_task, (value,))
                  for value in range(nvalues)]
         values = TaskPool(jobs).map_values(specs)
         events = get_tracer().take_events()
-        snapshot = REGISTRY.snapshot()
     finally:
         set_tracer(None)
-        REGISTRY.reset()
-        REGISTRY.enabled = False
-    return values, events, snapshot
+    return values, events
 
 
 @pytest.mark.parametrize("jobs", JOBS)
 def test_worker_events_merge_in_declaration_order(jobs):
-    values, events, snapshot = _run_observed(jobs)
+    values, events = _run_observed(jobs)
     assert values == [v * v for v in range(5)]
     # Three events per task, tasks in declaration order, pid = index + 1.
     assert len(events) == 15
     marks = [e for e in events if e["name"] == "mark"]
     assert [e["args"]["value"] for e in marks] == [0, 1, 2, 3, 4]
     assert [e["pid"] for e in marks] == [1, 2, 3, 4, 5]
-    # Metrics aggregated across every task exactly once.
-    assert snapshot["counters"]["test.tasks"] == 5
-    assert snapshot["counters"]["test.sum"] == sum(range(5))
-    assert snapshot["histograms"]["test.values"]["count"] == 5
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 def test_streams_and_metrics_identical_serial_vs_jobs2():
+    # Values and trace events only: pool tasks ship no metrics.
     serial = _run_observed(1)
     parallel = _run_observed(2)
     assert parallel == serial

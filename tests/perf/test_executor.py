@@ -4,7 +4,7 @@ import pytest
 
 from repro.backup.logical.dump import LogicalDump
 from repro.backup.logical.dumpdates import DumpDates
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, set_tracer
 from repro.perf import TimedRun
 from repro.perf.executor import JobResult
 from repro.perf.ops import (
@@ -147,7 +147,11 @@ def test_finished_prefetch_join_yields_to_events_at_the_same_instant():
     b's sleep ends; b's sleep was queued first, so b runs first."""
     volume = make_volume()
     tracer = Tracer()
-    run = TimedRun(tracer=tracer)
+    set_tracer(tracer)  # a run takes the tracer installed when it is built
+    try:
+        run = TimedRun()
+    finally:
+        set_tracer(None)
     run.add_ops("a", [DiskReadOp(volume, 0, 1, stage="x", prefetch=True),
                       SleepOp(0.5, stage="x"), ReadBarrier(1, stage="x"),
                       PhaseEnd("x")])

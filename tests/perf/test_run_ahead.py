@@ -15,7 +15,7 @@ from unittest import mock
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, set_tracer
 from repro.perf.costs import HardwareProfile
 from repro.perf.executor import TimedRun
 from repro.perf.ops import (
@@ -122,7 +122,11 @@ def _fields(obj):
 
 def _replay(jobs, profile, expand=False):
     tracer = Tracer()
-    run = TimedRun(HardwareProfile(**profile), tracer=tracer)
+    set_tracer(tracer)  # a run takes the tracer installed when it is built
+    try:
+        run = TimedRun(HardwareProfile(**profile))
+    finally:
+        set_tracer(None)
     for index, spec in enumerate(jobs):
         run.add_ops("job%d" % index, _ops(spec, expand),
                     start_at=spec["start_at"])

@@ -312,6 +312,55 @@ def test_dump_with_trace_chrome_and_metrics(workdir, capsys):
     assert run(["verify", "new.bin", "t0.tape"]) == 0
 
 
+@pytest.mark.parametrize("body, message", [
+    ('{"ph": "i", "name": "x", "ts": 0}\n', "has no footer"),
+    ('{"ph": "i", "name": "x", "ts": 0}\n'
+     '{"ph": "footer", "events": 2, "schema": 1}\n',
+     "footer says 2 events, found 1"),
+    ('{"ph": "i", "name": \n{"ph": "footer", "events": 1, "schema": 1}\n',
+     "line 1 is not JSON"),
+    ('{"ph": "B", "name": "x", "ts": 0}\n{"ph": "E", "name": "x", "ts": 1}\n'
+     '{"ph": "footer", "events": 2, "schema": 1}\n', "line 1 has phase 'B'"),
+], ids=["no-footer", "footer-count", "not-json", "begin-end"])
+def test_a_damaged_trace_file_is_one_error_line(workdir, capsys, body,
+                                                message):
+    (workdir / "bad.jsonl").write_text(body)
+    for action in ("validate", "summary", "export"):
+        assert run(["trace", action, "bad.jsonl"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-backup: error: trace file ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_trace_validate_refuses_a_negative_span(workdir, capsys):
+    (workdir / "neg.jsonl").write_text(
+        '{"ph": "X", "name": "x", "ts": 1, "dur": -0.5}\n'
+        '{"ph": "footer", "events": 1, "schema": 1}\n')
+    assert run(["trace", "validate", "neg.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert "non-negative integer dur" in err and len(err.splitlines()) == 1
+
+
+def test_a_traced_fleet_run_validates(workdir, capsys):
+    (workdir / "spec.json").write_text(json.dumps({
+        "name": "filer-01", "drives": 1, "seed": 7,
+        "tenants": [{"name": name, "data_bytes": 100000, "seed": seed,
+                     "cartridges": 4, "cartridge_capacity": 1000000,
+                     "blocks_per_disk": 600}
+                    for name, seed in (("acme", 1), ("bolt", 2))]}))
+    assert run(["fleet", "init", "fl", "--spec", "spec.json"]) == 0
+    assert run(["fleet", "run", "fl", "--days", 2,
+                "--trace", "f.jsonl"]) == 0
+    capsys.readouterr()
+    assert run(["trace", "validate", "f.jsonl"]) == 0
+    assert "export schema ok" in capsys.readouterr().out
+    from repro.obs import read_jsonl
+    # Spans, instants and the scheduler's counter samples: every phase.
+    assert {e["ph"] for e in read_jsonl("f.jsonl")} == {"X", "i", "C"}
+
+
 def test_metrics_snapshot_file_and_disabled_default(workdir, capsys):
     run(["mkfs", "vol.bin"])
     run(["populate", "vol.bin", "--bytes", "512KB", "--seed", 2])
