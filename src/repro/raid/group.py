@@ -1,10 +1,13 @@
 """One RAID-4 group: striped data disks plus a dedicated parity disk.
 
-Parity is maintained for real on every write using the read-modify-write
-shortcut (new parity = old parity XOR old data XOR new data), and a read
-that hits an injected media error is transparently reconstructed from the
-surviving stripe members — the property the backup experiments rely on
-when they stream through a degraded group.
+The group lives in one stripe-major :class:`StripeStore`: a run of group
+blocks inside a chunk is one slice, and parity is one XOR-reduce across a
+stripe range's data columns — full stripes take it from the new data,
+partial stripes read-modify-write it (new parity = old parity XOR old data
+XOR new data).  A read that hits an injected media error is reconstructed
+from the surviving stripe members, the property the backup experiments
+rely on when they stream through a degraded group.  ``data_disks`` and
+``parity_disk`` are the store's columns (:meth:`VirtualDisk.member`).
 """
 
 from __future__ import annotations
@@ -13,27 +16,18 @@ from typing import List
 
 import numpy as np
 
-from repro.errors import RaidError, StorageError
+from repro.errors import RaidError
 from repro.raid.layout import GroupGeometry
-from repro.storage.disk import VirtualDisk
+from repro.storage.disk import StripeStore, VirtualDisk
 
 
-def _xor2(a, b) -> bytes:
-    # Vectorized XOR: ~5x faster than int.from_bytes round-trips on a
-    # 4 KB block (no bignum construction).
-    return (
-        np.frombuffer(a, dtype=np.uint8) ^ np.frombuffer(b, dtype=np.uint8)
-    ).tobytes()
-
-
-def _xor3(a, b, c) -> bytes:
-    out = np.frombuffer(a, dtype=np.uint8) ^ np.frombuffer(b, dtype=np.uint8)
-    out ^= np.frombuffer(c, dtype=np.uint8)
-    return out.tobytes()
+def _fold(rows) -> np.ndarray:
+    """The XOR of a stripe's ``rows`` (one row is itself)."""
+    return rows[0] if len(rows) == 1 else np.bitwise_xor.reduce(rows, axis=0)
 
 
 class RaidGroup:
-    """A RAID-4 group over :class:`VirtualDisk` members."""
+    """A RAID-4 group over one :class:`StripeStore`."""
 
     def __init__(self, geometry: GroupGeometry, block_size: int, name: str = ""):
         if geometry.ndata_disks < 1:
@@ -41,335 +35,264 @@ class RaidGroup:
         self.geometry = geometry
         self.block_size = block_size
         self.name = name
-        self.data_disks: List[VirtualDisk] = [
-            VirtualDisk(geometry.blocks_per_disk, block_size, name="%s.d%d" % (name, i))
-            for i in range(geometry.ndata_disks)
-        ]
-        self.parity_disk = VirtualDisk(
-            geometry.blocks_per_disk, block_size, name="%s.parity" % name
-        )
         self.reconstructed_reads = 0
         self.data_blocks = geometry.data_blocks
+        nd = geometry.ndata_disks
+        self._attach(StripeStore(geometry.blocks_per_disk, nd, block_size, True),
+                     ["%s.d%d" % (name, i) for i in range(nd)] + ["%s.parity" % name])
 
-    def _locate(self, group_block: int):
-        if not 0 <= group_block < self.data_blocks:
-            raise RaidError(
-                "group block %d out of range on %r" % (group_block, self.name)
-            )
-        disk_index = group_block % self.geometry.ndata_disks
-        stripe = group_block // self.geometry.ndata_disks
-        return disk_index, stripe
+    def _attach(self, store: StripeStore, names: List[str]) -> None:
+        nd = self.geometry.ndata_disks
+        self.store = store
+        self.data_disks: List[VirtualDisk] = [
+            VirtualDisk.member(store, i, names[i]) for i in range(nd)]
+        self.parity_disk = VirtualDisk.member(store, nd, names[nd])
+
+    def _check_run(self, group_block: int, nblocks: int, what: str) -> None:
+        if nblocks <= 0:
+            raise RaidError("zero-length run %s on %r" % (what, self.name))
+        if not 0 <= group_block <= self.data_blocks - nblocks:
+            raise RaidError("group run [%d, %d) out of range on %r"
+                            % (group_block, group_block + nblocks, self.name))
+
+    def _double_failure(self, stripe: int) -> RaidError:
+        return RaidError("double failure in stripe %d of %r" % (stripe, self.name))
+
+    # -- reads ---------------------------------------------------------------
 
     def read_block(self, group_block: int, device: bool = True) -> bytes:
         """One group block: a ``device`` read (counted, fault-checked,
         reconstructed from the stripe if unreadable), or — a buffer-cache
-        hit — the same bytes straight from the member's store."""
+        hit — the same bytes straight from the store."""
+        store = self.store
         if not device:
-            nd = self.geometry.ndata_disks
-            return self.data_disks[group_block % nd].block(group_block // nd)
-        disk_index, stripe = self._locate(group_block)
-        try:
-            return self.data_disks[disk_index].read_block(stripe)
-        except StorageError:
-            return self._reconstruct(disk_index, stripe)
+            return store.block(group_block)
+        if not 0 <= group_block < self.data_blocks:
+            raise RaidError("group block %d out of range on %r" % (group_block, self.name))
+        nd = self.geometry.ndata_disks
+        if store._bad and group_block in store._bad:
+            return self._reconstruct(group_block % nd, group_block // nd)
+        store.reads[group_block % nd] += 1
+        return store.block(group_block)
 
-    def write_block(self, group_block: int, data: bytes) -> None:
-        disk_index, stripe = self._locate(group_block)
-        disk = self.data_disks[disk_index]
-        try:
-            old_data = disk.read_block(stripe)
-        except StorageError:
-            old_data = self._reconstruct(disk_index, stripe)
-        old_parity = self.parity_disk.read_block(stripe)
-        new_parity = _xor3(old_parity, old_data, data)
-        disk.write_block(stripe, data)
-        self.parity_disk.write_block(stripe, new_parity)
-
-    # -- bulk (run) operations -------------------------------------------
-
-    def read_run(self, group_block: int, nblocks: int, out: list, at: int,
+    def read_run(self, group_block: int, nblocks: int, out: list,
                  device: bool = True) -> None:
-        """Gather a contiguous run of group blocks into ``out[at:]``, one
-        buffer per block, for the caller to join.
+        """Append a run of group blocks to ``out``, one buffer per chunk
+        span (:meth:`StripeStore.spans`: views of the live store, to be
+        joined before anything writes).
 
-        Consecutive group blocks stripe across the data disks, so the run
-        decomposes into one contiguous stripe range per member disk, and
-        each member lands its column's buffers every ``ndata_disks``-th
-        slot: de-striping copies nothing.  A ``device`` read goes through
-        each member's :meth:`VirtualDisk.read_run` (counted and
-        fault-checked; a column containing a bad stripe falls back to
-        per-block reads with reconstruction, identical to the scalar
-        path); a buffer-cache hit is the same gather without the device.
+        A ``device`` read counts each block on its member; a run holding
+        an unreadable block is read block by block, reconstructing, as
+        the scalar path does.  A buffer-cache hit is the bare spans.
         """
-        if nblocks <= 0:
-            raise RaidError("zero-length run read on %r" % self.name)
-        if not 0 <= group_block <= self.data_blocks - nblocks:
-            raise RaidError(
-                "group run [%d, %d) out of range on %r"
-                % (group_block, group_block + nblocks, self.name)
-            )
-        nd = self.geometry.ndata_disks
-        end = group_block + nblocks
-        # The run's first (up to) nd blocks each open one member's column.
-        for first in range(group_block, min(end, group_block + nd)):
-            count = (end - 1 - first) // nd + 1
-            disk = self.data_disks[first % nd]
-            slot = at + first - group_block
-            if not device:
-                disk.gather(first // nd, count, out, slot, nd)
-                continue
-            try:
-                disk.read_run(first // nd, count, out, slot, nd)
-            except StorageError:
-                out[slot : at + nblocks : nd] = [
-                    self.read_block(gb) for gb in range(first, end, nd)]
-
-    def write_run(self, group_block: int, data, offset: int,
-                  nblocks: int) -> None:
-        """Write a contiguous run of group blocks from ``data[offset:]``.
-
-        Full stripes (all ``ndata_disks`` columns covered) compute parity
-        directly from the new data — no old-data or old-parity reads —
-        while partial stripes at the edges use the usual read-modify-write
-        per block.
-        """
-        if nblocks <= 0:
-            raise RaidError("zero-length run write on %r" % self.name)
-        if not 0 <= group_block <= self.data_blocks - nblocks:
-            raise RaidError(
-                "group run [%d, %d) out of range on %r"
-                % (group_block, group_block + nblocks, self.name)
-            )
-        nd = self.geometry.ndata_disks
-        bs = self.block_size
-        view = memoryview(data)
-        end = group_block + nblocks
-        # Leading partial stripe up to the first stripe boundary (or the
-        # whole run, when it never covers a full stripe).
-        gb = group_block
-        aligned = min(end, -(-gb // nd) * nd)
-        lead_end = aligned if end - aligned >= nd else end
-        if lead_end > gb:
-            self._write_partial(gb, lead_end, view,
-                                offset + (gb - group_block) * bs)
-            gb = lead_end
-        # Full stripes: parity = XOR of the stripe's new data columns.
-        nfull = (end - gb) // nd
-        if nfull and nfull * nd <= 32:
-            # Short run: a per-stripe XOR loop has less overhead than
-            # setting up numpy column views.
-            while end - gb >= nd:
-                stripe = gb // nd
-                pos = offset + (gb - group_block) * bs
-                acc = np.frombuffer(view[pos : pos + bs],
-                                    dtype=np.uint8).copy()
-                self.data_disks[0].write_block(stripe, view[pos : pos + bs])
-                pos += bs
-                for disk_index in range(1, nd):
-                    chunk = view[pos : pos + bs]
-                    acc ^= np.frombuffer(chunk, dtype=np.uint8)
-                    self.data_disks[disk_index].write_block(stripe, chunk)
-                    pos += bs
-                self.parity_disk.write_block(stripe, acc)
-                gb += nd
-        elif nfull:
-            # Long run: parity for every stripe with one XOR-reduce, each
-            # member's column handed to its disk as a strided view of the
-            # caller's buffer — the chunk store is the only copy made.
-            stripe0 = gb // nd
-            pos = offset + (gb - group_block) * bs
-            mid = np.frombuffer(
-                view, dtype=np.uint8, count=nfull * nd * bs, offset=pos
-            ).reshape(nfull, nd, bs)
-            for disk_index in range(nd):
-                self.data_disks[disk_index].write_run(
-                    stripe0, mid[:, disk_index, :])
-            self.parity_disk.write_run(
-                stripe0, np.bitwise_xor.reduce(mid, axis=1))
-            gb += nfull * nd
-        # Trailing partial stripe.
-        if gb < end:
-            self._write_partial(gb, end, view,
-                                offset + (gb - group_block) * bs)
-
-    def _write_partial(self, gb_start: int, gb_end: int, view,
-                       pos: int) -> None:
-        """Write ``[gb_start, gb_end)`` with per-stripe read-modify-write.
-
-        Consecutive group blocks that share a stripe are batched: one
-        old-parity read and one new-parity write cover them all, instead
-        of cycling the parity block through the disk once per column.
-        """
-        nd = self.geometry.ndata_disks
-        bs = self.block_size
-        gb = gb_start
-        while gb < gb_end:
-            take = min(gb_end - gb, nd - gb % nd)
-            if take == 1:
-                self.write_block(gb, view[pos : pos + bs])
-            else:
-                self._rmw_stripe(gb // nd, gb % nd, view, pos, take)
-            pos += take * bs
-            gb += take
-
-    def _rmw_stripe(self, stripe: int, first_disk: int, view, pos: int,
-                    k: int) -> None:
-        """Read-modify-write ``k`` consecutive columns of one stripe.
-
-        New parity is one XOR-reduce over the stacked old columns, old
-        parity and new columns, and the members take views of ``view``.
-        If any old column is unreadable, the stripe falls back to
-        per-block writes *before* anything is modified — their
-        incremental parity updates keep the reconstruction of later
-        columns correct.
-        """
-        bs = self.block_size
-        disks = self.data_disks[first_disk : first_disk + k]
-        rows: list = [None] * (k + 1)
-        try:
-            for j, disk in enumerate(disks):
-                disk.read_run(stripe, 1, rows, j)
-        except StorageError:
-            base = stripe * self.geometry.ndata_disks + first_disk
-            for j in range(k):
-                self.write_block(base + j, view[pos + j * bs : pos + (j + 1) * bs])
-            return
-        self.parity_disk.read_run(stripe, 1, rows, k)
-        rows.append(view[pos : pos + k * bs])
-        parity = np.bitwise_xor.reduce(np.frombuffer(
-            b"".join(rows), dtype=np.uint8).reshape(2 * k + 1, bs))
-        for j, disk in enumerate(disks):
-            disk.write_block(stripe, view[pos + j * bs : pos + (j + 1) * bs])
-        self.parity_disk.write_block(stripe, parity)
+        self._check_run(group_block, nblocks, "read")
+        store = self.store
+        if device:
+            end = group_block + nblocks
+            if store._bad and any(group_block <= cell < end for cell in store._bad):
+                out += [self.read_block(block) for block in range(group_block, end)]
+                return
+            store.count(store.reads, group_block, nblocks)
+        store.spans(group_block, nblocks, out)
 
     def _reconstruct(self, failed_disk: int, stripe: int) -> bytes:
         """Rebuild one block from the surviving stripe members + parity."""
         self.reconstructed_reads += 1
-        acc = self.parity_disk.read_block(stripe)
-        for index, disk in enumerate(self.data_disks):
-            if index == failed_disk:
-                continue
-            try:
-                acc = _xor2(acc, disk.read_block(stripe))
-            except StorageError:
-                raise RaidError(
-                    "double failure in stripe %d of %r" % (stripe, self.name)
-                )
-        return acc
+        store, nd = self.store, self.geometry.ndata_disks
+        cells = [stripe * nd + i for i in range(nd) if i != failed_disk]
+        if any(cell in store._bad for cell in cells + [store.nblocks + stripe]):
+            raise self._double_failure(stripe)
+        store.reads[nd] += 1
+        for cell in cells:
+            store.reads[cell % nd] += 1
+        where = store.stripe(stripe)
+        if where is None:
+            return store._zero
+        data, parity = where
+        acc = _fold(data)
+        acc ^= data[failed_disk]
+        acc ^= parity
+        return acc.tobytes()
+
+    # -- writes --------------------------------------------------------------
+
+    def _rows(self, data, offset: int, nblocks: int) -> np.ndarray:
+        try:
+            return np.frombuffer(data, np.uint8, nblocks * self.block_size,
+                                 offset).reshape(nblocks, self.block_size)
+        except ValueError:
+            raise RaidError("%d-block write past the end of its buffer on %r"
+                            % (nblocks, self.name))
+
+    def write_block(self, group_block: int, data, offset: int = 0) -> None:
+        """Read-modify-write one group block from ``data[offset:]``."""
+        self._check_run(group_block, 1, "write")
+        self._write_partial(group_block, self._rows(data, offset, 1))
+
+    def write_run(self, group_block: int, data, offset: int, nblocks: int) -> None:
+        """Write a run of group blocks from ``data[offset:]``: whole
+        stripes take parity straight from the new data, with no reads;
+        the partial stripes at the edges read-modify-write."""
+        self._check_run(group_block, nblocks, "write")
+        nd = self.geometry.ndata_disks
+        new = self._rows(data, offset, nblocks)
+        end = group_block + nblocks
+        first = min(end, -(-group_block // nd) * nd)
+        last = max(first, end - end % nd)
+        if group_block < first:
+            self._write_partial(group_block, new[: first - group_block])
+        if first < last:
+            self._write_full(first // nd, new[first - group_block : last - group_block])
+        if last < end:
+            self._write_partial(last, new[last - group_block :])
+
+    def _write_full(self, stripe: int, new: np.ndarray) -> None:
+        """Whole stripes from ``stripe`` on: data copied in, parity one
+        XOR-reduce, a chunk span at a time."""
+        store, nd = self.store, self.geometry.ndata_disks
+        start, end = stripe, stripe + len(new) // nd
+        store.unmark(range(start * nd, end * nd))
+        store.unmark(range(store.nblocks + start, store.nblocks + end))
+        for column in range(nd + 1):
+            store.writes[column] += end - start
+        new = new.reshape(end - start, nd, self.block_size)
+        while stripe < end:
+            ci, row = divmod(stripe, store.chunk_stripes)
+            take = min(end - stripe, store.chunk_stripes - row)
+            piece = new[stripe - start : stripe - start + take]
+            if ci in store._chunks or piece.any():
+                data, parity = store.rows(store.writable(ci))
+                data[row : row + take] = piece
+                np.bitwise_xor.reduce(piece, axis=1, out=parity[row : row + take])
+            stripe += take
+
+    def _write_partial(self, group_block: int, new: np.ndarray) -> None:
+        """Read-modify-write ``len(new)`` columns of one stripe from
+        ``group_block``.  Over an unreadable written column or parity the
+        stripe is reconstruct-written — parity from the untouched columns
+        and the new data, clearing the marks; an unreadable untouched
+        column too is a double failure, raised before anything moves."""
+        store, nd = self.store, self.geometry.ndata_disks
+        stripe, first = divmod(group_block, nd)
+        written = range(group_block, group_block + len(new))
+        parity_cell = store.nblocks + stripe
+        rmw = not store._bad or not (parity_cell in store._bad or any(
+            cell in store._bad for cell in written))
+        if rmw:
+            read = written
+            store.reads[nd] += 1
+        else:
+            read = [cell for cell in range(stripe * nd, stripe * nd + nd)
+                    if cell not in written]
+            if any(cell in store._bad for cell in read):
+                raise self._double_failure(stripe)
+            store.unmark(written)
+            store.unmark(range(parity_cell, parity_cell + 1))
+        for cell in read:
+            store.reads[cell % nd] += 1
+        for cell in written:
+            store.writes[cell % nd] += 1
+        store.writes[nd] += 1
+        if stripe // store.chunk_stripes not in store._chunks and not new.any():
+            return  # zeros over zeros: data and parity stay zero
+        data, parity = store.stripe(stripe, write=True)
+        old = data[first : first + len(new)]
+        if rmw:
+            parity ^= _fold(old)
+            parity ^= _fold(new)
+        old[...] = new
+        if not rmw:
+            parity[...] = _fold(data)
+
+    # -- maintenance ---------------------------------------------------------
 
     def clone(self) -> "RaidGroup":
-        """A copy-on-write copy: every member disk (parity included) is
-        cloned chunk-sharing, so the group costs nothing until written."""
+        """A copy-on-write copy: the store is cloned chunk-sharing, so the
+        group costs nothing until written."""
         other = RaidGroup.__new__(RaidGroup)
-        other.geometry = self.geometry
-        other.block_size = self.block_size
-        other.name = self.name
-        other.data_disks = [disk.clone() for disk in self.data_disks]
-        other.parity_disk = self.parity_disk.clone()
-        other.reconstructed_reads = self.reconstructed_reads
-        other.data_blocks = self.data_blocks
+        other.__dict__.update(self.__dict__)
+        other._attach(self.store.clone(),
+                      [disk.name for disk in self.data_disks + [self.parity_disk]])
         return other
 
     def verify_parity(self) -> bool:
-        """Check every stripe's parity (used by tests and fsck-style audits).
-
-        Stripes with an unreadable member are skipped: a degraded stripe is
-        consistent by construction if reconstruction succeeds, and cannot
-        be independently cross-checked.  The members' chunk buffers are
-        XORed whole, one chunk index at a time; a chunk no member has
-        materialized is all zeros and so consistent.
-        """
-        members = self.data_disks + [self.parity_disk]
-        bs = self.block_size
-        chunk_blocks = self.parity_disk._chunk_blocks
-        bad = set().union(*(disk._bad for disk in members))
-        for ci in sorted(set().union(*(disk._chunks for disk in members))):
-            acc = np.zeros(chunk_blocks * bs, dtype=np.uint8)
-            for disk in members:
-                chunk = disk._chunks.get(ci)
-                if chunk is not None:
-                    acc ^= np.frombuffer(chunk, dtype=np.uint8)
-            wrong = np.flatnonzero(acc.reshape(-1, bs).any(axis=1))
-            if not bad.issuperset((wrong + ci * chunk_blocks).tolist()):
+        """Check every stripe's parity, one XOR-reduce a chunk (a chunk
+        never materialized is all zeros).  A stripe with an unreadable
+        member is skipped: it cannot be independently cross-checked."""
+        store = self.store
+        bad = {store.stripe_of(cell) for cell in store._bad}
+        for ci in list(store._chunks):
+            wrong = store.parity_errors(ci)
+            if wrong and not bad.issuperset(wrong):
                 return False
         return True
 
-    def rebuild_disk(self, disk_index: int) -> "VirtualDisk":
-        """Reconstruct a failed data disk onto a fresh spare.
+    def scrub(self) -> int:
+        """Recompute parity for every stripe; returns stripes repaired.  A
+        stripe with an unreadable data member is skipped (its parity is
+        what reconstructs it); an unreadable parity block is rewritten,
+        which clears its mark."""
+        store = self.store
+        stale = {cell - store.nblocks for cell in store._bad if cell >= store.nblocks}
+        for ci in list(store._chunks):
+            stale.update(store.parity_errors(ci))
+        stale -= {store.stripe_of(cell) for cell in store._bad if cell < store.nblocks}
+        for stripe in sorted(stale):
+            self.repair_parity(stripe)
+        return len(stale)
 
-        Every stripe is rebuilt from the surviving members plus parity;
-        the spare replaces the failed disk in the group and is returned.
-        """
-        if not 0 <= disk_index < len(self.data_disks):
+    def rebuild_disk(self, disk_index: int) -> "VirtualDisk":
+        """Reconstruct a failed data disk onto a fresh spare, every stripe
+        from the surviving members plus parity; the spare replaces the
+        failed disk in the group and is returned.  Any other unreadable
+        block is a double failure, raised before anything is rebuilt."""
+        nd, store = self.geometry.ndata_disks, self.store
+        if not 0 <= disk_index < nd:
             raise RaidError("no data disk %d in %r" % (disk_index, self.name))
-        old = self.data_disks[disk_index]
-        spare = VirtualDisk(old.nblocks, old.block_size,
-                            name="%s.d%d+rebuilt" % (self.name, disk_index))
-        for stripe in range(self.geometry.blocks_per_disk):
-            spare.write_block(stripe, self._reconstruct(disk_index, stripe))
-        self.data_disks[disk_index] = spare
-        return spare
+        column = range(disk_index, store.nblocks, nd)
+        others = [cell for cell in store._bad if cell not in column]
+        if others:
+            raise self._double_failure(store.stripe_of(min(others)))
+        for ci in list(store._chunks):
+            data, parity = store.rows(store.writable(ci))
+            lost = data[:, disk_index]
+            lost ^= np.bitwise_xor.reduce(data, axis=1)
+            lost ^= parity
+        store.unmark(column)
+        self.reconstructed_reads += store.nstripes
+        store.reads[disk_index], store.writes[disk_index] = 0, store.nstripes
+        self.data_disks[disk_index] = VirtualDisk.member(
+            store, disk_index, "%s.d%d+rebuilt" % (self.name, disk_index))
+        return self.data_disks[disk_index]
 
     def repair_block(self, disk_index: int, stripe: int) -> bytes:
-        """Reconstruct one bad stripe member and write it back in place.
-
-        The in-place counterpart to :meth:`rebuild_disk` for a single
-        media error: parity reconstruction recovers the lost contents and
-        the write-back clears the disk's fault mark, so the group returns
-        to clean with contents bit-identical to the pre-fault state.
-        Returns the recovered block.
-        """
-        if not 0 <= disk_index < len(self.data_disks):
+        """Reconstruct one bad stripe member and write it back in place,
+        which clears its mark: the group returns to clean, bit-identical
+        to the pre-fault state.  Returns the recovered block."""
+        if not 0 <= disk_index < self.geometry.ndata_disks:
             raise RaidError("no data disk %d in %r" % (disk_index, self.name))
         data = self._reconstruct(disk_index, stripe)
         self.data_disks[disk_index].write_block(stripe, data)
         return data
 
-    def bad_blocks(self) -> List:
-        """Every injected media error: (disk_index, stripe) pairs, sorted
-        (parity disk reported as disk_index -1)."""
-        found = [(index, stripe)
-                 for index, disk in enumerate(self.data_disks)
-                 for stripe in sorted(disk._bad)]
-        found.extend((-1, stripe) for stripe in sorted(self.parity_disk._bad))
-        return found
-
-    def _data_parity(self, stripe: int) -> bytes:
-        """The XOR of ``stripe``'s data columns (a bad column raises)."""
-        nd = self.geometry.ndata_disks
-        rows: list = [None] * nd
-        for index, disk in enumerate(self.data_disks):
-            disk.read_run(stripe, 1, rows, index)
-        return np.bitwise_xor.reduce(np.frombuffer(
-            b"".join(rows), dtype=np.uint8).reshape(nd, self.block_size)
-        ).tobytes()
-
     def repair_parity(self, stripe: int) -> None:
         """Recompute one stripe's parity from its data members and write
         it in place, which clears a fault mark on the parity member."""
-        self.parity_disk.write_block(stripe, self._data_parity(stripe))
+        store, nd = self.store, self.geometry.ndata_disks
+        if any(stripe * nd + i in store._bad for i in range(nd)):
+            raise self._double_failure(stripe)
+        store.count(store.reads, stripe * nd, nd)
+        where = store.stripe(stripe)
+        self.parity_disk.write_block(
+            stripe, store._zero if where is None else _fold(where[0]).tobytes())
 
-    def scrub(self) -> int:
-        """Recompute parity for every stripe; returns stripes repaired.
-
-        A stripe with an unreadable data member is skipped, as in
-        :meth:`verify_parity` (its parity is what reconstructs it); an
-        unreadable parity member is rewritten, which clears its mark.
-        """
-        repaired = 0
-        for stripe in range(self.geometry.blocks_per_disk):
-            try:
-                parity = self._data_parity(stripe)
-            except StorageError:
-                continue
-            try:
-                stale = parity != self.parity_disk.read_block(stripe)
-            except StorageError:
-                stale = True
-            if stale:
-                self.parity_disk.write_block(stripe, parity)
-                repaired += 1
-        return repaired
+    def bad_blocks(self) -> List:
+        """Every injected media error: (disk_index, stripe) pairs, sorted
+        (parity disk reported as disk_index -1, last)."""
+        store, nd = self.store, self.geometry.ndata_disks
+        cells = sorted(store._bad)
+        return sorted((cell % nd, cell // nd) for cell in cells if cell < store.nblocks) + [
+            (-1, cell - store.nblocks) for cell in cells if cell >= store.nblocks]
 
 
 __all__ = ["RaidGroup"]

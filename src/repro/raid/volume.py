@@ -107,14 +107,13 @@ class RaidVolume:
                  out: Optional[list] = None) -> Optional[bytes]:
         """Read ``nblocks`` contiguous volume blocks as one access.
 
-        The bytes come from the member disks' chunk stores in one copy:
-        each RAID group gathers one buffer per block and the run is their
-        join — or, with ``out``, the buffers are appended to it (as
-        :meth:`VirtualDisk.read_run` lands them: views of the live store)
-        for the caller to join once with other runs, before anything
-        writes, and nothing is returned.  The cache only decides whether
-        the *device* is involved.
-        A fully resident run is the bare gather — no disk ``reads``, no
+        The bytes come from the groups' stripe stores in one copy: each
+        RAID group appends one buffer per chunk span and the run is their
+        join — or, with ``out``, the buffers are appended to it (views of
+        the live store) for the caller to join once with other runs,
+        before anything writes, and nothing is returned.  The cache only
+        decides whether the *device* is involved.
+        A fully resident run is the bare gather — no member ``reads``, no
         fault lookup or reconstruction, no recorder event, so no I/O
         time — which is exact because a media fault marks a block
         unreadable and leaves its stored bytes alone.  A run with any
@@ -141,19 +140,14 @@ class RaidVolume:
 
     def _gather(self, start_block: int, nblocks: int, out: Optional[list],
                 device: bool) -> Optional[bytes]:
-        """The run's buffers, from the members' devices (counted and
+        """The run's buffers, from the groups' devices (counted and
         fault-checked) or, for a cache hit, from their stores."""
         if out is None and nblocks == 1:
             group, group_block = self._piece(start_block)
             return group.read_block(group_block, device)
-        if out is None:
-            buffers, at = [None] * nblocks, 0
-        else:
-            buffers, at = out, len(out)
-            out += [None] * nblocks
+        buffers = [] if out is None else out
         for group, group_block, count in self._pieces(start_block, nblocks):
-            group.read_run(group_block, count, buffers, at, device)
-            at += count
+            group.read_run(group_block, count, buffers, device)
         return None if out is not None else b"".join(buffers)
 
     def _read_device(self, start_block: int, nblocks: int,
@@ -177,7 +171,7 @@ class RaidVolume:
         """Write ``nblocks`` contiguous volume blocks from ``data[offset:]``
         (by default, all of ``data``) as one access.  A single block — most
         writes are — is the group's read-modify-write and nothing else.
-        The members take views of ``data``: the chunk store is the one
+        The groups read ``data`` in place: the stripe store is the one
         copy a written block makes."""
         bs = self.block_size
         if nblocks is None:
@@ -190,10 +184,7 @@ class RaidVolume:
                 nblocks)
         if nblocks == 1:
             group, group_block = self._piece(start_block)
-            group.write_block(
-                group_block,
-                data if len(data) == bs
-                else memoryview(data)[offset : offset + bs])
+            group.write_block(group_block, data, offset)
         else:
             done = 0
             for group, group_block, count in self._pieces(start_block, nblocks):
@@ -287,7 +278,7 @@ class RaidVolume:
     def clone(self) -> "RaidVolume":
         """A copy-on-write copy of this volume.
 
-        Groups (and their disks) are cloned chunk-sharing; the buffer
+        Groups (and their stores) are cloned chunk-sharing; the buffer
         cache's residency set is copied, which preserves hit/miss state
         exactly.
         No recorder is attached — the caller wires its own observation,

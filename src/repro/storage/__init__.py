@@ -1,7 +1,8 @@
 """Simulated storage devices.
 
 This package holds the device substrate: byte-addressable block stores
-(:class:`~repro.storage.disk.VirtualDisk`), the positional disk timing
+(:class:`~repro.storage.disk.StripeStore`, one per RAID group, and its
+columns, :class:`~repro.storage.disk.VirtualDisk`), the positional disk timing
 model used by the performance simulator, and the DLT-7000-style tape
 subsystem (drives, cartridges, stackers) the paper's experiments stream to.
 

@@ -1,8 +1,10 @@
 """Block-store data plane and disk timing model.
 
-:class:`VirtualDisk` is the data plane: a sparse, byte-faithful block store
-with optional fault injection (unreadable blocks), standing in for one
-spindle (or, under RAID, one member disk).
+:class:`StripeStore` is the data plane: a sparse, byte-faithful store of
+stripes — ``ndata`` data blocks each, plus one parity block under RAID —
+with optional fault injection (unreadable blocks).  :class:`VirtualDisk`
+is one disk of it: a standalone spindle (a one-column store of its own)
+or one member of a RAID group (a column view of the group's store).
 
 :class:`DiskModel` is the timing plane: given the *previous* head position
 and the next request it returns a service time, distinguishing sequential
@@ -15,6 +17,7 @@ per-request latency.
 
 from __future__ import annotations
 
+import copy
 import struct
 from typing import Dict, List, Optional, Set
 
@@ -26,13 +29,14 @@ from repro.units import KB, MB
 
 DEFAULT_BLOCK_SIZE = 4 * KB
 
-# Blocks per backing chunk: 256 KB of contiguous store at the default
-# block size.  A chunk is what the store materializes (zero-filled) on a
-# first non-zero write and what a clone copies on its first write, so
-# resident memory follows the chunks touched, not the bytes written: the
-# chunk has to stay small against the data a workload scatters.  64 was
-# picked by a sweep (DESIGN.md decision 16) and is private to this
-# module; the disk image does not record it.
+# Data blocks per backing chunk: a chunk holds max(1, CHUNK_BLOCKS //
+# ndata) whole stripes, their parity rows included — 256 KB of data at
+# the default block size.  A chunk is what the store materializes
+# (zero-filled) on a first non-zero write and what a clone copies on its
+# first write, so resident memory follows the chunks touched, not the
+# bytes written: the chunk has to stay small against the data a workload
+# scatters.  64 was picked by a sweep (DESIGN.md decision 16) and is
+# private to this module; the disk image does not record it.
 CHUNK_BLOCKS = 64
 
 # pack_chunks framing: (nblocks, non-zero block count), then that many
@@ -41,14 +45,159 @@ _IMAGE_HEAD = struct.Struct("<QQ")
 _IMAGE_INDEX = np.dtype("<u8")
 
 
-class VirtualDisk:
-    """A sparse in-memory block device.
+class StripeStore:
+    """``nstripes`` stripes of ``ndata`` data blocks (and, with
+    ``parity``, one parity block each), stripe-major.
 
-    The store is chunked: contiguous runs of ``CHUNK_BLOCKS`` blocks share
-    one numpy byte array, materialized the first time non-zero data is
-    written into the range.  Reads of unmaterialized ranges zero-fill the
-    caller's buffer without allocating backing store, and run reads/writes
-    are slice copies instead of per-block dict traffic.
+    A chunk is one numpy byte array: its data blocks in group-block order,
+    shaped ``(stripes, ndata, block_size)``, then its parity rows
+    ``(stripes, block_size)``.  A run of consecutive data blocks inside a
+    chunk is one contiguous slice, and parity over a stripe range is one
+    XOR-reduce over axis 1 (:meth:`rows`).  Chunks materialize on the
+    first non-zero write; unmaterialized ranges read as zeros.
+
+    A *cell* is one block of the store: data block ``b`` (stripe
+    ``b // ndata``, column ``b % ndata``) is cell ``b``, the parity block
+    of stripe ``s`` is cell ``nblocks + s``.  ``_bad`` holds unreadable
+    cells; ``reads``/``writes`` count per column, parity last.  Clones
+    share chunks and the fault set copy-on-write.
+    """
+
+    def __init__(self, nstripes: int, ndata: int, block_size: int, parity: bool):
+        self.nstripes = nstripes
+        self.ndata = ndata
+        self.block_size = block_size
+        self.nblocks = nstripes * ndata
+        self.chunk_stripes = min(max(1, CHUNK_BLOCKS // ndata), nstripes)
+        self.span = self.chunk_stripes * ndata
+        self._chunk_bytes = self.chunk_stripes * (ndata + parity) * block_size
+        # chunk index -> numpy byte array; indices shared with a clone
+        # are copied private before either side writes them.
+        self._chunks: Dict[int, np.ndarray] = {}
+        self._shared: Set[int] = set()
+        self._bad: Set[int] = set()
+        self._bad_shared = False
+        self.reads = [0] * (ndata + parity)
+        self.writes = [0] * (ndata + parity)
+        self._zero = bytes(block_size)
+        self._zeros = bytes(self.span * block_size)
+        self._word = np.uint64 if block_size % 8 == 0 else np.uint8
+        self._word_cut = self.span * block_size // np.dtype(self._word).itemsize
+
+    def writable(self, ci: int) -> np.ndarray:
+        """Chunk ``ci``, materialized and private to this store."""
+        chunk = self._chunks.get(ci)
+        if chunk is None:
+            chunk = self._chunks[ci] = np.zeros(self._chunk_bytes, np.uint8)
+        elif ci in self._shared:
+            chunk = self._chunks[ci] = chunk.copy()
+            self._shared.discard(ci)
+        return chunk
+
+    def rows(self, chunk: np.ndarray):
+        """``(data, parity)`` views of a chunk: ``(stripes, ndata, bs)``
+        and ``(stripes, bs)`` (no rows when the store has no parity)."""
+        cut = self.span * self.block_size
+        return (chunk[:cut].reshape(self.chunk_stripes, self.ndata, -1),
+                chunk[cut:].reshape(-1, self.block_size))
+
+    def stripe(self, stripe: int, write: bool = False):
+        """``(data columns, parity)`` views of one stripe, materialized and
+        private for a ``write``; ``None`` for a read of an unmaterialized
+        chunk."""
+        bs, nd = self.block_size, self.ndata
+        ci, row = divmod(stripe, self.chunk_stripes)
+        chunk = self.writable(ci) if write else self._chunks.get(ci)
+        if chunk is None:
+            return None
+        at, cut = row * nd * bs, (self.span + row) * bs
+        return chunk[at : at + nd * bs].reshape(nd, bs), chunk[cut : cut + bs]
+
+    def parity_errors(self, ci: int) -> List[int]:
+        """Stripes of chunk ``ci`` whose parity row is not the XOR of their
+        data rows: one XOR-reduce over the chunk, in 8-byte words where
+        the block size allows, and one compare."""
+        words = self._chunks[ci].view(self._word)
+        cut, stripes = self._word_cut, self.chunk_stripes
+        wrong = np.bitwise_xor.reduce(
+            words[:cut].reshape(stripes, self.ndata, -1), axis=1)
+        if wrong.tobytes() == words[cut:].tobytes():
+            return []
+        wrong ^= words[cut:].reshape(stripes, -1)
+        return (np.flatnonzero(wrong.any(axis=1))
+                + ci * self.chunk_stripes).tolist()
+
+    def stripe_of(self, cell: int) -> int:
+        return cell // self.ndata if cell < self.nblocks else cell - self.nblocks
+
+    def private_bad(self) -> Set[int]:
+        """The fault set, copied private first if a clone shares it."""
+        if self._bad_shared:
+            self._bad = set(self._bad)
+            self._bad_shared = False
+        return self._bad
+
+    def unmark(self, cells: range) -> None:
+        """Clear the fault marks of ``cells`` (a write's target)."""
+        if self._bad and any(cell in cells for cell in self._bad):
+            self._bad = {cell for cell in self._bad if cell not in cells}
+            self._bad_shared = False
+
+    def count(self, tally: List[int], first: int, nblocks: int) -> None:
+        """Add data blocks ``[first, first + nblocks)`` to ``tally``,
+        each to its column."""
+        nd = self.ndata
+        whole, rest = divmod(nblocks, nd)
+        if whole:
+            for column in range(nd):
+                tally[column] += whole
+        for block in range(first, first + rest):
+            tally[block % nd] += 1
+
+    def block(self, block: int) -> bytes:
+        """Data block ``block``'s bytes, with nothing of the device."""
+        ci, row = divmod(block, self.span)
+        chunk = self._chunks.get(ci)
+        if chunk is None:
+            return self._zero
+        bs = self.block_size
+        return chunk[row * bs : (row + 1) * bs].tobytes()
+
+    def spans(self, block: int, nblocks: int, out: list) -> None:
+        """Append data blocks ``[block, block + nblocks)`` to ``out``,
+        one buffer per chunk: a view of the live store (join it before
+        anything writes), or zeros where no chunk is materialized."""
+        bs, span = self.block_size, self.span
+        while nblocks:
+            ci, row = divmod(block, span)
+            take = min(nblocks, span - row)
+            chunk = self._chunks.get(ci)
+            out.append(memoryview(self._zeros)[: take * bs] if chunk is None
+                       else chunk[row * bs : (row + take) * bs])
+            block += take
+            nblocks -= take
+
+    def clone(self) -> "StripeStore":
+        """A copy-on-write copy: contents, fault set and counters as
+        ``copy.deepcopy`` would give them, for a dict copy."""
+        other = copy.copy(self)
+        other._chunks = dict(self._chunks)
+        self._shared.update(self._chunks)
+        other._shared = set(self._chunks)
+        self._bad_shared = other._bad_shared = True
+        other.reads = list(self.reads)
+        other.writes = list(self.writes)
+        return other
+
+
+class VirtualDisk:
+    """A sparse in-memory block device: one column of a :class:`StripeStore`.
+
+    ``VirtualDisk(nblocks)`` is a standalone disk over a one-column store
+    of its own; a RAID group's members are views of the group's store
+    (:meth:`member`), block ``b`` being stripe ``b``'s cell in the
+    member's column.  A member's ``write_block`` is a raw write: it
+    leaves parity alone.
 
     Unwritten blocks read back as zeros.  ``fail_block`` marks a block as
     unreadable to exercise RAID reconstruction and backup robustness
@@ -60,27 +209,29 @@ class VirtualDisk:
             raise StorageError("disk needs at least one block")
         if block_size <= 0:
             raise StorageError("block size must be positive")
-        self.nblocks = nblocks
-        self.block_size = block_size
+        self._bind(StripeStore(nblocks, 1, block_size, False), 0, name)
+
+    @classmethod
+    def member(cls, store: StripeStore, column: int, name: str) -> "VirtualDisk":
+        """Column ``column`` of ``store`` (``store.ndata`` is parity)."""
+        disk = cls.__new__(cls)
+        disk._bind(store, column, name)
+        return disk
+
+    def _bind(self, store: StripeStore, column: int, name: str) -> None:
+        self._store = store
+        self._column = column
         self.name = name
-        # chunk index -> writable memoryview over a numpy byte array of
-        # chunk_blocks * block_size bytes.  Plain buffer slicing keeps the
-        # per-call cost of scalar reads/writes at memcpy speed; numpy views
-        # (np.frombuffer, zero-copy) serve the scans that need them.
-        self._chunks: Dict[int, memoryview] = {}
-        # A disk smaller than a chunk is one whole-disk chunk.
-        self._chunk_blocks = min(CHUNK_BLOCKS, nblocks)
-        # Chunk indices whose backing buffer is shared with a clone();
-        # a write to a shared chunk copies it private first.
-        self._shared: Set[int] = set()
-        self._bad: Set[int] = set()
-        # True while _bad is a buffer shared with a clone(); any mutation
-        # copies it private first (the fault set is copy-on-write, exactly
-        # like the chunk store).
-        self._bad_shared = False
-        self.reads = 0
-        self.writes = 0
-        self._zero = bytes(block_size)
+        self.nblocks = store.nstripes
+        self.block_size = store.block_size
+        # Cell of block b: base + b * step.
+        if column < store.ndata:
+            self._base, self._step = column, store.ndata
+        else:
+            self._base, self._step = store.nblocks, 1
+
+    reads = property(lambda self: self._store.reads[self._column])
+    writes = property(lambda self: self._store.writes[self._column])
 
     @property
     def size_bytes(self) -> int:
@@ -93,261 +244,132 @@ class VirtualDisk:
                 % (block, self.name, self.nblocks)
             )
 
-    def _materialize(self, chunk_index: int) -> memoryview:
-        # numpy backing, memoryview interface: np.zeros is one calloc,
-        # and the memoryview gives the hot paths plain buffer-slicing
-        # semantics.
-        chunk = memoryview(np.zeros(self._chunk_blocks * self.block_size,
-                                    dtype=np.uint8))
-        self._chunks[chunk_index] = chunk
-        return chunk
+    def _cells(self, start: int, end: int) -> range:
+        step = self._step
+        return range(self._base + start * step, self._base + end * step, step)
 
-    def _private(self, chunk_index: int, chunk: memoryview) -> memoryview:
-        """Copy-on-first-write: replace a clone-shared chunk with a private
-        copy before mutating it.  The other sharers keep the old buffer."""
-        arr = np.frombuffer(chunk, dtype=np.uint8).copy()
-        chunk = memoryview(arr)
-        self._chunks[chunk_index] = chunk
-        self._shared.discard(chunk_index)
-        return chunk
-
-    def _private_bad(self) -> Set[int]:
-        """Copy-on-first-mutation for the fault set: a clone and its source
-        share one set until either side injects, heals, or overwrites a
-        fault."""
-        if self._bad_shared:
-            self._bad = set(self._bad)
-            self._bad_shared = False
-        return self._bad
+    def _rows(self, chunk: np.ndarray) -> np.ndarray:
+        """This disk's ``(stripes, block_size)`` rows of a chunk."""
+        data, parity = self._store.rows(chunk)
+        if self._column < self._store.ndata:
+            return data[:, self._column]
+        return parity
 
     def block(self, block: int) -> bytes:
-        """:meth:`gather` for one block, copied out: the store's bytes
-        (zeros if never written), with nothing of the device about it."""
-        cb = self._chunk_blocks
-        chunk = self._chunks.get(block // cb)
+        """The store's bytes of ``block`` (zeros if never written), with
+        nothing of the device about it."""
+        ci, row = divmod(block, self._store.chunk_stripes)
+        chunk = self._store._chunks.get(ci)
         if chunk is None:
-            return self._zero
-        off = (block % cb) * self.block_size
-        return bytes(chunk[off : off + self.block_size])
+            return self._store._zero
+        return self._rows(chunk)[row].tobytes()
 
     def read_block(self, block: int) -> bytes:
         """Return the 4 KB contents of ``block`` (zeros if never written)."""
-        self._check(block)
-        if block in self._bad:
-            raise StorageError("media error reading block %d of %r" % (block, self.name))
-        self.reads += 1
-        return self.block(block)
+        return self.read_run(block, 1)
 
     def write_block(self, block: int, data) -> None:
-        """Write one block from any bytes-like ``data`` (a view of the
-        writer's buffer is copied once, into the chunk store)."""
-        self._check(block)
+        """Write one block from any bytes-like ``data``."""
         if len(data) != self.block_size:
             raise StorageError(
                 "short write: %d bytes to %d-byte block" % (len(data), self.block_size)
             )
-        self.writes += 1
-        if self._bad and block in self._bad:
-            self._private_bad().discard(block)
-        cb = self._chunk_blocks
-        ci = block // cb
-        chunk = self._chunks.get(ci)
-        if chunk is None:
-            # Keep the store sparse: a zero block is the default.  Bytes
-            # against bytes (``bytes()`` of bytes is the object itself): a
-            # view against bytes compares element by element, hundreds of
-            # times slower than copying it.
-            if bytes(data) == self._zero:
-                return
-            chunk = self._materialize(ci)
-        elif self._shared and ci in self._shared:
-            chunk = self._private(ci, chunk)
-        off = (block % cb) * self.block_size
-        chunk[off : off + self.block_size] = data
+        self.write_run(block, data)
 
-    def _bad_in_range(self, start_block: int, end_block: int) -> Optional[int]:
-        """Lowest bad block in [start, end), or None.  O(|bad|), not O(run)."""
-        hits = [b for b in self._bad if start_block <= b < end_block]
-        return min(hits) if hits else None
-
-    def gather(self, start_block: int, nblocks: int, out: list,
-               at: int = 0, step: int = 1) -> None:
-        """Put one buffer per block of the run into ``out[at::step]``: a
-        view of the chunk that holds the block, or the shared zero block
-        where no chunk is materialized (``step`` is how a RAID group
-        de-stripes: each member's column lands every ``step``-th slot;
-        the slots must exist).
-
-        This is the part of a read that is not the device — no copy, no
-        range or fault check, no accounting — and so all a buffer-cache
-        hit does.  The views alias the live store: join them before
-        anything writes.
-        """
-        bs = self.block_size
-        cb = self._chunk_blocks
-        chunks = self._chunks
-        if nblocks == 1:
-            # One block — each column of a run shorter than its RAID
-            # group's width is one — is one slot: no list to build.
-            chunk = chunks.get(start_block // cb)
-            off = start_block % cb * bs
-            out[at] = self._zero if chunk is None else chunk[off : off + bs]
-            return
-        views: list = []
-        block = start_block
-        end = start_block + nblocks
-        while block < end:
-            ci = block // cb
-            take = min(end, (ci + 1) * cb) - block
-            chunk = chunks.get(ci)
-            if chunk is None:
-                views += [self._zero] * take
-            else:
-                src = (block - ci * cb) * bs
-                views += [chunk[off : off + bs]
-                          for off in range(src, src + take * bs, bs)]
-            block += take
-        out[at : at + (nblocks - 1) * step + 1 : step] = views
-
-    def read_run(self, start_block: int, nblocks: int,
-                 out: Optional[list] = None, at: int = 0,
-                 step: int = 1) -> Optional[bytes]:
-        """Read ``nblocks`` contiguous blocks: :meth:`gather` behind the
-        device's range check, fault check and ``reads`` accounting.
-
-        With ``out`` the blocks' buffers land in ``out[at::step]`` as
-        :meth:`gather` leaves them; without, the run is returned joined.
-        Raises before counting anything if any block in the range is bad,
-        so callers can fall back to per-block reads (with reconstruction)
-        and still observe the same ``reads`` accounting as the scalar
-        path.
-        """
+    def read_run(self, start_block: int, nblocks: int) -> bytes:
+        """Read ``nblocks`` contiguous blocks, joined: range check, fault
+        check (raising before anything is counted), ``reads`` count."""
         if nblocks <= 0:
             raise StorageError("zero-length run read on %r" % self.name)
-        end = start_block + nblocks
-        if start_block < 0 or end > self.nblocks:
-            self._check(start_block)
-            self._check(end - 1)
-        if self._bad:
-            bad = self._bad_in_range(start_block, end)
-            if bad is not None:
+        self._check(start_block)
+        self._check(start_block + nblocks - 1)
+        store = self._store
+        if store._bad:
+            cells = self._cells(start_block, start_block + nblocks)
+            bad = [cell for cell in store._bad if cell in cells]
+            if bad:
                 raise StorageError(
-                    "media error reading block %d of %r" % (bad, self.name)
-                )
-        self.reads += nblocks
-        if out is None:
-            out = [None] * nblocks
-            self.gather(start_block, nblocks, out)
-            return b"".join(out)
-        self.gather(start_block, nblocks, out, at, step)
+                    "media error reading block %d of %r"
+                    % ((min(bad) - self._base) // self._step, self.name))
+        store.reads[self._column] += nblocks
+        if nblocks == 1:
+            return self.block(start_block)
+        pieces = []
+        block, end, per = start_block, start_block + nblocks, store.chunk_stripes
+        while block < end:
+            ci, row = divmod(block, per)
+            take = min(end - block, per - row)
+            chunk = store._chunks.get(ci)
+            pieces.append(bytes(take * self.block_size) if chunk is None
+                          else self._rows(chunk)[row : row + take].tobytes())
+            block += take
+        return b"".join(pieces)
 
     def write_run(self, start_block: int, data) -> None:
-        """Write contiguous blocks from one buffer (block-aligned).
-
-        An ``ndarray`` — a RAID column, one ``block_size`` row per block,
-        strided through the writer's buffer — is copied row by row
-        straight into the chunk store; anything else is a bytes-like
-        buffer and goes in by plain slice assignment.
-        """
+        """Write contiguous blocks from one buffer (block-aligned), or
+        from an ``ndarray`` of one ``block_size`` row per block."""
         bs = self.block_size
-        as_rows = isinstance(data, np.ndarray)
-        view = None if as_rows else memoryview(data)
-        nbytes = data.size if as_rows else view.nbytes
-        if nbytes % bs:
+        flat = data if isinstance(data, np.ndarray) else np.frombuffer(data, np.uint8)
+        if flat.size % bs:
             raise StorageError("run write is not block aligned")
-        nblocks = nbytes // bs
-        rows = data.reshape(nblocks, bs) if as_rows else None
+        rows = flat.reshape(-1, bs)
+        nblocks = len(rows)
         if nblocks == 0:
             return
         self._check(start_block)
         self._check(start_block + nblocks - 1)
-        self.writes += nblocks
+        store = self._store
+        store.writes[self._column] += nblocks
         end = start_block + nblocks
-        if self._bad:
-            self._bad = {b for b in self._bad if not start_block <= b < end}
-            self._bad_shared = False
-        chunks = self._chunks
-        cb = self._chunk_blocks
-        block = start_block
+        store.unmark(self._cells(start_block, end))
+        block, per = start_block, store.chunk_stripes
         while block < end:
-            ci = block // cb
-            cstart = ci * cb
-            take = min(end, cstart + cb) - block
-            done = block - start_block
-            if rows is None:
-                piece = view[done * bs : (done + take) * bs]
-            else:
-                piece = rows[done : done + take]
-            chunk = chunks.get(ci)
-            if chunk is None:
-                # All-zero writes to virgin ranges stay unmaterialized:
-                # a zero block is the default.
-                if np.asarray(piece).any():
-                    chunk = self._materialize(ci)
-            elif self._shared and ci in self._shared:
-                chunk = self._private(ci, chunk)
-            if chunk is not None:
-                dst = (block - cstart) * bs
-                if rows is None:
-                    chunk[dst : dst + take * bs] = piece
-                else:
-                    np.frombuffer(chunk, dtype=np.uint8, count=take * bs,
-                                  offset=dst).reshape(take, bs)[...] = piece
+            ci, row = divmod(block, per)
+            take = min(end - block, per - row)
+            piece = rows[block - start_block : block - start_block + take]
+            # A zero block is the default: zeros into a virgin chunk stay
+            # unmaterialized.
+            if ci in store._chunks or piece.any():
+                self._rows(store.writable(ci))[row : row + take] = piece
             block += take
 
     def is_allocated(self, block: int) -> bool:
-        """True if the block has ever been written with non-zero data."""
+        """True if the block holds non-zero data."""
         self._check(block)
-        cb = self._chunk_blocks
-        chunk = self._chunks.get(block // cb)
-        if chunk is None:
-            return False
-        off = (block % cb) * self.block_size
-        return bool(
-            np.frombuffer(chunk, dtype=np.uint8, count=self.block_size,
-                          offset=off).any()
-        )
+        return self.block(block) != self._store._zero
+
+    def _nonzero(self):
+        """``(first block, rows, non-zero row indices)`` per chunk, ascending."""
+        per = self._store.chunk_stripes
+        for ci in sorted(self._store._chunks):
+            rows = self._rows(self._store._chunks[ci])
+            yield ci * per, rows, np.flatnonzero(rows.any(axis=1))
 
     def nonzero_blocks(self):
-        """Yield ``(block, contents)`` for every non-zero block, ascending.
-
-        This is the persistence / inspection surface of the store: exactly
-        the blocks for which :meth:`is_allocated` is true, without exposing
-        the chunked backing representation.
-        """
-        bs = self.block_size
-        cb = self._chunk_blocks
-        for ci in sorted(self._chunks):
-            rows = np.frombuffer(self._chunks[ci], dtype=np.uint8).reshape(cb, bs)
-            for row in np.flatnonzero(rows.any(axis=1)):
-                block = ci * cb + int(row)
-                if block < self.nblocks:
-                    yield block, rows[row].tobytes()
+        """Yield ``(block, contents)`` for every non-zero block, ascending:
+        the inspection surface of the store, exactly the blocks for which
+        :meth:`is_allocated` is true."""
+        for first, rows, nonzero in self._nonzero():
+            for row in nonzero.tolist():
+                yield first + row, rows[row].tobytes()
 
     def pack_chunks(self) -> bytes:
-        """The disk image: the whole store as one sparse-row byte string.
+        """The disk image: the whole disk as one sparse-row byte string.
 
         ``(nblocks, count)``, then the ``count`` non-zero blocks' indices
         (uint64, ascending), then their ``count`` rows.  It is what
         container files and pickles both carry, and a function of the
         disk's *contents* alone: a block that was written and zeroed
         again packs like one never touched, and nothing in the image
-        says how the store that wrote it was chunked, so equal disks
-        make equal bytes whatever their write or clone history and an
-        image outlives any change of ``CHUNK_BLOCKS``.  Chunk-at-a-time
-        and numpy-vectorized — orders of magnitude faster than iterating
-        :meth:`nonzero_blocks` on a paper-scale disk.
+        says how the store that wrote it was chunked or striped, so
+        equal disks make equal bytes whatever their write or clone
+        history and an image outlives any change of ``CHUNK_BLOCKS``.
         """
-        bs = self.block_size
-        cb = self._chunk_blocks
         indices, rows = [], []
-        for ci in sorted(self._chunks):
-            chunk = np.frombuffer(self._chunks[ci],
-                                  dtype=np.uint8).reshape(-1, bs)
-            nz = np.flatnonzero(chunk.any(axis=1))
-            if nz.size:
-                indices.append((nz + ci * cb).astype(_IMAGE_INDEX))
-                rows.append(chunk[nz])
+        for first, chunk_rows, nonzero in self._nonzero():
+            if nonzero.size:
+                indices.append((nonzero + first).astype(_IMAGE_INDEX))
+                rows.append(chunk_rows[nonzero])
         head = _IMAGE_HEAD.pack(self.nblocks, sum(map(len, indices)))
         return b"".join([head] + indices + rows)
 
@@ -359,7 +381,6 @@ class VirtualDisk:
         leaves the disk as it was.
         """
         bs = self.block_size
-        cb = self._chunk_blocks
         size = len(payload)
 
         def malformed(what: str) -> StorageError:
@@ -382,57 +403,39 @@ class VirtualDisk:
             raise malformed("block indices are out of order or range")
         rows = np.frombuffer(payload, dtype=np.uint8, count=count * bs,
                              offset=rows_at).reshape(count, bs)
-        chunks: Dict[int, memoryview] = {}
+        store, per = self._store, self._store.chunk_stripes
         # Ascending indices: each chunk's blocks are one slice of them.
-        owners, starts = np.unique(indices // cb, return_index=True)
-        for ci, lo, hi in zip(owners.tolist(), starts.tolist(),
-                              starts[1:].tolist() + [count]):
-            arr = np.zeros(cb * bs, dtype=np.uint8)
-            arr.reshape(cb, bs)[indices[lo:hi] - ci * cb] = rows[lo:hi]
-            chunks[ci] = memoryview(arr)
-        self._chunks = chunks
-        self._shared = set()
+        owners, starts = np.unique(indices // per, return_index=True)
+        image = dict(zip(owners.tolist(),
+                         zip(starts.tolist(), starts[1:].tolist() + [count])))
+        for ci in sorted(set(store._chunks) - set(image)):
+            if self._rows(store._chunks[ci]).any():
+                self._rows(store.writable(ci))[:] = 0
+        for ci, (lo, hi) in image.items():
+            column = self._rows(store.writable(ci))
+            column[:] = 0
+            column[indices[lo:hi].astype(np.intp) - ci * per] = rows[lo:hi]
 
     def fail_block(self, block: int) -> None:
         """Inject a media error: subsequent reads of ``block`` raise."""
         self._check(block)
-        self._private_bad().add(block)
+        self._store.private_bad().add(self._base + block * self._step)
 
     def heal_block(self, block: int) -> None:
         self._check(block)
-        if block in self._bad:
-            self._private_bad().discard(block)
+        if self._base + block * self._step in self._store._bad:
+            self._store.private_bad().discard(self._base + block * self._step)
 
     def clone_empty(self) -> "VirtualDisk":
         """A fresh disk of identical geometry."""
         return VirtualDisk(self.nblocks, self.block_size, name=self.name + "+clone")
 
     def clone(self) -> "VirtualDisk":
-        """A copy-on-write copy of this disk.
-
-        The clone observes exactly the state ``copy.deepcopy`` would give
-        it (contents, fault set, I/O counters), but shares every
-        materialized chunk buffer with the source: cloning a mostly-full
-        paper-scale disk costs a dict copy, not a data copy.  The first
-        write either side makes into a shared chunk copies that one chunk
-        private (see :meth:`_private`); reads never copy.  Clones of
-        clones share transitively — each disk tracks which of its chunk
-        indices are shared and unshares them independently.
-        """
-        other = VirtualDisk.__new__(VirtualDisk)
-        other.__dict__.update(self.__dict__)
-        other._chunks = dict(self._chunks)
-        # The fault set is shared copy-on-write too: either side's first
-        # fail/heal/overwrite copies it private (see :meth:`_private_bad`),
-        # so a fault injected in a clone never leaks to the parent.
-        self._bad_shared = True
-        other._bad_shared = True
-        # Every materialized chunk is now shared between the two sides
-        # (re-marking chunks already shared with an older clone is a
-        # no-op: they were copy-protected before and stay so).
-        self._shared.update(self._chunks)
-        other._shared = set(self._chunks)
-        return other
+        """A copy-on-write copy of this disk (of its whole store, for a
+        RAID member): the state ``copy.deepcopy`` would give it —
+        contents, fault set, I/O counters — sharing every materialized
+        chunk until either side writes it."""
+        return VirtualDisk.member(self._store.clone(), self._column, self.name)
 
 
 class DiskModel:
@@ -562,4 +565,4 @@ class DiskModel:
         self.write_streams = []
 
 
-__all__ = ["DEFAULT_BLOCK_SIZE", "DiskModel", "VirtualDisk"]
+__all__ = ["DEFAULT_BLOCK_SIZE", "DiskModel", "StripeStore", "VirtualDisk"]

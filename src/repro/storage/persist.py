@@ -11,10 +11,10 @@ Every frame is ``u64 length | zlib stream``.  The header is JSON: its
 ``kind`` names what the file is, its ``volumes`` (name, geometry) and
 ``cartridges`` (label, capacity) lists announce the payload frames — one
 :meth:`~repro.storage.disk.VirtualDisk.pack_chunks` image per member
-disk, then one byte stream per cartridge (its records end to end; the
-file does not say where one record stopped and the next began).  Equal
-state makes equal files, which the chaos and determinism gates compare
-byte for byte.
+disk (a column of its group's stripe store), then one byte stream per
+cartridge (its records end to end; the file does not say where one
+record stopped and the next began).  Equal state makes equal files,
+which the chaos and determinism gates compare byte for byte.
 Writes replace the file atomically; every way a file can be wrong is a
 :class:`~repro.errors.StorageError`, which the CLI prints as one line.
 """

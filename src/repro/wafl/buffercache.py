@@ -8,11 +8,11 @@ before going to the RAID groups — a cache hit produces no I/O-recorder
 event and therefore no simulated disk time.
 
 It keeps *residency*, not bytes.  The simulated disks are themselves
-memory (:class:`~repro.storage.disk.VirtualDisk`'s chunk store), so a
-second copy of a block here would buy nothing: the cache answers only
+memory (each RAID group's :class:`~repro.storage.disk.StripeStore`), so
+a second copy of a block here would buy nothing: the cache answers only
 "would this read have gone to the device?" — hit or miss, LRU order,
 evictions: all the timing model ever sees — and the volume serves hit
-and miss alike from the chunk store.
+and miss alike from the stripe stores.
 
 The cache is deliberately attached at the volume layer: both the file
 system and any engine reading through it benefit, while image dump —

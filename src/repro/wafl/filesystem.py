@@ -70,9 +70,6 @@ from repro.wafl.fsinfo import FsInfo, SnapshotRecord
 from repro.wafl.inode import FileType, Inode
 
 
-_ZERO_BLOCK = bytes(BLOCK_SIZE)
-
-
 class FileTree(TreeContext):
     """Read access to one file tree, rooted at an inode-file inode.
 
@@ -199,24 +196,33 @@ class FileTree(TreeContext):
     # File and directory contents
     # ------------------------------------------------------------------
 
-    def _read_blocks(self, inode: Inode, extents) -> list:
-        """One buffer per file block below ``inode.size``, in file order.
+    def _read_blocks(self, extents, nbytes: int) -> list:
+        """Buffers holding a file's first ``nbytes`` bytes, in file order.
 
-        Every extent is read whole, in extent order, appending its views
-        (:meth:`RaidVolume.read_run`'s ``out``); a hole is the zero
-        block, and blocks an extent holds past the size are dropped.
-        The caller joins the list once, before anything writes.
+        Every extent is read whole, in extent order, appending one buffer
+        per chunk span (:meth:`RaidVolume.read_run`'s ``out``); a hole is
+        zeros, and what the extents hold past ``nbytes`` is trimmed off
+        the tail as views.  The caller joins the list once, before
+        anything writes.
         """
-        blocks: list = []
+        buffers: list = []
+        nblocks = 0
         for extent_fbn, extent_vbn, extent_len in extents:
-            if extent_fbn > len(blocks):
-                blocks += [_ZERO_BLOCK] * (extent_fbn - len(blocks))
-            self.volume.read_run(extent_vbn, extent_len, blocks)
-        nblocks = (inode.size + BLOCK_SIZE - 1) // BLOCK_SIZE
-        if len(blocks) < nblocks:
-            blocks += [_ZERO_BLOCK] * (nblocks - len(blocks))
-        del blocks[nblocks:]
-        return blocks
+            if extent_fbn > nblocks:
+                buffers.append(bytes((extent_fbn - nblocks) * BLOCK_SIZE))
+            self.volume.read_run(extent_vbn, extent_len, buffers)
+            nblocks = max(nblocks, extent_fbn) + extent_len
+        extra = nblocks * BLOCK_SIZE - nbytes
+        if extra < 0:
+            buffers.append(bytes(-extra))
+        while extra > 0:
+            last = len(buffers[-1])
+            if last <= extra:
+                buffers.pop()
+            else:
+                buffers[-1] = memoryview(buffers[-1])[: last - extra]
+            extra -= last
+        return buffers
 
     def _extents(self, inode: Inode) -> List[Tuple[int, int, int]]:
         """:meth:`BlockTree.extents`; a direct-only tree whose memo holds
@@ -240,16 +246,14 @@ class FileTree(TreeContext):
             # One contiguous extent covering the file from block zero — the
             # overwhelmingly common case for directories and small files.
             return self.volume.read_run(extents[0][1], extents[0][2])
-        return b"".join(self._read_blocks(inode, extents))
+        return b"".join(self._read_blocks(
+            extents, -(-inode.size // BLOCK_SIZE) * BLOCK_SIZE))
 
     def _read_tree_bytes(self, inode: Inode) -> bytes:
-        """The file's ``size`` bytes: its blocks joined once, the last
-        one trimmed as a view."""
-        blocks = self._read_blocks(inode, BlockTree(self, inode).extents())
-        tail = inode.size % BLOCK_SIZE
-        if tail:
-            blocks[-1] = memoryview(blocks[-1])[:tail]
-        return b"".join(blocks)
+        """The file's ``size`` bytes: its buffers joined once, the tail
+        trimmed as views."""
+        return b"".join(self._read_blocks(BlockTree(self, inode).extents(),
+                                          inode.size))
 
     def _read_directory(self, inode: Inode) -> Directory:
         if not inode.is_dir:

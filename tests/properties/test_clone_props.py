@@ -12,6 +12,7 @@ import copy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import StorageError
 from repro.raid.layout import make_geometry
 from repro.raid.volume import RaidVolume
 from repro.storage.disk import VirtualDisk
@@ -52,35 +53,28 @@ def _apply(disk, op, arg, payload):
         disk.heal_block(arg)
 
 
-def _deepcopy(obj, disks):
-    """``copy.deepcopy`` of ``obj`` with each of ``disks``' chunk buffers
-    copied by hand first: a memoryview does not deep-copy."""
-    memo = {id(chunk): memoryview(bytearray(chunk))
-            for disk in disks for chunk in disk._chunks.values()}
-    return copy.deepcopy(obj, memo)
-
-
 def _snapshot(disk):
-    """Full observable state: contents, fault set, counters."""
+    """Full observable state: contents (``None`` where the block is
+    unreadable) and counters."""
     contents = []
     for block in range(disk.nblocks):
-        if block in disk._bad:
+        try:
+            contents.append(disk.read_block(block))
+        except StorageError:
             contents.append(None)
-            continue
-        contents.append(disk.read_block(block))
-    return contents, set(disk._bad), disk.writes
+    return contents, disk.reads, disk.writes
 
 
 @_fast
 @given(_ops)
 def test_clone_interleavings_match_deepcopy_oracle(ops):
     disks = [VirtualDisk(NBLOCKS, BS, name="d")]
-    oracles = [_deepcopy(disks[0], disks)]
+    oracles = [copy.deepcopy(disks[0])]
     for op, arg, payload in ops:
         if op == "clone":
             source = arg % len(disks)
             disks.append(disks[source].clone())
-            oracles.append(_deepcopy(oracles[source], [oracles[source]]))
+            oracles.append(copy.deepcopy(oracles[source]))
             continue
         target = arg % len(disks) if op != "write" else len(disks) - 1
         # Writes go to the newest disk; faults/heals to a varying one,
@@ -98,7 +92,7 @@ def test_clone_mutations_never_leak_between_sides(ops):
     base = VirtualDisk(NBLOCKS, BS, name="base")
     for block in range(0, NBLOCKS, 7):
         base.write_block(block, _block(b"seed%d" % block))
-    frozen = _deepcopy(base, [base])
+    frozen = copy.deepcopy(base)
     clone = base.clone()
     for op, arg, payload in ops:
         if op == "clone":
@@ -118,8 +112,7 @@ def test_volume_clone_chain_matches_deepcopy(writes):
     for block, payload in writes[: len(writes) // 2]:
         volume.write_block(block, (payload * 4096)[:4096])
     clone = volume.clone()
-    oracle = _deepcopy(volume, [disk for group in volume.groups
-                                for disk in group.data_disks + [group.parity_disk]])
+    oracle = copy.deepcopy(volume)
     for block, payload in writes[len(writes) // 2 :]:
         clone.write_block(block, (payload * 4096)[:4096])
     assert clone.verify_parity()

@@ -124,7 +124,7 @@ def test_written_then_zeroed_chunk_packs_like_a_virgin_one():
     # chunk.
     rebuilt = VirtualDisk(NBLOCKS, block_size=BS, name="prop")
     rebuilt.unpack_chunks(touched.pack_chunks())
-    assert rebuilt._chunks == {}
+    assert rebuilt._store._chunks == {}
 
 
 def _patched(image, offset, fmt, *values):
@@ -182,7 +182,7 @@ def _chunked(chunk_blocks, nblocks=NBLOCKS):
     """An empty disk whose store is cut into ``chunk_blocks``-block chunks."""
     with mock.patch.object(disk_module, "CHUNK_BLOCKS", chunk_blocks):
         disk = VirtualDisk(nblocks, block_size=BS, name="prop")
-    assert disk._chunk_blocks == chunk_blocks
+    assert disk._store.chunk_stripes == chunk_blocks
     return disk
 
 
@@ -210,7 +210,7 @@ def test_an_image_does_not_know_how_its_writer_was_chunked(
     assert writer.read_run(read_start, read_len) == expected
     assert reader.read_run(read_start, read_len) == expected
     # Only chunks holding a non-zero block got backing store.
-    assert sorted(reader._chunks) == sorted(
+    assert sorted(reader._store._chunks) == sorted(
         {block // read_in for block, _ in reference.nonzero_blocks()})
 
 
@@ -239,8 +239,9 @@ def test_failed_blocks_poison_runs_and_heal(bad, start, length):
 # ---------------------------------------------------------------------------
 
 def _disk_state(disk):
-    return (bytes(disk.read_run(0, disk.nblocks)) if not disk._bad else None,
-            sorted(disk._chunks), sorted(disk._shared), sorted(disk._bad),
+    store = disk._store
+    return (bytes(disk.read_run(0, disk.nblocks)) if not store._bad else None,
+            sorted(store._chunks), sorted(store._shared), sorted(store._bad),
             disk.writes)
 
 
@@ -272,7 +273,7 @@ def test_strided_column_write_matches_contiguous_bytes(
     via_rows.write_run(start, strided)
     via_bytes.write_run(start, gathered)
     assert _disk_state(via_rows) == _disk_state(via_bytes)
-    assert not any(start <= b < start + nrows for b in via_rows._bad)
+    assert not any(start <= b < start + nrows for b in via_rows._store._bad)
     if share:
         expected = bytearray(NBLOCKS * BS)
         expected[1000 * BS : 1060 * BS] = _payload(9, 60 * BS)
@@ -287,9 +288,9 @@ def test_all_zero_column_leaves_a_virgin_chunk_unmaterialized():
     striped[:, 0, :] = 0x5A                       # only column 0 has data
     striped[CHUNK_BLOCKS + 5:, 2, 5] = 1          # column 2: chunk 1 only
     disk.write_run(0, striped[:, 1, :])
-    assert not disk._chunks and disk.writes == nrows
+    assert not disk._store._chunks and disk.writes == nrows
     disk.write_run(0, striped[:, 2, :])
-    assert sorted(disk._chunks) == [1]
+    assert sorted(disk._store._chunks) == [1]
     assert bytes(disk.read_run(0, nrows)) == striped[:, 2, :].tobytes()
     with pytest.raises(StorageError):
         disk.write_run(0, np.zeros(BS + 1, dtype=np.uint8))
@@ -349,7 +350,7 @@ def test_chunkwise_verify_parity_matches_stripewise_loop(
     if flip is not None:
         gi, stripe, byte = flip
         parity = volume.groups[gi].parity_disk
-        bad = stripe in parity._bad
+        bad = (-1, stripe) in volume.groups[gi].bad_blocks()
         block = bytearray(parity.read_block(stripe)) if not bad else None
         if block is not None:
             block[byte] ^= 0x40

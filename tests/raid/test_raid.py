@@ -89,8 +89,19 @@ class TestRaidGroup:
         group.write_block(0, b"a" * BS)
         group.data_disks[0].fail_block(0)
         group.data_disks[1].fail_block(0)
-        with pytest.raises(RaidError):
+        with pytest.raises(RaidError, match="double failure in stripe 0"):
             group.read_block(0)
+
+    def test_a_data_and_the_parity_member_unreadable_is_a_double_failure(self):
+        group = RaidGroup(GroupGeometry(4, 50), BS, name="g")
+        group.write_block(0, b"a" * BS)
+        group.data_disks[0].fail_block(0)
+        group.parity_disk.fail_block(0)
+        with pytest.raises(RaidError, match="double failure in stripe 0"):
+            group.read_block(0)
+        with pytest.raises(RaidError, match="double failure in stripe 0"):
+            group.rebuild_disk(0)
+        assert group.bad_blocks() == [(0, 0), (-1, 0)]
 
     def test_scrub_repairs_corrupted_parity(self):
         group = RaidGroup(GroupGeometry(4, 50), BS, name="g")
@@ -190,6 +201,42 @@ class TestRaidVolume:
             block = rng.randrange(volume.nblocks)
             volume.write_block(block, bytes([rng.randrange(256)]) * BS)
         assert volume.verify_parity()
+
+    @pytest.mark.parametrize("start, nblocks", [(1, 1), (0, 2), (0, 3), (2, 2)])
+    def test_a_write_over_an_unreadable_parity_block_reconstructs_parity(
+            self, start, nblocks):
+        """A partial stripe cannot read-modify-write without its parity:
+        it takes parity from the stripe's data columns instead, as a full
+        stripe does, and the write clears the mark."""
+        volume = RaidVolume(make_geometry(1, 3, 50), name="v")
+        before = b"".join(bytes([i + 1]) * BS for i in range(6))
+        volume.write_run(0, before)
+        group = volume.groups[0]
+        group.parity_disk.fail_block(0)
+        payload = b"".join(bytes([0x40 + i]) * BS for i in range(nblocks))
+        volume.write_run(start, payload)
+        expected = (before[: start * BS] + payload
+                    + before[(start + nblocks) * BS :])
+        assert volume.read_run(0, 6) == expected
+        assert group.bad_blocks() == []
+        assert group.verify_parity()
+
+    def test_a_write_over_unreadable_parity_and_data_writes_nothing(self):
+        volume = RaidVolume(make_geometry(1, 3, 50), name="v")
+        volume.write_run(0, b"\x07" * (3 * BS))
+        group = volume.groups[0]
+        group.parity_disk.fail_block(0)
+        group.data_disks[2].fail_block(0)
+        with pytest.raises(RaidError, match="double failure in stripe 0"):
+            volume.write_block(0, b"\x09" * BS)
+        assert group.data_disks[0].block(0) == b"\x07" * BS
+        assert group.bad_blocks() == [(2, 0), (-1, 0)]
+        # The unreadable column itself may be overwritten: parity comes
+        # from the columns that are still readable and the new data.
+        volume.write_run(1, b"\x05" * (2 * BS))
+        assert group.bad_blocks() == []
+        assert volume.read_run(0, 3) == b"\x07" * BS + b"\x05" * (2 * BS)
+        assert group.verify_parity()
 
     def test_degraded_volume_still_serves(self):
         volume = RaidVolume(make_geometry(1, 4, 100), name="v")
