@@ -18,7 +18,6 @@ from repro.errors import BackupError
 from repro.backup.logical.dump import LogicalDump
 from repro.backup.logical.dumpdates import DumpDates
 from repro.backup.physical.dump import ImageDump
-from repro.perf.costs import CostModel
 
 
 def split_into_qtrees(fs, generator, total_bytes: int, count: int,
@@ -52,7 +51,6 @@ def build_dump_engine(
     dumpdates: Optional[DumpDates] = None,
     snapshot_name: Optional[str] = None,
     base_snapshot: Optional[str] = None,
-    costs: Optional[CostModel] = None,
     reuse_snapshot: Optional[str] = None,
 ):
     """One dump engine for either strategy — the campaign driver's unit.
@@ -68,14 +66,13 @@ def build_dump_engine(
     if strategy == "logical":
         return LogicalDump(
             fs, drive, level=level, subtree=subtree, dumpdates=dumpdates,
-            costs=costs, snapshot_name=snapshot_name or reuse_snapshot,
+            snapshot_name=snapshot_name or reuse_snapshot,
             reuse_snapshot=reuse_snapshot is not None,
         ).run()
     if strategy == "image":
         return ImageDump(
             fs, drive, snapshot_name=snapshot_name,
-            base_snapshot=base_snapshot, costs=costs,
-            reuse_snapshot=reuse_snapshot,
+            base_snapshot=base_snapshot, reuse_snapshot=reuse_snapshot,
         ).run()
     raise BackupError("unknown dump strategy %r" % (strategy,))
 

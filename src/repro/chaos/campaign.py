@@ -229,18 +229,7 @@ class ChaosCampaignDriver(CampaignDriver):
                     handle.write(line + "\n")
 
 
-def restore_drill(
-    catalog,
-    pool,
-    fsid: str,
-    subtree: str = "/",
-    day: Optional[int] = None,
-    strategy: Optional[str] = None,
-    kill_after_tape_ops: int = 3,
-    geometry=None,
-    costs=None,
-    name: Optional[str] = None,
-):
+def restore_drill(catalog, pool, fsid: str, kill_after_tape_ops: int = 3):
     """Crash a restore mid-chain, then restore again from scratch.
 
     Restores are idempotent replays of read-only tapes, so the recovery
@@ -258,27 +247,21 @@ def restore_drill(
     from repro.raid.volume import RaidVolume
     from repro.wafl.filesystem import WaflFilesystem
 
-    plan = catalog.chain_for(fsid, subtree=subtree, target_day=day,
-                             strategy=strategy)
-    scratch_name = (name or "restore.%s" % fsid) + ".aborted"
+    plan = catalog.chain_for(fsid)
+    scratch_name = "restore.%s.aborted" % fsid
     if plan.strategy == STRATEGY_LOGICAL:
-        scratch_volume = RaidVolume(geometry or make_geometry(2, 4, 2500),
+        scratch_volume = RaidVolume(make_geometry(2, 4, 2500),
                                     name=scratch_name)
         scratch_fs = WaflFilesystem.format(scratch_volume)
         engine = LogicalRestore(
-            scratch_fs, pool.drive_for_restore(plan.sets[0]), costs=costs,
-        ).run()
+            scratch_fs, pool.drive_for_restore(plan.sets[0])).run()
     else:
         header = read_image_header(pool.drive_for_restore(plan.sets[0]))
         scratch_volume = RaidVolume(header.geometry, name=scratch_name)
         engine = ImageRestore(
-            scratch_volume, pool.drive_for_restore(plan.sets[0]),
-            costs=costs,
-        ).run()
+            scratch_volume, pool.drive_for_restore(plan.sets[0])).run()
     aborted = drive_engine_with_kill(engine, kill_after_tape_ops)
-    fs, plan = restore_point_in_time(
-        catalog, pool, fsid, subtree=subtree, day=day, strategy=strategy,
-        geometry=geometry, costs=costs, name=name)
+    fs, plan = restore_point_in_time(catalog, pool, fsid)
     report = RecoveryReport("restore_crash", "restart_restore", {
         "aborted_after_tape_ops": aborted.tape_ops_seen,
         "aborted_completed": aborted.result is not None,

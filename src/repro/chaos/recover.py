@@ -22,7 +22,7 @@ Two families:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ChaosFault
 from repro.backup.jobs import build_dump_engine
@@ -168,7 +168,6 @@ def replay_dump(
     dumpdates,
     snapshot_name: Optional[str],
     base_snapshot: Optional[str],
-    costs,
     damage: Optional[Dict] = None,
 ) -> Tuple[DumpAbort, RecoveryReport]:
     """Rerun a faulted dump against its surviving snapshot.
@@ -197,8 +196,7 @@ def replay_dump(
     engine = build_dump_engine(
         fs, replica, strategy, level=level, subtree=subtree,
         dumpdates=dumpdates, snapshot_name=snapshot_name,
-        base_snapshot=base_snapshot, costs=costs,
-        reuse_snapshot=created[0],
+        base_snapshot=base_snapshot, reuse_snapshot=created[0],
     )
     replayed = drive_engine_with_kill(engine, None)
     if replayed.result is None:

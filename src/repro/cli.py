@@ -242,14 +242,8 @@ def _obs_end(args) -> None:
     export with one named process lane per tenant."""
     if not _obs_enabled(args):
         return
-    from repro.obs import (
-        REGISTRY,
-        export_chrome_trace,
-        format_phase_summary,
-        get_tracer,
-        phase_rows,
-        set_tracer,
-    )
+    from repro.obs import REGISTRY, export_chrome_trace, get_tracer, set_tracer
+    from repro.obs.summary import format_phase_summary, phase_rows
 
     lanes = getattr(args, "chrome_lanes", None)
     tracer = get_tracer()
@@ -1091,13 +1085,6 @@ def cmd_fleet_status(args) -> int:
         print("  %-12s lane=%-11s %2d live set(s)  %10s to tape%s"
               % (tenant["name"], tenant["lane"], tenant["live_sets"],
                  fmt_bytes(tenant["bytes_to_tape"]), flag))
-    chaos = document.get("chaos", {})
-    if chaos.get("planned"):
-        kinds = ", ".join("%s=%d" % kv
-                          for kv in sorted(chaos["by_kind"].items()))
-        print("  chaos: %d fault(s) planned, %d injected, %d missed%s"
-              % (chaos["planned"], chaos["injected"], chaos["missed"],
-                 " (%s)" % kinds if kinds else ""))
     pending = document["jobs"]["pending"]
     if pending:
         print("  pending: %s" % ", ".join(
@@ -1182,12 +1169,11 @@ def cmd_trace(args) -> int:
     """Inspect, summarize, validate, or export a saved trace file."""
     from repro.obs import (
         export_chrome_trace,
-        format_phase_summary,
-        phase_rows,
         read_jsonl,
         to_chrome_trace,
         validate_chrome_trace,
     )
+    from repro.obs.summary import format_phase_summary, phase_rows
 
     events = read_jsonl(args.trace_file)
     if args.action == "validate":

@@ -193,10 +193,6 @@ class RecordHeader:
         ]
         return header
 
-    def data_segments(self) -> int:
-        """Number of 1 KB segments physically present after this header."""
-        return sum(1 for present in self.segment_map if present)
-
     def __repr__(self) -> str:
         return "<Record type=%d ino=%d count=%d>" % (self.type, self.ino, self.count)
 

@@ -51,33 +51,6 @@ _ZERO_SEGMENT = bytes(SEGMENT_SIZE)
 Run = Tuple[int, Optional[bytes]]
 
 
-def data_to_segments(data: bytes, holes_4k: Optional[Set[int]] = None,
-                     block_size: int = 4096) -> List[Optional[bytes]]:
-    """Split file contents into 1 KB segments; ``None`` marks a hole.
-
-    ``holes_4k`` are file-block numbers known to be holes; every 1 KB
-    segment inside such a block becomes a hole segment.  All-zero
-    segments elsewhere are kept as data (dump preserves explicit zeros).
-    """
-    holes_4k = holes_4k or set()
-    per_block = block_size // SEGMENT_SIZE
-    segments: List[Optional[bytes]] = []
-    total = (len(data) + SEGMENT_SIZE - 1) // SEGMENT_SIZE
-    for index in range(total):
-        if (index // per_block) in holes_4k:
-            segments.append(None)
-            continue
-        chunk = data[index * SEGMENT_SIZE : (index + 1) * SEGMENT_SIZE]
-        segments.append(chunk.ljust(SEGMENT_SIZE, b"\0"))
-    return segments
-
-
-def segments_to_data(segments: List[Optional[bytes]], size: int) -> bytes:
-    """Reassemble file contents (holes read back as zeros)."""
-    parts = [seg if seg is not None else _ZERO_SEGMENT for seg in segments]
-    return b"".join(parts)[:size]
-
-
 def segments_to_runs(segments: List[Optional[bytes]]) -> List[Run]:
     """Group a per-kilobyte segment list into runs.
 
@@ -465,8 +438,6 @@ __all__ = [
     "DumpStreamReader",
     "DumpStreamWriter",
     "InodeEntry",
-    "data_to_segments",
     "runs_to_data",
-    "segments_to_data",
     "segments_to_runs",
 ]

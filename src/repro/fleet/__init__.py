@@ -35,7 +35,6 @@ from repro.fleet.tenant import (
 from repro.fleet.api import (
     make_server,
     serve,
-    chaos_summary,
     status_document,
     validate_status,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "LANES",
     "Tenant",
     "TenantSpec",
-    "chaos_summary",
     "export_fleet_trace",
     "load_fleet_spec",
     "load_state",

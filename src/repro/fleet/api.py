@@ -45,52 +45,18 @@ def load_status_schema() -> Dict:
 
 # -- the status document ---------------------------------------------------
 
-def chaos_summary(event_paths: List[str]) -> Dict:
-    """Aggregate chaos fault/recovery event logs into status counters.
-
-    Each path is a ``*.chaos.jsonl`` written by a chaos campaign (one
-    JSON event per planned fault).  Missing files contribute nothing, so
-    a fleet that never ran chaos reports all-zero counters.
-    """
-    planned = injected = missed = 0
-    by_kind: Dict[str, int] = {}
-    for path in event_paths:
-        if not os.path.exists(path):
-            continue
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue  # torn tail of a live log
-                planned += 1
-                if event.get("outcome") == "hit":
-                    injected += 1
-                    kind = event.get("kind", "unknown")
-                    by_kind[kind] = by_kind.get(kind, 0) + 1
-                else:
-                    missed += 1
-    return {"planned": planned, "injected": injected, "missed": missed,
-            "by_kind": by_kind}
-
-
 def status_document(root: str) -> Dict:
     """Build the status document from a fleet root's on-disk state."""
     spec = load_fleet_spec(FleetService.spec_path(root))
     state = load_state(root)
     paused = set(state.get("paused", []))
     tenants: List[Dict] = []
-    chaos_logs: List[str] = []
     for tenant_spec in spec.tenants:
         tenant = Tenant(tenant_spec,
                         FleetService.tenant_root(root, tenant_spec.name))
         summary = tenant.load_catalog().summary()
         summary["paused"] = tenant_spec.name in paused
         tenants.append(summary)
-        chaos_logs.append(tenant.catalog_path + ".chaos.jsonl")
     # Drives are only held while a batch is in flight inside one
     # run_days() call; a status snapshot between batches (or from
     # another process) always sees them free.
@@ -104,7 +70,6 @@ def status_document(root: str) -> Dict:
         "drives": drives,
         "jobs": {"pending": state.get("pending", []),
                  "recent": state.get("recent", [])},
-        "chaos": chaos_summary(chaos_logs),
     }
 
 
@@ -256,7 +221,6 @@ def serve(root: str, host: str = "127.0.0.1", port: int = 7322) -> None:
 
 
 __all__ = [
-    "chaos_summary",
     "load_status_schema",
     "make_server",
     "serve",

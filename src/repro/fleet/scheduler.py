@@ -169,17 +169,14 @@ class FleetScheduler:
 
     # -- admission ---------------------------------------------------------
 
-    def admit(self, max_jobs: Optional[int] = None) -> List[Job]:
+    def admit(self) -> List[Job]:
         """Pack the next batch onto the free drives; returns it in
         admission order.
 
-        ``max_jobs`` additionally caps the batch (tests use it to force
-        small batches).  Batch composition depends only on the
-        submission history and the free drives.
+        Batch composition depends only on the submission history and the
+        free drives.
         """
         budget = self.drives.free_count()
-        if max_jobs is not None:
-            budget = min(budget, max_jobs)
         batch: List[Job] = []
         admitted_tenants = set()
         for lane in LANES:

@@ -159,8 +159,6 @@ class FleetService:
 
     def _save_state(self) -> None:
         self.state["tick"] = self.scheduler.tick
-        # Written by versions that routed tenants to worker lanes.
-        self.state.pop("affinity", None)
         self.state["drr"] = {
             "cursors": dict(self.scheduler.cursors),
             "deficits": {lane: dict(d)
@@ -440,8 +438,10 @@ def load_state(root: str) -> Dict:
     try:
         with open(path) as handle:
             state = json.load(handle)
-    except OSError as error:
+    except (OSError, ValueError) as error:
         raise FleetError("cannot read fleet state %s: %s" % (path, error))
+    if not isinstance(state, dict):
+        raise FleetError("fleet state %s is not a JSON object" % path)
     if state.get("version") != STATE_VERSION:
         raise FleetError("fleet state %s has version %r, want %d"
                          % (path, state.get("version"), STATE_VERSION))

@@ -59,6 +59,13 @@ class FleetError(ReproError):
     """A fleet spec or fleet state is invalid."""
 
 
+def _check_ints(owner: str, **fields) -> None:
+    for key, value in fields.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise FleetError("%s: %s must be an integer, got %r"
+                             % (owner, key, value))
+
+
 class TenantSpec:
     """One tenant's declaration in the fleet spec."""
 
@@ -69,8 +76,13 @@ class TenantSpec:
                  cartridges: int = 10, cartridge_capacity: int = 8 * MB,
                  ngroups: int = 1, ndata: int = 4,
                  blocks_per_disk: int = 1200):
-        if not name or "/" in name or name != name.strip():
+        if (not isinstance(name, str) or not name or "/" in name
+                or name != name.strip()):
             raise FleetError("bad tenant name %r" % (name,))
+        _check_ints("tenant %r" % (name,), weight=weight,
+                    data_bytes=data_bytes, seed=seed, cartridges=cartridges,
+                    cartridge_capacity=cartridge_capacity, ngroups=ngroups,
+                    ndata=ndata, blocks_per_disk=blocks_per_disk)
         if lane not in LANES:
             raise FleetError("tenant %r: unknown lane %r (want one of %s)"
                              % (name, lane, ", ".join(LANES)))
@@ -126,6 +138,7 @@ class FleetSpec:
 
     def __init__(self, tenants: List[TenantSpec], drives: int = 2,
                  seed: int = 1234, quantum: int = 1, name: str = "fleet"):
+        _check_ints("fleet spec", drives=drives, seed=seed, quantum=quantum)
         if drives < 1:
             raise FleetError("fleet needs at least one drive")
         if quantum < 1:

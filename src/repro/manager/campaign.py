@@ -37,7 +37,6 @@ from repro.backup.logical.restore import LogicalRestore
 from repro.backup.physical.image import read_image_header
 from repro.backup.physical.restore import ImageRestore
 from repro.catalog.records import STRATEGY_IMAGE, STRATEGY_LOGICAL
-from repro.perf.costs import CostModel, HardwareProfile
 from repro.perf.executor import TimedRun
 from repro.perf.ops import drain_engine
 from repro.raid.layout import make_geometry
@@ -48,14 +47,11 @@ from repro.workload.mutate import MutationConfig, apply_mutations
 DAILY_SNAPSHOT = "day.%d"
 
 
-def day_mutation(seed: int, day: int, index: int,
-                 base: Optional[MutationConfig] = None) -> MutationConfig:
-    """Volume ``index``'s aging on ``day``: ``base``'s fractions under a
+def day_mutation(seed: int, day: int, index: int) -> MutationConfig:
+    """Volume ``index``'s aging on ``day``: the default fractions under a
     seed fixed per (day, volume), so a day ages identically wherever and
     in whatever order its volumes run."""
-    config = copy.copy(base) if base is not None else MutationConfig()
-    config.seed = seed + 1009 * day + 97 * index
-    return config
+    return MutationConfig(seed=seed + 1009 * day + 97 * index)
 
 
 def run_volume_day(
@@ -65,7 +61,6 @@ def run_volume_day(
     dump: Dict,
     mutation: Optional[MutationConfig] = None,
     daily_snapshot: Optional[str] = None,
-    profile: Optional[HardwareProfile] = None,
     fault=None,
 ) -> Tuple[Dict, List[Dict]]:
     """One volume's whole day, in place on ``volume``.
@@ -95,7 +90,7 @@ def run_volume_day(
     if daily_snapshot is not None:
         fs.snapshot_create(daily_snapshot)
     engine = build_dump_engine(fs, drive, strategy, **dump)
-    run = TimedRun(profile)
+    run = TimedRun()
     if fault is not None:
         ops, data = fault.drain(engine, fs, drive, strategy, dump)
         job = run.add_ops(job_name, ops, data=data)
@@ -184,8 +179,7 @@ class CampaignVolume:
             return 0
         return level
 
-    def stage_dump(self, catalog, day: int, tag: str,
-                   costs: Optional[CostModel] = None) -> Dict:
+    def stage_dump(self, catalog, day: int, tag: str) -> Dict:
         """Decide ``day``'s dump: :func:`build_dump_engine`'s keywords.
 
         ``tag`` makes the image snapshot's name unique to the job.  The
@@ -201,7 +195,6 @@ class CampaignVolume:
             "snapshot_name": "img.%s.%s" % (self.fsid, tag) if image else None,
             "base_snapshot": (self.base_snapshot_for(level)
                               if image and level > 0 else None),
-            "costs": costs,
         }
 
     def commit_dump(self, catalog, pool, day: int, dump: Dict, drive,
@@ -245,17 +238,11 @@ class CampaignDriver:
         self,
         catalog,
         pool,
-        profile: Optional[HardwareProfile] = None,
-        costs: Optional[CostModel] = None,
-        mutations: Optional[MutationConfig] = None,
         keep_daily_snapshots: bool = False,
         seed: int = 1234,
     ):
         self.catalog = catalog
         self.pool = pool
-        self.profile = profile
-        self.costs = costs
-        self.mutations = mutations or MutationConfig()
         self.keep_daily_snapshots = keep_daily_snapshots
         self.seed = seed
         self.volumes: List[CampaignVolume] = []
@@ -290,15 +277,14 @@ class CampaignDriver:
         day = self.day
         names = ["%s.d%02d" % (volume.fsid, day) for volume in self.volumes]
         drives = self.pool.partitioned_drives(names)
-        dumps = [volume.stage_dump(self.catalog, day, "d%d" % day, self.costs)
+        dumps = [volume.stage_dump(self.catalog, day, "d%d" % day)
                  for volume in self.volumes]
         payloads = [
             run_volume_day(
                 volume, drives[index], names[index], dumps[index],
-                (day_mutation(self.seed, day, index, self.mutations)
-                 if day > 0 else None),
+                day_mutation(self.seed, day, index) if day > 0 else None,
                 DAILY_SNAPSHOT % day if self.keep_daily_snapshots else None,
-                self.profile, faults[index])
+                faults[index])
             for index, volume in enumerate(self.volumes)
         ]
         results: Dict[str, object] = {}
@@ -332,7 +318,6 @@ def restore_point_in_time(
     day: Optional[int] = None,
     strategy: Optional[str] = None,
     geometry=None,
-    costs: Optional[CostModel] = None,
     name: Optional[str] = None,
 ):
     """Restore (fsid, subtree) to ``day`` from exactly the chain's media.
@@ -354,8 +339,7 @@ def restore_point_in_time(
         for backup_set in plan.sets:
             drive = pool.drive_for_restore(backup_set)
             result = drain_engine(
-                LogicalRestore(fs, drive, symtab=symtab, costs=costs).run()
-            )
+                LogicalRestore(fs, drive, symtab=symtab).run())
             symtab = result.symtab
         fs.consistency_point()
         return fs, plan
@@ -364,7 +348,7 @@ def restore_point_in_time(
     volume = RaidVolume(header.geometry, name=name)
     for backup_set in plan.sets:
         drive = pool.drive_for_restore(backup_set)
-        drain_engine(ImageRestore(volume, drive, costs=costs).run())
+        drain_engine(ImageRestore(volume, drive).run())
     return WaflFilesystem.mount(volume), plan
 
 

@@ -117,10 +117,6 @@ class NvramLog:
         self.failed = True
         self.clear()
 
-    @property
-    def pending_bytes(self) -> int:
-        return sum(self._fill)
-
     def __len__(self) -> int:
         return sum(len(half) for half in self._halves)
 

@@ -18,12 +18,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.summary import (
-    PhaseRow,
-    format_phase_summary,
-    job_elapsed,
-    phase_rows,
-)
 from repro.obs.trace import (
     NULL_TRACER,
     TRACE_SCHEMA_VERSION,
@@ -69,8 +63,4 @@ __all__ = [
     "to_chrome_trace",
     "validate_chrome_trace",
     "export_chrome_trace",
-    "PhaseRow",
-    "phase_rows",
-    "job_elapsed",
-    "format_phase_summary",
 ]

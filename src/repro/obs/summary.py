@@ -4,83 +4,49 @@ This reproduces the paper's CPU-attribution story (Table 3): for each
 dump/restore phase — snapshot manipulation, the file-tree walk, block
 reads, tape writes — how much simulated time elapsed and how much of it
 was CPU.  The input is the ``cat == "stage"`` complete events the
-executor emits, so the same code summarizes a live run, a saved JSONL
-trace, or a merged parallel stream.
+executor emits, read back as the :class:`~repro.perf.executor.StageStats`
+they were written from, so the same code summarizes a live run, a saved
+JSONL trace, or a merged parallel stream.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
+
+from repro.perf.executor import StageStats
 
 
-class PhaseRow:
-    __slots__ = ("job", "phase", "start", "elapsed", "cpu_seconds",
-                 "disk_bytes", "tape_bytes")
-
-    def __init__(self, job, phase, start, elapsed, cpu_seconds,
-                 disk_bytes, tape_bytes):
-        self.job = job
-        self.phase = phase
-        self.start = start
-        self.elapsed = elapsed
-        self.cpu_seconds = cpu_seconds
-        self.disk_bytes = disk_bytes
-        self.tape_bytes = tape_bytes
-
-    @property
-    def cpu_share(self) -> float:
-        return self.cpu_seconds / self.elapsed if self.elapsed else 0.0
+def phase_rows(events: Iterable[dict]) -> List[Tuple[str, StageStats]]:
+    """``(job, stage)`` for each stage span of a trace, in stream order."""
+    return [(str(event.get("tid", "")), StageStats.from_span(event))
+            for event in events
+            if event.get("ph") == "X" and event.get("cat") == "stage"]
 
 
-def phase_rows(events: Iterable[dict]) -> List[PhaseRow]:
-    """Stage spans from a trace, in stream (start-time) order."""
-    rows = []
-    for event in events:
-        if event.get("ph") != "X" or event.get("cat") != "stage":
-            continue
-        args = event.get("args", {})
-        rows.append(PhaseRow(
-            job=str(event.get("tid", "")),
-            phase=event["name"],
-            start=event["ts"],
-            elapsed=event.get("dur", 0.0),
-            cpu_seconds=args.get("cpu_seconds", 0.0),
-            disk_bytes=args.get("disk_bytes", 0),
-            tape_bytes=args.get("tape_bytes", 0),
-        ))
-    return rows
+def _row(job: str, stage: StageStats) -> str:
+    return "%-14s %-28s %12.2f %10.2f %5.1f%% %14d %14d" % (
+        job, stage.name, stage.elapsed, stage.cpu_seconds,
+        100.0 * stage.cpu_utilization(), stage.disk_bytes, stage.tape_bytes)
 
 
-def job_elapsed(events: Iterable[dict]) -> dict:
-    """Per-job elapsed seconds from the ``cat == "job"`` spans."""
-    out = {}
-    for event in events:
-        if event.get("ph") == "X" and event.get("cat") == "job":
-            out[str(event.get("tid", ""))] = event.get("dur", 0.0)
-    return out
-
-
-def format_phase_summary(rows: Iterable[PhaseRow]) -> str:
+def format_phase_summary(rows: Iterable[Tuple[str, StageStats]]) -> str:
     """A fixed-width table: phase, elapsed, CPU seconds, CPU%, bytes."""
     rows = list(rows)
     header = "%-14s %-28s %12s %10s %6s %14s %14s" % (
         "job", "phase", "elapsed(s)", "cpu(s)", "cpu%", "disk-bytes",
         "tape-bytes")
     lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append("%-14s %-28s %12.2f %10.2f %5.1f%% %14d %14d" % (
-            row.job, row.phase, row.elapsed, row.cpu_seconds,
-            100.0 * row.cpu_share, row.disk_bytes, row.tape_bytes))
+    lines.extend(_row(job, stage) for job, stage in rows)
     if rows:
-        total_elapsed = sum(row.elapsed for row in rows)
-        total_cpu = sum(row.cpu_seconds for row in rows)
-        share = 100.0 * total_cpu / total_elapsed if total_elapsed else 0.0
-        lines.append("-" * len(header))
-        lines.append("%-14s %-28s %12.2f %10.2f %5.1f%% %14d %14d" % (
-            "", "total", total_elapsed, total_cpu, share,
-            sum(row.disk_bytes for row in rows),
-            sum(row.tape_bytes for row in rows)))
+        total = StageStats("total")
+        total.touch(0.0)
+        total.touch(sum(stage.elapsed for _job, stage in rows))
+        for _job, stage in rows:
+            total.cpu_seconds += stage.cpu_seconds
+            total.disk_bytes += stage.disk_bytes
+            total.tape_bytes += stage.tape_bytes
+        lines.extend(["-" * len(header), _row("", total)])
     return "\n".join(lines)
 
 
-__all__ = ["PhaseRow", "phase_rows", "job_elapsed", "format_phase_summary"]
+__all__ = ["phase_rows", "format_phase_summary"]

@@ -69,10 +69,10 @@ class StageStats:
             return 0.0
         return max(0.0, self.end - self.start)
 
-    def cpu_utilization(self, cpu_count: int = 1) -> float:
+    def cpu_utilization(self) -> float:
         if self.elapsed <= 0:
             return 0.0
-        return self.cpu_seconds / (self.elapsed * cpu_count)
+        return self.cpu_seconds / self.elapsed
 
     @property
     def disk_rate(self) -> float:
@@ -81,6 +81,19 @@ class StageStats:
     @property
     def tape_rate(self) -> float:
         return mb_per_s(self.tape_bytes, self.elapsed)
+
+    @classmethod
+    def from_span(cls, event: dict) -> "StageStats":
+        """The stage a ``cat == "stage"`` span of
+        :meth:`TimedRun._observe_job` records."""
+        stage = cls(event["name"])
+        stage.start = event["ts"]
+        stage.end = event["ts"] + event.get("dur", 0.0)
+        args = event.get("args", {})
+        stage.cpu_seconds = args.get("cpu_seconds", 0.0)
+        stage.disk_bytes = args.get("disk_bytes", 0)
+        stage.tape_bytes = args.get("tape_bytes", 0)
+        return stage
 
     def touch(self, now: float) -> None:
         if self.start is None or now < self.start:

@@ -426,10 +426,6 @@ class VirtualDisk:
         if self._base + block * self._step in self._store._bad:
             self._store.private_bad().discard(self._base + block * self._step)
 
-    def clone_empty(self) -> "VirtualDisk":
-        """A fresh disk of identical geometry."""
-        return VirtualDisk(self.nblocks, self.block_size, name=self.name + "+clone")
-
     def clone(self) -> "VirtualDisk":
         """A copy-on-write copy of this disk (of its whole store, for a
         RAID member): the state ``copy.deepcopy`` would give it —
@@ -559,10 +555,6 @@ class DiskModel:
         self.write_streams.append(end_block)
         if len(self.write_streams) > self.max_write_streams:
             self.write_streams.pop(0)
-
-    def reset_position(self) -> None:
-        self.last_end = None
-        self.write_streams = []
 
 
 __all__ = ["DEFAULT_BLOCK_SIZE", "DiskModel", "StripeStore", "VirtualDisk"]

@@ -116,9 +116,6 @@ class BlockCache:
         other.evictions = self.evictions
         return other
 
-    def invalidate(self, vbn: int) -> None:
-        self._blocks.pop(vbn, None)
-
     def clear(self) -> None:
         self._blocks.clear()
 

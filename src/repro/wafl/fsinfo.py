@@ -115,12 +115,6 @@ class FsInfo:
                 return record
         return None
 
-    def snapshot_by_id(self, snap_id: int) -> Optional[SnapshotRecord]:
-        for record in self.snapshots:
-            if record.snap_id == snap_id:
-                return record
-        return None
-
     def free_snapshot_plane(self) -> int:
         """Lowest unused snapshot plane id, enforcing the 20-snapshot cap."""
         if len(self.snapshots) >= MAX_SNAPSHOTS:

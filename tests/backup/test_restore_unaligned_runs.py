@@ -23,7 +23,6 @@ from repro.dumpfmt.stream import (
     DumpStreamReader,
     DumpStreamWriter,
     InodeEntry,
-    data_to_segments,
     segments_to_runs,
 )
 from repro.wafl.consts import BLOCK_SIZE
@@ -102,8 +101,10 @@ def _reencode_with_segment_holes(src_drive, dst_drive, target_ino: int):
             break
         runs = entry.runs
         if entry.ino == target_ino:
-            holed = [None if seg == _ZERO_SEGMENT else seg
-                     for seg in data_to_segments(entry.data)]
+            data = entry.data
+            holed = [data[at:at + SEGMENT_SIZE].ljust(SEGMENT_SIZE, b"\0")
+                     for at in range(0, len(data), SEGMENT_SIZE)]
+            holed = [None if seg == _ZERO_SEGMENT else seg for seg in holed]
             runs = segments_to_runs(holed)
             assert _unaligned(runs), "re-encoded stream must be unaligned"
             rewritten += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 
 from repro.catalog import BackupCatalog
-from repro.chaos import ChaosCampaignDriver, ChaosPlan, campaign_state_digests
+from repro.chaos import ChaosCampaignDriver, campaign_state_digests
 from repro.manager import CampaignDriver, MediaPool, parse_schedule
 from repro.nvram.log import NvramLog
 from repro.raid.layout import make_geometry

@@ -52,7 +52,7 @@ def run_day(fault=None, nvram=True, mutate=True):
     drive = make_drive(name="t", tapes=24, capacity=TAPE_CAPACITY)
     mutation = MUTATIONS[mutate]
     dump = {"level": 0, "subtree": "/", "dumpdates": DumpDates(),
-            "snapshot_name": None, "base_snapshot": None, "costs": None}
+            "snapshot_name": None, "base_snapshot": None}
     volume = CampaignVolume(fs, tree, "logical", schedule=None)
     payload, events = run_volume_day(
         volume, drive, "vol.d01", dump, mutation,

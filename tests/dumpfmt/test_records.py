@@ -81,11 +81,6 @@ def test_segment_map_count_mismatch():
         header.pack()
 
 
-def test_data_segments_counts_present_only():
-    header = full_header()
-    assert header.data_segments() == 2
-
-
 def test_end_record_packs_empty():
     header = RecordHeader(TS_END)
     recovered = RecordHeader.unpack(header.pack())

@@ -5,12 +5,7 @@ import pytest
 from repro.errors import FormatError
 from repro.dumpfmt.records import RecordHeader, TapeLabel
 from repro.dumpfmt.spec import SEGMENT_SIZE, SEGMENTS_PER_HEADER, TS_INODE
-from repro.dumpfmt.stream import (
-    DumpStreamReader,
-    DumpStreamWriter,
-    data_to_segments,
-    segments_to_data,
-)
+from repro.dumpfmt.stream import DumpStreamReader, DumpStreamWriter
 from repro.wafl.inode import FileType
 
 from tests.conftest import make_drive
@@ -27,7 +22,7 @@ def write_basic_stream(drive, files):
         header.size = len(data)
         header.ftype = FileType.REGULAR
         writer.begin_inode(header)
-        writer.feed_segments(data_to_segments(data))
+        writer.feed_data(data)
         writer.end_inode()
         if acl:
             writer.write_acl(ino, acl)
@@ -48,18 +43,45 @@ def read_all(drive, resync=False):
     return reader, entries
 
 
+def stream_segments(segments, size):
+    """Write one file of ``size`` bytes as the literal per-kilobyte
+    ``segments`` (``None`` a hole) and read its entry back."""
+    drive = make_drive()
+    writer = DumpStreamWriter(drive, date=1)
+    writer.write_tape_header(TapeLabel("h", "f", "/", 0, 2, 8))
+    writer.write_clri([], 8)
+    writer.write_bits([5], 8)
+    header = RecordHeader(TS_INODE, 5)
+    header.size = size
+    header.ftype = FileType.REGULAR
+    writer.begin_inode(header)
+    writer.feed_segments(segments)
+    writer.end_inode()
+    writer.write_end()
+    _reader, entries = read_all(drive)
+    return entries[0]
+
+
 def test_segments_roundtrip_with_holes():
+    # 3000 bytes of data then a whole 4 KB hole block: 3 data segments
+    # (the last one zero padded on tape), one padding and four hole
+    # segments; the file reads back with the hole block as zeros.
     data = b"a" * 3000
-    segments = data_to_segments(data, holes_4k={1}, block_size=4096)
-    # 3000 bytes = 3 segments; hole block 1 covers segments 4..7 (absent)
-    assert len(segments) == 3
-    assert segments_to_data(segments, 3000) == data
+    segments = [data[:SEGMENT_SIZE], data[SEGMENT_SIZE:2 * SEGMENT_SIZE],
+                data[2 * SEGMENT_SIZE:].ljust(SEGMENT_SIZE, b"\0"),
+                bytes(SEGMENT_SIZE)] + [None] * 4
+    entry = stream_segments(segments, 8 * SEGMENT_SIZE)
+    assert entry.total_segments == 8
+    assert entry.runs[-1] == (4, None)
+    assert entry.data == data + bytes(8 * SEGMENT_SIZE - 3000)
 
 
 def test_hole_segments_read_back_as_zeros():
     segments = [b"x" * SEGMENT_SIZE, None, b"y" * SEGMENT_SIZE]
-    data = segments_to_data(segments, 3 * SEGMENT_SIZE)
+    data = stream_segments(segments, 3 * SEGMENT_SIZE).data
     assert data[SEGMENT_SIZE : 2 * SEGMENT_SIZE] == bytes(SEGMENT_SIZE)
+    assert data == b"x" * SEGMENT_SIZE + bytes(SEGMENT_SIZE) \
+        + b"y" * SEGMENT_SIZE
 
 
 def test_stream_roundtrip():

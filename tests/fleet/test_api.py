@@ -101,7 +101,7 @@ class TestValidator:
         schema = load_status_schema()
         assert schema["type"] == "object"
         assert set(schema["required"]) == {"fleet", "tenants", "drives",
-                                           "jobs", "chaos"}
+                                           "jobs"}
 
 
 @pytest.fixture(scope="module")

@@ -107,11 +107,11 @@ class TestFairness:
             submit(scheduler, name)
         assert len(scheduler.admit()) == 2
 
-    def test_max_jobs_caps_batch(self):
-        scheduler = make_scheduler(drives=4)
+    def test_one_drive_caps_batch_at_one_job(self):
+        scheduler = make_scheduler(drives=1)
         for name in ("a", "b", "c"):
             submit(scheduler, name)
-        assert len(scheduler.admit(max_jobs=1)) == 1
+        assert len(scheduler.admit()) == 1
 
     def test_weighted_tenant_gets_more_turns(self):
         # One drive, tenant "big" queues with weight 2: over enough

@@ -65,4 +65,3 @@ def test_accounting_counters():
     log.try_append(op(b"abc"))
     assert log.total_ops_logged == 1
     assert log.total_bytes_logged == OP_OVERHEAD + 3
-    assert log.pending_bytes == OP_OVERHEAD + 3

@@ -59,13 +59,6 @@ class TestVirtualDisk:
         assert disk.writes == 1
         assert disk.reads == 2
 
-    def test_clone_empty_has_same_geometry(self):
-        disk = VirtualDisk(10, name="orig")
-        disk.write_block(0, b"z" * DEFAULT_BLOCK_SIZE)
-        clone = disk.clone_empty()
-        assert clone.nblocks == 10
-        assert not clone.is_allocated(0)
-
 
 class TestCloneFaultIsolation:
     """clone() copies the fault set copy-on-write, like the contents."""
@@ -177,11 +170,3 @@ class TestDiskModel:
         model = DiskModel()
         with pytest.raises(StorageError):
             model.service_time(0, 0)
-
-    def test_reset_position(self):
-        model = DiskModel()
-        model.service_time(0, 10)
-        model.service_time(10, 10, kind="write")
-        model.reset_position()
-        assert model.last_end is None
-        assert model.write_streams == []

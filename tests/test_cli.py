@@ -525,6 +525,38 @@ def test_interactive_session_extracts_a_marked_file(workdir, capsys,
     assert run(["get", "new.bin", "/docs/b.txt", workdir / "b"]) == 2
 
 
+SOLO_SPEC = {"name": "filer-01", "drives": 1, "seed": 7,
+             "tenants": [{"name": "solo", "data_bytes": 100000,
+                          "cartridges": 4, "cartridge_capacity": 1000000,
+                          "blocks_per_disk": 600}]}
+
+
+@pytest.mark.parametrize("spec, state, argv, message", [
+    (SOLO_SPEC, '{"version": 1, "day": 0', ["fleet", "status", "fl"],
+     "cannot read fleet state"),
+    (SOLO_SPEC, "[1,2]", ["fleet", "run", "fl", "--days", "1"],
+     "is not a JSON object"),
+    (dict(SOLO_SPEC, tenants=[dict(SOLO_SPEC["tenants"][0], weight="x")]),
+     None, None, "weight must be an integer, got 'x'"),
+    (dict(SOLO_SPEC, drives="2"), None, None,
+     "drives must be an integer, got '2'"),
+])
+def test_bad_fleet_spec_or_state_is_one_error_line(workdir, capsys, spec,
+                                                   state, argv, message):
+    (workdir / "spec.json").write_text(json.dumps(spec))
+    code = run(["fleet", "init", "fl", "--spec", "spec.json"])
+    if state is not None:
+        assert code == 0
+        (workdir / "fl" / "state.json").write_text(state)
+        capsys.readouterr()
+        code = run(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro-backup: error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_fleet_lifecycle_through_main(workdir, capsys):
     from repro.fleet import validate_status
 
