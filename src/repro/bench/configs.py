@@ -3,8 +3,8 @@
 "eliot" was an F630 with two volumes: ``home`` (188 GB, 31 disks in 3
 RAID groups) and ``rlse`` (129 GB, 22 disks in 2 RAID groups), plus four
 DLT-7000 drives with stackers.  ``EliotConfig`` reproduces that shape at
-a configurable scale (default 1:1000 — 188 MB of real blocks), populates
-it with the synthetic workload, and ages it to maturity.
+a configurable scale (default 1:1000), populates it with the synthetic
+workload, and ages it to maturity: 246.6 MB of active blocks at 1:1000.
 
 Every experiment starts from ``WaflFilesystem.mount`` of a saved
 container (DESIGN.md, "Start state"): :func:`build_home_env`, the one way

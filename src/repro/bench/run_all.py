@@ -83,7 +83,7 @@ run) or run the same experiments as assertions with::
 ## Method
 
 * The testbed is a 1:%(scale)d replica of "eliot" (see DESIGN.md): the
-  188 GB `home` volume becomes ~188 MB of real 4 KB blocks on the same
+  188 GB `home` volume becomes %(replica_mb).1f MB of real 4 KB blocks on the same
   3-RAID-group/31-disk shape, populated with a log-normal+Pareto file mix
   and aged with churn until the free space scatters.
 * Every experiment starts from a cold mount of a saved container file,
@@ -324,21 +324,18 @@ def generate_body(preset: Preset, jobs: int = 1,
     try:
         # In the parent, before any pool forks: workers inherit the
         # mounted Tables 2/3 environment copy-on-write.
-        build_home_env(preset.config, cache_file=env_cache)
+        env = build_home_env(preset.config, cache_file=env_cache)
     except StorageError as error:
         if env_cache is None:
             raise  # a scratch file this call wrote: a bug, not a stale cache
         raise EnvCacheError("%s; delete it to rebuild" % error)
     echo("environment mounted in %.1f s" % (time.time() - started))
+    replica_mb = env.data_bytes() / 1e6
     items = build_plan(preset)
     pool = TaskPool(jobs)
     echo("running %d experiment task(s) at 1:%d with jobs=%d ..."
          % (len(items), preset.config.scale, jobs))
-
-    def progress(event):
-        echo(event.describe())
-
-    values = pool.map_values([item.spec for item in items], progress)
+    values = pool.map_values([item.spec for item in items], echo)
     worker_builds = sum(value["worker_builds"]
                         for item, value in zip(items, values)
                         if item.kind == "basic")
@@ -351,7 +348,8 @@ def generate_body(preset: Preset, jobs: int = 1,
     sections, tables = merge_sections(items, values, scale, echo=echo)
     headline = "\n".join("| %s | %s |" % (claim, _claim(tables, name, label))
                          for claim, name, label in HEADLINE)
-    return (_HEADER % {"scale": scale, "headline": headline}
+    return (_HEADER % {"scale": scale, "headline": headline,
+                       "replica_mb": replica_mb}
             + sections + _FOOTER)
 
 

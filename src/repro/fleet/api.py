@@ -57,17 +57,11 @@ def status_document(root: str) -> Dict:
         summary = tenant.load_catalog().summary()
         summary["paused"] = tenant_spec.name in paused
         tenants.append(summary)
-    # Drives are only held while a batch is in flight inside one
-    # run_days() call; a status snapshot between batches (or from
-    # another process) always sees them free.
-    drives = [{"index": index, "holder": None}
-              for index in range(spec.drives)]
     return {
         "fleet": {"name": spec.name, "day": state["day"],
                   "tick": state["tick"], "drive_count": spec.drives,
                   "seed": spec.seed},
         "tenants": tenants,
-        "drives": drives,
         "jobs": {"pending": state.get("pending", []),
                  "recent": state.get("recent", [])},
     }

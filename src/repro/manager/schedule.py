@@ -23,9 +23,6 @@ class Schedule:
     def level_for(self, day: int) -> int:
         raise NotImplementedError
 
-    def preview(self, days: int) -> list:
-        return [self.level_for(day) for day in range(days)]
-
 
 class GFS(Schedule):
     """Grandfather-father-son.

@@ -249,10 +249,6 @@ class TapeDrive:
         # One part (nearly every read) stays the object ``read_at`` gave.
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
-    def stream_length(self) -> int:
-        """Total bytes recorded across all cartridges."""
-        return sum(c.used for c in self.stacker.cartridges)
-
     def stream_bytes(self) -> bytes:
         """The whole logical stream (used by verification helpers)."""
         return b"".join(record for cartridge in self.stacker.cartridges

@@ -312,9 +312,6 @@ class FileTree(TreeContext):
         length = int.from_bytes(raw[:2], "little")
         return raw[2 : 2 + length]
 
-    def qtree_of(self, path: str) -> int:
-        return self.inode(self.namei(path)).qtree
-
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------

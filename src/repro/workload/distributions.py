@@ -12,7 +12,6 @@ kind of data on the paper's ``home`` and ``rlse`` volumes.
 from __future__ import annotations
 
 import random
-from typing import List
 
 from repro.errors import WorkloadError
 from repro.units import KB, MB
@@ -46,9 +45,6 @@ class FileSizeDistribution:
         else:
             size = rng.lognormvariate(0.0, self.sigma) * self.median_bytes
         return max(0, min(int(size), self.max_bytes))
-
-    def sample_many(self, rng: random.Random, count: int) -> List[int]:
-        return [self.sample(rng) for _ in range(count)]
 
 
 class TreeShape:

@@ -70,7 +70,7 @@ class TestStatusDocument:
 class TestValidator:
     def test_missing_required_key(self, fleet_root):
         document = status_document(fleet_root)
-        del document["drives"]
+        del document["jobs"]
         with pytest.raises(FleetError, match="missing required key"):
             validate_status(document)
 
@@ -100,8 +100,7 @@ class TestValidator:
     def test_schema_file_is_wellformed(self):
         schema = load_status_schema()
         assert schema["type"] == "object"
-        assert set(schema["required"]) == {"fleet", "tenants", "drives",
-                                           "jobs"}
+        assert set(schema["required"]) == {"fleet", "tenants", "jobs"}
 
 
 @pytest.fixture(scope="module")

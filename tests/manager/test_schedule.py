@@ -18,7 +18,7 @@ from repro.manager import (
 class TestGFS:
     def test_default_cycle_shape(self):
         schedule = GFS()  # 7x4
-        levels = schedule.preview(28)
+        levels = [schedule.level_for(day) for day in range(28)]
         assert levels[0] == 0
         assert levels[7] == levels[14] == levels[21] == 1
         assert all(levels[d] == 2 for d in range(28)
@@ -27,7 +27,8 @@ class TestGFS:
 
     def test_compact_cycle(self):
         schedule = GFS(days_per_week=4, weeks_per_cycle=2)
-        assert schedule.preview(9) == [0, 2, 2, 2, 1, 2, 2, 2, 0]
+        assert [schedule.level_for(day) for day in range(9)] \
+            == [0, 2, 2, 2, 1, 2, 2, 2, 0]
 
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(CatalogError):
@@ -39,12 +40,13 @@ class TestGFS:
 class TestTowerOfHanoi:
     def test_ruler_sequence(self):
         schedule = TowerOfHanoi(levels=3)
-        assert schedule.preview(9) == [0, 3, 2, 3, 1, 3, 2, 3, 0]
+        assert [schedule.level_for(day) for day in range(9)] \
+            == [0, 3, 2, 3, 1, 3, 2, 3, 0]
 
     def test_every_day_has_a_shallower_earlier_dump(self):
         """Any day's restore chain can always find a lower level behind it."""
         schedule = TowerOfHanoi(levels=4)
-        levels = schedule.preview(32)
+        levels = [schedule.level_for(day) for day in range(32)]
         for day in range(1, 32):
             if levels[day] == 0:
                 continue  # a full needs no base

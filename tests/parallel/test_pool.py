@@ -1,21 +1,26 @@
-"""TaskPool semantics: deterministic merge, failures, retries, progress.
+"""TaskPool semantics: deterministic merge, failures, progress.
 
 The worker functions live at module top level so they pickle into real
-worker processes; each parametrized case runs both the in-process runner
-(``jobs=1``) and the fork-based pool (``jobs=2``), which feed the same
-attempt loop and must agree on everything except wall-clock.
+worker processes; each parametrized case runs both the in-process map
+(``jobs=1``) and the forked executor map (``jobs=2``), which must agree
+on everything except wall-clock.
 """
 
 from __future__ import annotations
 
 import os
+import re
+import subprocess
+import sys
 import time
 
 import pytest
 
-from repro.parallel import TaskError, TaskPool, TaskSpec, fork_available
+from repro.parallel import TaskPool, TaskSpec, fork_available
 
 JOBS = [1] + ([2] if fork_available() else [])
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+PYTHONPATH = os.pathsep.join([os.path.join(ROOT, "src"), ROOT])
 
 
 def square(value):
@@ -31,23 +36,16 @@ def boom(message):
     raise ValueError(message)
 
 
-def fail_until_marker(marker_path):
-    """Fail while the marker exists, deleting it — the retry succeeds.
-
-    The marker file carries the state across processes, so the test
-    covers parent-driven resubmission, not in-worker looping.
-    """
-    if os.path.exists(marker_path):
-        os.unlink(marker_path)
-        raise RuntimeError("first attempt fails")
-    return "recovered"
-
-
 def _run(jobs, specs):
-    """Values plus every progress event of one pool run."""
-    events = []
-    values = TaskPool(jobs).map_values(specs, progress=events.append)
-    return values, events
+    """Values plus every progress line of one pool run."""
+    lines = []
+    values = TaskPool(jobs).map_values(specs, progress=lines.append)
+    return values, lines
+
+
+def _names(lines):
+    """``[i/n] name`` of each progress line, its wall time dropped."""
+    return [line.rsplit("  ", 1)[0] for line in lines]
 
 
 @pytest.mark.parametrize("jobs", JOBS)
@@ -59,11 +57,9 @@ def test_results_come_back_in_declaration_order(jobs):
                  (value, 0.05 if value < 2 else 0.0))
         for value in range(6)
     ]
-    values, events = _run(jobs, specs)
+    values, lines = _run(jobs, specs)
     assert values == [v * v for v in range(6)]
-    assert sorted((e.index, e.name) for e in events) \
-        == [(v, "t%d" % v) for v in range(6)]
-    assert all(e.ok and e.attempt == 1 for e in events)
+    assert _names(lines) == ["[%d/6] t%d" % (v + 1, v) for v in range(6)]
 
 
 @pytest.mark.parametrize("jobs", JOBS)
@@ -77,55 +73,45 @@ def test_map_values(jobs):
 @pytest.mark.parametrize("jobs", JOBS)
 def test_worker_exception_propagates_with_traceback(jobs):
     specs = [TaskSpec("good", square, (2,)), TaskSpec("bad", boom, ("kaput",))]
-    with pytest.raises(TaskError) as exc_info:
+    with pytest.raises(ValueError, match="^kaput$") as exc_info:
         TaskPool(jobs).map_values(specs)
-    error = exc_info.value
-    assert error.task_name == "bad"
-    assert "kaput" in str(error)
-    assert "ValueError" in error.worker_traceback
-    assert "boom" in error.worker_traceback
+    if jobs > 1:
+        # The stdlib carries the worker's traceback text as the cause.
+        assert "boom" in str(exc_info.value.__cause__)
+    else:
+        assert exc_info.traceback[-1].name == "boom"
 
 
-@pytest.mark.parametrize("jobs", JOBS)
-def test_retry_once_recovers(jobs, tmp_path):
-    marker = str(tmp_path / ("fail.%d" % jobs))
-    with open(marker, "w"):
-        pass
-    values, events = _run(jobs, [TaskSpec("flaky", fail_until_marker, (marker,))])
-    assert values == ["recovered"]
-    assert [(e.ok, e.attempt, e.will_retry, e.done) for e in events] \
-        == [(False, 1, True, 0), (True, 2, False, 1)]
-    assert "RuntimeError: first attempt fails" in events[0].error
+def die(code):
+    os._exit(code)
 
 
-@pytest.mark.parametrize("jobs", JOBS)
-def test_retries_exhausted_raises(jobs):
-    # A task is retried once: its second failure fails the run.
-    events = []
-    with pytest.raises(TaskError) as exc_info:
-        TaskPool(jobs).map_values([TaskSpec("hopeless", boom, ("always",))],
-                                  progress=events.append)
-    assert "after 2 attempt(s)" in str(exc_info.value)
-    assert [(e.ok, e.attempt, e.will_retry) for e in events] \
-        == [(False, 1, True), (False, 2, False)]
-    assert events[-1].error == "ValueError: always"
-    assert events[0].describe() \
-        == "[0/1] hopeless  retrying (attempt 1): ValueError: always"
-    assert events[1].describe() \
-        == "[0/1] hopeless  FAILED (attempt 2): ValueError: always"
+@pytest.mark.skipif(not fork_available(), reason="needs fork")
+def test_dead_worker_raises_instead_of_hanging():
+    # A worker killed mid-task breaks the executor; the parent must
+    # raise rather than wait forever.  The child process holds the
+    # timeout so a hang fails the test instead of the whole suite.
+    code = ("from tests.parallel.test_pool import die, square\n"
+            "from repro.parallel import TaskPool, TaskSpec\n"
+            "try:\n"
+            "    TaskPool(2).map_values([TaskSpec('ok', square, (2,)),\n"
+            "                            TaskSpec('dies', die, (3,))])\n"
+            "except Exception as error:\n"
+            "    print(type(error).__name__)\n")
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                            env=dict(os.environ, PYTHONPATH=PYTHONPATH),
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout.strip() == "BrokenProcessPool", result.stderr
 
 
 @pytest.mark.parametrize("jobs", JOBS)
 def test_progress_events_stream(jobs):
-    values, events = _run(jobs, [TaskSpec("p%d" % v, square, (v,))
-                                 for v in range(4)])
+    values, lines = _run(jobs, [TaskSpec("p%d" % v, square, (v,))
+                                for v in range(4)])
     assert values == [0, 1, 4, 9]
-    assert len(events) == 4
-    assert all(event.ok and event.total == 4 for event in events)
-    # "done" counts up monotonically as attempts complete.
-    assert [event.done for event in events] == [1, 2, 3, 4]
-    assert {event.name for event in events} == {"p0", "p1", "p2", "p3"}
-    assert events[0].describe().startswith("[1/4] p")
+    assert _names(lines) == ["[1/4] p0", "[2/4] p1", "[3/4] p2", "[4/4] p3"]
+    assert all(re.fullmatch(r"\[\d/4\] p\d  \d+\.\ds", line)
+               for line in lines)
 
 
 def big_blob(seed):

@@ -296,17 +296,17 @@ class TestAttributes:
 class TestQtrees:
     def test_qtree_id_assignment(self, fs):
         ino = fs.create_qtree("proj")
-        assert fs.qtree_of("/proj") == ino
+        assert fs.inode(fs.namei("/proj")).qtree == ino
 
     def test_children_inherit_qtree(self, fs):
         qtree_id = fs.create_qtree("proj")
         fs.mkdir("/proj/sub")
         fs.create("/proj/sub/f")
-        assert fs.qtree_of("/proj/sub/f") == qtree_id
+        assert fs.inode(fs.namei("/proj/sub/f")).qtree == qtree_id
 
     def test_root_has_no_qtree(self, fs):
         fs.create("/plain")
-        assert fs.qtree_of("/plain") == 0
+        assert fs.inode(fs.namei("/plain")).qtree == 0
 
 
 class TestWalk:
