@@ -80,6 +80,7 @@ class CatalogJournal:
         # Records currently in the file (replayed count on load, bumped
         # on append) — drives the compaction trigger deterministically.
         self.records = 0
+        self.torn = False
 
     def append(self, records: List[Dict], sync: bool = True) -> int:
         """Append ``records`` as one durable write; returns bytes written.
@@ -127,15 +128,26 @@ class CatalogJournal:
         that fails to parse — a torn write, a truncated tail — ends the
         replay; everything after it is ignored, because a single
         appender under the lock can only ever corrupt the tail.
+        :attr:`torn` says whether such a tail is there.
         """
-        records, _tail = self._scan()
+        records, good, size = self._scan()
         self.records = sum(record_weight(r) for r in records)
+        self.torn = good < size
         return records
 
-    def _scan(self) -> Tuple[List[Dict], int]:
-        """(records, byte offset of the first bad line)."""
+    def cut_tail(self) -> None:
+        """Truncate a torn tail, which replay would never read past, under
+        the caller's catalog lock (so the file is scanned again)."""
+        _records, good, size = self._scan()
+        if good < size:
+            with open(self.path, "r+b") as handle:
+                handle.truncate(good)
+        self.torn = False
+
+    def _scan(self) -> Tuple[List[Dict], int, int]:
+        """(records, byte offset of the first bad line, file size)."""
         if not os.path.exists(self.path):
-            return [], 0
+            return [], 0, 0
         records: List[Dict] = []
         good = 0
         with open(self.path, "rb") as handle:
@@ -155,7 +167,7 @@ class CatalogJournal:
             records.append(record)
             offset = end + 1
             good = offset
-        return records, good
+        return records, good, len(data)
 
 
 __all__ = ["COMPACT_AFTER", "CatalogJournal", "OPS", "encode_record",

@@ -229,8 +229,12 @@ class BackupCatalog:
             catalog.media[cartridge.label] = cartridge
         catalog.policies = dict(document.get("policies", {}))
         # Every commit since the last compaction is in the journal:
-        # replay its upserts (CatalogJournal.load drops a torn tail).
+        # replay its upserts (CatalogJournal.load drops a torn tail,
+        # and cut_tail removes it from the file).
         catalog._apply_journal(catalog._journal.load())
+        if catalog._journal.torn:
+            with catalog._lock():
+                catalog._journal.cut_tail()
         catalog._imaged = True
         catalog._rebuild_dumpdates()
         return catalog

@@ -27,7 +27,6 @@ from repro.chaos.verify import (
 from repro.chaos.campaign import (
     ChaosCampaignDriver,
     VolumeDayFault,
-    restore_drill,
 )
 
 __all__ = [
@@ -44,6 +43,5 @@ __all__ = [
     "drive_engine_with_kill",
     "recover_crash",
     "replay_dump",
-    "restore_drill",
     "volume_digest",
 ]

@@ -21,7 +21,6 @@ import json
 from typing import Dict, List, Optional
 
 from repro.errors import PowerLossError
-from repro.catalog.records import STRATEGY_LOGICAL
 from repro.chaos.inject import (
     corrupt_written_cartridge,
     drive_engine_with_kill,
@@ -229,49 +228,7 @@ class ChaosCampaignDriver(CampaignDriver):
                     handle.write(line + "\n")
 
 
-def restore_drill(catalog, pool, fsid: str, kill_after_tape_ops: int = 3):
-    """Crash a restore mid-chain, then restore again from scratch.
-
-    Restores are idempotent replays of read-only tapes, so the recovery
-    mechanism for a filer that dies mid-restore is simply a fresh
-    restore: the partially written target volume is discarded, the
-    drives rewind, and the chain replays from the start.  Returns
-    ``(fs, plan, report)`` — ``fs`` holds the completed retry; callers
-    verify it against an uninterrupted oracle restore.
-    """
-    from repro.backup.logical.restore import LogicalRestore
-    from repro.backup.physical.image import read_image_header
-    from repro.backup.physical.restore import ImageRestore
-    from repro.manager.campaign import restore_point_in_time
-    from repro.raid.layout import make_geometry
-    from repro.raid.volume import RaidVolume
-    from repro.wafl.filesystem import WaflFilesystem
-
-    plan = catalog.chain_for(fsid)
-    scratch_name = "restore.%s.aborted" % fsid
-    if plan.strategy == STRATEGY_LOGICAL:
-        scratch_volume = RaidVolume(make_geometry(2, 4, 2500),
-                                    name=scratch_name)
-        scratch_fs = WaflFilesystem.format(scratch_volume)
-        engine = LogicalRestore(
-            scratch_fs, pool.drive_for_restore(plan.sets[0])).run()
-    else:
-        header = read_image_header(pool.drive_for_restore(plan.sets[0]))
-        scratch_volume = RaidVolume(header.geometry, name=scratch_name)
-        engine = ImageRestore(
-            scratch_volume, pool.drive_for_restore(plan.sets[0])).run()
-    aborted = drive_engine_with_kill(engine, kill_after_tape_ops)
-    fs, plan = restore_point_in_time(catalog, pool, fsid)
-    report = RecoveryReport("restore_crash", "restart_restore", {
-        "aborted_after_tape_ops": aborted.tape_ops_seen,
-        "aborted_completed": aborted.result is not None,
-        "chain_sets": len(plan.sets),
-    })
-    return fs, plan, report
-
-
 __all__ = [
     "ChaosCampaignDriver",
     "VolumeDayFault",
-    "restore_drill",
 ]

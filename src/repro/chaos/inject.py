@@ -139,11 +139,14 @@ def inject_disk_faults(volume, draws: List[Tuple[float, float, float]]) -> List[
     """Fail blocks drawn as (group, disk, stripe) fractions of geometry.
 
     Parity disks are excluded — the point is data blocks reading back
-    correct through reconstruction.  Returns one description per failed
-    block (duplicates collapse naturally: failing a bad block again is
-    a no-op).
+    correct through reconstruction.  A stripe loses at most one block: a
+    draw that lands on a stripe another disk of its group already lost
+    is dropped, since one parity disk cannot rebuild two.  Returns one
+    description per failed block (duplicates collapse naturally: failing
+    a bad block again is a no-op).
     """
     injected = []
+    failed = {}  # (group, stripe) -> the disk that lost it
     for group_frac, disk_frac, stripe_frac in draws:
         group_index = min(len(volume.groups) - 1,
                           int(group_frac * len(volume.groups)))
@@ -152,6 +155,8 @@ def inject_disk_faults(volume, draws: List[Tuple[float, float, float]]) -> List[
         disk_index = min(ndata - 1, int(disk_frac * ndata))
         stripes = group.geometry.blocks_per_disk
         stripe = min(stripes - 1, int(stripe_frac * stripes))
+        if failed.setdefault((group_index, stripe), disk_index) != disk_index:
+            continue
         group.data_disks[disk_index].fail_block(stripe)
         injected.append({"group": group_index, "disk": disk_index,
                          "stripe": stripe})

@@ -305,7 +305,7 @@ class FleetService:
             volume = tenant.volume
             dump = volume.stage_dump(tenant.catalog, day, job.job_id)
             job_name = "%s.%s" % (job.tenant, job.job_id)
-            drive = tenant.pool.drive_for_job(job_name, reserve=True)
+            drive = tenant.pool.drive_for_job(job_name)
             mutation = None
             if job.payload.get("scheduled") and day > 0:
                 mutation = day_mutation(self.spec.seed, day,

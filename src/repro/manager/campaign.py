@@ -271,22 +271,46 @@ class CampaignDriver:
         (:meth:`MediaPool.partitioned_drives`) and runs in this process on
         the live volume.  Sets are committed, as one journal line, once
         every day has run, in declaration order, so set IDs, dumpdates
-        and media allocation follow the volume order and a day that
-        raises commits nothing.
+        and media allocation follow the volume order.  A day that raises
+        commits and holds nothing: its drives are released and erased and
+        its snapshots deleted before the error reaches the caller.
         """
         day = self.day
         names = ["%s.d%02d" % (volume.fsid, day) for volume in self.volumes]
-        drives = self.pool.partitioned_drives(names)
         dumps = [volume.stage_dump(self.catalog, day, "d%d" % day)
                  for volume in self.volumes]
-        payloads = [
-            run_volume_day(
-                volume, drives[index], names[index], dumps[index],
-                day_mutation(self.seed, day, index) if day > 0 else None,
-                DAILY_SNAPSHOT % day if self.keep_daily_snapshots else None,
-                faults[index])
-            for index, volume in enumerate(self.volumes)
-        ]
+        drives = self.pool.partitioned_drives(names)
+        before = [{record.name for record in volume.fs.fsinfo.snapshots}
+                  for volume in self.volumes]
+        try:
+            payloads = [
+                run_volume_day(
+                    volume, drives[index], names[index], dumps[index],
+                    day_mutation(self.seed, day, index) if day > 0 else None,
+                    DAILY_SNAPSHOT % day if self.keep_daily_snapshots
+                    else None,
+                    faults[index])
+                for index, volume in enumerate(self.volumes)
+            ]
+        except BaseException:
+            for drive in drives:
+                for cartridge in drive.stacker.cartridges:
+                    if cartridge.used:
+                        cartridge.erase()
+                self.pool.release_drive(drive)
+            for volume, names_before in zip(self.volumes, before):
+                fs, kept = volume.fs, volume.kept_snapshots
+                if fs.fsinfo is None:  # crashed, and recovery raised
+                    continue
+                for record in list(fs.fsinfo.snapshots):
+                    if record.name not in names_before:
+                        fs.snapshot_delete(record.name)
+                # An image dump that ran supersedes kept snapshots at
+                # once; forget those it took with it.
+                for level, (name, _date) in list(kept.items()):
+                    if fs.fsinfo.find_snapshot(name) is None:
+                        del kept[level]
+            raise
         results: Dict[str, object] = {}
         events: List[Dict] = []
         for volume, dump, drive, (payload, day_events) in zip(

@@ -22,9 +22,8 @@ cartridges stacked into an in-flight job's drive are *reserved*: a
 reserved cartridge is excluded from every later drive build and refuses
 to be recycled until the job commits or releases it.  A campaign day
 splits the free scratch media between its volumes up front
-(:meth:`partitioned_drives`); the fleet service, which holds unwritten
-scratch media across arbitrary interleavings with prune and ad-hoc
-submissions, reserves per job (``drive_for_job(reserve=True)``).
+(:meth:`partitioned_drives`); a fleet job takes them all
+(:meth:`drive_for_job`).
 """
 
 from __future__ import annotations
@@ -72,26 +71,28 @@ class MediaPool:
 
     # -- job lifecycle -----------------------------------------------------
 
-    def drive_for_job(self, name: str, reserve: bool = False) -> TapeDrive:
-        """A drive stacked with every free scratch cartridge, write order
-        fixed.
+    def _free_scratch(self) -> List[TapeCartridge]:
+        """Scratch cartridges no in-flight job holds: unreserved, and
+        unwritten — a cartridge loaded from disk may hold bytes no
+        commit has allocated yet."""
+        return [self._cartridges[label] for label in self.scratch_labels()
+                if not self._cartridges[label].used
+                and label not in self._reserved]
 
-        A scratch cartridge another in-flight job has already written
-        (``used > 0``, not yet committed) or reserved is excluded —
-        concurrent same-day jobs must never share media.  With
-        ``reserve=True`` the stacked cartridges are reserved under
-        ``name`` until :meth:`commit_job` or :meth:`release_drive`.
-        """
-        cartridges = [self._cartridges[label]
-                      for label in self.scratch_labels()
-                      if not self._cartridges[label].used
-                      and label not in self._reserved]
+    def _reserve(self, name: str,
+                 cartridges: List[TapeCartridge]) -> TapeDrive:
+        """A drive over ``cartridges``, each reserved under ``name``."""
+        for cartridge in cartridges:
+            self._reserved[cartridge.label] = name
+        return TapeDrive(TapeStacker(cartridges, name=name))
+
+    def drive_for_job(self, name: str) -> TapeDrive:
+        """A drive stacked with every free scratch cartridge, write order
+        fixed, each reserved under ``name``."""
+        cartridges = self._free_scratch()
         if not cartridges:
             raise TapeError("media pool has no scratch cartridges")
-        if reserve:
-            for cartridge in cartridges:
-                self._reserved[cartridge.label] = name
-        return TapeDrive(TapeStacker(cartridges, name=name))
+        return self._reserve(name, cartridges)
 
     def partitioned_drives(self, names: List[str]) -> List[TapeDrive]:
         """One drive per name over a *disjoint* round-robin split of the
@@ -102,23 +103,14 @@ class MediaPool:
         slice outright, and which cartridges a volume's day writes does
         not depend on how much its neighbours wrote.
         """
-        free = [self._cartridges[label]
-                for label in self.scratch_labels()
-                if not self._cartridges[label].used
-                and label not in self._reserved]
+        free = self._free_scratch()
         if len(free) < len(names):
             raise TapeError(
                 "media pool has %d free scratch cartridges for %d"
                 " parallel jobs" % (len(free), len(names))
             )
-        stacks: List[List[TapeCartridge]] = [[] for _ in names]
-        for index, cartridge in enumerate(free):
-            stacks[index % len(names)].append(cartridge)
-        for name, stack in zip(names, stacks):
-            for cartridge in stack:
-                self._reserved[cartridge.label] = name
-        return [TapeDrive(TapeStacker(stack, name=name))
-                for name, stack in zip(names, stacks)]
+        return [self._reserve(name, free[index::len(names)])
+                for index, name in enumerate(names)]
 
     def adopt_cartridges(self, drive: TapeDrive) -> None:
         """Point the pool at the cartridges the job's drive holds, so

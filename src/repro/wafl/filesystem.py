@@ -527,7 +527,10 @@ class WaflFilesystem(FileTree):
                     used.append(ino)
                     highest = max(highest, ino)
         used_set = set(used)
-        self._ino_watermark = max(highest + 1, FIRST_USER_INO)
+        # Resume at the watermark the last CP recorded, as a filer that
+        # never went down would: freed inodes at the top stay below it.
+        self._ino_watermark = max(highest + 1, FIRST_USER_INO,
+                                  self.fsinfo.next_ino_hint)
         self._free_ino_heap = [
             ino for ino in range(FIRST_USER_INO, self._ino_watermark)
             if ino not in used_set
@@ -547,8 +550,12 @@ class WaflFilesystem(FileTree):
                 if epoch is not None and epoch < self.fsinfo.cp_count:
                     self.counters["nvram_ops_skipped"] += 1
                     continue
-                method = getattr(self, op.method)
-                method(*op.args, **op.kwargs)
+                # The log holds each op as it was asked, refused ones
+                # too; from the same state replay refuses them again.
+                try:
+                    getattr(self, op.method)(*op.args, **op.kwargs)
+                except FilesystemError:
+                    pass
         finally:
             self._replaying = False
 

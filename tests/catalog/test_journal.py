@@ -193,6 +193,19 @@ class TestCrashRecovery:
         assert sorted(loaded.sets) == ["S0001", "S0002", "S0003"]
         assert loaded.policy_for("home") is None
 
+    def test_a_commit_after_a_torn_tail_survives_the_next_load(
+            self, tmp_path):
+        # The load cuts the tear off: an append behind it would never
+        # be replayed.
+        _, path = self.build(tmp_path)
+        with open(journal_path(path), "a") as handle:
+            handle.write('{"op": "batch", "rec')
+        loaded = BackupCatalog.load(path)
+        record_day(loaded, 3)
+        loaded.commit_dirty()
+        assert sorted(BackupCatalog.load(path).sets) == [
+            "S0001", "S0002", "S0003", "S0004"]
+
     def test_unknown_op_ends_replay(self, tmp_path):
         _, path = self.build(tmp_path)
         with open(journal_path(path), "a") as handle:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.backup import DumpDates
 from repro.chaos import FaultSpec, VolumeDayFault
+from repro.chaos.inject import inject_disk_faults
 from repro.chaos.plan import (
     KIND_CORRUPT,
     KIND_CRASH,
@@ -148,6 +149,16 @@ class TestDiskFaults:
         # read reconstructed data, and the repair rewrote the bad blocks
         # with exactly the reconstructed contents.
         assert_identical(oracle, chaos)
+
+    def test_a_stripe_loses_at_most_one_block(self):
+        # Two disks drawn on one stripe of one group: parity rebuilds
+        # one, so the second draw is dropped (the third repeats the first).
+        volume = make_fs(name="vol").volume
+        injected = inject_disk_faults(
+            volume, [(0.0, 0.0, 0.0), (0.0, 0.9, 0.0), (0.0, 0.0, 0.0)])
+        assert [(i["group"], i["disk"], i["stripe"]) for i in injected] \
+            == [(0, 0, 0), (0, 0, 0)]
+        assert volume.repair_bad_blocks() == 1
 
 
 class TestSavedVolumeFiles:

@@ -197,6 +197,35 @@ def test_a_failed_day_raises_its_own_error_after_one_attempt(monkeypatch):
         driver.run_day()
     assert attempts == ["home.d00"]
     assert catalog.sets == {} and driver.day == 0
+    assert [pool.reserved_by(label) for label in catalog.media] \
+        == [None, None]
+
+
+def test_a_day_that_runs_out_of_tape_holds_nothing_and_reruns():
+    # Six half-megabyte cartridges cannot take two 1 MB volumes' fulls.
+    # The day that runs dry leaves every cartridge blank and free and no
+    # dump snapshot behind; with more blanks the same day reruns.
+    catalog = BackupCatalog()
+    pool = MediaPool(catalog)
+    pool.add_blank(6, capacity=MB // 2)
+    driver = CampaignDriver(catalog, pool, seed=7)
+    for index, (name, strategy) in enumerate(
+            [("home", "logical"), ("rlse", "image")]):
+        fs = make_fs(name=name, blocks_per_disk=600)
+        tree = WorkloadGenerator(seed=20 + index).populate(fs, MB)
+        driver.add_volume(fs, tree, strategy, GFS(4, 2))
+    with pytest.raises(TapeError, match="out of cartridges"):
+        driver.run_day()
+    assert catalog.sets == {} and driver.day == 0
+    for label in catalog.media:
+        assert pool.reserved_by(label) is None
+        assert pool.cartridge(label).used == 0
+    assert [v.fs.snapshots() for v in driver.volumes] == [[], []]
+    pool.add_blank(20, capacity=MB // 2)
+    driver.run_day()
+    for volume in driver.volumes:
+        restored, _plan = restore_point_in_time(catalog, pool, volume.fsid)
+        assert verify_trees(volume.fs, restored) == []
 
 
 def test_a_traced_campaign_puts_each_volume_day_on_its_job_lane():

@@ -31,20 +31,13 @@ def record_set(catalog, day=0, level=0):
 
 
 class TestReservationLifecycle:
-    def test_drive_without_reserve_leaves_pool_open(self, pool):
-        drive = pool.drive_for_job("a")
-        assert all(pool.reserved_by(c.label) is None
-                   for c in drive.stacker.cartridges)
-        # Serial callers can immediately build another full drive.
-        assert len(pool.drive_for_job("b").stacker.cartridges) == 4
-
     def test_reserved_media_excluded_from_next_drive(self, pool):
-        pool.drive_for_job("a", reserve=True)
+        pool.drive_for_job("a")
         with pytest.raises(TapeError, match="no scratch cartridges"):
             pool.drive_for_job("b")
 
     def test_release_drive_frees_the_magazine(self, pool):
-        drive = pool.drive_for_job("a", reserve=True)
+        drive = pool.drive_for_job("a")
         assert pool.reserved_by(drive.stacker.cartridges[0].label) == "a"
         pool.release_drive(drive)
         assert all(pool.reserved_by(c.label) is None
@@ -52,7 +45,7 @@ class TestReservationLifecycle:
         assert len(pool.drive_for_job("b").stacker.cartridges) == 4
 
     def test_commit_releases_reservations(self, pool):
-        drive = pool.drive_for_job("a", reserve=True)
+        drive = pool.drive_for_job("a")
         drive.write(b"x" * 4096)
         backup_set = record_set(pool.catalog)
         labels = pool.commit_job(drive, backup_set)
@@ -81,7 +74,7 @@ class TestRecycleRefusal:
         # An in-flight job holds the scratch magazine; a retired set that
         # (still) lists one of those cartridges must not recycle it out
         # from under the job.
-        drive = pool.drive_for_job("inflight", reserve=True)
+        drive = pool.drive_for_job("inflight")
         reserved_label = drive.stacker.cartridges[0].label
         retired = record_set(pool.catalog)
         retired.cartridges = [reserved_label]
@@ -93,7 +86,7 @@ class TestRecycleRefusal:
         assert reserved_label in message
 
     def test_recycle_succeeds_after_release(self, pool):
-        drive = pool.drive_for_job("a", reserve=True)
+        drive = pool.drive_for_job("a")
         drive.write(b"y" * 4096)
         backup_set = record_set(pool.catalog)
         pool.commit_job(drive, backup_set)

@@ -119,6 +119,50 @@ def test_a_write_that_fits_is_one_logged_op():
     assert fs.nvram.total_bytes_logged == 2 * fs.nvram.half_capacity
 
 
+def _recovered_twins(ops):
+    """Volume digests of a filer that ran ``ops`` and went on, and of
+    one that crashed after them and recovered (then both create a file
+    and take a CP)."""
+    digests = []
+    for crash in (False, True):
+        fs = make_fs(nvram=True)
+        ops(fs)
+        volume, nvram = fs.volume, fs.nvram
+        if crash:
+            fs.crash()
+            fs = WaflFilesystem.mount(volume, nvram=nvram)
+        fs.create("/z", b"z")
+        fs.consistency_point()
+        digests.append(volume_digest(volume))
+    return digests
+
+
+def test_an_op_refused_when_it_ran_is_refused_on_replay():
+    def ops(fs):
+        fs.create("/a", b"a")
+        fs.consistency_point()
+        for refused in (lambda: fs.create("/a", b"again"),
+                        lambda: fs.unlink("/gone")):
+            with pytest.raises(FilesystemError):
+                refused()
+        fs.create("/b", b"b")
+
+    digests = _recovered_twins(ops)
+    assert digests[0] == digests[1]
+
+
+def test_a_remount_resumes_the_inode_watermark_of_the_last_cp():
+    def ops(fs):
+        for index in range(4):
+            fs.create("/f%d" % index, b"f")
+        fs.unlink("/f3")
+        fs.unlink("/f2")
+        fs.consistency_point()
+
+    digests = _recovered_twins(ops)
+    assert digests[0] == digests[1]
+
+
 def test_nvram_failure_is_not_fatal():
     fs = make_fs(nvram=True)
     fs.create("/a", b"committed")
