@@ -117,10 +117,10 @@ workloads that call it.  ``python -m repro.bench.wallclock`` holds the
 end-to-end gates the ledger cannot express — the Tables 2/3 experiment
 cold at smoke and paper geometry with its peak RSS, the ``--jobs N``
 speed-up, the fleet cold, warm and at scale, the observability-off
-overhead — normalizes every timing by a fixed calibration workload so
-machines cancel out, and compares against the committed
-``BENCH_wallclock.json``; CI fails on a >20%% calibration-normalized
-regression.
+overhead.  Its ``--check`` stores no numbers: it runs a pinned reference
+commit's harness and this checkout's in alternating pairs of fresh
+processes on one machine, and CI fails on a row whose median is >20%%
+slower with quartile ranges that do not overlap.
 
 """
 

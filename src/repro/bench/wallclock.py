@@ -4,56 +4,59 @@ Everything else in :mod:`repro.bench` measures simulated seconds; this
 module measures real ones, and only the statements nothing else makes
 (:data:`GATES`).  What a *layer* costs — RAID, buffer cache, block map,
 dump stream, sim kernel — is read from the ledger (``benchmarks/ledger/``),
-which measures each layer under its real callers.  The JSON report
-doubles as the committed regression baseline (``BENCH_wallclock.json``
-at the repository root).
+which measures each layer under its real callers.
 
-Raw wall seconds are meaningless across machines, so every report
-includes a *calibration* measurement: the time a fixed pure-Python
-workload takes on this interpreter.  Regression checks compare
-calibration-normalized seconds (``seconds / calibration_seconds``), which
-cancels machine speed and leaves only changes to the code under test.
+Wall seconds mean nothing across machines, nor across hours on one
+shared machine, so ``--check`` stores no number: it runs the pinned
+:data:`REFERENCE` commit's harness (``git archive``) and this checkout's
+in :data:`PAIRS` alternating pairs of fresh processes on one machine and
+gives every row the ledger's verdict (``benchmarks/ledger/compare.py``).
 
 Usage::
 
     python -m repro.bench.wallclock --mode smoke            # print report
-    python -m repro.bench.wallclock --mode smoke --check --tolerance 0.2
-    python -m repro.bench.wallclock --mode fullscale --write-baseline
+    python -m repro.bench.wallclock --mode smoke --check    # against REFERENCE
+    python -m repro.bench.wallclock --mode fullscale --check --output F.json
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
+import runpy
+import statistics
+import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.units import MB
 
-SCHEMA_VERSION = 1
-BASELINE_NAME = "BENCH_wallclock.json"
+#: The commit ``--check`` measures this checkout against.  A change bumps
+#: it, to the commit it builds on, when it means to accept what the gate
+#: would otherwise call slower (and says so); nothing else moves it.
+REFERENCE = "89527e579945b1cdd73a63cfb8a1ef34a2031324"
 
+#: Alternating pairs of fresh processes one ``--check`` runs.
+PAIRS = 10
 
-def default_baseline_path() -> str:
-    """``BENCH_wallclock.json`` at the repository root (src/../..)."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.abspath(os.path.join(here, os.pardir, os.pardir, os.pardir))
-    return os.path.join(root, BASELINE_NAME)
+#: How much slower than the reference a row's median seconds may be.
+SECONDS_BOUND = {"smoke": 0.20, "fullscale": 0.35}
+
+#: Absolute peak-RSS limit, in bytes, of every row of a mode: the
+#: full-scale macros measured 2.20 GB in a fresh process on one
+#: stripe-major store per RAID group (DESIGN.md 9 and 16); this is + 10 %.
+RSS_LIMIT = {"fullscale": 2_420_000_000}
 
 
 def peak_rss_bytes() -> Optional[int]:
-    """This process's lifetime peak resident set size, in bytes.
-
-    ``ru_maxrss`` is a high-water mark, so per-benchmark values recorded
-    along a harness run are monotone non-decreasing and depend on what
-    ran before — they answer "how much memory had the harness needed by
-    the time this finished", which is exactly the number the full-scale
-    RSS gate cares about (the macros run last and dominate).
-    """
+    """This process's lifetime peak resident set size (a high-water
+    mark), in bytes."""
     try:
         import resource
     except ImportError:  # non-POSIX: record nothing rather than guess
@@ -64,47 +67,16 @@ def peak_rss_bytes() -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Calibration
-# ---------------------------------------------------------------------------
-
-def _calibration_workload() -> int:
-    """A fixed, deterministic mix of arithmetic, dict and bytes work."""
-    acc = 0
-    table: Dict[int, int] = {}
-    for i in range(120_000):
-        acc = (acc * 1103515245 + i) & 0xFFFFFFFF
-        table[acc & 1023] = i
-    buf = bytearray(64 * 1024)
-    view = memoryview(buf)
-    chunk = bytes(range(256)) * 16
-    for i in range(0, len(buf), len(chunk)):
-        view[i : i + len(chunk)] = chunk
-    return acc + len(table) + buf[-1]
-
-
-def calibrate(repeats: int = 3) -> float:
-    """Seconds the fixed workload takes (best of ``repeats``)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        _calibration_workload()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Observability-off overhead
+# The benchmarks GATES runs
 # ---------------------------------------------------------------------------
 
 def bench_obs_null() -> Dict[str, float]:
     """Cost of the disabled observability gates, relative to a guarded op.
 
-    When tracing and metrics are off, every instrumented hot-path site
-    pays exactly one ``REGISTRY.enabled`` / ``tracer.enabled`` attribute
-    check.  This times a tight loop of those checks and a loop of the
-    cheapest guarded data-plane op (an 8-block cache run hit), and
-    reports the fractional cost of one gate check per op as
-    ``overhead_fraction`` — the regression gate asserts it stays <= 3%.
+    With tracing and metrics off, every instrumented hot-path site pays
+    one ``REGISTRY.enabled`` / ``tracer.enabled`` check.  This times a
+    loop of those checks against the cheapest guarded op (an 8-block cache
+    run hit): ``overhead_fraction``, which a test holds to <= 3%.
     """
     from repro.obs.metrics import REGISTRY
     from repro.obs.trace import get_tracer
@@ -147,22 +119,14 @@ def bench_obs_null() -> Dict[str, float]:
     }
 
 
-# ---------------------------------------------------------------------------
-# Macro benchmark: the basic four-operation experiment, end to end
-# ---------------------------------------------------------------------------
-
 def bench_macro(mode: str) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Time testbed construction and ``run_basic`` on a fresh environment.
+    """Time a cold testbed build and ``run_basic`` (the Tables 2/3
+    experiment every ``run_all`` grid runs) on a fresh environment.
 
-    ``run_basic`` is the Tables 2/3 experiment every ``run_all`` grid runs
-    (dump, restore, verify per strategy, each on its own clone), so this
-    is the only Table 2/3 timing at any scale.  The environment is built
-    directly (bypassing the module-level cache) so repeated invocations —
-    and the pytest gate running alongside other bench tests — always
-    measure a cold build.  Smoke mode is short enough to be noisy, so it
-    takes the best of two runs; garbage from whatever ran before is
-    collected outside the timed regions.  Returns the ``build_env`` and
-    ``run_basic`` entries, in that order.
+    The environment bypasses the module-level cache, so every call times a
+    cold build.  Smoke mode is short enough to be noisy: best of two, with
+    garbage collected outside the timed regions.  Returns the
+    ``build_env`` and ``run_basic`` entries, in that order.
     """
     from repro.bench.configs import EliotConfig, ExperimentEnv, fullscale_config
     from repro.bench.harness import run_basic
@@ -192,17 +156,9 @@ def bench_macro(mode: str) -> Tuple[Dict[str, float], Dict[str, float]]:
              "unit": "MB/s"})
 
 
-# ---------------------------------------------------------------------------
-# Parallel evaluation plane: the reduced run_all grid end to end
-# ---------------------------------------------------------------------------
-
 def bench_parallel_run_all(jobs: int = 1) -> Dict[str, float]:
-    """Generate the reduced ``run_all`` grid with the given worker count.
-
-    The environment cache is cleared first so the serial and parallel
-    timings both start cold (serial reuse of cached environments would
-    otherwise make the comparison meaningless).
-    """
+    """Generate the reduced ``run_all`` grid with ``jobs`` workers, from a
+    cleared environment cache so serial and parallel both start cold."""
     from repro.bench.configs import clear_env_cache
     from repro.bench.run_all import Preset, build_plan, generate_body
 
@@ -216,17 +172,9 @@ def bench_parallel_run_all(jobs: int = 1) -> Dict[str, float]:
     return {"seconds": seconds, "rate": ntasks / seconds, "unit": "tasks/s"}
 
 
-# ---------------------------------------------------------------------------
-# Fleet service plane: a small multi-tenant fleet end to end
-# ---------------------------------------------------------------------------
-
 def _fleet_smoke_spec(cartridges: int = 8):
-    """The canonical 3-tenant, 2-drive bench fleet.
-
-    ``cartridges`` is the only knob: the cold smoke bench uses 8 (its
-    three days never recycle media); the warm hot-path bench needs 24 so
-    retention recycling reaches steady state before scratch runs out.
-    """
+    """The canonical 3-tenant, 2-drive bench fleet: 8 cartridges for the
+    cold bench (three days recycle none), 24 for the warm hot path."""
     from repro.fleet import FleetSpec, TenantSpec
 
     return FleetSpec(
@@ -250,15 +198,9 @@ def _fleet_smoke_spec(cartridges: int = 8):
 def bench_fleet_smoke() -> Dict[str, float]:
     """Init and run a 3-tenant, 2-drive fleet for three simulated days.
 
-    Covers the whole service plane — tenant creation (format + populate),
-    admission scheduling, batch execution, catalog commits, retention,
-    and state persistence — at a deliberately small data size so the
-    scheduler and persistence overheads, not the dumps, dominate.  Short
-    enough to be noisy, so it takes the best of two runs with garbage
-    collected outside the timed region (mirroring ``bench_macro``).
-
-    This is the *cold* lifecycle number (init + first days dominate);
-    :func:`bench_fleet_hotpath` measures the warm steady state.
+    The whole service plane at a small data size, so scheduling and
+    persistence dominate, not the dumps: the *cold* lifecycle number
+    (:func:`bench_fleet_hotpath` is the warm one).  Best of two.
     """
     from repro.fleet import FleetService
 
@@ -279,24 +221,9 @@ def bench_fleet_smoke() -> Dict[str, float]:
 def bench_fleet_hotpath() -> Dict[str, float]:
     """Warm steady-state fleet throughput: the daily hot path itself.
 
-    Builds the smoke fleet once, runs two warm-up days (volumes mounted,
-    first full dumps behind us), then times 30 consecutive ``run_day``
-    calls — admission, in-process dispatch against the mounted volumes,
-    dump commits, retention, and the group-committed
-    catalog-journal appends with their end-of-day fsyncs.  Service
-    startup and shutdown checkpointing are deliberately outside the
-    timed region: a fleet daemon pays them once per process, not per
-    day, and ``macro.fleet.smoke`` / ``macro.fleet.scale`` already time
-    the full cold lifecycle.
-
-    The spec carries 24 cartridges per tenant so retention recycling
-    sustains the 60+ simulated days the two timed repetitions cover.
-
-    Besides jobs/s the entry reports the journal's byte economy —
-    average bytes per journal record as written (compact separators,
-    sorted keys) and the fraction saved versus Python's default
-    ``", "``/``": "`` separators — so the hot-commit encoding win is
-    tracked by the harness rather than asserted in a comment.
+    After two warm-up days, times 30 consecutive ``run_day`` calls
+    (admission, dispatch, commits, retention, journal fsyncs); service
+    start and checkpoint stay outside, as a daemon pays them once.
     """
     from repro.fleet import FleetService
 
@@ -313,33 +240,16 @@ def bench_fleet_hotpath() -> Dict[str, float]:
             for _ in range(days):
                 service.run_day()
             seconds = min(seconds, time.perf_counter() - start)
-        jobs = days * len(spec.tenants)
-        entry = {"seconds": seconds, "rate": jobs / seconds,
-                 "unit": "jobs/s"}
-        journal = os.path.join(root, "tenants", "acme",
-                               "catalog.json.journal")
-        if os.path.exists(journal):
-            with open(journal, "rb") as handle:
-                blob = handle.read()
-            records = [json.loads(line) for line in blob.splitlines()]
-            if records:
-                loose = sum(len(json.dumps(r, sort_keys=True)) + 1
-                            for r in records)
-                entry["journal_bytes_per_record"] = len(blob) / len(records)
-                entry["journal_compact_savings"] = 1.0 - len(blob) / loose
-        return entry
+    jobs = days * len(spec.tenants)
+    return {"seconds": seconds, "rate": jobs / seconds, "unit": "jobs/s"}
 
 
 def bench_fleet_scale() -> Dict[str, float]:
     """A 24-tenant, 4-drive fleet run for 14 simulated days, full cycle.
 
-    The scale complement to the hot-path bench: small per-tenant volumes
-    (300 blocks/disk) keep each dump cheap so the fleet machinery —
-    admission across four drive lanes, per-tenant journals, retention,
-    end-of-run persistence of 24 volumes and catalogs — is what's
-    measured.  Init (tenant format + populate) stays outside the timed
-    region; everything ``run_days`` does, including the final
-    checkpoint, is inside it.
+    Small volumes keep each dump cheap, so the fleet machinery is what is
+    timed: everything ``run_days`` does, final checkpoint included; init
+    stays outside.
     """
     from repro.fleet import FleetService, FleetSpec, TenantSpec
 
@@ -429,27 +339,12 @@ def benchmark_names(mode: str) -> List[str]:
 
 
 def run_harness(mode: str = "smoke", profile: Optional[int] = None) -> Dict:
-    """Run every :data:`GATES` row of ``mode``, a calibration probe either
-    side of each.
-
-    A shared machine's speed drifts within one run (a two-core sandbox
-    flips between two clock states 25 % apart, seconds at a time), so a
-    row carries the mean of the probes around it as its own
-    ``calibration_seconds``; the report-level figure is the first probe.
-    With ``profile`` set, each row runs under cProfile and its top-N
-    hotspots go to stderr (profiled timings are *not* comparable to
-    unprofiled ones).
-    """
+    """Run every :data:`GATES` row of ``mode`` in this process, each
+    entry with the process's peak RSS when it finished.  With ``profile``
+    each row runs under cProfile and its top-N hotspots go to stderr."""
     if mode not in MODES:
         raise ValueError("mode must be one of %r, got %r" % (MODES, mode))
-    print("calibrating ...", file=sys.stderr)
-    before = calibrate()
-    report: Dict = {
-        "schema": SCHEMA_VERSION,
-        "mode": mode,
-        "calibration_seconds": before,
-        "benchmarks": {},
-    }
+    report: Dict = {"mode": mode, "benchmarks": {}}
     for gate in GATES:
         if gate.mode != mode:
             continue
@@ -457,112 +352,160 @@ def run_harness(mode: str = "smoke", profile: Optional[int] = None) -> Dict:
         print("running %s ..." % label, file=sys.stderr)
         entries = (_profiled(label, gate.run, profile) if profile
                    else gate.run())
-        after = calibrate()
         rss = peak_rss_bytes()
         for name, entry in zip(gate.names, entries):
-            entry["calibration_seconds"] = (before + after) / 2
             if rss is not None:
                 entry["peak_rss_bytes"] = rss
             report["benchmarks"][name] = entry
-        before = after
     return report
 
 
-#: Benchmark keys whose ``peak_rss_bytes`` is gated by check_regression.
-#: Only the full-scale macros: their multi-GB footprint is what the COW
-#: clone / fork-sharing work protects, and nothing runs before them;
-#: the smoke entries' RSS is an order-dependent high-water mark, not a gate.
-RSS_GATE_PREFIX = "macro.fullscale."
-
-
-def check_regression(current: Dict, baseline: Dict,
-                     tolerance: float = 0.2,
-                     rss_tolerance: float = 0.3) -> List[str]:
-    """Compare calibration-normalized seconds; return regression messages.
-
-    A current entry is normalized by its own ``calibration_seconds`` when
-    it has one (:func:`run_harness` rows do), else by its report's; a
-    baseline entry by its file's (:func:`merge_baseline` sees to that).
-    A benchmark regresses when its normalized time exceeds the baseline's
-    by more than ``tolerance`` (0.2 = 20%).  Only keys present in both
-    reports are compared, so a run of either mode checks cleanly against
-    the one baseline file that holds both.  Speedups never fail.
-
-    Entries under :data:`RSS_GATE_PREFIX` additionally gate their
-    ``peak_rss_bytes`` (absolute, machines report comparable footprints
-    for the same workload) against the baseline within ``rss_tolerance``.
-    """
-    failures: List[str] = []
-    cur_cal = current["calibration_seconds"]
-    base_cal = baseline["calibration_seconds"]
-    if cur_cal <= 0 or base_cal <= 0:
-        raise ValueError("calibration_seconds must be positive")
-    for name, base_entry in sorted(baseline["benchmarks"].items()):
-        cur_entry = current["benchmarks"].get(name)
-        if cur_entry is None:
-            continue
-        base_norm = base_entry["seconds"] / base_cal
-        cur_norm = (cur_entry["seconds"]
-                    / cur_entry.get("calibration_seconds", cur_cal))
-        if cur_norm > base_norm * (1.0 + tolerance):
-            failures.append(
-                "%s: %.2fx slower than baseline "
-                "(%.3fs vs %.3fs calibration-normalized, tolerance %d%%)"
-                % (name, cur_norm / base_norm, cur_norm, base_norm,
-                   round(tolerance * 100))
-            )
-        if name.startswith(RSS_GATE_PREFIX):
-            base_rss = base_entry.get("peak_rss_bytes")
-            cur_rss = cur_entry.get("peak_rss_bytes")
-            if base_rss and cur_rss and cur_rss > base_rss * (1.0 + rss_tolerance):
-                failures.append(
-                    "%s: peak RSS %.2fx the baseline "
-                    "(%.0f MB vs %.0f MB, tolerance %d%%)"
-                    % (name, cur_rss / base_rss, cur_rss / MB, base_rss / MB,
-                       round(rss_tolerance * 100))
-                )
-    return failures
-
-
-def merge_baseline(existing: Dict, report: Dict) -> Dict:
-    """Fold a new report into an existing baseline without clobbering it.
-
-    Committed baseline numbers are load-bearing — the regression gate
-    references them — so an existing benchmark entry (and
-    the calibration it was normalized against) is never overwritten.
-    Only benchmarks the baseline has never seen are added, rescaled from
-    the calibration they were measured under (their own, else the
-    report's) to the baseline's, so that every entry in the file is
-    normalized by the one ``calibration_seconds`` it carries.
-    """
-    merged = dict(existing)
-    merged.setdefault("calibration_seconds", report["calibration_seconds"])
-    merged.setdefault("schema", report["schema"])
-    merged.setdefault("mode", report["mode"])
-    merged["benchmarks"] = dict(existing.get("benchmarks", {}))
-    for name, entry in report["benchmarks"].items():
-        if name not in merged["benchmarks"]:
-            entry = dict(entry)
-            factor = merged["calibration_seconds"] / entry.pop(
-                "calibration_seconds", report["calibration_seconds"])
-            entry["seconds"] *= factor
-            if "rate" in entry:
-                entry["rate"] /= factor
-            merged["benchmarks"][name] = entry
-    return merged
-
-
 def format_report(report: Dict) -> str:
-    lines = [
-        "wall-clock report (mode=%s, calibration=%.4fs)"
-        % (report["mode"], report["calibration_seconds"])
-    ]
+    """One line a row: its seconds, then its rate or, from a check, the
+    reference's median seconds and the verdict."""
+    lines = ["wall-clock report (mode=%s)" % report["mode"]]
     for name, entry in sorted(report["benchmarks"].items()):
-        rate = ""
-        if "rate" in entry:
-            rate = "  %10.1f %s" % (entry["rate"], entry.get("unit", ""))
-        lines.append("  %-26s %8.3fs%s" % (name, entry["seconds"], rate))
+        tail = ""
+        if "verdict" in entry:
+            tail = "  reference %8.3fs  %s" % (entry.get("reference", {}).get(
+                "value", float("nan")), entry["verdict"])
+        elif "rate" in entry:
+            tail = "  %10.1f %s" % (entry["rate"], entry.get("unit", ""))
+        lines.append("  %-26s %8.3fs%s" % (name, entry["seconds"], tail))
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The gate: this checkout against REFERENCE, in pairs on one machine
+# ---------------------------------------------------------------------------
+
+class Refusal(Exception):
+    """``--check`` cannot measure what it would report: exit 2."""
+
+
+def source_tree() -> str:
+    """The tree whose ``src/`` holds this module (src/repro/bench/../../..)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    return os.path.abspath(os.path.join(here, os.pardir, os.pardir, os.pardir))
+
+
+def _git(tree: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", tree] + list(args),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def extract_reference(tree: str, dest: str) -> str:
+    """Unpack :data:`REFERENCE`'s ``src/`` from ``tree``'s history into
+    ``dest``; refuse unless ``tree`` is a git checkout holding it."""
+    top = _git(tree, "rev-parse", "--show-toplevel")
+    if top.returncode or (os.path.realpath(top.stdout.decode().strip())
+                          != os.path.realpath(tree)):
+        raise Refusal("needs a git checkout; %s is not one" % tree)
+    archive = _git(tree, "archive", "--format=tar", REFERENCE, "src")
+    if archive.returncode:
+        raise Refusal("needs REFERENCE %s, which the checkout at %s does not"
+                      " hold (fetch the full history)" % (REFERENCE, tree))
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest)
+    return dest
+
+
+def ledger_verdict(tree: str) -> Callable[[Dict, Dict, str, float], str]:
+    """``verdict`` of ``tree``'s ``benchmarks/ledger/compare.py``."""
+    return runpy.run_path(os.path.join(tree, "benchmarks", "ledger",
+                                       "compare.py"))["verdict"]
+
+
+def _run(argv: List[str], env: Dict[str, str], cwd: str) -> str:
+    done = subprocess.run(argv, env=env, cwd=cwd, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, universal_newlines=True)
+    if done.returncode:
+        raise RuntimeError("%s exited %d:\n%s"
+                           % (" ".join(argv), done.returncode, done.stderr))
+    return done.stdout
+
+
+def _child(tree: str, *args: str) -> str:
+    """``python ARGS`` in a fresh process that imports ``tree``'s code."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    return _run([sys.executable] + list(args), env, tree)
+
+
+def _check_import(tree: str) -> None:
+    """Refuse when a child meant for ``tree`` imports ``repro`` from
+    elsewhere (a stray install would compare one tree with itself)."""
+    src = os.path.realpath(os.path.join(tree, "src"))
+    found = os.path.realpath(
+        _child(tree, "-c", "import repro; print(repro.__file__)").strip())
+    if not found.startswith(src + os.sep):
+        raise Refusal("a child on %s imports repro from %s" % (src, found))
+
+
+def run_pairs(trees: Dict[str, str], mode: str, pairs: int,
+              scratch: str) -> Dict[str, List[Dict]]:
+    """Each side's ``benchmarks`` from ``pairs`` pairs of fresh processes,
+    the sides in ``trees`` order within every pair."""
+    runs: Dict[str, List[Dict]] = {side: [] for side in trees}
+    for index in range(pairs):
+        for side, tree in trees.items():
+            print("pair %d/%d: %s ..." % (index + 1, pairs, side),
+                  file=sys.stderr)
+            path = os.path.join(scratch, "%s-%d.json" % (side, index))
+            _child(tree, "-m", "repro.bench.wallclock", "--mode", mode,
+                   "--output", path)
+            with open(path) as handle:
+                runs[side].append(json.load(handle)["benchmarks"])
+    return runs
+
+
+def _quartiles(values: List[float]) -> Dict[str, float]:
+    """``compare.py``'s entry: the median and the quartiles around it."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"value": median, "q1": q1, "q3": q3}
+
+
+def judge(mode: str, runs: Dict[str, List[Dict]],
+          verdict: Callable[[Dict, Dict, str, float], str]
+          ) -> Tuple[Dict, List[str]]:
+    """The check report of ``runs`` (``head`` and ``reference`` sides) and
+    its failures: a row whose seconds ``verdict`` calls ``worse`` at the
+    mode's bound, or one over the mode's RSS limit in any run."""
+    bound, limit = SECONDS_BOUND[mode], RSS_LIMIT.get(mode)
+    rows: Dict[str, Dict] = {}
+    failures: List[str] = []
+    for name in benchmark_names(mode):
+        head = _quartiles([run[name]["seconds"] for run in runs["head"]])
+        base = [run[name]["seconds"] for run in runs["reference"] if name in run]
+        rss = max(run[name].get("peak_rss_bytes") or 0 for run in runs["head"])
+        rows[name] = row = dict(head, seconds=head["value"],
+                                peak_rss_bytes=rss, verdict="new")
+        if base:  # a row the reference has not got yet is reported only
+            row["reference"] = _quartiles(base)
+            row["verdict"] = verdict(row["reference"], head, "lower", bound)
+        if row["verdict"] == "worse":
+            failures.append("%s: median %.3fs against %.3fs, over the %d%% bound" % (
+                name, head["value"], row["reference"]["value"], round(bound * 100)))
+        if limit and not 0 < rss <= limit:
+            failures.append("%s: peak RSS %d bytes: missing, or above the"
+                            " %.2f GB limit" % (name, rss, limit / 1e9))
+    report = {"mode": mode, "reference": REFERENCE,
+              "pairs": len(runs["head"]), "benchmarks": rows}
+    return report, failures
+
+
+def check(mode: str, pairs: int = PAIRS) -> Tuple[Dict, List[str]]:
+    """:func:`judge` this checkout against :data:`REFERENCE`; every
+    :class:`Refusal` comes before anything is timed."""
+    tree = source_tree()
+    with tempfile.TemporaryDirectory(prefix="wallclock-") as scratch:
+        trees = {"reference": extract_reference(
+                     tree, os.path.join(scratch, "reference")),
+                 "head": tree}
+        verdict = ledger_verdict(tree)
+        for side in trees.values():
+            _check_import(side)
+        runs = run_pairs(trees, mode, pairs, scratch)
+    return judge(mode, runs, verdict)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -575,17 +518,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         type=int, metavar="N",
                         help="run each benchmark under cProfile and"
                              " dump its top-N hotspots to stderr")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline JSON path (default: repo root %s)"
-                        % BASELINE_NAME)
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="merge the report into the baseline (existing"
-                             " entries are never overwritten)")
     parser.add_argument("--check", action="store_true",
-                        help="compare against the baseline; exit 1 on"
-                             " regression, 2 if the baseline cannot be read")
-    parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed normalized slowdown (0.2 = 20%%)")
+                        help="time %d pairs against commit %s: exit 1 on a"
+                             " regression, 2 if it cannot measure"
+                             % (PAIRS, REFERENCE[:12]))
     parser.add_argument("--output", default=None,
                         help="also write the report JSON to this path")
     parser.add_argument("--jobs", type=int, default=1,
@@ -596,23 +532,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                              " unless the grid is this many times faster")
     args = parser.parse_args(argv)
 
-    baseline_path = args.baseline or default_baseline_path()
     if args.jobs > 1 and SERIAL_GRID not in benchmark_names(args.mode):
         parser.error("--jobs times %s, which --mode %s does not run"
                      % (SERIAL_GRID, args.mode))
-    baseline = None
+    if args.check and args.profile:
+        parser.error("--check compares unprofiled runs; drop --profile")
+    failures: List[str] = []
     if args.check:
-        # Before any benchmark runs: a gate with nothing to compare
-        # against (a non-editable install has no repo root) must not pass.
         try:
-            with open(baseline_path) as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print("wallclock: error: --check cannot read baseline %s: %s"
-                  % (baseline_path, exc), file=sys.stderr)
+            report, failures = check(args.mode)
+        except Refusal as refusal:
+            print("wallclock: error: --check %s" % refusal, file=sys.stderr)
             return 2
-
-    report = run_harness(mode=args.mode, profile=args.profile)
+    else:
+        report = run_harness(mode=args.mode, profile=args.profile)
+    print(format_report(report))
     if args.jobs > 1:
         print("running %s with --jobs %d ..." % (SERIAL_GRID, args.jobs),
               file=sys.stderr)
@@ -620,39 +554,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         entry["speedup"] = (report["benchmarks"][SERIAL_GRID]["seconds"]
                             / entry["seconds"])
         report["benchmarks"]["%s.j%d" % (SERIAL_GRID, args.jobs)] = entry
-    print(format_report(report))
-    if args.jobs > 1:
         print("%s speedup at --jobs %d: %.2fx"
               % (SERIAL_GRID, args.jobs, entry["speedup"]))
         cores = os.cpu_count() or 1
         if args.min_speedup is not None and cores < args.jobs:
             print("speedup gate skipped: needs %d cores, has %d" % (args.jobs, cores))
         elif args.min_speedup is not None and entry["speedup"] < args.min_speedup:
-            print("speedup below required %.2fx" % args.min_speedup)
-            return 1
+            failures.append("speedup below required %.2fx" % args.min_speedup)
 
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if args.write_baseline:
-        merged = merge_baseline({}, report)
-        if os.path.exists(baseline_path):
-            with open(baseline_path) as handle:
-                merged = merge_baseline(json.load(handle), report)
-        with open(baseline_path, "w") as handle:
-            json.dump(merged, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("baseline written: %s" % baseline_path)
-    if baseline is not None:
-        failures = check_regression(report, baseline, tolerance=args.tolerance)
-        if failures:
-            print("wall-clock regression detected:")
-            for failure in failures:
-                print("  " + failure)
-            return 1
-        print("wall-clock check passed (tolerance %d%%)"
-              % round(args.tolerance * 100))
+    if failures:
+        print("wall-clock regression detected:")
+        for failure in failures:
+            print("  " + failure)
+        return 1
+    if args.check:
+        print("wall-clock check passed: %d pairs against %s"
+              % (report["pairs"], REFERENCE))
     return 0
 
 
@@ -661,10 +582,9 @@ if __name__ == "__main__":
 
 
 __all__ = [
-    "BASELINE_NAME",
     "GATES",
     "MODES",
-    "RSS_GATE_PREFIX",
+    "REFERENCE",
     "bench_fleet_hotpath",
     "bench_fleet_scale",
     "bench_fleet_smoke",
@@ -672,11 +592,8 @@ __all__ = [
     "bench_obs_null",
     "bench_parallel_run_all",
     "benchmark_names",
-    "calibrate",
-    "check_regression",
-    "default_baseline_path",
+    "check",
     "format_report",
-    "merge_baseline",
     "peak_rss_bytes",
     "run_harness",
 ]

@@ -168,6 +168,8 @@ def _make_handler(root: str):
                 length = int(self.headers.get("Content-Length") or 0)
                 raw = self.rfile.read(length) if length else b""
                 body = json.loads(raw.decode() or "{}")
+                if not isinstance(body, dict):
+                    raise ValueError("not a JSON object")
                 if self.path == "/jobs":
                     entry = submit_job(
                         root, body.get("tenant", ""),

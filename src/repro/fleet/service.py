@@ -43,6 +43,7 @@ from typing import Dict, List, Optional
 from repro.catalog.lock import FileLock
 from repro.fleet.scheduler import DriveTable, FleetScheduler, Job
 from repro.fleet.tenant import (
+    LANES,
     FleetError,
     FleetSpec,
     Tenant,
@@ -469,6 +470,11 @@ def submit_job(root: str, tenant: str, kind: str = "dump",
     """Queue an ad-hoc job on disk; the next service day picks it up."""
     if kind not in ("dump", "restore"):
         raise FleetError("unknown job kind %r" % (kind,))
+    if lane not in LANES:
+        raise FleetError("unknown lane %r (want one of %s)"
+                         % (lane, ", ".join(LANES)))
+    if day is not None and (type(day) is not int or day < 0):
+        raise FleetError("day must be a whole number >= 0, got %r" % (day,))
     spec = load_fleet_spec(FleetService.spec_path(root))
     spec.tenant(tenant)  # raises FleetError for unknown tenants
     entry = {"tenant": tenant, "kind": kind, "lane": lane, "day": day}

@@ -833,7 +833,10 @@ class WaflFilesystem(FileTree):
                uid: int = 0, gid: int = 0) -> int:
         """Create a regular file (optionally with initial contents)."""
         piece = self._piece_size(path, data)
+        data_blocks = -(-len(data) // BLOCK_SIZE)
         if piece:
+            self._room_for(self._dir_blocks(self._namei_parent(path)[0]),
+                           data_blocks)
             ino = self.create(path, perms=perms, uid=uid, gid=gid)
             self._write_pieces(path, data, 0, piece)
             return ino
@@ -842,7 +845,7 @@ class WaflFilesystem(FileTree):
         directory = self._read_directory(parent)
         if name in directory:
             raise ExistsError("path exists: %r" % path)
-        self._room_for(self._dir_blocks(parent))
+        self._room_for(self._dir_blocks(parent), data_blocks)
         inode = self._new_inode(FileType.REGULAR, parent, perms, uid, gid)
         directory.add(name, inode.ino)
         self._write_directory(parent, directory)

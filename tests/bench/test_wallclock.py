@@ -1,87 +1,172 @@
-"""The wall-clock regression gate's arithmetic.
+"""The wall-clock gate's arithmetic, pairing and refusals.
 
-``BENCH_wallclock.json`` records calibration-normalized timings from the
-machine that produced it.  The gate itself — ``run_harness("smoke")``
-against that file at 20 % — is CI's "Smoke benchmarks with wall-clock
-regression gate" step, on a machine nothing else is loading; here only
-the comparison, the normalization and the baseline merge are tested.
+``--check`` times this checkout against the pinned ``REFERENCE`` commit
+in alternating pairs of fresh processes; CI's "Smoke benchmarks with
+wall-clock regression gate" step runs real pairs.  Here the children are
+faked: what is tested is the verdict per row, the order and import path
+of the children, and that a gate that cannot measure says so in one line
+before anything is timed.
 """
 
-import copy
 import json
+import os
+import shutil
+import subprocess
 
 import pytest
 
 from repro.bench import wallclock
 
-
-def test_calibration_is_positive():
-    assert wallclock.calibrate(repeats=1) > 0
-
-
-def test_check_regression_flags_slowdown():
-    baseline = {
-        "calibration_seconds": 1.0,
-        "benchmarks": {"micro.x": {"seconds": 1.0}},
-    }
-    same = {"calibration_seconds": 1.0,
-            "benchmarks": {"micro.x": {"seconds": 1.1}}}
-    slow = {"calibration_seconds": 1.0,
-            "benchmarks": {"micro.x": {"seconds": 2.0}}}
-    # A twice-as-fast machine is not a regression even at 1.5x the seconds.
-    fast_machine = {"calibration_seconds": 2.0,
-                    "benchmarks": {"micro.x": {"seconds": 1.5}}}
-    assert wallclock.check_regression(same, baseline, tolerance=0.2) == []
-    assert len(wallclock.check_regression(slow, baseline, tolerance=0.2)) == 1
-    assert wallclock.check_regression(fast_machine, baseline,
-                                      tolerance=0.2) == []
-    # A row measured between its own probes is normalized by those: the
-    # machine slowed down after the report-level probe was taken.
-    drifted = {"calibration_seconds": 1.0,
-               "benchmarks": {"micro.x": {"seconds": 2.0,
-                                          "calibration_seconds": 2.0}}}
-    assert wallclock.check_regression(drifted, baseline, tolerance=0.2) == []
+VERDICT = wallclock.ledger_verdict(wallclock.source_tree())
+TIGHT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
 
 
-def _committed_baseline():
-    with open(wallclock.default_baseline_path()) as handle:
-        return json.load(handle)
+def _runs(head, reference, name="macro.fleet.hotpath", mode="smoke"):
+    """Per-run ``benchmarks`` of both sides: ``name`` takes the given
+    seconds, every other row of ``mode`` 1 s."""
+    def side(values):
+        return [{row: {"seconds": value if row == name else 1.0}
+                 for row in wallclock.benchmark_names(mode)}
+                for value in values]
+    return {"head": side(head), "reference": side(reference)}
 
 
-def test_committed_baseline_has_exactly_the_keys_the_harness_produces():
-    """``check_regression`` skips a key only one side has, so a retired
-    or renamed benchmark would leave a baseline entry nothing checks."""
-    produced = {name for mode in wallclock.MODES
-                for name in wallclock.benchmark_names(mode)}
-    assert set(_committed_baseline()["benchmarks"]) == produced
+@pytest.mark.parametrize("head, verdict", [
+    (TIGHT, "ok"),
+    ([1.3 * value for value in TIGHT], "worse"),
+    # A median 30 % slower, but the quartiles overlap the reference's.
+    ([0.8, 0.9, 1.0, 1.2, 1.3, 1.3, 1.4, 1.6, 1.8, 2.0], "unresolved"),
+], ids=["ok", "worse", "unresolved"])
+def test_a_row_is_judged_by_the_ledger_verdict(head, verdict):
+    report, failures = wallclock.judge("smoke", _runs(head, TIGHT), VERDICT)
+    row = report["benchmarks"]["macro.fleet.hotpath"]
+    assert row["verdict"] == verdict
+    assert row["reference"]["value"] == pytest.approx(1.045)
+    assert len(failures) == (verdict == "worse")
+    others = set(report["benchmarks"]) - {"macro.fleet.hotpath"}
+    assert {report["benchmarks"][name]["verdict"] for name in others} == {"ok"}
 
 
 def test_slower_fleet_hot_path_fails_the_regression_check():
-    """The warm fleet rate is gated like every other key: against its own
-    committed entry, not as a ratio to another benchmark's."""
-    baseline = _committed_baseline()
-    report = copy.deepcopy(baseline)
-    report["benchmarks"]["macro.fleet.hotpath"]["seconds"] *= 1.3
-    failures = wallclock.check_regression(report, baseline, tolerance=0.2)
-    assert len(failures) == 1
-    assert failures[0].startswith("macro.fleet.hotpath: 1.30x slower")
+    """30 % slower than the reference in every pair, at a 20 % bound."""
+    _report, failures = wallclock.judge(
+        "smoke", _runs([1.3 * value for value in TIGHT], TIGHT), VERDICT)
+    assert failures == ["macro.fleet.hotpath: median 1.359s against 1.045s,"
+                        " over the 20% bound"]
 
 
-def test_check_without_a_readable_baseline_fails_before_running(
-        tmp_path, capsys, monkeypatch):
-    """A non-editable install has no ``BENCH_wallclock.json`` to find;
-    ``--check`` there is an error, not a pass with nothing compared."""
-    monkeypatch.setattr(wallclock, "run_harness", lambda **_kwargs: pytest.fail(
-        "benchmarks ran although the baseline is unreadable"))
-    garbled = tmp_path / "garbled.json"
-    garbled.write_text("{not json")
-    for path in (tmp_path / "missing.json", garbled):
-        assert wallclock.main(["--check", "--baseline", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "wallclock: error: --check cannot read baseline %s: " % path)
-        assert captured.err.count("\n") == 1
+@pytest.fixture
+def checkout(tmp_path, monkeypatch):
+    """A git checkout whose one commit holds ``src/repro``: the harness
+    takes it for its own tree and that commit for ``REFERENCE``."""
+    root = tmp_path / "checkout"
+    (root / "src" / "repro").mkdir(parents=True)
+    (root / "src" / "repro" / "__init__.py").write_text("")
+    git = ["git", "-C", str(root), "-c", "user.name=bench",
+           "-c", "user.email=bench@example.com", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q", str(root)], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "reference"], check=True)
+    sha = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                         stdout=subprocess.PIPE).stdout.decode().strip()
+    (root / "benchmarks" / "ledger").mkdir(parents=True)
+    shutil.copy(os.path.join(wallclock.source_tree(), "benchmarks", "ledger",
+                             "compare.py"), str(root / "benchmarks" / "ledger"))
+    monkeypatch.setattr(wallclock, "source_tree", lambda: str(root))
+    monkeypatch.setattr(wallclock, "REFERENCE", sha)
+    return str(root)
+
+
+class FakeChildren:
+    """Stands in for ``wallclock._run``: answers the import probe with the
+    child's own ``src/`` (or ``imports_from``), and writes a report of
+    ``seconds`` and ``rss`` to ``--output`` for a timed run."""
+
+    def __init__(self, head, seconds=1.0, rss=1, imports_from=None):
+        self.head, self.seconds, self.rss = head, seconds, rss
+        self.imports_from = imports_from
+        self.calls = []
+
+    def __call__(self, argv, env, cwd):
+        side = "head" if cwd == self.head else "reference"
+        src = env["PYTHONPATH"]
+        assert src == os.path.join(cwd, "src")
+        assert os.path.exists(os.path.join(src, "repro", "__init__.py"))
+        if argv[1] == "-c":
+            self.calls.append(("probe", side))
+            return os.path.join(self.imports_from or src, "repro",
+                                "__init__.py") + "\n"
+        self.calls.append(("run", side))
+        mode = argv[argv.index("--mode") + 1]
+        seconds = self.seconds if side == "head" else 2.0
+        with open(argv[argv.index("--output") + 1], "w") as handle:
+            json.dump({"mode": mode, "benchmarks": {
+                name: {"seconds": seconds, "peak_rss_bytes": self.rss}
+                for name in wallclock.benchmark_names(mode)}}, handle)
+        return "report\n"
+
+
+def test_check_alternates_fresh_children_of_each_tree(checkout, capsys,
+                                                      monkeypatch):
+    """Both probes first, then ``PAIRS`` pairs, reference then head, each
+    child on its own tree's ``src/``; the speed-up divides the head
+    side's serial median by the ``--jobs`` time."""
+    children = FakeChildren(checkout, seconds=1.0)
+    monkeypatch.setattr(wallclock, "_run", children)
+    monkeypatch.setattr(wallclock, "bench_parallel_run_all",
+                        lambda jobs: {"seconds": 0.25})
+    monkeypatch.setattr(wallclock.os, "cpu_count", lambda: 4)
+    assert wallclock.main(["--check", "--jobs", "4",
+                           "--min-speedup", "4.0"]) == 0
+    assert children.calls == ([("probe", "reference"), ("probe", "head")]
+                              + [("run", "reference"), ("run", "head")]
+                              * wallclock.PAIRS)
+    out = capsys.readouterr().out
+    assert "speedup at --jobs 4: 4.00x" in out
+    assert out.endswith("wall-clock check passed: %d pairs against %s\n"
+                        % (wallclock.PAIRS, wallclock.REFERENCE))
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("no-checkout", "needs a git checkout; "),
+    ("unknown-reference", "needs REFERENCE 0000"),
+    ("wrong-tree", "imports repro from "),
+], ids=["no-checkout", "unknown-reference", "wrong-tree"])
+def test_check_refuses_in_one_line_before_anything_runs(
+        case, reason, checkout, tmp_path, capsys, monkeypatch):
+    """No checkout (an installed package), a history without
+    ``REFERENCE`` (a shallow clone), a child importing another tree's
+    ``repro`` (a stray install): each would compare nothing, or HEAD
+    with itself, so ``--check`` exits 2 before it times anything."""
+    children = FakeChildren(checkout, imports_from=(
+        str(tmp_path / "elsewhere") if case == "wrong-tree" else None))
+    monkeypatch.setattr(wallclock, "_run", children)
+    if case == "no-checkout":
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        monkeypatch.setattr(wallclock, "source_tree", lambda: str(plain))
+    if case == "unknown-reference":
+        monkeypatch.setattr(wallclock, "REFERENCE", "0" * 40)
+    assert wallclock.main(["--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wallclock: error: --check ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1
+    assert ("run", "head") not in children.calls
+    assert ("run", "reference") not in children.calls
+
+
+@pytest.mark.parametrize("rss, exit_code", [(2_300_000_000, 0),
+                                            (2_500_000_000, 1)])
+def test_full_scale_rss_over_the_limit_fails(rss, exit_code, checkout, capsys,
+                                             monkeypatch):
+    """An absolute limit: a footprint the reference shares still fails."""
+    monkeypatch.setattr(wallclock, "_run", FakeChildren(checkout, rss=rss))
+    assert wallclock.main(["--mode", "fullscale", "--check"]) == exit_code
+    out = capsys.readouterr().out
+    assert ("macro.fullscale.run_basic: peak RSS 2500000000 bytes: missing,"
+            " or above the 2.42 GB limit" in out) == bool(exit_code)
 
 
 @pytest.mark.parametrize("cores, exit_code", [(2, 0), (4, 1)])
@@ -91,7 +176,7 @@ def test_speedup_gate_is_skipped_below_the_cores_it_needs(
     gate reports the speed-up and how many cores it needs instead of
     failing; with the cores present a slow grid still fails."""
     monkeypatch.setattr(wallclock, "run_harness", lambda **_kwargs: {
-        "mode": "smoke", "calibration_seconds": 1.0,
+        "mode": "smoke",
         "benchmarks": {wallclock.SERIAL_GRID: {"seconds": 1.0}}})
     monkeypatch.setattr(wallclock, "bench_parallel_run_all",
                         lambda jobs: {"seconds": 1.1})
@@ -100,45 +185,6 @@ def test_speedup_gate_is_skipped_below_the_cores_it_needs(
     out = capsys.readouterr().out
     assert "speedup at --jobs 4: 0.91x" in out
     assert ("speedup gate skipped: needs 4 cores, has 2" in out) == (cores == 2)
-
-
-def test_merge_baseline_rescales_new_entries_to_the_baseline_calibration():
-    """A key merged in later was measured under another calibration; it
-    must land normalized by the one ``calibration_seconds`` the file
-    keeps, or every later check of it is off by the machines' ratio."""
-    existing = {
-        "schema": 1, "mode": "full", "calibration_seconds": 0.5,
-        "benchmarks": {"micro.x": {"seconds": 1.0, "rate": 10.0}},
-    }
-    report = {
-        "schema": 1, "mode": "fullscale",
-        "calibration_seconds": 1.0,  # a half-speed machine
-        "benchmarks": {
-            "micro.x": {"seconds": 9.0, "rate": 1.0},
-            "macro.y": {"seconds": 4.0, "rate": 25.0, "unit": "MB/s",
-                        "peak_rss_bytes": 123},
-            # Measured while the machine ran at half the report's speed.
-            "macro.z": {"seconds": 2.0, "calibration_seconds": 2.0},
-        },
-    }
-    merged = wallclock.merge_baseline(existing, report)
-    assert merged["calibration_seconds"] == 0.5
-    assert merged["mode"] == "full"
-    assert merged["benchmarks"]["micro.x"] == {"seconds": 1.0, "rate": 10.0}
-    assert merged["benchmarks"]["macro.y"] == {
-        "seconds": 2.0, "rate": 50.0, "unit": "MB/s", "peak_rss_bytes": 123}
-    assert merged["benchmarks"]["macro.z"] == {"seconds": 0.5}
-    assert report["benchmarks"]["macro.y"]["seconds"] == 4.0  # not mutated
-    # The machine that produced the report checks clean on the keys it
-    # added; only the entry that really is slower is flagged.
-    assert wallclock.check_regression(report, merged, tolerance=0.0) \
-        == ["micro.x: 4.50x slower than baseline (9.000s vs 2.000s"
-            " calibration-normalized, tolerance 0%)"]
-    # With no baseline calibration the report's is adopted unscaled.
-    fresh = wallclock.merge_baseline({}, report)
-    assert fresh["calibration_seconds"] == 1.0
-    assert fresh["benchmarks"] == dict(report["benchmarks"],
-                                       **{"macro.z": {"seconds": 1.0}})
 
 
 def test_null_observability_overhead_gate():

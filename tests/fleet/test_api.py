@@ -159,6 +159,31 @@ class TestHttpApi:
             http_post(api_server + "/jobs", {"tenant": "ghost"})
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("body", [
+        b"[]", b'"x"', b"null", b"{not json",
+        b'{"tenant": "acme", "lane": "bogus"}',
+        b'{"tenant": "acme", "kind": "wipe"}',
+        b'{"tenant": ["acme"]}',
+        b'{"tenant": "acme", "day": "x"}',
+        b'{"tenant": "acme", "day": -1}',
+        b'{"tenant": "acme", "day": 1.5}',
+        b'{"tenant": "acme", "day": true}',
+    ])
+    def test_post_bad_job_400_queues_nothing(self, api_server, fleet_root,
+                                             body):
+        """A job the next service day would refuse is refused now: the
+        day empties the whole queue before it reads a job, so one bad
+        entry would lose every job queued beside it."""
+        before = load_state(fleet_root)["pending"]
+        request = urllib.request.Request(
+            api_server + "/jobs", data=body, method="POST",
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert "error" in json.loads(excinfo.value.read().decode())
+        assert load_state(fleet_root)["pending"] == before
+
     def test_pause_resume_roundtrip(self, api_server, fleet_root):
         status, reply = http_post(api_server + "/tenants/bolt/pause", {})
         assert status == 200

@@ -357,6 +357,18 @@ class TestFullVolume:
         report = fsck(fs)
         assert report.clean, report.errors
 
+    @pytest.mark.parametrize("nvram", [False, True], ids=["plain", "nvram"])
+    def test_a_create_too_big_to_fit_leaves_no_name(self, nvram):
+        """The name and the data are one op: refused together.  With NVRAM
+        the data is too big to log whole and goes in pieces after the name."""
+        fs = make_fs(blocks_per_disk=600, nvram=nvram)
+        data = bytes((fs.blockmap.free_blocks() + 10) * BLOCK_SIZE)
+        with pytest.raises(NoSpaceError):
+            fs.create("/big", data)
+        assert not fs.exists("/big")
+        report = fsck(fs)
+        assert report.clean, report.errors
+
 
 class TestRenameCycles:
     def test_rename_into_own_subtree_rejected(self, fs):
