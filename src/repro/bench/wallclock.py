@@ -390,8 +390,10 @@ def source_tree() -> str:
 
 
 def _git(tree: str, *args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(["git", "-C", tree] + list(args),
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        return subprocess.run(["git", "-C", tree] + list(args), capture_output=True)
+    except OSError as error:  # no git binary at all
+        raise Refusal("needs a git checkout; cannot run git: %s" % error)
 
 
 def extract_reference(tree: str, dest: str) -> str:
@@ -441,14 +443,14 @@ def _check_import(tree: str) -> None:
         raise Refusal("a child on %s imports repro from %s" % (src, found))
 
 
-def run_pairs(trees: Dict[str, str], mode: str, pairs: int,
-              scratch: str) -> Dict[str, List[Dict]]:
-    """Each side's ``benchmarks`` from ``pairs`` pairs of fresh processes,
-    the sides in ``trees`` order within every pair."""
+def run_pairs(trees: Dict[str, str], mode: str, scratch: str) -> Dict[str, List[Dict]]:
+    """Each side's ``benchmarks`` from :data:`PAIRS` pairs of fresh processes;
+    which side runs first alternates, so a drift favours neither side."""
     runs: Dict[str, List[Dict]] = {side: [] for side in trees}
-    for index in range(pairs):
-        for side, tree in trees.items():
-            print("pair %d/%d: %s ..." % (index + 1, pairs, side),
+    order = list(trees.items())
+    for index in range(PAIRS):
+        for side, tree in order if index % 2 == 0 else order[::-1]:
+            print("pair %d/%d: %s ..." % (index + 1, PAIRS, side),
                   file=sys.stderr)
             path = os.path.join(scratch, "%s-%d.json" % (side, index))
             _child(tree, "-m", "repro.bench.wallclock", "--mode", mode,
@@ -493,18 +495,17 @@ def judge(mode: str, runs: Dict[str, List[Dict]],
     return report, failures
 
 
-def check(mode: str, pairs: int = PAIRS) -> Tuple[Dict, List[str]]:
+def check(mode: str) -> Tuple[Dict, List[str]]:
     """:func:`judge` this checkout against :data:`REFERENCE`; every
     :class:`Refusal` comes before anything is timed."""
     tree = source_tree()
     with tempfile.TemporaryDirectory(prefix="wallclock-") as scratch:
-        trees = {"reference": extract_reference(
-                     tree, os.path.join(scratch, "reference")),
+        trees = {"reference": extract_reference(tree, os.path.join(scratch, "reference")),
                  "head": tree}
         verdict = ledger_verdict(tree)
         for side in trees.values():
             _check_import(side)
-        runs = run_pairs(trees, mode, pairs, scratch)
+        runs = run_pairs(trees, mode, scratch)
     return judge(mode, runs, verdict)
 
 

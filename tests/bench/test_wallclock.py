@@ -108,9 +108,10 @@ class FakeChildren:
 
 def test_check_alternates_fresh_children_of_each_tree(checkout, capsys,
                                                       monkeypatch):
-    """Both probes first, then ``PAIRS`` pairs, reference then head, each
-    child on its own tree's ``src/``; the speed-up divides the head
-    side's serial median by the ``--jobs`` time."""
+    """Both probes first, then ``PAIRS`` pairs, reference first in even
+    pairs and head first in odd ones, each child on its own tree's
+    ``src/``; the speed-up divides the head side's serial median by the
+    ``--jobs`` time."""
     children = FakeChildren(checkout, seconds=1.0)
     monkeypatch.setattr(wallclock, "_run", children)
     monkeypatch.setattr(wallclock, "bench_parallel_run_all",
@@ -119,8 +120,9 @@ def test_check_alternates_fresh_children_of_each_tree(checkout, capsys,
     assert wallclock.main(["--check", "--jobs", "4",
                            "--min-speedup", "4.0"]) == 0
     assert children.calls == ([("probe", "reference"), ("probe", "head")]
-                              + [("run", "reference"), ("run", "head")]
-                              * wallclock.PAIRS)
+                              + [("run", "reference"), ("run", "head"),
+                                 ("run", "head"), ("run", "reference")]
+                              * (wallclock.PAIRS // 2))
     out = capsys.readouterr().out
     assert "speedup at --jobs 4: 4.00x" in out
     assert out.endswith("wall-clock check passed: %d pairs against %s\n"
@@ -129,14 +131,15 @@ def test_check_alternates_fresh_children_of_each_tree(checkout, capsys,
 
 @pytest.mark.parametrize("case, reason", [
     ("no-checkout", "needs a git checkout; "),
+    ("no-git", "needs a git checkout; cannot run git: "),
     ("unknown-reference", "needs REFERENCE 0000"),
     ("wrong-tree", "imports repro from "),
-], ids=["no-checkout", "unknown-reference", "wrong-tree"])
+], ids=["no-checkout", "no-git", "unknown-reference", "wrong-tree"])
 def test_check_refuses_in_one_line_before_anything_runs(
         case, reason, checkout, tmp_path, capsys, monkeypatch):
-    """No checkout (an installed package), a history without
-    ``REFERENCE`` (a shallow clone), a child importing another tree's
-    ``repro`` (a stray install): each would compare nothing, or HEAD
+    """No checkout (an installed package), no ``git`` on the path, a
+    history without ``REFERENCE`` (a shallow clone), a child importing
+    another tree's ``repro`` (a stray install): each would compare nothing, or HEAD
     with itself, so ``--check`` exits 2 before it times anything."""
     children = FakeChildren(checkout, imports_from=(
         str(tmp_path / "elsewhere") if case == "wrong-tree" else None))
@@ -145,6 +148,8 @@ def test_check_refuses_in_one_line_before_anything_runs(
         plain = tmp_path / "plain"
         plain.mkdir()
         monkeypatch.setattr(wallclock, "source_tree", lambda: str(plain))
+    if case == "no-git":
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     if case == "unknown-reference":
         monkeypatch.setattr(wallclock, "REFERENCE", "0" * 40)
     assert wallclock.main(["--check"]) == 2
