@@ -9,7 +9,8 @@ that regime end to end:
 * three tenants with their own catalogs, media pools, schedules
   (GFS and Towers-of-Hanoi), retention policies, and priority lanes;
 * two shared drive slots behind the admission controller
-  (priority lanes + deficit-round-robin fairness);
+  (priority lanes + round-robin turns within a lane; a tenant's
+  ``weight`` is recorded in the spec but does not change its turn);
 * seven service days with per-day pruning, then an ad-hoc interactive
   restore submitted through the same queue.
 

@@ -8,7 +8,7 @@ reproduction into that regime:
 * :mod:`repro.fleet.tenant` — per-tenant state (catalog, media pool,
   volume) declared in a TOML/JSON fleet spec;
 * :mod:`repro.fleet.scheduler` — deterministic admission control:
-  priority lanes, deficit-round-robin fairness, drive reservations;
+  priority lanes, round-robin turns within a lane, drive reservations;
 * :mod:`repro.fleet.service` — the daemon loop advancing simulated
   days, pruning per policy, and emitting contention signals;
 * :mod:`repro.fleet.api` — the JSON status document, its committed

@@ -16,13 +16,12 @@ completion before the next tick (a batch barrier).  Within that frame:
   ``background``.  A lane is only consulted when every higher lane has
   nothing admissible, so an interactive restore never waits behind a
   background rebalance.
-* **Per-tenant fairness** — inside a lane, tenants share via deficit
-  round-robin: each admission sweep credits every queued tenant
-  ``quantum × weight`` and admits from tenants whose deficit covers a
-  job's unit cost, rotating a persistent cursor so the same tenant
-  cannot shadow its neighbours tick after tick.  The sweep is
-  work-conserving: while drives remain free and any queued tenant can
-  pay, admission continues.
+* **Per-tenant rotation** — inside a lane, tenants take turns: each
+  admission pass starts at the lane's persistent cursor, takes the
+  oldest job of each queued tenant in turn, and leaves the cursor just
+  past the last tenant it admitted, so the same tenant cannot shadow its
+  neighbours tick after tick.  A tenant's ``weight`` is recorded in the
+  spec but does not change its turn.
 * **One job per tenant per batch** — a tenant's jobs mutate its (one)
   volume, so two of them cannot run in the same barrier frame.
 * **Drive reservation** — every admitted job holds exactly one slot in
@@ -31,7 +30,7 @@ completion before the next tick (a batch barrier).  Within that frame:
   the admission order.
 
 Determinism contract: admission depends only on (queue contents,
-deficits, cursors, free drives) — all of which are pure functions of
+cursors, free drives) — all of which are pure functions of
 the submission history.  Every transition is appended to an event log
 of plain dicts with tick-stamps, which is the byte-comparison artifact
 CI uses to prove runs under different hash seeds identical.
@@ -42,9 +41,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.fleet.tenant import LANES, FleetError
-
-#: Unit cost of admitting one job under deficit round-robin.
-JOB_COST = 1
 
 
 class Job:
@@ -119,17 +115,14 @@ class DriveTable:
 
 
 class FleetScheduler:
-    """Deficit-round-robin admission over priority lanes and drives."""
+    """Round-robin admission over priority lanes and drives."""
 
-    def __init__(self, drives: DriveTable, quantum: int = 1):
+    def __init__(self, drives: DriveTable):
         self.drives = drives
-        self.quantum = quantum
         # lane -> tenant -> FIFO of queued jobs.  Tenant order within a
         # lane is *arrival order of first job*, rotated by the cursor —
         # deterministic, and stable under dict iteration (py3.7+).
         self.queues: Dict[str, Dict[str, List[Job]]] = {
-            lane: {} for lane in LANES}
-        self.deficits: Dict[str, Dict[str, int]] = {
             lane: {} for lane in LANES}
         self.cursors: Dict[str, int] = {lane: 0 for lane in LANES}
         self.running: Dict[str, Job] = {}
@@ -151,7 +144,6 @@ class FleetScheduler:
     def submit(self, job: Job) -> None:
         lane = self.queues[job.lane]
         lane.setdefault(job.tenant, []).append(job)
-        self.deficits[job.lane].setdefault(job.tenant, 0)
         self._log("submit", job)
 
     def queued_jobs(self) -> List[Job]:
@@ -194,56 +186,26 @@ class FleetScheduler:
 
     def _admit_lane(self, lane: str, budget: int,
                     admitted_tenants: set) -> List[Job]:
+        """One pass over the lane's queued tenants from the cursor: the
+        oldest job of each tenant not yet in the batch, until ``budget``
+        jobs are admitted."""
         queues = self.queues[lane]
-        deficits = self.deficits[lane]
+        tenants = [t for t in queues if queues[t]]
         admitted: List[Job] = []
-        # Credit pass: every tenant with queued work earns its quantum.
-        for tenant in queues:
-            if queues[tenant]:
-                deficits[tenant] += self.quantum * self._weight(lane, tenant)
-        # Admission sweeps from the cursor, rotating, until nothing more
-        # fits (work-conserving within the lane).
-        while budget > len(admitted):
-            tenants = [t for t in queues if queues[t]]
-            if not tenants:
+        if not tenants:
+            return admitted
+        start = self.cursors[lane] % len(tenants)
+        for offset in range(len(tenants)):
+            if budget <= len(admitted):
                 break
-            progress = False
-            start = self.cursors[lane] % len(tenants)
-            for offset in range(len(tenants)):
-                tenant = tenants[(start + offset) % len(tenants)]
-                if tenant in admitted_tenants:
-                    continue
-                if deficits[tenant] < JOB_COST:
-                    continue
-                job = queues[tenant].pop(0)
-                deficits[tenant] -= JOB_COST
-                admitted.append(job)
-                admitted_tenants.add(tenant)
-                self.cursors[lane] = (tenants.index(tenant) + 1) % len(tenants)
-                progress = True
-                if budget <= len(admitted):
-                    break
-            if not progress:
-                # Everyone left is barred (already admitted this batch)
-                # or broke: top the breakers up and retry, else stop.
-                payable = [t for t in tenants if t not in admitted_tenants]
-                if not payable:
-                    break
-                for tenant in payable:
-                    deficits[tenant] += (self.quantum
-                                         * self._weight(lane, tenant))
-        # An idle tenant must not bank credit it did not need: clamp
-        # drained tenants back to zero so a burst later starts fair.
-        for tenant in list(deficits):
-            if not queues.get(tenant):
-                deficits[tenant] = 0
+            index = (start + offset) % len(tenants)
+            tenant = tenants[index]
+            if tenant in admitted_tenants:
+                continue
+            admitted.append(queues[tenant].pop(0))
+            admitted_tenants.add(tenant)
+            self.cursors[lane] = (index + 1) % len(tenants)
         return admitted
-
-    def _weight(self, lane: str, tenant: str) -> int:
-        job_list = self.queues[lane].get(tenant)
-        if job_list:
-            return int(job_list[0].payload.get("weight", 1))
-        return 1
 
     # -- completion --------------------------------------------------------
 
@@ -276,4 +238,4 @@ class FleetScheduler:
         return sum(self._completed_waits) / len(self._completed_waits)
 
 
-__all__ = ["DriveTable", "FleetScheduler", "JOB_COST", "Job"]
+__all__ = ["DriveTable", "FleetScheduler", "Job"]

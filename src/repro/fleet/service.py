@@ -77,7 +77,7 @@ def _default_state() -> Dict:
         "paused": [],
         "pending": [],
         "recent": [],
-        "drr": {"cursors": {}, "deficits": {}},
+        "drr": {"cursors": {}},
     }
 
 
@@ -98,7 +98,7 @@ class FleetService:
                              " jobs must be 1, not %r" % (jobs,))
         self.root = root
         self.spec = load_fleet_spec(self.spec_path(root))
-        self.state = self._load_state()
+        self.state = load_state(root)
         self.tenants: Dict[str, Tenant] = {}
         for spec in self.spec.tenants:
             # Lazy: catalogs, media, and volumes load on first touch, so
@@ -106,14 +106,10 @@ class FleetService:
             tenant = Tenant(spec, self.tenant_root(root, spec.name))
             self.tenants[spec.name] = tenant
         self.drives = DriveTable(self.spec.drives)
-        self.scheduler = FleetScheduler(self.drives,
-                                        quantum=self.spec.quantum)
+        self.scheduler = FleetScheduler(self.drives)
         self.scheduler.tick = self.state["tick"]
-        drr = self.state.get("drr", {})
-        for lane, cursor in drr.get("cursors", {}).items():
-            self.scheduler.cursors[lane] = cursor
-        for lane, deficits in drr.get("deficits", {}).items():
-            self.scheduler.deficits[lane].update(deficits)
+        self.scheduler.cursors.update(
+            self.state.get("drr", {}).get("cursors", {}))
 
     # -- paths -------------------------------------------------------------
 
@@ -155,16 +151,12 @@ class FleetService:
 
     # -- state persistence -------------------------------------------------
 
-    def _load_state(self) -> Dict:
-        return load_state(self.root)
-
     def _save_state(self) -> None:
         self.state["tick"] = self.scheduler.tick
-        self.state["drr"] = {
-            "cursors": dict(self.scheduler.cursors),
-            "deficits": {lane: dict(d)
-                         for lane, d in self.scheduler.deficits.items()},
-        }
+        # A root written by an older version may carry more under
+        # "drr" (deficits); it is kept as read.
+        self.state.setdefault("drr", {})["cursors"] = dict(
+            self.scheduler.cursors)
         with FileLock(self.state_path(self.root) + ".lock"):
             # Submissions and pause toggles that landed on disk while
             # this run held the state in memory must survive the write.
@@ -177,11 +169,20 @@ class FleetService:
         """Atomically claim jobs queued on disk by the API/CLI.
 
         Re-reads state under the lock so submissions that landed after
-        this service loaded are not lost, then clears the disk queue.
+        this service loaded are not lost, checks every entry, then clears
+        the disk queue: a bad entry leaves the queue as it was.
         """
         with FileLock(self.state_path(self.root) + ".lock"):
             disk = load_state(self.root)
             pending = disk.get("pending", [])
+            for entry in pending:
+                name = entry.get("tenant")
+                if not isinstance(name, str) or name not in self.tenants:
+                    raise FleetError("pending job names unknown tenant %r"
+                                     % (name,))
+                _check_job(entry.get("kind", "dump"),
+                           entry.get("lane", "interactive"),
+                           entry.get("day"))
             if pending:
                 disk["pending"] = []
                 _write_state(self.root, disk)
@@ -224,20 +225,15 @@ class FleetService:
             self.scheduler.submit(Job(
                 self._next_job_id(), spec.name, "dump", spec.lane, day,
                 self.scheduler.tick,
-                payload={"weight": spec.weight, "tenant_index": index,
-                         "scheduled": True}))
+                payload={"tenant_index": index, "scheduled": True}))
         for entry in self._take_pending():
-            name = entry.get("tenant")
-            if name not in self.tenants:
-                raise FleetError("pending job names unknown tenant %r"
-                                 % (name,))
+            name = entry["tenant"]
             spec = self.spec.tenant(name)
             self.scheduler.submit(Job(
                 self._next_job_id(), name, entry.get("kind", "dump"),
                 entry.get("lane", "interactive"), day,
                 self.scheduler.tick,
-                payload={"weight": spec.weight,
-                         "tenant_index": self.spec.tenants.index(spec),
+                payload={"tenant_index": self.spec.tenants.index(spec),
                          "scheduled": False,
                          "target_day": entry.get("day")}))
         stats = self._drain(day)
@@ -434,6 +430,37 @@ def export_fleet_trace(events: List[dict], path: str,
 
 # -- on-disk state helpers (shared with the API server) --------------------
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _check_shape(path: str, state: Dict) -> None:
+    """Raise :class:`FleetError` unless ``state`` has the fields the
+    service reads, each of the type it reads them as.  Keys this version
+    does not read (``affinity``, ``drr.deficits``) are left alone."""
+    def refuse(what: str) -> None:
+        raise FleetError("fleet state %s: %s" % (path, what))
+
+    for key in ("day", "tick", "job_seq"):
+        if not _is_count(state.get(key)):
+            refuse("%s must be a whole number >= 0, got %r"
+                   % (key, state.get(key)))
+    for key, kind, what in (("pending", dict, "objects"),
+                            ("recent", dict, "objects"),
+                            ("paused", str, "tenant names")):
+        items = state.get(key, [])
+        if not (isinstance(items, list)
+                and all(isinstance(item, kind) for item in items)):
+            refuse("%s must be a list of %s" % (key, what))
+    drr = state.get("drr", {})
+    cursors = drr.get("cursors", {}) if isinstance(drr, dict) else None
+    if not (isinstance(cursors, dict)
+            and all(lane in LANES and _is_count(cursor)
+                    for lane, cursor in cursors.items())):
+        refuse("drr.cursors must map lanes (%s) to whole numbers >= 0"
+               % ", ".join(LANES))
+
+
 def load_state(root: str) -> Dict:
     path = os.path.join(root, "state.json")
     try:
@@ -446,6 +473,7 @@ def load_state(root: str) -> Dict:
     if state.get("version") != STATE_VERSION:
         raise FleetError("fleet state %s has version %r, want %d"
                          % (path, state.get("version"), STATE_VERSION))
+    _check_shape(path, state)
     return state
 
 
@@ -464,17 +492,21 @@ def save_state(root: str, state: Dict) -> None:
         _write_state(root, state)
 
 
-def submit_job(root: str, tenant: str, kind: str = "dump",
-               lane: str = "interactive",
-               day: Optional[int] = None) -> Dict:
-    """Queue an ad-hoc job on disk; the next service day picks it up."""
+def _check_job(kind, lane, day) -> None:
     if kind not in ("dump", "restore"):
         raise FleetError("unknown job kind %r" % (kind,))
     if lane not in LANES:
         raise FleetError("unknown lane %r (want one of %s)"
                          % (lane, ", ".join(LANES)))
-    if day is not None and (type(day) is not int or day < 0):
+    if day is not None and not _is_count(day):
         raise FleetError("day must be a whole number >= 0, got %r" % (day,))
+
+
+def submit_job(root: str, tenant: str, kind: str = "dump",
+               lane: str = "interactive",
+               day: Optional[int] = None) -> Dict:
+    """Queue an ad-hoc job on disk; the next service day picks it up."""
+    _check_job(kind, lane, day)
     spec = load_fleet_spec(FleetService.spec_path(root))
     spec.tenant(tenant)  # raises FleetError for unknown tenants
     entry = {"tenant": tenant, "kind": kind, "lane": lane, "day": day}

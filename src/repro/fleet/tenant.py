@@ -7,7 +7,7 @@ subdirectory per tenant holding everything that tenant owns:
 
     <root>/
       fleet.json            # the spec (or fleet.toml; see load_fleet_spec)
-      state.json            # day/tick cursors, pending jobs, DRR state
+      state.json            # day/tick, pending jobs, lane cursors
       events.jsonl          # the scheduler's deterministic event log
       tenants/<name>/
         catalog.json        # the tenant's own BackupCatalog
@@ -67,7 +67,11 @@ def _check_ints(owner: str, **fields) -> None:
 
 
 class TenantSpec:
-    """One tenant's declaration in the fleet spec."""
+    """One tenant's declaration in the fleet spec.
+
+    ``weight`` is validated and recorded (spec, status document), but
+    admission does not read it: tenants in a lane take turns.
+    """
 
     def __init__(self, name: str, lane: str = "daily", weight: int = 1,
                  strategy: str = "logical", schedule: str = "gfs:7x4",
@@ -137,12 +141,10 @@ class FleetSpec:
     """The whole fleet: shared drives plus a list of tenants."""
 
     def __init__(self, tenants: List[TenantSpec], drives: int = 2,
-                 seed: int = 1234, quantum: int = 1, name: str = "fleet"):
-        _check_ints("fleet spec", drives=drives, seed=seed, quantum=quantum)
+                 seed: int = 1234, name: str = "fleet"):
+        _check_ints("fleet spec", drives=drives, seed=seed)
         if drives < 1:
             raise FleetError("fleet needs at least one drive")
-        if quantum < 1:
-            raise FleetError("DRR quantum must be >= 1")
         if not tenants:
             raise FleetError("fleet spec declares no tenants")
         names = [t.name for t in tenants]
@@ -152,7 +154,6 @@ class FleetSpec:
         self.tenants = list(tenants)
         self.drives = drives
         self.seed = seed
-        self.quantum = quantum
 
     def tenant(self, name: str) -> TenantSpec:
         for spec in self.tenants:
@@ -162,6 +163,8 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FleetSpec":
+        # "quantum" is read past: specs written before admission became
+        # plain round-robin carry it.
         known = {"name", "tenants", "drives", "seed", "quantum"}
         unknown = set(data) - known
         if unknown:
@@ -170,12 +173,10 @@ class FleetSpec:
         tenants = [TenantSpec.from_dict(t) for t in data.get("tenants", [])]
         return cls(tenants=tenants, drives=data.get("drives", 2),
                    seed=data.get("seed", 1234),
-                   quantum=data.get("quantum", 1),
                    name=data.get("name", "fleet"))
 
     def to_dict(self) -> Dict:
         return {"name": self.name, "drives": self.drives, "seed": self.seed,
-                "quantum": self.quantum,
                 "tenants": [t.to_dict() for t in self.tenants]}
 
 

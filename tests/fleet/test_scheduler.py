@@ -2,7 +2,7 @@
 
 These tests drive :class:`FleetScheduler` with hand-built jobs — no file
 systems, no tapes — to pin the invariants the service relies on:
-priority lanes, deficit-round-robin fairness, one-job-per-tenant
+priority lanes, round-robin turns within a lane, one-job-per-tenant
 batches, drive reservation, and the determinism of the event log.
 """
 
@@ -14,8 +14,8 @@ from repro.fleet import DriveTable, FleetScheduler, Job
 from repro.fleet.tenant import FleetError
 
 
-def make_scheduler(drives=2, quantum=1):
-    return FleetScheduler(DriveTable(drives), quantum=quantum)
+def make_scheduler(drives=2):
+    return FleetScheduler(DriveTable(drives))
 
 
 def submit(scheduler, tenant, lane="daily", kind="dump", weight=1,
@@ -113,20 +113,22 @@ class TestFairness:
             submit(scheduler, name)
         assert len(scheduler.admit()) == 1
 
-    def test_weighted_tenant_gets_more_turns(self):
-        # One drive, tenant "big" queues with weight 2: over enough
-        # batches it should be served about twice as often as "small".
-        scheduler = make_scheduler(drives=1, quantum=1)
+    @pytest.mark.parametrize("big_weight", [1, 2, 5])
+    def test_backlogged_tenants_alternate_whatever_the_weight(
+            self, big_weight):
+        # One drive, two backlogged tenants: they take turns, and a
+        # weight carried in the job payload changes no turn.
+        scheduler = make_scheduler(drives=1)
         for _ in range(8):
-            submit(scheduler, "big", weight=2)
+            submit(scheduler, "big", weight=big_weight)
         for _ in range(8):
-            submit(scheduler, "small", weight=1)
+            submit(scheduler, "small")
         served = []
         for _ in range(9):
             batch = scheduler.admit()
             served.extend(job.tenant for job in batch)
             finish_batch(scheduler, batch)
-        assert served.count("big") >= served.count("small")
+        assert served == ["big", "small"] * 4 + ["big"]
 
 
 class TestDeterminism:

@@ -133,6 +133,24 @@ class TestPersistence:
         days = sorted(s.day for s in tenant.catalog.sets.values())
         assert days == [0, 1, 2]
 
+    def test_a_spec_with_a_quantum_runs_the_same_days(self, tmp_path):
+        # Fleet specs written before admission became plain round-robin
+        # carry "quantum"; it is read past and changes nothing.
+        roots = [tmp_path / "plain", tmp_path / "quantum"]
+        for root in roots:
+            FleetService.init_fleet(str(root), make_spec())
+        spec_path = FleetService.spec_path(str(roots[1]))
+        with open(spec_path) as handle:
+            data = json.load(handle)
+        data["quantum"] = 3
+        with open(spec_path, "w") as handle:
+            json.dump(data, handle)
+        for root in roots:
+            FleetService(str(root)).run_days(2)
+        for rel in COMPARED_FILES:
+            assert (roots[0] / rel).read_bytes() \
+                == (roots[1] / rel).read_bytes(), rel
+
     def test_reinit_refused(self, tmp_path):
         root = str(tmp_path / "fleet")
         FleetService.init_fleet(root, make_spec())
@@ -268,6 +286,34 @@ class TestAdHocJobs:
         assert outcome["status"] == "ok"
         assert outcome["sets"] >= 1
         assert outcome["nodes"] > 1
+
+    @pytest.mark.parametrize("bad", [
+        {"lane": "bogus"},
+        {"tenant": "nobody"},
+        {"tenant": ["acme"]},
+        {"tenant": "acme", "kind": "defrag"},
+        {"tenant": "acme", "lane": "bogus"},
+        {"tenant": "acme", "kind": "restore", "day": -1},
+        {"tenant": "acme", "kind": "restore", "day": "2"},
+    ], ids=["no-tenant", "unknown-tenant", "list-tenant", "unknown-kind",
+            "unknown-lane", "negative-day", "string-day"])
+    def test_a_bad_pending_entry_keeps_the_queue(self, fresh_root, capsys,
+                                                 bad):
+        # The valid job queued beside a bad one is not lost: the day is
+        # refused before the queue on disk is touched.
+        submit_job(fresh_root, "acme", kind="dump", lane="interactive")
+        path = FleetService.state_path(fresh_root)
+        with open(path) as handle:
+            state = json.load(handle)
+        state["pending"].append(bad)
+        with open(path, "w") as handle:
+            json.dump(state, handle)
+        with open(path, "rb") as handle:
+            written = handle.read()
+        assert main(["fleet", "run", fresh_root]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        with open(path, "rb") as handle:
+            assert handle.read() == written
 
     def test_submit_unknown_tenant_refused(self, fresh_root):
         with pytest.raises(FleetError):

@@ -531,6 +531,18 @@ SOLO_SPEC = {"name": "filer-01", "drives": 1, "seed": 7,
                           "blocks_per_disk": 600}]}
 
 
+def _misshapen_state(key, value):
+    """A well-formed fresh state with ``key`` set to ``value`` (removed
+    when ``value`` is None)."""
+    state = {"version": 1, "day": 0, "tick": 0, "job_seq": 0, "paused": [],
+             "pending": [], "recent": [], "drr": {"cursors": {}}}
+    if value is None:
+        del state[key]
+    else:
+        state[key] = value
+    return json.dumps(state)
+
+
 @pytest.mark.parametrize("spec, state, argv, message", [
     (SOLO_SPEC, '{"version": 1, "day": 0', ["fleet", "status", "fl"],
      "cannot read fleet state"),
@@ -540,6 +552,23 @@ SOLO_SPEC = {"name": "filer-01", "drives": 1, "seed": 7,
      None, None, "weight must be an integer, got 'x'"),
     (dict(SOLO_SPEC, drives="2"), None, None,
      "drives must be an integer, got '2'"),
+] + [
+    (SOLO_SPEC, _misshapen_state(key, value), ["fleet", command, "fl"],
+     message)
+    for key, value, message in [
+        ("tick", None, "tick must be a whole number >= 0, got None"),
+        ("day", -1, "day must be a whole number >= 0, got -1"),
+        ("job_seq", "x", "job_seq must be a whole number >= 0, got 'x'"),
+        ("paused", 5, "paused must be a list of tenant names"),
+        ("paused", [1], "paused must be a list of tenant names"),
+        ("pending", {}, "pending must be a list of objects"),
+        ("recent", [1], "recent must be a list of objects"),
+        ("drr", [], "drr.cursors must map lanes"),
+        ("drr", {"cursors": []}, "drr.cursors must map lanes"),
+        ("drr", {"cursors": {"express": 0}}, "drr.cursors must map lanes"),
+        ("drr", {"cursors": {"daily": True}}, "drr.cursors must map lanes"),
+    ]
+    for command in ("status", "run")
 ])
 def test_bad_fleet_spec_or_state_is_one_error_line(workdir, capsys, spec,
                                                    state, argv, message):
@@ -550,6 +579,7 @@ def test_bad_fleet_spec_or_state_is_one_error_line(workdir, capsys, spec,
         (workdir / "fl" / "state.json").write_text(state)
         capsys.readouterr()
         code = run(argv)
+        assert (workdir / "fl" / "state.json").read_text() == state
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("repro-backup: error: ")
