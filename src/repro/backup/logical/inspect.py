@@ -55,6 +55,9 @@ class _Recorded(Inode):
     def read_by_ino(self, _ino: int) -> bytes:
         return self.record.data
 
+    def read_buffers_by_ino(self, _ino: int) -> list:
+        return [self.record.data]
+
     def get_acl_by_ino(self, _ino: int) -> bytes:
         return self.record.acl
 

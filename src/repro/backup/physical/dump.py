@@ -45,6 +45,31 @@ STAGE_BLOCKS = "Dumping blocks"
 STAGE_SNAP_DELETE = "Deleting snapshot"
 
 
+def _run_pieces(buffers: list, first: int, runs, block_size: int) -> list:
+    """Per run of ``runs``, the slices of ``buffers`` — a read from block
+    ``first`` that covers them — that hold its blocks, in order: the
+    read-only views of frozen chunks, which the tape keeps as they are,
+    and bytes.  A view of a chunk that is not frozen is copied here,
+    before the dump yields and anything can write it."""
+    pieces, index, at = [], 0, first
+    for start, count in runs:
+        end, run = start + count, []
+        while start < end:
+            buffer = buffers[index]
+            stop = at + len(buffer) // block_size
+            if stop <= start:
+                index, at = index + 1, stop
+                continue
+            upto = min(end, stop)
+            piece = buffer[(start - at) * block_size
+                           : (upto - at) * block_size]
+            run.append(piece.tobytes() if isinstance(piece, np.ndarray)
+                       else piece)
+            start = upto
+        pieces.append(run)
+    return pieces
+
+
 class ImageDumpResult(BackupResult):
     def __init__(self):
         super().__init__()
@@ -228,7 +253,12 @@ class ImageDump:
         try:
             for span_start, span_len, span_runs in spans_with_readthrough(
                     runs, max_span=max_span):
-                span_data = volume.read_run(span_start, span_len)
+                # One read; the chunks it freezes are the tape's too.
+                span_data: list = []
+                volume.read_run(span_start, span_len, span_data,
+                                keep=span_runs)
+                pieces = _run_pieces(span_data, span_start, span_runs,
+                                     block_size)
                 yield DiskReadOp(volume, span_start, span_len,
                                  stage=STAGE_BLOCKS)
                 allocated = sum(count for _start, count in span_runs)
@@ -239,9 +269,7 @@ class ImageDump:
                 # writes — covers large contiguous regions.
                 target = min(range(ndrives), key=lambda i: written[i])
                 drive = self.drives[target]
-                for start, count in span_runs:
-                    offset = (start - span_start) * block_size
-                    data = span_data[offset : offset + count * block_size]
+                for (start, count), data in zip(span_runs, pieces):
                     drive.write(pack_chunk_header(start, count, data))
                     drive.write(data)
                     written[target] += count

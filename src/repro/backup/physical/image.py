@@ -121,8 +121,13 @@ class ImageHeader:
             )
 
 
-def pack_chunk_header(start_block: int, nblocks: int, data: bytes) -> bytes:
-    return _CHUNK_HEAD.pack(CHUNK_MAGIC, start_block, nblocks, zlib.crc32(data))
+def pack_chunk_header(start_block: int, nblocks: int, data) -> bytes:
+    """The head of a chunk holding ``data``: a buffer, or a list of
+    buffers whose join is the chunk's (the CRC is of that join)."""
+    crc = 0
+    for piece in (data if isinstance(data, list) else [data]):
+        crc = zlib.crc32(piece, crc)
+    return _CHUNK_HEAD.pack(CHUNK_MAGIC, start_block, nblocks, crc)
 
 
 def unpack_chunk_header(raw: bytes) -> Tuple[int, int, int]:

@@ -12,6 +12,35 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Set
 
+# File data is compared this many bytes at a time, each side copied to
+# ``bytes`` first: a ``memoryview``'s ``==`` compares item by item.
+_PIECE = 256 * 1024
+
+
+def _pieces(buffers: list):
+    for buffer in buffers:
+        view = memoryview(buffer)
+        for at in range(0, len(view), _PIECE):
+            yield view[at : at + _PIECE]
+
+
+def same_bytes(ours: list, theirs: list) -> bool:
+    """Whether two lists of buffers hold the same bytes: compared a
+    bounded piece at a time, with neither list joined."""
+    ours, theirs = _pieces(ours), _pieces(theirs)
+    mine = other = None
+    while True:
+        if not mine:
+            mine = next(ours, None)
+        if not other:
+            other = next(theirs, None)
+        if mine is None or other is None:
+            return mine is None and other is None
+        size = min(len(mine), len(other))
+        if mine[:size].tobytes() != other[:size].tobytes():
+            return False
+        mine, other = mine[size:], other[size:]
+
 
 def _index_tree(fs, root: str):
     """Map path-relative-to-root -> inode: metadata only, no contents."""
@@ -24,9 +53,11 @@ def diff_object(rel, s, t, source_tree, target_tree, check_attrs=True,
     """Differences between one object of each tree (empty = identical).
 
     ``s`` and ``t`` are inodes, or carry their fields; each tree answers
-    ``read_by_ino`` and ``get_acl_by_ino`` for its own.  A regular file
-    compares size, data and nlink; a symlink its target; every object its
-    permissions, owner, DOS fields, ACL and (``check_mtime``) mtime.
+    ``read_buffers_by_ino``, ``read_by_ino`` and ``get_acl_by_ino`` for
+    its own.  A regular file compares size, data (:func:`same_bytes`
+    over the buffers that hold it, never a whole-file join) and nlink; a
+    symlink its target; every object its permissions, owner, DOS
+    fields, ACL and (``check_mtime``) mtime.
     """
     if s.type != t.type:
         return ["%s: type %d != %d" % (rel, s.type, t.type)]
@@ -34,8 +65,8 @@ def diff_object(rel, s, t, source_tree, target_tree, check_attrs=True,
     if s.is_regular:
         if s.size != t.size:
             problems.append("%s: size %d != %d" % (rel, s.size, t.size))
-        elif (source_tree.read_by_ino(s.ino)
-              != target_tree.read_by_ino(t.ino)):
+        elif not same_bytes(source_tree.read_buffers_by_ino(s.ino),
+                            target_tree.read_buffers_by_ino(t.ino)):
             problems.append("%s: data differs" % rel)
         if s.nlink != t.nlink:
             problems.append("%s: nlink %d != %d" % (rel, s.nlink, t.nlink))
@@ -122,4 +153,5 @@ def verify_volumes(source_volume, target_volume, blocks: Iterable[int]) -> List[
     return problems
 
 
-__all__ = ["diff_blocks", "diff_object", "verify_trees", "verify_volumes"]
+__all__ = ["diff_blocks", "diff_object", "same_bytes", "verify_trees",
+           "verify_volumes"]

@@ -12,7 +12,7 @@ rely on when they stream through a degraded group.  ``data_disks`` and
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -76,14 +76,16 @@ class RaidGroup:
         return store.block(group_block)
 
     def read_run(self, group_block: int, nblocks: int, out: list,
-                 device: bool = True) -> None:
+                 device: bool = True, keep: Optional[list] = None) -> None:
         """Append a run of group blocks to ``out``, one buffer per chunk
         span (:meth:`StripeStore.spans`: views of the live store, to be
-        joined before anything writes).
+        joined before anything writes, save the read-only views of the
+        chunks ``keep`` freezes).
 
         A ``device`` read counts each block on its member; a run holding
         an unreadable block is read block by block, reconstructing, as
-        the scalar path does.  A buffer-cache hit is the bare spans.
+        the scalar path does, into fresh bytes.  A buffer-cache hit is
+        the bare spans.
         """
         self._check_run(group_block, nblocks, "read")
         store = self.store
@@ -93,7 +95,7 @@ class RaidGroup:
                 out += [self.read_block(block) for block in range(group_block, end)]
                 return
             store.count(store.reads, group_block, nblocks)
-        store.spans(group_block, nblocks, out)
+        store.spans(group_block, nblocks, out, keep)
 
     def _reconstruct(self, failed_disk: int, stripe: int) -> bytes:
         """Rebuild one block from the surviving stripe members + parity."""

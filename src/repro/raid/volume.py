@@ -104,15 +104,21 @@ class RaidVolume:
             block += count
 
     def read_run(self, start_block: int, nblocks: int,
-                 out: Optional[list] = None) -> Optional[bytes]:
+                 out: Optional[list] = None,
+                 keep: Optional[list] = None) -> Optional[bytes]:
         """Read ``nblocks`` contiguous volume blocks as one access.
 
         The bytes come from the groups' stripe stores in one copy: each
         RAID group appends one buffer per chunk span and the run is their
         join — or, with ``out``, the buffers are appended to it (views of
         the live store) for the caller to join once with other runs,
-        before anything writes, and nothing is returned.  The cache only
-        decides whether the *device* is involved.
+        before anything writes, and nothing is returned.  ``keep``, with
+        ``out``, is the ascending volume-block runs ``(start, count)`` of
+        this one that the caller keeps (an image tape): each store
+        freezes the chunks they take at least half of and hands
+        read-only views of those, which stay valid through any later
+        write (:meth:`StripeStore.spans`).  The cache only decides
+        whether the *device* is involved.
         A fully resident run is the bare gather — no member ``reads``, no
         fault lookup or reconstruction, no recorder event, so no I/O
         time — which is exact because a media fault marks a block
@@ -125,8 +131,8 @@ class RaidVolume:
             raise RaidError("zero-length run read")
         cache = None if self.uncached_reads else self.cache
         if cache is None or not cache.get_run(start_block, nblocks):
-            return self._read_device(start_block, nblocks, out, cache)
-        return self._gather(start_block, nblocks, out, False)
+            return self._read_device(start_block, nblocks, out, cache, keep)
+        return self._gather(start_block, nblocks, out, False, keep)
 
     def touch_run(self, start_block: int, nblocks: int) -> None:
         """:meth:`read_run` without the gather, for a reader that already
@@ -139,22 +145,33 @@ class RaidVolume:
             self._read_device(start_block, nblocks, [], cache)
 
     def _gather(self, start_block: int, nblocks: int, out: Optional[list],
-                device: bool) -> Optional[bytes]:
+                device: bool, keep: Optional[list] = None) -> Optional[bytes]:
         """The run's buffers, from the groups' devices (counted and
-        fault-checked) or, for a cache hit, from their stores."""
+        fault-checked) or, for a cache hit, from their stores; ``keep``
+        goes to each group in its own block numbers."""
         if out is None and nblocks == 1:
             group, group_block = self._piece(start_block)
             return group.read_block(group_block, device)
         buffers = [] if out is None else out
+        at = start_block
         for group, group_block, count in self._pieces(start_block, nblocks):
-            group.read_run(group_block, count, buffers, device)
+            runs = None
+            if keep is not None:
+                end, shift = at + count, at - group_block
+                runs = [(max(start, at) - shift,
+                         min(start + length, end) - max(start, at))
+                        for start, length in keep
+                        if start < end and start + length > at]
+            group.read_run(group_block, count, buffers, device, runs)
+            at += count
         return None if out is not None else b"".join(buffers)
 
     def _read_device(self, start_block: int, nblocks: int,
-                     out: Optional[list], cache) -> Optional[bytes]:
+                     out: Optional[list], cache,
+                     keep: Optional[list] = None) -> Optional[bytes]:
         """The miss path of a run read: the device read, then the cache
         fill, the recorder event and the counts."""
-        result = self._gather(start_block, nblocks, out, True)
+        result = self._gather(start_block, nblocks, out, True, keep)
         if cache is not None:
             cache.put_run(start_block, nblocks)
         if self.recorder is not None:

@@ -39,6 +39,17 @@ DEFAULT_BLOCK_SIZE = 4 * KB
 # private to this module; the disk image does not record it.
 CHUNK_BLOCKS = 64
 
+# A tape keeps a read-only view of a chunk, not a copy of its blocks,
+# when the image dump span that read it takes at least this share of the
+# chunk's data blocks (StripeStore.spans' ``keep``): the chunk is frozen
+# — shared copy-on-write, so the next write to it copies it away from
+# the tape.  A frozen chunk then pins at most twice the bytes a copy
+# would hold, plus its parity rows.  Sharing every piece pins whole
+# chunks for a few metadata blocks once the next CP copies them, and
+# sharing whole chunks only leaves the partial chunks of an aged volume
+# (half the image tape's bytes) copied.
+_FREEZE_SHARE = 0.5
+
 # pack_chunks framing: (nblocks, non-zero block count), then that many
 # uint64 block indices, then that many block_size rows.
 _IMAGE_HEAD = struct.Struct("<QQ")
@@ -60,7 +71,8 @@ class StripeStore:
     ``b // ndata``, column ``b % ndata``) is cell ``b``, the parity block
     of stripe ``s`` is cell ``nblocks + s``.  ``_bad`` holds unreadable
     cells; ``reads``/``writes`` count per column, parity last.  Clones
-    share chunks and the fault set copy-on-write.
+    share chunks and the fault set copy-on-write, and a chunk a tape
+    keeps views of is shared the same way (:meth:`freeze`).
     """
 
     def __init__(self, nstripes: int, ndata: int, block_size: int, parity: bool):
@@ -163,19 +175,51 @@ class StripeStore:
         bs = self.block_size
         return chunk[row * bs : (row + 1) * bs].tobytes()
 
-    def spans(self, block: int, nblocks: int, out: list) -> None:
+    def spans(self, block: int, nblocks: int, out: list,
+              keep: Optional[list] = None) -> None:
         """Append data blocks ``[block, block + nblocks)`` to ``out``,
         one buffer per chunk: a view of the live store (join it before
-        anything writes), or zeros where no chunk is materialized."""
+        anything writes), or zeros where no chunk is materialized.
+
+        ``keep`` is the data-block runs ``(start, count)`` a tape keeps
+        of this read: each chunk of which they take at least half the
+        data blocks is frozen (:meth:`freeze`) and its buffer is a
+        read-only ``memoryview``, valid for as long as it is held.
+        """
         bs, span = self.block_size, self.span
+        frozen = self.freeze(keep) if keep else ()
         while nblocks:
             ci, row = divmod(block, span)
             take = min(nblocks, span - row)
             chunk = self._chunks.get(ci)
-            out.append(memoryview(self._zeros)[: take * bs] if chunk is None
-                       else chunk[row * bs : (row + take) * bs])
+            if chunk is None:
+                out.append(memoryview(self._zeros)[: take * bs])
+            elif ci in frozen:
+                out.append(memoryview(
+                    chunk[row * bs : (row + take) * bs]).toreadonly())
+            else:
+                out.append(chunk[row * bs : (row + take) * bs])
             block += take
             nblocks -= take
+
+    def freeze(self, runs: list) -> Set[int]:
+        """Freeze every materialized chunk of which the data-block
+        ``runs`` take at least half the data blocks, and return their
+        indices.  A frozen chunk is shared copy-on-write (``_shared``):
+        its array is never written again — :meth:`writable`, the one way
+        to a chunk's bytes for writing, copies it first."""
+        span, covered = self.span, {}
+        for start, count in runs:
+            end = start + count
+            while start < end:
+                ci = start // span
+                take = min(end, (ci + 1) * span) - start
+                covered[ci] = covered.get(ci, 0) + take
+                start += take
+        frozen = {ci for ci, count in covered.items()
+                  if count >= _FREEZE_SHARE * span and ci in self._chunks}
+        self._shared |= frozen
+        return frozen
 
     def clone(self) -> "StripeStore":
         """A copy-on-write copy: contents, fault set and counters as

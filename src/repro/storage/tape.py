@@ -4,7 +4,10 @@ The data plane (:class:`TapeCartridge`, :class:`TapeDrive`) is byte
 faithful — the dump stream written during a backup is the exact stream a
 restore later reads, including spans across cartridge boundaries handled by
 a :class:`TapeStacker` — and holds each byte once: a cartridge keeps the
-immutable records it was handed, not a buffer they were copied into.  The
+immutable records it was handed, not a buffer they were copied into.  A
+record is ``bytes``, or a read-only ``memoryview`` of a frozen stripe
+chunk (an image dump's blocks, shared with the volume it read them from
+until the volume writes them; :meth:`StripeStore.freeze`).  The
 timing plane (:class:`TapeModel`) is a streaming-rate model with per-record
 overhead and load/rewind latencies, matching how a DLT-7000 behaves when it
 is kept streaming.
@@ -23,10 +26,12 @@ from repro.units import GB, KB, MB
 class TapeCartridge:
     """A single removable tape: an append-only byte stream with capacity.
 
-    The stream is kept as the records it was written in — immutable
-    ``bytes``, by reference — plus their start offsets: a write copies
-    nothing, a read at a record's own boundaries returns the object
-    written, and a verified replay shares its records with the media.
+    The stream is kept as the records it was written in, by reference,
+    plus their start offsets.  A record is ``bytes`` or a read-only
+    ``memoryview`` (of a frozen stripe chunk, which nothing writes
+    again); any other buffer is copied into ``bytes``.  A read returns
+    ``bytes`` — at a ``bytes`` record's own boundaries, the object
+    written — and a verified replay shares its records with the media.
     """
 
     def __init__(self, capacity: int = 35 * GB, label: str = ""):
@@ -34,7 +39,7 @@ class TapeCartridge:
             raise TapeError("cartridge capacity must be positive")
         self.capacity = capacity
         self.label = label
-        self._records: List[bytes] = []
+        self._records: list = []
         self._starts: List[int] = []
         self.used = 0
         self.write_protected = False
@@ -44,15 +49,19 @@ class TapeCartridge:
         return self.capacity - self.used
 
     def append(self, chunk) -> None:
+        size = len(chunk)
         if self.write_protected:
             raise TapeError("cartridge %r is write protected" % (self.label,))
-        if self.used + len(chunk) > self.capacity:
+        if self.used + size > self.capacity:
             raise TapeError("end of tape on cartridge %r" % (self.label,))
-        if chunk:
-            self._records.append(
-                chunk if isinstance(chunk, bytes) else bytes(chunk))
+        if size:
+            if not (isinstance(chunk, bytes) or (
+                    isinstance(chunk, memoryview) and chunk.readonly
+                    and chunk.format == "B")):
+                chunk = bytes(chunk)
+            self._records.append(chunk)
             self._starts.append(self.used)
-            self.used += len(chunk)
+            self.used += size
 
     def erase(self) -> None:
         if self.write_protected:
@@ -61,8 +70,9 @@ class TapeCartridge:
         self._starts = []
         self.used = 0
 
-    def records(self) -> Iterator[bytes]:
-        """The whole stream, in order, as the records that hold it."""
+    def records(self) -> Iterator:
+        """The whole stream, in order, as the records that hold it
+        (``bytes`` and read-only views)."""
         return iter(self._records)
 
     def _span(self, offset: int, nbytes: int):
@@ -82,13 +92,15 @@ class TapeCartridge:
             index += 1
 
     def read_at(self, offset: int, nbytes: int) -> bytes:
-        """``nbytes`` of the stream from ``offset``.  A read that is
-        exactly one record is that record, not a copy; one inside a
-        record is a slice of it; only a read across records assembles."""
+        """``nbytes`` of the stream from ``offset``, as ``bytes``.  A read
+        that is exactly one ``bytes`` record is that record, not a copy;
+        one inside a record is a slice of it (a copy, for a view); only a
+        read across records assembles."""
         spans = list(self._span(offset, nbytes))
         if len(spans) == 1:
             _index, record, lo, hi = spans[0]
-            return record if hi - lo == len(record) else record[lo:hi]
+            part = record if hi - lo == len(record) else record[lo:hi]
+            return part if isinstance(part, bytes) else part.tobytes()
         return b"".join([memoryview(record)[lo:hi]
                          for _index, record, lo, hi in spans])
 
@@ -112,9 +124,10 @@ class TapeCartridge:
 
     def starts_with(self, other: "TapeCartridge") -> bool:
         """Whether ``other``'s whole stream is a prefix of this one,
-        compared record by record with no whole-cartridge copy."""
+        compared record by record as ``bytes`` (a view's ``==`` compares
+        item by item), with no whole-cartridge copy."""
         return other.used <= self.used and all(
-            self.read_at(start, len(record)) == record
+            self.read_at(start, len(record)) == bytes(record)
             for start, record in zip(other._starts, other._records))
 
 
@@ -178,19 +191,25 @@ class TapeDrive:
                 self.media_changes += 1
         return self.loaded
 
-    def write(self, chunk: bytes) -> int:
-        """Append ``chunk``, spanning cartridges as needed.
+    def write(self, chunk) -> int:
+        """Append ``chunk`` — a buffer, or a list of buffers written as
+        their join would be, each kept as a record of its own — spanning
+        cartridges as needed.
 
         Returns the number of cartridge changes this write caused (for the
         timing layer).
         """
         changes_before = self.media_changes
-        cartridge = self._ensure_loaded()
-        if len(chunk) <= cartridge.remaining:
-            # Fast path: the whole chunk fits on the loaded cartridge.
-            cartridge.append(chunk)
-        else:
-            view = memoryview(chunk)
+        nbytes = 0
+        for piece in (chunk if isinstance(chunk, list) else [chunk]):
+            nbytes += len(piece)
+            cartridge = self._ensure_loaded()
+            if len(piece) <= cartridge.remaining:
+                # Fast path: the whole piece fits on the loaded cartridge.
+                cartridge.append(piece)
+                continue
+            # Spilled parts of a bytes or read-only piece are views of it.
+            view = memoryview(piece)
             while len(view):
                 cartridge = self._ensure_loaded()
                 space = cartridge.remaining
@@ -198,12 +217,12 @@ class TapeDrive:
                     self.loaded = None
                     continue
                 take = min(space, len(view))
-                cartridge.append(bytes(view[:take]))
+                cartridge.append(view[:take])
                 view = view[take:]
-        self.bytes_written += len(chunk)
+        self.bytes_written += nbytes
         changes = self.media_changes - changes_before
         if REGISTRY.enabled:
-            REGISTRY.counter("tape.write_bytes").inc(len(chunk))
+            REGISTRY.counter("tape.write_bytes").inc(nbytes)
             REGISTRY.counter("tape.writes").inc()
             if changes:
                 REGISTRY.counter("tape.media_changes").inc(changes)

@@ -69,6 +69,16 @@ from repro.wafl.directory import Directory
 from repro.wafl.fsinfo import FsInfo, SnapshotRecord
 from repro.wafl.inode import FileType, Inode
 
+# A hole reads as views of this, one piece at a time, not as a fresh
+# allocation of the hole's size.
+_HOLE = memoryview(bytes(64 * BLOCK_SIZE))
+
+
+def _append_hole(buffers: list, nbytes: int) -> None:
+    while nbytes > 0:
+        buffers.append(_HOLE[: min(nbytes, len(_HOLE))])
+        nbytes -= len(_HOLE)
+
 
 class FileTree(TreeContext):
     """Read access to one file tree, rooted at an inode-file inode.
@@ -201,20 +211,20 @@ class FileTree(TreeContext):
 
         Every extent is read whole, in extent order, appending one buffer
         per chunk span (:meth:`RaidVolume.read_run`'s ``out``); a hole is
-        zeros, and what the extents hold past ``nbytes`` is trimmed off
-        the tail as views.  The caller joins the list once, before
-        anything writes.
+        views of shared zeros, and what the extents hold past ``nbytes``
+        is trimmed off the tail as views.  The caller joins the list
+        once, or reads it piece by piece, before anything writes.
         """
         buffers: list = []
         nblocks = 0
         for extent_fbn, extent_vbn, extent_len in extents:
             if extent_fbn > nblocks:
-                buffers.append(bytes((extent_fbn - nblocks) * BLOCK_SIZE))
+                _append_hole(buffers, (extent_fbn - nblocks) * BLOCK_SIZE)
             self.volume.read_run(extent_vbn, extent_len, buffers)
             nblocks = max(nblocks, extent_fbn) + extent_len
         extra = nblocks * BLOCK_SIZE - nbytes
         if extra < 0:
-            buffers.append(bytes(-extra))
+            _append_hole(buffers, -extra)
         while extra > 0:
             last = len(buffers[-1])
             if last <= extra:
@@ -284,6 +294,13 @@ class FileTree(TreeContext):
 
     def read_by_ino(self, ino: int) -> bytes:
         return self._read_tree_bytes(self.inode(ino))
+
+    def read_buffers_by_ino(self, ino: int) -> list:
+        """:meth:`read_by_ino` unjoined: the buffers of
+        :meth:`_read_blocks`, views of the live store among them, to be
+        read before anything writes."""
+        inode = self.inode(ino)
+        return self._read_blocks(BlockTree(self, inode).extents(), inode.size)
 
     def file_extents(self, ino: int) -> List[Tuple[int, int, int]]:
         """Physical extents of a file: ``(fbn, vbn, nblocks)`` runs."""

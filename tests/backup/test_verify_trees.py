@@ -2,7 +2,12 @@
 
 import tracemalloc
 
-from repro.backup.verify import verify_trees
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.backup.verify import same_bytes, verify_trees
 from repro.wafl.filesystem import WaflFilesystem
 
 from tests.conftest import make_volume
@@ -128,3 +133,87 @@ def test_verify_holds_one_file_pair_not_two_trees():
     # index, allowed a generous 4 KB a path.  Two resident trees would
     # be sum(sizes) * 2.
     assert peak - before < 3 * max(sizes) + 4096 * (len(sizes) + 2)
+
+
+def _split(data: bytes, cuts) -> list:
+    """``data`` as the buffers between ``cuts``: bytes, views and arrays."""
+    edges = [0] + sorted(cut % (len(data) + 1) for cut in cuts) + [len(data)]
+    kinds = (bytes, memoryview, lambda piece: np.frombuffer(piece, np.uint8))
+    return [kinds[index % 3](data[lo:hi])
+            for index, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=600), st.lists(st.integers(0, 600), max_size=6),
+       st.lists(st.integers(0, 600), max_size=6), st.integers(0, 600),
+       st.booleans())
+def test_same_bytes_is_equality_of_the_joins(data, ours, theirs, at, flip):
+    other = bytearray(data)
+    if flip and data:
+        other[at % len(data)] ^= 0x01
+    assert same_bytes(_split(data, ours), _split(bytes(other), theirs)) \
+        == (data == bytes(other))
+
+
+def test_same_bytes_compares_more_than_one_piece_of_a_long_buffer():
+    data = bytes(range(256)) * 4096  # four 256 KB pieces
+    tail = bytearray(data)
+    tail[-1] ^= 1
+    assert same_bytes([data], [data[:5], data[5:]])
+    assert not same_bytes([data], [bytes(tail)])
+    assert not same_bytes([data], [data[:-1]])
+
+
+def _one_file(volume, data: bytes) -> WaflFilesystem:
+    fs = WaflFilesystem.format(volume, clock=lambda: 1000, cache_blocks=0)
+    fs.create("/f", data)
+    fs.consistency_point()
+    return fs
+
+
+def test_a_one_byte_difference_is_found_wherever_it_lies():
+    """Two equal-sized multi-chunk files on volumes of different stripe
+    width, so that their buffers break at different offsets: one flipped
+    byte is a difference at the first byte, on either side of a buffer
+    boundary of each, and at the last byte."""
+    data = np.random.default_rng(5).integers(
+        0, 256, 600 * 4096, dtype=np.uint8).tobytes()
+    source = _one_file(make_volume(), data)
+    assert verify_trees(source, _one_file(make_volume(1, 3, 900), data)) == []
+    boundaries = [len(fs.read_buffers_by_ino(fs.namei("/f"))[0])
+                  for fs in (source, _one_file(make_volume(1, 3, 900), data))]
+    assert boundaries[0] != boundaries[1]
+    places = [0, len(data) - 1] + [edge + side for edge in boundaries
+                                    for side in (-1, 0)]
+    for place in places:
+        target = _one_file(make_volume(1, 3, 900), data)
+        target.write_file("/f", bytes([data[place] ^ 0x80]), place)
+        assert verify_trees(source, target) == ["/f: data differs"], place
+
+
+def _sparse(volume) -> WaflFilesystem:
+    """A file of one byte after a 32 MB hole."""
+    fs = _one_file(volume, b"")
+    fs.write_file("/f", b"x", 32 << 20)
+    fs.consistency_point()
+    return fs
+
+
+@pytest.mark.parametrize("trees", [
+    lambda: (_one_file(make_volume(), bytes(range(256)) * (4 << 12)),
+             _one_file(make_volume(1, 3, 1600),
+                       bytes(range(256)) * (4 << 12))),
+    lambda: (_sparse(make_volume()), _sparse(make_volume(1, 3, 900))),
+], ids=["4-MB-file", "32-MB-hole"])
+def test_verify_holds_bounded_pieces_not_a_file(trees):
+    source, target = trees()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert verify_trees(source, target) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A piece of each side in hand (256 KB each) and the small change;
+    # one joined file would be 4 MB, or 32 MB.
+    assert peak - before < 1 << 20

@@ -62,9 +62,9 @@ def test_truncate_semantics(initial, new_size):
 class FilesystemMachine(RuleBasedStateMachine):
     """The paper's claim as one state machine.
 
-    Namespace and data ops, snapshots, crashes and a full volume
-    interleave with logical and image dumps, their restores and a
-    mirror.  Every dump freezes its oracle as a copy-on-write clone of
+    Namespace and data ops, snapshots, crashes, a full volume and RAID
+    block and disk failures, repaired, interleave with logical and image
+    dumps, their restores and a mirror.  Every dump freezes its oracle as a copy-on-write clone of
     the file system; every restore must match its oracle and fsck clean,
     and two restores of the same tree, one per strategy, must match each
     other.  A dict model checks the live contents between dumps."""
@@ -295,6 +295,37 @@ class FilesystemMachine(RuleBasedStateMachine):
         self.fs = WaflFilesystem.mount(volume)
         if self.mirror is not None:
             self.mirror.source = self.fs
+
+    # -- RAID faults -----------------------------------------------------
+    # A repair or a rebuild writes chunks that the image chain's tapes
+    # may share (their dumps froze them); the tapes must keep the blocks
+    # they were cut with, and the volume must read as the model says,
+    # degraded and repaired.
+
+    @rule(data=st.data(), parity=st.booleans())
+    def fail_and_repair_block(self, data, parity):
+        volume = self.fs.volume
+        where = volume.locate(data.draw(
+            st.integers(0, volume.nblocks - 1), label="block"))
+        group = volume.groups[where.group_index]
+        disk = (group.parity_disk if parity
+                else group.data_disks[where.disk_index])
+        disk.fail_block(where.disk_block)
+        self.contents_match_model()
+        assert volume.repair_bad_blocks() == 1
+
+    @rule(data=st.data())
+    def fail_and_rebuild_disk(self, data):
+        group = data.draw(st.sampled_from(self.fs.volume.groups),
+                          label="group")
+        index = data.draw(st.integers(0, len(group.data_disks) - 1),
+                          label="disk")
+        disk = group.data_disks[index]
+        for stripe in range(disk.nblocks):
+            disk.fail_block(stripe)
+        self.contents_match_model()
+        group.rebuild_disk(index)
+        assert group.bad_blocks() == []
 
     # -- the two strategies ----------------------------------------------
 
