@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.perf.ops import (
     CpuOp,
     DiskReadOp,
@@ -28,6 +30,15 @@ from repro.storage.device import READ, IoRecorder
 # Engines never read or write more than this many blocks per op, so the
 # executor's pipeline buffer (and a real dump's memory budget) is bounded.
 MAX_RUN_BLOCKS = 256
+
+
+def tape_buffer(buffer):
+    """``buffer`` from a dump's read (``RaidVolume.read_run`` with
+    ``keep``) as its tape may hold it after the dump yields: a live view
+    of a stripe store (an ``ndarray``) is copied to ``bytes``; a
+    read-only view of a frozen chunk or of zeros, and ``bytes``, stay
+    as they are."""
+    return buffer.tobytes() if isinstance(buffer, np.ndarray) else buffer
 
 
 class BackupResult:
@@ -125,4 +136,5 @@ __all__ = [
     "TapeReadMeter",
     "chunked_cpu",
     "drain_engine",
+    "tape_buffer",
 ]

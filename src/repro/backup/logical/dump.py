@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.backup.common import MAX_RUN_BLOCKS, BackupResult
+from repro.backup.common import MAX_RUN_BLOCKS, BackupResult, tape_buffer
 from repro.backup.logical.dumpdates import DumpDates
 from repro.errors import ReproError
 from repro.obs import observe_failure
@@ -343,8 +343,13 @@ class LogicalDump:
                     tasks.append((ino, fbn + offset, vbn + offset, piece))
                     offset += piece
             file_pieces[ino] = pieces
+        # The chunks the whole plan takes at least half of are the tape's
+        # too (RaidVolume.freeze): an extent read hands views of those it
+        # still shares, and copies the rest before the dump yields.
+        frozen = volume.freeze([(vbn, count)
+                                for _ino, _fbn, vbn, count in tasks])
 
-        prefetched: Dict[int, bytes] = {}
+        prefetched: Dict[int, list] = {}
         issued = 0
 
         task_barrier: Dict[int, int] = {}
@@ -357,8 +362,11 @@ class LogicalDump:
             limit = min(len(tasks), upto)
             while issued < limit:
                 _ino, _fbn, vbn, count = tasks[issued]
+                buffers: list = []
                 with RecorderScope(volume) as scope:
-                    prefetched[issued] = source.read_extent(vbn, count)
+                    source.read_extent(vbn, count, buffers, frozen)
+                prefetched[issued] = [tape_buffer(buffer)
+                                      for buffer in buffers]
                 for _kind, start, piece in scope.recorder.drain():
                     ops.append(DiskReadOp(volume, start, piece,
                                           stage=STAGE_FILES, prefetch=True))
@@ -386,21 +394,25 @@ class LogicalDump:
                     yield op
                 yield ReadBarrier(task_barrier[task_index], stage=STAGE_FILES)
                 _t_ino, fbn, _vbn, count = tasks[task_index]
-                data = prefetched.pop(task_index)
+                buffers = prefetched.pop(task_index)
                 cursor = max(cursor, task_index + 1)
                 # Holes before this piece.
                 hole_segments = min(fbn * _SEGMENTS_PER_BLOCK, total_segments) - fed
                 if hole_segments > 0:
                     writer.feed_holes(hole_segments)
                     fed += hole_segments
-                # The whole piece in one run (not one object per KB); the
-                # file's final segment, if short, is padded at emission.
+                # Each buffer is one run (not one object per KB) of whole
+                # blocks; past the file's last segment the piece is cut,
+                # as a view.
                 want = min(count * _SEGMENTS_PER_BLOCK, total_segments - fed)
-                if want > 0:
-                    nbytes = want * SEGMENT_SIZE
-                    writer.feed_data(
-                        data if nbytes >= len(data) else data[:nbytes], want
-                    )
+                nbytes = want * SEGMENT_SIZE
+                for buffer in buffers:
+                    if nbytes <= 0:
+                        break
+                    if len(buffer) > nbytes:
+                        buffer = memoryview(buffer)[:nbytes]
+                    writer.feed_data(buffer)
+                    nbytes -= len(buffer)
                 fed += want
                 yield CpuOp(count * self.costs.dump_data_block,
                             stage=STAGE_FILES, side="disk")

@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.errors import BackupError, ReproError, SnapshotError
-from repro.backup.common import MAX_RUN_BLOCKS, BackupResult
+from repro.backup.common import MAX_RUN_BLOCKS, BackupResult, tape_buffer
 from repro.obs import observe_failure
 from repro.backup.physical.image import ImageHeader, pack_chunk_header, pack_trailer
 from repro.backup.physical.incremental import (
@@ -47,10 +47,8 @@ STAGE_SNAP_DELETE = "Deleting snapshot"
 
 def _run_pieces(buffers: list, first: int, runs, block_size: int) -> list:
     """Per run of ``runs``, the slices of ``buffers`` — a read from block
-    ``first`` that covers them — that hold its blocks, in order: the
-    read-only views of frozen chunks, which the tape keeps as they are,
-    and bytes.  A view of a chunk that is not frozen is copied here,
-    before the dump yields and anything can write it."""
+    ``first`` that covers them — that hold its blocks, in order, each as
+    the tape may keep it (:func:`tape_buffer`)."""
     pieces, index, at = [], 0, first
     for start, count in runs:
         end, run = start + count, []
@@ -63,8 +61,7 @@ def _run_pieces(buffers: list, first: int, runs, block_size: int) -> list:
             upto = min(end, stop)
             piece = buffer[(start - at) * block_size
                            : (upto - at) * block_size]
-            run.append(piece.tobytes() if isinstance(piece, np.ndarray)
-                       else piece)
+            run.append(tape_buffer(piece))
             start = upto
         pieces.append(run)
     return pieces
@@ -250,13 +247,14 @@ class ImageDump:
         previous_uncached = volume.uncached_reads
         volume.uncached_reads = True
         block_size = volume.block_size
+        # The chunks the whole plan takes at least half of are the tape's
+        # too: each span read hands views of those it still shares.
+        frozen = volume.freeze(runs)
         try:
             for span_start, span_len, span_runs in spans_with_readthrough(
                     runs, max_span=max_span):
-                # One read; the chunks it freezes are the tape's too.
                 span_data: list = []
-                volume.read_run(span_start, span_len, span_data,
-                                keep=span_runs)
+                volume.read_run(span_start, span_len, span_data, frozen)
                 pieces = _run_pieces(span_data, span_start, span_runs,
                                      block_size)
                 yield DiskReadOp(volume, span_start, span_len,

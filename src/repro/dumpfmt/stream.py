@@ -20,7 +20,7 @@ will usually affect only that single file".
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple, Union
 
 from repro.errors import FormatError
 from repro.dumpfmt.records import (
@@ -49,6 +49,11 @@ _ZERO_SEGMENT = bytes(SEGMENT_SIZE)
 # padded to SEGMENT_SIZE on emission, exactly as a per-segment ljust
 # would).  A ``None`` buffer is a stretch of hole segments.
 Run = Tuple[int, Optional[bytes]]
+
+# What a writer holds of a data run: ``bytes``, or a read-only byte view,
+# as (buffer, offset, nbytes, nsegments); buffer None for hole runs.
+Buffer = Union[bytes, memoryview]
+Pending = Tuple[Optional[Buffer], int, int, int]
 
 
 def segments_to_runs(segments: List[Optional[bytes]]) -> List[Run]:
@@ -93,7 +98,12 @@ def runs_to_data(runs: List[Run], size: int) -> bytes:
 
 
 class DumpStreamWriter:
-    """Emits a dump stream onto any ``write(bytes)`` sink."""
+    """Emits a dump stream onto a sink whose ``write`` takes a list of
+    buffers as one write of their join (:meth:`TapeDrive.write`): each
+    record is one write, its header and then its parts, which the sink
+    may keep as they are — ``bytes`` and read-only views, never copied
+    here (a tape shares a logical dump's frozen stripe chunks, DESIGN.md
+    decision 18)."""
 
     def __init__(self, sink, date: int = 0, ddate: int = 0):
         self._sink = sink
@@ -103,31 +113,25 @@ class DumpStreamWriter:
         self.bytes_written = 0
         self.volume = 1
         self._pending_attrs: Optional[RecordHeader] = None
-        # Pending inode payload as (buffer, offset, nbytes, nsegments)
-        # quads; buffer None for hole runs.  Offsets let a run split at a
-        # header boundary without copying.
-        self._pending: List[Tuple[Optional[bytes], int, int, int]] = []
+        # Pending inode payload; offsets let a run split at a header
+        # boundary without copying.
+        self._pending: List[Pending] = []
         self._pending_nsegs = 0
         self._pending_first = True
 
     # -- low level ---------------------------------------------------------
 
-    def _emit(self, payload: bytes) -> None:
-        self._sink.write(payload)
-        self.bytes_written += len(payload)
-
-    def _emit_record(self, header: RecordHeader,
-                     runs: List[Tuple[Optional[bytes], int, int, int]]) -> None:
+    def _emit_record(self, header: RecordHeader, runs: List[Pending]) -> None:
         header.date = self.date
         header.ddate = self.ddate
         header.volume = self.volume
         header.tapea = self.tapea
         self.tapea += 1
-        # One buffer, one sink write per record: the sink (a tape drive) is
-        # a plain byte stream, and per-segment writes were the hottest call
-        # site in the dump path.
+        # One sink write per record, of the header and the parts as they
+        # are — no join: per-segment writes were the hottest call site in
+        # the dump path, and a join copied every block the tape can share.
         segment_map: List[int] = []
-        parts: List[bytes] = [b""]
+        parts: List[Buffer] = [b""]
         for buf, offset, nbytes, nsegs in runs:
             if buf is None:
                 segment_map.extend([0] * nsegs)
@@ -144,10 +148,11 @@ class DumpStreamWriter:
         header.count = len(segment_map)
         header.segment_map = segment_map
         parts[0] = header.pack()
-        self._emit(b"".join(parts))
+        self._sink.write(parts)
+        self.bytes_written += sum(map(len, parts))
 
     @staticmethod
-    def _payload_runs(payload: bytes) -> List[Tuple[Optional[bytes], int, int, int]]:
+    def _payload_runs(payload: bytes) -> List[Pending]:
         if not payload:
             return []
         nsegs = (len(payload) + SEGMENT_SIZE - 1) // SEGMENT_SIZE
@@ -194,16 +199,20 @@ class DumpStreamWriter:
         ``data`` holds the segments back to back; only the final segment
         may be short of ``SEGMENT_SIZE`` (it is zero padded on emission).
         This is the bulk path: one call per extent, not per kilobyte.
+        ``bytes`` and read-only byte views are kept as they are, until
+        the record is written; any other buffer is copied.
         """
         if self._pending_attrs is None:
             raise FormatError("no inode record open")
+        if not (isinstance(data, bytes) or (
+                isinstance(data, memoryview) and data.readonly
+                and data.format == "B")):
+            data = bytes(data)
         nbytes = len(data)
         if nsegments is None:
             nsegments = (nbytes + SEGMENT_SIZE - 1) // SEGMENT_SIZE
         if nsegments <= 0:
             return
-        if not isinstance(data, bytes):
-            data = bytes(data)
         if nbytes > nsegments * SEGMENT_SIZE:
             raise FormatError("data overflows %d segments" % nsegments)
         self._pending.append((data, 0, nbytes, nsegments))
@@ -230,7 +239,7 @@ class DumpStreamWriter:
 
     def _flush_full_batches(self) -> None:
         while self._pending_nsegs >= SEGMENTS_PER_HEADER:
-            batch: List[Tuple[Optional[bytes], int, int, int]] = []
+            batch: List[Pending] = []
             need = SEGMENTS_PER_HEADER
             while need > 0:
                 buf, offset, nbytes, nsegs = self._pending[0]
@@ -249,8 +258,7 @@ class DumpStreamWriter:
             self._pending_nsegs -= SEGMENTS_PER_HEADER
             self._flush_inode_batch(batch)
 
-    def _flush_inode_batch(
-            self, batch: List[Tuple[Optional[bytes], int, int, int]]) -> None:
+    def _flush_inode_batch(self, batch: List[Pending]) -> None:
         attrs = self._pending_attrs
         if self._pending_first:
             header = attrs

@@ -12,7 +12,7 @@ rely on when they stream through a degraded group.  ``data_disks`` and
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import AbstractSet, List
 
 import numpy as np
 
@@ -76,11 +76,12 @@ class RaidGroup:
         return store.block(group_block)
 
     def read_run(self, group_block: int, nblocks: int, out: list,
-                 device: bool = True, keep: Optional[list] = None) -> None:
+                 device: bool = True,
+                 keep: AbstractSet[int] = frozenset()) -> None:
         """Append a run of group blocks to ``out``, one buffer per chunk
         span (:meth:`StripeStore.spans`: views of the live store, to be
-        joined before anything writes, save the read-only views of the
-        chunks ``keep`` freezes).
+        joined before anything writes, save read-only views of the
+        chunks in ``keep`` that :meth:`StripeStore.freeze` froze).
 
         A ``device`` read counts each block on its member; a run holding
         an unreadable block is read block by block, reconstructing, as

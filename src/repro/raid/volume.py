@@ -14,7 +14,7 @@ addresses (and therefore the seek behaviour) of whatever ran.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PowerLossError, RaidError
 from repro.obs.metrics import REGISTRY
@@ -90,7 +90,8 @@ class RaidVolume:
         return self.groups[index], block - self._group_base[index]
 
     def _pieces(self, start_block: int, nblocks: int):
-        """Decompose a volume run into (group, group_block, count) pieces."""
+        """Decompose a volume run into (group index, group_block, count)
+        pieces."""
         if not 0 <= start_block <= self.nblocks - nblocks:
             raise RaidError(
                 "run [%d, %d) out of range on %r"
@@ -98,14 +99,30 @@ class RaidVolume:
             )
         block, end = start_block, start_block + nblocks
         while block < end:
-            group, group_block = self._piece(block)
-            count = min(end - block, group.data_blocks - group_block)
-            yield group, group_block, count
+            index = bisect_right(self._group_base, block) - 1
+            group_block = block - self._group_base[index]
+            count = min(end - block,
+                        self.groups[index].data_blocks - group_block)
+            yield index, group_block, count
             block += count
+
+    def freeze(self, runs: Iterable[Tuple[int, int]]) -> List[Set[int]]:
+        """Freeze the chunks a dump's tape may share: split the volume
+        ``runs`` ``(start, count)`` — the dump's whole plan — per group,
+        and each group's store freezes every chunk they take at least
+        half the data blocks of (:meth:`StripeStore.freeze`).  The
+        result, one set of chunk indices per group, is :meth:`read_run`'s
+        ``keep`` for every read of the plan."""
+        pieces: List[list] = [[] for _group in self.groups]
+        for start, count in runs:
+            for index, group_block, piece in self._pieces(start, count):
+                pieces[index].append((group_block, piece))
+        return [group.store.freeze(group_runs)
+                for group, group_runs in zip(self.groups, pieces)]
 
     def read_run(self, start_block: int, nblocks: int,
                  out: Optional[list] = None,
-                 keep: Optional[list] = None) -> Optional[bytes]:
+                 keep: Sequence[Set[int]] = ()) -> Optional[bytes]:
         """Read ``nblocks`` contiguous volume blocks as one access.
 
         The bytes come from the groups' stripe stores in one copy: each
@@ -113,11 +130,10 @@ class RaidVolume:
         join — or, with ``out``, the buffers are appended to it (views of
         the live store) for the caller to join once with other runs,
         before anything writes, and nothing is returned.  ``keep``, with
-        ``out``, is the ascending volume-block runs ``(start, count)`` of
-        this one that the caller keeps (an image tape): each store
-        freezes the chunks they take at least half of and hands
-        read-only views of those, which stay valid through any later
-        write (:meth:`StripeStore.spans`).  The cache only decides
+        ``out``, is what :meth:`freeze` returned for the caller's plan (a
+        dump's tape): a chunk it froze that no write has copied since
+        comes back as a read-only view, which stays valid through any
+        later write (:meth:`StripeStore.spans`).  The cache only decides
         whether the *device* is involved.
         A fully resident run is the bare gather — no member ``reads``, no
         fault lookup or reconstruction, no recorder event, so no I/O
@@ -145,30 +161,23 @@ class RaidVolume:
             self._read_device(start_block, nblocks, [], cache)
 
     def _gather(self, start_block: int, nblocks: int, out: Optional[list],
-                device: bool, keep: Optional[list] = None) -> Optional[bytes]:
+                device: bool, keep: Sequence[Set[int]] = ()
+                ) -> Optional[bytes]:
         """The run's buffers, from the groups' devices (counted and
-        fault-checked) or, for a cache hit, from their stores; ``keep``
-        goes to each group in its own block numbers."""
+        fault-checked) or, for a cache hit, from their stores; each group
+        gets its own set of ``keep``."""
         if out is None and nblocks == 1:
             group, group_block = self._piece(start_block)
             return group.read_block(group_block, device)
         buffers = [] if out is None else out
-        at = start_block
-        for group, group_block, count in self._pieces(start_block, nblocks):
-            runs = None
-            if keep is not None:
-                end, shift = at + count, at - group_block
-                runs = [(max(start, at) - shift,
-                         min(start + length, end) - max(start, at))
-                        for start, length in keep
-                        if start < end and start + length > at]
-            group.read_run(group_block, count, buffers, device, runs)
-            at += count
+        for index, group_block, count in self._pieces(start_block, nblocks):
+            self.groups[index].read_run(group_block, count, buffers, device,
+                                        keep[index] if keep else frozenset())
         return None if out is not None else b"".join(buffers)
 
     def _read_device(self, start_block: int, nblocks: int,
                      out: Optional[list], cache,
-                     keep: Optional[list] = None) -> Optional[bytes]:
+                     keep: Sequence[Set[int]] = ()) -> Optional[bytes]:
         """The miss path of a run read: the device read, then the cache
         fill, the recorder event and the counts."""
         result = self._gather(start_block, nblocks, out, True, keep)
@@ -204,8 +213,9 @@ class RaidVolume:
             group.write_block(group_block, data, offset)
         else:
             done = 0
-            for group, group_block, count in self._pieces(start_block, nblocks):
-                group.write_run(group_block, data, offset + done * bs, count)
+            for index, group_block, count in self._pieces(start_block, nblocks):
+                self.groups[index].write_run(group_block, data,
+                                             offset + done * bs, count)
                 done += count
         if self.cache is not None:
             self.cache.put_run(start_block, nblocks)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 import struct
-from typing import Dict, List, Optional, Set
+from typing import AbstractSet, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -39,11 +39,11 @@ DEFAULT_BLOCK_SIZE = 4 * KB
 # private to this module; the disk image does not record it.
 CHUNK_BLOCKS = 64
 
-# A tape keeps a read-only view of a chunk, not a copy of its blocks,
-# when the image dump span that read it takes at least this share of the
-# chunk's data blocks (StripeStore.spans' ``keep``): the chunk is frozen
-# — shared copy-on-write, so the next write to it copies it away from
-# the tape.  A frozen chunk then pins at most twice the bytes a copy
+# A dump's tape keeps a read-only view of a chunk, not a copy of its
+# blocks, when the dump's whole plan takes at least this share of the
+# chunk's data blocks (RaidVolume.freeze, once per dump): the chunk is
+# frozen — shared copy-on-write, so the next write to it copies it away
+# from the tape.  A frozen chunk then pins at most twice the bytes a copy
 # would hold, plus its parity rows.  Sharing every piece pins whole
 # chunks for a few metadata blocks once the next CP copies them, and
 # sharing whole chunks only leaves the partial chunks of an aged volume
@@ -176,25 +176,24 @@ class StripeStore:
         return chunk[row * bs : (row + 1) * bs].tobytes()
 
     def spans(self, block: int, nblocks: int, out: list,
-              keep: Optional[list] = None) -> None:
+              keep: AbstractSet[int] = frozenset()) -> None:
         """Append data blocks ``[block, block + nblocks)`` to ``out``,
-        one buffer per chunk: a view of the live store (join it before
-        anything writes), or zeros where no chunk is materialized.
+        one buffer per chunk: a view of the live store (join or copy it
+        before anything writes), or zeros where no chunk is materialized.
 
-        ``keep`` is the data-block runs ``(start, count)`` a tape keeps
-        of this read: each chunk of which they take at least half the
-        data blocks is frozen (:meth:`freeze`) and its buffer is a
-        read-only ``memoryview``, valid for as long as it is held.
+        ``keep`` is what :meth:`freeze` returned for the reader's plan: a
+        chunk in it that is still shared — no write has copied it since
+        — comes back as a read-only ``memoryview``, valid for as long as
+        it is held; a chunk written since is a live view like any other.
         """
         bs, span = self.block_size, self.span
-        frozen = self.freeze(keep) if keep else ()
         while nblocks:
             ci, row = divmod(block, span)
             take = min(nblocks, span - row)
             chunk = self._chunks.get(ci)
             if chunk is None:
                 out.append(memoryview(self._zeros)[: take * bs])
-            elif ci in frozen:
+            elif ci in keep and ci in self._shared:
                 out.append(memoryview(
                     chunk[row * bs : (row + take) * bs]).toreadonly())
             else:
@@ -204,10 +203,11 @@ class StripeStore:
 
     def freeze(self, runs: list) -> Set[int]:
         """Freeze every materialized chunk of which the data-block
-        ``runs`` take at least half the data blocks, and return their
-        indices.  A frozen chunk is shared copy-on-write (``_shared``):
-        its array is never written again — :meth:`writable`, the one way
-        to a chunk's bytes for writing, copies it first."""
+        ``runs`` (a dump's whole plan in this store) take at least half
+        the data blocks, and return their indices.  A frozen chunk is
+        shared copy-on-write (``_shared``): its array is never written
+        again — :meth:`writable`, the one way to a chunk's bytes for
+        writing, copies it first."""
         span, covered = self.span, {}
         for start, count in runs:
             end = start + count

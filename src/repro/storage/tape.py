@@ -5,12 +5,12 @@ faithful — the dump stream written during a backup is the exact stream a
 restore later reads, including spans across cartridge boundaries handled by
 a :class:`TapeStacker` — and holds each byte once: a cartridge keeps the
 immutable records it was handed, not a buffer they were copied into.  A
-record is ``bytes``, or a read-only ``memoryview`` of a frozen stripe
-chunk (an image dump's blocks, shared with the volume it read them from
-until the volume writes them; :meth:`StripeStore.freeze`).  The
-timing plane (:class:`TapeModel`) is a streaming-rate model with per-record
-overhead and load/rewind latencies, matching how a DLT-7000 behaves when it
-is kept streaming.
+record is ``bytes``, or a read-only ``memoryview``: most of either
+dump's file or volume blocks are views of the stripe chunks it froze,
+shared with the volume it read them from until the volume writes them
+(:meth:`RaidVolume.freeze`).  The timing plane (:class:`TapeModel`) is a
+streaming-rate model with per-record overhead and load/rewind latencies,
+matching how a DLT-7000 behaves when it is kept streaming.
 """
 
 from __future__ import annotations
@@ -29,9 +29,12 @@ class TapeCartridge:
     The stream is kept as the records it was written in, by reference,
     plus their start offsets.  A record is ``bytes`` or a read-only
     ``memoryview`` (of a frozen stripe chunk, which nothing writes
-    again); any other buffer is copied into ``bytes``.  A read returns
-    ``bytes`` — at a ``bytes`` record's own boundaries, the object
-    written — and a verified replay shares its records with the media.
+    again, or of ``bytes``); any other buffer is copied into ``bytes``.
+    Each part of a list write is a record of its own: a logical dump
+    record's header and parts, an image chunk's header and pieces.  A
+    read returns ``bytes`` — at a ``bytes`` record's own boundaries, the
+    object written — and a verified replay shares its records with the
+    media.
     """
 
     def __init__(self, capacity: int = 35 * GB, label: str = ""):

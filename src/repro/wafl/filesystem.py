@@ -306,9 +306,14 @@ class FileTree(TreeContext):
         """Physical extents of a file: ``(fbn, vbn, nblocks)`` runs."""
         return BlockTree(self, self.inode(ino)).extents()
 
-    def read_extent(self, vbn: int, nblocks: int) -> bytes:
-        """Raw extent read (dump's private read path, still via the FS)."""
-        return self.volume.read_run(vbn, nblocks)
+    def read_extent(self, vbn: int, nblocks: int, out: list,
+                    keep: list) -> None:
+        """Raw extent read (dump's private read path, still via the FS):
+        the extent's buffers are appended to ``out`` — read-only views of
+        the chunks ``keep`` froze (:meth:`RaidVolume.freeze`) and of
+        zeros, ``bytes`` of reconstructed blocks, and live views of the
+        store, to be copied before anything writes."""
+        self.volume.read_run(vbn, nblocks, out, keep)
 
     # ------------------------------------------------------------------
     # Attributes

@@ -24,7 +24,7 @@ from repro.storage import disk as disk_module
 from repro.storage.disk import CHUNK_BLOCKS, VirtualDisk
 from repro.wafl.buffercache import BlockCache
 
-from tests.conftest import version_1_image
+from tests.conftest import make_drive, version_1_image
 
 _fast = settings(max_examples=25, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -680,8 +680,8 @@ def test_run_fed_records_match_per_kilobyte_feed(shape):
     size = len(segments) * SEGMENT_SIZE
 
     def dump(feed):
-        sink = io.BytesIO()
-        writer = DumpStreamWriter(sink, date=100, ddate=0)
+        drive = make_drive()
+        writer = DumpStreamWriter(drive, date=100, ddate=0)
         writer.write_tape_header(TapeLabel("prop", "fs", "/", 0, 2, 8))
         writer.write_clri([], 8)
         writer.write_bits([2], 8)
@@ -692,7 +692,7 @@ def test_run_fed_records_match_per_kilobyte_feed(shape):
         feed(writer)
         writer.end_inode()
         writer.write_end()
-        return sink.getvalue()
+        return drive.stream_bytes()
 
     def feed_runs(writer):
         for count, buf in segments_to_runs(segments):

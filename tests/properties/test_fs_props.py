@@ -297,10 +297,10 @@ class FilesystemMachine(RuleBasedStateMachine):
             self.mirror.source = self.fs
 
     # -- RAID faults -----------------------------------------------------
-    # A repair or a rebuild writes chunks that the image chain's tapes
-    # may share (their dumps froze them); the tapes must keep the blocks
-    # they were cut with, and the volume must read as the model says,
-    # degraded and repaired.
+    # A repair or a rebuild writes chunks that the logical and image
+    # chains' tapes may share (their dumps froze them); the tapes must
+    # keep the blocks they were cut with, and the volume must read as the
+    # model says, degraded and repaired.
 
     @rule(data=st.data(), parity=st.booleans())
     def fail_and_repair_block(self, data, parity):

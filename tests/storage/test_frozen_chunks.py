@@ -1,10 +1,11 @@
-"""An image tape shares the stripe chunks it was read from.
+"""A dump's tape shares the stripe chunks it was read from.
 
-An image dump's span read freezes every chunk of which the span's runs
-take at least half the data blocks — the chunk becomes copy-on-write
-shared, exactly as after a clone — and the tape keeps read-only views of
-it instead of copies.  These tests hold the store's half of that
-contract, the tape's handling of views, and what it saves in memory.
+Before its first read a dump freezes every chunk of which its whole plan
+takes at least half the data blocks (``RaidVolume.freeze``) — the chunk
+becomes copy-on-write shared, exactly as after a clone — and the tape
+keeps read-only views of it instead of copies.  These tests hold the
+store's half of that contract, the tape's handling of views, and what it
+saves in memory, for the image and the logical dump.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ import zlib
 
 import numpy as np
 
-from repro.backup import ImageDump, drain_engine
+from repro.backup import ImageDump, LogicalDump, drain_engine
+from repro.backup.common import tape_buffer
 from repro.backup.physical.image import pack_chunk_header
 from repro.obs.metrics import REGISTRY
 from repro.storage.disk import StripeStore
 from repro.storage.persist import save_media, save_tape
 from repro.storage.tape import TapeCartridge
 
-from tests.conftest import make_drive, make_fs, populate_small_tree
+from tests.conftest import make_drive, make_fs, make_volume, populate_small_tree
 
 
 def _store():
@@ -47,7 +49,7 @@ def test_a_chunk_is_frozen_when_the_runs_take_half_its_data_blocks():
 def test_a_frozen_chunk_is_copied_before_any_write():
     store = _store()
     out: list = []
-    store.spans(0, 2 * store.span, out, keep=[(0, store.span)])
+    store.spans(0, 2 * store.span, out, store.freeze([(0, store.span)]))
     kept, live = out
     assert isinstance(kept, memoryview) and kept.readonly
     assert isinstance(live, np.ndarray)  # chunk 1 was not kept: a live view
@@ -55,6 +57,26 @@ def test_a_frozen_chunk_is_copied_before_any_write():
     store.writable(0)[:] = 0xEE
     assert kept.tobytes() == before
     assert store._chunks[0][0] == 0xEE
+
+
+def test_a_chunk_written_after_its_freeze_is_read_as_a_copy():
+    """Freezing is once per dump, before its first read: a chunk a write
+    has copied since is no longer the frozen array, and its read is a
+    live view that the dump copies, not a view the tape would keep."""
+    volume = make_volume(ngroups=1)
+    span, bs = volume.groups[0].store.span, volume.block_size
+    volume.write_run(0, b"\x11" * (2 * span * bs))
+    frozen = volume.freeze([(0, 2 * span)])
+    assert frozen == [{0, 1}]
+    volume.write_run(0, b"\x22" * bs)
+    out: list = []
+    volume.read_run(0, 2 * span, out, frozen)
+    copied, kept = [tape_buffer(buffer) for buffer in out]
+    assert type(copied) is bytes and copied[:bs] == b"\x22" * bs
+    assert isinstance(kept, memoryview) and kept.readonly
+    volume.write_run(0, b"\x33" * (2 * span * bs))
+    assert copied[:2 * bs] == b"\x22" * bs + b"\x11" * bs
+    assert kept.tobytes() == b"\x11" * (span * bs)
 
 
 def test_a_cartridge_keeps_bytes_and_read_only_views_and_copies_the_rest():
@@ -108,9 +130,9 @@ def test_starts_with_compares_view_records_as_bytes():
     assert not ours.starts_with(theirs)
 
 
-def _image_dump_of_a_clone(bulk_files: int = 2):
-    """An image dump of a clone whose snapshot already exists (so the
-    dump writes nothing to the volume): ``(drive, clone, fs)``."""
+def _clone_to_dump(bulk_files: int = 2):
+    """A clone whose snapshot ``weekly`` already exists, so that a dump
+    of it writes nothing to the volume: ``(drive, clone, fs)``."""
     fs = make_fs(ngroups=1, ndata=4, blocks_per_disk=2500)
     populate_small_tree(fs)
     for index in range(bulk_files):
@@ -123,7 +145,7 @@ def _image_dump_of_a_clone(bulk_files: int = 2):
 
 
 def test_a_cartridge_of_views_persists_as_the_same_bytes(tmp_path):
-    drive, clone, _fs = _image_dump_of_a_clone(bulk_files=1)
+    drive, clone, _fs = _clone_to_dump(bulk_files=1)
     drain_engine(ImageDump(clone, drive, snapshot_name="weekly").run())
     cartridge = drive.stacker.cartridges[0]
     assert any(isinstance(record, memoryview)
@@ -142,17 +164,36 @@ def test_a_cartridge_of_views_persists_as_the_same_bytes(tmp_path):
         assert views.read() == joined.read()
 
 
-def test_an_image_dump_of_a_clone_allocates_a_small_part_of_its_tape():
-    """The tape shares the clone's chunks: before, it held a copy of
-    every block it wrote (more than 100 % of the tape's bytes)."""
-    drive, clone, _fs = _image_dump_of_a_clone()
+def _allocated(engine):
+    """``(bytes still allocated after it ran, bytes it wrote to tape)``
+    of one dump engine."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        result = drain_engine(
-            ImageDump(clone, drive, snapshot_name="weekly").run())
+        result = drain_engine(engine.run())
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert result.bytes_to_tape > 2 << 20
-    assert held < 0.10 * result.bytes_to_tape
+    return held, result.bytes_to_tape
+
+
+def test_an_image_dump_of_a_clone_allocates_a_small_part_of_its_tape():
+    """The tape shares the clone's chunks: before, it held a copy of
+    every block it wrote (more than 100 % of the tape's bytes)."""
+    drive, clone, _fs = _clone_to_dump()
+    held, written = _allocated(
+        ImageDump(clone, drive, snapshot_name="weekly"))
+    assert written > 2 << 20
+    assert held < 0.10 * written
+
+
+def test_a_logical_dump_of_a_clone_allocates_a_small_part_of_its_tape():
+    """The same for a logical dump of the clone's snapshot (so that the
+    dump writes nothing to the volume): before, its records joined every
+    block they carried.  The small tree's files, in chunks the plan
+    takes less than half of, are copies: about 110 KB."""
+    drive, clone, _fs = _clone_to_dump(bulk_files=4)
+    held, written = _allocated(
+        LogicalDump(clone.snapshot_view("weekly"), drive))
+    assert written > 2 << 20
+    assert held < 0.10 * written
