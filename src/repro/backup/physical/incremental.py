@@ -80,15 +80,20 @@ def split_runs(runs: List[Tuple[int, int]],
 
 
 def classify_all(blockmap: BlockMap, plane_a: int, plane_b: int) -> dict:
-    """Counts of every Table 1 state across the whole volume."""
-    words = blockmap.words
-    in_a = (words & np.uint32(1 << plane_a)) != 0
-    in_b = (words & np.uint32(1 << plane_b)) != 0
+    """Counts of every Table 1 state across the whole volume, slab by
+    slab: a block outside the map's materialized slabs is in neither."""
+    newly = deleted = unchanged = 0
+    for _lo, words in blockmap.held_slabs():
+        in_a = (words & np.uint32(1 << plane_a)) != 0
+        in_b = (words & np.uint32(1 << plane_b)) != 0
+        newly += int(np.count_nonzero(~in_a & in_b))
+        deleted += int(np.count_nonzero(in_a & ~in_b))
+        unchanged += int(np.count_nonzero(in_a & in_b))
     return {
-        NOT_IN_EITHER: int((~in_a & ~in_b).sum()),
-        NEWLY_WRITTEN: int((~in_a & in_b).sum()),
-        DELETED: int((in_a & ~in_b).sum()),
-        UNCHANGED: int((in_a & in_b).sum()),
+        NOT_IN_EITHER: blockmap.nblocks - newly - deleted - unchanged,
+        NEWLY_WRITTEN: newly,
+        DELETED: deleted,
+        UNCHANGED: unchanged,
     }
 
 

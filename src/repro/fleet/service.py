@@ -36,9 +36,10 @@ processes.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.catalog.lock import FileLock
 from repro.fleet.scheduler import DriveTable, FleetScheduler, Job
@@ -87,7 +88,8 @@ class FleetService:
     Tenant volumes live in this process: each is mounted from its
     ``volume.bin`` on first use and aged and dumped in place by every
     job after that.  The catalog journal makes the per-day commits
-    durable; dirty volumes are saved when :meth:`run_days` returns.
+    durable; state, media and dirty volumes are saved when
+    :meth:`run_days` ends, also when one of its days fails.
     """
 
     def __init__(self, root: str, jobs: int = 1):
@@ -110,6 +112,11 @@ class FleetService:
         self.scheduler.tick = self.state["tick"]
         self.scheduler.cursors.update(
             self.state.get("drr", {}).get("cursors", {}))
+        # What the day in progress changed beyond the service state: the
+        # jobs it claimed from the disk queue and the tenants whose
+        # volume, pool or catalog it has touched (run_days' failure path).
+        self._claimed: List[Dict] = []
+        self._touched: Set[str] = set()
 
     # -- paths -------------------------------------------------------------
 
@@ -151,7 +158,7 @@ class FleetService:
 
     # -- state persistence -------------------------------------------------
 
-    def _save_state(self) -> None:
+    def _save_state(self, requeue: Sequence[Dict] = ()) -> None:
         self.state["tick"] = self.scheduler.tick
         # A root written by an older version may carry more under
         # "drr" (deficits); it is kept as read.
@@ -161,7 +168,7 @@ class FleetService:
             # Submissions and pause toggles that landed on disk while
             # this run held the state in memory must survive the write.
             disk = load_state(self.root)
-            self.state["pending"] = disk.get("pending", [])
+            self.state["pending"] = list(requeue) + disk.get("pending", [])
             self.state["paused"] = disk.get("paused", [])
             _write_state(self.root, self.state)
 
@@ -191,6 +198,7 @@ class FleetService:
             self.state["paused"] = disk.get("paused",
                                             self.state.get("paused", []))
         self.state["pending"] = []
+        self._claimed = pending
         return pending
 
     def _next_job_id(self) -> str:
@@ -201,10 +209,25 @@ class FleetService:
     # -- daemon loop -------------------------------------------------------
 
     def run_days(self, days: int) -> Dict:
-        """Advance the whole fleet ``days`` simulated days."""
+        """Advance the whole fleet ``days`` simulated days.
+
+        Each day's catalog commits are journaled as it ends; the event
+        log, state, media and volumes are saved once, when the run ends.
+        A day that raises is dropped, and the days of the run before it
+        are saved (:meth:`_save_completed`) before the error propagates;
+        when there are none, no file changes.
+        """
         totals = {"days": 0, "jobs": 0, "bytes_to_tape": 0, "retired": 0}
         for _ in range(days):
-            day_stats = self.run_day()
+            begun = (copy.deepcopy(self.state), self.scheduler.tick,
+                     dict(self.scheduler.cursors), len(self.scheduler.events))
+            self._claimed, self._touched = [], set()
+            try:
+                day_stats = self.run_day()
+            except BaseException:
+                if totals["days"] or self._claimed:
+                    self._save_completed(*begun)
+                raise
             totals["days"] += 1
             totals["jobs"] += day_stats["jobs"]
             totals["bytes_to_tape"] += day_stats["bytes_to_tape"]
@@ -214,6 +237,28 @@ class FleetService:
             tenant.save_state(force=False)
         self._save_state()
         return totals
+
+    def _save_completed(self, state: Dict, tick: int, cursors: Dict,
+                        events: int) -> None:
+        """Save what the run's completed days did, after a day raised.
+
+        The failed day journaled nothing: its catalog commits come last,
+        after every batch and the pruning.  Its in-memory changes are
+        dropped instead of saved: the service state, the scheduler's
+        clock, cursors and events go back to where the day began, the
+        jobs it claimed from the disk queue go back on it, and a tenant
+        whose job ran that day keeps the files of its last save — its
+        volume and pool hold part of the day.
+        """
+        self.state = state
+        self.scheduler.tick = tick
+        self.scheduler.cursors = cursors
+        del self.scheduler.events[events:]
+        self._append_events()
+        for name, tenant in self.tenants.items():
+            if name not in self._touched:
+                tenant.save_state(force=False)
+        self._save_state(requeue=self._claimed)
 
     def run_day(self) -> Dict:
         """One day: submit scheduled + pending jobs, drain, prune."""
@@ -237,6 +282,7 @@ class FleetService:
                          "scheduled": False,
                          "target_day": entry.get("day")}))
         stats = self._drain(day)
+        self._touched.update(self.tenants)     # pruning touches them all
         retired = 0
         committed = []
         for spec in self.spec.tenants:
@@ -309,6 +355,7 @@ class FleetService:
                                         job.payload["tenant_index"])
             staged.append((job, tenant, dump, drive))
             calls.append((volume, drive, job_name, dump, mutation))
+        self._touched.update(job.tenant for job in jobs)
         payloads = [run_tenant_day_resident(*call) for call in calls]
         outcomes: Dict[str, Dict] = {}
         for (job, tenant, dump, drive), payload in zip(staged, payloads):

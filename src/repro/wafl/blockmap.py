@@ -5,18 +5,18 @@ The paper: "WAFL's free block data structure contains 32 bits per block
 ...; a block is free only when it is not marked as belonging to either the
 live file system or any snapshot."
 
-This module keeps that structure as a numpy ``uint32`` array (bit 0 =
-active plane, bits 1..31 = snapshot planes) plus a free-extent index that
-gives the write-anywhere allocator contiguous runs efficiently.  The same
-bit planes drive incremental image dump: the set of blocks to dump is the
-plane difference ``B − A`` (Table 1).
+This module keeps that structure as ``uint32`` words (bit 0 = active
+plane, bits 1..31 = snapshot planes) in fixed-size slabs, plus a
+free-extent index that gives the write-anywhere allocator contiguous runs
+efficiently.  The same bit planes drive incremental image dump: the set of
+blocks to dump is the plane difference ``B − A`` (Table 1).
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -28,10 +28,15 @@ from repro.wafl.consts import (
 )
 
 
-# Words per slab of the whole-map kernels: temporaries stay this size (a
-# quarter megabyte of uint32) however large the volume is.  A slab is a
+# Words per slab: the unit the map holds, shares with a clone and copies
+# on a write (a quarter megabyte of uint32), and the size of every
+# whole-map kernel's temporaries however large the volume is.  A slab is a
 # whole number of map fblocks, so no fblock straddles two slabs.
 _SLAB_WORDS = 64 * BLOCKMAP_ENTRIES_PER_BLOCK
+
+# What an absent slab reads as: one shared, read-only slab of zeros.
+_ZERO_SLAB = np.zeros(_SLAB_WORDS, dtype="<u4")
+_ZERO_SLAB.flags.writeable = False
 
 _ACTIVE = np.uint32(1 << ACTIVE_PLANE)
 
@@ -56,16 +61,39 @@ def runs_from_blocks(blocks: np.ndarray) -> List[Tuple[int, int]]:
     return [(int(values[s]), int(e - s + 1)) for s, e in zip(starts, ends)]
 
 
+def _by_slab(blocks: np.ndarray):
+    """``(slab index, lo, hi)`` for each slab a sorted block array
+    touches: ``blocks[lo:hi]`` are the blocks in that slab."""
+    first = int(blocks[0]) // _SLAB_WORDS
+    if first == int(blocks[-1]) // _SLAB_WORDS:
+        return [(first, 0, blocks.size)]
+    index = blocks // _SLAB_WORDS
+    cuts = (np.flatnonzero(index[1:] != index[:-1]) + 1).tolist()
+    return list(zip(index[[0] + cuts].tolist(), [0] + cuts,
+                    cuts + [blocks.size]))
+
+
 class BlockMap:
-    """32 bit planes over the volume's data blocks plus a free-extent index."""
+    """32 bit planes over the volume's data blocks plus a free-extent index.
+
+    The words live in slabs of ``_SLAB_WORDS``, held in a dict the way
+    the stripe store holds chunks: a slab is materialized on its first
+    non-zero write and an absent slab is all zero, so a map costs the
+    slabs that hold an allocated block, not four bytes per volume block.
+    A clone shares every slab copy-on-write (:meth:`clone`).
+    """
 
     def __init__(self, nblocks: int, reserved: int = 0):
         if nblocks <= reserved:
             raise FilesystemError("volume too small for its reserved area")
         self.nblocks = nblocks
         self.reserved = reserved
-        # "<u4" is the on-disk word format, so a run serializes as it lies.
-        self.words = np.zeros(nblocks, dtype="<u4")
+        # Slab index -> its words ("<u4", the on-disk word format, so a
+        # run serializes as it lies; the last slab is only as long as the
+        # map).  Indices shared with a clone are copied private before
+        # either side writes them.
+        self._slab_words: Dict[int, np.ndarray] = {}
+        self._shared: Set[int] = set()
         # Free extents: sorted starts plus start -> length.  A fresh map
         # is one extent — written down, not scanned for.
         self._starts: List[int] = [reserved]
@@ -140,14 +168,61 @@ class BlockMap:
             stop += 1
         return start, stop - start
 
-    # -- extent index -------------------------------------------------------
+    # -- slabs ----------------------------------------------------------------
+
+    def _writable(self, index: int) -> np.ndarray:
+        """Slab ``index``, materialized and private to this map: the one
+        way to a slab's words for writing."""
+        slab = self._slab_words.get(index)
+        if slab is None:
+            slab = self._slab_words[index] = np.zeros(
+                min(_SLAB_WORDS, self.nblocks - index * _SLAB_WORDS),
+                dtype="<u4")
+        elif index in self._shared:
+            slab = self._slab_words[index] = slab.copy()
+            self._shared.discard(index)
+        return slab
 
     def _slabs(self):
-        """``(first block, words view)`` per fixed-size slab of the map.
-        Whole-map kernels update the views in place, so their temporaries
-        are slab-sized whatever the volume size."""
+        """``(first block, words)`` per fixed-size slab of the whole map,
+        an absent slab as a view of the read-only zero slab, so the
+        whole-map kernels' temporaries are slab-sized whatever the volume
+        size."""
+        held = self._slab_words
         for lo in range(0, self.nblocks, _SLAB_WORDS):
-            yield lo, self.words[lo : lo + _SLAB_WORDS]
+            words = held.get(lo // _SLAB_WORDS)
+            yield lo, (_ZERO_SLAB[: self.nblocks - lo] if words is None
+                       else words)
+
+    def held_slabs(self):
+        """``(first block, read-only words)`` per materialized slab, in
+        block order; every word outside them is zero."""
+        for index in sorted(self._slab_words):
+            words = self._slab_words[index].view()
+            words.flags.writeable = False
+            yield index * _SLAB_WORDS, words
+
+    def words_at(self, blocks) -> np.ndarray:
+        """The words of ``blocks`` (in-range block numbers, any order), in
+        that order: one gather per slab they touch."""
+        blocks = np.asarray(blocks, dtype=np.int64)
+        order = np.argsort(blocks, kind="stable")
+        out = np.empty(blocks.size, dtype="<u4")
+        out[order] = self._gather(blocks[order])
+        return out
+
+    def _gather(self, blocks: np.ndarray, groups=None) -> np.ndarray:
+        """The words of the sorted ``blocks`` (split by slab as
+        ``groups``, :func:`_by_slab`, when the caller has them)."""
+        out = np.zeros(blocks.size, dtype="<u4")
+        if blocks.size:
+            for index, lo, hi in groups or _by_slab(blocks):
+                words = self._slab_words.get(index)
+                if words is not None:
+                    out[lo:hi] = words[blocks[lo:hi] - index * _SLAB_WORDS]
+        return out
+
+    # -- extent index -------------------------------------------------------
 
     def _runs_where(self, select) -> List[Tuple[int, int]]:
         """The maximal ``(start, count)`` block runs on which
@@ -285,7 +360,15 @@ class BlockMap:
             available = self._lengths[ext_start]
         count = min(want, available)
         self._extent_remove_range(start, count)
-        self.words[start : start + count] |= _ACTIVE
+        block, end = start, start + count
+        while block < end:
+            index, at = divmod(block, _SLAB_WORDS)
+            take = min(end - block, _SLAB_WORDS - at)
+            words = self._slab_words.get(index)
+            if words is None or index in self._shared:
+                words = self._writable(index)
+            words[at : at + take] |= _ACTIVE
+            block += take
         self._active_count += count
         self._mark_dirty_range(start, count)
         return start, count
@@ -301,11 +384,15 @@ class BlockMap:
         next consistency point commits would corrupt crash recovery.
         """
         self._check(block)
-        word = int(self.words[block])
+        index, at = divmod(block, _SLAB_WORDS)
+        words = self._slab_words.get(index)
+        word = 0 if words is None else int(words[at])
         if not word & (1 << ACTIVE_PLANE):
             raise FilesystemError("double free of block %d" % block)
         word &= ~(1 << ACTIVE_PLANE)
-        self.words[block] = word
+        if index in self._shared:
+            words = self._writable(index)
+        words[at] = word
         self._active_count -= 1
         self._mark_dirty_range(block, 1)
         if word == 0:
@@ -334,14 +421,16 @@ class BlockMap:
             bad = arr[(arr < self.reserved) | (arr >= self.nblocks)][0]
             raise FilesystemError(
                 "block %d outside the allocatable area" % int(bad))
-        words = self.words[arr]
-        active_mask = np.uint32(1 << ACTIVE_PLANE)
-        missing = (words & active_mask) == 0
+        groups = _by_slab(arr)
+        words = self._gather(arr, groups)
+        missing = (words & _ACTIVE) == 0
         if bool(missing.any()):
             bad = arr[missing][0]
             raise FilesystemError("double free of block %d" % int(bad))
         words &= np.uint32(~(1 << ACTIVE_PLANE) & 0xFFFFFFFF)
-        self.words[arr] = words
+        for index, lo, hi in groups:
+            self._writable(index)[arr[lo:hi] - index * _SLAB_WORDS] = (
+                words[lo:hi])
         self._active_count -= int(arr.size)
         self._dirty_add_many(np.unique(arr // BLOCKMAP_ENTRIES_PER_BLOCK))
         zeroed = arr[words == 0]
@@ -367,7 +456,7 @@ class BlockMap:
         blocks = np.fromiter(self.reuse_excluded, dtype=np.int64,
                              count=len(self.reuse_excluded))
         blocks.sort()
-        eligible = blocks[self.words[blocks] == 0]
+        eligible = blocks[self._gather(blocks) == 0]
         self.reuse_excluded.clear()
         for start, count in runs_from_blocks(eligible):
             self._extent_add(start, count)
@@ -376,7 +465,9 @@ class BlockMap:
     def set_active(self, block: int) -> None:
         """Claim a specific block for the active plane (used on remount/replay)."""
         self._check(block)
-        word = int(self.words[block])
+        index, at = divmod(block, _SLAB_WORDS)
+        words = self._slab_words.get(index)
+        word = 0 if words is None else int(words[at])
         if word & (1 << ACTIVE_PLANE):
             return
         if word == 0:
@@ -384,7 +475,9 @@ class BlockMap:
                 self.reuse_excluded.discard(block)
             else:
                 self._extent_remove_range(block, 1)
-        self.words[block] = word | (1 << ACTIVE_PLANE)
+        if words is None or index in self._shared:
+            words = self._writable(index)
+        words[at] = word | (1 << ACTIVE_PLANE)
         self._active_count += 1
         self._mark_dirty_range(block, 1)
 
@@ -401,7 +494,8 @@ class BlockMap:
     def plane_in_use(self, plane: int) -> bool:
         self._check_plane(plane)
         mask = np.uint32(1 << plane)
-        return any(bool((words & mask).any()) for _lo, words in self._slabs())
+        return any(bool((words & mask).any())
+                   for words in self._slab_words.values())
 
     def _dirty_where(self, lo: int, words: np.ndarray, mask) -> bool:
         """Dirty exactly the fblocks of the slab at block ``lo`` in which
@@ -420,13 +514,14 @@ class BlockMap:
         self._check_plane(plane)
         shift = np.uint32(plane - ACTIVE_PLANE)
         mask = np.uint32(1 << plane)
-        for lo, words in self._slabs():
+        for lo, words in self.held_slabs():   # an absent slab holds nothing
             if not np.bitwise_or.reduce(words) & _ACTIVE:
                 continue  # no active block here: one reduction, no temporary
             # Active and not yet held by the plane: the bits that change.
             fresh = (words & _ACTIVE) << shift
             fresh &= ~words
             if self._dirty_where(lo, fresh, mask):
+                words = self._writable(lo // _SLAB_WORDS)
                 words |= fresh
 
     def snapshot_delete(self, plane: int) -> int:
@@ -438,10 +533,11 @@ class BlockMap:
         mask = np.uint32(1 << plane)
         keep = np.uint32(~(1 << plane) & 0xFFFFFFFF)
         freed_count = 0
-        for lo, words in self._slabs():
+        for lo, words in self.held_slabs():   # an absent slab holds nothing
             if self._dirty_where(lo, words, mask):
                 # A block this plane alone held is free once the bit clears.
                 freed_count += int(np.count_nonzero(words == mask))
+                words = self._writable(lo // _SLAB_WORDS)
                 words &= keep
         if freed_count:
             self._rebuild_extents()
@@ -449,18 +545,25 @@ class BlockMap:
 
     def plane_blocks(self, plane: int) -> np.ndarray:
         """Sorted array of block numbers held by a plane (0 = active)."""
-        if plane == ACTIVE_PLANE:
-            mask = np.uint32(1 << ACTIVE_PLANE)
-        else:
+        if plane != ACTIVE_PLANE:
             self._check_plane(plane)
-            mask = np.uint32(1 << plane)
-        return np.flatnonzero(self.words & mask)
+        mask = np.uint32(1 << plane)
+        return self._select_blocks(lambda words: words & mask)
 
     def plane_difference(self, newer_plane: int, older_plane: int) -> np.ndarray:
         """Blocks in ``newer_plane`` but not ``older_plane`` (Table 1: B − A)."""
-        newer = (self.words & np.uint32(1 << newer_plane)) != 0
-        older = (self.words & np.uint32(1 << older_plane)) != 0
-        return np.flatnonzero(newer & ~older)
+        newer = np.uint32(1 << newer_plane)
+        older = np.uint32(1 << older_plane)
+        return self._select_blocks(
+            lambda words: ((words & newer) != 0) & ((words & older) == 0))
+
+    def _select_blocks(self, select) -> np.ndarray:
+        """Sorted block numbers whose word ``select(words)`` (per
+        materialized slab) marks non-zero; an absent slab holds none."""
+        parts = [np.empty(0, dtype=np.int64)]
+        parts += [np.flatnonzero(select(words)) + lo
+                  for lo, words in self.held_slabs()]
+        return np.concatenate(parts)
 
     def mask_runs(self, mask) -> List[Tuple[int, int]]:
         """Blocks held by any plane in the bit ``mask``, as ``(start,
@@ -504,35 +607,58 @@ class BlockMap:
     def serialize_fblock_run(self, fblock: int, count: int) -> bytes:
         """``count`` consecutive fblocks' bytes: one copy of the run.
 
-        The result is an immutable snapshot that never aliases ``words``,
+        The result is an immutable snapshot that never aliases a slab,
         so the map may change while the run is still on its way to the
-        volume.  Only the map's final, partial fblock is zero padded.
+        volume; an absent slab is read from the shared zero slab.  Only
+        the map's final, partial fblock is zero padded.
         """
         start = fblock * BLOCKMAP_ENTRIES_PER_BLOCK
         end = min(start + count * BLOCKMAP_ENTRIES_PER_BLOCK, self.nblocks)
         pad = (count * BLOCKMAP_ENTRIES_PER_BLOCK - (end - start)) * 4
-        return b"".join((self.words[start:end].data, bytes(pad)))
+        parts = []
+        while start < end:
+            index, at = divmod(start, _SLAB_WORDS)
+            take = min(end - start, _SLAB_WORDS - at)
+            words = self._slab_words.get(index, _ZERO_SLAB)
+            parts.append(words[at : at + take].data)
+            start += take
+        parts.append(bytes(pad))
+        return b"".join(parts)
 
     @classmethod
-    def deserialize(cls, nblocks: int, reserved: int, raw) -> "BlockMap":
+    def deserialize(cls, nblocks: int, reserved: int,
+                    pieces: Iterable[Tuple[int, object]]) -> "BlockMap":
         """Rebuild a map from the block-map file's contents.
 
-        ``raw`` is any buffer of little-endian words; a writable one (the
-        array ``mount`` read the file into) is adopted, not copied.
+        ``pieces`` yields ``(first fblock, buffer)``: any buffers of
+        little-endian words, in any order, a hole between them reading as
+        zeros — ``[(0, raw)]`` for a whole file image, or the buffers
+        ``mount`` reads the file's extents into.  Only slabs that receive
+        a non-zero word are materialized; the buffers are copied, never
+        kept.
         """
-        if memoryview(raw).nbytes < nblocks * 4:
-            raise FilesystemError("block-map file too short")
-        words = np.frombuffer(raw, dtype="<u4", count=nblocks)
         blockmap = cls.__new__(cls)
         blockmap.nblocks = nblocks
         blockmap.reserved = reserved
-        blockmap.words = words if words.flags.writeable else words.copy()
+        blockmap._slab_words = {}
+        blockmap._shared = set()
+        for fblock, buffer in pieces:
+            start = fblock * BLOCKMAP_ENTRIES_PER_BLOCK
+            words = np.frombuffer(buffer, dtype="<u4")
+            words = words[: max(0, nblocks - start)]
+            while words.size:
+                index, at = divmod(start, _SLAB_WORDS)
+                take = min(words.size, _SLAB_WORDS - at)
+                if words[:take].any():
+                    blockmap._writable(index)[at : at + take] = words[:take]
+                words = words[take:]
+                start += take
         blockmap.dirty_fblocks = set()
         blockmap._dirty_heap = []
         blockmap.reuse_excluded = set()
         blockmap._active_count = sum(
-            int(np.count_nonzero(slab & _ACTIVE))
-            for _lo, slab in blockmap._slabs())
+            int(np.count_nonzero(words & _ACTIVE))
+            for words in blockmap._slab_words.values())
         blockmap.cp_reserve = min(
             max(64, 2 * blockmap.n_fblocks() + 64),
             max(1, (nblocks - reserved) // 8),
@@ -541,20 +667,21 @@ class BlockMap:
         return blockmap
 
     def clone(self) -> "BlockMap":
-        """An independent copy of the whole map state.
+        """An independent copy of the whole map state, as
+        ``copy.deepcopy`` would give it.
 
-        ``words`` is one memcpy; the extent index, dirty tracking, and
-        counters are container copies — equivalent to ``copy.deepcopy``
-        but without walking 73M elements object-by-object.  This is the
-        only non-COW part of a volume clone (a dense uint32 plane has no
-        chunk structure to share), so a clone costs ~4 bytes per volume
-        block up front — with ``np.zeros`` in ``__init__``, one of the
-        two full-length allocations this class makes.
+        The slabs are shared copy-on-write, as a stripe store's chunks
+        are: both sides mark them ``_shared``, and the first write to a
+        shared slab, from either side, copies it (:meth:`_writable`).  The
+        extent index, dirty tracking and counters are container copies,
+        so a clone costs the dict and those, not the words.
         """
         other = BlockMap.__new__(BlockMap)
         other.nblocks = self.nblocks
         other.reserved = self.reserved
-        other.words = self.words.copy()
+        other._slab_words = dict(self._slab_words)
+        self._shared.update(self._slab_words)
+        other._shared = set(self._slab_words)
         other._starts = list(self._starts)
         other._lengths = dict(self._lengths)
         other.dirty_fblocks = set(self.dirty_fblocks)

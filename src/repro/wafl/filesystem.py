@@ -38,8 +38,6 @@ import copy
 import heapq
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.errors import (
     ExistsError,
     FilesystemError,
@@ -516,19 +514,28 @@ class WaflFilesystem(FileTree):
         if fsinfo.block_size != volume.block_size or fsinfo.nblocks != volume.nblocks:
             raise FilesystemError("volume geometry does not match fsinfo")
         # Bootstrap: the read path never consults the map, so the map
-        # file is read, extent by extent, into the very array the map
-        # adopts (holes stay zero).
+        # file is read extent by extent, and the map copies in only the
+        # slabs whose words are not all zero (holes and unwritten chunks
+        # read as zeros).
         fs = cls(volume, fsinfo, None, nvram=nvram, clock=clock)
         bm_inode = fs._load_inode(INO_BLOCKMAP)
-        image = np.zeros(-(-bm_inode.size // BLOCK_SIZE) * BLOCK_SIZE,
-                         dtype=np.uint8)
-        for fbn, vbn, count in BlockTree(fs, bm_inode).extents():
-            if (fbn + count) * BLOCK_SIZE > image.size:
-                raise FilesystemError("block-map file extends past its size")
-            image[fbn * BLOCK_SIZE : (fbn + count) * BLOCK_SIZE] = (
-                np.frombuffer(volume.read_run(vbn, count), dtype=np.uint8))
+        if bm_inode.size < volume.nblocks * 4:
+            raise FilesystemError("block-map file too short")
+        fblocks = -(-bm_inode.size // BLOCK_SIZE)
+
+        def pieces():
+            for fbn, vbn, count in BlockTree(fs, bm_inode).extents():
+                if fbn + count > fblocks:
+                    raise FilesystemError(
+                        "block-map file extends past its size")
+                buffers: list = []
+                volume.read_run(vbn, count, buffers)
+                for buffer in buffers:
+                    yield fbn, buffer
+                    fbn += memoryview(buffer).nbytes // BLOCK_SIZE
+
         fs.blockmap = BlockMap.deserialize(volume.nblocks, RESERVED_BLOCKS,
-                                           image)
+                                           pieces())
         fs.fsinfo_repairs = fsinfo_repairs
         fs._scan_inodes()
         if nvram is not None and len(nvram):
@@ -588,10 +595,11 @@ class WaflFilesystem(FileTree):
         buffer cache (hits/misses/LRU order), the inode and directory parse
         caches, allocation cursors, dirty sets, counters — so running a
         workload on the clone behaves byte-for-byte like running it on the
-        original.  The volume is a chunk-sharing :meth:`RaidVolume.clone`,
-        so the copy costs ~4 bytes/block for the block map plus small
-        metadata, not the data size.  The original must keep mounted state
-        (do not clone a crashed file system).
+        original.  The volume is a chunk-sharing :meth:`RaidVolume.clone`
+        and the block map a slab-sharing :meth:`BlockMap.clone`, so the
+        copy costs small metadata, not the data or address-space size.
+        The original must keep mounted state (do not clone a crashed file
+        system).
         """
         if self.fsinfo is None or self.blockmap is None:
             raise FilesystemError("cannot clone a crashed file system")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
+import numpy as np
+
 from repro.errors import FilesystemError
 from repro.wafl.blockmap import BlockMap
 from repro.wafl.blocktree import BlockTree
@@ -45,6 +47,14 @@ def _claim(report: FsckReport, claimed: Dict[int, str], vbn: int, owner: str) ->
         report.error("block %d cross-linked: %s and %s" % (vbn, previous, owner))
     else:
         claimed[vbn] = owner
+
+
+def _lacking(blockmap: BlockMap, claimed: Dict[int, str],
+             mask: int) -> List[int]:
+    """The claimed blocks whose word lacks every bit of ``mask``, in
+    claim order: one gather of the claimed words."""
+    blocks = np.fromiter(claimed, dtype=np.int64, count=len(claimed))
+    return blocks[(blockmap.words_at(blocks) & np.uint32(mask)) == 0].tolist()
 
 
 def _collect_tree(report, claimed, ctx, inode, owner: str) -> None:
@@ -155,9 +165,8 @@ def fsck(fs, check_parity: bool = False) -> FsckReport:
     # 4. Block map agreement: every claimed block carries the active bit;
     #    every active bit is claimed by exactly one owner (no leaks).
     blockmap: BlockMap = fs.blockmap
-    for vbn in claimed:
-        if not int(blockmap.words[vbn]) & (1 << ACTIVE_PLANE):
-            report.error("block %d is referenced but not marked active" % vbn)
+    for vbn in _lacking(blockmap, claimed, 1 << ACTIVE_PLANE):
+        report.error("block %d is referenced but not marked active" % vbn)
     active = set(int(b) for b in blockmap.plane_blocks(ACTIVE_PLANE))
     leaked = active - set(claimed)
     if leaked:
@@ -190,12 +199,10 @@ def fsck_snapshot(fs, name: str) -> FsckReport:
     bm_inode = view._load_inode(INO_BLOCKMAP)
     if not bm_inode.is_free:
         _collect_tree(report, claimed, view, bm_inode, "snap-blockmap")
-    plane_mask = 1 << record.snap_id
-    for vbn in claimed:
-        if not int(fs.blockmap.words[vbn]) & plane_mask:
-            report.error(
-                "snapshot %r references block %d outside its plane" % (name, vbn)
-            )
+    for vbn in _lacking(fs.blockmap, claimed, 1 << record.snap_id):
+        report.error(
+            "snapshot %r references block %d outside its plane" % (name, vbn)
+        )
     report.blocks_checked = len(claimed)
     return report
 

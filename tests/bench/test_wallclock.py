@@ -162,7 +162,7 @@ def test_check_refuses_in_one_line_before_anything_runs(
     assert ("run", "reference") not in children.calls
 
 
-@pytest.mark.parametrize("rss, exit_code", [(1_800_000_000, 0),
+@pytest.mark.parametrize("rss, exit_code", [(800_000_000, 0),
                                             (2_500_000_000, 1)])
 def test_full_scale_rss_over_the_limit_fails(rss, exit_code, checkout, capsys,
                                              monkeypatch):
@@ -171,7 +171,7 @@ def test_full_scale_rss_over_the_limit_fails(rss, exit_code, checkout, capsys,
     assert wallclock.main(["--mode", "fullscale", "--check"]) == exit_code
     out = capsys.readouterr().out
     assert ("macro.fullscale.run_basic: peak RSS 2500000000 bytes: missing,"
-            " or above the 1.87 GB limit" in out) == bool(exit_code)
+            " or above the 0.83 GB limit" in out) == bool(exit_code)
 
 
 @pytest.mark.parametrize("cores, exit_code", [(2, 0), (4, 1)])

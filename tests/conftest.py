@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.nvram.log import NvramLog
@@ -11,6 +12,8 @@ from repro.raid.layout import make_geometry
 from repro.raid.volume import RaidVolume
 from repro.storage.tape import TapeDrive, TapeStacker
 from repro.units import MB
+from repro.wafl import blockmap as blockmap_module
+from repro.wafl.blockmap import BlockMap
 from repro.wafl.filesystem import WaflFilesystem
 
 
@@ -30,6 +33,25 @@ def make_fs(ngroups=2, ndata=4, blocks_per_disk=2500, name="test",
 def make_drive(name="tape", tapes=8, capacity=256 * MB):
     return TapeDrive(TapeStacker.with_blank_tapes(tapes, capacity=capacity,
                                                   name=name))
+
+
+def map_words(blockmap):
+    """A block map's words as one dense read-only array, read through
+    its on-disk form (``serialize_fblock_run``)."""
+    raw = blockmap.serialize_fblock_run(0, blockmap.n_fblocks())
+    return np.frombuffer(raw, dtype="<u4", count=blockmap.nblocks)
+
+
+def map_of(words, reserved):
+    """The map a mount of the dense ``words`` builds."""
+    return BlockMap.deserialize(len(words), reserved, [(0, words)])
+
+
+def set_word(blockmap, block, word):
+    """Overwrite one word behind the map's back: no count, index or
+    dirty set follows it (a test's damage or set-up)."""
+    slab = blockmap_module._SLAB_WORDS
+    blockmap._writable(block // slab)[block % slab] = word
 
 
 @pytest.fixture

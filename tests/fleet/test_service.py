@@ -174,6 +174,50 @@ class TestPersistence:
         assert mounted() is None
 
 
+    def test_a_failed_run_saves_the_days_it_completed(self, tmp_path,
+                                                      capsys):
+        # Three cartridges carry three days; the fourth finds no scratch
+        # media.  The run saves the three days it completed, then fails:
+        # its root is, file for file, the root of a three-day run, and a
+        # rerun fails the same way without moving it.
+        from repro.catalog.store import BackupCatalog
+        from repro.manager.media import MediaPool
+
+        spec = FleetSpec(tenants=[
+            TenantSpec("solo", lane="daily", strategy="logical",
+                       schedule="gfs:4x2", retention="redundancy 2",
+                       data_bytes=300_000, seed=5, cartridges=3,
+                       cartridge_capacity=2_000_000, blocks_per_disk=900)],
+            drives=1, seed=7)
+        failed, whole = str(tmp_path / "failed"), str(tmp_path / "whole")
+        for root in (failed, whole):
+            FleetService.init_fleet(root, spec)
+        assert main(["fleet", "run", failed, "--days", "5"]) == 2
+        assert "no scratch cartridges" in capsys.readouterr().err
+        FleetService(whole).run_days(3)
+        files = ["events.jsonl", "state.json"] + [
+            "tenants/solo/" + name for name in (
+                "catalog.json", "catalog.json.journal", "media.bin",
+                "volume.bin")]
+        for rel in files:
+            assert filecmp.cmp(os.path.join(failed, rel),
+                               os.path.join(whole, rel), shallow=False), rel
+        assert load_state(failed)["day"] == 3
+        tenant_root = FleetService.tenant_root(failed, "solo")
+        catalog = BackupCatalog.load(os.path.join(tenant_root,
+                                                  "catalog.json"))
+        pool = MediaPool.load(catalog, os.path.join(tenant_root,
+                                                    "media.bin"))
+        sets = sorted(catalog.sets.values(), key=lambda s: s.day)
+        assert [s.day for s in sets] == [0, 1, 2]
+        assert all(pool.cartridge(label).used
+                   for s in sets for label in s.cartridges)
+        before = {rel: open(os.path.join(failed, rel), "rb").read()
+                  for rel in files}
+        assert main(["fleet", "run", failed, "--days", "1"]) == 2
+        for rel, data in before.items():
+            assert open(os.path.join(failed, rel), "rb").read() == data, rel
+
     def test_a_failing_tenant_day_leaves_the_root_untouched(
             self, tmp_path, monkeypatch):
         # A batch stages every dump, runs them all, then commits: when a
@@ -314,6 +358,23 @@ class TestAdHocJobs:
         assert len(capsys.readouterr().err.splitlines()) == 1
         with open(path, "rb") as handle:
             assert handle.read() == written
+
+    def test_a_failed_day_puts_the_jobs_it_claimed_back(self, fresh_root,
+                                                        monkeypatch):
+        from repro.errors import TapeError
+        from repro.fleet import service as service_module
+
+        def runs_dry(*args):
+            raise TapeError("stacker magazine exhausted")
+
+        submit_job(fresh_root, "acme", kind="dump", lane="interactive")
+        queued = load_state(fresh_root)["pending"]
+        monkeypatch.setattr(service_module, "run_tenant_day_resident",
+                            runs_dry)
+        with pytest.raises(TapeError):
+            FleetService(fresh_root).run_days(2)
+        assert load_state(fresh_root)["pending"] == queued
+        assert load_state(fresh_root)["day"] == 1
 
     def test_submit_unknown_tenant_refused(self, fresh_root):
         with pytest.raises(FleetError):

@@ -7,6 +7,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import NoSpaceError
 from repro.wafl.blockmap import BlockMap
+from tests.conftest import map_of
 
 NBLOCKS = 600
 RESERVED = 8
@@ -56,14 +57,14 @@ def test_free_then_alloc_conserves_counts(data):
        st.sets(st.integers(RESERVED, NBLOCKS - 1), max_size=100))
 def test_plane_difference_is_set_difference(in_a_only, shared):
     """Table 1 as a property: B − A over arbitrary block sets."""
-    blockmap = BlockMap(NBLOCKS, reserved=RESERVED)
-    words = blockmap.words
+    words = np.zeros(NBLOCKS, dtype="<u4")
     in_b_only = {(b + 37) % (NBLOCKS - RESERVED) + RESERVED
                  for b in in_a_only} - in_a_only - shared
     for block in in_a_only | shared:
         words[block] |= np.uint32(1 << 1)
     for block in in_b_only | shared:
         words[block] |= np.uint32(1 << 2)
+    blockmap = map_of(words, RESERVED)
     diff = set(int(x) for x in blockmap.plane_difference(2, 1))
     assert diff == in_b_only
 

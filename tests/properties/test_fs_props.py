@@ -26,7 +26,7 @@ from repro.wafl.consts import BLOCK_SIZE, DOS_NAME_LEN
 from repro.wafl.filesystem import WaflFilesystem
 from repro.wafl.fsck import fsck, fsck_snapshot
 
-from tests.conftest import make_drive, make_fs
+from tests.conftest import make_drive, make_fs, map_words
 
 _slow = settings(max_examples=15, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow,
@@ -421,11 +421,11 @@ class FilesystemMachine(RuleBasedStateMachine):
         hide what ``crash_and_remount`` must lose."""
         twin = self.fs.clone_volume()
         twin.consistency_point()
-        words = twin.blockmap.words.copy()
+        words = map_words(twin.blockmap).copy()
         volume = twin.volume
         twin.crash()
         mounted = WaflFilesystem.mount(volume)
-        assert np.array_equal(mounted.blockmap.words, words)
+        assert np.array_equal(map_words(mounted.blockmap), words)
         report = fsck(mounted, check_parity=True)
         assert report.clean, report.errors
         for name, frozen in self.snapshot_models.items():

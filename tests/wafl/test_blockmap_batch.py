@@ -18,11 +18,12 @@ from repro.backup.physical.incremental import (
 )
 from repro.errors import FilesystemError
 from repro.wafl.blockmap import BlockMap, runs_from_blocks
+from tests.conftest import map_words
 
 
 def snapshot_state(blockmap):
     return (
-        blockmap.words.tobytes(),
+        map_words(blockmap).tobytes(),
         blockmap.free_blocks(),
         list(blockmap._starts),
         dict(blockmap._lengths),
@@ -68,8 +69,9 @@ def test_free_active_many_matches_per_block_loop(seed, defer):
 def reference_commit(blockmap):
     """The original per-block commit loop, kept as the test oracle."""
     count = 0
+    words = map_words(blockmap)
     for block in sorted(blockmap.reuse_excluded):
-        if blockmap.words[block] == 0:
+        if words[block] == 0:
             blockmap._extent_add(block)
             count += 1
     blockmap.reuse_excluded.clear()
@@ -103,7 +105,7 @@ def test_free_active_many_duplicate_detection_single_diff(monkeypatch):
     assert "double free of block %d" % first_dup in str(excinfo.value)
     assert calls["count"] == 1
     # The failed batch must not have touched any state.
-    assert bool((batched.words[np.asarray(batch)]
+    assert bool((map_words(batched)[np.asarray(batch)]
                  & np.uint32(1)).all())
 
 
@@ -181,8 +183,9 @@ def test_block_counts_match_full_scan():
     blockmap = BlockMap(4096, reserved=16)
 
     def check():
-        active_scan = int(((blockmap.words & np.uint32(1)) != 0).sum())
-        used_scan = int((blockmap.words != 0).sum())
+        words = map_words(blockmap)
+        active_scan = int(((words & np.uint32(1)) != 0).sum())
+        used_scan = int((words != 0).sum())
         assert blockmap.active_block_count() == active_scan
         assert blockmap.used_block_count() == used_scan
 
@@ -210,7 +213,8 @@ def test_block_counts_match_full_scan():
     # Round trip through the on-disk form recomputes the same counters.
     raw = b"".join(blockmap.serialize_fblock(fb)
                    for fb in range(blockmap.n_fblocks()))
-    clone = BlockMap.deserialize(blockmap.nblocks, blockmap.reserved, raw)
+    clone = BlockMap.deserialize(blockmap.nblocks, blockmap.reserved,
+                                 [(0, raw)])
     assert clone.active_block_count() == blockmap.active_block_count()
     assert clone.used_block_count() == blockmap.used_block_count()
 

@@ -1,7 +1,8 @@
 """Slab kernels against the whole-array forms they replaced.
 
-``BlockMap`` runs its whole-map operations (snapshot planes, the free
-extent rebuild, the active count) over fixed-size slabs of ``words``.
+``BlockMap`` holds its words in fixed-size slabs and runs its whole-map
+operations (snapshot planes, the free extent rebuild, the active count)
+slab by slab.
 The reference functions below are the previous whole-array bodies; the
 tests drive both over seeded random maps whose sizes, reserved areas,
 free runs and deferred-reuse entries straddle the slab edges, and
@@ -19,6 +20,7 @@ import pytest
 from repro.wafl import blockmap as blockmap_module
 from repro.wafl.blockmap import BlockMap, runs_from_blocks
 from repro.wafl.consts import BLOCKMAP_ENTRIES_PER_BLOCK
+from tests.conftest import map_of, map_words, set_word
 
 SLAB = blockmap_module._SLAB_WORDS
 
@@ -108,8 +110,7 @@ def random_map(seed, nblocks, reserved, plane):
             if reserved <= block < nblocks and rng.rand() < 0.8:
                 words[block] = 0
                 excluded.add(block)
-    blockmap = BlockMap(nblocks, reserved=reserved)
-    blockmap.words[:] = words
+    blockmap = map_of(words, reserved)
     blockmap.reuse_excluded = excluded
     blockmap._rebuild_extents()
     blockmap._active_count = ref_active_count(words)
@@ -138,7 +139,7 @@ def index_of(blockmap):
 def test_rebuild_extents_matches_whole_array_scan(seed, nblocks, reserved,
                                                   plane):
     blockmap = random_map(seed, nblocks, reserved, plane)
-    expected = ref_rebuild_extents(blockmap.words.copy(), reserved,
+    expected = ref_rebuild_extents(map_words(blockmap).copy(), reserved,
                                    blockmap.reuse_excluded)
     assert index_of(blockmap) == expected
     assert sorted(blockmap._lengths) == blockmap._starts
@@ -154,7 +155,7 @@ def test_snapshot_create_and_delete_match_whole_array_forms(
     # dirty, and a stale (popped-elsewhere) entry in the heap.
     blockmap._dirty_add_many([blockmap.n_fblocks() - 1, 0])
     blockmap.dirty_fblocks.discard(0)
-    words = blockmap.words.copy()
+    words = map_words(blockmap).copy()
 
     # Delete first: the random words hold the plane already.
     assert blockmap.plane_in_use(plane) == ref_plane_in_use(words, plane)
@@ -162,7 +163,7 @@ def test_snapshot_create_and_delete_match_whole_array_forms(
     before = words.copy()
     freed = blockmap.snapshot_delete(plane)
     assert freed == ref_snapshot_delete(words, plane)
-    assert np.array_equal(blockmap.words, words)
+    assert np.array_equal(map_words(blockmap), words)
     assert index_of(blockmap) == ref_rebuild_extents(
         words.copy(), reserved, blockmap.reuse_excluded)
     assert not blockmap.plane_in_use(plane)
@@ -179,8 +180,9 @@ def test_snapshot_create_and_delete_match_whole_array_forms(
     before = words.copy()
     blockmap.snapshot_create(plane)
     ref_snapshot_create(words, plane)
-    assert np.array_equal(blockmap.words, words)
-    assert blockmap.words.dtype == np.dtype("<u4")
+    assert np.array_equal(map_words(blockmap), words)
+    assert all(slab.dtype == np.dtype("<u4")
+               for _lo, slab in blockmap.held_slabs())
     assert index_of(blockmap) == index_before   # a snapshot frees nothing
     changed = ref_changed_fblocks(before, words)
     assert 0 < len(changed) < blockmap.n_fblocks()
@@ -192,12 +194,12 @@ def test_snapshot_create_and_delete_match_whole_array_forms(
     # word, so there is nothing to write — and where one block lacks the
     # bit, that block's fblock alone.
     blockmap.snapshot_create(plane)
-    assert np.array_equal(blockmap.words, words)
+    assert np.array_equal(map_words(blockmap), words)
     assert not blockmap.dirty_fblocks
     block = int(np.flatnonzero(words & np.uint32(1 << plane))[-1])
-    blockmap.words[block] ^= np.uint32(1 << plane)
+    set_word(blockmap, block, int(words[block]) ^ (1 << plane))
     blockmap.snapshot_create(plane)
-    assert np.array_equal(blockmap.words, words)
+    assert np.array_equal(map_words(blockmap), words)
     assert drain(blockmap) == [block // BLOCKMAP_ENTRIES_PER_BLOCK]
 
 
@@ -206,12 +208,13 @@ def test_deserialize_counts_and_indexes_like_the_whole_array_forms(
         seed, nblocks, reserved, plane):
     source = random_map(seed, nblocks, reserved, plane)
     raw = source.serialize_fblock_run(0, source.n_fblocks())
-    recovered = BlockMap.deserialize(nblocks, reserved, raw)
-    assert np.array_equal(recovered.words, source.words)
-    assert recovered.active_block_count() == ref_active_count(source.words)
+    recovered = BlockMap.deserialize(nblocks, reserved, [(0, raw)])
+    assert np.array_equal(map_words(recovered), map_words(source))
+    assert recovered.active_block_count() == ref_active_count(
+        map_words(source))
     # The deferred-reuse set is in-memory state: a remounted map has none.
     assert index_of(recovered) == ref_rebuild_extents(
-        source.words.copy(), reserved, ())
+        map_words(source).copy(), reserved, ())
 
 
 def ref_mask_runs(mask):
@@ -226,7 +229,7 @@ def ref_mask_runs(mask):
 def test_plane_run_lists_match_whole_array_encoding(seed, nblocks, reserved,
                                                     plane):
     blockmap = random_map(seed, nblocks, reserved, plane)
-    words = blockmap.words
+    words = map_words(blockmap)
     other = 2 if plane != 2 else 3
     for which in (0, plane, other):
         held = (words & np.uint32(1 << which)) != 0
@@ -240,8 +243,8 @@ def test_plane_run_lists_match_whole_array_encoding(seed, nblocks, reserved,
             blockmap.plane_difference(newer, older))
     empty = BlockMap(nblocks, reserved=reserved)
     assert empty.plane_runs(0) == []
-    empty.words[:] = 1
-    assert empty.plane_runs(0) == [(0, nblocks)]
+    full = map_of(np.ones(nblocks, dtype="<u4"), reserved)
+    assert full.plane_runs(0) == [(0, nblocks)]
 
 
 @pytest.mark.parametrize("excluded", [(), (2 * SLAB + 7,), (SLAB, 3 * SLAB - 1)])
@@ -249,15 +252,16 @@ def test_whole_free_and_whole_used_slabs_carry_the_edge_state(excluded):
     """A free run entering two untouched slabs from a mixed one, ending
     at an all-used slab, and a map that ends free."""
     nblocks = 5 * SLAB + 100
-    blockmap = BlockMap(nblocks, reserved=8)
-    blockmap.words[8:500] = 1
-    blockmap.words[SLAB - 40 : SLAB - 10] = 4        # free again up to the edge
-    blockmap.words[3 * SLAB : 4 * SLAB] = 2          # all used
-    blockmap.words[4 * SLAB + 10 : 4 * SLAB + 20] = 1
+    words = np.zeros(nblocks, dtype="<u4")
+    words[8:500] = 1
+    words[SLAB - 40 : SLAB - 10] = 4        # free again up to the edge
+    words[3 * SLAB : 4 * SLAB] = 2          # all used
+    words[4 * SLAB + 10 : 4 * SLAB + 20] = 1
+    blockmap = map_of(words, 8)
     blockmap.reuse_excluded = set(excluded)
     blockmap._rebuild_extents()
     assert index_of(blockmap) == ref_rebuild_extents(
-        blockmap.words.copy(), 8, excluded)
+        words.copy(), 8, excluded)
     if not excluded:
         assert blockmap._lengths[SLAB - 10] == 2 * SLAB + 10
     assert blockmap._starts[-1] == 4 * SLAB + 20
@@ -294,8 +298,8 @@ def test_round_trip_with_a_partial_last_fblock():
     assert whole == b"".join(blockmap.serialize_fblock(f) for f in range(3))
     assert blockmap.serialize_fblock_run(1, 2) == whole[
         BLOCKMAP_ENTRIES_PER_BLOCK * 4 :]
-    recovered = BlockMap.deserialize(nblocks, 8, whole)
-    assert np.array_equal(recovered.words, blockmap.words)
+    recovered = BlockMap.deserialize(nblocks, 8, [(0, whole)])
+    assert np.array_equal(map_words(recovered), map_words(blockmap))
     assert index_of(recovered) == index_of(blockmap)
     assert recovered.active_block_count() == blockmap.active_block_count()
 
@@ -305,28 +309,39 @@ def test_serialized_run_is_a_snapshot_not_a_view():
     blockmap.allocate_run(100, 8)
     data = blockmap.serialize_fblock_run(0, 4)
     assert type(data) is bytes
-    assert not np.shares_memory(np.frombuffer(data, dtype=np.uint8),
-                                blockmap.words)
+    assert not any(np.shares_memory(np.frombuffer(data, dtype=np.uint8), slab)
+                   for _lo, slab in blockmap.held_slabs())
     before = bytes(data)
     blockmap.snapshot_create(1)
     assert data == before
 
 
-def test_deserialize_adopts_the_array_it_is_given():
-    source = BlockMap(5000, reserved=8)
+def test_deserialize_copies_only_the_slabs_that_hold_words():
+    """A slab all of whose words are zero stays absent, whether the file
+    image holds its zeros or a hole; the buffers are copied, not kept."""
+    nblocks = 3 * SLAB + 17
+    source = BlockMap(nblocks, reserved=8)
     source.allocate_run(700, 8)
-    image = np.frombuffer(
-        source.serialize_fblock_run(0, source.n_fblocks()),
-        dtype=np.uint8).copy()              # what mount reads the file into
-    adopted = BlockMap.deserialize(5000, 8, image)
-    assert np.shares_memory(adopted.words, image)
-    assert adopted.words.ndim == 1 and adopted.words.size == 5000
-    assert np.array_equal(adopted.words, source.words)
-    # An immutable buffer cannot be adopted: the map gets its own copy.
-    raw = image.tobytes()
-    copied = BlockMap.deserialize(5000, 8, raw)
-    assert copied.words.flags.writeable
-    assert not np.shares_memory(copied.words,
-                                np.frombuffer(raw, dtype=np.uint8))
-    copied.snapshot_create(3)               # writable, independent
-    assert not np.array_equal(copied.words, adopted.words)
+    source.allocate_run(50, 2 * SLAB + 100)
+    n_fblocks = source.n_fblocks()
+    image = np.frombuffer(source.serialize_fblock_run(0, n_fblocks),
+                          dtype=np.uint8).copy()
+    whole = BlockMap.deserialize(nblocks, 8, [(0, image)])
+    # One buffer per non-zero fblock, last first, every hole unread: the
+    # pieces mount hands over, in any order.
+    size = BLOCKMAP_ENTRIES_PER_BLOCK * 4
+    fblocks = [image[f * size : (f + 1) * size] for f in range(n_fblocks)]
+    pieced = BlockMap.deserialize(
+        nblocks, 8, [(f, fblocks[f]) for f in reversed(range(n_fblocks))
+                     if fblocks[f].any()])
+    for recovered in (whole, pieced):
+        assert [lo for lo, _w in recovered.held_slabs()] == [0, 2 * SLAB]
+        assert np.array_equal(map_words(recovered), map_words(source))
+        assert index_of(recovered) == index_of(source)
+        assert not any(np.shares_memory(slab, image)
+                       for _lo, slab in recovered.held_slabs())
+    image[:] = 0
+    assert np.array_equal(map_words(whole), map_words(source))
+    whole.snapshot_create(3)                # writable, independent
+    assert np.array_equal(map_words(pieced), map_words(source))
+    assert not np.array_equal(map_words(whole), map_words(pieced))

@@ -6,7 +6,7 @@ from repro.errors import FilesystemError
 from repro.wafl.blocktree import BlockTree
 from repro.wafl.consts import BLOCK_SIZE, NDIRECT, PTRS_PER_BLOCK
 
-from tests.conftest import make_fs
+from tests.conftest import make_fs, map_words
 
 
 def tree_for(fs, path):
@@ -193,7 +193,8 @@ def test_write_cow_run_matches_per_block_write_fblock(seed, first):
     assert batched.volume.recorder.drain() == reference.volume.recorder.drain()
     assert ([tree.get_pointer(f) for f in range(nblocks)]
             == [ref_tree.get_pointer(f) for f in range(nblocks)])
-    assert batched.blockmap.words.tobytes() == reference.blockmap.words.tobytes()
+    assert (map_words(batched.blockmap).tobytes()
+            == map_words(reference.blockmap).tobytes())
     assert batched.blockmap._starts == reference.blockmap._starts
     assert batched._fresh_blocks == reference._fresh_blocks
     assert volume_digest(batched.volume) == volume_digest(reference.volume)

@@ -4,7 +4,7 @@
 from repro.wafl.consts import BLOCK_SIZE
 from repro.wafl.fsck import fsck, fsck_snapshot
 
-from tests.conftest import make_fs, populate_small_tree
+from tests.conftest import make_fs, map_words, populate_small_tree, set_word
 
 
 def test_clean_tree_is_clean():
@@ -112,11 +112,10 @@ def test_snapshot_fsck_flags_missing_plane_bit():
     fs.create("/f", b"y" * BLOCK_SIZE)
     record = fs.snapshot_create("s")
     # Strip the plane bit from one of the snapshot's blocks.
-    import numpy as np
-
     blocks = fs.blockmap.plane_blocks(record.snap_id)
     victim = int(blocks[-1])
-    fs.blockmap.words[victim] &= np.uint32(~(1 << record.snap_id) & 0xFFFFFFFF)
+    set_word(fs.blockmap, victim,
+             int(map_words(fs.blockmap)[victim]) & ~(1 << record.snap_id))
     report = fsck_snapshot(fs, "s")
     assert any("outside its plane" in error for error in report.errors)
 

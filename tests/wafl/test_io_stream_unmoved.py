@@ -27,6 +27,7 @@ from repro.wafl.consts import BLOCKMAP_ENTRIES_PER_BLOCK, INO_BLOCKMAP
 from repro.wafl.filesystem import WaflFilesystem
 from repro.wafl.fsck import fsck, fsck_snapshot
 from repro.wafl.fsinfo import FsInfo
+from tests.conftest import map_words
 
 
 def aged_fs() -> WaflFilesystem:
@@ -77,8 +78,9 @@ def test_mount_reads_what_the_byte_image_route_read():
         mounted = WaflFilesystem.mount(volumes[1])
         assert volumes[1].recorder._pending == volumes[0].recorder._pending
         assert cache_state(volumes[1]) == cache_state(volumes[0])
-        assert np.array_equal(mounted.blockmap.words, words)
-        assert np.array_equal(mounted.blockmap.words, source.blockmap.words)
+        assert np.array_equal(map_words(mounted.blockmap), words)
+        assert np.array_equal(map_words(mounted.blockmap),
+                              map_words(source.blockmap))
         assert mounted.blockmap._starts == source.blockmap._starts
         assert (mounted.blockmap.active_block_count()
                 == source.blockmap.active_block_count())
@@ -136,7 +138,7 @@ def snapshot_cycle():
                 for group in volume.groups
                 for disk in group.data_disks + [group.parity_disk]]
     stream = hashlib.sha256(repr(events).encode()).hexdigest()
-    words = hashlib.sha256(fs.blockmap.words.tobytes()).hexdigest()
+    words = hashlib.sha256(map_words(fs.blockmap).tobytes()).hexdigest()
     return (volume_digest(volume), counters, stream,
             volume.recorder.total_read_blocks,
             volume.recorder.total_written_blocks, freed, words)
@@ -167,7 +169,7 @@ def test_snapshot_writes_follow_the_data_not_the_address_space():
     volume, blockmap = fs.volume, fs.blockmap
     assert blockmap.nblocks >= 1 << 20
     holding = np.count_nonzero(np.bitwise_or.reduceat(
-        blockmap.words,
+        map_words(blockmap),
         np.arange(0, blockmap.nblocks, BLOCKMAP_ENTRIES_PER_BLOCK)))
     assert 0 < holding * 100 < blockmap.n_fblocks()
     volume.recorder = IoRecorder()
@@ -176,10 +178,10 @@ def test_snapshot_writes_follow_the_data_not_the_address_space():
     fs.snapshot_delete("dropped")
     written = volume.recorder.total_written_blocks
     assert 0 < written <= 32 * holding < blockmap.n_fblocks()
-    words = blockmap.words.copy()
+    words = map_words(blockmap).copy()
     fs.crash()
     mounted = WaflFilesystem.mount(volume)
-    assert np.array_equal(mounted.blockmap.words, words)
+    assert np.array_equal(map_words(mounted.blockmap), words)
     assert fsck(mounted).clean
     assert fsck_snapshot(mounted, "kept").clean
 
