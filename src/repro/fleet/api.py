@@ -100,7 +100,7 @@ def _validate(value, schema: Dict, where: str, errors: List[str]) -> None:
             extra = set(value) - set(properties)
             if extra:
                 errors.append("%s: unexpected key(s) %s"
-                              % (where, ", ".join(sorted(extra))))
+                              % (where, ", ".join(sorted(map(str, extra)))))
         for key, subschema in properties.items():
             if key in value:
                 _validate(value[key], subschema, "%s.%s" % (where, key),

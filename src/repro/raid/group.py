@@ -21,6 +21,59 @@ from repro.raid.layout import GroupGeometry
 from repro.storage.disk import StripeStore, VirtualDisk
 
 
+def run_nbytes(data) -> int:
+    """The length of a run a write takes: a buffer, or a list of buffers
+    whose join is the run."""
+    return sum(map(len, data)) if isinstance(data, list) else len(data)
+
+
+def split_run(data, offset: int, nbytes: int, unit: int, skew: int = 0):
+    """Yield ``(buffer, offset, nbytes)`` triples that cover ``nbytes`` of
+    the run ``data`` from ``offset`` in order, each ending on a boundary:
+    ``skew`` bytes into the run, every ``unit`` bytes after that, or the
+    run's end.  A plain buffer is its own one triple.  Of a list of
+    buffers, the boundaries inside one piece cut nothing — the piece is
+    read in place — and only a unit that two or more pieces share is
+    joined, as it is reached, so at most one join is alive."""
+    if not isinstance(data, list):
+        yield data, offset, nbytes
+        return
+
+    def floor(at):                  # the last boundary at or before ``at``
+        if at >= nbytes:
+            return nbytes
+        return 0 if at < skew else at - (at - skew) % unit
+
+    done, parts, held, stop = 0, [], 0, 0
+    for piece in data:
+        size = len(piece)
+        if offset >= size:
+            offset -= size
+            continue
+        at, offset = offset, 0
+        if parts:                   # the unit the pieces before began
+            take = min(stop - done - held, size - at)
+            parts.append(memoryview(piece)[at : at + take])
+            held += take
+            at += take
+            if done + held < stop:
+                continue
+            yield b"".join(parts), 0, held
+            done, parts, held = stop, [], 0
+        cut = floor(done + size - at)
+        if cut > done:
+            yield piece, at, cut - done
+            at += cut - done
+            done = cut
+        if done == nbytes:
+            return
+        if at < size:               # a unit that runs on into the next piece
+            stop = min(nbytes, skew if done < skew else done + unit)
+            parts, held = [memoryview(piece)[at:]], size - at
+    raise RaidError("%d-byte write past the end of its buffers"
+                    % (nbytes - done))
+
+
 def _fold(rows) -> np.ndarray:
     """The XOR of a stripe's ``rows`` (one row is itself)."""
     return rows[0] if len(rows) == 1 else np.bitwise_xor.reduce(rows, axis=0)
@@ -120,6 +173,9 @@ class RaidGroup:
     # -- writes --------------------------------------------------------------
 
     def _rows(self, data, offset: int, nblocks: int) -> np.ndarray:
+        if isinstance(data, list):
+            nbytes = nblocks * self.block_size
+            ((data, offset, _n),) = split_run(data, offset, nbytes, nbytes)
         try:
             return np.frombuffer(data, np.uint8, nblocks * self.block_size,
                                  offset).reshape(nblocks, self.block_size)
@@ -128,18 +184,36 @@ class RaidGroup:
                             % (nblocks, self.name))
 
     def write_block(self, group_block: int, data, offset: int = 0) -> None:
-        """Read-modify-write one group block from ``data[offset:]``."""
+        """Read-modify-write one group block from ``data[offset:]`` (a
+        buffer, or a list of buffers whose join is the run)."""
         self._check_run(group_block, 1, "write")
         self._write_partial(group_block, self._rows(data, offset, 1))
 
     def write_run(self, group_block: int, data, offset: int, nblocks: int) -> None:
-        """Write a run of group blocks from ``data[offset:]``: whole
-        stripes take parity straight from the new data, with no reads;
-        the partial stripes at the edges read-modify-write."""
+        """Write a run of group blocks from ``data[offset:]`` — a buffer,
+        or a list of buffers whose join is the run — a piece at a time
+        (:func:`split_run` cuts at stripe boundaries: only a stripe two
+        pieces share is joined).  A run its buffers are too short for
+        raises before anything moves."""
         self._check_run(group_block, nblocks, "write")
+        if not isinstance(data, list):
+            self._write_rows(group_block, self._rows(data, offset, nblocks))
+            return
+        nd, bs = self.geometry.ndata_disks, self.block_size
+        if run_nbytes(data) < offset + nblocks * bs:
+            raise RaidError("%d-block write past the end of its buffers on %r"
+                            % (nblocks, self.name))
+        for buffer, at, nbytes in split_run(data, offset, nblocks * bs,
+                                            nd * bs, -group_block % nd * bs):
+            self._write_rows(group_block, self._rows(buffer, at, nbytes // bs))
+            group_block += nbytes // bs
+
+    def _write_rows(self, group_block: int, new: np.ndarray) -> None:
+        """Write ``new`` from ``group_block``: whole stripes take parity
+        straight from the new data, with no reads; the partial stripes at
+        the edges read-modify-write."""
         nd = self.geometry.ndata_disks
-        new = self._rows(data, offset, nblocks)
-        end = group_block + nblocks
+        end = group_block + len(new)
         first = min(end, -(-group_block // nd) * nd)
         last = max(first, end - end % nd)
         if group_block < first:
@@ -298,4 +372,4 @@ class RaidGroup:
             (-1, cell - store.nblocks) for cell in cells if cell >= store.nblocks]
 
 
-__all__ = ["RaidGroup"]
+__all__ = ["RaidGroup", "run_nbytes", "split_run"]

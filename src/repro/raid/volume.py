@@ -18,7 +18,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PowerLossError, RaidError
 from repro.obs.metrics import REGISTRY
-from repro.raid.group import RaidGroup
+from repro.raid.group import RaidGroup, run_nbytes, split_run
 from repro.raid.layout import BlockLocation, VolumeGeometry, locate
 from repro.storage.device import IoRecorder
 
@@ -195,19 +195,21 @@ class RaidVolume:
     def write_run(self, start_block: int, data, offset: int = 0,
                   nblocks: Optional[int] = None) -> None:
         """Write ``nblocks`` contiguous volume blocks from ``data[offset:]``
-        (by default, all of ``data``) as one access.  A single block — most
-        writes are — is the group's read-modify-write and nothing else.
-        The groups read ``data`` in place: the stripe store is the one
-        copy a written block makes."""
+        (by default, all of ``data``) as one access.  ``data`` is a
+        buffer, or a list of buffers whose join is the run — a block-map
+        run comes as its slabs' pieces (:meth:`BlockMap.serialize_fblock_run`)
+        and is never joined whole.  A single block — most writes are — is
+        the group's read-modify-write and nothing else.  The groups read
+        the buffers in place: the stripe store is the one copy a written
+        block makes."""
         bs = self.block_size
         if nblocks is None:
-            if (len(data) - offset) % bs:
+            nbytes = run_nbytes(data) - offset
+            if nbytes % bs:
                 raise RaidError("run write is not block aligned")
-            nblocks = (len(data) - offset) // bs
+            nblocks = nbytes // bs
         if self._write_fuse is not None:
-            self._fuse_spend(
-                start_block, memoryview(data)[offset : offset + nblocks * bs],
-                nblocks)
+            self._fuse_spend(start_block, data, offset, nblocks)
         if nblocks == 1:
             group, group_block = self._piece(start_block)
             group.write_block(group_block, data, offset)
@@ -240,7 +242,8 @@ class RaidVolume:
     def disarm_write_fuse(self) -> None:
         self._write_fuse = None
 
-    def _fuse_spend(self, start_block: int, data, nblocks: int) -> None:
+    def _fuse_spend(self, start_block: int, data, offset: int,
+                    nblocks: int) -> None:
         fuse = self._write_fuse
         if fuse <= 0:
             raise PowerLossError(
@@ -252,15 +255,15 @@ class RaidVolume:
         # This request crosses the fuse: the first fuse-1 blocks land
         # whole, the fuse-th block tears mid-transfer, the rest is lost.
         bs = self.block_size
-        view = memoryview(data)
         whole = fuse - 1
         torn_index = start_block + whole
+        ((buffer, at, _n),) = split_run(data, offset + whole * bs, bs, bs)
+        new = memoryview(buffer)[at : at + bs]
         self._write_fuse = None
         try:
             if whole:
-                self.write_run(start_block, bytes(view[: whole * bs]))
+                self.write_run(start_block, data, offset, whole)
             old = self.read_run(torn_index, 1)
-            new = view[whole * bs : (whole + 1) * bs]
             torn = bytes(new[: bs // 2]) + bytes(old[bs // 2 :])
             self.write_block(torn_index, torn)
         finally:

@@ -34,9 +34,11 @@ from repro.wafl.consts import (
 # whole number of map fblocks, so no fblock straddles two slabs.
 _SLAB_WORDS = 64 * BLOCKMAP_ENTRIES_PER_BLOCK
 
-# What an absent slab reads as: one shared, read-only slab of zeros.
+# What an absent slab reads as: one shared, read-only slab of zeros, as
+# words and as bytes (the serialized run's zero pieces).
 _ZERO_SLAB = np.zeros(_SLAB_WORDS, dtype="<u4")
 _ZERO_SLAB.flags.writeable = False
+_ZEROS = _ZERO_SLAB.view(np.uint8).data
 
 _ACTIVE = np.uint32(1 << ACTIVE_PLANE)
 
@@ -602,15 +604,18 @@ class BlockMap:
         self._dirty_add_many(range(first, last + 1))
 
     def serialize_fblock(self, fblock: int) -> bytes:
-        return self.serialize_fblock_run(fblock, 1)
+        return b"".join(self.serialize_fblock_run(fblock, 1))
 
-    def serialize_fblock_run(self, fblock: int, count: int) -> bytes:
-        """``count`` consecutive fblocks' bytes: one copy of the run.
+    def serialize_fblock_run(self, fblock: int, count: int) -> List:
+        """``count`` consecutive fblocks' bytes, as a list of buffers whose
+        join is the run: what the volume's write path takes.
 
-        The result is an immutable snapshot that never aliases a slab,
-        so the map may change while the run is still on its way to the
-        volume; an absent slab is read from the shared zero slab.  Only
-        the map's final, partial fblock is zero padded.
+        A held slab's part of the run is a ``bytes`` copy, so no piece
+        aliases a slab and the run is a snapshot that holds while the
+        map changes under its own writes; an absent slab's part, and the
+        zero padding of the map's final, partial fblock, are read-only
+        views of the shared zero slab.  The run costs the held slabs it
+        covers, not its length.
         """
         start = fblock * BLOCKMAP_ENTRIES_PER_BLOCK
         end = min(start + count * BLOCKMAP_ENTRIES_PER_BLOCK, self.nblocks)
@@ -619,11 +624,13 @@ class BlockMap:
         while start < end:
             index, at = divmod(start, _SLAB_WORDS)
             take = min(end - start, _SLAB_WORDS - at)
-            words = self._slab_words.get(index, _ZERO_SLAB)
-            parts.append(words[at : at + take].data)
+            words = self._slab_words.get(index)
+            parts.append(_ZEROS[at * 4 : (at + take) * 4] if words is None
+                         else words[at : at + take].tobytes())
             start += take
-        parts.append(bytes(pad))
-        return b"".join(parts)
+        if pad:
+            parts.append(_ZEROS[:pad])
+        return parts
 
     @classmethod
     def deserialize(cls, nblocks: int, reserved: int,

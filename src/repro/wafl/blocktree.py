@@ -21,6 +21,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import FilesystemError
+from repro.raid.group import run_nbytes
 from repro.wafl.consts import BLOCK_SIZE, MAX_FILE_BLOCKS, NDIRECT, PTRS_PER_BLOCK
 from repro.wafl.inode import Inode
 
@@ -239,7 +240,8 @@ class BlockTree:
     def write_run(self, fbn: int, data, offset: int = 0,
                   nblocks: Optional[int] = None) -> None:
         """Write ``nblocks`` consecutive file blocks from ``data[offset:]``
-        (by default all of ``data``), allocating contiguous runs.
+        (by default all of ``data``: a buffer, or a list of buffers whose
+        join is the run), allocating contiguous runs.
 
         The allocator hands back the longest contiguous run it can at the
         current cursor; on a young file system a whole file lands as one
@@ -249,9 +251,10 @@ class BlockTree:
         if self.ctx.readonly:
             raise FilesystemError("write through a read-only tree")
         if nblocks is None:
-            if (len(data) - offset) % BLOCK_SIZE:
+            nbytes = run_nbytes(data) - offset
+            if nbytes % BLOCK_SIZE:
                 raise FilesystemError("unaligned run write")
-            nblocks = (len(data) - offset) // BLOCK_SIZE
+            nblocks = nbytes // BLOCK_SIZE
         done = 0
         while done < nblocks:
             start_vbn, count = self.ctx.alloc_run(nblocks - done)
@@ -272,12 +275,20 @@ class BlockTree:
         copy-on-write stretch is one ``alloc_run(n)`` walking the free
         blocks in cursor order.  This is how the consistency point drains
         the dirty block map and inode file.
+
+        ``data`` is a buffer, or a list of buffers whose join is the run —
+        a block-map run comes as its slabs' pieces
+        (:meth:`BlockMap.serialize_fblock_run`), which every extent write
+        reads in place; a one-piece list is that piece.
         """
         if self.ctx.readonly:
             raise FilesystemError("write through a read-only tree")
-        if len(data) % BLOCK_SIZE:
+        if isinstance(data, list) and len(data) == 1:
+            data = data[0]
+        nbytes = run_nbytes(data)
+        if nbytes % BLOCK_SIZE:
             raise FilesystemError("unaligned run write")
-        nblocks = len(data) // BLOCK_SIZE
+        nblocks = nbytes // BLOCK_SIZE
         inplace_ok = self.ctx.allows_inplace
         if nblocks == 1:
             # One block is one stretch: nothing to walk or gather.

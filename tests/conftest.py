@@ -37,8 +37,8 @@ def make_drive(name="tape", tapes=8, capacity=256 * MB):
 
 def map_words(blockmap):
     """A block map's words as one dense read-only array, read through
-    its on-disk form (``serialize_fblock_run``)."""
-    raw = blockmap.serialize_fblock_run(0, blockmap.n_fblocks())
+    its on-disk form (the join of ``serialize_fblock_run``'s pieces)."""
+    raw = b"".join(blockmap.serialize_fblock_run(0, blockmap.n_fblocks()))
     return np.frombuffer(raw, dtype="<u4", count=blockmap.nblocks)
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.fleet import (
     FleetService,
@@ -18,7 +21,7 @@ from repro.fleet import (
     status_document,
     validate_status,
 )
-from repro.fleet.api import load_status_schema
+from repro.fleet.api import _TYPE_CHECKS, load_status_schema
 from repro.fleet.tenant import FleetError
 
 
@@ -101,6 +104,96 @@ class TestValidator:
         schema = load_status_schema()
         assert schema["type"] == "object"
         assert set(schema["required"]) == {"fleet", "tenants", "jobs"}
+
+
+# -- fuzzing the validator ---------------------------------------------------
+
+# Values of every JSON type (and a float): a wrong-typed value is one of
+# these that no type its schema allows accepts.
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def _sites(value, schema, path=()):
+    """``(path, schema)`` of every node of the document its schema
+    describes, depth first."""
+    yield path, schema
+    if isinstance(value, dict):
+        for key, subschema in schema.get("properties", {}).items():
+            if key in value:
+                yield from _sites(value[key], subschema, path + (key,))
+    elif isinstance(value, list) and "items" in schema:
+        for index, item in enumerate(value):
+            yield from _sites(item, schema["items"], path + (index,))
+
+
+def _types(schema):
+    kind = schema.get("type", [])
+    return kind if isinstance(kind, list) else [kind]
+
+
+def _accepts(schema, value):
+    return any(_TYPE_CHECKS[kind](value) for kind in _types(schema))
+
+
+def _mutate(document, schema, data):
+    """One violation of ``schema`` in ``document``, drawn from ``data``:
+    a required key deleted, a wrong-typed value, a ``bool`` where an
+    integer is expected, a string outside an enum, or extra keys where
+    ``additionalProperties`` is false.  Returns the mutated document."""
+    sites = list(_sites(document, schema))
+    where = {
+        "delete": [site for site in sites if site[1].get("required")],
+        "retype": [site for site in sites if "type" in site[1]],
+        "bool": [site for site in sites if "integer" in _types(site[1])],
+        "enum": [site for site in sites if "enum" in site[1]],
+        "extra": [site for site in sites
+                  if site[1].get("additionalProperties") is False]}
+    kind = data.draw(st.sampled_from(sorted(where)))
+    path, node = data.draw(st.sampled_from(where[kind]))
+    if kind == "delete":
+        del _at(document, path)[data.draw(st.sampled_from(node["required"]))]
+        return document
+    if kind == "extra":
+        keys = data.draw(st.lists(
+            st.one_of(st.text(max_size=6), st.integers()).filter(
+                lambda k: k not in node.get("properties", {})),
+            min_size=1, max_size=3, unique=True))
+        _at(document, path).update((key, 0) for key in keys)
+        return document
+    if kind == "retype":
+        value = data.draw(_ANY_VALUE.filter(lambda v: not _accepts(node, v)))
+    elif kind == "bool":
+        value = data.draw(st.booleans())
+    else:
+        value = data.draw(st.text(max_size=8).filter(
+            lambda v: v not in node["enum"]))
+    if not path:
+        return value
+    _at(document, path[:-1])[path[-1]] = value
+    return document
+
+
+def _at(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+class TestValidatorFuzz:
+    @seed(1999)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_mutation_raises_fleet_error_and_nothing_else(
+            self, fleet_root, data):
+        schema = load_status_schema()
+        document = status_document(fleet_root)
+        validate_status(document, schema)
+        mutated = _mutate(copy.deepcopy(document), schema, data)
+        with pytest.raises(FleetError, match="status document is invalid"):
+            validate_status(mutated, schema)
 
 
 @pytest.fixture(scope="module")

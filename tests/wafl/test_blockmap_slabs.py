@@ -207,7 +207,7 @@ def test_snapshot_create_and_delete_match_whole_array_forms(
 def test_deserialize_counts_and_indexes_like_the_whole_array_forms(
         seed, nblocks, reserved, plane):
     source = random_map(seed, nblocks, reserved, plane)
-    raw = source.serialize_fblock_run(0, source.n_fblocks())
+    raw = b"".join(source.serialize_fblock_run(0, source.n_fblocks()))
     recovered = BlockMap.deserialize(nblocks, reserved, [(0, raw)])
     assert np.array_equal(map_words(recovered), map_words(source))
     assert recovered.active_block_count() == ref_active_count(
@@ -294,9 +294,9 @@ def test_round_trip_with_a_partial_last_fblock():
     last = blockmap.serialize_fblock(2)
     assert len(last) == BLOCKMAP_ENTRIES_PER_BLOCK * 4
     assert last[300 * 4 :] == bytes((BLOCKMAP_ENTRIES_PER_BLOCK - 300) * 4)
-    whole = blockmap.serialize_fblock_run(0, 3)
+    whole = b"".join(blockmap.serialize_fblock_run(0, 3))
     assert whole == b"".join(blockmap.serialize_fblock(f) for f in range(3))
-    assert blockmap.serialize_fblock_run(1, 2) == whole[
+    assert b"".join(blockmap.serialize_fblock_run(1, 2)) == whole[
         BLOCKMAP_ENTRIES_PER_BLOCK * 4 :]
     recovered = BlockMap.deserialize(nblocks, 8, [(0, whole)])
     assert np.array_equal(map_words(recovered), map_words(blockmap))
@@ -305,15 +305,25 @@ def test_round_trip_with_a_partial_last_fblock():
 
 
 def test_serialized_run_is_a_snapshot_not_a_view():
-    blockmap = BlockMap(4096, reserved=8)
-    blockmap.allocate_run(100, 8)
-    data = blockmap.serialize_fblock_run(0, 4)
-    assert type(data) is bytes
-    assert not any(np.shares_memory(np.frombuffer(data, dtype=np.uint8), slab)
-                   for _lo, slab in blockmap.held_slabs())
-    before = bytes(data)
-    blockmap.snapshot_create(1)
-    assert data == before
+    """Each piece of a run is a ``bytes`` copy of a held slab or a
+    read-only view of zeros: none aliases a slab, so the run holds while
+    the map changes — a snapshot, and a write that materializes an
+    absent slab."""
+    for nblocks in (4096, 2 * SLAB + 300):
+        blockmap = BlockMap(nblocks, reserved=8)
+        blockmap.allocate_run(100, 8)
+        pieces = blockmap.serialize_fblock_run(0, blockmap.n_fblocks())
+        assert all(type(piece) is bytes or piece.readonly
+                   for piece in pieces)
+        assert not any(
+            np.shares_memory(np.frombuffer(piece, dtype=np.uint8), slab)
+            for piece in pieces for _lo, slab in blockmap.held_slabs())
+        before = [bytes(piece) for piece in pieces]
+        blockmap.snapshot_create(1)
+        blockmap.set_active(nblocks - 1)
+        assert [bytes(piece) for piece in pieces] == before
+        assert b"".join(before) != b"".join(
+            blockmap.serialize_fblock_run(0, blockmap.n_fblocks()))
 
 
 def test_deserialize_copies_only_the_slabs_that_hold_words():
@@ -324,7 +334,7 @@ def test_deserialize_copies_only_the_slabs_that_hold_words():
     source.allocate_run(700, 8)
     source.allocate_run(50, 2 * SLAB + 100)
     n_fblocks = source.n_fblocks()
-    image = np.frombuffer(source.serialize_fblock_run(0, n_fblocks),
+    image = np.frombuffer(b"".join(source.serialize_fblock_run(0, n_fblocks)),
                           dtype=np.uint8).copy()
     whole = BlockMap.deserialize(nblocks, 8, [(0, image)])
     # One buffer per non-zero fblock, last first, every hole unread: the
