@@ -364,13 +364,19 @@ def run_harness(mode: str = "smoke", profile: Optional[int] = None) -> Dict:
 
 def format_report(report: Dict) -> str:
     """One line a row: its seconds, then its rate or, from a check, the
-    reference's median seconds and the verdict."""
+    reference's median seconds, the verdict and the peak RSS the check
+    gates (with the mode's :data:`RSS_LIMIT`, where it has one)."""
     lines = ["wall-clock report (mode=%s)" % report["mode"]]
+    limit = RSS_LIMIT.get(report["mode"])
     for name, entry in sorted(report["benchmarks"].items()):
         tail = ""
         if "verdict" in entry:
             tail = "  reference %8.3fs  %s" % (entry.get("reference", {}).get(
                 "value", float("nan")), entry["verdict"])
+            if "peak_rss_bytes" in entry:
+                tail += "  peak RSS %.3f GB" % (entry["peak_rss_bytes"] / 1e9)
+                if limit:
+                    tail += " (limit %.2f GB)" % (limit / 1e9)
         elif "rate" in entry:
             tail = "  %10.1f %s" % (entry["rate"], entry.get("unit", ""))
         lines.append("  %-26s %8.3fs%s" % (name, entry["seconds"], tail))

@@ -249,8 +249,9 @@ class TimedRun:
 
     def _record(self, job: _Job, op: PerfOp, start: float, end: float,
                 cpu_seconds: float = 0.0, disk_bytes: int = 0,
-                tape_bytes: int = 0, name: str = "") -> None:
-        """Charge one op (or one slice of it, traced as ``name``)."""
+                tape_bytes: int = 0) -> None:
+        """Charge one op: every op but a :class:`DutyCycleOp`, whose
+        slices :meth:`_execute` charges itself."""
         result = job.result
         if op.stage:
             stage = result.stage(op.stage)
@@ -264,7 +265,7 @@ class TimedRun:
         result.tape_bytes += tape_bytes
         tracer = self.tracer
         if tracer.enabled:
-            tracer.complete(name or type(op).__name__, cat="op", ts=start,
+            tracer.complete(type(op).__name__, cat="op", ts=start,
                             dur=end - start, tid=job.name,
                             args={"stage": op.stage})
 
@@ -317,9 +318,13 @@ class TimedRun:
             yield sim.timeout(op.seconds)
             self._record(job, op, start, sim.now)
         elif isinstance(op, DutyCycleOp):
-            # Each slice charges, waits and records as a CpuOp followed by
-            # a SleepOp would, with the same floats and in the same order.
+            # Each slice charges and waits as a CpuOp followed by a SleepOp
+            # would, with the same floats and in the same order.  The op is
+            # charged as their _record calls would have left it: the stage
+            # made at the first grant, each slice's CPU added as its grant
+            # completes, the window closed at the last slice's end.
             seconds, share = op.seconds, op.cpu_share
+            result, stage, tracer = job.result, None, self.tracer
             elapsed = 0.0
             while elapsed < seconds:
                 piece = min(_DUTY_SLICE, seconds - elapsed)
@@ -327,14 +332,27 @@ class TimedRun:
                 start = sim.now
                 if not self.cpu.hold(busy):
                     yield from self._cpu_wait(busy)
-                self._record(job, op, start, sim.now, cpu_seconds=busy,
-                             name="CpuOp")
+                if op.stage:
+                    if stage is None:
+                        stage = result.stage(op.stage)
+                        stage.touch(start)
+                    stage.cpu_seconds += busy
+                result.cpu_seconds += busy
+                if tracer.enabled:
+                    tracer.complete("CpuOp", cat="op", ts=start,
+                                    dur=sim.now - start, tid=job.name,
+                                    args={"stage": op.stage})
                 idle = piece * (1.0 - share)
                 start = sim.now
                 if not sim.ahead(idle):
                     yield sim.timeout(idle)
-                self._record(job, op, start, sim.now, name="SleepOp")
+                if tracer.enabled:
+                    tracer.complete("SleepOp", cat="op", ts=start,
+                                    dur=sim.now - start, tid=job.name,
+                                    args={"stage": op.stage})
                 elapsed += piece
+            if stage is not None:
+                stage.touch(sim.now)
         elif isinstance(op, (DiskReadOp, DiskWriteOp)):
             # A run may span RAID groups; each piece charges its group.
             remaining = op.nblocks

@@ -41,34 +41,47 @@ _MAGIC = b"RPROCNTR"
 CONTAINER_VERSION = 2
 _PREAMBLE = struct.Struct("<8sI")
 _FRAME = struct.Struct("<Q")
+# Level 1: these containers are rewritten on every commit, so write speed
+# beats ratio; decompression accepts any level unchanged.
+_LEVEL = 1
+# The zlib stream of an empty payload, the frame of every blank cartridge
+# (most of a media pool's): written as this constant, with no deflater,
+# and read back as ``b""`` with no inflater.
+_BLANK = zlib.compress(b"", _LEVEL)
+_BLANK_FRAME = _FRAME.pack(len(_BLANK)) + _BLANK
 
 
 def _write_frame(handle: BinaryIO, payload) -> None:
     """One frame from ``payload``: a buffer, or a list of buffers (a
     cartridge's records) deflated as the one stream their join would be —
     the same bytes, without building the join."""
-    # Level 1: these containers are rewritten on every commit, so write
-    # speed beats ratio; decompression accepts any level unchanged.
-    deflater = zlib.compressobj(level=1)
-    compressed = [deflater.compress(piece) for piece in
-                  (payload if isinstance(payload, list) else [payload])]
+    pieces = payload if isinstance(payload, list) else [payload]
+    if not any(map(len, pieces)):
+        handle.write(_BLANK_FRAME)
+        return
+    deflater = zlib.compressobj(level=_LEVEL)
+    compressed = [deflater.compress(piece) for piece in pieces]
     compressed.append(deflater.flush())
     handle.write(_FRAME.pack(sum(map(len, compressed))))
     handle.writelines(compressed)
 
 
-def _read_frame(handle: BinaryIO, path: str) -> bytes:
+def _read_frame(handle: BinaryIO, path: str, size: int) -> bytes:
+    """The payload of the frame at ``handle``'s position in the
+    ``size``-byte file ``path``."""
     prefix = handle.read(_FRAME.size)
     if len(prefix) != _FRAME.size:
         raise StorageError("%s: truncated where a frame should start" % path)
     (length,) = _FRAME.unpack(prefix)
     # Checked against the file, not by reading: a damaged length must
     # not become a multi-exabyte allocation.
-    left = os.fstat(handle.fileno()).st_size - handle.tell()
+    left = size - handle.tell()
     if length > left:
         raise StorageError("%s: frame announces %d bytes, file holds %d"
                            % (path, length, left))
     compressed = handle.read(length)
+    if compressed == _BLANK:
+        return b""
     inflater = zlib.decompressobj()
     try:
         payload = inflater.decompress(compressed)
@@ -120,6 +133,7 @@ def _read_container(path: str, kind: str
                     ) -> Tuple[Dict, List[RaidVolume], List[TapeCartridge]]:
     """``(header, volumes, cartridges)`` of the ``kind`` container at ``path``."""
     with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
         preamble = handle.read(_PREAMBLE.size)
         if len(preamble) != _PREAMBLE.size \
                 or not preamble.startswith(_MAGIC):
@@ -129,7 +143,7 @@ def _read_container(path: str, kind: str
             raise StorageError(
                 "%s is container version %d; this reader reads version %d"
                 % (path, version, CONTAINER_VERSION))
-        frame = _read_frame(handle, path)
+        frame = _read_frame(handle, path, size)
         try:
             header = json.loads(frame.decode("utf-8"))
             if header["kind"] != kind:
@@ -147,9 +161,9 @@ def _read_container(path: str, kind: str
                                " (%r)" % (path, kind, exc))
         for volume in volumes:
             for disk in _disks(volume):
-                disk.unpack_chunks(_read_frame(handle, path))
+                disk.unpack_chunks(_read_frame(handle, path, size))
         for cartridge in cartridges:
-            cartridge.append(_read_frame(handle, path))
+            cartridge.append(_read_frame(handle, path, size))
         if handle.read(1):
             raise StorageError("%s: bytes after the last frame" % path)
     return header, volumes, cartridges

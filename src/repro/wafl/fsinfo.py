@@ -191,12 +191,12 @@ class FsInfo:
     # -- on-volume placement ---------------------------------------------------
 
     def write_to(self, volume) -> None:
-        """Write both fsinfo copies at their fixed locations."""
+        """Write both fsinfo copies at their fixed locations, each as one
+        run: the primary, then the backup, so a crash between the two
+        writes still leaves the copies divergent."""
         image = self.pack()
         for base in (FSINFO_PRIMARY, FSINFO_BACKUP):
-            for i in range(FSINFO_BLOCKS):
-                chunk = image[i * self.block_size : (i + 1) * self.block_size]
-                volume.write_block(base + i, chunk)
+            volume.write_run(base, image, 0, FSINFO_BLOCKS)
 
     @classmethod
     def read_from(cls, volume) -> "FsInfo":
@@ -215,7 +215,6 @@ class FsInfo:
         volume converges to the state a clean shutdown would have left.
         Returns ``(info, copies_repaired)``.
         """
-        block_size = volume.block_size
         copies = []
         errors = []
         for base in (FSINFO_PRIMARY, FSINFO_BACKUP):
@@ -240,11 +239,7 @@ class FsInfo:
             for other_base, other_raw, _other in copies:
                 if other_base == base or other_raw == image:
                     continue
-                for i in range(FSINFO_BLOCKS):
-                    volume.write_block(
-                        other_base + i,
-                        image[i * block_size : (i + 1) * block_size],
-                    )
+                volume.write_run(other_base, image, 0, FSINFO_BLOCKS)
                 repaired += 1
         return info, repaired
 

@@ -55,6 +55,20 @@ def test_slower_fleet_hot_path_fails_the_regression_check():
                         " over the 20% bound"]
 
 
+@pytest.mark.parametrize("mode, limit", [("smoke", ""),
+                                         ("fullscale", " (limit 0.83 GB)")])
+def test_a_check_row_prints_the_peak_rss_it_is_gated_on(mode, limit):
+    rows = {"a.row": {"seconds": 1.5, "verdict": "ok",
+                      "reference": {"value": 1.25},
+                      "peak_rss_bytes": 751_234_567},
+            "b.new": {"seconds": 0.5, "verdict": "new",
+                      "peak_rss_bytes": 0}}
+    lines = wallclock.format_report({"mode": mode,
+                                     "benchmarks": rows}).splitlines()
+    assert lines[1].endswith("   1.250s  ok  peak RSS 0.751 GB" + limit)
+    assert lines[2].endswith("new  peak RSS 0.000 GB" + limit)
+
+
 @pytest.fixture
 def checkout(tmp_path, monkeypatch):
     """A git checkout whose one commit holds ``src/repro``: the harness

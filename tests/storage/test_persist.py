@@ -1,10 +1,12 @@
 """Volume, environment, tenant, tape and media container persistence."""
 
+import io
 import json
 import os
 import pathlib
 import shutil
 import struct
+import zlib
 
 import pytest
 
@@ -514,6 +516,66 @@ def test_the_tape_file_is_pinned_byte_for_byte(tmp_path):
     assert loaded.stream_bytes() == fresh.stream_bytes()
     loaded.rewind()
     assert loaded.read(2500) == fresh.stream_bytes()[:2500]
+
+
+def _old_write_frame(handle, payload):
+    """``persist._write_frame`` before a blank payload had its constant
+    frame: every payload through a deflater."""
+    deflater = zlib.compressobj(level=1)
+    compressed = [deflater.compress(piece) for piece in
+                  (payload if isinstance(payload, list) else [payload])]
+    compressed.append(deflater.flush())
+    handle.write(struct.pack("<Q", sum(map(len, compressed))))
+    handle.writelines(compressed)
+
+
+def _pool():
+    """The pinned cartridges among blank ones, as a media pool is."""
+    blanks = [TapeCartridge(capacity=KB, label="blank%d" % index)
+              for index in range(40)]
+    return blanks[:20] + _pinned_cartridges() + blanks[20:]
+
+
+def test_a_blank_frame_is_the_empty_zlib_stream():
+    for payload in (b"", [], [b"", memoryview(b"")]):
+        handle = io.BytesIO()
+        persist._write_frame(handle, payload)
+        assert handle.getvalue() == (b"\x08\0\0\0\0\0\0\0"
+                                     b"x\x01\x03\x00\x00\x00\x00\x01")
+
+
+def test_a_pool_file_is_what_every_frame_deflated_wrote(tmp_path,
+                                                         monkeypatch):
+    save_media(_pool(), str(tmp_path / "pool.med"))
+    monkeypatch.setattr(persist, "_write_frame", _old_write_frame)
+    save_media(_pool(), str(tmp_path / "old.med"))
+    assert (tmp_path / "pool.med").read_bytes() == \
+        (tmp_path / "old.med").read_bytes()
+
+
+def test_a_load_inflates_only_frames_with_data(tmp_path, monkeypatch):
+    """Blank cartridges read back with no inflater, and the file is
+    measured once, not once a frame."""
+    path = str(tmp_path / "pool.med")
+    save_media(_pool(), path)
+    counts = {"inflaters": 0, "fstat": 0}
+    decompressobj, fstat = zlib.decompressobj, os.fstat
+
+    def counting_inflater(*args):
+        counts["inflaters"] += 1
+        return decompressobj(*args)
+
+    def counting_fstat(fd):
+        counts["fstat"] += 1
+        return fstat(fd)
+
+    monkeypatch.setattr(persist.zlib, "decompressobj", counting_inflater)
+    monkeypatch.setattr(persist.os, "fstat", counting_fstat)
+    loaded = load_media(path)
+    monkeypatch.undo()
+    # The header, then the three pinned cartridges that hold records.
+    assert counts == {"inflaters": 4, "fstat": 1}
+    assert _cartridge_state(loaded) == _cartridge_state(_pool())
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ their counters and the access stream at pinned values; and that cycle
 writes in proportion to the map blocks that hold data, not to the map.
 The mount pin dates from the commit before the rewrite.  The cycle's
 was taken again when a snapshot operation stopped dirtying every map
-block: it now writes only the map blocks a word of which changed.
+block: it now writes only the map blocks a word of which changed.  It
+was taken again when each fsinfo copy became one four-block write: the
+raw access stream and the parity disk's counters moved (one stripe
+read-modify-write a copy, not one a block), while the stream the
+recorder drains — ``coalesce_runs`` of it, pinned on its own from the
+commit before that change — did not.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from repro.chaos.verify import volume_digest
 from repro.raid.layout import make_geometry
 from repro.raid.volume import RaidVolume
-from repro.storage.device import IoRecorder
+from repro.storage.device import IoRecorder, coalesce_runs
 from repro.wafl.consts import BLOCKMAP_ENTRIES_PER_BLOCK, INO_BLOCKMAP
 from repro.wafl.filesystem import WaflFilesystem
 from repro.wafl.fsck import fsck, fsck_snapshot
@@ -112,8 +117,9 @@ def test_mount_builds_exactly_one_block_map(monkeypatch):
 
 def snapshot_cycle():
     """``(volume digest, per-member (reads, writes), access-stream hash,
-    blocks read, blocks written, blocks each delete freed, words hash)``
-    after two snapshots are created over a changing tree and deleted."""
+    drained-stream hash, blocks read, blocks written, blocks each delete
+    freed, words hash)`` after two snapshots are created over a changing
+    tree and deleted."""
     fs = aged_fs()
     volume = fs.volume
     volume.recorder = IoRecorder()
@@ -138,8 +144,9 @@ def snapshot_cycle():
                 for group in volume.groups
                 for disk in group.data_disks + [group.parity_disk]]
     stream = hashlib.sha256(repr(events).encode()).hexdigest()
+    drained = hashlib.sha256(repr(coalesce_runs(events)).encode()).hexdigest()
     words = hashlib.sha256(map_words(fs.blockmap).tobytes()).hexdigest()
-    return (volume_digest(volume), counters, stream,
+    return (volume_digest(volume), counters, stream, drained,
             volume.recorder.total_read_blocks,
             volume.recorder.total_written_blocks, freed, words)
 
@@ -149,8 +156,9 @@ def snapshot_cycle():
 PINNED = (
     "c832702bd0a41e6de3dd167d65347f8e1be15f65eafb7c3ffda623198d764203",
     [(53, 208), (56, 211), (58, 213), (55, 210), (55, 210), (53, 208),
-     (53, 208), (56, 211), (257, 412)] + [(0, 0)] * 9,
-    "a9ebf06830eb32394d949b2bc43f121e6264df854c598ac625c6a45dd266e5ea",
+     (53, 208), (56, 211), (203, 358)] + [(0, 0)] * 9,
+    "2b34c4ebd7a3bc9dabfe7d1bc4377929b4c32e079dc10cd3d11f2f41fc9838fd",
+    "a8b94d397d2250d1a56e161a9fba399e5c488460817e501ed03563bfbf9d9c5a",
     0, 102, [29, 3],
     "99d6d93916852181dd198d5f66a19f26abe52e3c160e22fb04bf204d30bd35f3",
 )
