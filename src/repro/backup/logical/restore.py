@@ -37,6 +37,8 @@ from repro.dumpfmt.spec import SEGMENT_SIZE
 from repro.dumpfmt.stream import DumpStreamReader, InodeEntry, runs_to_data
 from repro.perf.ops import CpuOp, PhaseBegin, PhaseEnd, SleepOp
 from repro.perf.costs import CostModel
+from repro.raid.group import run_nbytes
+from repro.storage.disk import zeros
 from repro.wafl.consts import BLOCK_SIZE
 from repro.wafl.directory import iter_entries
 from repro.wafl.inode import FileType
@@ -48,14 +50,15 @@ _SEGMENTS_PER_BLOCK = BLOCK_SIZE // SEGMENT_SIZE
 
 
 def _block_runs(entry: "InodeEntry"):
-    """Yield ``(first_block, padded_bytes_or_None, nblocks)`` per stream run.
+    """Yield ``(first_block, data_or_None, nblocks)`` per stream run.
 
     A block is present when any of its segments carries data; present
-    runs come out zero padded to whole 4 KB blocks.  Stream runs from the
-    dump writer always start on a block boundary, so the fast path maps
-    each run to blocks directly; anything unaligned falls back to one
-    block at a time over the reassembled contents (identical block
-    classification).
+    runs come out as whole 4 KB blocks.  Stream runs from the dump writer
+    always start on a block boundary, so the fast path maps each run to
+    blocks directly: its data as the reader gave it (a buffer, or a list
+    of them), and only a last partial block padded, by a view of shared
+    zeros.  Anything unaligned falls back to one block at a time over
+    the reassembled contents (identical block classification).
     """
     runs = entry.runs
     position = 0
@@ -74,8 +77,11 @@ def _block_runs(entry: "InodeEntry"):
             if buf is None:
                 yield block, None, bcount
             else:
-                pad = bcount * BLOCK_SIZE - len(buf)
-                yield block, (buf + b"\0" * pad if pad > 0 else buf), bcount
+                pad = bcount * BLOCK_SIZE - run_nbytes(buf)
+                if pad > 0:
+                    buf = (buf if isinstance(buf, list) else [buf]) + [
+                        memoryview(zeros(BLOCK_SIZE))[:pad]]
+                yield block, buf, bcount
             block += bcount
         return
     # Unaligned: a block is present when any data run touches it.
@@ -97,35 +103,41 @@ _WRITE_RUN_BLOCKS = 64
 
 
 def _write_runs(entry: "InodeEntry"):
-    """Yield ``(first_block, data, nblocks)`` writes of present blocks.
+    """Yield ``(first_block, pieces, nblocks)`` writes of present blocks.
 
     Adjacent stream runs merge into one write; a hole, or reaching 64
-    blocks, ends it.  The stream runs are sliced as views, so the join
-    is the one copy a write's bytes make before the store.
+    blocks, ends it.  ``pieces`` is a list whose join is the write: the
+    stream runs' buffers, sliced as views where a write ends inside one,
+    so nothing is copied on the way to the store — and the NVRAM log
+    that keeps the write holds views of records the tape owns.
     """
-    start, parts, nblocks = 0, [], 0
-    for block, blob, count in _block_runs(entry):
+    limit = _WRITE_RUN_BLOCKS * BLOCK_SIZE
+    start, parts, held = 0, [], 0
+    for block, blob, _count in _block_runs(entry):
         if blob is None:
-            if nblocks:
-                yield start, b"".join(parts), nblocks
-                parts, nblocks = [], 0
+            if held:
+                yield start, parts, held // BLOCK_SIZE
+                parts, held = [], 0
             continue
-        view = memoryview(blob)
-        offset = 0
-        while count:
-            if not nblocks:
-                start = block
-            take = min(count, _WRITE_RUN_BLOCKS - nblocks)
-            parts.append(view[offset * BLOCK_SIZE : (offset + take) * BLOCK_SIZE])
-            nblocks += take
-            block += take
-            offset += take
-            count -= take
-            if nblocks == _WRITE_RUN_BLOCKS:
-                yield start, b"".join(parts), nblocks
-                parts, nblocks = [], 0
-    if nblocks:
-        yield start, b"".join(parts), nblocks
+        if not held:
+            start = block
+        for piece in (blob if isinstance(blob, list) else [blob]):
+            while len(piece):
+                take = min(len(piece), limit - held)
+                if take < len(piece):
+                    view = memoryview(piece)
+                    parts.append(view[:take])
+                    piece = view[take:]
+                else:
+                    parts.append(piece)
+                    piece = b""
+                held += take
+                if held == limit:
+                    yield start, parts, _WRITE_RUN_BLOCKS
+                    start += _WRITE_RUN_BLOCKS
+                    parts, held = [], 0
+    if held:
+        yield start, parts, held // BLOCK_SIZE
 
 
 class SymbolTable:

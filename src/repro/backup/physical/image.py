@@ -7,17 +7,22 @@ Because the block addresses are recorded, restore puts every block back
 where it came from; because the geometry is recorded, restore onto an
 incompatible volume is refused up front (the portability limitation the
 paper calls fundamental).  Restore and verify share one reading of it:
-:func:`read_image_header`, then :func:`read_chunks`.
+:func:`read_image_header`, then :func:`read_chunks`, which hands them
+each chunk as the tape's records, uncopied.  A chunk's CRC covers its
+data; dump and restore compute it with :func:`crc32_of`, which does not
+read a view of the stores' shared zero fill.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
-from typing import Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.errors import FormatError, GeometryError
 from repro.raid.layout import GroupGeometry, VolumeGeometry
+from repro.storage.disk import is_zero_fill
 
 IMAGE_MAGIC = b"WAFLIMG1"
 CHUNK_MAGIC = 0x43484E4B  # "CHNK"
@@ -121,13 +126,61 @@ class ImageHeader:
             )
 
 
+# CRC-32 over n zero bytes multiplies the (inverted) register by x^(8n)
+# modulo the polynomial, in zlib's bit-reflected order: its
+# ``crc32_combine``, which Python's zlib does not expose.  Below this
+# size ``zlib.crc32`` reading the zeros is the cheaper of the two.
+_CRC_POLY = 0xEDB88320
+_ZERO_CRC_MIN = 16 * 1024
+
+
+def _mulmod(a: int, b: int) -> int:
+    """``a * b`` modulo the CRC-32 polynomial, bit-reflected."""
+    m, product = 1 << 31, 0
+    while a:
+        if a & m:
+            product ^= b
+            a ^= m
+        m >>= 1
+        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
+    return product
+
+
+_X_2K = [1 << 30]  # x^(2^k) for k = 0, 1, ...
+for _k in range(63):
+    _X_2K.append(_mulmod(_X_2K[-1], _X_2K[-1]))
+
+
+@functools.lru_cache(maxsize=None)
+def _x_8n(nbytes: int) -> int:
+    """x^(8 * nbytes) modulo the polynomial."""
+    power, k = 1 << 31, 3
+    while nbytes:
+        if nbytes & 1:
+            power = _mulmod(_X_2K[k], power)
+        nbytes >>= 1
+        k += 1
+    return power
+
+
+def crc32_of(data, crc: int = 0) -> int:
+    """``zlib.crc32`` of ``data`` — a buffer, or a list of buffers, CRC'd
+    as their join — from ``crc``.  A shared zero piece
+    (:func:`~repro.storage.disk.is_zero_fill`) is CRC'd in closed form,
+    without reading it; every other piece is read by ``zlib.crc32``."""
+    for piece in (data if isinstance(data, list) else [data]):
+        if len(piece) >= _ZERO_CRC_MIN and is_zero_fill(piece):
+            crc = _mulmod(_x_8n(len(piece)), crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+        else:
+            crc = zlib.crc32(piece, crc)
+    return crc
+
+
 def pack_chunk_header(start_block: int, nblocks: int, data) -> bytes:
     """The head of a chunk holding ``data``: a buffer, or a list of
     buffers whose join is the chunk's (the CRC is of that join)."""
-    crc = 0
-    for piece in (data if isinstance(data, list) else [data]):
-        crc = zlib.crc32(piece, crc)
-    return _CHUNK_HEAD.pack(CHUNK_MAGIC, start_block, nblocks, crc)
+    return _CHUNK_HEAD.pack(CHUNK_MAGIC, start_block, nblocks,
+                            crc32_of(data))
 
 
 def unpack_chunk_header(raw: bytes) -> Tuple[int, int, int]:
@@ -164,12 +217,15 @@ def read_image_header(drive) -> ImageHeader:
     return ImageHeader.unpack_from_stream(drive.read)
 
 
-def read_chunks(drive, block_size: int) -> Iterator[Tuple[int, int, bytes, bool]]:
+def read_chunks(drive, block_size: int) -> Iterator[Tuple[int, int, Any, bool]]:
     """The chunks after the header, as ``(start, count, data, intact)``.
 
-    ``intact`` is False when the data fails its CRC.  The walk ends at the
-    trailer, and a trailer whose block count disagrees with the chunks
-    read (a stream cut short) is a :class:`FormatError`.
+    ``data`` is the tape's records in place (:meth:`TapeDrive.read_view`):
+    one read-only buffer, or a list of them whose join is the chunk.
+    ``intact`` is False when the data fails its CRC (:func:`crc32_of`).
+    The walk ends at the trailer, and a trailer whose block count
+    disagrees with the chunks read (a stream cut short) is a
+    :class:`FormatError`.
     """
     seen = 0
     while True:
@@ -182,8 +238,8 @@ def read_chunks(drive, block_size: int) -> Iterator[Tuple[int, int, bytes, bool]
                     "stream had %d" % (drive.name, total, seen))
             return
         start, count, crc = unpack_chunk_header(raw)
-        data = drive.read(count * block_size)
-        yield start, count, data, zlib.crc32(data) == crc
+        data = drive.read_view(count * block_size)
+        yield start, count, data, crc32_of(data) == crc
         seen += count
 
 
@@ -193,6 +249,7 @@ __all__ = [
     "FLAG_INCREMENTAL",
     "ImageHeader",
     "TRAILER_SIZE",
+    "crc32_of",
     "pack_chunk_header",
     "pack_geometry",
     "pack_trailer",

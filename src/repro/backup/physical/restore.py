@@ -1,8 +1,8 @@
 """Image restore: rebuild a volume from an image stream.
 
 Chunks are written back at their recorded physical addresses straight
-through the RAID layer (parity is maintained underneath, NVRAM and the
-file system are bypassed), then the recorded root structure is installed
+through the RAID layer, from the tape's records in place (parity is
+maintained underneath, NVRAM and the file system are bypassed), then the recorded root structure is installed
 at its fixed location.  The target volume must match the image's geometry
 — physical backup's fundamental portability limitation — and an
 incremental image only applies on top of the base it was cut against.

@@ -13,7 +13,7 @@ from typing import List
 
 from repro.errors import FormatError
 from repro.backup.physical.image import read_chunks, read_image_header
-from repro.backup.verify import diff_blocks
+from repro.backup.verify import diff_blocks, same_bytes
 
 
 def compare_image(volume, drives) -> List[str]:
@@ -36,11 +36,16 @@ def compare_image(volume, drives) -> List[str]:
                 if not intact:
                     problems.append("chunk at block %d corrupt on tape" % start)
                     continue
-                live = volume.read_run(start, count)
-                if live != data and diff_blocks(problems, (
+                pieces = data if isinstance(data, list) else [data]
+                live: list = []
+                volume.read_run(start, count, live)
+                if same_bytes(pieces, live):
+                    continue
+                ours, theirs = b"".join(pieces), b"".join(live)
+                if diff_blocks(problems, (
                         (start + index,
-                         data[index * block_size : (index + 1) * block_size],
-                         live[index * block_size : (index + 1) * block_size])
+                         ours[index * block_size : (index + 1) * block_size],
+                         theirs[index * block_size : (index + 1) * block_size])
                         for index in range(count))):
                     return problems
         except FormatError as error:

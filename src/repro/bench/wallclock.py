@@ -49,11 +49,11 @@ PAIRS = 10
 SECONDS_BOUND = {"smoke": 0.20, "fullscale": 0.35}
 
 #: Absolute peak-RSS limit, in bytes, of every row of a mode: the
-#: full-scale macros measured 0.751 GB in a fresh process with both
-#: dumps' tapes sharing the volume's stripe chunks and sparse,
-#: slab-sharing block maps (DESIGN.md 16 and 18); this is + 10 %,
-#: rounded up to 10 MB.
-RSS_LIMIT = {"fullscale": 830_000_000}
+#: full-scale macros measured 0.703 GB in a fresh process with both
+#: dumps' tapes sharing the volume's stripe chunks, both restores
+#: reading the tapes in place and sparse, slab-sharing block maps
+#: (DESIGN.md 16 and 18); this is + 10 %, rounded up to 10 MB.
+RSS_LIMIT = {"fullscale": 780_000_000}
 
 
 def peak_rss_bytes() -> Optional[int]:

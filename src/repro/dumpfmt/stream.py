@@ -44,15 +44,18 @@ from repro.dumpfmt.spec import (
 
 _ZERO_SEGMENT = bytes(SEGMENT_SIZE)
 
-# A run is (nsegments, buffer-or-None).  A data run's buffer holds the
-# segments back to back; only the final segment may be short (it is zero
-# padded to SEGMENT_SIZE on emission, exactly as a per-segment ljust
-# would).  A ``None`` buffer is a stretch of hole segments.
-Run = Tuple[int, Optional[bytes]]
-
-# What a writer holds of a data run: ``bytes``, or a read-only byte view,
-# as (buffer, offset, nbytes, nsegments); buffer None for hole runs.
+# ``bytes``, or a read-only byte view.
 Buffer = Union[bytes, memoryview]
+
+# A run is (nsegments, data-or-None).  A data run's data holds the
+# segments back to back — one buffer, or, as a tape reader hands them
+# over, a list of buffers whose join does; only the final segment may be
+# short (it is zero padded to SEGMENT_SIZE on emission, exactly as a
+# per-segment ljust would).  ``None`` is a stretch of hole segments.
+Run = Tuple[int, Union[None, Buffer, List[Buffer]]]
+
+# What a writer holds of a data run, as (buffer, offset, nbytes,
+# nsegments); buffer None for hole runs.
 Pending = Tuple[Optional[Buffer], int, int, int]
 
 
@@ -90,8 +93,10 @@ def runs_to_data(runs: List[Run], size: int) -> bytes:
         if buf is None:
             parts.append(b"\0" * (count * SEGMENT_SIZE))
             continue
-        pad = count * SEGMENT_SIZE - len(buf)
-        parts.append(buf)
+        if not isinstance(buf, list):
+            buf = [buf]
+        pad = count * SEGMENT_SIZE - sum(map(len, buf))
+        parts.extend(buf)
         if pad > 0:
             parts.append(b"\0" * pad)
     return b"".join(parts)[:size]
@@ -200,11 +205,14 @@ class DumpStreamWriter:
         may be short of ``SEGMENT_SIZE`` (it is zero padded on emission).
         This is the bulk path: one call per extent, not per kilobyte.
         ``bytes`` and read-only byte views are kept as they are, until
-        the record is written; any other buffer is copied.
+        the record is written; any other buffer is copied, and a list of
+        buffers (a run as a reader hands it over) is joined.
         """
         if self._pending_attrs is None:
             raise FormatError("no inode record open")
-        if not (isinstance(data, bytes) or (
+        if isinstance(data, list):
+            data = b"".join(data)
+        elif not (isinstance(data, bytes) or (
                 isinstance(data, memoryview) and data.readonly
                 and data.format == "B")):
             data = bytes(data)
@@ -326,9 +334,11 @@ class DumpStreamReader:
         """Read the data segments for one record, as runs.
 
         Contiguous present segments are fetched with a single source read
-        and kept whole, instead of one Python object per kilobyte.
+        and kept whole, instead of one Python object per kilobyte; a tape
+        drive's read is in place (:meth:`TapeDrive.read_view`), so a run
+        is the tape's records, or read-only views of them.
         """
-        read = self._source.read
+        read = getattr(self._source, "read_view", self._source.read)
         runs: List[Run] = []
         total = len(segment_map)
         index = 0
@@ -346,7 +356,9 @@ class DumpStreamReader:
             blob = read((end - index) * SEGMENT_SIZE)
             # A truncated source yields a short (possibly empty) run, the
             # same as the per-segment reader saw.
-            got = (len(blob) + SEGMENT_SIZE - 1) // SEGMENT_SIZE
+            nbytes = (sum(map(len, blob)) if isinstance(blob, list)
+                      else len(blob))
+            got = (nbytes + SEGMENT_SIZE - 1) // SEGMENT_SIZE
             if got:
                 runs.append((got, blob))
             index = end

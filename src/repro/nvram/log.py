@@ -20,6 +20,20 @@ from repro.units import MB
 OP_OVERHEAD = 128
 
 
+def _payload_bytes(value) -> int:
+    """What one argument of a logged op costs the log: a string its
+    length, a buffer its bytes, a list of buffers (one write's pieces)
+    their sum; anything else — a number, ``None`` — rides in the fixed
+    overhead."""
+    if isinstance(value, (str, bytes, bytearray)):
+        return len(value)
+    if isinstance(value, memoryview):
+        return value.nbytes
+    if isinstance(value, list):
+        return sum(map(_payload_bytes, value))
+    return 0
+
+
 class LoggedOp:
     """One replayable operation: a method name plus its arguments.
 
@@ -40,13 +54,8 @@ class LoggedOp:
         self.args = args
         self.kwargs = kwargs
         self.epoch = epoch
-        payload = 0
-        for value in list(args) + list(kwargs.values()):
-            if isinstance(value, (bytes, bytearray)):
-                payload += len(value)
-            elif isinstance(value, str):
-                payload += len(value)
-        self.nbytes = OP_OVERHEAD + payload
+        self.nbytes = OP_OVERHEAD + sum(
+            map(_payload_bytes, list(args) + list(kwargs.values())))
 
     def __repr__(self) -> str:
         return "<LoggedOp %s nbytes=%d epoch=%r>" % (

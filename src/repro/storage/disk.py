@@ -50,6 +50,28 @@ CHUNK_BLOCKS = 64
 # (half the image tape's bytes) copied.
 _FREEZE_SHARE = 0.5
 
+# One zero buffer per size, shared by every store: a read of a chunk no
+# write has materialized is a view of it, so a piece whose ``.obj`` is
+# one of these is known to be zero fill (:func:`is_zero_fill`).
+_ZEROS: Dict[int, bytes] = {}
+
+
+def zeros(nbytes: int) -> bytes:
+    """The shared zero ``bytes`` of length ``nbytes``."""
+    buffer = _ZEROS.get(nbytes)
+    if buffer is None:
+        buffer = _ZEROS[nbytes] = bytes(nbytes)
+    return buffer
+
+
+def is_zero_fill(buffer) -> bool:
+    """Whether ``buffer`` is, or is a view of, a shared zero buffer
+    (:func:`zeros`).  A zero buffer made any other way — a reloaded or
+    damaged record — is not."""
+    obj = buffer.obj if type(buffer) is memoryview else buffer
+    return type(obj) is bytes and _ZEROS.get(len(obj)) is obj
+
+
 # pack_chunks framing: (nblocks, non-zero block count), then that many
 # uint64 block indices, then that many block_size rows.
 _IMAGE_HEAD = struct.Struct("<QQ")
@@ -91,8 +113,8 @@ class StripeStore:
         self._bad_shared = False
         self.reads = [0] * (ndata + parity)
         self.writes = [0] * (ndata + parity)
-        self._zero = bytes(block_size)
-        self._zeros = bytes(self.span * block_size)
+        self._zero = zeros(block_size)
+        self._zeros = zeros(self.span * block_size)
         self._word = np.uint64 if block_size % 8 == 0 else np.uint8
         self._word_cut = self.span * block_size // np.dtype(self._word).itemsize
 
@@ -601,4 +623,5 @@ class DiskModel:
             self.write_streams.pop(0)
 
 
-__all__ = ["DEFAULT_BLOCK_SIZE", "DiskModel", "StripeStore", "VirtualDisk"]
+__all__ = ["DEFAULT_BLOCK_SIZE", "DiskModel", "StripeStore", "VirtualDisk",
+           "is_zero_fill", "zeros"]

@@ -8,7 +8,8 @@ immutable records it was handed, not a buffer they were copied into.  A
 record is ``bytes``, or a read-only ``memoryview``: most of either
 dump's file or volume blocks are views of the stripe chunks it froze,
 shared with the volume it read them from until the volume writes them
-(:meth:`RaidVolume.freeze`).  The timing plane (:class:`TapeModel`) is a
+(:meth:`RaidVolume.freeze`).  Both restores read the records in place
+(:meth:`TapeDrive.read_view`).  The timing plane (:class:`TapeModel`) is a
 streaming-rate model with per-record overhead and load/rewind latencies,
 matching how a DLT-7000 behaves when it is kept streaming.
 """
@@ -31,10 +32,11 @@ class TapeCartridge:
     ``memoryview`` (of a frozen stripe chunk, which nothing writes
     again, or of ``bytes``); any other buffer is copied into ``bytes``.
     Each part of a list write is a record of its own: a logical dump
-    record's header and parts, an image chunk's header and pieces.  A
-    read returns ``bytes`` — at a ``bytes`` record's own boundaries, the
-    object written — and a verified replay shares its records with the
-    media.
+    record's header and parts, an image chunk's header and pieces.
+    :meth:`read_at` returns ``bytes`` — at a ``bytes`` record's own
+    boundaries, the object written — and :meth:`views_at` the records
+    themselves, or read-only views into them, with no copy; a verified
+    replay shares its records with the media.
     """
 
     def __init__(self, capacity: int = 35 * GB, label: str = ""):
@@ -95,17 +97,21 @@ class TapeCartridge:
             index += 1
 
     def read_at(self, offset: int, nbytes: int) -> bytes:
-        """``nbytes`` of the stream from ``offset``, as ``bytes``.  A read
-        that is exactly one ``bytes`` record is that record, not a copy;
-        one inside a record is a slice of it (a copy, for a view); only a
-        read across records assembles."""
-        spans = list(self._span(offset, nbytes))
-        if len(spans) == 1:
-            _index, record, lo, hi = spans[0]
-            part = record if hi - lo == len(record) else record[lo:hi]
-            return part if isinstance(part, bytes) else part.tobytes()
-        return b"".join([memoryview(record)[lo:hi]
-                         for _index, record, lo, hi in spans])
+        """``nbytes`` of the stream from ``offset``, as ``bytes``: a copy
+        of :meth:`views_at`, except that a read of exactly one ``bytes``
+        record is that record."""
+        views = self.views_at(offset, nbytes)
+        if len(views) == 1 and isinstance(views[0], bytes):
+            return views[0]
+        return b"".join(views)
+
+    def views_at(self, offset: int, nbytes: int) -> list:
+        """``nbytes`` of the stream from ``offset`` as the records that
+        hold them, in order: a whole record as it was written, a part of
+        one as a read-only view of it.  Nothing is copied."""
+        return [record if hi - lo == len(record)
+                else memoryview(record)[lo:hi]
+                for _index, record, lo, hi in self._span(offset, nbytes)]
 
     def overwrite(self, offset: int, data) -> None:
         """Replace ``len(data)`` recorded bytes from ``offset`` in place:
@@ -240,15 +246,17 @@ class TapeDrive:
         self.read_offset = 0
         self.loaded = None
 
-    def read(self, nbytes: int) -> bytes:
-        """Read the next ``nbytes`` of the logical stream.
+    def _spans(self, nbytes: int):
+        """``(cartridge, offset, nbytes)`` for each cartridge the next
+        ``nbytes`` of the logical stream lie on, in order, moving the
+        read position past them (a cartridge change as it is reached);
+        the read counts once the last is taken.
 
         Raises :class:`TapeError` if the stream ends early.
         """
         if REGISTRY.enabled:
             REGISTRY.counter("tape.read_bytes").inc(nbytes)
             REGISTRY.counter("tape.reads").inc()
-        parts = []
         got = 0
         while got < nbytes:
             if self.read_cartridge_index >= len(self.stacker.cartridges):
@@ -264,12 +272,30 @@ class TapeDrive:
                 self.media_changes += 1
                 continue
             take = min(available, nbytes - got)
-            parts.append(cartridge.read_at(self.read_offset, take))
+            yield cartridge, self.read_offset, take
             self.read_offset += take
             got += take
         self.bytes_read += nbytes
+
+    def read(self, nbytes: int) -> bytes:
+        """Read the next ``nbytes`` of the logical stream, as ``bytes``.
+
+        Raises :class:`TapeError` if the stream ends early.
+        """
+        parts = [cartridge.read_at(offset, take)
+                 for cartridge, offset, take in self._spans(nbytes)]
         # One part (nearly every read) stays the object ``read_at`` gave.
         return parts[0] if len(parts) == 1 else b"".join(parts)
+
+    def read_view(self, nbytes: int):
+        """:meth:`read` in place: the next ``nbytes`` as the records that
+        hold them (:meth:`TapeCartridge.views_at`) — one buffer, or a
+        list of them where the read spans records.  Every buffer is
+        read-only, so a reader may keep it as long as it likes; counts
+        and media changes are :meth:`read`'s."""
+        views = [view for cartridge, offset, take in self._spans(nbytes)
+                 for view in cartridge.views_at(offset, take)]
+        return views[0] if len(views) == 1 else views
 
     def stream_bytes(self) -> bytes:
         """The whole logical stream (used by verification helpers)."""

@@ -49,6 +49,7 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.nvram.log import OP_OVERHEAD, LoggedOp, NvramLog
+from repro.raid.group import run_nbytes
 from repro.raid.volume import RaidVolume
 from repro.wafl.blockmap import BlockMap
 from repro.wafl.blocktree import BlockTree, TreeContext
@@ -778,7 +779,7 @@ class WaflFilesystem(FileTree):
         if nvram is None or self._replaying or nvram.failed:
             return 0
         room = nvram.half_capacity - OP_OVERHEAD - len(path)
-        if len(data) <= room or LoggedOp(
+        if run_nbytes(data) <= room or LoggedOp(
                 "write_file", (path, data), {}).nbytes <= nvram.half_capacity:
             return 0
         return max(room, 0) // BLOCK_SIZE * BLOCK_SIZE
@@ -787,8 +788,8 @@ class WaflFilesystem(FileTree):
         """``write_file`` in pieces of at most ``piece`` bytes that end on
         block boundaries, each logged and applied before the next — a
         filer logs client requests, not files."""
-        view = memoryview(data)
-        pos, end = offset, offset + len(data)
+        view = memoryview(b"".join(data) if isinstance(data, list) else data)
+        pos, end = offset, offset + len(view)
         while pos < end:
             stop = min(end, pos - pos % BLOCK_SIZE + piece)
             self.write_file(path, bytes(view[pos - offset : stop - offset]),
@@ -1051,13 +1052,16 @@ class WaflFilesystem(FileTree):
     # File data
     # ------------------------------------------------------------------
 
-    def _write_inode_data(self, inode: Inode, data: bytes, offset: int) -> None:
+    def _write_inode_data(self, inode: Inode, data, offset: int) -> None:
+        """Write ``data`` — a buffer, or a list of buffers whose join is
+        the write — at ``offset`` of ``inode``."""
         if inode.is_dir:
             raise IsADirectoryError_("write to directory inode %d" % inode.ino)
-        end = offset + len(data)
+        nbytes = run_nbytes(data)
+        end = offset + nbytes
         first_fbn = offset // BLOCK_SIZE
-        last_fbn = (end - 1) // BLOCK_SIZE if data else first_fbn
-        self._room_for(last_fbn - first_fbn + 1 if data else 0)
+        last_fbn = (end - 1) // BLOCK_SIZE if nbytes else first_fbn
+        self._room_for(last_fbn - first_fbn + 1 if nbytes else 0)
         tree = BlockTree(self, inode)
         # A buffer on block boundaries goes down as it is; one with a
         # partial edge block is staged, merging the edges with the
@@ -1069,20 +1073,23 @@ class WaflFilesystem(FileTree):
             blocks = bytearray()
             if head_pad:
                 blocks += tree.read_fblock(first_fbn)[:head_pad]
-            blocks += data
+            for piece in (data if isinstance(data, list) else [data]):
+                blocks += piece
             if tail_pad:
                 blocks += tree.read_fblock(last_fbn)[BLOCK_SIZE - tail_pad :]
-        if data:
+        if nbytes:
             tree.write_run(first_fbn, blocks)
         tree.flush()
         if end > inode.size:
             inode.size = end
         inode.mtime = self._now()
         self.inode_dirty(inode)
-        self.counters["bytes_written"] += len(data)
+        self.counters["bytes_written"] += nbytes
 
-    def write_file(self, path: str, data: bytes, offset: int = 0) -> None:
-        """Write ``data`` at ``offset`` (sparse writes allowed)."""
+    def write_file(self, path: str, data, offset: int = 0) -> None:
+        """Write ``data`` at ``offset`` (sparse writes allowed): a buffer,
+        or a list of buffers whose join is the write, which the NVRAM log
+        keeps as it is given."""
         piece = self._piece_size(path, data)
         if piece:
             return self._write_pieces(path, data, offset, piece)

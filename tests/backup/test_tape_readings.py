@@ -28,6 +28,7 @@ from repro.backup.physical.image import (
     read_chunks,
     read_image_header,
 )
+from repro.raid.group import run_nbytes
 from repro.wafl.consts import BLOCK_SIZE
 
 from tests.conftest import make_drive, make_fs, populate_small_tree
@@ -178,7 +179,7 @@ class TestImageChunkWalk:
         assert header.fsinfo_image
         assert sum(count for _s, count, _d, _i in chunks) == result.blocks
         assert all(intact for _s, _c, _d, intact in chunks)
-        assert all(len(data) == count * BLOCK_SIZE
+        assert all(run_nbytes(data) == count * BLOCK_SIZE
                    for _s, count, data, _i in chunks)
         assert drive.bytes_read == _stream_bytes(drive)
 

@@ -56,7 +56,7 @@ def test_slower_fleet_hot_path_fails_the_regression_check():
 
 
 @pytest.mark.parametrize("mode, limit", [("smoke", ""),
-                                         ("fullscale", " (limit 0.83 GB)")])
+                                         ("fullscale", " (limit 0.78 GB)")])
 def test_a_check_row_prints_the_peak_rss_it_is_gated_on(mode, limit):
     rows = {"a.row": {"seconds": 1.5, "verdict": "ok",
                       "reference": {"value": 1.25},
@@ -176,7 +176,7 @@ def test_check_refuses_in_one_line_before_anything_runs(
     assert ("run", "reference") not in children.calls
 
 
-@pytest.mark.parametrize("rss, exit_code", [(800_000_000, 0),
+@pytest.mark.parametrize("rss, exit_code", [(750_000_000, 0),
                                             (2_500_000_000, 1)])
 def test_full_scale_rss_over_the_limit_fails(rss, exit_code, checkout, capsys,
                                              monkeypatch):
@@ -185,7 +185,7 @@ def test_full_scale_rss_over_the_limit_fails(rss, exit_code, checkout, capsys,
     assert wallclock.main(["--mode", "fullscale", "--check"]) == exit_code
     out = capsys.readouterr().out
     assert ("macro.fullscale.run_basic: peak RSS 2500000000 bytes: missing,"
-            " or above the 0.83 GB limit" in out) == bool(exit_code)
+            " or above the 0.78 GB limit" in out) == bool(exit_code)
 
 
 @pytest.mark.parametrize("cores, exit_code", [(2, 0), (4, 1)])

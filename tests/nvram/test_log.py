@@ -15,6 +15,22 @@ def test_op_size_includes_payload():
     assert LoggedOp("m", ("path",), {"data": b"12"}).nbytes == OP_OVERHEAD + 6
 
 
+def test_a_view_payload_is_charged_its_bytes():
+    data = b"x" * 100
+    as_bytes = LoggedOp("write_file", ("/a", data), {}).nbytes
+    assert as_bytes == OP_OVERHEAD + 2 + 100
+    for buffer in (memoryview(data), memoryview(data).toreadonly(),
+                   bytearray(data)):
+        assert LoggedOp("write_file", ("/a", buffer), {}).nbytes == as_bytes
+
+
+def test_a_list_payload_is_charged_the_bytes_of_its_buffers():
+    pieces = [b"x" * 40, memoryview(b"y" * 50)[:30], bytearray(30)]
+    op = LoggedOp("write_file", ("/a", pieces), {"offset": 4096})
+    assert op.nbytes == OP_OVERHEAD + 2 + 100
+    assert LoggedOp("write_file", ("/a", []), {}).nbytes == OP_OVERHEAD + 2
+
+
 def test_append_until_half_full():
     log = NvramLog(capacity=4 * OP_OVERHEAD)
     assert log.try_append(op())

@@ -80,6 +80,41 @@ class TestDrive:
         drive.rewind()
         assert drive.read(8) == b"12345678"
 
+    def test_read_view_hands_over_the_records_in_place(self):
+        drive = make_drive(tapes=3, capacity=100)
+        first, second = b"a" * 30, bytes(range(90))
+        frozen = memoryview(bytearray(b"z" * 40)).toreadonly()
+        drive.write([first, second, frozen])   # second spans cartridges
+        drive.rewind()
+        assert drive.read_view(30) is first
+        head = drive.read_view(10)
+        assert head.readonly and head.obj is second and head == second[:10]
+        spans = drive.read_view(90)            # across a cartridge change
+        assert [len(view) for view in spans] == [60, 20, 10]
+        assert all(view.readonly for view in spans)
+        assert b"".join(spans) == second[10:] + b"z" * 10
+        assert spans[2].obj is frozen.obj
+        # One change writing the spill, one reading across it.
+        assert (drive.bytes_read, drive.media_changes) == (130, 2)
+        with pytest.raises(TapeError):
+            drive.read_view(31)
+
+    def test_read_and_read_view_count_alike(self):
+        sizes = [7, 30, 1, 64, 0, 40, 8]
+        drives = []
+        for read in ("read", "read_view"):
+            drive = make_drive(tapes=3, capacity=64)
+            for index in range(6):
+                drive.write(bytes([index]) * 25)
+            drive.rewind()
+            got = []
+            for size in sizes:
+                data = getattr(drive, read)(size)
+                got.append(b"".join(data) if isinstance(data, list)
+                           else bytes(data))
+            drives.append((got, drive.bytes_read, drive.media_changes))
+        assert drives[0] == drives[1]
+
 
 class TestTapeModel:
     def test_streaming_rate(self):
