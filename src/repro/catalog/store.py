@@ -13,12 +13,21 @@ journal line, and :meth:`BackupCatalog.save` compacts — a new image
 through ``<path>.tmp``, fsync'd and renamed over the old one, then an
 empty journal.  An in-memory catalog (``path=None``) never touches the
 disk; tests and short experiments use it directly.
+
+History is kept whole — a retired set stays in :attr:`BackupCatalog.sets`,
+the image and the journal — but a query about one volume reads only that
+volume: per-volume indexes, kept exact by the set writers and the status
+writers, answer :meth:`~BackupCatalog.sets_for`, :meth:`~BackupCatalog.live_sets`,
+base resolution and the orphan refusal without scanning retired sets.
+:meth:`~BackupCatalog.validate_no_orphans` is the one full scan, so the
+invariant check does not trust the indexes it would be checking.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left, insort
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import CatalogError
@@ -38,6 +47,13 @@ CATALOG_VERSION = 1
 
 def _policy_key(fsid: str, subtree: str) -> str:
     return "%s|%s" % (fsid, subtree)
+
+
+def _identity(backup_set: BackupSet) -> tuple:
+    """The fields the indexes file a set under; fixed once recorded."""
+    return (backup_set.fsid, backup_set.subtree, backup_set.strategy,
+            backup_set.level, backup_set.day, backup_set.date,
+            backup_set.snapshot, backup_set.base_set_id)
 
 
 class BackupCatalog:
@@ -60,6 +76,83 @@ class BackupCatalog:
         self._dirty_media: set = set()
         self._dirty_policies: set = set()
         self._dirty_meta = False
+        self._reindex()
+
+    # -- indexes -----------------------------------------------------------
+
+    def _reindex(self) -> None:
+        """Rebuild every index from :attr:`sets`, in its order."""
+        # set id -> position in ``sets`` (the scan order that broke ties)
+        # and the identity it is filed under.
+        self._rank: Dict[str, int] = {}
+        self._filed: Dict[str, tuple] = {}
+        # (fsid, subtree) -> its sets' ``sets_for`` keys (day, date, set
+        # id), sorted; the ok ones.
+        self._volume_keys: Dict[tuple, List[tuple]] = {}
+        self._live_keys: Dict[tuple, List[tuple]] = {}
+        # (fsid, snapshot) -> the first set recorded from it.
+        self._by_snapshot: Dict[tuple, str] = {}
+        # (fsid, subtree, strategy) -> {level: newest set by (date, day)}.
+        self._newest: Dict[tuple, Dict[int, str]] = {}
+        # base set id -> the sets recorded against it.
+        self._dependents: Dict[str, List[str]] = {}
+        for backup_set in self.sets.values():
+            self._index(backup_set)
+
+    def _recency(self, set_id: str) -> tuple:
+        """Newest by (date, day); of equals, the one recorded first."""
+        backup_set = self.sets[set_id]
+        return (backup_set.date, backup_set.day, -self._rank[set_id])
+
+    def _index(self, backup_set: BackupSet) -> None:
+        set_id = backup_set.set_id
+        self._rank[set_id] = len(self._rank)
+        self._filed[set_id] = _identity(backup_set)
+        volume = (backup_set.fsid, backup_set.subtree)
+        insort(self._volume_keys.setdefault(volume, []),
+               (backup_set.day, backup_set.date, set_id))
+        self._live_keys.setdefault(volume, [])
+        self._sync_status(backup_set)
+        if backup_set.snapshot is not None:
+            self._by_snapshot.setdefault(
+                (backup_set.fsid, backup_set.snapshot), set_id)
+        levels = self._newest.setdefault(
+            volume + (backup_set.strategy,), {})
+        newest = levels.get(backup_set.level)
+        if newest is None or self._recency(set_id) > self._recency(newest):
+            levels[backup_set.level] = set_id
+        if backup_set.base_set_id is not None:
+            self._dependents.setdefault(backup_set.base_set_id,
+                                        []).append(set_id)
+
+    def _sync_status(self, backup_set: BackupSet) -> None:
+        """File the set among its volume's live sets iff it is ok."""
+        key = (backup_set.day, backup_set.date, backup_set.set_id)
+        live = self._live_keys[(backup_set.fsid, backup_set.subtree)]
+        at = bisect_left(live, key)
+        filed = at < len(live) and live[at] == key
+        if backup_set.ok and not filed:
+            live.insert(at, key)
+        elif filed and not backup_set.ok:
+            del live[at]
+
+    def _put_set(self, backup_set: BackupSet) -> None:
+        """Add a set, or replace the record of one, keeping the indexes."""
+        known = backup_set.set_id in self.sets
+        self.sets[backup_set.set_id] = backup_set
+        if not known:
+            self._index(backup_set)
+        else:
+            self._refile(backup_set.set_id)
+
+    def _refile(self, set_id: str) -> None:
+        """Bring the indexes up to a changed set record: its status in
+        place; an identity change (no writer makes one) by a rebuild."""
+        backup_set = self.sets[set_id]
+        if self._filed[set_id] != _identity(backup_set):
+            self._reindex()
+        else:
+            self._sync_status(backup_set)
 
     # -- persistence -------------------------------------------------------
 
@@ -84,6 +177,8 @@ class BackupCatalog:
 
     def touch_set(self, set_id: str) -> None:
         """Mark a set record changed (mutated outside the catalog API)."""
+        if set_id in self.sets:
+            self._refile(set_id)
         self._dirty_sets.add(set_id)
 
     def touch_media(self, label: str) -> None:
@@ -191,8 +286,7 @@ class BackupCatalog:
                 # One commit, one line: apply its upserts in order.
                 self._apply_journal(record["records"])
             elif op == "set":
-                backup_set = BackupSet.from_dict(record["data"])
-                self.sets[backup_set.set_id] = backup_set
+                self._put_set(BackupSet.from_dict(record["data"]))
             elif op == "media":
                 cartridge = CartridgeRecord.from_dict(record["data"])
                 self.media[cartridge.label] = cartridge
@@ -222,8 +316,7 @@ class BackupCatalog:
         catalog.next_set = document.get("next_set", 1)
         catalog.next_cartridge = document.get("next_cartridge", 1)
         for raw in document.get("sets", []):
-            backup_set = BackupSet.from_dict(raw)
-            catalog.sets[backup_set.set_id] = backup_set
+            catalog._put_set(BackupSet.from_dict(raw))
         for raw in document.get("media", []):
             cartridge = CartridgeRecord.from_dict(raw)
             catalog.media[cartridge.label] = cartridge
@@ -321,7 +414,7 @@ class BackupCatalog:
             bytes_to_tape=bytes_to_tape, files=files, blocks=blocks,
             cartridges=list(cartridges),
         )
-        self.sets[set_id] = backup_set
+        self._put_set(backup_set)
         self._dirty_sets.add(set_id)
         self._dirty_meta = True
         if strategy == STRATEGY_LOGICAL:
@@ -335,40 +428,45 @@ class BackupCatalog:
     def _resolve_base(self, fsid: str, subtree: str, strategy: str,
                       level: int, base_snapshot: Optional[str]) -> Optional[str]:
         if base_snapshot is not None:
-            for backup_set in self.sets.values():
-                if (backup_set.fsid == fsid
-                        and backup_set.snapshot == base_snapshot):
-                    return backup_set.set_id
-            raise CatalogError(
-                "base snapshot %r of %s has no backup set in the catalog"
-                % (base_snapshot, fsid)
-            )
+            base_id = self._by_snapshot.get((fsid, base_snapshot))
+            if base_id is None:
+                raise CatalogError(
+                    "base snapshot %r of %s has no backup set in the catalog"
+                    % (base_snapshot, fsid)
+                )
+            return base_id
         if level == 0:
             return None
-        candidates = [
-            s for s in self.sets.values()
-            if s.fsid == fsid and s.subtree == subtree
-            and s.strategy == strategy and s.level < level
-        ]
+        levels = self._newest.get((fsid, subtree, strategy), {})
+        candidates = [set_id for lower, set_id in levels.items()
+                      if lower < level]
         if not candidates:
             raise CatalogError(
                 "no lower-level set recorded for %s:%s below level %d"
                 % (fsid, subtree, level)
             )
-        return max(candidates, key=lambda s: (s.date, s.day)).set_id
+        return max(candidates, key=self._recency)
 
     # -- queries -----------------------------------------------------------
 
     def sets_for(self, fsid: str, subtree: Optional[str] = None,
                  strategy: Optional[str] = None) -> List[BackupSet]:
         """Matching sets, oldest first."""
-        out = [
-            s for s in self.sets.values()
-            if s.fsid == fsid
-            and (subtree is None or s.subtree == subtree)
-            and (strategy is None or s.strategy == strategy)
-        ]
-        return sorted(out, key=lambda s: (s.day, s.date, s.set_id))
+        if subtree is not None:
+            keys = self._volume_keys.get((fsid, subtree), [])
+        else:
+            keys = sorted(key for volume, members
+                          in self._volume_keys.items() if volume[0] == fsid
+                          for key in members)
+        out = [self.sets[key[-1]] for key in keys]
+        if strategy is not None:
+            out = [s for s in out if s.strategy == strategy]
+        return out
+
+    def live_sets(self, fsid: str, subtree: str) -> List[BackupSet]:
+        """The volume's ok sets, oldest first (``sets_for`` order)."""
+        return [self.sets[key[-1]]
+                for key in self._live_keys.get((fsid, subtree), [])]
 
     def get_set(self, set_id: str) -> BackupSet:
         try:
@@ -438,15 +536,18 @@ class BackupCatalog:
         retiring = set(set_ids)
         for set_id in retiring:
             self.get_set(set_id)  # validate
-        for backup_set in self.sets.values():
-            if (backup_set.ok and backup_set.set_id not in retiring
-                    and backup_set.base_set_id in retiring):
-                raise CatalogError(
-                    "cannot obsolete %s: surviving set %s depends on it"
-                    % (backup_set.base_set_id, backup_set.set_id)
-                )
+        orphans = [dependent for set_id in retiring
+                   for dependent in self._dependents.get(set_id, ())
+                   if dependent not in retiring and self.sets[dependent].ok]
+        if orphans:
+            first = self.sets[min(orphans, key=self._rank.__getitem__)]
+            raise CatalogError(
+                "cannot obsolete %s: surviving set %s depends on it"
+                % (first.base_set_id, first.set_id)
+            )
         for set_id in retiring:
             self.sets[set_id].status = STATUS_OBSOLETE
+            self._sync_status(self.sets[set_id])
             self._dirty_sets.add(set_id)
         if save:
             self.commit_dirty()
@@ -497,17 +598,11 @@ class BackupCatalog:
 
     def volumes(self) -> List[tuple]:
         """Distinct (fsid, subtree) pairs with at least one set."""
-        seen = []
-        for backup_set in self.sets.values():
-            key = (backup_set.fsid, backup_set.subtree)
-            if key not in seen:
-                seen.append(key)
-        return seen
+        return list(self._volume_keys)
 
     def latest_day(self) -> int:
-        if not self.sets:
-            return 0
-        return max(s.day for s in self.sets.values())
+        return max((keys[-1][0] for keys in self._volume_keys.values()),
+                   default=0)
 
 
 __all__ = ["BackupCatalog", "CATALOG_VERSION"]

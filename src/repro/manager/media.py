@@ -23,12 +23,14 @@ reserved cartridge is excluded from every later drive build and refuses
 to be recycled until the job commits or releases it.  A campaign day
 splits the free scratch media between its volumes up front
 (:meth:`partitioned_drives`); a fleet job takes them all
-(:meth:`drive_for_job`).
+(:meth:`drive_for_job`).  The free list is kept at its transitions
+(registration, load, release, commit, recycle), in inventory order, so
+building a drive reads no other cartridge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.errors import CatalogError, TapeError
 from repro.catalog.records import MEDIA_ALLOCATED, MEDIA_SCRATCH, BackupSet
@@ -43,8 +45,14 @@ class MediaPool:
     def __init__(self, catalog):
         self.catalog = catalog
         self._cartridges: Dict[str, TapeCartridge] = {}
-        # label -> job name holding the reservation (in-flight drives).
-        self._reserved: Dict[str, str] = {}
+        # In-flight drives: stacker -> (job name, the labels it holds,
+        # in magazine order).  A held cartridge is reserved.
+        self._holds: Dict[TapeStacker, Tuple[str, List[str]]] = {}
+        # The free scratch cartridges — scratch, unwritten, unreserved —
+        # in the catalog's inventory order (``_rank``): what the next
+        # drive is stacked with.
+        self._free: List[str] = []
+        self._rank: Dict[str, int] = {}
 
     # -- inventory ---------------------------------------------------------
 
@@ -56,6 +64,9 @@ class MediaPool:
             self._cartridges[record.label] = TapeCartridge(
                 capacity=capacity, label=record.label
             )
+            # The newest in the inventory: last in its order.
+            self._rank[record.label] = len(self.catalog.media) - 1
+            self._free.append(record.label)
             labels.append(record.label)
         return labels
 
@@ -71,28 +82,26 @@ class MediaPool:
 
     # -- job lifecycle -----------------------------------------------------
 
-    def _free_scratch(self) -> List[TapeCartridge]:
-        """Scratch cartridges no in-flight job holds: unreserved, and
-        unwritten — a cartridge loaded from disk may hold bytes no
-        commit has allocated yet."""
-        return [self._cartridges[label] for label in self.scratch_labels()
-                if not self._cartridges[label].used
-                and label not in self._reserved]
+    def _make_free(self, labels: List[str]) -> None:
+        """Return ``labels`` to the free list, in inventory order."""
+        if labels:
+            self._free = sorted(self._free + labels,
+                                key=self._rank.__getitem__)
 
-    def _reserve(self, name: str,
-                 cartridges: List[TapeCartridge]) -> TapeDrive:
-        """A drive over ``cartridges``, each reserved under ``name``."""
-        for cartridge in cartridges:
-            self._reserved[cartridge.label] = name
-        return TapeDrive(TapeStacker(cartridges, name=name))
+    def _reserve(self, name: str, labels: List[str]) -> TapeDrive:
+        """A drive over the cartridges ``labels``, held under ``name``."""
+        stacker = TapeStacker([self._cartridges[label] for label in labels],
+                              name=name)
+        self._holds[stacker] = (name, labels)
+        return TapeDrive(stacker)
 
     def drive_for_job(self, name: str) -> TapeDrive:
         """A drive stacked with every free scratch cartridge, write order
         fixed, each reserved under ``name``."""
-        cartridges = self._free_scratch()
-        if not cartridges:
+        if not self._free:
             raise TapeError("media pool has no scratch cartridges")
-        return self._reserve(name, cartridges)
+        free, self._free = self._free, []
+        return self._reserve(name, free)
 
     def partitioned_drives(self, names: List[str]) -> List[TapeDrive]:
         """One drive per name over a *disjoint* round-robin split of the
@@ -103,20 +112,22 @@ class MediaPool:
         slice outright, and which cartridges a volume's day writes does
         not depend on how much its neighbours wrote.
         """
-        free = self._free_scratch()
-        if len(free) < len(names):
+        if len(self._free) < len(names):
             raise TapeError(
                 "media pool has %d free scratch cartridges for %d"
-                " parallel jobs" % (len(free), len(names))
+                " parallel jobs" % (len(self._free), len(names))
             )
+        free, self._free = self._free, []
         return [self._reserve(name, free[index::len(names)])
                 for index, name in enumerate(names)]
 
     def adopt_cartridges(self, drive: TapeDrive) -> None:
-        """Point the pool at the cartridges the job's drive holds, so
-        :meth:`commit_job` and later restores see the written bytes; a
-        cartridge the pool never issued is refused."""
-        for cartridge in drive.stacker.cartridges:
+        """Point the pool at the cartridges the job's drive loaded — the
+        only ones a job can write — so :meth:`commit_job` and later
+        restores see the written bytes; a cartridge the pool never issued
+        is refused."""
+        stacker = drive.stacker
+        for cartridge in stacker.cartridges[:stacker.next_slot]:
             if cartridge.label not in self._cartridges:
                 raise CatalogError(
                     "cartridge %r is not in the pool" % cartridge.label
@@ -152,14 +163,26 @@ class MediaPool:
         return labels
 
     def release_drive(self, drive: TapeDrive) -> None:
-        """Drop every reservation held on the drive's magazine (for a
-        job that was abandoned before :meth:`commit_job`)."""
-        for cartridge in drive.stacker.cartridges:
-            self._reserved.pop(cartridge.label, None)
+        """Drop the reservations the drive's magazine holds (for a job
+        that was abandoned before :meth:`commit_job`).  What is still
+        scratch and unwritten is free again: of the loaded prefix
+        (``next_slot``) the cartridges the job left blank, and every
+        cartridge after it, which the job never touched."""
+        stacker = drive.stacker
+        _name, labels = self._holds.pop(stacker, (None, []))
+        loaded = stacker.next_slot
+        self._make_free([
+            label for label in labels[:loaded]
+            if not self._cartridges[label].used
+            and self.catalog.media[label].status == MEDIA_SCRATCH
+        ] + labels[loaded:])
 
     def reserved_by(self, label: str):
         """The job name holding ``label``'s reservation, or ``None``."""
-        return self._reserved.get(label)
+        for name, labels in self._holds.values():
+            if label in labels:
+                return name
+        return None
 
     def drive_for_restore(self, backup_set: BackupSet) -> TapeDrive:
         """A rewound drive holding exactly the set's cartridges, in order."""
@@ -180,26 +203,29 @@ class MediaPool:
         two jobs once the reservation holder commits.
         """
         for label in backup_set.cartridges:
-            holder = self._reserved.get(label)
+            holder = self.reserved_by(label)
             if holder is not None:
                 raise CatalogError(
                     "cannot recycle set %s: cartridge %r is reserved by"
                     " in-flight job %r" % (backup_set.set_id, label, holder)
                 )
         recycled = []
-        for label in backup_set.cartridges:
-            record = self.catalog.cartridge_record(label)
-            if record.set_id != backup_set.set_id:
-                raise CatalogError(
-                    "cartridge %r is allocated to %s, not %s"
-                    % (label, record.set_id, backup_set.set_id)
-                )
-            self.cartridge(label).erase()
-            record.status = MEDIA_SCRATCH
-            record.set_id = None
-            record.used = 0
-            self.catalog.touch_media(label)
-            recycled.append(label)
+        try:
+            for label in backup_set.cartridges:
+                record = self.catalog.cartridge_record(label)
+                if record.set_id != backup_set.set_id:
+                    raise CatalogError(
+                        "cartridge %r is allocated to %s, not %s"
+                        % (label, record.set_id, backup_set.set_id)
+                    )
+                self.cartridge(label).erase()
+                record.status = MEDIA_SCRATCH
+                record.set_id = None
+                record.used = 0
+                self.catalog.touch_media(label)
+                recycled.append(label)
+        finally:
+            self._make_free(recycled)
         return recycled
 
     # -- persistence -------------------------------------------------------
@@ -224,6 +250,14 @@ class MediaPool:
                     % cartridge.label
                 )
             pool._cartridges[cartridge.label] = cartridge
+        # A cartridge loaded from disk may hold bytes no commit has
+        # allocated yet: it is not free.
+        pool._rank = {label: rank
+                      for rank, label in enumerate(catalog.media)}
+        pool._make_free([
+            label for label, record in catalog.media.items()
+            if record.status == MEDIA_SCRATCH and label in pool._cartridges
+            and not pool._cartridges[label].used])
         return pool
 
 

@@ -32,7 +32,7 @@ class RetentionPolicy:
     def obsolete(self, catalog, fsid: str, subtree: str,
                  now_day: int) -> List[str]:
         """Set ids to retire, whole chains at a time, oldest first."""
-        ok_sets = [s for s in catalog.sets_for(fsid, subtree) if s.ok]
+        ok_sets = catalog.live_sets(fsid, subtree)
         kept = self._close_over_bases(catalog, self.keep(
             catalog, fsid, subtree, now_day))
         return [s.set_id for s in ok_sets if s.set_id not in kept]
@@ -60,7 +60,7 @@ class Redundancy(RetentionPolicy):
         self.count = count
 
     def keep(self, catalog, fsid: str, subtree: str, now_day: int) -> Set[str]:
-        ok_sets = [s for s in catalog.sets_for(fsid, subtree) if s.ok]
+        ok_sets = catalog.live_sets(fsid, subtree)
         roots = [s for s in ok_sets if s.is_full]
         kept_roots = {s.set_id for s in roots[-self.count:]}
         kept = set()
@@ -84,7 +84,7 @@ class RecoveryWindow(RetentionPolicy):
 
     def keep(self, catalog, fsid: str, subtree: str, now_day: int) -> Set[str]:
         cutoff = now_day - self.days
-        ok_sets = [s for s in catalog.sets_for(fsid, subtree) if s.ok]
+        ok_sets = catalog.live_sets(fsid, subtree)
         kept = {s.set_id for s in ok_sets if s.day >= cutoff}
         # The boundary set: restoring to exactly the window's far edge
         # replays the newest set at or before the cutoff.

@@ -191,57 +191,69 @@ class RaidGroup:
 
     def write_run(self, group_block: int, data, offset: int, nblocks: int) -> None:
         """Write a run of group blocks from ``data[offset:]`` — a buffer,
-        or a list of buffers whose join is the run — a piece at a time
-        (:func:`split_run` cuts at stripe boundaries: only a stripe two
-        pieces share is joined).  A run its buffers are too short for
-        raises before anything moves."""
+        or a list of buffers whose join is the run — in one pass over its
+        stripes (:func:`split_run` cuts a list at stripe boundaries: each
+        piece is read in place, only a stripe two pieces share is
+        joined).  A run its buffers are too short for raises before
+        anything moves."""
         self._check_run(group_block, nblocks, "write")
         if not isinstance(data, list):
-            self._write_rows(group_block, self._rows(data, offset, nblocks))
+            self._write_rows(group_block, [self._rows(data, offset, nblocks)])
             return
         nd, bs = self.geometry.ndata_disks, self.block_size
         if run_nbytes(data) < offset + nblocks * bs:
             raise RaidError("%d-block write past the end of its buffers on %r"
                             % (nblocks, self.name))
-        for buffer, at, nbytes in split_run(data, offset, nblocks * bs,
-                                            nd * bs, -group_block % nd * bs):
-            self._write_rows(group_block, self._rows(buffer, at, nbytes // bs))
-            group_block += nbytes // bs
+        self._write_rows(group_block, [
+            self._rows(buffer, at, nbytes // bs)
+            for buffer, at, nbytes in split_run(data, offset, nblocks * bs,
+                                                nd * bs, -group_block % nd * bs)])
 
-    def _write_rows(self, group_block: int, new: np.ndarray) -> None:
-        """Write ``new`` from ``group_block``: whole stripes take parity
-        straight from the new data, with no reads; the partial stripes at
-        the edges read-modify-write."""
+    def _write_rows(self, group_block: int, parts: List[np.ndarray]) -> None:
+        """Write the rows ``parts`` hold, joined in order, from
+        ``group_block``: whole stripes take parity straight from the new
+        data, with no reads; the partial stripes at the edges
+        read-modify-write.  The edges lie in the first and the last part,
+        and every seam between parts is a stripe boundary."""
         nd = self.geometry.ndata_disks
-        end = group_block + len(new)
+        end = group_block + sum(map(len, parts))
         first = min(end, -(-group_block // nd) * nd)
         last = max(first, end - end % nd)
         if group_block < first:
-            self._write_partial(group_block, new[: first - group_block])
-        if first < last:
-            self._write_full(first // nd, new[first - group_block : last - group_block])
+            self._write_partial(group_block, parts[0][: first - group_block])
+            parts[0] = parts[0][first - group_block :]
         if last < end:
-            self._write_partial(last, new[last - group_block :])
+            tail = parts[-1][len(parts[-1]) - (end - last) :]
+            parts[-1] = parts[-1][: len(parts[-1]) - (end - last)]
+        if first < last:
+            self._write_full(first // nd, parts)
+        if last < end:
+            self._write_partial(last, tail)
 
-    def _write_full(self, stripe: int, new: np.ndarray) -> None:
-        """Whole stripes from ``stripe`` on: data copied in, parity one
-        XOR-reduce, a chunk span at a time."""
+    def _write_full(self, stripe: int, parts: List[np.ndarray]) -> None:
+        """Whole stripes from ``stripe`` on, from the rows ``parts`` hold
+        (each a whole number of stripes): data copied in, parity one
+        XOR-reduce, a chunk span of a part at a time."""
         store, nd = self.store, self.geometry.ndata_disks
-        start, end = stripe, stripe + len(new) // nd
+        start, end = stripe, stripe + sum(map(len, parts)) // nd
         store.unmark(range(start * nd, end * nd))
         store.unmark(range(store.nblocks + start, store.nblocks + end))
         for column in range(nd + 1):
             store.writes[column] += end - start
-        new = new.reshape(end - start, nd, self.block_size)
-        while stripe < end:
-            ci, row = divmod(stripe, store.chunk_stripes)
-            take = min(end - stripe, store.chunk_stripes - row)
-            piece = new[stripe - start : stripe - start + take]
-            if ci in store._chunks or piece.any():
-                data, parity = store.rows(store.writable(ci))
-                data[row : row + take] = piece
-                np.bitwise_xor.reduce(piece, axis=1, out=parity[row : row + take])
-            stripe += take
+        for part in parts:
+            part = part.reshape(-1, nd, self.block_size)
+            at = 0
+            while at < len(part):
+                ci, row = divmod(stripe, store.chunk_stripes)
+                take = min(len(part) - at, store.chunk_stripes - row)
+                piece = part[at : at + take]
+                if ci in store._chunks or piece.any():
+                    data, parity = store.rows(store.writable(ci))
+                    data[row : row + take] = piece
+                    np.bitwise_xor.reduce(piece, axis=1,
+                                          out=parity[row : row + take])
+                stripe += take
+                at += take
 
     def _write_partial(self, group_block: int, new: np.ndarray) -> None:
         """Read-modify-write ``len(new)`` columns of one stripe from

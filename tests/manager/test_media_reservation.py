@@ -8,6 +8,8 @@ to be recycled, and is released exactly at commit or explicit release.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.catalog import BackupCatalog
@@ -95,3 +97,63 @@ class TestRecycleRefusal:
         for label in recycled:
             assert pool.catalog.cartridge_record(label).status == "scratch"
             assert pool.cartridge(label).used == 0
+
+
+def _scanned_free(pool):
+    """The free scratch cartridges as a scan of the whole inventory finds
+    them: scratch, in the pool, unwritten and unreserved, in order."""
+    return [label for label, record in pool.catalog.media.items()
+            if record.status == "scratch" and label in pool._cartridges
+            and not pool.cartridge(label).used
+            and pool.reserved_by(label) is None]
+
+
+class TestFreeList:
+    def test_drives_get_what_a_scan_finds(self, tmp_path):
+        rng = random.Random(5)
+        catalog = BackupCatalog()
+        pool = MediaPool(catalog)
+        pool.add_blank(12, capacity=8192)
+        live, day = [], 0
+        for _step in range(60):
+            want = _scanned_free(pool)
+            if not want:
+                pool.recycle(live.pop(0))
+                continue
+            drive = pool.drive_for_job("j%d" % day)
+            assert [c.label for c in drive.stacker.cartridges] == want
+            room = 8192 * len(want)
+            roll = rng.random()
+            if roll < 0.2:
+                pool.release_drive(drive)          # abandoned, unwritten
+            elif roll < 0.3:
+                drive.write(b"z" * rng.randint(1, min(9000, room)))
+                for cartridge in drive.stacker.cartridges:
+                    cartridge.erase()             # a failed day's cleanup
+                pool.release_drive(drive)
+            else:
+                drive.write(b"x" * rng.randint(1, min(9000, room)))
+                pool.adopt_cartridges(drive)
+                live.append(record_set(catalog, day=day))
+                pool.commit_job(drive, live[-1])
+            day += 1
+            if live and rng.random() < 0.4:
+                pool.recycle(live.pop(0))
+            if rng.random() < 0.1:
+                pool.save(str(tmp_path / "pool.med"))
+                pool = MediaPool.load(catalog, str(tmp_path / "pool.med"))
+            assert pool._free == _scanned_free(pool)
+
+    def test_a_loaded_cartridge_holding_bytes_is_not_free(self, pool,
+                                                         tmp_path):
+        """Bytes no commit allocated (a job cut short after its write)
+        keep a scratch cartridge off the free list after a reload."""
+        drive = pool.drive_for_job("cut-short")
+        drive.write(b"x" * 4096)
+        written = drive.stacker.cartridges[0].label
+        pool.save(str(tmp_path / "pool.med"))
+        loaded = MediaPool.load(pool.catalog, str(tmp_path / "pool.med"))
+        assert loaded.catalog.cartridge_record(written).status == "scratch"
+        assert loaded._free == _scanned_free(loaded)
+        assert written not in [
+            c.label for c in loaded.drive_for_job("next").stacker.cartridges]

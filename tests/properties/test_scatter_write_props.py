@@ -6,10 +6,14 @@ split — across chunk and RAID-group seams, with empty pieces and
 read-only views of zeros — the list write must leave the same chunks and
 bytes, per-column ``reads``/``writes``, bad-block marks, recorder events
 and cache residency as the joined buffer, and an armed write fuse must
-tear the same block with the same bytes and raise the same error.
+tear the same block with the same bytes and raise the same error.  It
+takes as many stripe-writer passes (``_write_rows``, ``_write_full``,
+``_write_partial``) as the joined buffer does: the pieces of a list go
+down in one pass, not a pass each.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.chaos.verify import volume_digest
 from repro.errors import PowerLossError, RaidError
+from repro.raid.group import RaidGroup
 from repro.raid.layout import make_geometry
 from repro.raid.volume import RaidVolume
 from repro.storage.device import IoRecorder
@@ -55,6 +60,28 @@ def _split(rng, data):
             pieces.append(piece)
     assert b"".join(pieces) == data
     return pieces
+
+
+@contextmanager
+def _stripe_passes():
+    """Count the calls of each stripe writer of every group."""
+    calls = {}
+    names = ("_write_rows", "_write_full", "_write_partial")
+    originals = {name: getattr(RaidGroup, name) for name in names}
+
+    def counted(name):
+        def call(self, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return originals[name](self, *args)
+        return call
+
+    for name in names:
+        setattr(RaidGroup, name, counted(name))
+    try:
+        yield calls
+    finally:
+        for name, original in originals.items():
+            setattr(RaidGroup, name, original)
 
 
 def _outcome(write):
@@ -128,9 +155,10 @@ def test_volume_list_write_equals_its_join(case):
         volume.recorder = IoRecorder()
         if fuse is not None:
             volume.arm_write_fuse(fuse)
-        outcome = _outcome(lambda: volume.write_run(
-            start, run, lead * SMALL, count))
-        twins.append((outcome, _volume_state(volume)))
+        with _stripe_passes() as passes:
+            outcome = _outcome(lambda: volume.write_run(
+                start, run, lead * SMALL, count))
+        twins.append((outcome, _volume_state(volume), passes))
     assert twins[0] == twins[1]
     if faults:
         return
@@ -158,8 +186,11 @@ def test_volume_list_write_without_a_count_takes_the_whole_list(ndata, seed):
                                  name="v") for _twin in range(2))
     start = rng.randrange(joined.nblocks)
     data = _payload(rng, rng.randint(1, joined.nblocks - start), SMALL)
-    joined.write_run(start, data)
-    listed.write_run(start, _split(rng, data))
+    with _stripe_passes() as joined_passes:
+        joined.write_run(start, data)
+    with _stripe_passes() as listed_passes:
+        listed.write_run(start, _split(rng, data))
+    assert listed_passes == joined_passes
     assert volume_digest(joined) == volume_digest(listed)
     assert listed.read_run(start, len(data) // SMALL) == data
 
